@@ -114,15 +114,14 @@ pub fn manyflow(shards: Option<u32>) -> Scenario {
 }
 
 /// Time the paper testbeds plus the shard-scaling ladder (the `simulator`
-/// bench group's workloads). The `shard_scaling_*` rows measure the
-/// parallel executor at 1/2/4/8 domains against the legacy serial world on
-/// the 10k-flow dumbbell; their wall times are recorded in the trajectory
-/// but exempt from the regression gate (parallel speedup is a property of
-/// the host's core count — see [`PerfReport::check_against`]).
-/// `manyflow_serial` is the same serial 10k-flow run under a gated name:
-/// it pins the many-flow hot path (packet arena, lazy timer cancellation,
-/// envelope batching) against wall-time regressions the way the paper rows
-/// pin the single-flow path.
+/// bench group's workloads). `manyflow_serial` is the 10k-flow dumbbell as
+/// one unit on one thread: it pins the many-flow hot path (packet arena,
+/// lazy timer cancellation) against wall-time regressions the way the
+/// paper rows pin the single-flow path. The `shard_scaling_*` rows run the
+/// same dumbbell cut into per-pair units in 1/2/4/8 domains; their wall
+/// times are recorded in the trajectory but exempt from the regression
+/// gate (parallel speedup is a property of the host's core count — see
+/// [`PerfReport::check_against`]).
 pub fn run_perf(iters: u32) -> PerfReport {
     run_perf_scenarios(
         &[
@@ -132,7 +131,6 @@ pub fn run_perf(iters: u32) -> PerfReport {
                 Scenario::paper_testbed_restricted(),
             ),
             ("manyflow_serial", manyflow(None)),
-            ("shard_scaling_serial_legacy", manyflow(None)),
             ("shard_scaling_1", manyflow(Some(1))),
             ("shard_scaling_2", manyflow(Some(2))),
             ("shard_scaling_4", manyflow(Some(4))),

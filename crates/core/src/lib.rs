@@ -49,14 +49,16 @@ pub mod world;
 pub use body::WireBody;
 pub use fairness::{fairness_csv, fairness_reports, FairnessReport, FlowFairness, VariantFairness};
 pub use report::{FlowReport, RunReport};
-pub use runner::{run, run_many, run_many_memo, run_many_memo_timed, run_many_timed, run_timed};
+pub use runner::{
+    run, run_many, run_many_memo, run_many_memo_timed, run_many_timed, run_timed, try_run,
+};
 pub use scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
 pub use spec::{
     results_csv, BurstLossDef, CcDef, CrossDef, ExpandedRun, FairnessDef, FlapDef, FlowDef,
     GridFtpDef, HostDef, ImpairmentDef, ImpairmentsDef, JitterDef, OutageDef, OutputSpec, PathDef,
     QueueDef, RunSpec, ScenarioSpec, ShardsDef, SpecError, SweepSpec, TcpDef, TuningDef,
 };
-pub use world::{Ev, World};
+pub use world::{BuildError, Ev, World};
 
 // Re-export the pieces downstream users need to compose scenarios without
 // depending on every substrate crate directly.

@@ -164,8 +164,8 @@ pub struct RunReport {
     /// Discrete events the engine dispatched during the run (the simulator
     /// perf harness divides these by wall time for events/sec).
     pub events_processed: u64,
-    /// Event-queue counters of the serial engine (wheel hit rate, tombstone
-    /// sweeps, far-heap migrations). `None` for sharded runs: queue
+    /// Event-queue counters of a one-unit run's engine (wheel hit rate,
+    /// tombstone sweeps, far-heap migrations). `None` with `shards`: queue
     /// placement depends on each domain's private engine, so the counters
     /// are not grouping-invariant and would break the byte-identical
     /// reports-across-shard-counts guarantee.

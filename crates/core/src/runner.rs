@@ -2,15 +2,16 @@
 
 use crate::report::{FlowReport, RunReport};
 use crate::scenario::Scenario;
-use crate::world::World;
-use rss_sim::{Engine, SimTime};
+use crate::shard::run_windowed;
+use crate::world::{BuildError, World};
+use rss_net::RedStats;
+use rss_sim::{QueueCounters, SimTime, TimeSeries};
 use rss_tcp::{TcpReceiver, TcpSender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Finalize one connection and build its report — shared by the serial and
-/// sharded runners so both produce byte-identical flow records.
-pub(crate) fn flow_report(
+/// Finalize one connection and build its report.
+fn flow_report(
     i: usize,
     sc: &Scenario,
     sender: &mut TcpSender,
@@ -55,18 +56,31 @@ pub(crate) fn flow_report(
     }
 }
 
-/// The watchdog verdict for a finished serial run: why it was cut short, or
-/// `None` when it ran its course.
-fn serial_truncation(sc: &Scenario, stats: &rss_sim::RunStats) -> Option<String> {
-    if stats.budget_exhausted {
+/// How a driver left its worlds: what the report needs beyond their state.
+struct Outcome {
+    end: SimTime,
+    events_processed: u64,
+    /// Engine queue counters; one-unit runs only (they are not invariant
+    /// under the grouping of units into domains).
+    engine: Option<QueueCounters>,
+    budget_exhausted: bool,
+    /// The run ended before its horizon of its own accord (every flow
+    /// completed, or nothing was left to simulate).
+    ended_early: bool,
+}
+
+/// The watchdog verdict for a finished run: why it was cut short, or `None`
+/// when it ran its course.
+fn truncation(sc: &Scenario, out: &Outcome) -> Option<String> {
+    if out.budget_exhausted {
         return Some(format!(
             "event budget {} exhausted at t={:.6}s",
             sc.max_events.expect("budget fired only when armed"),
-            stats.end_time.as_secs_f64()
+            out.end.as_secs_f64()
         ));
     }
     let clamp = sc.max_sim_time?;
-    if clamp < sc.duration && !stats.drained && !stats.stopped_by_model {
+    if clamp < sc.duration && !out.ended_early {
         return Some(format!(
             "max_sim_time {:.6}s reached before the {:.6}s horizon",
             clamp.as_secs_f64(),
@@ -78,71 +92,96 @@ fn serial_truncation(sc: &Scenario, stats: &rss_sim::RunStats) -> Option<String>
 
 /// Execute one scenario and collect its report.
 ///
-/// `Scenario::shards = Some(n)` routes the run through the sharded parallel
-/// executor (see [`crate::shard`]); `None` keeps the classic serial world.
+/// Panics with the [`BuildError`] text when the scenario cannot be built;
+/// [`try_run`] returns it instead.
 pub fn run(sc: &Scenario) -> RunReport {
-    if let Some(n) = sc.shards {
-        return crate::shard::run_sharded_scenario(sc, n);
-    }
-    let world = World::build(sc).unwrap_or_else(|e| {
-        panic!("scenario rejected by the congestion-control registry: {e} (the spec pipeline validates this with the same path qualification)")
-    });
-    let mut engine = Engine::new(world);
-    engine.event_budget = sc.max_events;
-    for (t, ev) in engine.model().initial_events(sc) {
-        engine.schedule_at(t, ev);
-    }
-    let horizon = sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
-    let stats = engine.run_until(SimTime::ZERO + horizon);
-    let end = engine.now();
-    let queue_counters = engine.queue_counters();
-    let mut world = engine.into_model();
+    try_run(sc).unwrap_or_else(|e| {
+        panic!("scenario rejected: {e} (the spec pipeline validates this with the same path qualification)")
+    })
+}
 
-    let mut flows = Vec::with_capacity(world.conn_count());
-    for i in 0..world.conn_count() {
-        let completed = world.completed_at(i);
-        let (sender, receiver) = world.conn_endpoints_mut(i);
-        flows.push(flow_report(i, sc, sender, receiver, completed, end));
-    }
+/// [`run`], returning a scenario the world builder rejects as an error.
+///
+/// The model is the same either way; [`Scenario::shards`] picks the unit map
+/// and with it the driver. `None` is the one-unit map: no flight crosses a
+/// unit boundary, so nothing bounds the lookahead and the engine runs the
+/// whole horizon as one window. `Some(n)` is the per-pair map in `n`
+/// domains, advanced in lockstep lookahead windows (see [`crate::shard`]).
+pub fn try_run(sc: &Scenario) -> Result<RunReport, BuildError> {
+    // The watchdog clamps the horizon; a window-boundary cut is invariant
+    // across domain counts, so truncated runs stay bit-exact too.
+    let horizon = SimTime::ZERO + sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
+    let (mut worlds, out) = match sc.shards {
+        None => {
+            let mut engine = World::build(sc)?.into_engine();
+            engine.event_budget = sc.max_events;
+            let stats = engine.run_until(horizon);
+            let out = Outcome {
+                end: stats.end_time,
+                events_processed: stats.events_processed,
+                engine: Some(engine.queue_counters()),
+                budget_exhausted: stats.budget_exhausted,
+                ended_early: stats.drained || stats.stopped_by_model,
+            };
+            (vec![engine.into_model()], out)
+        }
+        Some(n) => {
+            let (worlds, stats) = run_windowed(sc, n, horizon)?;
+            let out = Outcome {
+                end: stats.end_time,
+                events_processed: stats.events_processed,
+                engine: None,
+                budget_exhausted: false,
+                ended_early: stats.stopped_early,
+            };
+            (worlds, out)
+        }
+    };
+    Ok(report(sc, &mut worlds, &out))
+}
 
-    let sender_nic = world.sender_nic(0);
-    let nic_stats = sender_nic.stats();
-    let nic_util = sender_nic.utilization(end);
-    let sender_ifq_series = world
-        .sender_ifq_series(0)
-        .iter()
-        .map(|(t, v)| (t.as_secs_f64(), v))
+/// Assemble the report from the worlds of all domains (one, for the
+/// one-unit map).
+fn report(sc: &Scenario, worlds: &mut [World], out: &Outcome) -> RunReport {
+    let end = out.end;
+    let flows = (0..sc.flows.len())
+        .map(|i| {
+            let (sender, receiver, completed_at) = worlds
+                .iter_mut()
+                .find_map(|w| w.flow(i))
+                .expect("every flow belongs to a world");
+            flow_report(i, sc, sender, receiver, completed_at, end)
+        })
         .collect();
-    let (offered_pkts, offered_bytes) = world
-        .cross_offered()
+    // The report's host-level fields describe flow 0's sending host.
+    let (sender_nic, ifq_series) = worlds
         .iter()
-        .fold((0u64, 0u64), |acc, &(p, b)| (acc.0 + p, acc.1 + b));
-    let _ = offered_pkts;
-    let red = world.red_stats();
-    let bottleneck_queue_series = world
-        .bottleneck_series()
-        .iter()
-        .map(|(t, v)| (t.as_secs_f64(), v))
-        .collect();
-
+        .find_map(|w| w.sender_host(0))
+        .expect("flow 0 belongs to a world");
+    let series = |s: &TimeSeries| s.iter().map(|(t, v)| (t.as_secs_f64(), v)).collect();
+    let red: Vec<RedStats> = worlds.iter().map(World::red_stats).collect();
     RunReport {
         duration_s: end.as_secs_f64(),
         seed: sc.seed,
         path_rate_bps: sc.path.rate_bps,
         flows,
-        sender_ifq_series,
-        sender_nic: nic_stats,
-        sender_nic_utilization: nic_util,
-        router_queue_drops: world.fabric().queue_drops,
-        router_red_early_drops: red.map_or(0, |s| s.early_drops),
-        router_red_forced_drops: red.map_or(0, |s| s.forced_drops),
-        router_ecn_marks: red.map_or(0, |s| s.ecn_marks),
-        bottleneck_queue_series,
-        cross_offered_bytes: offered_bytes,
-        cross_delivered_bytes: world.cross_delivered_bytes,
-        events_processed: stats.events_processed,
-        engine: Some(queue_counters),
-        truncated: serial_truncation(sc, &stats),
+        sender_ifq_series: series(ifq_series),
+        sender_nic: sender_nic.stats(),
+        sender_nic_utilization: sender_nic.utilization(end),
+        router_queue_drops: worlds.iter().map(|w| w.fabric().queue_drops).sum(),
+        router_red_early_drops: red.iter().map(|s| s.early_drops).sum(),
+        router_red_forced_drops: red.iter().map(|s| s.forced_drops).sum(),
+        router_ecn_marks: red.iter().map(|s| s.ecn_marks).sum(),
+        bottleneck_queue_series: worlds
+            .iter()
+            .find_map(World::bottleneck_series)
+            .map(series)
+            .expect("one world owns the forward bottleneck"),
+        cross_offered_bytes: worlds.iter().map(World::cross_offered_bytes).sum(),
+        cross_delivered_bytes: worlds.iter().map(World::cross_delivered_bytes).sum(),
+        events_processed: out.events_processed,
+        engine: out.engine,
+        truncated: truncation(sc, out),
     }
 }
 
@@ -344,6 +383,35 @@ mod tests {
             again.flows[0].vars.data_bytes_out
         );
         assert_eq!(r.flows[0].rto_episodes, again.flows[0].rto_episodes);
+    }
+
+    #[test]
+    fn unbuildable_scenarios_are_errors_under_either_unit_map() {
+        // rtt = 3 x access_delay leaves the haul link no delay, hence the
+        // windowed driver no lookahead.
+        let mut sc = tiny(CcAlgorithm::Reno)
+            .with_access_delay(SimDuration::from_millis(1))
+            .with_rtt(SimDuration::from_millis(3))
+            .with_shards(2);
+        let err = try_run(&sc).expect_err("no lookahead");
+        assert!(
+            err.to_string()
+                .starts_with("path.access_delay: sharded runs need 0 < 4 x access_delay < rtt"),
+            "{err}"
+        );
+        // One unit needs no lookahead: the same geometry runs.
+        sc.shards = None;
+        try_run(&sc).expect("one-unit run");
+
+        // A registry rejection reads the same whichever map builds the flow.
+        let mut sc = tiny(CcAlgorithm::Reno);
+        sc.flows.push(crate::FlowSpec::bulk(CcAlgorithm::Scalable(
+            crate::ScalableConfig { ai_cnt: 0 },
+        )));
+        let one_unit = try_run(&sc).expect_err("ai_cnt 0").to_string();
+        assert_eq!(one_unit, "flows[1]: ai_cnt must be at least 1, got 0");
+        let per_pair = try_run(&sc.with_shards(2)).expect_err("ai_cnt 0");
+        assert_eq!(per_pair.to_string(), one_unit);
     }
 
     #[test]

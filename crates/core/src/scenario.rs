@@ -102,8 +102,8 @@ pub struct PathSpec {
     /// makes the sender's own NIC the bottleneck (the paper's regime).
     pub access_rate_bps: Option<u64>,
     /// One-way propagation delay of each access link. The long-haul delay is
-    /// derived as `rtt/2 − 2·access_delay`, so this also bounds the sharded
-    /// runner's lookahead window (`min(access_delay, haul_delay)`).
+    /// derived as `rtt/2 − 2·access_delay`, so this also bounds the windowed
+    /// driver's lookahead (`min(access_delay, haul_delay)`).
     pub access_delay: SimDuration,
 }
 
@@ -193,10 +193,12 @@ pub struct Scenario {
     pub stop_when_complete: bool,
     /// Queue discipline on the bottleneck router ports.
     pub queue: QueueDiscipline,
-    /// Run through the sharded parallel executor with this many shards
-    /// (`None` = the classic serial world). Any count — including 1 — uses
-    /// the shard-exact event path, whose results are identical for every
-    /// shard count but not bit-equal to the serial world's tie-breaking.
+    /// The unit map and its driver (see [`crate::shard`]). `None`: one unit
+    /// owns the whole topology and one engine runs it to the horizon.
+    /// `Some(n)`: one unit per host pair plus one per bottleneck direction,
+    /// grouped into `n` domains advanced in lockstep lookahead windows;
+    /// results are identical for every `n` (including 1), but a different
+    /// realization (tie-breaks, loss draws) from `None`'s.
     pub shards: Option<u32>,
     /// Deterministic impairment on the long-haul link (both directions;
     /// independent random streams per direction, one shared outage
@@ -209,14 +211,15 @@ pub struct Scenario {
     /// Watchdog: end the run once this much simulated time has elapsed even
     /// if `duration` is larger (e.g. `stop_when_complete` runs that can no
     /// longer complete because an outage never lifts). A run ended by the
-    /// watchdog reports `truncated` in its [`crate::RunReport`]. Honored by
-    /// both the serial and the sharded executor (it clamps the horizon, so
-    /// it is shard-count-invariant).
+    /// watchdog reports `truncated` in its [`crate::RunReport`]. It clamps
+    /// the horizon, so it holds under either unit map and is
+    /// shard-count-invariant.
     pub max_sim_time: Option<SimDuration>,
     /// Watchdog: end the run gracefully after this many simulation events.
     /// Unlike the engine's panicking `event_limit`, exhaustion is reported
-    /// as a truncated run, not a crash. Serial executor only; the sharded
-    /// executor relies on `max_sim_time`.
+    /// as a truncated run, not a crash. `shards: None` only: the windowed
+    /// driver has no budget (the spec layer rejects the combination), so
+    /// bound those runs with `max_sim_time`.
     pub max_events: Option<u64>,
 }
 
@@ -306,7 +309,7 @@ impl Scenario {
         self
     }
 
-    /// Builder: run through the sharded executor with `n` shards.
+    /// Builder: run as per-pair units in `n` domains.
     pub fn with_shards(mut self, n: u32) -> Self {
         self.shards = Some(n);
         self
@@ -330,7 +333,7 @@ impl Scenario {
         self
     }
 
-    /// Builder: arm the event-count watchdog (serial executor).
+    /// Builder: arm the event-count watchdog (`shards: None` only).
     pub fn with_max_events(mut self, n: u64) -> Self {
         self.max_events = Some(n);
         self

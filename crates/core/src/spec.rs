@@ -98,10 +98,11 @@ pub struct ScenarioSpec {
     /// Opt-in fairness & convergence measurement over every run (JSON
     /// `fairness`, default off).
     pub fairness: Option<FairnessDef>,
-    /// Run every expanded scenario through the sharded parallel executor
-    /// (JSON `shards`: a positive integer shard count or `"auto"` for one
-    /// shard per available core; default: the classic serial world). Results
-    /// are identical for every shard count, so `"auto"` stays reproducible.
+    /// Cut every expanded scenario's world into per-pair units and run them
+    /// in parallel domains (JSON `shards`: a positive integer domain count
+    /// or `"auto"` for one per available core; default: one unit, one
+    /// thread). Results are identical for every count, so `"auto"` stays
+    /// reproducible.
     pub shards: Option<ShardsDef>,
     /// Artifact file names under the output directory (JSON `output`,
     /// default `scenario_<name>.csv` only).
@@ -211,13 +212,13 @@ pub struct RunSpec {
     /// point — typically a `stop_when_complete` run whose transfer can never
     /// complete under a permanent outage — ends here with an explicit
     /// `truncated` reason in its report instead of running to `duration_s`.
-    /// Honored by the serial and the sharded executor alike (the cut lands
-    /// on a window boundary, so truncated runs stay shard-count invariant).
+    /// Honored with and without `shards` (there the cut lands on a window
+    /// boundary, so truncated runs stay shard-count invariant).
     pub max_sim_time_s: Option<f64>,
     /// Watchdog: hard ceiling on events processed (JSON `max_events`,
-    /// default none). Serial executor only — the sharded executor ignores
-    /// it, since a global event count is not shard-count invariant; use
-    /// `max_sim_time_s` there.
+    /// default none). Rejected together with `shards` — a budget cut in
+    /// mid-window would not be shard-count invariant; use `max_sim_time_s`
+    /// there.
     pub max_events: Option<u64>,
 }
 
@@ -1248,7 +1249,7 @@ impl ScenarioSpec {
                 for &q in &queues {
                     for &seed in &seeds {
                         for &streams in &streams_axis {
-                            for run in &self.runs {
+                            for (i, run) in self.runs.iter().enumerate() {
                                 let mut r = run.clone();
                                 if let Some(rate) = rate {
                                     r.path.get_or_insert_with(Default::default).rate_mbps =
@@ -1277,6 +1278,15 @@ impl ScenarioSpec {
                                 }
                                 let mut scenario = r.to_scenario()?;
                                 if let Some(sh) = self.shards {
+                                    // The windowed driver has no event
+                                    // budget; say so instead of dropping
+                                    // the watchdog the spec asked for.
+                                    if run.max_events.is_some() {
+                                        return Err(SpecError::new(format!(
+                                            "$.runs[{i}].max_events: not supported with \
+                                             shards; use max_sim_time_s"
+                                        )));
+                                    }
                                     let access = scenario.path.access_delay;
                                     if scenario.path.rtt / 2 <= access * 2 {
                                         return Err(SpecError::new(format!(
@@ -1531,6 +1541,25 @@ mod tests {
             "{}",
             err.msg
         );
+    }
+
+    #[test]
+    fn max_events_with_shards_is_rejected_not_ignored() {
+        let spec = |shards: &str| {
+            ScenarioSpec::from_json(&format!(
+                r#"{{"name":"t",{shards}"runs":[{{"label":"a","flows":[{{}}]}},
+                    {{"label":"b","flows":[{{}}],"max_events":1000}}]}}"#
+            ))
+            .unwrap()
+        };
+        let err = spec(r#""shards":2,"#).validate().unwrap_err();
+        assert_eq!(
+            err.msg,
+            "$.runs[1].max_events: not supported with shards; use max_sim_time_s"
+        );
+        // Without `shards` the budget is honoured as before.
+        let runs = spec("").expand().unwrap();
+        assert_eq!(runs[1].scenario.max_events, Some(1000));
     }
 
     #[test]
@@ -1805,7 +1834,7 @@ mod tests {
         let runs = spec.expand().unwrap();
         assert!(runs[0].scenario.shards.unwrap() >= 1);
 
-        // Omitted: the classic serial world.
+        // Omitted: the one-unit world.
         let spec = ScenarioSpec::from_json(&minimal(r#"[{"label":"x","flows":[{}]}]"#)).unwrap();
         assert_eq!(spec.shards, None);
         assert_eq!(spec.expand().unwrap()[0].scenario.shards, None);
@@ -1846,7 +1875,8 @@ mod tests {
         .unwrap_err();
         assert!(err.msg.contains("run `x`"), "{}", err.msg);
         assert!(err.msg.contains("rtt > 4 x access_delay"), "{}", err.msg);
-        // The same geometry without `shards` stays valid (serial world).
+        // The same geometry without `shards` stays valid (one unit needs no
+        // lookahead).
         ScenarioSpec::from_json(
             r#"{"name":"t","runs":[{"label":"x","flows":[{}],"path":{"rtt_ms":0.03}}]}"#,
         )

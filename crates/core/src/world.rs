@@ -1,5 +1,6 @@
 //! The world model: hosts, network fabric and TCP connections wired into one
-//! deterministic event-driven system.
+//! deterministic event-driven system. This is the only model of the dumbbell;
+//! every run, on one thread or many, executes this code.
 //!
 //! Event flow for one data segment:
 //!
@@ -11,21 +12,50 @@
 //!                                                          │
 //!            sender.on_ack ◄─ ACK path (receiver NIC) ◄─ TcpReceiver
 //! ```
+//!
+//! # The unit map
+//!
+//! A world is built for a `UnitPlan`: which *unit* owns each host pair
+//! (its two hosts and the two router ports feeding their access links) and
+//! each bottleneck egress port, and which units this world simulates. A
+//! flight whose two ends belong to different units leaves the world as an
+//! envelope (see [`rss_net::Fabric::partitioned`]); everything else is an
+//! ordinary local event. What a plan changes is data, never a code path:
+//!
+//! * `UnitPlan::whole` — one unit owns the topology, so no flight ever
+//!   leaves and the world runs to the horizon in a single
+//!   [`Engine::run_until`]. This is `Scenario::shards = None`.
+//! * `UnitPlan::per_pair` — `host_pairs + 2` units (one per pair, one per
+//!   bottleneck direction) grouped into domains; each domain is one world
+//!   driven in lookahead windows by [`crate::shard`].
+//!
+//! Everything whose order could depend on the grouping is kept per unit:
+//! packet ids, envelope sequence numbers, the sampling event chain, and the
+//! random streams of the two bottleneck ports (private per port once they
+//! live in different units; one shared fabric stream when they do not).
+//! The two plans are therefore two realizations of one physics — same
+//! model, different tie-breaks and loss draws — and `tests/one_world.rs`
+//! holds them to the same macroscopic behaviour.
 
 use crate::body::WireBody;
 use crate::scenario::Scenario;
+use crate::shard::UnitPlan;
 use rss_host::HostNic;
 use rss_net::{
-    dumbbell, Ecn, Fabric, Impairment, LinkId, LinkParams, NetEvent, NodeId, OutageSchedule,
-    Packet, PacketIdGen, QueueConfig, RedStats, TrafficSource,
+    dumbbell, Ecn, Fabric, FlowId, Handoff, Impairment, LinkId, LinkParams, NetEvent, NodeId,
+    OutageSchedule, Packet, QueueConfig, RedStats, TrafficSource, UnitMap,
 };
-use rss_sim::{Model, Scheduler, SimDuration, SimRng, SimTime, TimeSeries};
+use rss_sim::{Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime, TimeSeries};
 use rss_tcp::{
     make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpReceiver, TcpSegment, TcpSender,
 };
 use rss_workload::AppDriver;
+use std::fmt;
+use std::ops::Range;
 
-/// Events of the complete experiment world.
+/// Events of the complete experiment world. Every index is local to the
+/// world that scheduled the event (under the one-unit plan, local and
+/// scenario-wide indexes coincide).
 #[derive(Debug, Clone)]
 pub enum Ev {
     /// Network-fabric internal event (POD; payloads live in the fabric's
@@ -33,7 +63,7 @@ pub enum Ev {
     Net(NetEvent),
     /// A host NIC finished serializing a packet.
     NicTxDone {
-        /// Host node id (raw).
+        /// Host index.
         host: u32,
     },
     /// A flow begins.
@@ -68,14 +98,59 @@ pub enum Ev {
         /// Cross-stream index.
         idx: u32,
     },
-    /// Periodic world-level sampling.
-    Sample,
+    /// Periodic sampling of one unit's series.
+    Sample {
+        /// Unit index.
+        unit: u32,
+    },
 }
 
+/// Why a [`Scenario`] cannot be turned into a runnable world.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BuildError {
+    /// `flows[flow]` was rejected by the congestion-control registry.
+    Cc {
+        /// Index of the offending flow.
+        flow: usize,
+        /// The registry's verdict.
+        source: CcError,
+    },
+    /// `sample_interval` is zero, so the sampling chain would never advance.
+    SampleInterval,
+    /// A multi-unit plan needs a positive lookahead on both message legs:
+    /// `0 < 4 × access_delay < rtt`.
+    Lookahead {
+        /// The scenario's access-link delay.
+        access_delay: SimDuration,
+        /// The scenario's round-trip time.
+        rtt: SimDuration,
+    },
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::Cc { flow, source } => write!(f, "flows[{flow}]: {source}"),
+            BuildError::SampleInterval => f.write_str("sample_interval: must be positive"),
+            BuildError::Lookahead { access_delay, rtt } => write!(
+                f,
+                "path.access_delay: sharded runs need 0 < 4 x access_delay < rtt \
+                 (access_delay {access_delay:?}, rtt {rtt:?})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
 struct Conn {
+    /// Scenario-wide flow index; what segments and reports carry.
+    id: ConnId,
     sender: TcpSender,
     receiver: TcpReceiver,
     app: AppDriver,
+    /// Index of the sending and of the receiving host.
+    hosts: [u32; 2],
     src: NodeId,
     dst: NodeId,
     start: SimTime,
@@ -84,56 +159,97 @@ struct Conn {
 
 struct Cross {
     source: TrafficSource,
+    /// Index of the emitting host.
+    host: u32,
     src: NodeId,
     dst: NodeId,
+    flow: FlowId,
+    start: SimTime,
     stop: Option<SimTime>,
-    sent_pkts: u64,
     sent_bytes: u64,
 }
 
-/// The complete experiment state; implements [`Model`] for the DES engine.
+/// One end host: its NIC, where it attaches, and what sends from it.
+struct Host {
+    nic: HostNic<WireBody>,
+    node: NodeId,
+    /// The host's access link.
+    link: LinkId,
+    /// Index of the unit that owns this host.
+    unit: u32,
+    /// Connections sending from this host, in flow order. Frozen after
+    /// build; the transmit path walks it by index.
+    conns: Vec<u32>,
+    /// IFQ-depth series (sending hosts only).
+    ifq_series: Option<TimeSeries>,
+}
+
+/// Per-unit state: whatever must not depend on how units are grouped.
+struct Unit {
+    /// Scenario-wide unit id.
+    id: u32,
+    /// Next packet id; units number from disjoint bases.
+    next_pkt: u64,
+    /// This unit's hosts (contiguous: hosts are laid out unit by unit).
+    hosts: Range<usize>,
+    /// Whether this unit owns, and so samples, the forward bottleneck queue.
+    samples_bottleneck: bool,
+}
+
+/// The experiment state of the units one `UnitPlan` domain owns;
+/// implements [`Model`] for the DES engine.
 ///
-/// Per-host state (NICs, access links, connection lists, IFQ series) lives in
-/// dense vectors indexed by raw node id — node ids are small and contiguous,
-/// and these tables sit on the per-packet hot path.
+/// Hosts, connections and cross sources live in dense vectors holding only
+/// what this world owns; events and cross-references carry indexes into
+/// them, and `conn_index` maps the flow ids on arriving segments.
 pub struct World {
     fabric: Fabric<WireBody>,
-    /// `nics[node]`; `None` for routers.
-    nics: Vec<Option<HostNic<WireBody>>>,
-    /// `host_links[node]`: the host's access link; `None` for routers.
-    host_links: Vec<Option<LinkId>>,
-    /// `host_conns[node]`: connections sending from this host.
-    host_conns: Vec<Vec<u32>>,
+    hosts: Vec<Host>,
     conns: Vec<Conn>,
+    /// Connection index by scenario flow id (`u32::MAX`: another world's).
+    conn_index: Vec<u32>,
     cross: Vec<Cross>,
-    ids: PacketIdGen,
+    units: Vec<Unit>,
     scheduled_rto: Vec<Option<SimTime>>,
-    /// IFQ-depth time series per sending host node (`None` elsewhere).
-    ifq_series: Vec<Option<TimeSeries>>,
     sample_interval: SimDuration,
     duration: SimDuration,
+    /// Stop the engine once every connection completed. Only the one-unit
+    /// plan can decide that locally; otherwise the window driver collects
+    /// [`World::take_completions`] from every domain.
     stop_when_complete: bool,
-    /// Bottleneck queue-depth series (forward-direction router port,
-    /// instantaneous packets), sampled on the same grid as the IFQ series.
-    bottleneck_series: TimeSeries,
+    completed: u64,
+    completions_taken: u64,
+    /// Forward bottleneck queue-depth series (instantaneous packets), on the
+    /// same grid as the IFQ series. `None` when another world owns the port.
+    bottleneck_series: Option<TimeSeries>,
     /// The two routers framing the bottleneck (forward direction first).
-    routers: (NodeId, NodeId),
+    routers: [NodeId; 2],
     /// The shared long-haul (bottleneck) link.
-    pub bottleneck: LinkId,
-    /// Cross-traffic packets delivered to their sinks.
-    pub cross_delivered_pkts: u64,
-    /// Cross-traffic bytes delivered to their sinks.
-    pub cross_delivered_bytes: u64,
+    bottleneck: LinkId,
+    cross_delivered_bytes: u64,
 }
 
 impl World {
-    /// Build the world for a scenario. The returned engine events must be
-    /// seeded with [`World::initial_events`].
+    /// Build the one-unit world for a scenario ([`Scenario::shards`] is the
+    /// driver's business and ignored here).
     ///
-    /// Fails with the registry's path-qualified [`CcError`] when a flow's
+    /// Fails with a path-qualified [`BuildError`] when a flow's
     /// congestion-control selection is rejected (the declarative spec
     /// pipeline normally catches this earlier with the same qualification).
-    pub fn build(sc: &Scenario) -> Result<World, CcError> {
+    pub fn build(sc: &Scenario) -> Result<World, BuildError> {
+        World::build_domain(sc, &UnitPlan::whole(sc), 0)
+    }
+
+    /// Build the world of the units `plan` assigns to `domain`.
+    pub(crate) fn build_domain(
+        sc: &Scenario,
+        plan: &UnitPlan,
+        domain: u32,
+    ) -> Result<World, BuildError> {
+        if sc.sample_interval == SimDuration::ZERO {
+            return Err(BuildError::SampleInterval);
+        }
+        let owns = |unit: u32| plan.unit_domain[unit as usize] == domain;
         let pairs = sc.host_pairs();
         let access_delay = sc.path.access_delay;
         let one_way = sc.path.rtt / 2;
@@ -141,43 +257,75 @@ impl World {
         let access = LinkParams::new(sc.path.access_rate(), access_delay);
         let haul = LinkParams::new(sc.path.rate_bps, haul_delay).with_loss(sc.path.loss_prob);
         let (topo, d) = dumbbell(pairs, access, haul);
+        let routers = [d.left_router, d.right_router];
+
+        let mut map = UnitMap::new(&topo, plan.unit_domain.len());
+        for (p, &unit) in plan.pair_unit.iter().enumerate() {
+            for (node, link) in [
+                (d.senders[p], d.sender_access[p]),
+                (d.left_router, d.sender_access[p]),
+                (d.right_router, d.receiver_access[p]),
+                (d.receivers[p], d.receiver_access[p]),
+            ] {
+                map.assign(&topo, node, link, unit);
+            }
+        }
+        for (router, unit) in routers.into_iter().zip(plan.hub_units) {
+            map.assign(&topo, router, d.bottleneck, unit);
+        }
+        for unit in (0..plan.unit_domain.len() as u32).filter(|&u| owns(u)) {
+            map.set_local(unit);
+        }
 
         let rng = SimRng::seed_from_u64(sc.seed);
-        let mut fabric = Fabric::new(
+        let mut fabric = Fabric::partitioned(
             topo,
             QueueConfig::packets(sc.path.router_queue_pkts),
             rng.derive(0xFAB),
+            map,
         );
-        // RED (with or without ECN marking) on both directions of the shared
-        // long-haul link, sized to the drop-tail capacity.
-        let mean_pkt = rss_sim::SimDuration::for_bytes_at_rate(1500, sc.path.rate_bps);
-        if let Some(red) = sc.queue.to_red_config(sc.path.router_queue_pkts, mean_pkt) {
-            fabric.set_red_port(d.left_router, d.bottleneck, red);
-            fabric.set_red_port(d.right_router, d.bottleneck, red);
+
+        // The bottleneck ports: RED (with or without ECN marking) sized to
+        // the drop-tail capacity, and the haul impairment. Each link
+        // direction gets a private per-packet stream, while the directions
+        // (and legs) of one physical link share a single outage realization
+        // — a flap downs the link as a whole. Outage schedules build out to
+        // the full scenario duration.
+        let fault_horizon = SimTime::ZERO + sc.duration;
+        let mean_pkt = SimDuration::for_bytes_at_rate(1500, sc.path.rate_bps);
+        let red = sc.queue.to_red_config(sc.path.router_queue_pkts, mean_pkt);
+        let haul_cfg = sc.haul_impairment.as_ref().filter(|c| !c.is_noop());
+        let haul_rng = rng.derive(0x1FA);
+        let haul_schedule =
+            haul_cfg.map(|cfg| OutageSchedule::build(cfg, &mut haul_rng.derive(0), fault_horizon));
+        for (k, router) in routers.into_iter().enumerate() {
+            if !owns(plan.hub_units[k]) {
+                continue;
+            }
+            if let Some(red) = red {
+                fabric.set_red_port(router, d.bottleneck, red);
+            }
+            // Ports in different units cannot share a stream; ports of one
+            // unit keep drawing from the fabric's.
+            if plan.is_partitioned() {
+                fabric.set_port_rng(router, d.bottleneck, rng.derive(0xFAB0 + k as u64));
+            }
+            if let (Some(cfg), Some(schedule)) = (haul_cfg, &haul_schedule) {
+                let imp = Impairment::new(cfg, schedule.clone(), haul_rng.derive(1 + k as u64));
+                fabric.set_impairment(d.bottleneck, router, imp);
+            }
         }
 
-        // Fault injection. Outage schedules build out to the full scenario
-        // duration; each link direction gets a private per-packet stream,
-        // while the directions (and legs) of one physical link share a
-        // single outage realization — a flap downs the link as a whole.
-        let fault_horizon = SimTime::ZERO + sc.duration;
-        if let Some(cfg) = sc.haul_impairment.as_ref().filter(|c| !c.is_noop()) {
-            let haul_rng = rng.derive(0x1FA);
-            let schedule = OutageSchedule::build(cfg, &mut haul_rng.derive(0), fault_horizon);
-            fabric.set_impairment(
-                d.bottleneck,
-                d.left_router,
-                Impairment::new(cfg, schedule.clone(), haul_rng.derive(1)),
-            );
-            fabric.set_impairment(
-                d.bottleneck,
-                d.right_router,
-                Impairment::new(cfg, schedule, haul_rng.derive(2)),
-            );
-        }
-        if let Some(cfg) = sc.access_impairment.as_ref().filter(|c| !c.is_noop()) {
-            let acc_rng = rng.derive(0xACC);
-            for p in 0..pairs {
+        // Hosts, laid out unit by unit (pairs ascend, and so do their units).
+        let acc_cfg = sc.access_impairment.as_ref().filter(|c| !c.is_noop());
+        let acc_rng = rng.derive(0xACC);
+        let owns_pair = |p: usize| owns(plan.pair_unit[p]);
+        let mut units: Vec<Unit> = Vec::new();
+        let mut hosts: Vec<Host> =
+            Vec::with_capacity(2 * (0..pairs).filter(|&p| owns_pair(p)).count());
+        let mut pair_hosts = vec![[u32::MAX; 2]; pairs];
+        for p in (0..pairs).filter(|&p| owns_pair(p)) {
+            if let Some(cfg) = acc_cfg {
                 let pair_rng = acc_rng.derive(p as u64);
                 let schedule = OutageSchedule::build(cfg, &mut pair_rng.derive(0), fault_horizon);
                 for (k, (link, from)) in [
@@ -196,144 +344,159 @@ impl World {
                     );
                 }
             }
+            let unit = local_unit(&mut units, plan.pair_unit[p], hosts.len());
+            for (k, (node, link)) in [
+                (d.senders[p], d.sender_access[p]),
+                (d.receivers[p], d.receiver_access[p]),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                pair_hosts[p][k] = hosts.len() as u32;
+                hosts.push(Host {
+                    nic: HostNic::new(sc.host),
+                    node,
+                    link,
+                    unit,
+                    conns: Vec::new(),
+                    ifq_series: None,
+                });
+            }
+            units[unit as usize].hosts.end = hosts.len();
+        }
+        let owns_bottleneck = owns(plan.hub_units[0]);
+        if owns_bottleneck {
+            let unit = local_unit(&mut units, plan.hub_units[0], hosts.len());
+            units[unit as usize].samples_bottleneck = true;
         }
 
-        let node_count = fabric.topology().node_count();
-        let mut nics: Vec<Option<HostNic<WireBody>>> = vec![None; node_count];
-        let mut host_links: Vec<Option<LinkId>> = vec![None; node_count];
-        for (i, &h) in d.senders.iter().enumerate() {
-            nics[h.0 as usize] = Some(HostNic::new(sc.host));
-            host_links[h.0 as usize] = Some(d.sender_access[i]);
-        }
-        for (i, &h) in d.receivers.iter().enumerate() {
-            nics[h.0 as usize] = Some(HostNic::new(sc.host));
-            host_links[h.0 as usize] = Some(d.receiver_access[i]);
-        }
-
-        let mut conns = Vec::with_capacity(sc.flows.len());
-        let mut host_conns: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-        for (i, f) in sc.flows.iter().enumerate() {
+        let owns_flow = |i: usize| owns_pair(sc.flow_pair(i));
+        let mut conns = Vec::with_capacity((0..sc.flows.len()).filter(|&i| owns_flow(i)).count());
+        let mut conn_index = vec![u32::MAX; sc.flows.len()];
+        for (i, f) in sc.flows.iter().enumerate().filter(|&(i, _)| owns_flow(i)) {
             let pair = sc.flow_pair(i);
-            let src = d.senders[pair];
-            let dst = d.receivers[pair];
-            let cc = make_cc(f.algo, &sc.tcp).map_err(|e| CcError {
-                msg: format!("flows[{i}]: {e}"),
-            })?;
-            let mut sender = TcpSender::new(ConnId(i as u32), sc.tcp, cc, f.app.initial_bytes());
+            let id = ConnId(i as u32);
+            let cc =
+                make_cc(f.algo, &sc.tcp).map_err(|source| BuildError::Cc { flow: i, source })?;
+            let mut sender = TcpSender::new(id, sc.tcp, cc, f.app.initial_bytes());
             sender.web100_mut().sample_stride = sc.web100_stride;
-            let receiver = TcpReceiver::new(ConnId(i as u32), sc.tcp);
-            host_conns[src.0 as usize].push(i as u32);
+            conn_index[i] = conns.len() as u32;
+            let host = &mut hosts[pair_hosts[pair][0] as usize];
+            host.conns.push(conns.len() as u32);
+            host.ifq_series
+                .get_or_insert_with(|| TimeSeries::new(format!("ifq_host{}", host.node.0)));
             conns.push(Conn {
+                id,
                 sender,
-                receiver,
+                receiver: TcpReceiver::new(id, sc.tcp),
                 app: AppDriver::new(f.app),
-                src,
-                dst,
+                hosts: pair_hosts[pair],
+                src: d.senders[pair],
+                dst: d.receivers[pair],
                 start: f.start,
                 completed_at: None,
             });
         }
 
-        let mut cross = Vec::with_capacity(sc.cross.len());
+        let mut cross = Vec::new();
         for (j, c) in sc.cross.iter().enumerate() {
             let pair = sc.cross_pair(j);
+            if !owns_pair(pair) {
+                continue;
+            }
             cross.push(Cross {
                 source: TrafficSource::new(c.pattern, rng.derive(0x0C05 + j as u64)),
+                host: pair_hosts[pair][0],
                 src: d.senders[pair],
                 dst: d.receivers[pair],
+                flow: FlowId(u32::MAX - j as u32),
+                start: c.start,
                 stop: c.stop,
-                sent_pkts: 0,
                 sent_bytes: 0,
             });
         }
 
-        let mut ifq_series: Vec<Option<TimeSeries>> = vec![None; node_count];
-        for (h, conns_here) in host_conns.iter().enumerate() {
-            if !conns_here.is_empty() {
-                ifq_series[h] = Some(TimeSeries::new(format!("ifq_host{h}")));
-            }
-        }
-
         Ok(World {
             fabric,
-            nics,
-            host_links,
-            host_conns,
+            hosts,
             scheduled_rto: vec![None; conns.len()],
             conns,
+            conn_index,
             cross,
-            ids: PacketIdGen::new(),
-            ifq_series,
+            units,
             sample_interval: sc.sample_interval,
             duration: sc.duration,
-            stop_when_complete: sc.stop_when_complete,
-            bottleneck_series: TimeSeries::new("bottleneck_queue"),
-            routers: (d.left_router, d.right_router),
+            stop_when_complete: sc.stop_when_complete && !plan.is_partitioned(),
+            completed: 0,
+            completions_taken: 0,
+            bottleneck_series: owns_bottleneck.then(|| TimeSeries::new("bottleneck_queue")),
+            routers,
             bottleneck: d.bottleneck,
-            cross_delivered_pkts: 0,
             cross_delivered_bytes: 0,
         })
     }
 
-    /// The events to seed the engine with before running.
-    pub fn initial_events(&self, sc: &Scenario) -> Vec<(SimTime, Ev)> {
-        let mut evs = Vec::new();
-        for (i, f) in sc.flows.iter().enumerate() {
-            evs.push((f.start, Ev::FlowStart { conn: i as u32 }));
+    /// Wrap the world in an engine seeded with its initial events: flow
+    /// starts and cross sources in scenario order, then one sampling chain
+    /// per unit that has something to sample.
+    pub fn into_engine(self) -> Engine<World> {
+        let mut evs: Vec<(SimTime, Ev)> = Vec::new();
+        for (c, conn) in self.conns.iter().enumerate() {
+            evs.push((conn.start, Ev::FlowStart { conn: c as u32 }));
         }
-        for (j, c) in sc.cross.iter().enumerate() {
-            evs.push((c.start, Ev::CrossEmit { idx: j as u32 }));
+        for (x, cross) in self.cross.iter().enumerate() {
+            evs.push((cross.start, Ev::CrossEmit { idx: x as u32 }));
         }
-        evs.push((SimTime::ZERO, Ev::Sample));
-        evs
+        for (u, unit) in self.units.iter().enumerate() {
+            let hosts = &self.hosts[unit.hosts.clone()];
+            if unit.samples_bottleneck || hosts.iter().any(|h| h.ifq_series.is_some()) {
+                evs.push((SimTime::ZERO, Ev::Sample { unit: u as u32 }));
+            }
+        }
+        let mut engine = Engine::new(self);
+        for (t, ev) in evs {
+            engine.schedule_at(t, ev);
+        }
+        engine
+    }
+
+    // --- the window driver's side (see `crate::shard`) -----------------------
+
+    /// An envelope from another unit arrived: park the packet and return the
+    /// event to schedule at the envelope's time.
+    pub(crate) fn accept(&mut self, h: Handoff<WireBody>) -> Ev {
+        Ev::Net(self.fabric.park(h))
+    }
+
+    /// Move the envelopes produced since the last call into `into`.
+    pub(crate) fn drain_outgoing(&mut self, into: &mut Vec<Envelope<Handoff<WireBody>>>) {
+        self.fabric.drain_outbox(into);
+    }
+
+    /// Connections completed since the last call.
+    pub(crate) fn take_completions(&mut self) -> u64 {
+        let new = self.completed - self.completions_taken;
+        self.completions_taken = self.completed;
+        new
     }
 
     // --- accessors for reporting --------------------------------------------
 
-    /// Connection count.
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
+    /// Both endpoints of scenario flow `i` (sender mutably, for end-of-run
+    /// finalization) and its completion time; `None` when another world
+    /// owns the flow.
+    pub fn flow(&mut self, i: usize) -> Option<(&mut TcpSender, &TcpReceiver, Option<SimTime>)> {
+        let c = self.conns.get_mut(*self.conn_index.get(i)? as usize)?;
+        Some((&mut c.sender, &c.receiver, c.completed_at))
     }
 
-    /// The sender of connection `i`.
-    pub fn sender(&self, i: usize) -> &TcpSender {
-        &self.conns[i].sender
-    }
-
-    /// Mutable sender access (for end-of-run finalization).
-    pub fn sender_mut(&mut self, i: usize) -> &mut TcpSender {
-        &mut self.conns[i].sender
-    }
-
-    /// The receiver of connection `i`.
-    pub fn receiver(&self, i: usize) -> &TcpReceiver {
-        &self.conns[i].receiver
-    }
-
-    /// Both endpoints of connection `i`, sender mutably (for end-of-run
-    /// finalization while reading receiver statistics).
-    pub fn conn_endpoints_mut(&mut self, i: usize) -> (&mut TcpSender, &TcpReceiver) {
-        let c = &mut self.conns[i];
-        (&mut c.sender, &c.receiver)
-    }
-
-    /// Completion time of connection `i`, if it finished.
-    pub fn completed_at(&self, i: usize) -> Option<SimTime> {
-        self.conns[i].completed_at
-    }
-
-    /// The NIC of the host `conn` sends from.
-    pub fn sender_nic(&self, i: usize) -> &HostNic<WireBody> {
-        self.nics[self.conns[i].src.0 as usize]
-            .as_ref()
-            .expect("sender host has no NIC")
-    }
-
-    /// IFQ depth series for the host `conn` sends from.
-    pub fn sender_ifq_series(&self, i: usize) -> &TimeSeries {
-        self.ifq_series[self.conns[i].src.0 as usize]
-            .as_ref()
-            .expect("sender host has no IFQ series")
+    /// The NIC and IFQ-depth series of the host scenario flow `i` sends
+    /// from; `None` when another world owns the flow.
+    pub fn sender_host(&self, i: usize) -> Option<(&HostNic<WireBody>, &TimeSeries)> {
+        let c = self.conns.get(*self.conn_index.get(i)? as usize)?;
+        let host = &self.hosts[c.hosts[0] as usize];
+        let series = host.ifq_series.as_ref().expect("sending host has a series");
+        Some((&host.nic, series))
     }
 
     /// The network fabric (router/link statistics).
@@ -341,61 +504,78 @@ impl World {
         &self.fabric
     }
 
-    /// RED/ECN statistics summed over both bottleneck ports (`None` on a
-    /// drop-tail bottleneck).
-    pub fn red_stats(&self) -> Option<RedStats> {
-        let fwd = self
-            .fabric
-            .red_port_stats(self.routers.0, self.bottleneck)?;
-        let rev = self
-            .fabric
-            .red_port_stats(self.routers.1, self.bottleneck)?;
-        Some(RedStats {
-            avg: fwd.avg,
-            early_drops: fwd.early_drops + rev.early_drops,
-            forced_drops: fwd.forced_drops + rev.forced_drops,
-            ecn_marks: fwd.ecn_marks + rev.ecn_marks,
-        })
+    /// RED/ECN counters summed over the bottleneck ports this world owns
+    /// (all zero on a drop-tail bottleneck).
+    pub fn red_stats(&self) -> RedStats {
+        let mut sum = RedStats::default();
+        for router in self.routers {
+            if let Some(s) = self.fabric.red_port_stats(router, self.bottleneck) {
+                sum.early_drops += s.early_drops;
+                sum.forced_drops += s.forced_drops;
+                sum.ecn_marks += s.ecn_marks;
+            }
+        }
+        sum
     }
 
     /// Forward-direction bottleneck queue-depth series (instantaneous
-    /// packets on the sampling grid).
-    pub fn bottleneck_series(&self) -> &TimeSeries {
-        &self.bottleneck_series
+    /// packets on the sampling grid); `None` when another world owns it.
+    pub fn bottleneck_series(&self) -> Option<&TimeSeries> {
+        self.bottleneck_series.as_ref()
     }
 
-    /// Bytes each cross stream has offered so far.
-    pub fn cross_offered(&self) -> Vec<(u64, u64)> {
-        self.cross
-            .iter()
-            .map(|c| (c.sent_pkts, c.sent_bytes))
-            .collect()
+    /// Bytes this world's cross streams have offered so far.
+    pub fn cross_offered_bytes(&self) -> u64 {
+        self.cross.iter().map(|c| c.sent_bytes).sum()
+    }
+
+    /// Cross-traffic bytes delivered to this world's sinks.
+    pub fn cross_delivered_bytes(&self) -> u64 {
+        self.cross_delivered_bytes
     }
 
     // --- internals -----------------------------------------------------------
 
-    #[inline]
-    fn nic(&self, host: u32) -> &HostNic<WireBody> {
-        self.nics[host as usize].as_ref().expect("unknown host nic")
-    }
-
-    #[inline]
-    fn nic_mut(&mut self, host: u32) -> &mut HostNic<WireBody> {
-        self.nics[host as usize].as_mut().expect("unknown host nic")
-    }
-
     fn ifq_snapshot(&self, host: u32) -> IfqSnapshot {
-        let nic = self.nic(host);
+        let nic = &self.hosts[host as usize].nic;
         IfqSnapshot {
             depth: nic.ifq_queued(),
             max: nic.ifq_max(),
         }
     }
 
-    fn kick_nic(&mut self, host: u32, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(ser) = self.nic_mut(host).start_tx_if_idle(now) {
+    /// Queue `body` on `host`'s NIC as a fresh packet; `false` when the IFQ
+    /// is full (the packet is gone — what that means is the caller's call).
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue(
+        &mut self,
+        host: u32,
+        src: NodeId,
+        dst: NodeId,
+        flow: FlowId,
+        body: WireBody,
+        now: SimTime,
+        sched: &mut Scheduler<'_, Ev>,
+    ) -> bool {
+        let h = &mut self.hosts[host as usize];
+        let unit = &mut self.units[h.unit as usize];
+        let id = unit.next_pkt;
+        unit.next_pkt += 1;
+        let pkt = Packet {
+            id,
+            src,
+            dst,
+            flow,
+            created: now,
+            body,
+        };
+        if h.nic.enqueue(pkt).is_err() {
+            return false;
+        }
+        if let Some(ser) = h.nic.start_tx_if_idle(now) {
             sched.after(ser, Ev::NicTxDone { host });
         }
+        true
     }
 
     /// Transmit as much as connection `ci` is allowed to right now.
@@ -408,45 +588,30 @@ impl World {
             let Some(plan) = conn.sender.can_transmit(now) else {
                 break;
             };
-            let host = conn.src.0;
-            let header = conn.sender.config().header_bytes;
+            let host = conn.hosts[0];
+            let cfg = conn.sender.config();
             let seg = TcpSegment {
-                conn: ConnId(ci as u32),
+                conn: conn.id,
                 kind: SegKind::Data {
                     seq: plan.seq,
                     len: plan.len,
                     retransmit: plan.retransmit,
                 },
-                header_bytes: header,
-                ecn: if conn.sender.config().ecn {
-                    Ecn::Ect
-                } else {
-                    Ecn::NotEct
-                },
+                header_bytes: cfg.header_bytes,
+                ecn: if cfg.ecn { Ecn::Ect } else { Ecn::NotEct },
             };
-            let pkt = Packet {
-                id: self.ids.next_id(),
-                src: conn.src,
-                dst: conn.dst,
-                flow: ConnId(ci as u32).into(),
-                created: now,
-                body: WireBody::Tcp(seg),
-            };
-            match self.nic_mut(host).enqueue(pkt) {
-                Ok(()) => {
-                    self.conns[ci].sender.commit_transmit(now, plan);
-                    self.kick_nic(host, now, sched);
+            let (src, dst, flow) = (conn.src, conn.dst, conn.id.into());
+            if self.enqueue(host, src, dst, flow, WireBody::Tcp(seg), now, sched) {
+                self.conns[ci].sender.commit_transmit(now, plan);
+            } else {
+                // Send-stall: the paper's central event.
+                let snap = self.ifq_snapshot(host);
+                let sender = &mut self.conns[ci].sender;
+                sender.on_local_stall(now, snap);
+                if let Some(at) = sender.stall_retry_at() {
+                    sched.at(at, Ev::StallRetry { conn: ci as u32 });
                 }
-                Err(_) => {
-                    // Send-stall: the paper's central event.
-                    let snap = self.ifq_snapshot(host);
-                    let sender = &mut self.conns[ci].sender;
-                    sender.on_local_stall(now, snap);
-                    if let Some(at) = sender.stall_retry_at() {
-                        sched.at(at, Ev::StallRetry { conn: ci as u32 });
-                    }
-                    break;
-                }
+                break;
             }
         }
         // Post-pump bookkeeping: pacing wakeup, limitation state, RTO
@@ -471,9 +636,8 @@ impl World {
 
     fn send_ack(&mut self, ci: usize, ack: AckToSend, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         let conn = &self.conns[ci];
-        let host = conn.dst.0; // ACKs leave the receiver host
         let seg = TcpSegment {
-            conn: ConnId(ci as u32),
+            conn: conn.id,
             kind: SegKind::Ack {
                 ack: ack.ack,
                 rwnd: ack.rwnd,
@@ -482,19 +646,10 @@ impl World {
             header_bytes: conn.sender.config().header_bytes,
             ecn: Ecn::NotEct,
         };
-        let pkt = Packet {
-            id: self.ids.next_id(),
-            src: conn.dst,
-            dst: conn.src,
-            flow: ConnId(ci as u32).into(),
-            created: now,
-            body: WireBody::Tcp(seg),
-        };
-        // A full receiver IFQ silently drops the ACK; cumulative ACKs make
-        // this safe.
-        if self.nic_mut(host).enqueue(pkt).is_ok() {
-            self.kick_nic(host, now, sched);
-        }
+        // ACKs leave the receiver host. A full receiver IFQ silently drops
+        // the ACK; cumulative ACKs make this safe.
+        let (host, src, dst, flow) = (conn.hosts[1], conn.dst, conn.src, conn.id.into());
+        self.enqueue(host, src, dst, flow, WireBody::Tcp(seg), now, sched);
     }
 
     fn deliver(
@@ -506,11 +661,10 @@ impl World {
     ) {
         match pkt.body {
             WireBody::Raw { size } => {
-                self.cross_delivered_pkts += 1;
                 self.cross_delivered_bytes += size as u64;
             }
             WireBody::Tcp(seg) => {
-                let ci = seg.conn.0 as usize;
+                let ci = self.conn_index[seg.conn.0 as usize] as usize;
                 match seg.kind {
                     SegKind::Data { seq, len, .. } => {
                         debug_assert_eq!(node, self.conns[ci].dst, "data at wrong host");
@@ -529,8 +683,7 @@ impl World {
                     }
                     SegKind::Ack { ack, rwnd, ece } => {
                         debug_assert_eq!(node, self.conns[ci].src, "ack at wrong host");
-                        let host = self.conns[ci].src.0;
-                        let snap = self.ifq_snapshot(host);
+                        let snap = self.ifq_snapshot(self.conns[ci].hosts[0]);
                         let sender = &mut self.conns[ci].sender;
                         if ece {
                             sender.on_ecn_echo(now, snap);
@@ -538,8 +691,8 @@ impl World {
                         sender.on_ack(now, ack, rwnd, snap);
                         if sender.is_complete() && self.conns[ci].completed_at.is_none() {
                             self.conns[ci].completed_at = Some(now);
-                            if self.stop_when_complete
-                                && self.conns.iter().all(|c| c.completed_at.is_some())
+                            self.completed += 1;
+                            if self.stop_when_complete && self.completed == self.conns.len() as u64
                             {
                                 sched.request_stop();
                                 return;
@@ -553,31 +706,32 @@ impl World {
     }
 
     fn emit_cross(&mut self, idx: usize, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let stop = self.cross[idx].stop;
-        if let Some(stop) = stop {
-            if now >= stop {
-                return;
-            }
+        let c = &mut self.cross[idx];
+        if c.stop.is_some_and(|stop| now >= stop) {
+            return;
         }
-        let (gap, size) = self.cross[idx].source.next_packet();
-        let (src, dst) = (self.cross[idx].src, self.cross[idx].dst);
-        let pkt = Packet {
-            id: self.ids.next_id(),
-            src,
-            dst,
-            flow: rss_net::FlowId(u32::MAX - idx as u32),
-            created: now,
-            body: WireBody::Raw { size },
-        };
-        self.cross[idx].sent_pkts += 1;
-        self.cross[idx].sent_bytes += size as u64;
-        let host = src.0;
+        let (gap, size) = c.source.next_packet();
+        c.sent_bytes += size as u64;
         // Cross sources are open-loop: a full IFQ just drops the datagram.
-        if self.nic_mut(host).enqueue(pkt).is_ok() {
-            self.kick_nic(host, now, sched);
-        }
+        let (host, src, dst, flow) = (c.host, c.src, c.dst, c.flow);
+        self.enqueue(host, src, dst, flow, WireBody::Raw { size }, now, sched);
         sched.after(gap, Ev::CrossEmit { idx: idx as u32 });
     }
+}
+
+/// Index of unit `id` in `units`, appending it (with an empty host range at
+/// `next_host`) on first sight. Units are visited in ascending order, so one
+/// seen before is the last one.
+fn local_unit(units: &mut Vec<Unit>, id: u32, next_host: usize) -> u32 {
+    if units.last().map(|u| u.id) != Some(id) {
+        units.push(Unit {
+            id,
+            next_pkt: (id as u64) << 40,
+            hosts: next_host..next_host,
+            samples_bottleneck: false,
+        });
+    }
+    units.len() as u32 - 1
 }
 
 impl Model for World {
@@ -598,18 +752,20 @@ impl Model for World {
                 }
             }
             Ev::NicTxDone { host } => {
-                let pkt = self.nic_mut(host).on_tx_done(now);
-                let link = self.host_links[host as usize].expect("host has no access link");
+                let h = &mut self.hosts[host as usize];
+                let pkt = h.nic.on_tx_done(now);
                 self.fabric
-                    .start_flight(now, NodeId(host), link, pkt, &mut |d, e| {
+                    .start_flight(now, h.node, h.link, pkt, &mut |d, e| {
                         sched.after(d, Ev::Net(e));
                     });
-                self.kick_nic(host, now, sched);
+                if let Some(ser) = h.nic.start_tx_if_idle(now) {
+                    sched.after(ser, Ev::NicTxDone { host });
+                }
                 // A queue slot freed: stalled connections on this host may
-                // proceed. (Index loop: `host_conns` is frozen after build,
-                // and cloning the list here would allocate once per packet.)
-                for k in 0..self.host_conns[host as usize].len() {
-                    let ci = self.host_conns[host as usize][k];
+                // proceed. (Index loop: the list is frozen after build, and
+                // cloning it here would allocate once per packet.)
+                for k in 0..self.hosts[host as usize].conns.len() {
+                    let ci = self.hosts[host as usize].conns[k];
                     self.pump(ci as usize, now, sched);
                 }
             }
@@ -636,8 +792,7 @@ impl Model for World {
                         return;
                     }
                 }
-                let host = self.conns[ci].src.0;
-                let snap = self.ifq_snapshot(host);
+                let snap = self.ifq_snapshot(self.conns[ci].hosts[0]);
                 self.conns[ci].sender.on_rto_check(now, snap);
                 self.pump(ci, now, sched);
             }
@@ -664,19 +819,22 @@ impl Model for World {
             Ev::CrossEmit { idx } => {
                 self.emit_cross(idx as usize, now, sched);
             }
-            Ev::Sample => {
-                for host in 0..self.ifq_series.len() {
-                    if let Some(series) = self.ifq_series[host].as_mut() {
-                        let depth = self.nics[host].as_ref().expect("nic").ifq_queued();
-                        series.push(now, depth as f64);
+            Ev::Sample { unit } => {
+                let u = &self.units[unit as usize];
+                for host in &mut self.hosts[u.hosts.clone()] {
+                    if let Some(series) = host.ifq_series.as_mut() {
+                        series.push(now, host.nic.ifq_queued() as f64);
                     }
                 }
-                if let Some(depth) = self.fabric.port_queue_len(self.routers.0, self.bottleneck) {
-                    self.bottleneck_series.push(now, depth as f64);
+                if u.samples_bottleneck {
+                    let depth = self.fabric.port_queue_len(self.routers[0], self.bottleneck);
+                    let series = self.bottleneck_series.as_mut();
+                    let (depth, series) = depth.zip(series).expect("sampling unit owns the port");
+                    series.push(now, depth as f64);
                 }
                 let next = now + self.sample_interval;
                 if next <= SimTime::ZERO + self.duration {
-                    sched.at(next, Ev::Sample);
+                    sched.at(next, Ev::Sample { unit });
                 }
             }
         }

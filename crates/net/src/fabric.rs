@@ -9,14 +9,26 @@
 //! The fabric is generic over the packet body and over the event-scheduling
 //! callback, so the embedding world model decides how fabric events are
 //! represented in its own event enum.
+//!
+//! # Units
+//!
+//! A fabric normally simulates its whole topology. [`Fabric::partitioned`]
+//! instead takes a [`UnitMap`] — which *unit* owns each egress direction
+//! `(node, link)` — and simulates only the units the map marks local: ports
+//! exist only for local directions, and a flight whose far end belongs to a
+//! different unit than its near end leaves as an [`Envelope`] in the outbox
+//! ([`Fabric::drain_outbox`]) instead of becoming a local arrival event. The
+//! owner of that unit's fabric re-enters it with [`Fabric::park`]. The empty
+//! map (what [`Fabric::new`] uses) is one unit owning everything, so no
+//! flight ever crosses and the partitioning code is a single untaken branch.
 
 use crate::arena::{ArenaMode, PacketArena, PacketRef};
 use crate::impair::{Impairment, Verdict};
 use crate::packet::{Body, LinkId, NodeId, Packet};
 use crate::queue::{DropTailQueue, QueueConfig, QueueStats};
 use crate::red::{RedConfig, RedQueue, RedStats};
-use crate::topology::{NodeKind, RoutingTable, Topology};
-use rss_sim::{SimDuration, SimRng, SimTime};
+use crate::topology::{LinkSpec, NodeKind, RoutingTable, Topology};
+use rss_sim::{Envelope, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Fabric-internal events. The embedding model stores these in its own event
@@ -100,6 +112,104 @@ struct Port<B> {
     queue: PortQueue<B>,
     /// The packet currently being serialized, if any.
     transmitting: Option<Packet<B>>,
+    /// Private stream for this port's RED decisions and for random loss on
+    /// the link it feeds; `None` draws from the fabric's shared stream.
+    rng: Option<SimRng>,
+}
+
+/// A packet crossing from one unit to another: the arrival it would have
+/// been, with the payload inline (the source fabric's arena is not the
+/// destination's).
+#[derive(Debug, Clone)]
+pub struct Handoff<B> {
+    /// Node the packet arrives at.
+    pub node: NodeId,
+    /// Link it arrives on.
+    pub link: LinkId,
+    /// The packet.
+    pub pkt: Packet<B>,
+}
+
+/// Which unit owns each egress direction `(node, link)` of a topology — a
+/// host's NIC side of its access link, or a router's egress port — and which
+/// of those units one fabric simulates. The default (empty) map is a single
+/// unit owning everything.
+#[derive(Debug, Clone, Default)]
+pub struct UnitMap {
+    /// Owning unit per direction (`link * 2 + side`); empty = one unit.
+    owner: Vec<u32>,
+    /// `local[unit]`: whether this fabric simulates the unit.
+    local: Vec<bool>,
+}
+
+impl UnitMap {
+    /// A map over `topo` with `units` units, none of them local and every
+    /// direction owned by unit 0 until [`UnitMap::assign`] says otherwise.
+    /// With a single unit the table stays empty — there is nothing to look
+    /// up, and the fabric's flight path skips the ownership check entirely.
+    pub fn new(topo: &Topology, units: usize) -> Self {
+        let dirs = if units > 1 { topo.links().len() * 2 } else { 0 };
+        UnitMap {
+            owner: vec![0; dirs],
+            local: vec![false; units],
+        }
+    }
+
+    /// Give the egress direction of `link` at `node` to `unit`.
+    pub fn assign(&mut self, topo: &Topology, node: NodeId, link: LinkId, unit: u32) {
+        assert!((unit as usize) < self.local.len(), "unit out of range");
+        if let Some(owner) = self.owner.get_mut(port_index(topo, node, link)) {
+            *owner = unit;
+        }
+    }
+
+    /// Mark `unit` as simulated by the fabric this map is handed to.
+    pub fn set_local(&mut self, unit: u32) {
+        self.local[unit as usize] = true;
+    }
+
+    /// Whether the fabric holding this map simulates direction `dir`.
+    fn is_local(&self, dir: usize) -> bool {
+        self.owner.is_empty() || self.local[self.owner[dir] as usize]
+    }
+}
+
+/// A table over the direction index `link * 2 + side` that stores only the
+/// occupied entries, so a fabric that owns (or impairs) a few directions of
+/// a large topology does not pay a full slot for every empty one.
+struct DirTable<T> {
+    /// Index into `items` per direction; `u32::MAX` = empty.
+    slot: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> DirTable<T> {
+    fn new(dirs: usize) -> Self {
+        DirTable {
+            slot: vec![u32::MAX; dirs],
+            items: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, dir: usize) -> Option<&T> {
+        self.items.get(self.slot[dir] as usize)
+    }
+
+    #[inline]
+    fn get_mut(&mut self, dir: usize) -> Option<&mut T> {
+        self.items.get_mut(self.slot[dir] as usize)
+    }
+
+    fn insert(&mut self, dir: usize, item: T) {
+        match self.get_mut(dir) {
+            Some(old) => *old = item,
+            None => {
+                self.slot[dir] = u32::try_from(self.items.len()).expect("direction table overflow");
+                self.items.push(item);
+            }
+        }
+    }
 }
 
 /// Per-link transfer statistics (one entry per direction of use).
@@ -122,16 +232,23 @@ pub struct LinkStats {
 pub struct Fabric<B> {
     topo: Topology,
     routes: RoutingTable,
-    /// `ports[link * 2 + side]`; `None` for host-side ends of a link.
-    ports: Vec<Option<Port<B>>>,
+    /// Router egress ports by direction (`link * 2 + side`); host-side ends
+    /// of a link, and directions another unit's fabric owns, have none.
+    ports: DirTable<Port<B>>,
     rng: SimRng,
-    /// Per-link-direction impairments, indexed like ports (`link*2 + side`).
-    /// `None` (the default everywhere) is a zero-cost clean link.
-    impairments: Vec<Option<Impairment>>,
+    /// Per-link-direction impairments, indexed like ports. An absent entry
+    /// (the default everywhere) is a zero-cost clean link.
+    impairments: DirTable<Impairment>,
     /// Per-link transfer statistics, indexed by raw link id.
     link_stats: Vec<LinkStats>,
     /// In-flight packet payloads, referenced by [`NetEvent::Arrival`] events.
     arena: PacketArena<B>,
+    units: UnitMap,
+    /// Envelope sequence counter per source unit, so `(time, unit, seq)` is
+    /// a unique key however units are grouped into fabrics.
+    seq: Vec<u64>,
+    /// Cross-unit flights produced since the last [`Fabric::drain_outbox`].
+    outbox: Vec<Envelope<Handoff<B>>>,
     /// Packets dropped at routers because no route existed.
     pub unroutable_drops: u64,
     /// Packets dropped at router queues.
@@ -142,31 +259,78 @@ impl<B: Body> Fabric<B> {
     /// Build a fabric over `topo` with drop-tail queues of `router_queue`
     /// capacity on every router egress port.
     pub fn new(topo: Topology, router_queue: QueueConfig, rng: SimRng) -> Self {
+        Self::partitioned(topo, router_queue, rng, UnitMap::default())
+    }
+
+    /// [`Fabric::new`] for the units `units` marks local: only their router
+    /// egress ports are built, and flights between different units go to
+    /// the outbox (see the module docs).
+    pub fn partitioned(
+        topo: Topology,
+        router_queue: QueueConfig,
+        rng: SimRng,
+        units: UnitMap,
+    ) -> Self {
         let routes = topo.compute_routes();
-        let mut ports: Vec<Option<Port<B>>> = Vec::new();
-        ports.resize_with(topo.links().len() * 2, || None);
+        let dirs = topo.links().len() * 2;
+        let mut ports = DirTable::new(dirs);
         for node in topo.nodes() {
             if topo.kind(node) == NodeKind::Router {
                 for &(link, _) in topo.neighbors(node) {
                     let idx = port_index(&topo, node, link);
-                    ports[idx] = Some(Port {
-                        queue: PortQueue::DropTail(DropTailQueue::new(router_queue)),
-                        transmitting: None,
-                    });
+                    if units.is_local(idx) {
+                        ports.insert(
+                            idx,
+                            Port {
+                                queue: PortQueue::DropTail(DropTailQueue::new(router_queue)),
+                                transmitting: None,
+                                rng: None,
+                            },
+                        );
+                    }
                 }
             }
         }
         Fabric {
-            impairments: (0..topo.links().len() * 2).map(|_| None).collect(),
+            impairments: DirTable::new(dirs),
             link_stats: vec![LinkStats::default(); topo.links().len()],
             topo,
             routes,
             ports,
             rng,
             arena: PacketArena::new(),
+            seq: vec![0; units.local.len()],
+            units,
+            outbox: Vec::new(),
             unroutable_drops: 0,
             queue_drops: 0,
         }
+    }
+
+    /// Give the router egress port `(node, link)` a private random stream
+    /// for its RED decisions and for loss on the link it feeds. Without one
+    /// the port draws from the fabric's shared stream.
+    pub fn set_port_rng(&mut self, node: NodeId, link: LinkId, rng: SimRng) {
+        let idx = port_index(&self.topo, node, link);
+        let port = self.ports.get_mut(idx).expect("not a router egress port");
+        port.rng = Some(rng);
+    }
+
+    /// Re-enter a packet another unit's fabric handed off: park it in this
+    /// fabric's arena and return the arrival event to schedule at the
+    /// envelope's time.
+    pub fn park(&mut self, h: Handoff<B>) -> NetEvent {
+        NetEvent::Arrival {
+            node: h.node,
+            link: h.link,
+            pkt: self.arena.insert(h.pkt),
+        }
+    }
+
+    /// Move the cross-unit flights produced since the last call into `into`,
+    /// keeping the outbox's capacity.
+    pub fn drain_outbox(&mut self, into: &mut Vec<Envelope<Handoff<B>>>) {
+        into.append(&mut self.outbox);
     }
 
     /// Switch the in-flight arena's slot-recycling policy (testing aid:
@@ -185,7 +349,7 @@ impl<B: Body> Fabric<B> {
     /// Replace the queue on one router egress port with RED.
     pub fn set_red_port(&mut self, node: NodeId, link: LinkId, cfg: RedConfig) {
         let idx = port_index(&self.topo, node, link);
-        let port = self.ports[idx].as_mut().expect("not a router egress port");
+        let port = self.ports.get_mut(idx).expect("not a router egress port");
         port.queue = PortQueue::Red(RedQueue::new(cfg));
     }
 
@@ -199,13 +363,13 @@ impl<B: Body> Fabric<B> {
     /// own random streams); impairing one direction leaves the other clean.
     pub fn set_impairment(&mut self, link: LinkId, from: NodeId, imp: Impairment) {
         let idx = port_index(&self.topo, from, link);
-        self.impairments[idx] = Some(imp);
+        self.impairments.insert(idx, imp);
     }
 
     /// The impairment installed on `(link, from)`, if any — read-only access
     /// for post-run drop/jitter accounting.
     pub fn impairment(&self, link: LinkId, from: NodeId) -> Option<&Impairment> {
-        try_port_index(&self.topo, from, link).and_then(|idx| self.impairments[idx].as_ref())
+        try_port_index(&self.topo, from, link).and_then(|idx| self.impairments.get(idx))
     }
 
     /// The routing table (mutable, for override experiments).
@@ -225,14 +389,14 @@ impl<B: Body> Fabric<B> {
     /// a router egress port, including nodes not on the link).
     pub fn port_stats(&self, node: NodeId, link: LinkId) -> Option<QueueStats> {
         try_port_index(&self.topo, node, link)
-            .and_then(|idx| self.ports[idx].as_ref())
+            .and_then(|idx| self.ports.get(idx))
             .map(|p| p.queue.stats())
     }
 
     /// Instantaneous queue length of a router egress port.
     pub fn port_queue_len(&self, node: NodeId, link: LinkId) -> Option<usize> {
         try_port_index(&self.topo, node, link)
-            .and_then(|idx| self.ports[idx].as_ref())
+            .and_then(|idx| self.ports.get(idx))
             .map(|p| p.queue.len())
     }
 
@@ -240,7 +404,7 @@ impl<B: Body> Fabric<B> {
     /// router egress port or the port runs drop-tail.
     pub fn red_port_stats(&self, node: NodeId, link: LinkId) -> Option<RedStats> {
         try_port_index(&self.topo, node, link)
-            .and_then(|idx| self.ports[idx].as_ref())
+            .and_then(|idx| self.ports.get(idx))
             .and_then(|p| p.queue.red_stats())
     }
 
@@ -258,17 +422,23 @@ impl<B: Body> Fabric<B> {
         sched: &mut dyn FnMut(SimDuration, NetEvent),
     ) {
         let spec = *self.topo.link(link);
+        let dir = port_index(&self.topo, from, link);
         let stats = &mut self.link_stats[link.0 as usize];
-        if spec.params.loss_prob > 0.0 && self.rng.chance(spec.params.loss_prob) {
-            stats.lost_pkts += 1;
-            return;
+        if spec.params.loss_prob > 0.0 {
+            let rng = match self.ports.get_mut(dir) {
+                Some(Port { rng: Some(own), .. }) => own,
+                _ => &mut self.rng,
+            };
+            if rng.chance(spec.params.loss_prob) {
+                stats.lost_pkts += 1;
+                return;
+            }
         }
         // The impairment layer sees each departure after the independent
         // loss model: outage/burst drops, jitter (delay is only ever added,
         // so the link's propagation delay stays a valid lookahead bound for
-        // the sharded executor) and duplication.
-        let dir = port_index(&self.topo, from, link);
-        let (extra_delay, duplicate) = match self.impairments[dir].as_mut() {
+        // the windowed driver) and duplication.
+        let (extra_delay, duplicate) = match self.impairments.get_mut(dir) {
             None => (SimDuration::ZERO, false),
             Some(imp) => match imp.decide(now) {
                 Verdict::Drop(_) => {
@@ -281,34 +451,74 @@ impl<B: Body> Fabric<B> {
                 } => (extra_delay, duplicate),
             },
         };
-        let to = spec.other_end(from);
         if duplicate {
-            // The copy takes its own jittered flight; same packet id, so the
-            // receiver's dedup accounting sees it as a true duplicate.
-            let extra2 = self.impairments[dir]
-                .as_mut()
+            // The copy takes its own jittered flight, first; same packet id,
+            // so the receiver's dedup accounting sees it as a true duplicate.
+            let extra2 = self
+                .impairments
+                .get_mut(dir)
                 .expect("duplicate verdict implies an impairment")
                 .dup_jitter();
             stats.delivered_pkts += 1;
             stats.delivered_bytes += pkt.wire_size() as u64;
-            let dup = self.arena.insert(pkt.clone());
-            sched(
-                spec.params.prop_delay + extra2,
-                NetEvent::Arrival {
-                    node: to,
-                    link,
-                    pkt: dup,
-                },
-            );
+            self.launch(now, dir, &spec, extra2, pkt.clone(), sched);
         }
+        let stats = &mut self.link_stats[link.0 as usize];
         stats.delivered_pkts += 1;
         stats.delivered_bytes += pkt.wire_size() as u64;
+        self.launch(now, dir, &spec, extra_delay, pkt, sched);
+    }
+
+    /// Send `pkt` down `spec`'s link from direction `dir`: a local arrival
+    /// event, or — when the far end belongs to another unit — an envelope.
+    #[inline]
+    fn launch(
+        &mut self,
+        now: SimTime,
+        dir: usize,
+        spec: &LinkSpec,
+        extra_delay: SimDuration,
+        pkt: Packet<B>,
+        sched: &mut dyn FnMut(SimDuration, NetEvent),
+    ) {
+        let delay = spec.params.prop_delay + extra_delay;
+        // `dir` is `link * 2 + side`, so the far end's own side is `dir ^ 1`.
+        let node = if dir & 1 == 0 { spec.b } else { spec.a };
+        if !self.units.owner.is_empty() {
+            // The far end is owned by whoever will act on the arrival: the
+            // host itself, or the router egress port the packet routes to
+            // (an unroutable packet stays put and is counted on arrival).
+            let far_dir = match self.topo.kind(node) {
+                NodeKind::Host => dir ^ 1,
+                NodeKind::Router => match self.routes.next_link(node, pkt.dst) {
+                    Some(out) => port_index(&self.topo, node, out),
+                    None => dir,
+                },
+            };
+            let (src_unit, dst_unit) = (self.units.owner[dir], self.units.owner[far_dir]);
+            if src_unit != dst_unit {
+                let seq = &mut self.seq[src_unit as usize];
+                *seq += 1;
+                self.outbox.push(Envelope {
+                    time: now + delay,
+                    src_unit,
+                    seq: *seq,
+                    dst_unit,
+                    msg: Handoff {
+                        node,
+                        link: spec.id,
+                        pkt,
+                    },
+                });
+                return;
+            }
+        }
         let parked = self.arena.insert(pkt);
         sched(
-            spec.params.prop_delay + extra_delay,
+            delay,
             NetEvent::Arrival {
-                node: to,
-                link,
+                node,
+                link: spec.id,
                 pkt: parked,
             },
         );
@@ -324,7 +534,7 @@ impl<B: Body> Fabric<B> {
         sched: &mut dyn FnMut(SimDuration, NetEvent),
     ) {
         let idx = port_index(&self.topo, node, link);
-        let port = self.ports[idx].as_mut().expect("missing port");
+        let port = self.ports.get_mut(idx).expect("missing port");
         if port.transmitting.is_some() {
             return;
         }
@@ -356,8 +566,9 @@ impl<B: Body> Fabric<B> {
                     return None;
                 };
                 let idx = port_index(&self.topo, node, out_link);
-                let port = self.ports[idx].as_mut().expect("router port missing");
-                if port.queue.try_enqueue(now, pkt, &mut self.rng) {
+                let port = self.ports.get_mut(idx).expect("router port missing");
+                let rng = port.rng.as_mut().unwrap_or(&mut self.rng);
+                if port.queue.try_enqueue(now, pkt, rng) {
                     self.kick_port(node, out_link, now, sched);
                 } else {
                     self.queue_drops += 1;
@@ -366,7 +577,7 @@ impl<B: Body> Fabric<B> {
             }
             NetEvent::PortTxDone { node, link } => {
                 let idx = port_index(&self.topo, node, link);
-                let port = self.ports[idx].as_mut().expect("missing port");
+                let port = self.ports.get_mut(idx).expect("missing port");
                 let pkt = port
                     .transmitting
                     .take()

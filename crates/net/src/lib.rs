@@ -22,7 +22,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use arena::{ArenaMode, PacketArena, PacketRef};
-pub use fabric::{Fabric, LinkStats, NetEvent, PortQueue};
+pub use fabric::{Fabric, Handoff, LinkStats, NetEvent, PortQueue, UnitMap};
 pub use impair::{
     DropCause, Flap, GilbertElliott, ImpairStats, Impairment, ImpairmentConfig, Jitter,
     OutageSchedule, OutageWindow, Verdict,

@@ -447,6 +447,13 @@ impl<E> EventQueue<E> {
     /// (in nanos); `None` lifts the bound. Shared scan behind [`Self::pop`]
     /// and [`Self::pop_at_or_before`] — one pass finds, bounds-checks and
     /// consumes the minimum, sweeping tombstones on the way.
+    ///
+    /// Forced inline: an engine that is driven both to a horizon and in
+    /// windows reaches this through two wrappers, and as a shared
+    /// out-of-line copy the popped `(time, event)` goes through memory
+    /// into the dispatch loop — measured at +15 % wall time per run on the
+    /// paper testbed.
+    #[inline(always)]
     fn pop_bounded(&mut self, limit_ns: Option<u64>) -> Option<(SimTime, E)> {
         if self.live == 0 {
             return None;
@@ -473,6 +480,15 @@ impl<E> EventQueue<E> {
             self.buckets[self.cursor].clear();
             self.cursor_head = 0;
             if self.in_wheel > 0 {
+                // Never walk the cursor past the bound. A windowed driver
+                // pops up to a bound it will move later and schedules more
+                // events in between; with the cursor parked on some later
+                // event's bucket, every one of those would be an overdue
+                // sorted insert in front of that bucket's contents.
+                let next_granule = self.wheel_start.saturating_add(GRANULE_NANOS);
+                if limit_ns.is_some_and(|l| next_granule > l) {
+                    return None;
+                }
                 self.advance_cursor();
                 continue;
             }
@@ -763,6 +779,25 @@ mod tests {
             q.pop_before(SimTime::from_nanos(SimTime::from_millis(10).as_nanos() + 1)),
             Some((SimTime::from_millis(10), "a"))
         );
+    }
+
+    #[test]
+    fn bounded_miss_inside_the_wheel_leaves_the_cursor_at_the_bound() {
+        // Same rule for an event the wheel already holds: a miss must not
+        // park the cursor on that event's bucket, or everything scheduled
+        // before it afterwards becomes an overdue sorted insert in front of
+        // the bucket's contents (the windowed driver's every injection).
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_millis(100), "later");
+        assert_eq!(q.pop_before(SimTime::from_millis(1)), None);
+        // Observable through placement: 185 ms is beyond the wheel horizon
+        // (~134 ms) of a cursor at 1 ms, but within it of one at 100 ms.
+        q.schedule_at(SimTime::from_millis(185), "far");
+        assert_eq!(q.counters().placed_far, 1, "the cursor ran ahead");
+        q.schedule_at(SimTime::from_millis(2), "sooner");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "sooner")));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(100), "later")));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(185), "far")));
     }
 
     #[test]

@@ -217,9 +217,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
         )
     );
 
-    // Engine queue counters on request: serial runs expose the calendar
-    // wheel's placement/cancellation telemetry; sharded runs show "-" (the
-    // counters are not grouping-invariant, so reports omit them there).
+    // Engine queue counters on request: one-unit runs expose the calendar
+    // wheel's placement/cancellation telemetry; runs with `shards` show "-"
+    // (the counters depend on how units are grouped into domains, so
+    // reports omit them there).
     if stats {
         let rows: Vec<Vec<String>> = runs
             .iter()
@@ -240,7 +241,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 row
             })
             .collect();
-        println!("engine queue counters (serial runs only; sharded executors omit them):");
+        println!(
+            "engine queue counters (runs without shards only; they are not shard-count invariant):"
+        );
         println!(
             "{}",
             ascii_table(

@@ -6,9 +6,12 @@
 //! is pooled. This test pins that property with a counting global allocator:
 //! it runs the same many-flow dumbbell at two horizons and asserts that the
 //! *extra* events of the longer run cost ~0 allocations each. Setup
-//! (world construction, Vec growth to high-water marks) and report
-//! finalization allocate freely in both runs and cancel out in the
-//! difference; only per-event churn would scale with the horizon.
+//! (world construction, Vec growth to high-water marks, shard threads) and
+//! report finalization allocate freely in both runs and cancel out in the
+//! difference; only per-event churn would scale with the horizon. Both
+//! drivers are measured: the one-unit world run by its engine, and the
+//! per-pair map in two domains, where every cross-unit packet is parked in
+//! the destination's arena and rides recycled envelope buffers.
 
 use restricted_slow_start::{run, AppModel, CcAlgorithm, FlowSpec, Scenario, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,31 +80,39 @@ fn counted_run(sc: &Scenario) -> (u64, u64) {
 
 #[test]
 fn steady_state_allocates_nothing_per_event() {
-    // Warm-up run so one-time lazy initialization (thread locals, the run
-    // cache, …) does not pollute the counted runs.
-    let _ = run(&manyflow(SimDuration::from_millis(100)));
+    // One test, run sequentially: the allocation counter is process-global.
+    for shards in [None, Some(2)] {
+        let manyflow = |d: SimDuration| {
+            let mut sc = manyflow(d);
+            sc.shards = shards;
+            sc
+        };
+        // Warm-up run so one-time lazy initialization (thread locals, the
+        // run cache, …) does not pollute the counted runs.
+        let _ = run(&manyflow(SimDuration::from_millis(100)));
 
-    let (allocs_short, events_short) = counted_run(&manyflow(SimDuration::from_millis(500)));
-    let (allocs_long, events_long) = counted_run(&manyflow(SimDuration::from_millis(1500)));
-    assert!(
-        events_long > events_short,
-        "horizons must differ in event count: {events_short} vs {events_long}"
-    );
+        let (allocs_short, events_short) = counted_run(&manyflow(SimDuration::from_millis(500)));
+        let (allocs_long, events_long) = counted_run(&manyflow(SimDuration::from_millis(1500)));
+        assert!(
+            events_long > events_short,
+            "horizons must differ in event count: {events_short} vs {events_long}"
+        );
 
-    let extra_events = events_long - events_short;
-    let extra_allocs = allocs_long.saturating_sub(allocs_short);
-    let per_event = extra_allocs as f64 / extra_events as f64;
-    // Pooled buffers mean the extra simulated second costs ~0 allocations
-    // per extra event: measured ~0.04, all of it amortized doubling growth
-    // of the per-flow telemetry series (cwnd/acked/stall/congestion
-    // timelines across 2000 flows), which scales with log of run length,
-    // not with events. A hot-path regression — any per-packet, per-hop or
-    // per-timer allocation — costs >= 1 per event and fails by an order of
-    // magnitude.
-    assert!(
-        per_event < 0.08,
-        "steady state allocates {per_event:.4} allocs/event \
-         ({extra_allocs} allocations over {extra_events} extra events); \
-         the hot path must not allocate per event"
-    );
+        let extra_events = events_long - events_short;
+        let extra_allocs = allocs_long.saturating_sub(allocs_short);
+        let per_event = extra_allocs as f64 / extra_events as f64;
+        // Pooled buffers mean the extra simulated second costs ~0
+        // allocations per extra event: measured ~0.04, all of it amortized
+        // doubling growth of the per-flow telemetry series (cwnd/acked/
+        // stall/congestion timelines across 2000 flows), which scales with
+        // log of run length, not with events. A hot-path regression — any
+        // per-packet, per-hop, per-envelope or per-timer allocation — costs
+        // >= 1 per event and fails by an order of magnitude.
+        assert!(
+            per_event < 0.08,
+            "shards {shards:?}: steady state allocates {per_event:.4} allocs/event \
+             ({extra_allocs} allocations over {extra_events} extra events); \
+             the hot path must not allocate per event"
+        );
+    }
 }
