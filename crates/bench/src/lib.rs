@@ -1,22 +1,20 @@
-//! # rss-bench — the experiment harness
+//! # rss-bench — the experiment catalogue
 //!
-//! One module per experiment in DESIGN.md §5. Each experiment has a
+//! One module per experiment in DESIGN.md §5 (E1–E10). Each experiment has a
 //! `run_*()` function returning a structured result with `print()` (ASCII
 //! tables/charts) and `to_csv()`; the `experiments` binary dispatches on an
-//! experiment id and writes CSVs under `results/`, and
-//! `benches/paper_benches.rs` wraps the same functions in criterion so
-//! `cargo bench` regenerates every figure and table.
+//! experiment id and writes CSVs under `results/`. Timing lives elsewhere:
+//! `bash benchmark/run.sh` is the repo's one timing instrument.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 
 pub use experiments::*;
 
 use std::path::{Path, PathBuf};
 
-/// The workspace root (where `BENCH_simulator.json` and `results/` live).
+/// The workspace root (where `results/` lives).
 pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

@@ -321,12 +321,6 @@ pub fn make_cc(
     registry::build(algo, params)
 }
 
-/// The pre-`Result` constructor: panics on parameters the registry rejects.
-#[deprecated(note = "use `make_cc`, which returns the registry error instead of panicking")]
-pub fn make_cc_or_panic(algo: &CcAlgorithm, params: &CcParams) -> Box<dyn CongestionControl> {
-    registry::build(algo, params).expect("congestion-control parameters rejected")
-}
-
 /// Dispatch shell the sender holds its congestion controller in.
 ///
 /// The per-ACK hooks are the hottest calls in the simulator after the event
@@ -441,13 +435,6 @@ pub fn make_cc_engine(algo: &CcAlgorithm, params: &CcParams) -> Result<CcEngine,
         )),
         _ => CcEngine::Dyn(make_cc(algo, params)?),
     })
-}
-
-/// The pre-`Result` engine constructor: panics on parameters the registry
-/// rejects.
-#[deprecated(note = "use `make_cc_engine`, which returns the registry error instead of panicking")]
-pub fn make_cc_engine_or_panic(algo: &CcAlgorithm, params: &CcParams) -> CcEngine {
-    make_cc_engine(algo, params).expect("congestion-control parameters rejected")
 }
 
 #[cfg(test)]

@@ -30,9 +30,8 @@ pub struct RedParams {
 
 impl RedParams {
     /// The ns-2 style defaults for a queue of `cap` packets — identical to
-    /// [`rss_net::RedConfig::for_capacity`], so the deprecated
-    /// `red_bottleneck: true` spec alias reproduces the legacy runs
-    /// byte-for-byte.
+    /// [`rss_net::RedConfig::for_capacity`]; an empty `{"Red": {}}` spec
+    /// block resolves to exactly these.
     pub fn for_capacity(cap: u32) -> Self {
         RedParams {
             min_th: cap as f64 * 0.25,

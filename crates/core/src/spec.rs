@@ -190,10 +190,6 @@ pub struct RunSpec {
     /// Stop as soon as every bounded flow completes (JSON
     /// `stop_when_complete`, default false).
     pub stop_when_complete: Option<bool>,
-    /// **Deprecated alias** for `queue`: `true` expands to `{"Red": {}}`
-    /// with the default thresholds, `false` to `"DropTail"` (JSON
-    /// `red_bottleneck`, default absent; mutually exclusive with `queue`).
-    pub red_bottleneck: Option<bool>,
     /// Bottleneck queue discipline (JSON `queue`: `"DropTail"`,
     /// `{"Red": {...}}` or `{"RedEcn": {...}}`; default `"DropTail"`).
     pub queue: Option<QueueDef>,
@@ -384,7 +380,7 @@ pub struct TcpDef {
 
 /// Bottleneck queue discipline (JSON `queue`). Threshold and weight knobs
 /// are optional; omitted ones default from the path's `router_queue_pkts`
-/// exactly as the deprecated `red_bottleneck: true` alias did.
+/// ([`RedParams::for_capacity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum QueueDef {
     /// Plain drop-tail FIFO (the default).
@@ -954,18 +950,10 @@ impl RunSpec {
             },
             access_delay: SimDuration::from_nanos((access_delay_us * 1e3).round() as u64),
         };
-        let queue = match (self.red_bottleneck, &self.queue) {
-            (Some(_), Some(_)) => {
-                return Err(SpecError::new(
-                    "`red_bottleneck` is a deprecated alias for `queue`; set only one of them",
-                ));
-            }
-            (Some(true), None) => {
-                QueueDiscipline::Red(RedParams::for_capacity(path.router_queue_pkts))
-            }
-            (Some(false) | None, None) => QueueDiscipline::DropTail,
-            (None, Some(q)) => q.to_discipline(path.router_queue_pkts)?,
-        };
+        let queue = self
+            .queue
+            .unwrap_or_default()
+            .to_discipline(path.router_queue_pkts)?;
         let (haul_impairment, access_impairment) = match &p.impairments {
             None => (None, None),
             Some(d) => (
@@ -1171,6 +1159,18 @@ fn axis<T: Copy>(values: &Option<Vec<T>>, name: &str) -> Result<Vec<Option<T>>, 
     }
 }
 
+/// An artifact name is joined onto the output directory, so it must be one
+/// plain path component: anything else could replace or escape that
+/// directory, or fail with an OS error only after the whole run.
+fn plain_file_name(name: &str, what: &str) -> Result<(), SpecError> {
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        return Err(SpecError::new(format!(
+            "{what}: must be a plain file name, got {name:?}"
+        )));
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
     /// Parse a spec from JSON text. Errors carry the JSON path and line.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
@@ -1213,8 +1213,17 @@ impl ScenarioSpec {
     /// `streams`) and the file's runs execute in order within each cell —
     /// the same order the hand-coded sweeps build their scenario vectors in.
     pub fn expand(&self) -> Result<Vec<ExpandedRun>, SpecError> {
-        if self.name.is_empty() {
-            return Err(SpecError::new("scenario `name` must not be empty"));
+        let output = self.output.as_ref();
+        let fairness = self.fairness.as_ref();
+        for (what, name) in [
+            ("$.name", Some(&self.name)),
+            ("$.output.csv", output.and_then(|o| o.csv.as_ref())),
+            ("$.output.json", output.and_then(|o| o.json.as_ref())),
+            ("$.fairness.csv", fairness.and_then(|f| f.csv.as_ref())),
+        ] {
+            if let Some(name) = name {
+                plain_file_name(name, what)?;
+            }
         }
         if self.runs.is_empty() {
             return Err(SpecError::new("a scenario needs at least one run"));
@@ -1414,13 +1423,23 @@ mod tests {
 
     #[test]
     fn unknown_field_is_a_path_qualified_error() {
-        let err = ScenarioSpec::from_json(&minimal(
-            r#"[{"label":"x","flows":[{}],"tcp":{"mss":1448,"msss":9}}]"#,
-        ))
-        .unwrap_err();
-        assert!(err.msg.contains("unknown field `msss`"), "{}", err.msg);
-        assert!(err.msg.contains("$.runs[0].tcp"), "{}", err.msg);
-        assert!(err.msg.contains("line"), "{}", err.msg);
+        for (runs, field, at) in [
+            (
+                r#"[{"label":"x","flows":[{}],"tcp":{"mss":1448,"msss":9}}]"#,
+                "unknown field `msss`",
+                "$.runs[0].tcp",
+            ),
+            (
+                r#"[{"label":"x","flows":[{}],"red_bottleneck":true}]"#,
+                "unknown field `red_bottleneck`",
+                "$.runs[0]",
+            ),
+        ] {
+            let err = ScenarioSpec::from_json(&minimal(runs)).unwrap_err();
+            assert!(err.msg.contains(field), "{}", err.msg);
+            assert!(err.msg.contains(at), "{}", err.msg);
+            assert!(err.msg.contains("line"), "{}", err.msg);
+        }
     }
 
     #[test]
@@ -1435,6 +1454,62 @@ mod tests {
             "{}",
             err.msg
         );
+    }
+
+    #[test]
+    fn artifact_names_must_be_plain_file_names() {
+        let doc = |name: &str, extra: &str| {
+            format!(r#"{{"name":"{name}","runs":[{{"label":"x","flows":[{{}}]}}]{extra}}}"#)
+        };
+        for bad in [
+            "/tmp/x.csv",
+            "../x.csv",
+            "..",
+            "sub/x.csv",
+            r"sub\\x.csv",
+            "",
+        ] {
+            for (what, text) in [
+                ("$.name", doc(bad, "")),
+                (
+                    "$.output.csv",
+                    doc("ok", &format!(r#","output":{{"csv":"{bad}"}}"#)),
+                ),
+                (
+                    "$.output.json",
+                    doc("ok", &format!(r#","output":{{"json":"{bad}"}}"#)),
+                ),
+                (
+                    "$.fairness.csv",
+                    doc("ok", &format!(r#","fairness":{{"csv":"{bad}"}}"#)),
+                ),
+            ] {
+                let err = ScenarioSpec::from_json(&text)
+                    .unwrap()
+                    .validate()
+                    .unwrap_err();
+                assert!(
+                    err.msg
+                        .starts_with(&format!("{what}: must be a plain file name, got ")),
+                    "{bad:?}: {}",
+                    err.msg
+                );
+            }
+        }
+        // The message quotes the offending value.
+        let err = ScenarioSpec::from_json(&doc("ok", r#","output":{"csv":"../x.csv"}"#))
+            .unwrap()
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err.msg,
+            r#"$.output.csv: must be a plain file name, got "../x.csv""#
+        );
+        // The default names pass.
+        ScenarioSpec::from_json(&doc("ok", r#","fairness":{}"#))
+            .unwrap()
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -1923,44 +1998,22 @@ mod tests {
     }
 
     #[test]
-    fn red_bottleneck_alias_expands_to_the_default_red_queue() {
-        // `red_bottleneck: true` and an empty `queue: {"Red": {}}` block must
-        // build the same scenario — the alias is sugar, not a second code
-        // path.
-        let alias = ScenarioSpec::from_json(&minimal(
-            r#"[{"label":"x","flows":[{}],"red_bottleneck":true}]"#,
-        ))
-        .unwrap();
+    fn empty_red_block_expands_to_the_default_red_queue() {
         let block = ScenarioSpec::from_json(&minimal(
             r#"[{"label":"x","flows":[{}],"queue":{"Red":{}}}]"#,
         ))
         .unwrap();
-        let a = &alias.expand().unwrap()[0].scenario;
-        let b = &block.expand().unwrap()[0].scenario;
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(matches!(a.queue, QueueDiscipline::Red(_)));
-        let d = RedParams::for_capacity(a.path.router_queue_pkts);
-        assert_eq!(a.queue.red_params(), Some(&d));
-        // `false` and absent both mean drop-tail.
-        for doc in [
-            r#"[{"label":"x","flows":[{}],"red_bottleneck":false}]"#,
-            r#"[{"label":"x","flows":[{}]}]"#,
-        ] {
-            let sc = &ScenarioSpec::from_json(&minimal(doc))
-                .unwrap()
-                .expand()
-                .unwrap()[0]
-                .scenario;
-            assert_eq!(sc.queue, QueueDiscipline::DropTail);
-        }
-        // Alias and block together is ambiguous and loudly rejected.
-        let err = ScenarioSpec::from_json(&minimal(
-            r#"[{"label":"x","flows":[{}],"red_bottleneck":true,"queue":"DropTail"}]"#,
-        ))
-        .unwrap()
-        .expand()
-        .unwrap_err();
-        assert!(err.msg.contains("deprecated alias"), "{}", err.msg);
+        let sc = &block.expand().unwrap()[0].scenario;
+        assert!(matches!(sc.queue, QueueDiscipline::Red(_)));
+        let d = RedParams::for_capacity(sc.path.router_queue_pkts);
+        assert_eq!(sc.queue.red_params(), Some(&d));
+        // An absent `queue` means drop-tail.
+        let sc = &ScenarioSpec::from_json(&minimal(r#"[{"label":"x","flows":[{}]}]"#))
+            .unwrap()
+            .expand()
+            .unwrap()[0]
+            .scenario;
+        assert_eq!(sc.queue, QueueDiscipline::DropTail);
     }
 
     #[test]

@@ -134,7 +134,6 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                     seed: Some(seed),
                     shared_sender_host: None,
                     stop_when_complete: Some(true),
-                    red_bottleneck: None,
                     queue: match (seed + i as u64) % 4 {
                         0 => None,
                         1 => Some(QueueDef::DropTail),
