@@ -281,6 +281,7 @@ mod tests {
             cross_delivered_bytes: 0,
             events_processed: 0,
             engine: None,
+            shard: None,
             truncated: None,
         }
     }

@@ -48,9 +48,9 @@ pub mod world;
 
 pub use body::WireBody;
 pub use fairness::{fairness_csv, fairness_reports, FairnessReport, FlowFairness, VariantFairness};
-pub use report::{FlowReport, RunReport};
+pub use report::{FlowReport, RunReport, ShardCounters};
 pub use runner::{
-    run, run_many, run_many_memo, run_many_memo_timed, run_many_timed, run_timed, try_run,
+    run, run_many, run_many_memo, run_many_memo_timed, run_many_timed, run_timed, try_run, RunError,
 };
 pub use scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
 pub use spec::{

@@ -126,6 +126,19 @@ impl FlowReport {
     }
 }
 
+/// What a windowed run's executor did, in counts (see
+/// [`rss_sim::ShardStats`]). All three are functions of the scenario alone:
+/// identical at every domain count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardCounters {
+    /// Lookahead windows the domains ran.
+    pub windows_run: u64,
+    /// Grid windows skipped because no domain had an event in them.
+    pub windows_skipped: u64,
+    /// Cross-unit messages exchanged between units.
+    pub envelopes: u64,
+}
+
 /// Results of one complete run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
@@ -170,6 +183,9 @@ pub struct RunReport {
     /// are not grouping-invariant and would break the byte-identical
     /// reports-across-shard-counts guarantee.
     pub engine: Option<QueueCounters>,
+    /// Window and envelope counts of a run with `shards`; `None` without
+    /// (the one-unit map runs the whole horizon as one window).
+    pub shard: Option<ShardCounters>,
     /// `Some(reason)` when the run was ended by a watchdog (`max_sim_time`
     /// or `max_events`) rather than running its course — the explicit
     /// "this run was cut short" marker for un-completable scenarios.
@@ -295,6 +311,7 @@ mod tests {
             cross_delivered_bytes: 900,
             events_processed: 12345,
             engine: None,
+            shard: None,
             truncated: None,
         };
         assert!((r.total_goodput_bps() - 100e6).abs() < 1.0);
@@ -331,6 +348,7 @@ mod tests {
                 cancelled: 1,
                 tombstones_swept: 1,
             }),
+            shard: None,
             truncated: None,
         };
         let json = r.to_json();

@@ -1,13 +1,14 @@
 //! Run scenarios to completion and extract reports; parallel sweep support.
 
-use crate::report::{FlowReport, RunReport};
+use crate::report::{FlowReport, RunReport, ShardCounters};
 use crate::scenario::Scenario;
 use crate::shard::run_windowed;
 use crate::world::{BuildError, World};
 use rss_net::RedStats;
-use rss_sim::{QueueCounters, SimTime, TimeSeries};
+use rss_sim::{QueueCounters, ShardError, SimTime, TimeSeries};
 use rss_tcp::{TcpReceiver, TcpSender};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Finalize one connection and build its report.
@@ -63,6 +64,8 @@ struct Outcome {
     /// Engine queue counters; one-unit runs only (they are not invariant
     /// under the grouping of units into domains).
     engine: Option<QueueCounters>,
+    /// Window and envelope counts; windowed runs only.
+    shard: Option<ShardCounters>,
     budget_exhausted: bool,
     /// The run ended before its horizon of its own accord (every flow
     /// completed, or nothing was left to simulate).
@@ -90,24 +93,61 @@ fn truncation(sc: &Scenario, out: &Outcome) -> Option<String> {
     None
 }
 
+/// Why [`try_run`] produced no report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The scenario cannot be turned into a runnable world.
+    Build(BuildError),
+    /// A domain thread of a windowed run panicked — a simulator bug,
+    /// attributed to its shard; the sibling threads were released and joined.
+    Shard(ShardError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Build(e) => e.fmt(f),
+            RunError::Shard(e) => write!(f, "sharded run failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<BuildError> for RunError {
+    fn from(e: BuildError) -> Self {
+        RunError::Build(e)
+    }
+}
+
+impl From<ShardError> for RunError {
+    fn from(e: ShardError) -> Self {
+        RunError::Shard(e)
+    }
+}
+
 /// Execute one scenario and collect its report.
 ///
-/// Panics with the [`BuildError`] text when the scenario cannot be built;
-/// [`try_run`] returns it instead.
+/// Panics with the [`RunError`] text when the scenario cannot be built or a
+/// shard thread panicked; [`try_run`] returns it instead.
 pub fn run(sc: &Scenario) -> RunReport {
-    try_run(sc).unwrap_or_else(|e| {
-        panic!("scenario rejected: {e} (the spec pipeline validates this with the same path qualification)")
+    try_run(sc).unwrap_or_else(|e| match e {
+        RunError::Build(e) => panic!(
+            "scenario rejected: {e} (the spec pipeline validates this with the same path qualification)"
+        ),
+        RunError::Shard(_) => panic!("{e}"),
     })
 }
 
-/// [`run`], returning a scenario the world builder rejects as an error.
+/// [`run`], returning a scenario the world builder rejects — or a shard
+/// thread's panic — as an error.
 ///
 /// The model is the same either way; [`Scenario::shards`] picks the unit map
 /// and with it the driver. `None` is the one-unit map: no flight crosses a
 /// unit boundary, so nothing bounds the lookahead and the engine runs the
 /// whole horizon as one window. `Some(n)` is the per-pair map in `n`
 /// domains, advanced in lockstep lookahead windows (see [`crate::shard`]).
-pub fn try_run(sc: &Scenario) -> Result<RunReport, BuildError> {
+pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
     // The watchdog clamps the horizon; a window-boundary cut is invariant
     // across domain counts, so truncated runs stay bit-exact too.
     let horizon = SimTime::ZERO + sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
@@ -120,6 +160,7 @@ pub fn try_run(sc: &Scenario) -> Result<RunReport, BuildError> {
                 end: stats.end_time,
                 events_processed: stats.events_processed,
                 engine: Some(engine.queue_counters()),
+                shard: None,
                 budget_exhausted: stats.budget_exhausted,
                 ended_early: stats.drained || stats.stopped_by_model,
             };
@@ -131,6 +172,11 @@ pub fn try_run(sc: &Scenario) -> Result<RunReport, BuildError> {
                 end: stats.end_time,
                 events_processed: stats.events_processed,
                 engine: None,
+                shard: Some(ShardCounters {
+                    windows_run: stats.windows_run,
+                    windows_skipped: stats.windows_skipped,
+                    envelopes: stats.envelopes,
+                }),
                 budget_exhausted: false,
                 ended_early: stats.stopped_early,
             };
@@ -181,6 +227,7 @@ fn report(sc: &Scenario, worlds: &mut [World], out: &Outcome) -> RunReport {
         cross_delivered_bytes: worlds.iter().map(World::cross_delivered_bytes).sum(),
         events_processed: out.events_processed,
         engine: out.engine,
+        shard: out.shard,
         truncated: truncation(sc, out),
     }
 }
@@ -412,6 +459,22 @@ mod tests {
         assert_eq!(one_unit, "flows[1]: ai_cnt must be at least 1, got 0");
         let per_pair = try_run(&sc.with_shards(2)).expect_err("ai_cnt 0");
         assert_eq!(per_pair.to_string(), one_unit);
+    }
+
+    #[test]
+    fn a_shard_panic_is_a_run_error_that_names_the_shard() {
+        // What `run_windowed`'s `?` makes of the executor's verdict.
+        let err = RunError::from(ShardError {
+            shard: 1,
+            message: "boom".into(),
+        });
+        assert_eq!(
+            err.to_string(),
+            "sharded run failed: shard 1 panicked: boom"
+        );
+        // A build rejection keeps its bare, path-qualified text.
+        let err = RunError::from(BuildError::SampleInterval);
+        assert_eq!(err.to_string(), "sample_interval: must be positive");
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //!   unit owns everything. No flight crosses a unit boundary, so no message
 //!   leg bounds the lookahead and the whole run is one window —
 //!   [`crate::run`] simply calls `Engine::run_until` on the one world. It is
-//!   deliberately *not* pushed through the window loop: a 25 s paper run is
-//!   1.5 M events over what would be 2.5 M ten-microsecond windows.
+//!   still *not* pushed through the window loop. A 25 s paper run is 1.5 M
+//!   events over a grid of 2.5 M ten-microsecond windows; the executor skips
+//!   the ~70 % of them that hold no event and a one-domain barrier is three
+//!   atomics, but the windows that remain average two or three events each.
+//!   Measured per event (`paper_windowed` ÷ `paper_testbed` in `benchmark/`),
+//!   the windowed testbed costs ≈ 1.9× the one-unit one — 10.3× when every
+//!   grid window was run behind two `std::sync::Barrier` waits.
 //! * **One unit per host pair, plus two hubs** (`UnitPlan::per_pair`,
 //!   `Scenario::shards = Some(n)`): pair `p` owns its sending and receiving
 //!   host and the two router egress ports feeding their access links (the
@@ -48,9 +53,12 @@
 //! | completions                   | counted per world, summed by the driver  |
 //!
 //! Sampling chains are ordinary events, so `events_processed` is a function
-//! of the scenario alone. Engine queue counters are *not* partition
-//! invariant (where an event lands in the calendar wheel depends on what
-//! else the domain holds), so windowed runs report `engine: None`.
+//! of the scenario alone — and so are the executor's own counts
+//! (`RunReport::shard`: windows run, windows skipped, envelopes), because
+//! which grid windows hold an event depends only on the union of the units'
+//! event times. Engine queue counters are *not* partition invariant (where
+//! an event lands in the calendar wheel depends on what else the domain
+//! holds), so windowed runs report `engine: None`.
 //!
 //! The one-unit plan differs from the per-pair plan in data only — both
 //! bottleneck ports draw from the fabric's single `0xFAB` stream, there is
@@ -61,6 +69,7 @@
 //! order in `rss_sim::queue`.
 
 use crate::body::WireBody;
+use crate::runner::RunError;
 use crate::scenario::Scenario;
 use crate::world::{BuildError, World};
 use rss_net::Handoff;
@@ -135,6 +144,10 @@ impl Domain for DomainEngine {
 
     fn on_boundary(&mut self, _now: SimTime) {}
 
+    fn idle_until(&self) -> SimTime {
+        self.0.next_event_time().unwrap_or(SimTime::MAX)
+    }
+
     fn run_window(&mut self, end: SimTime) -> u64 {
         self.0.run_window(end)
     }
@@ -158,7 +171,7 @@ pub(crate) fn run_windowed(
     sc: &Scenario,
     shards: u32,
     horizon: SimTime,
-) -> Result<(Vec<World>, ShardStats), BuildError> {
+) -> Result<(Vec<World>, ShardStats), RunError> {
     let access_delay = sc.path.access_delay;
     let haul_delay = (sc.path.rtt / 2).saturating_sub(access_delay * 2);
     let lookahead = access_delay.min(haul_delay);
@@ -166,7 +179,8 @@ pub(crate) fn run_windowed(
         return Err(BuildError::Lookahead {
             access_delay,
             rtt: sc.path.rtt,
-        });
+        }
+        .into());
     }
     let plan = UnitPlan::per_pair(sc, shards);
     let domains = plan.unit_domain.iter().max().map_or(0, |&d| d + 1);
@@ -181,11 +195,7 @@ pub(crate) fn run_windowed(
     // has reported all its completions — the deterministic analogue of the
     // one-unit world's `request_stop`.
     let target = (sc.stop_when_complete && !sc.flows.is_empty()).then_some(sc.flows.len() as u64);
-    let stats = run_sharded(&mut engines, &plan.unit_domain, lookahead, horizon, target)
-        // A shard panic is a simulator bug; re-raise it on the caller's
-        // thread with the shard attribution instead of deadlocking the
-        // barrier.
-        .unwrap_or_else(|e| panic!("sharded run failed: {e}"));
+    let stats = run_sharded(&mut engines, &plan.unit_domain, lookahead, horizon, target)?;
     let worlds = engines.into_iter().map(|e| e.0.into_model()).collect();
     Ok((worlds, stats))
 }

@@ -144,6 +144,13 @@ impl<M: Model> Engine<M> {
         self.queue.len()
     }
 
+    /// Time of the earliest pending event, if any. Read-only: the queue is
+    /// left exactly as it was (this is what a windowed driver asks at every
+    /// boundary to find the next window worth running).
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// The event queue's activity counters (pops, wheel-vs-heap placement,
     /// migrations, cancels, tombstone sweeps). Always maintained; reading
     /// them costs nothing beyond this copy.

@@ -857,6 +857,72 @@ mod tests {
         assert_eq!(c.tombstone_ratio(), 0.0);
     }
 
+    proptest::proptest! {
+        /// `peek_time` is asked at every window boundary of a sharded run,
+        /// so it must name exactly the event the next pop returns — past
+        /// tombstones in the cursor bucket, unsorted later buckets, the far
+        /// heap and overdue inserts — and, being a question, must leave the
+        /// wheel where bounded pops parked it.
+        #[test]
+        fn peek_time_names_the_next_pop_and_leaves_the_cursor(
+            ops in proptest::collection::vec((0u8..9, 0u64..50, 0usize..64), 1..400)
+        ) {
+            let mut q = EventQueue::new();
+            let mut ids = Vec::new();
+            let mut now = 0u64; // time of the last pop
+            for (i, &(sel, raw, pick)) in ops.iter().enumerate() {
+                match sel {
+                    // Schedule: in the cursor's granule, within a revolution,
+                    // beyond the wheel horizon, or before what already fired.
+                    0..=4 => {
+                        let t = match sel {
+                            0 | 1 => now + raw * 300,
+                            2 => now + raw * 2_000_000,
+                            3 => now + HORIZON_NANOS + raw * 40_000_000,
+                            _ => now.saturating_sub(raw * 5_000),
+                        };
+                        ids.push(q.schedule_at(SimTime::from_nanos(t), i));
+                    }
+                    // Cancel: leaves a tombstone wherever the event was.
+                    5 | 6 => {
+                        if !ids.is_empty() {
+                            q.cancel(ids[pick % ids.len()]);
+                        }
+                    }
+                    // A windowed driver's bounded pop, which parks the
+                    // cursor at the bound on a miss.
+                    7 => {
+                        let peeked = q.peek_time();
+                        let end = SimTime::from_nanos(now + raw * 10_000);
+                        if let Some((t, _)) = q.pop_before(end) {
+                            proptest::prop_assert_eq!(Some(t), peeked);
+                            now = now.max(t.as_nanos());
+                        } else {
+                            proptest::prop_assert!(peeked.is_none_or(|t| t >= end));
+                        }
+                    }
+                    _ => {
+                        let peeked = q.peek_time();
+                        let popped = q.pop().map(|(t, _)| t);
+                        proptest::prop_assert_eq!(peeked, popped);
+                        now = now.max(popped.map_or(0, SimTime::as_nanos));
+                    }
+                }
+                let wheel = (q.cursor, q.cursor_head, q.wheel_start, q.counters);
+                let peeked = q.peek_time();
+                proptest::prop_assert_eq!(peeked.is_some(), !q.is_empty());
+                proptest::prop_assert_eq!(
+                    (q.cursor, q.cursor_head, q.wheel_start, q.counters),
+                    wheel
+                );
+            }
+            while let Some(peeked) = q.peek_time() {
+                proptest::prop_assert_eq!(q.pop().map(|(t, _)| t), Some(peeked));
+            }
+            proptest::prop_assert!(q.pop().is_none());
+        }
+    }
+
     #[test]
     fn slots_are_reused() {
         let mut q = EventQueue::new();

@@ -16,15 +16,15 @@
 
 use restricted_slow_start::plot::ascii_table;
 use restricted_slow_start::{
-    cc_registry, fairness_csv, fairness_reports, results_csv, run_many_memo_timed, FairnessReport,
-    ScenarioSpec, ShardsDef,
+    cc_registry, fairness_csv, fairness_reports, results_csv, run_many_memo_timed, ExpandedRun,
+    FairnessReport, ScenarioSpec, ShardsDef,
 };
 use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rss run <scenario.json> [--out <dir>] [--shards <n|auto>] [--stats]\n                                          execute and write artifacts (--shards overrides\n                                          the file's executor choice; results are identical;\n                                          --stats prints engine queue counters per run)\n  rss list [<dir>]                        summarize scenario files (default: scenarios/)\n  rss list --variants [--markdown]        list the registered congestion-control variants\n                                          (--markdown emits docs/VARIANTS.md)\n  rss validate [--recursive] <path>...    parse + semantic-check, no execution\n                                          (a directory validates every *.json inside it;\n                                          --recursive descends into subdirectories)"
+        "usage:\n  rss run <scenario.json> [--out <dir>] [--shards <n|auto>] [--stats]\n                                          execute and write artifacts (--shards overrides\n                                          the file's executor choice; results are identical;\n                                          --stats prints engine queue counters, or with\n                                          shards the window and envelope counts, per run)\n  rss list [<dir>]                        summarize scenario files (default: scenarios/)\n  rss list --variants [--markdown]        list the registered congestion-control variants\n                                          (--markdown emits docs/VARIANTS.md)\n  rss validate [--recursive] <path>...    parse + semantic-check, no execution\n                                          (a directory validates every *.json inside it;\n                                          --recursive descends into subdirectories)"
     );
     ExitCode::from(2)
 }
@@ -217,49 +217,86 @@ fn cmd_run(args: &[String]) -> ExitCode {
         )
     );
 
-    // Engine queue counters on request: one-unit runs expose the calendar
-    // wheel's placement/cancellation telemetry; runs with `shards` show "-"
-    // (the counters depend on how units are grouped into domains, so
-    // reports omit them there).
+    // Executor counters on request. One-unit runs expose the calendar
+    // wheel's placement/cancellation telemetry (it depends on how units are
+    // grouped into domains, so runs with `shards` omit it); runs with
+    // `shards` expose the window walk and the envelope count, which do not.
     if stats {
-        let rows: Vec<Vec<String>> = runs
+        let labelled = |row: Vec<String>, er: &ExpandedRun| {
+            [vec![er.cell.to_string(), er.label.clone()], row].concat()
+        };
+        let engine_rows: Vec<Vec<String>> = runs
             .iter()
             .zip(&reports)
-            .map(|(er, rep)| {
-                let mut row = vec![er.cell.to_string(), er.label.clone()];
-                match &rep.engine {
-                    Some(q) => row.extend([
-                        q.scheduled.to_string(),
-                        q.pops.to_string(),
-                        format!("{:.1}", q.wheel_hit_rate() * 100.0),
-                        q.cancelled.to_string(),
-                        format!("{:.1}", q.tombstone_ratio() * 100.0),
-                        q.far_migrations.to_string(),
-                    ]),
-                    None => row.extend(std::iter::repeat_n("-".to_string(), 6)),
-                }
-                row
+            .filter_map(|(er, rep)| {
+                let q = rep.engine.as_ref()?;
+                let row = vec![
+                    q.scheduled.to_string(),
+                    q.pops.to_string(),
+                    format!("{:.1}", q.wheel_hit_rate() * 100.0),
+                    q.cancelled.to_string(),
+                    format!("{:.1}", q.tombstone_ratio() * 100.0),
+                    q.far_migrations.to_string(),
+                ];
+                Some(labelled(row, er))
             })
             .collect();
-        println!(
-            "engine queue counters (runs without shards only; they are not shard-count invariant):"
-        );
-        println!(
-            "{}",
-            ascii_table(
-                &[
-                    "cell",
-                    "run",
-                    "scheduled",
-                    "pops",
-                    "wheel hit %",
-                    "cancelled",
-                    "tombstone %",
-                    "far migrations"
-                ],
-                &rows
-            )
-        );
+        if !engine_rows.is_empty() {
+            println!("engine queue counters:");
+            println!(
+                "{}",
+                ascii_table(
+                    &[
+                        "cell",
+                        "run",
+                        "scheduled",
+                        "pops",
+                        "wheel hit %",
+                        "cancelled",
+                        "tombstone %",
+                        "far migrations"
+                    ],
+                    &engine_rows
+                )
+            );
+        }
+        let shard_rows: Vec<Vec<String>> = runs
+            .iter()
+            .zip(&reports)
+            .filter_map(|(er, rep)| {
+                let s = rep.shard.as_ref()?;
+                let grid = (s.windows_run + s.windows_skipped).max(1);
+                let row = vec![
+                    s.windows_run.to_string(),
+                    s.windows_skipped.to_string(),
+                    format!("{:.1}", s.windows_skipped as f64 * 100.0 / grid as f64),
+                    s.envelopes.to_string(),
+                    format!(
+                        "{:.1}",
+                        rep.events_processed as f64 / s.windows_run.max(1) as f64
+                    ),
+                ];
+                Some(labelled(row, er))
+            })
+            .collect();
+        if !shard_rows.is_empty() {
+            println!("shard executor counters (the same at every shard count):");
+            println!(
+                "{}",
+                ascii_table(
+                    &[
+                        "cell",
+                        "run",
+                        "windows run",
+                        "windows skipped",
+                        "skipped %",
+                        "envelopes",
+                        "events/window"
+                    ],
+                    &shard_rows
+                )
+            );
+        }
     }
 
     // Recovery & watchdog summary: only printed when fault injection left a

@@ -194,3 +194,24 @@ fn shared_sender_host() {
     let stalls = |r: &RunReport| r.flows.iter().map(|f| f.vars.send_stall).sum::<u64>();
     assert_eq!(stalls(&a) > 0, stalls(&b) > 0);
 }
+
+/// The paper's own regime under the windowed driver: one flow on the
+/// 100 Mbit/s x 60 ms pipe leaves the links idle for most of every RTT, so
+/// nearly every 10 us lookahead window is empty. Two domains must give the
+/// one-domain report byte for byte, and the walk must skip the empty windows
+/// rather than meet at two barriers in each (run again by name in CI, under
+/// a timeout).
+#[test]
+fn paper_testbed_runs_in_two_domains() {
+    let sc = Scenario::paper_testbed_restricted().with_duration(SimDuration::from_secs(5));
+    let one = run(&sc.clone().with_shards(1));
+    let two = run(&sc.with_shards(2));
+    assert_eq!(one.to_json(), two.to_json());
+    let walk = one.shard.expect("windowed runs report their walk");
+    assert_eq!(walk.windows_run + walk.windows_skipped, 500_000);
+    assert!(
+        walk.windows_skipped > walk.windows_run,
+        "most windows of a one-flow run are empty: {walk:?}"
+    );
+    assert!(walk.envelopes > 0);
+}
