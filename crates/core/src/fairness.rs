@@ -23,8 +23,9 @@
 //! matrix exactly like the per-flow summary CSV.
 
 use crate::report::RunReport;
-use crate::spec::{ExpandedRun, ScenarioSpec};
+use crate::spec::{fmt_f64, ExpandedRun, ScenarioSpec};
 use rss_sim::{convergence_time, jain_fairness};
+use std::fmt::Write as _;
 
 /// One flow's slice of the fairness picture.
 #[derive(Debug, Clone)]
@@ -201,24 +202,25 @@ pub fn fairness_csv(spec: &ScenarioSpec, runs: &[ExpandedRun], frs: &[FairnessRe
         "scenario,run,cell,window_s,eps,flow,variant,start_s,goodput_bps,share,\
          stalls,jain,convergence_s\n",
     );
+    // Rows go straight into `out`; `write!` into a `String` cannot fail.
     for (er, fr) in runs.iter().zip(frs) {
         for f in &fr.flows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                spec.name,
-                er.label,
-                er.cell,
-                fr.window_s,
-                fr.eps,
-                f.conn,
-                f.algo,
+            let _ = write!(out, "{},{},{},", spec.name, er.label, er.cell);
+            fmt_f64(fr.window_s, &mut out);
+            fmt_f64(fr.eps, &mut out);
+            let _ = write!(out, "{},{},", f.conn, f.algo);
+            fmt_f64(
                 er.scenario.flows[f.conn as usize].start.as_secs_f64(),
-                f.goodput_bps,
-                f.share,
-                f.stalls,
-                fr.jain,
-                fr.convergence_s.map(|t| format!("{t}")).unwrap_or_default(),
-            ));
+                &mut out,
+            );
+            fmt_f64(f.goodput_bps, &mut out);
+            fmt_f64(f.share, &mut out);
+            let _ = write!(out, "{},", f.stalls);
+            fmt_f64(fr.jain, &mut out);
+            if let Some(t) = fr.convergence_s {
+                serde::write_f64(t, &mut out);
+            }
+            out.push('\n');
         }
     }
     out

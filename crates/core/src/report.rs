@@ -198,7 +198,20 @@ impl RunReport {
     /// snapshots, series, NIC and router accounting — lands in one
     /// machine-readable artifact.
     pub fn to_json(&self) -> String {
-        serde::to_json_string(self)
+        // Reserved once from the series lengths: a sample pair renders in
+        // ~22 bytes, a flow's fixed part (the Web100 block) in under 1 KiB.
+        // An estimate, not a bound — short costs a regrowth, long costs
+        // untouched pages.
+        let pairs = self.sender_ifq_series.len()
+            + self.bottleneck_queue_series.len()
+            + self
+                .flows
+                .iter()
+                .map(|f| f.cwnd_series.len() + f.acked_series.len())
+                .sum::<usize>();
+        let mut out = String::with_capacity(24 * pairs + 1024 * (self.flows.len() + 1));
+        self.serialize_json(&mut out);
+        out
     }
 
     /// Parse a report back from its [`Self::to_json`] rendering. Numbers
@@ -335,7 +348,9 @@ mod tests {
             router_red_early_drops: 1,
             router_red_forced_drops: 0,
             router_ecn_marks: 4,
-            bottleneck_queue_series: vec![],
+            // A negative zero and a 9-decimal (nanosecond) timestamp: the
+            // two renderings a hand-rolled float writer gets wrong first.
+            bottleneck_queue_series: vec![(-0.0, 0.0), (24.987654321, 17.0)],
             cross_offered_bytes: 0,
             cross_delivered_bytes: 0,
             events_processed: 777,
@@ -363,6 +378,10 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"stall_times_s\":[1.5]"), "{json}");
+        assert!(
+            json.contains("\"bottleneck_queue_series\":[[-0,0],[24.987654321,17]]"),
+            "{json}"
+        );
         // Engine queue counters ride along in full when present.
         assert!(json.contains("\"engine\":{\"scheduled\":10"), "{json}");
         assert!(json.contains("\"tombstones_swept\":1"), "{json}");

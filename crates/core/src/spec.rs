@@ -77,7 +77,7 @@ use rss_sim::{SimDuration, SimTime};
 use rss_tcp::{AckPolicy, CcAlgorithm, RssConfig, StallResponse, TcpConfig};
 use rss_workload::{stripe_bytes, AppModel};
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A scenario file: named, documented, one or more runs, an optional sweep
 /// grid, and the artifacts to emit.
@@ -1348,10 +1348,13 @@ impl ScenarioSpec {
 // Deterministic CSV summary
 // ---------------------------------------------------------------------------
 
-/// Format an `f64` deterministically (shortest round-trip representation —
-/// the same rule the serializer uses, so goldens are byte-stable).
-fn fmt_f64(x: f64) -> String {
-    format!("{x}")
+/// Append one `f64` cell and its trailing comma, rendered by the
+/// serializer's own [`serde::write_f64`] (shortest round-trip digits, never
+/// an exponent), so the CSVs and the JSON report cannot disagree on a number
+/// and goldens are byte-stable. Every cell is finite by construction.
+pub(crate) fn fmt_f64(x: f64, out: &mut String) {
+    serde::write_f64(x, out);
+    out.push(',');
 }
 
 /// Render the per-flow summary CSV for an expanded + executed scenario.
@@ -1364,31 +1367,38 @@ pub fn results_csv(spec: &ScenarioSpec, runs: &[ExpandedRun], reports: &[RunRepo
          goodput_bps,utilization,send_stalls,congestion_signals,max_cwnd_bytes,\
          data_bytes_out,thru_bytes_acked,completed_s,events\n",
     );
+    // Rows go straight into `out`; `write!` into a `String` cannot fail.
     for (er, report) in runs.iter().zip(reports) {
         let sc = &er.scenario;
         for f in &report.flows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                spec.name,
-                er.label,
-                er.cell,
-                fmt_f64(sc.path.rate_bps as f64 / 1e6),
-                fmt_f64(sc.path.rtt.as_nanos() as f64 / 1e6),
+            let _ = write!(out, "{},{},{},", spec.name, er.label, er.cell);
+            fmt_f64(sc.path.rate_bps as f64 / 1e6, &mut out);
+            fmt_f64(sc.path.rtt.as_nanos() as f64 / 1e6, &mut out);
+            let _ = write!(
+                out,
+                "{},{},{},{},{},",
                 sc.host.txqueuelen,
                 sc.seed,
                 sc.flows.len(),
                 f.conn,
                 f.algo,
-                fmt_f64(f.goodput_bps),
-                fmt_f64(f.utilization),
+            );
+            fmt_f64(f.goodput_bps, &mut out);
+            fmt_f64(f.utilization, &mut out);
+            let _ = write!(
+                out,
+                "{},{},{},{},{},",
                 f.vars.send_stall,
                 f.vars.congestion_signals,
                 f.vars.max_cwnd,
                 f.vars.data_bytes_out,
                 f.vars.thru_bytes_acked,
-                f.completed_at_s.map(fmt_f64).unwrap_or_default(),
-                report.events_processed,
-            ));
+            );
+            match f.completed_at_s {
+                Some(t) => fmt_f64(t, &mut out),
+                None => out.push(','),
+            }
+            let _ = writeln!(out, "{}", report.events_processed);
         }
     }
     out

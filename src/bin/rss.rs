@@ -19,6 +19,7 @@ use restricted_slow_start::{
     cc_registry, fairness_csv, fairness_reports, results_csv, run_many_memo_timed, ExpandedRun,
     FairnessReport, ScenarioSpec, ShardsDef,
 };
+use serde::Serialize as _;
 use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
 
@@ -443,11 +444,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
             doc.push_str("{\"label\":");
             serde::write_json_escaped(&er.label, &mut doc);
-            doc.push_str(&format!(
-                ",\"cell\":{},\"report\":{}}}",
-                er.cell,
-                rep.to_json()
-            ));
+            doc.push_str(",\"cell\":");
+            er.cell.serialize_json(&mut doc);
+            doc.push_str(",\"report\":");
+            rep.serialize_json(&mut doc);
+            doc.push('}');
         }
         doc.push_str("]}\n");
         let json_path = out_dir.join(json_name);

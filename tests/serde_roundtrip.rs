@@ -272,3 +272,35 @@ fn run_report_rejects_truncated_input() {
         "{msg}"
     );
 }
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The JSON byte contract. Both digests were recorded from the commit before
+/// the allocation-free writer replaced `format!("{x}")` in `vendor/serde`, so
+/// this compares the serializer against its predecessor, not against itself:
+/// ~7 MB per run of timestamps, window samples, counters and strings.
+#[test]
+fn paper_testbed_json_matches_pinned_digests() {
+    for (sc, want) in [
+        (Scenario::paper_testbed_standard(), 0x9d4b_a01d_781d_0079u64),
+        (Scenario::paper_testbed_restricted(), 0xd3b6_87c9_dbbb_b414),
+    ] {
+        let json = run(&sc).to_json();
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            want,
+            "{} bytes of JSON diverged from the pinned rendering (got {:#018x})",
+            json.len(),
+            fnv1a64(json.as_bytes()),
+        );
+        let back = RunReport::from_json(&json).unwrap_or_else(|e| panic!("report parse: {e}"));
+        assert!(
+            back.to_json() == json,
+            "re-serialization is not byte-stable"
+        );
+    }
+}
