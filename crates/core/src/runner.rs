@@ -183,7 +183,18 @@ pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
             (worlds, out)
         }
     };
-    Ok(report(sc, &mut worlds, &out))
+    let run_report = report(sc, &mut worlds, &out);
+    // Freeing a domain's connections is per-domain work like building them
+    // (`run_windowed`): the first world is dropped here, the others beside it.
+    std::thread::scope(|scope| {
+        let mut worlds = worlds.into_iter();
+        let first = worlds.next();
+        for world in worlds {
+            scope.spawn(move || drop(world));
+        }
+        drop(first);
+    });
+    Ok(run_report)
 }
 
 /// Assemble the report from the worlds of all domains (one, for the

@@ -19,8 +19,7 @@
 //!   the ~70 % of them that hold no event and a one-domain barrier is three
 //!   atomics, but the windows that remain average two or three events each.
 //!   Measured per event (`paper_windowed` ÷ `paper_testbed` in `benchmark/`),
-//!   the windowed testbed costs ≈ 1.9× the one-unit one — 10.3× when every
-//!   grid window was run behind two `std::sync::Barrier` waits.
+//!   the windowed testbed costs ≈ 1.9× the one-unit one.
 //! * **One unit per host pair, plus two hubs** (`UnitPlan::per_pair`,
 //!   `Scenario::shards = Some(n)`): pair `p` owns its sending and receiving
 //!   host and the two router egress ports feeding their access links (the
@@ -166,7 +165,8 @@ impl Domain for DomainEngine {
 }
 
 /// Run `sc` under the per-pair plan in at most `shards` domains, up to
-/// `horizon`. Returns the domains' worlds for report assembly.
+/// `horizon`. Returns the domains' worlds for report assembly. The worlds
+/// are built in parallel, as they are run.
 pub(crate) fn run_windowed(
     sc: &Scenario,
     shards: u32,
@@ -184,13 +184,27 @@ pub(crate) fn run_windowed(
     }
     let plan = UnitPlan::per_pair(sc, shards);
     let domains = plan.unit_domain.iter().max().map_or(0, |&d| d + 1);
-    let mut engines = (0..domains)
-        .map(|d| {
-            Ok(DomainEngine(
-                World::build_domain(sc, &plan, d)?.into_engine(),
-            ))
-        })
-        .collect::<Result<Vec<_>, BuildError>>()?;
+    // Domains are independent (every stream derives from `sc.seed`), so
+    // their worlds are built and seeded side by side: domain 0 here, the
+    // rest on threads of their own. Results are read in domain order, so
+    // the error returned is the lowest failing domain's whichever thread
+    // finished first, and a build panic resumes here.
+    let build = |d: u32| -> Result<DomainEngine, BuildError> {
+        Ok(DomainEngine(
+            World::build_domain(sc, &plan, d)?.into_engine(),
+        ))
+    };
+    let mut engines = std::thread::scope(|scope| {
+        let rest: Vec<_> = (1..domains)
+            .map(|d| scope.spawn(move || build(d)))
+            .collect();
+        std::iter::once(build(0))
+            .chain(
+                rest.into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+            )
+            .collect::<Result<Vec<_>, BuildError>>()
+    })?;
     // The driver stops at the first window boundary by which every domain
     // has reported all its completions — the deterministic analogue of the
     // one-unit world's `request_stop`.
@@ -256,6 +270,55 @@ mod tests {
             let parallel = report_json(&sc, shards);
             assert_eq!(serial, parallel, "{shards} shards diverged from serial");
         }
+    }
+
+    #[test]
+    fn a_burst_of_starts_inside_one_granule_is_shard_count_invariant() {
+        // 500 flows starting at 500 instants of one calendar granule, in no
+        // order: each domain seeds its share in its own thread, and the
+        // queue — not the seeding order — puts them in sequence.
+        let mut sc = busy(500);
+        sc.duration = SimDuration::from_millis(150);
+        for (i, f) in sc.flows.iter_mut().enumerate() {
+            f.start = SimTime::from_nanos(i as u64 * 7_919 % 16_000);
+        }
+        let serial = report_json(&sc, 1);
+        for shards in [2, 4] {
+            assert_eq!(serial, report_json(&sc, shards), "{shards} shards diverged");
+        }
+    }
+
+    #[test]
+    fn a_build_error_in_a_later_domain_keeps_its_flow_path() {
+        use super::UnitPlan;
+        use crate::{try_run, ScalableConfig};
+        let sc = busy(6).with_shards(2);
+        let plan = UnitPlan::per_pair(&sc, 2);
+        let owns =
+            |d: u32, i: usize| plan.unit_domain[plan.pair_unit[sc.flow_pair(i)] as usize] == d;
+        let flows = 0..sc.flows.len();
+        let i0 = flows.clone().rev().find(|&i| owns(0, i)).expect("flow");
+        let i1 = flows.clone().find(|&i| owns(1, i)).expect("flow");
+        assert!(i1 < i0, "domain order and flow order must differ");
+        let reject = |sc: &mut crate::Scenario, i: usize| {
+            sc.flows[i].algo = CcAlgorithm::Scalable(ScalableConfig { ai_cnt: 0 });
+        };
+        // Raised on the spawned builder of domain 1 only.
+        let mut bad = sc.clone();
+        reject(&mut bad, i1);
+        let err = try_run(&bad).expect_err("ai_cnt 0").to_string();
+        assert_eq!(
+            err,
+            format!("flows[{i1}]: ai_cnt must be at least 1, got 0")
+        );
+        // Both domains fail: the lower domain's error wins, as when they
+        // were built one after the other.
+        reject(&mut bad, i0);
+        let err = try_run(&bad).expect_err("ai_cnt 0").to_string();
+        assert_eq!(
+            err,
+            format!("flows[{i0}]: ai_cnt must be at least 1, got 0")
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! beyond the wheel horizon (retransmission timers and the like). Bucket
 //! membership is a plain `Vec` of `(time, seq, slot)` entries; future
 //! buckets are append-only and sorted wholesale when the cursor reaches
-//! them, so scheduling is O(1) and only the bucket being consumed pays for
+//! them, so scheduling is O(1) and only the granule being consumed pays for
 //! order.
 //!
 //! Cancellation is O(1) to *validate* (a slot-index probe plus a sequence
@@ -30,6 +30,31 @@
 //! drained with zero memmoves and its allocation is reused for the next
 //! revolution. [`EventQueue::pop_at_or_before`] fuses the engine's
 //! peek-then-pop pair into one bucket scan.
+//!
+//! # The cursor granule: a sorted bucket and a heap
+//!
+//! Events scheduled into the granule being consumed (or before it: overdue
+//! inserts) must land in order among what has not fired yet. The granule is
+//! kept in two halves. The *bucket* is the sorted `Vec` the cursor arrived
+//! at; an insert goes into it while the tail it would shift is at most
+//! `CURSOR_TAIL_MAX` entries — in the sparse regime (a handful of events per
+//! granule) and for in-order arrivals that is every insert, and it is a
+//! binary search plus a move of under 200 bytes. Any other insert goes to
+//! the *cursor heap*, a min-heap of the same entries beside the bucket, so a
+//! burst into one granule — 10 000 flow starts seeded in scenario order, a
+//! window boundary's arrivals, a synchronized retransmission-timer wave —
+//! costs O(log n) per event instead of a `memmove` of the bucket per event.
+//!
+//! Pop order is still ascending `(time, seq)`: both halves hold entries under
+//! that one total order and every pop, sweep and peek takes the smaller of
+//! the bucket's head and the heap's top, so the sequence consumed is the
+//! sorted merge of the two — what one sorted bucket holding all of them
+//! would give. Tombstones are consumed at their place in that merge, so
+//! `tombstones_swept` counts the same sweeps at the same pops. The heap only
+//! ever holds entries of the granule under the cursor, and the cursor moves
+//! only once both halves are exhausted — so the heap is empty whenever the
+//! cursor advances or jumps, and while it is empty the pop loop is the plain
+//! bucket scan.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -45,6 +70,11 @@ const WHEEL_BUCKETS: usize = 8192;
 const GRANULE_NANOS: u64 = 1 << 14;
 /// Time span covered by one wheel revolution.
 const HORIZON_NANOS: u64 = WHEEL_BUCKETS as u64 * GRANULE_NANOS;
+/// Longest tail a sorted insert into the cursor bucket may shift; an insert
+/// that would move more goes to the cursor heap instead (module docs). Large
+/// enough that the sparse regime never leaves the bucket, small enough that
+/// the shift stays within three cache lines.
+const CURSOR_TAIL_MAX: usize = 8;
 /// Free-list terminator / "no slot" marker.
 const NIL: u32 = u32::MAX;
 
@@ -79,15 +109,41 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// A bucket entry: the sort key is carried inline so ordering, liveness
-/// checks and tombstone sweeps never dereference the slab. Entries outlive
-/// their event (lazy cancellation), which is safe exactly because the key is
-/// self-contained.
+/// A bucket or heap entry: the sort key is carried inline so ordering,
+/// liveness checks and tombstone sweeps never dereference the slab. Entries
+/// outlive their event (lazy cancellation), which is safe exactly because
+/// the key is self-contained.
 #[derive(Debug, Clone, Copy)]
 struct WheelEntry {
     time_ns: u64,
     seq: u64,
     slot: u32,
+}
+
+impl WheelEntry {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time_ns, self.seq)
+    }
+}
+
+// Reversed, so std's max-heap pops the earliest `(time, seq)` first (the
+// cursor heap and the far heap). Buckets sort by `key()` explicitly.
+impl PartialEq for WheelEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl Eq for WheelEntry {}
+impl PartialOrd for WheelEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for WheelEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
 
 /// Cheap always-on activity counters, one per queue. Plain unconditional
@@ -144,31 +200,6 @@ impl QueueCounters {
     }
 }
 
-/// Far-heap entry: ordering only, payload stays in the slab.
-struct Far {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-// Max-heap with reversed comparisons pops the earliest (time, seq) first.
-impl PartialEq for Far {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Far {}
-impl PartialOrd for Far {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Far {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 /// A time-ordered queue of future events.
 ///
 /// Near-future events (within ~134 ms of the wheel cursor) sit in calendar
@@ -177,12 +208,16 @@ impl Ord for Far {
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free_head: u32,
-    /// `buckets[(t / GRANULE) % WHEEL_BUCKETS]`, each sorted ascending by
-    /// `(time, seq)`. The cursor bucket additionally absorbs any event at or
-    /// before the current granule, so its first live entry is the global
-    /// minimum. Entries may be tombstones (cancelled events); liveness is a
-    /// slab generation check.
+    /// `buckets[(t / GRANULE) % WHEEL_BUCKETS]`. The cursor bucket is sorted
+    /// ascending by `(time, seq)` and, with `cursor_heap`, additionally
+    /// absorbs any event at or before the current granule, so the first live
+    /// entry of the two is the global minimum. Entries may be tombstones
+    /// (cancelled events); liveness is a slab generation check.
     buckets: Vec<Vec<WheelEntry>>,
+    /// The cursor granule's other half (module docs): inserts that would
+    /// have shifted a long tail of the cursor bucket. Empty in the sparse
+    /// regime, and whenever the cursor moves.
+    cursor_heap: BinaryHeap<WheelEntry>,
     /// Bucket index the wheel window starts at; always equals
     /// `(wheel_start / GRANULE) % WHEEL_BUCKETS`.
     cursor: usize,
@@ -193,13 +228,16 @@ pub struct EventQueue<E> {
     cursor_head: usize,
     /// Lower bound (nanos, granule-aligned) of the cursor bucket.
     wheel_start: u64,
-    far: BinaryHeap<Far>,
+    far: BinaryHeap<WheelEntry>,
     /// Live events resident in wheel buckets.
     in_wheel: usize,
     /// All live events (wheel + far).
     live: usize,
     next_seq: u64,
     counters: QueueCounters,
+    /// Most entries any one cursor-bucket insert has shifted.
+    #[cfg(test)]
+    max_shift: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -215,6 +253,7 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free_head: NIL,
             buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            cursor_heap: BinaryHeap::new(),
             cursor: 0,
             cursor_head: 0,
             wheel_start: 0,
@@ -223,6 +262,8 @@ impl<E> EventQueue<E> {
             live: 0,
             next_seq: 0,
             counters: QueueCounters::default(),
+            #[cfg(test)]
+            max_shift: 0,
         }
     }
 
@@ -271,7 +312,9 @@ impl<E> EventQueue<E> {
     /// Insert `slot` into bucket `idx`. Future buckets are append-only
     /// (unsorted) and sorted once, wholesale, when the cursor arrives —
     /// O(1) per insert instead of a memmove per insert. Only the cursor
-    /// bucket, which is being consumed in order, takes a sorted insert.
+    /// granule, which is being consumed in order, takes an ordered insert:
+    /// into the sorted bucket when that shifts a short tail, into the cursor
+    /// heap otherwise.
     fn bucket_insert(&mut self, idx: usize, slot: u32) {
         self.slots[slot as usize].loc = Loc::Bucket(idx as u32);
         let entry = WheelEntry {
@@ -283,10 +326,19 @@ impl<E> EventQueue<E> {
         if idx == self.cursor {
             // The consumed prefix stays put; an overdue event must still land
             // after what already fired.
-            let key = (entry.time_ns, entry.seq);
+            let key = entry.key();
             let start = self.cursor_head;
-            let pos = start + bucket[start..].partition_point(|e| (e.time_ns, e.seq) < key);
-            bucket.insert(pos, entry);
+            let pos = start + bucket[start..].partition_point(|e| e.key() < key);
+            let tail = bucket.len() - pos;
+            if tail <= CURSOR_TAIL_MAX {
+                #[cfg(test)]
+                {
+                    self.max_shift = self.max_shift.max(tail);
+                }
+                bucket.insert(pos, entry);
+            } else {
+                self.cursor_heap.push(entry);
+            }
         } else {
             bucket.push(entry);
         }
@@ -299,7 +351,8 @@ impl<E> EventQueue<E> {
     /// timestamps and sort to the front, where the sweep removes them first.
     fn sort_cursor_bucket(&mut self) {
         debug_assert_eq!(self.cursor_head, 0);
-        self.buckets[self.cursor].sort_unstable_by_key(|e| (e.time_ns, e.seq));
+        debug_assert!(self.cursor_heap.is_empty());
+        self.buckets[self.cursor].sort_unstable_by_key(WheelEntry::key);
     }
 
     /// The bucket an in-window timestamp belongs to: the cursor bucket for
@@ -325,8 +378,8 @@ impl<E> EventQueue<E> {
         } else {
             let s = &mut self.slots[slot as usize];
             s.loc = Loc::Far;
-            self.far.push(Far {
-                time: s.time,
+            self.far.push(WheelEntry {
+                time_ns: t,
                 seq: s.seq,
                 slot,
             });
@@ -348,25 +401,37 @@ impl<E> EventQueue<E> {
     }
 
     /// True if the far-heap entry still refers to a live event.
-    fn far_entry_live(&self, f: &Far) -> bool {
+    fn far_entry_live(&self, f: &WheelEntry) -> bool {
         let s = &self.slots[f.slot as usize];
         s.seq == f.seq && s.loc == Loc::Far
     }
 
     /// Pull far-heap events that now fall inside the wheel window into their
-    /// buckets.
+    /// buckets. Runs at every cursor move, and almost always finds nothing
+    /// due: the far-heap top is live (every mutating operation keeps it so),
+    /// so one comparison settles that, and only it is inlined into the pop
+    /// loop.
+    #[inline]
     fn migrate_far(&mut self) {
         let end = self.wheel_start.saturating_add(HORIZON_NANOS);
+        if self.far.peek().is_some_and(|top| top.time_ns < end) {
+            self.migrate_far_due(end);
+        }
+    }
+
+    /// [`Self::migrate_far`] once the far-heap top is due before `end`.
+    #[inline(never)]
+    fn migrate_far_due(&mut self, end: u64) {
         while let Some(top) = self.far.peek() {
             if !self.far_entry_live(top) {
                 self.far.pop();
                 continue;
             }
-            if top.time.as_nanos() >= end {
+            if top.time_ns >= end {
                 break;
             }
             let f = self.far.pop().expect("peeked entry vanished");
-            let idx = self.in_window_bucket(f.time.as_nanos());
+            let idx = self.in_window_bucket(f.time_ns);
             self.bucket_insert(idx, f.slot);
             self.counters.far_migrations += 1;
         }
@@ -384,7 +449,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Advance the cursor one granule, exposing one new back bucket and
-    /// migrating far events that slid into the window.
+    /// migrating far events that slid into the window. Once per granule the
+    /// cursor crosses — about once per event in the sparse regime — so it
+    /// stays in the pop loop.
+    #[inline]
     fn advance_cursor(&mut self) {
         self.cursor = (self.cursor + 1) % WHEEL_BUCKETS;
         self.wheel_start = self.wheel_start.saturating_add(GRANULE_NANOS);
@@ -443,6 +511,50 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Retire the live entry `entry` the pop cursor just passed.
+    #[inline]
+    fn take(&mut self, entry: WheelEntry) -> (SimTime, E) {
+        self.in_wheel -= 1;
+        self.live -= 1;
+        self.counters.pops += 1;
+        let event = self.free_slot(entry.slot);
+        (SimTime::from_nanos(entry.time_ns), event)
+    }
+
+    /// [`Self::pop_bounded`] while the cursor heap holds entries: consume the
+    /// sorted merge of the bucket's unconsumed part and the heap — sweeping
+    /// tombstones at their place in it — up to the first live entry.
+    /// `Some(verdict)` is `pop_bounded`'s answer; `None` means the heap ran
+    /// empty first and the plain bucket scan takes over.
+    ///
+    /// Out of line and cold: the sparse regime never gets here, and its pop
+    /// loop must not carry this code.
+    #[cold]
+    #[inline(never)]
+    fn pop_merged(&mut self, limit_ns: Option<u64>) -> Option<Option<(SimTime, E)>> {
+        while let Some(&top) = self.cursor_heap.peek() {
+            let head = self.buckets[self.cursor].get(self.cursor_head).copied();
+            let entry = match head {
+                Some(head) if head.key() < top.key() => head,
+                _ => top,
+            };
+            let live = self.entry_live(&entry);
+            if live && limit_ns.is_some_and(|l| entry.time_ns > l) {
+                return Some(None);
+            }
+            if entry.seq == top.seq {
+                self.cursor_heap.pop();
+            } else {
+                self.cursor_head += 1;
+            }
+            if live {
+                return Some(Some(self.take(entry)));
+            }
+            self.counters.tombstones_swept += 1;
+        }
+        None
+    }
+
     /// Remove and return the earliest live event at or before `limit`
     /// (in nanos); `None` lifts the bound. Shared scan behind [`Self::pop`]
     /// and [`Self::pop_at_or_before`] — one pass finds, bounds-checks and
@@ -459,6 +571,11 @@ impl<E> EventQueue<E> {
             return None;
         }
         loop {
+            if !self.cursor_heap.is_empty() {
+                if let Some(verdict) = self.pop_merged(limit_ns) {
+                    return verdict;
+                }
+            }
             while self.cursor_head < self.buckets[self.cursor].len() {
                 let entry = self.buckets[self.cursor][self.cursor_head];
                 if self.entry_live(&entry) {
@@ -466,11 +583,7 @@ impl<E> EventQueue<E> {
                         return None;
                     }
                     self.cursor_head += 1;
-                    self.in_wheel -= 1;
-                    self.live -= 1;
-                    self.counters.pops += 1;
-                    let event = self.free_slot(entry.slot);
-                    return Some((SimTime::from_nanos(entry.time_ns), event));
+                    return Some(self.take(entry));
                 }
                 self.cursor_head += 1;
                 self.counters.tombstones_swept += 1;
@@ -494,12 +607,7 @@ impl<E> EventQueue<E> {
             }
             // Everything live is beyond the horizon: jump the window.
             self.clean_far_top();
-            let t = self
-                .far
-                .peek()
-                .expect("live count out of sync")
-                .time
-                .as_nanos();
+            let t = self.far.peek().expect("live count out of sync").time_ns;
             if limit_ns.is_some_and(|l| t > l) {
                 return None;
             }
@@ -525,12 +633,36 @@ impl<E> EventQueue<E> {
         self.pop_bounded(Some(limit))
     }
 
+    /// The earliest live time in the cursor granule while its heap holds
+    /// entries: the bucket's first live entry or the heap's, whichever is
+    /// earlier. A live heap top is the heap's minimum; under a cancelled top
+    /// the lot is looked through (read-only: sweeping needs `&mut`). `None`
+    /// when the granule holds only tombstones.
+    #[cold]
+    #[inline(never)]
+    fn peek_merged(&self) -> Option<u64> {
+        let live_time = |e: &WheelEntry| self.entry_live(e).then_some(e.time_ns);
+        let in_bucket = self.buckets[self.cursor][self.cursor_head..]
+            .iter()
+            .find_map(live_time);
+        let in_heap = match self.cursor_heap.peek().and_then(live_time) {
+            Some(t) => Some(t),
+            None => self.cursor_heap.iter().filter_map(live_time).min(),
+        };
+        in_bucket.into_iter().chain(in_heap).min()
+    }
+
     /// The timestamp of the next live event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
         }
         if self.in_wheel > 0 {
+            if !self.cursor_heap.is_empty() {
+                if let Some(t) = self.peek_merged() {
+                    return Some(SimTime::from_nanos(t));
+                }
+            }
             // Buckets from the cursor forward partition time, so the first
             // bucket holding a live entry holds the minimum. The cursor
             // bucket is sorted (first live entry wins); later buckets are
@@ -558,7 +690,7 @@ impl<E> EventQueue<E> {
         // The far-heap top is kept live by every mutating operation.
         self.far.peek().map(|f| {
             debug_assert!(self.far_entry_live(f));
-            f.time
+            SimTime::from_nanos(f.time_ns)
         })
     }
 
@@ -921,6 +1053,196 @@ mod tests {
             }
             proptest::prop_assert!(q.pop().is_none());
         }
+    }
+
+    /// Granule-local times for the burst tests: `n` draws below the granule
+    /// width, many of them tied.
+    fn burst_times(n: usize, seed: u64) -> Vec<u64> {
+        let mut rng = crate::SimRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.next_below(GRANULE_NANOS / 4)).collect()
+    }
+
+    /// Schedule `t` on both the queue and the reference model.
+    fn schedule_both(
+        q: &mut EventQueue<usize>,
+        reference: &mut std::collections::BTreeMap<(u64, u64), usize>,
+        t: u64,
+        payload: usize,
+    ) -> EventId {
+        let id = q.schedule_at(SimTime::from_nanos(t), payload);
+        reference.insert((t, id.seq), payload);
+        id
+    }
+
+    /// One pop of each, which must agree — and `peek_time` must have named it.
+    fn pop_both(
+        q: &mut EventQueue<usize>,
+        reference: &mut std::collections::BTreeMap<(u64, u64), usize>,
+    ) {
+        let expect = reference
+            .pop_first()
+            .map(|((t, _), payload)| (SimTime::from_nanos(t), payload));
+        assert_eq!(q.peek_time(), expect.map(|(t, _)| t));
+        assert_eq!(q.pop(), expect);
+        assert_eq!(q.len(), reference.len());
+    }
+
+    #[test]
+    fn a_burst_into_one_granule_pops_in_reference_order_and_shifts_nothing() {
+        // 20 000 events inside the granule under the cursor, in random
+        // order, pops in between (so later inserts are also overdue ones).
+        // As sorted inserts into one Vec this shifts ~10^8 entries.
+        let mut q = EventQueue::new();
+        let mut reference = std::collections::BTreeMap::new();
+        let mut rng = crate::SimRng::seed_from_u64(7);
+        for (i, t) in burst_times(20_000, 1).into_iter().enumerate() {
+            schedule_both(&mut q, &mut reference, t, i);
+            if rng.next_below(4) == 0 {
+                pop_both(&mut q, &mut reference);
+            }
+        }
+        assert!(!q.cursor_heap.is_empty(), "the burst never left the bucket");
+        while !reference.is_empty() {
+            pop_both(&mut q, &mut reference);
+        }
+        assert_eq!(q.pop(), None);
+        assert!(
+            q.max_shift <= CURSOR_TAIL_MAX,
+            "one insert shifted {} entries",
+            q.max_shift
+        );
+        let c = q.counters();
+        assert_eq!((c.pops, c.tombstones_swept), (20_000, 0));
+    }
+
+    #[test]
+    fn cancels_inside_the_cursor_heap_are_swept_in_order() {
+        let mut q = EventQueue::new();
+        let mut reference = std::collections::BTreeMap::new();
+        let ids: Vec<(u64, EventId)> = burst_times(20_000, 2)
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| (t, schedule_both(&mut q, &mut reference, t, i)))
+            .collect();
+        let in_heap = q.cursor_heap.len();
+        assert!(in_heap > 19_000, "only {in_heap} entries reached the heap");
+        for &(t, id) in ids.iter().step_by(3) {
+            assert!(q.cancel(id));
+            assert!(!q.cancel(id));
+            reference.remove(&(t, id.seq));
+            assert_eq!(q.len(), reference.len());
+        }
+        // Half way down, then a second burst on top of the tombstones.
+        for _ in 0..reference.len() / 2 {
+            pop_both(&mut q, &mut reference);
+        }
+        for (i, t) in burst_times(5_000, 3).into_iter().enumerate() {
+            schedule_both(&mut q, &mut reference, t, 20_000 + i);
+        }
+        while !reference.is_empty() {
+            pop_both(&mut q, &mut reference);
+        }
+        assert!(q.max_shift <= CURSOR_TAIL_MAX);
+
+        // Only tombstones left in the heap, the one live event beyond the
+        // horizon: the pop sweeps them all before the wheel jumps.
+        let mut q = EventQueue::new();
+        let ids: Vec<EventId> = burst_times(200, 4)
+            .into_iter()
+            .map(|t| q.schedule_at(SimTime::from_nanos(t), 0))
+            .collect();
+        assert!(!q.cursor_heap.is_empty());
+        q.schedule_at(SimTime::from_secs(10), 1);
+        for id in ids {
+            assert!(q.cancel(id));
+        }
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
+        assert!(q.cursor_heap.is_empty(), "the wheel jumped over its heap");
+        assert_eq!(q.counters().tombstones_swept, 200);
+    }
+
+    /// A cursor bucket of ten entries at 10 µs, 11 µs, …, and one event at
+    /// `first_us` scheduled after them — past the shift limit, so it sits in
+    /// the cursor heap, and it is the next to fire.
+    fn heap_top_first(first_us: u64) -> (EventQueue<usize>, EventId) {
+        let mut q = EventQueue::new();
+        for i in 0..10u64 {
+            q.schedule_at(SimTime::from_micros(10 + i / 4), i as usize);
+        }
+        let first = q.schedule_at(SimTime::from_micros(first_us), 99);
+        assert_eq!(q.cursor_heap.len(), 1);
+        (q, first)
+    }
+
+    #[test]
+    fn bounded_pops_stop_at_a_heap_top_past_the_bound() {
+        let (mut q, _) = heap_top_first(5);
+        let state = |q: &EventQueue<usize>| {
+            (
+                q.cursor,
+                q.cursor_head,
+                q.wheel_start,
+                q.cursor_heap.len(),
+                q.len(),
+                q.counters(),
+            )
+        };
+        let before = state(&q);
+        assert_eq!(q.pop_at_or_before(SimTime::from_micros(4)), None);
+        assert_eq!(q.pop_before(SimTime::from_micros(5)), None);
+        assert_eq!(state(&q), before);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_micros(5)),
+            Some((SimTime::from_micros(5), 99))
+        );
+        // The heap is empty again: the bound now meets the bucket's head.
+        assert_eq!(q.pop_before(SimTime::from_micros(10)), None);
+        assert_eq!(
+            q.pop_before(SimTime::from_micros(11)),
+            Some((SimTime::from_micros(10), 0))
+        );
+
+        // A miss sweeps the tombstones in front of the first live entry
+        // whatever their own times, as the plain bucket scan does.
+        let (mut q, first) = heap_top_first(5);
+        assert!(q.cancel(first));
+        assert_eq!(q.pop_at_or_before(SimTime::from_micros(4)), None);
+        assert_eq!(q.counters().tombstones_swept, 1);
+        assert!(q.cursor_heap.is_empty());
+    }
+
+    #[test]
+    fn overdue_inserts_after_a_bounded_miss_fire_before_the_bucket() {
+        // The window driver's pattern: a miss parks the cursor on a granule
+        // that already holds events, then arrivals for earlier times come
+        // in — latest first here, so each lands in front of all the others.
+        let mut q = EventQueue::new();
+        let base = SimTime::from_millis(3).as_nanos();
+        for i in 0..20u64 {
+            q.schedule_at(SimTime::from_nanos(base + 100 * i), 1_000 + i as usize);
+        }
+        assert_eq!(q.pop_before(SimTime::from_nanos(base)), None);
+        for i in (0..50u64).rev() {
+            q.schedule_at(SimTime::from_nanos(base - 1_000 + i), i as usize);
+        }
+        assert!(!q.cursor_heap.is_empty());
+        for i in 0..50u64 {
+            assert_eq!(
+                q.pop_before(SimTime::from_nanos(base)),
+                Some((SimTime::from_nanos(base - 1_000 + i), i as usize))
+            );
+        }
+        assert_eq!(q.pop_before(SimTime::from_nanos(base)), None);
+        for i in 0..20u64 {
+            assert_eq!(
+                q.pop(),
+                Some((SimTime::from_nanos(base + 100 * i), 1_000 + i as usize))
+            );
+        }
+        assert!(q.max_shift <= CURSOR_TAIL_MAX);
     }
 
     #[test]

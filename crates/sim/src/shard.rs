@@ -58,7 +58,9 @@
 //!    drains by `(arrival_time, source_unit, per-source sequence)` before
 //!    injecting. The key is unique — a source unit's sequence counter never
 //!    repeats — so the injected order is a pure function of the message set,
-//!    not of ring layout or thread interleaving.
+//!    not of ring layout or thread interleaving, and the sort may be an
+//!    unstable one: no two keys are equal, so there is no tie for stability
+//!    to settle, and sorting in place needs no scratch buffer per window.
 //! 3. **Within a window, event order per unit is reproducible.** The engine
 //!    orders events by `(time, insertion-seq)`. Injections happen first (at
 //!    the window boundary, in canonical order), and subsequent insertions are
@@ -465,7 +467,7 @@ pub fn run_sharded<D: Domain>(
                     }
                     let stop = match catch_unwind(AssertUnwindSafe(|| {
                         rings.drain_into(d, &mut inbound);
-                        inbound.sort_by_key(|e| (e.time, e.src_unit, e.seq));
+                        inbound.sort_unstable_by_key(|e| (e.time, e.src_unit, e.seq));
                         for env in inbound.drain(..) {
                             domain.inject(env);
                         }

@@ -168,6 +168,20 @@ impl SimDuration {
     #[inline]
     pub fn for_bytes_at_rate(bytes: u64, bits_per_sec: u64) -> SimDuration {
         assert!(bits_per_sec > 0, "zero link rate");
+        // Every packet (anything under 2.3 GB) fits the 64-bit product; the
+        // 128-bit division is a library call, and this is called once per
+        // transmitted packet.
+        match bytes.checked_mul(8 * NANOS_PER_SEC) {
+            Some(bit_nanos) => SimDuration(bit_nanos.div_ceil(bits_per_sec)),
+            None => Self::for_bytes_at_rate_wide(bytes, bits_per_sec),
+        }
+    }
+
+    /// [`Self::for_bytes_at_rate`] in 128 bits, saturating. Out of line so
+    /// the inlined fast path stays a multiply and a divide.
+    #[cold]
+    #[inline(never)]
+    fn for_bytes_at_rate_wide(bytes: u64, bits_per_sec: u64) -> SimDuration {
         let bits = bytes as u128 * 8;
         let nanos = (bits * NANOS_PER_SEC as u128).div_ceil(bits_per_sec as u128);
         SimDuration(u64::try_from(nanos).unwrap_or(u64::MAX))
@@ -290,6 +304,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn conversions_round_trip() {
@@ -349,6 +364,32 @@ mod tests {
         let d = SimDuration::for_bytes_at_rate(1, 3_000_000_000);
         // 8 bits / 3 Gbit/s = 2.666.. ns -> must become 3.
         assert_eq!(d.as_nanos(), 3);
+    }
+
+    proptest! {
+        /// The 64-bit fast path and the 128-bit form are one function: on
+        /// packet sizes, around the byte count where the 64-bit product
+        /// overflows, on anything at all, down to rate 1.
+        #[test]
+        fn serialization_delay_matches_the_wide_form(
+            bytes in prop_oneof![
+                0u64..100_000,
+                (u64::MAX / (8 * NANOS_PER_SEC)).saturating_sub(1_000)
+                    ..u64::MAX / (8 * NANOS_PER_SEC) + 1_000,
+                any::<u64>(),
+            ],
+            rate in prop_oneof![
+                1u64..4,
+                1_000u64..100_000_000_000,
+                any::<u64>().prop_map(|r| r.max(1)),
+            ],
+        ) {
+            let wide = (bytes as u128 * 8 * NANOS_PER_SEC as u128).div_ceil(rate as u128);
+            prop_assert_eq!(
+                SimDuration::for_bytes_at_rate(bytes, rate).as_nanos(),
+                u64::try_from(wide).unwrap_or(u64::MAX)
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# The three hot generics must be inlined into their callers in the shipped
+# binaries. Release builds use thin LTO over 4 codegen units per crate, so a
+# size change anywhere in a crate can re-partition it and leave one of them
+# as a call through memory — 3-15 % of events/s on the paper testbed, with no
+# test failing. A standalone symbol is that outlined copy.
+#
+#   bash benchmark/run.sh --quick && cargo build --release
+#   scripts/check-hot-inlines.sh [binary...]
+set -euo pipefail
+
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+bins=("$@")
+if [ ${#bins[@]} -eq 0 ]; then
+  bins=(benchmark/target/release/rss-benchmark target/release/rss)
+fi
+
+# As `nm -C` prints them: the per-event pop, the per-hop fabric handler, the
+# per-event dispatch.
+hot='EventQueue<.*>::pop_bounded$|Fabric<.*>::handle$|Engine<.*>::dispatch$'
+
+status=0
+for bin in "${bins[@]}"; do
+  if [ ! -x "$bin" ]; then
+    echo "check-hot-inlines: $bin is not built" >&2
+    exit 2
+  fi
+  syms=$(nm -C "$bin")
+  # `pop_merged` is `#[inline(never)]`: if not even that shows, the binary
+  # is stripped and the check below would pass on nothing.
+  if ! grep -qE 'EventQueue<.*>::pop_merged$' <<<"$syms"; then
+    echo "check-hot-inlines: $bin has no symbols to check" >&2
+    exit 2
+  fi
+  if outlined=$(grep -E "$hot" <<<"$syms"); then
+    echo "check-hot-inlines: outlined in $bin:" >&2
+    echo "$outlined" >&2
+    status=1
+  else
+    echo "check-hot-inlines: $bin ok"
+  fi
+done
+exit $status
