@@ -151,7 +151,7 @@ pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
     // The watchdog clamps the horizon; a window-boundary cut is invariant
     // across domain counts, so truncated runs stay bit-exact too.
     let horizon = SimTime::ZERO + sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
-    let (mut worlds, out) = match sc.shards {
+    let (worlds, out) = match sc.shards {
         None => {
             let mut engine = World::build(sc)?.into_engine();
             engine.event_budget = sc.max_events;
@@ -183,59 +183,82 @@ pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
             (worlds, out)
         }
     };
-    let run_report = report(sc, &mut worlds, &out);
-    // Freeing a domain's connections is per-domain work like building them
-    // (`run_windowed`): the first world is dropped here, the others beside it.
+    Ok(report(sc, worlds, &out))
+}
+
+/// Apply `f` to each domain's item side by side — the first here, the others
+/// on threads of their own — and return the results in domain order.
+/// Releasing a domain's memory is per-domain work like building it
+/// (`run_windowed`).
+fn per_domain<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
     std::thread::scope(|scope| {
-        let mut worlds = worlds.into_iter();
-        let first = worlds.next();
-        for world in worlds {
-            scope.spawn(move || drop(world));
-        }
-        drop(first);
-    });
-    Ok(run_report)
+        let mut items = items.into_iter();
+        let first = items.next();
+        let rest: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let rest = rest
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        first.map(f).into_iter().chain(rest).collect()
+    })
 }
 
 /// Assemble the report from the worlds of all domains (one, for the
-/// one-unit map).
-fn report(sc: &Scenario, worlds: &mut [World], out: &Outcome) -> RunReport {
+/// one-unit map) and release them.
+///
+/// Network first, flows last: the network-level fields are read off the
+/// complete worlds, then every world gives up all but its connections, and
+/// only then are the per-flow reports — the bulk of a many-flow report —
+/// allocated. The peak is connections + flow reports instead of worlds +
+/// flow reports.
+fn report(sc: &Scenario, worlds: Vec<World>, out: &Outcome) -> RunReport {
     let end = out.end;
-    let flows = (0..sc.flows.len())
-        .map(|i| {
-            let (sender, receiver, completed_at) = worlds
-                .iter_mut()
-                .find_map(|w| w.flow(i))
-                .expect("every flow belongs to a world");
-            flow_report(i, sc, sender, receiver, completed_at, end)
-        })
-        .collect();
+    let series = |s: &TimeSeries| s.iter().map(|(t, v)| (t.as_secs_f64(), v)).collect();
     // The report's host-level fields describe flow 0's sending host.
     let (sender_nic, ifq_series) = worlds
         .iter()
         .find_map(|w| w.sender_host(0))
         .expect("flow 0 belongs to a world");
-    let series = |s: &TimeSeries| s.iter().map(|(t, v)| (t.as_secs_f64(), v)).collect();
+    let sender_ifq_series = series(ifq_series);
+    let sender_nic_utilization = sender_nic.utilization(end);
+    let sender_nic = sender_nic.stats();
     let red: Vec<RedStats> = worlds.iter().map(World::red_stats).collect();
+    let router_queue_drops = worlds.iter().map(|w| w.fabric().queue_drops).sum();
+    let bottleneck_queue_series = worlds
+        .iter()
+        .find_map(World::bottleneck_series)
+        .map(series)
+        .expect("one world owns the forward bottleneck");
+    let cross_offered_bytes = worlds.iter().map(World::cross_offered_bytes).sum();
+    let cross_delivered_bytes = worlds.iter().map(World::cross_delivered_bytes).sum();
+
+    let mut conns = per_domain(worlds, World::into_connections);
+    let flows = (0..sc.flows.len())
+        .map(|i| {
+            let (sender, receiver, completed_at) = conns
+                .iter_mut()
+                .find_map(|c| c.flow(i))
+                .expect("every flow belongs to a world");
+            flow_report(i, sc, sender, receiver, completed_at, end)
+        })
+        .collect();
+    per_domain(conns, drop);
+
     RunReport {
         duration_s: end.as_secs_f64(),
         seed: sc.seed,
         path_rate_bps: sc.path.rate_bps,
         flows,
-        sender_ifq_series: series(ifq_series),
-        sender_nic: sender_nic.stats(),
-        sender_nic_utilization: sender_nic.utilization(end),
-        router_queue_drops: worlds.iter().map(|w| w.fabric().queue_drops).sum(),
+        sender_ifq_series,
+        sender_nic,
+        sender_nic_utilization,
+        router_queue_drops,
         router_red_early_drops: red.iter().map(|s| s.early_drops).sum(),
         router_red_forced_drops: red.iter().map(|s| s.forced_drops).sum(),
         router_ecn_marks: red.iter().map(|s| s.ecn_marks).sum(),
-        bottleneck_queue_series: worlds
-            .iter()
-            .find_map(World::bottleneck_series)
-            .map(series)
-            .expect("one world owns the forward bottleneck"),
-        cross_offered_bytes: worlds.iter().map(World::cross_offered_bytes).sum(),
-        cross_delivered_bytes: worlds.iter().map(World::cross_delivered_bytes).sum(),
+        bottleneck_queue_series,
+        cross_offered_bytes,
+        cross_delivered_bytes,
         events_processed: out.events_processed,
         engine: out.engine,
         shard: out.shard,

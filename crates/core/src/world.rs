@@ -482,12 +482,16 @@ impl World {
 
     // --- accessors for reporting --------------------------------------------
 
-    /// Both endpoints of scenario flow `i` (sender mutably, for end-of-run
-    /// finalization) and its completion time; `None` when another world
-    /// owns the flow.
-    pub fn flow(&mut self, i: usize) -> Option<(&mut TcpSender, &TcpReceiver, Option<SimTime>)> {
-        let c = self.conns.get_mut(*self.conn_index.get(i)? as usize)?;
-        Some((&mut c.sender, &c.receiver, c.completed_at))
+    /// Release everything but the connections: hosts and their NICs, the
+    /// fabric (ports, queues, packet arena, topology, routes), the timer
+    /// table. A finished run needs the network for a handful of counters and
+    /// two series; the per-flow reports are built from what is left, after
+    /// this, so they are never resident beside the network they describe.
+    pub(crate) fn into_connections(self) -> Connections {
+        Connections {
+            conns: self.conns,
+            conn_index: self.conn_index,
+        }
     }
 
     /// The NIC and IFQ-depth series of the host scenario flow `i` sends
@@ -716,6 +720,26 @@ impl World {
         let (host, src, dst, flow) = (c.host, c.src, c.dst, c.flow);
         self.enqueue(host, src, dst, flow, WireBody::Raw { size }, now, sched);
         sched.after(gap, Ev::CrossEmit { idx: idx as u32 });
+    }
+}
+
+/// The connections of a finished world ([`World::into_connections`]).
+pub(crate) struct Connections {
+    conns: Vec<Conn>,
+    /// Connection index by scenario flow id (`u32::MAX`: another world's).
+    conn_index: Vec<u32>,
+}
+
+impl Connections {
+    /// Both endpoints of scenario flow `i` (sender mutably, for end-of-run
+    /// finalization) and its completion time; `None` when another world
+    /// owned the flow.
+    pub(crate) fn flow(
+        &mut self,
+        i: usize,
+    ) -> Option<(&mut TcpSender, &TcpReceiver, Option<SimTime>)> {
+        let c = self.conns.get_mut(*self.conn_index.get(i)? as usize)?;
+        Some((&mut c.sender, &c.receiver, c.completed_at))
     }
 }
 

@@ -242,3 +242,91 @@ fn report_metadata_round_trips() {
         format!("{:?}", r2.flows[0].vars)
     );
 }
+
+/// Four flows of two variants through a marking RED bottleneck with random
+/// loss, beside an open-loop cross stream: every network-level field of the
+/// report is non-trivial.
+fn red_cross() -> Scenario {
+    use rss_core::{QueueDiscipline, RedParams};
+    let mut sc = base(CcAlgorithm::Reno)
+        .with_access_delay(SimDuration::from_micros(500))
+        .with_duration(SimDuration::from_millis(800));
+    sc.flows = (0..4u64)
+        .map(|i| FlowSpec {
+            algo: if i % 2 == 0 {
+                CcAlgorithm::Reno
+            } else {
+                CcAlgorithm::Restricted(RssConfig::tuned())
+            },
+            app: AppModel::Bulk { bytes: None },
+            start: SimTime::from_millis(5 * i),
+        })
+        .collect();
+    sc.cross = vec![CrossSpec {
+        pattern: TrafficPattern::Cbr {
+            rate_bps: 2_000_000,
+            pkt_size: 1500,
+        },
+        start: SimTime::ZERO,
+        stop: None,
+    }];
+    sc.path.loss_prob = 0.001;
+    sc.path.router_queue_pkts = 40;
+    sc.with_queue(QueueDiscipline::RedEcn(RedParams::for_capacity(40)))
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `runner::report` reads the network-level fields, releases each world down
+/// to its connections, and only then renders the flows. Both digests were
+/// recorded from the commit before that reorder (flows first, on top of the
+/// complete worlds), so a field dropped, reordered or read after its owner
+/// was released shows here, under either unit map.
+#[test]
+fn report_json_is_pinned_across_the_network_first_reorder() {
+    for (shards, want) in [
+        (None, 0x6d6c_2af4_98d7_4747u64),
+        (Some(2), 0x8e20_a59e_a145_d0d1),
+    ] {
+        let mut sc = red_cross();
+        sc.shards = shards;
+        let r = run(&sc);
+        assert!(r.router_ecn_marks > 0 && r.cross_delivered_bytes > 0);
+        assert!(r.sender_nic.tx_pkts > 0 && r.bottleneck_queue_series.len() > 1);
+        let json = r.to_json();
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            want,
+            "shards {shards:?}: {} bytes of report JSON diverged (got {:#018x})",
+            json.len(),
+            fnv1a64(json.as_bytes()),
+        );
+    }
+}
+
+/// The reporting accessors read a world that is still whole — what an
+/// embedder driving its own engine sees — and agree with the report `run`
+/// assembles from them before it releases the network.
+#[test]
+fn reporting_accessors_work_on_an_unconsumed_world() {
+    use rss_core::world::World;
+    let sc = red_cross();
+    let mut engine = World::build(&sc).expect("buildable").into_engine();
+    let stats = engine.run_until(SimTime::ZERO + sc.duration);
+    let world = engine.model();
+    let r = run(&sc);
+    assert_eq!(stats.events_processed, r.events_processed);
+    let (nic, ifq) = world.sender_host(0).expect("flow 0 is this world's");
+    assert_eq!(nic.stats().tx_pkts, r.sender_nic.tx_pkts);
+    assert_eq!(ifq.iter().count(), r.sender_ifq_series.len());
+    assert!(world.sender_host(sc.flows.len()).is_none());
+    assert_eq!(world.fabric().queue_drops, r.router_queue_drops);
+    assert_eq!(world.red_stats().ecn_marks, r.router_ecn_marks);
+    let depth = world.bottleneck_series().expect("one world owns the port");
+    assert_eq!(depth.iter().count(), r.bottleneck_queue_series.len());
+    assert_eq!(world.cross_delivered_bytes(), r.cross_delivered_bytes);
+}

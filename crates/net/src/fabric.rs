@@ -21,6 +21,19 @@
 //! owner of that unit's fabric re-enters it with [`Fabric::park`]. The empty
 //! map (what [`Fabric::new`] uses) is one unit owning everything, so no
 //! flight ever crosses and the partitioning code is a single untaken branch.
+//!
+//! # What a port costs
+//!
+//! A 10k-pair dumbbell has 20 002 router egress ports, 16 618 of which never
+//! carry a packet in a 2 s run, and two of which run RED. A port is therefore
+//! kept to what every port uses — a drop-tail queue (whose buffer is
+//! allocated on its first packet, for one packet: [`DropTailQueue`]), the
+//! packet being serialized and two pointers: [`PortQueue::Red`] holds its
+//! [`RedQueue`] in a `Box`, and a port's private random stream
+//! ([`Fabric::set_port_rng`]) is boxed too. The RED and hub ports pay one
+//! pointer hop per packet; every other port stops carrying 160 bytes of state
+//! it never reads. The port table itself is sized once, from a count of the
+//! directions the fabric simulates.
 
 use crate::arena::{ArenaMode, PacketArena, PacketRef};
 use crate::impair::{Impairment, Verdict};
@@ -61,8 +74,10 @@ pub enum NetEvent {
 pub enum PortQueue<B> {
     /// Plain drop-tail FIFO.
     DropTail(DropTailQueue<B>),
-    /// RED active queue management.
-    Red(RedQueue<B>),
+    /// RED active queue management. Boxed: a topology has a handful of RED
+    /// ports (the bottleneck's) and, at scale, tens of thousands of
+    /// drop-tail access ports that would otherwise each carry RED's state.
+    Red(Box<RedQueue<B>>),
 }
 
 impl<B: Body> PortQueue<B> {
@@ -114,7 +129,9 @@ struct Port<B> {
     transmitting: Option<Packet<B>>,
     /// Private stream for this port's RED decisions and for random loss on
     /// the link it feeds; `None` draws from the fabric's shared stream.
-    rng: Option<SimRng>,
+    /// Boxed for the same reason as [`PortQueue::Red`]: only hub ports of a
+    /// cut world have one.
+    rng: Option<Box<SimRng>>,
 }
 
 /// A packet crossing from one unit to another: the arrival it would have
@@ -273,23 +290,22 @@ impl<B: Body> Fabric<B> {
     ) -> Self {
         let routes = topo.compute_routes();
         let dirs = topo.links().len() * 2;
+        // Counted first, so the port table is sized once instead of doubling
+        // its way up (three reallocation copies, and half again as much
+        // reserved as used, on a 10k-pair dumbbell).
         let mut ports = DirTable::new(dirs);
-        for node in topo.nodes() {
-            if topo.kind(node) == NodeKind::Router {
-                for &(link, _) in topo.neighbors(node) {
-                    let idx = port_index(&topo, node, link);
-                    if units.is_local(idx) {
-                        ports.insert(
-                            idx,
-                            Port {
-                                queue: PortQueue::DropTail(DropTailQueue::new(router_queue)),
-                                transmitting: None,
-                                rng: None,
-                            },
-                        );
-                    }
-                }
-            }
+        ports
+            .items
+            .reserve_exact(local_router_dirs(&topo, &units).count());
+        for idx in local_router_dirs(&topo, &units) {
+            ports.insert(
+                idx,
+                Port {
+                    queue: PortQueue::DropTail(DropTailQueue::new(router_queue)),
+                    transmitting: None,
+                    rng: None,
+                },
+            );
         }
         Fabric {
             impairments: DirTable::new(dirs),
@@ -313,7 +329,7 @@ impl<B: Body> Fabric<B> {
     pub fn set_port_rng(&mut self, node: NodeId, link: LinkId, rng: SimRng) {
         let idx = port_index(&self.topo, node, link);
         let port = self.ports.get_mut(idx).expect("not a router egress port");
-        port.rng = Some(rng);
+        port.rng = Some(Box::new(rng));
     }
 
     /// Re-enter a packet another unit's fabric handed off: park it in this
@@ -350,7 +366,7 @@ impl<B: Body> Fabric<B> {
     pub fn set_red_port(&mut self, node: NodeId, link: LinkId, cfg: RedConfig) {
         let idx = port_index(&self.topo, node, link);
         let port = self.ports.get_mut(idx).expect("not a router egress port");
-        port.queue = PortQueue::Red(RedQueue::new(cfg));
+        port.queue = PortQueue::Red(Box::new(RedQueue::new(cfg)));
     }
 
     /// The topology the fabric runs on.
@@ -426,7 +442,7 @@ impl<B: Body> Fabric<B> {
         let stats = &mut self.link_stats[link.0 as usize];
         if spec.params.loss_prob > 0.0 {
             let rng = match self.ports.get_mut(dir) {
-                Some(Port { rng: Some(own), .. }) => own,
+                Some(Port { rng: Some(own), .. }) => &mut **own,
                 _ => &mut self.rng,
             };
             if rng.chance(spec.params.loss_prob) {
@@ -575,7 +591,7 @@ impl<B: Body> Fabric<B> {
                 };
                 let idx = port_index(&self.topo, node, out_link);
                 let port = self.ports.get_mut(idx).expect("router port missing");
-                let rng = port.rng.as_mut().unwrap_or(&mut self.rng);
+                let rng = port.rng.as_deref_mut().unwrap_or(&mut self.rng);
                 if port.queue.try_enqueue(now, pkt, rng) {
                     self.kick_port(node, out_link, now, sched);
                 } else {
@@ -596,6 +612,20 @@ impl<B: Body> Fabric<B> {
             }
         }
     }
+}
+
+/// The router egress directions of `topo` that `units` marks local.
+fn local_router_dirs<'a>(
+    topo: &'a Topology,
+    units: &'a UnitMap,
+) -> impl Iterator<Item = usize> + 'a {
+    topo.nodes()
+        .filter(move |&node| topo.kind(node) == NodeKind::Router)
+        .flat_map(move |node| {
+            let links = topo.neighbors(node).iter();
+            links.map(move |&(link, _)| port_index(topo, node, link))
+        })
+        .filter(move |&dir| units.is_local(dir))
 }
 
 /// Dense index of the egress port at `node` feeding `link`: a link has two
@@ -690,6 +720,23 @@ mod tests {
         for (d, e) in pending.drain(..) {
             eng.schedule_at(at + d, e);
         }
+    }
+
+    #[test]
+    fn a_port_does_not_carry_red_state_or_a_private_stream_inline() {
+        // 20 000 access ports on the 10k-flow dumbbell: a drop-tail queue,
+        // the packet on the wire and two pointers' worth of options.
+        let port = std::mem::size_of::<Port<RawBody>>();
+        assert!(port <= 200, "Port<RawBody> is {port} bytes");
+        assert!(std::mem::size_of::<RedQueue<RawBody>>() > 200);
+    }
+
+    #[test]
+    fn the_port_table_is_sized_once() {
+        let (world, _) = mk_world(500, 100_000_000, QueueConfig::packets(100));
+        let ports = &world.fabric.ports.items;
+        // Two per pair (the routers' access sides) and the bottleneck's two.
+        assert_eq!((ports.len(), ports.capacity()), (1002, 1002));
     }
 
     #[test]

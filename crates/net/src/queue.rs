@@ -113,6 +113,14 @@ impl<B: Body> DropTailQueue<B> {
         match self.would_accept(&pkt) {
             Ok(()) => {
                 self.bytes += pkt.wire_size() as u64;
+                if self.q.capacity() == 0 {
+                    // First buffer: room for one. A queue in front of an
+                    // idle device hands each packet straight on and never
+                    // holds two — most NIC and access-port queues of a
+                    // many-flow run — and `VecDeque`'s own first step is
+                    // four slots. A second packet grows it the usual way.
+                    self.q.reserve_exact(1);
+                }
                 self.q.push_back(pkt);
                 self.stats.enqueued += 1;
                 self.stats.peak_packets = self.stats.peak_packets.max(self.q.len() as u32);
@@ -257,6 +265,26 @@ mod tests {
         assert_eq!(s.peak_bytes, 1000);
         assert_eq!(s.enqueued, 3);
         assert_eq!(s.dequeued, 1);
+    }
+
+    #[test]
+    fn a_queue_that_never_held_two_packets_allocated_for_one() {
+        let mut q = DropTailQueue::new(QueueConfig::packets(100));
+        assert_eq!(q.q.capacity(), 0, "an unused queue owns no buffer");
+        for i in 0..1000 {
+            q.try_enqueue(pkt(i, 1500)).unwrap();
+            assert_eq!(q.dequeue().unwrap().id, i);
+        }
+        assert_eq!(q.stats().peak_packets, 1);
+        assert_eq!(q.q.capacity(), 1);
+        // A backlog grows it, FIFO order intact across the growth.
+        for i in 0..10 {
+            q.try_enqueue(pkt(i, 1500)).unwrap();
+        }
+        assert!(q.q.capacity() >= 10);
+        for i in 0..10 {
+            assert_eq!(q.dequeue().unwrap().id, i);
+        }
     }
 
     #[test]

@@ -4,6 +4,19 @@
 //! models it — and the multi-flow extension experiments — as an explicit
 //! graph with BFS-computed static routes, the standard dumbbell being the
 //! canonical instance.
+//!
+//! # Leaves are stored inline
+//!
+//! A dumbbell is almost all leaves: 10 000 host pairs are 20 000 hosts with
+//! one link each around two routers. The graph pays for that shape once per
+//! leaf, not once per heap block: a node with a single link keeps its
+//! `(link, neighbour)` pair inside the adjacency table (`Adjacent::One`; a
+//! second link moves it to a `Vec`), and the routing table keeps one 4-byte
+//! word per node — a single-link host's only link, or the index of a dense
+//! per-destination row held on the side for the nodes that have a choice.
+//! [`Topology::neighbors`] returns the same slice, in [`Topology::connect`]
+//! order, either way, so BFS tie-breaks and every computed route are those
+//! of the plain `Vec<Vec<_>>` graph.
 
 use crate::packet::{LinkId, NodeId};
 use rss_sim::SimDuration;
@@ -79,12 +92,43 @@ impl LinkSpec {
     }
 }
 
+/// One node's incident links, as `(link, neighbour)` pairs in the order
+/// they were connected.
+#[derive(Debug, Clone, Default)]
+enum Adjacent {
+    /// No links yet.
+    #[default]
+    None,
+    /// A single link, held inline (module docs).
+    One([(LinkId, NodeId); 1]),
+    /// Two or more.
+    Many(Vec<(LinkId, NodeId)>),
+}
+
+impl Adjacent {
+    fn as_slice(&self) -> &[(LinkId, NodeId)] {
+        match self {
+            Adjacent::None => &[],
+            Adjacent::One(one) => one,
+            Adjacent::Many(many) => many,
+        }
+    }
+
+    fn push(&mut self, entry: (LinkId, NodeId)) {
+        match self {
+            Adjacent::None => *self = Adjacent::One([entry]),
+            Adjacent::One([first]) => *self = Adjacent::Many(vec![*first, entry]),
+            Adjacent::Many(many) => many.push(entry),
+        }
+    }
+}
+
 /// The network graph.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<NodeKind>,
     links: Vec<LinkSpec>,
-    adjacency: Vec<Vec<(LinkId, NodeId)>>,
+    adjacency: Vec<Adjacent>,
 }
 
 impl Topology {
@@ -96,7 +140,7 @@ impl Topology {
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(kind);
-        self.adjacency.push(Vec::new());
+        self.adjacency.push(Adjacent::None);
         id
     }
 
@@ -145,14 +189,15 @@ impl Topology {
         &self.links
     }
 
-    /// Links incident to `n` as `(link, neighbor)` pairs.
+    /// Links incident to `n` as `(link, neighbor)` pairs, in the order they
+    /// were connected.
     pub fn neighbors(&self, n: NodeId) -> &[(LinkId, NodeId)] {
-        &self.adjacency[n.0 as usize]
+        self.adjacency[n.0 as usize].as_slice()
     }
 
     /// The unique link between `a` and `b`, if any.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.adjacency[a.0 as usize]
+        self.neighbors(a)
             .iter()
             .find(|&&(_, nb)| nb == b)
             .map(|&(l, _)| l)
@@ -168,23 +213,29 @@ impl Topology {
     /// but only two routers, so the dense-everything table would waste
     /// ~1.6 GB on rows nothing ever reads.
     pub fn compute_routes(&self) -> RoutingTable {
+        assert!(
+            self.links.len() < DENSE_ROW as usize,
+            "link ids must stay below the dense-row tag"
+        );
+        let mut dense = Vec::new();
         let rows = self
             .nodes()
             .map(|node| {
                 let adj = self.neighbors(node);
                 match self.kind(node) {
-                    NodeKind::Host if adj.is_empty() => RouteRow::Empty,
-                    NodeKind::Host if adj.len() == 1 => RouteRow::Leaf(adj[0].0 .0),
+                    NodeKind::Host if adj.is_empty() => NO_ROUTE,
+                    NodeKind::Host if adj.len() == 1 => adj[0].0 .0,
                     // Routers always get a real row: a single-link router
                     // must still answer `None` for unreachable destinations
                     // or packets would ping-pong forever.
-                    _ => RouteRow::Dense(self.first_link_row(node)),
+                    _ => push_dense_row(&mut dense, self.first_link_row(node)),
                 }
             })
             .collect();
         RoutingTable {
             nodes: self.node_count() as u32,
             rows,
+            dense,
         }
     }
 
@@ -220,30 +271,43 @@ impl Topology {
     }
 }
 
-/// Dense-row sentinel for "no route".
+/// "No route": a dense-row entry for an unreachable destination, and the
+/// row word of an isolated node.
 const NO_ROUTE: u32 = u32::MAX;
 
-/// One node's routing knowledge.
-#[derive(Debug, Clone)]
-enum RouteRow {
-    /// Isolated node: nothing is reachable.
-    Empty,
-    /// Single-link host: every destination goes over that link.
-    /// Reachability is enforced at the first router, which drops
-    /// packets for destinations it has no row entry for.
-    Leaf(u32),
-    /// Per-destination next-hop links (routers and multi-homed hosts).
-    Dense(Vec<u32>),
+/// Row words from here up (short of [`NO_ROUTE`]) are `DENSE_ROW + i`: the
+/// node's per-destination row is `dense[i]`. Anything below is a link id.
+const DENSE_ROW: u32 = 1 << 31;
+
+/// The `dense` index a row word stands for, if it stands for one.
+#[inline]
+fn dense_index(word: u32) -> Option<usize> {
+    (DENSE_ROW..NO_ROUTE)
+        .contains(&word)
+        .then(|| (word - DENSE_ROW) as usize)
+}
+
+/// Append `row` to `dense` and return the row word that refers to it.
+fn push_dense_row(dense: &mut Vec<Vec<u32>>, row: Vec<u32>) -> u32 {
+    dense.push(row);
+    DENSE_ROW + (dense.len() - 1) as u32
 }
 
 /// Static next-hop routing: `(at, dst) → link to forward on`.
 ///
 /// Frozen at [`Topology::compute_routes`] time; the per-hop lookup on the
-/// packet path is one match plus (for routers) a single indexed load.
+/// packet path is one indexed load plus (for routers) a second.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     nodes: u32,
-    rows: Vec<RouteRow>,
+    /// One word per node. A single-link host's only link: every destination
+    /// goes over it, and reachability is enforced at the first router, which
+    /// drops packets for destinations it has no row entry for. Or
+    /// [`NO_ROUTE`] for an isolated node, or `DENSE_ROW + i` for a node that
+    /// routes by destination.
+    rows: Vec<u32>,
+    /// Per-destination next-hop links of routers and multi-homed hosts.
+    dense: Vec<Vec<u32>>,
 }
 
 impl RoutingTable {
@@ -253,33 +317,26 @@ impl RoutingTable {
         if at.0 >= self.nodes || dst.0 >= self.nodes || at == dst {
             return None;
         }
-        match &self.rows[at.0 as usize] {
-            RouteRow::Empty => None,
-            RouteRow::Leaf(link) => Some(LinkId(*link)),
-            RouteRow::Dense(row) => {
-                let raw = row[dst.0 as usize];
-                (raw != NO_ROUTE).then_some(LinkId(raw))
-            }
-        }
+        let word = self.rows[at.0 as usize];
+        let link = match dense_index(word) {
+            Some(i) => self.dense[i][dst.0 as usize],
+            None => word,
+        };
+        (link != NO_ROUTE).then_some(LinkId(link))
     }
 
     /// Override a route (for asymmetric-path experiments). Panics if either
     /// node is outside the topology the table was computed for.
     pub fn set(&mut self, at: NodeId, dst: NodeId, link: LinkId) {
         assert!(at.0 < self.nodes && dst.0 < self.nodes, "node out of range");
-        let n = self.nodes as usize;
-        let row = &mut self.rows[at.0 as usize];
-        // Materialize compact rows so the override has somewhere to live.
-        if let RouteRow::Empty = row {
-            *row = RouteRow::Dense(vec![NO_ROUTE; n]);
+        let word = &mut self.rows[at.0 as usize];
+        if dense_index(*word).is_none() {
+            // Materialize the compact row so the override has somewhere to
+            // live: everything over the one link, or nothing anywhere.
+            *word = push_dense_row(&mut self.dense, vec![*word; self.nodes as usize]);
         }
-        if let RouteRow::Leaf(l) = row {
-            *row = RouteRow::Dense(vec![*l; n]);
-        }
-        match row {
-            RouteRow::Dense(r) => r[dst.0 as usize] = link.0,
-            _ => unreachable!(),
-        }
+        let i = dense_index(*word).expect("just materialized");
+        self.dense[i][dst.0 as usize] = link.0;
     }
 }
 
@@ -378,6 +435,70 @@ mod tests {
         assert_eq!(t.link_between(r, h2), Some(l2));
         assert_eq!(t.link_between(h1, h2), None);
         assert_eq!(t.neighbors(r).len(), 2);
+    }
+
+    #[test]
+    fn neighbors_keep_connect_order_at_every_degree() {
+        // Degree 0 and 1 are held inline, 2 and up in a `Vec`; the hub's
+        // 10 000 links cross every growth step of one.
+        let mut t = Topology::new();
+        let hub = t.add_router();
+        let lonely = t.add_host();
+        let mut expect_hub = Vec::new();
+        let mut dual = None;
+        for i in 0..10_000 {
+            let h = t.add_host();
+            assert_eq!(t.neighbors(h), &[]);
+            let l = t.connect(h, hub, params());
+            expect_hub.push((l, h));
+            assert_eq!(t.neighbors(h), &[(l, hub)]);
+            assert_eq!(t.link_between(h, hub), Some(l));
+            if i == 0 {
+                // A second link: the host end listed first this time.
+                let l2 = t.connect(hub, h, params());
+                expect_hub.push((l2, h));
+                assert_eq!(t.neighbors(h), &[(l, hub), (l2, hub)]);
+                dual = Some((h, l));
+            }
+        }
+        assert_eq!(t.neighbors(lonely), &[]);
+        assert_eq!(t.neighbors(hub), expect_hub.as_slice());
+        let copy = t.clone();
+        assert_eq!(copy.neighbors(hub), expect_hub.as_slice());
+        // Routes: a leaf's only link, the dual-homed host's first, nothing
+        // from or to the isolated node.
+        let routes = t.compute_routes();
+        let (dual, first) = dual.unwrap();
+        let (_, leaf) = expect_hub[5_000];
+        assert_eq!(routes.next_link(leaf, dual), Some(expect_hub[5_000].0));
+        assert_eq!(routes.next_link(dual, leaf), Some(first));
+        assert_eq!(routes.next_link(hub, leaf), Some(expect_hub[5_000].0));
+        assert_eq!(routes.next_link(lonely, leaf), None);
+        assert_eq!(routes.next_link(hub, lonely), None);
+    }
+
+    #[test]
+    fn route_override_materializes_a_compact_row() {
+        let mut t = Topology::new();
+        let h1 = t.add_host();
+        let r = t.add_router();
+        let h2 = t.add_host();
+        let lonely = t.add_host();
+        let l1 = t.connect(h1, r, params());
+        let l2 = t.connect(r, h2, params());
+        let mut routes = t.compute_routes();
+        // A leaf: the override applies to one destination, the rest keep
+        // going over its only link.
+        routes.set(h1, h2, l2);
+        assert_eq!(routes.next_link(h1, h2), Some(l2));
+        assert_eq!(routes.next_link(h1, r), Some(l1));
+        // An isolated node: one destination gains a route, no other does.
+        routes.set(lonely, h2, l2);
+        assert_eq!(routes.next_link(lonely, h2), Some(l2));
+        assert_eq!(routes.next_link(lonely, h1), None);
+        // Rows of other nodes are untouched.
+        assert_eq!(routes.next_link(r, h2), Some(l2));
+        assert_eq!(routes.next_link(h2, h1), Some(l2));
     }
 
     #[test]

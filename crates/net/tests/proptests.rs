@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rss_net::{
     dumbbell, ArenaMode, Body, DropTailQueue, Ecn, Fabric, FlowId, GilbertElliott, Impairment,
-    ImpairmentConfig, Jitter, LinkParams, NetEvent, NodeId, Packet, PacketIdGen, QueueConfig,
-    RawBody, RedConfig, RedQueue, Topology,
+    ImpairmentConfig, Jitter, LinkId, LinkParams, NetEvent, NodeId, Packet, PacketIdGen,
+    QueueConfig, RawBody, RedConfig, RedQueue, Topology,
 };
 use rss_sim::{Engine, Model, Scheduler, SimDuration, SimRng, SimTime};
 
@@ -35,6 +35,62 @@ impl Body for EctBody {
     }
     fn set_ecn(&mut self, codepoint: Ecn) {
         self.ecn = codepoint;
+    }
+}
+
+/// Reference routing for a connected graph: the dense all-pairs table, one
+/// BFS per node over a plain `Vec<Vec<_>>` adjacency rebuilt from the link
+/// list (so in `connect` order, whatever [`Topology`] stores). `[at][dst]`
+/// is the first link of the shortest path, ties to the earlier link.
+fn dense_first_links(t: &Topology) -> Vec<Vec<Option<LinkId>>> {
+    let n = t.node_count();
+    let mut adjacency = vec![Vec::new(); n];
+    for l in t.links() {
+        adjacency[l.a.0 as usize].push((l.id, l.b));
+        adjacency[l.b.0 as usize].push((l.id, l.a));
+    }
+    (0..n)
+        .map(|src| {
+            let mut first = vec![None; n];
+            let mut seen = vec![false; n];
+            seen[src] = true;
+            let mut queue = std::collections::VecDeque::from([src]);
+            while let Some(at) = queue.pop_front() {
+                for &(link, nb) in &adjacency[at] {
+                    let nb = nb.0 as usize;
+                    if !seen[nb] {
+                        seen[nb] = true;
+                        first[nb] = first[at].or(Some(link));
+                        queue.push_back(nb);
+                    }
+                }
+            }
+            first
+        })
+        .collect()
+}
+
+/// `compute_routes` answers every `(at, dst)` as the dense reference does.
+fn assert_routes_match_dense_reference(t: &Topology) {
+    let routes = t.compute_routes();
+    let reference = dense_first_links(t);
+    for at in t.nodes() {
+        for dst in t.nodes() {
+            assert_eq!(
+                routes.next_link(at, dst),
+                reference[at.0 as usize][dst.0 as usize],
+                "{at:?} -> {dst:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn dumbbell_routes_match_the_dense_reference() {
+    let params = LinkParams::new(1_000_000, SimDuration::from_millis(1));
+    for pairs in [1, 2, 40] {
+        let (t, _) = dumbbell(pairs, params, params);
+        assert_routes_match_dense_reference(&t);
     }
 }
 
@@ -326,6 +382,7 @@ proptest! {
                 h
             })
             .collect();
+        assert_routes_match_dense_reference(&t);
         let routes = t.compute_routes();
         for &a in &hs {
             for &b in &hs {

@@ -5,40 +5,70 @@
 //! in insertion order. That tie-break rule is what makes whole-simulation runs
 //! bit-exact reproducible, which the experiment harness depends on.
 //!
-//! # Implementation: calendar wheel over a slot slab
+//! # Implementation: list heads, a slot slab, one sorted cursor bucket
 //!
 //! A paper-testbed run dispatches ~10^6 events, so the queue is the hottest
-//! structure in the simulator. Pending events live in a slab of reusable
-//! slots; ordering is kept by a single-revolution calendar wheel — a ring of
-//! `WHEEL_BUCKETS` buckets of `GRANULE_NANOS` each, covering a sliding
-//! window of roughly 134 ms — with a binary heap as the fallback for events
-//! beyond the wheel horizon (retransmission timers and the like). Bucket
-//! membership is a plain `Vec` of `(time, seq, slot)` entries; future
-//! buckets are append-only and sorted wholesale when the cursor reaches
-//! them, so scheduling is O(1) and only the granule being consumed pays for
-//! order.
+//! structure in the simulator. It is three things:
 //!
-//! Cancellation is O(1) to *validate* (a slot-index probe plus a sequence
-//! check — no hashing) and O(1) to *perform*: the event's slot is freed
-//! immediately but its bucket (or far-heap) entry stays behind as a
-//! tombstone, swept by a generation check when the pop cursor reaches it.
-//! [`EventQueue::len`] is always exact — the live count is decremented at
-//! cancel time, not at sweep time.
+//! * **The slab.** Every pending event lives in one reusable `Slot` — its
+//!   time, sequence number, payload and a `Loc` saying where the event is
+//!   filed. Freed slots form a list through `Loc::Free`.
+//! * **The wheel: `WHEEL_BUCKETS` list heads.** A single-revolution calendar
+//!   of `GRANULE_NANOS` granules covering a sliding window of roughly 134 ms.
+//!   A bucket is a `u32`: the slot of its most recently scheduled member, and
+//!   each member's `Loc::Bucket` carries the next one. Scheduling into a
+//!   future granule is therefore two stores — the new slot's link and the
+//!   head — into lines the allocation just touched, and the wheel itself is
+//!   32 KB whatever the run holds. Events beyond the wheel horizon
+//!   (retransmission timers and the like) wait in a binary heap and migrate
+//!   into the wheel as the window slides.
+//! * **The cursor bucket.** When the pop cursor reaches a granule its list is
+//!   walked once into `cursor_bucket`, one reusable `Vec` of
+//!   `(time, seq, slot)` entries, and sorted (if it holds more than one).
+//!   Only the granule being consumed pays for order, and that `Vec` is the
+//!   only bucket storage there is: what the queue holds is O(pending events),
+//!   not a sum of per-bucket high-water marks.
+//!
+//! Pop order does not depend on the representation: a granule's members are
+//! sorted by the total order `(time, seq)` on arrival, so the order they were
+//! linked in (latest first) is immaterial, and everything after the sort runs
+//! on a sorted `Vec` of self-contained entries. Nor do the counters on a run
+//! that cancels nothing: an event is placed, migrated and popped at the same
+//! points whichever way its bucket is stored.
 //!
 //! The pop path consumes the cursor bucket through a moving head offset
-//! (`cursor_head`) instead of `Vec::remove(0)`, so a bucket of depth *k* is
-//! drained with zero memmoves and its allocation is reused for the next
-//! revolution. [`EventQueue::pop_at_or_before`] fuses the engine's
-//! peek-then-pop pair into one bucket scan.
+//! (`cursor_head`) instead of `Vec::remove(0)`, so a granule of depth *k* is
+//! drained with zero memmoves. [`EventQueue::pop_at_or_before`] fuses the
+//! engine's peek-then-pop pair into one bucket scan.
+//!
+//! # Cancellation and dead slots
+//!
+//! Cancellation is O(1) to *validate* (a slot-index probe plus a sequence
+//! check — no hashing) and O(1) to *perform*; [`EventQueue::len`] is always
+//! exact, because the live count is decremented at cancel time. What is left
+//! behind depends on where the event was filed:
+//!
+//! * In the cursor granule or the far heap the slot is freed at once and the
+//!   `(time, seq, slot)` entry stays behind as a tombstone; it fails the
+//!   generation check (`seq` mismatch, or a `Loc` that is not the entry's)
+//!   when the pop cursor or the heap top reaches it, and is swept there.
+//! * Linked in a future bucket, the slot cannot leave its list (the list is
+//!   singly linked), so the payload is dropped and the slot marked
+//!   `Loc::Dead`: dead but linked. It keeps its sequence number — a second
+//!   cancel of the same id finds `Dead` and reports `false` — is skipped by
+//!   [`EventQueue::peek_time`], and is not handed out again until the cursor
+//!   collects its bucket, which frees it and counts it in
+//!   `tombstones_swept`. A dead slot costs one slab slot until then; it never
+//!   reaches the cursor bucket.
 //!
 //! # The cursor granule: a sorted bucket and a heap
 //!
 //! Events scheduled into the granule being consumed (or before it: overdue
 //! inserts) must land in order among what has not fired yet. The granule is
-//! kept in two halves. The *bucket* is the sorted `Vec` the cursor arrived
-//! at; an insert goes into it while the tail it would shift is at most
-//! `CURSOR_TAIL_MAX` entries — in the sparse regime (a handful of events per
-//! granule) and for in-order arrivals that is every insert, and it is a
+//! kept in two halves. The *bucket* is the sorted `Vec` filled when the
+//! cursor arrived; an insert goes into it while the tail it would shift is at
+//! most `CURSOR_TAIL_MAX` entries — in the sparse regime (a handful of events
+//! per granule) and for in-order arrivals that is every insert, and it is a
 //! binary search plus a move of under 200 bytes. Any other insert goes to
 //! the *cursor heap*, a min-heap of the same entries beside the bucket, so a
 //! burst into one granule — 10 000 flow starts seeded in scenario order, a
@@ -75,7 +105,7 @@ const HORIZON_NANOS: u64 = WHEEL_BUCKETS as u64 * GRANULE_NANOS;
 /// enough that the sparse regime never leaves the bucket, small enough that
 /// the shift stays within three cache lines.
 const CURSOR_TAIL_MAX: usize = 8;
-/// Free-list terminator / "no slot" marker.
+/// List terminator / "no slot" marker.
 const NIL: u32 = u32::MAX;
 
 /// Handle to a scheduled event, usable for cancellation.
@@ -89,13 +119,19 @@ pub struct EventId {
     slot: u32,
 }
 
-/// Where a live slot currently resides.
+/// Where a slot currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
     /// Free-list member; the payload is the next free slot (or [`NIL`]).
     Free(u32),
-    /// In wheel bucket `idx`.
+    /// Linked in a future wheel bucket; the payload is the bucket's next
+    /// member (or [`NIL`]).
     Bucket(u32),
+    /// Cancelled while linked in a future bucket: no event, still on the
+    /// list (payload as for `Bucket`) until the cursor collects it.
+    Dead(u32),
+    /// In the cursor granule: an entry of the cursor bucket or cursor heap.
+    Cursor,
     /// In the far-future fallback heap.
     Far,
 }
@@ -109,7 +145,7 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// A bucket or heap entry: the sort key is carried inline so ordering,
+/// A cursor-bucket or heap entry: the sort key is carried inline so ordering,
 /// liveness checks and tombstone sweeps never dereference the slab. Entries
 /// outlive their event (lazy cancellation), which is safe exactly because
 /// the key is self-contained.
@@ -128,7 +164,7 @@ impl WheelEntry {
 }
 
 // Reversed, so std's max-heap pops the earliest `(time, seq)` first (the
-// cursor heap and the far heap). Buckets sort by `key()` explicitly.
+// cursor heap and the far heap). The cursor bucket sorts by `key()`.
 impl PartialEq for WheelEntry {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq
@@ -208,12 +244,17 @@ impl QueueCounters {
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free_head: u32,
-    /// `buckets[(t / GRANULE) % WHEEL_BUCKETS]`. The cursor bucket is sorted
-    /// ascending by `(time, seq)` and, with `cursor_heap`, additionally
-    /// absorbs any event at or before the current granule, so the first live
-    /// entry of the two is the global minimum. Entries may be tombstones
-    /// (cancelled events); liveness is a slab generation check.
-    buckets: Vec<Vec<WheelEntry>>,
+    /// `buckets[(t / GRANULE) % WHEEL_BUCKETS]`: head of the list of slots
+    /// filed under that future granule ([`NIL`] when empty), threaded
+    /// through `Loc::Bucket` / `Loc::Dead`. The cursor's own head is always
+    /// [`NIL`]: its members are in `cursor_bucket`.
+    buckets: Vec<u32>,
+    /// The granule under the cursor, sorted ascending by `(time, seq)`.
+    /// With `cursor_heap` it additionally absorbs any event at or before
+    /// the current granule, so the first live entry of the two is the global
+    /// minimum. Entries may be tombstones (cancelled events); liveness is a
+    /// slab generation check.
+    cursor_bucket: Vec<WheelEntry>,
     /// The cursor granule's other half (module docs): inserts that would
     /// have shifted a long tail of the cursor bucket. Empty in the sparse
     /// regime, and whenever the cursor moves.
@@ -222,14 +263,13 @@ pub struct EventQueue<E> {
     /// `(wheel_start / GRANULE) % WHEEL_BUCKETS`.
     cursor: usize,
     /// Consumed prefix of the cursor bucket: entries below this offset have
-    /// been popped or swept. Only the cursor bucket is ever partially
-    /// consumed; it is cleared (capacity kept) when the prefix reaches the
-    /// end.
+    /// been popped or swept. The bucket is cleared (capacity kept) when the
+    /// prefix reaches the end.
     cursor_head: usize,
     /// Lower bound (nanos, granule-aligned) of the cursor bucket.
     wheel_start: u64,
     far: BinaryHeap<WheelEntry>,
-    /// Live events resident in wheel buckets.
+    /// Live events resident in the wheel (cursor granule + future buckets).
     in_wheel: usize,
     /// All live events (wheel + far).
     live: usize,
@@ -252,7 +292,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             slots: Vec::new(),
             free_head: NIL,
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![NIL; WHEEL_BUCKETS],
+            cursor_bucket: Vec::new(),
             cursor_heap: BinaryHeap::new(),
             cursor: 0,
             cursor_head: 0,
@@ -299,60 +340,99 @@ impl<E> EventQueue<E> {
         event
     }
 
-    /// True if a bucket entry still refers to a live event. Sequence numbers
-    /// are never reused, so a matching `seq` identifies the exact event; the
-    /// location check rejects a cancelled-but-not-yet-reused slot (freeing
-    /// keeps the stale `seq` behind).
+    /// True if a cursor-granule entry still refers to a live event. Sequence
+    /// numbers are never reused, so a matching `seq` identifies the exact
+    /// event; the location check rejects a cancelled-but-not-yet-reused slot
+    /// (freeing keeps the stale `seq` behind).
     #[inline]
     fn entry_live(&self, e: &WheelEntry) -> bool {
         let s = &self.slots[e.slot as usize];
-        s.seq == e.seq && matches!(s.loc, Loc::Bucket(_))
+        s.seq == e.seq && s.loc == Loc::Cursor
     }
 
-    /// Insert `slot` into bucket `idx`. Future buckets are append-only
-    /// (unsorted) and sorted once, wholesale, when the cursor arrives —
-    /// O(1) per insert instead of a memmove per insert. Only the cursor
-    /// granule, which is being consumed in order, takes an ordered insert:
-    /// into the sorted bucket when that shifts a short tail, into the cursor
-    /// heap otherwise.
+    /// File `slot` under bucket `idx`. A future bucket is a list: the slot
+    /// is linked in front of the head, two stores, and order is established
+    /// once, wholesale, when the cursor arrives. Only the cursor granule,
+    /// which is being consumed in order, takes an ordered insert: into the
+    /// sorted bucket when that shifts a short tail, into the cursor heap
+    /// otherwise.
     fn bucket_insert(&mut self, idx: usize, slot: u32) {
-        self.slots[slot as usize].loc = Loc::Bucket(idx as u32);
+        self.in_wheel += 1;
+        let s = &mut self.slots[slot as usize];
+        if idx != self.cursor {
+            s.loc = Loc::Bucket(self.buckets[idx]);
+            self.buckets[idx] = slot;
+            return;
+        }
+        s.loc = Loc::Cursor;
         let entry = WheelEntry {
-            time_ns: self.slots[slot as usize].time.as_nanos(),
-            seq: self.slots[slot as usize].seq,
+            time_ns: s.time.as_nanos(),
+            seq: s.seq,
             slot,
         };
-        let bucket = &mut self.buckets[idx];
-        if idx == self.cursor {
-            // The consumed prefix stays put; an overdue event must still land
-            // after what already fired.
-            let key = entry.key();
-            let start = self.cursor_head;
-            let pos = start + bucket[start..].partition_point(|e| e.key() < key);
-            let tail = bucket.len() - pos;
-            if tail <= CURSOR_TAIL_MAX {
-                #[cfg(test)]
-                {
-                    self.max_shift = self.max_shift.max(tail);
-                }
-                bucket.insert(pos, entry);
-            } else {
-                self.cursor_heap.push(entry);
+        // The consumed prefix stays put; an overdue event must still land
+        // after what already fired.
+        let key = entry.key();
+        let bucket = &mut self.cursor_bucket;
+        let start = self.cursor_head;
+        let pos = start + bucket[start..].partition_point(|e| e.key() < key);
+        let tail = bucket.len() - pos;
+        if tail <= CURSOR_TAIL_MAX {
+            #[cfg(test)]
+            {
+                self.max_shift = self.max_shift.max(tail);
             }
+            bucket.insert(pos, entry);
         } else {
-            bucket.push(entry);
+            self.cursor_heap.push(entry);
         }
-        self.in_wheel += 1;
     }
 
-    /// Establish the cursor bucket's sort order on arrival. `seq` is unique,
-    /// so `(time, seq)` is a total order and the unstable sort is
-    /// deterministic. Tombstones from earlier revolutions carry older
-    /// timestamps and sort to the front, where the sweep removes them first.
-    fn sort_cursor_bucket(&mut self) {
+    /// The cursor arrived at a new granule: move its list into the (empty)
+    /// cursor bucket. Most granules of a sparse run are empty, and only that
+    /// check is inlined into the pop loop.
+    #[inline]
+    fn collect_cursor_bucket(&mut self) {
         debug_assert_eq!(self.cursor_head, 0);
+        debug_assert!(self.cursor_bucket.is_empty());
         debug_assert!(self.cursor_heap.is_empty());
-        self.buckets[self.cursor].sort_unstable_by_key(WheelEntry::key);
+        let head = std::mem::replace(&mut self.buckets[self.cursor], NIL);
+        if head != NIL {
+            self.collect_list(head);
+        }
+    }
+
+    /// [`Self::collect_cursor_bucket`] for a non-empty list: live members
+    /// become cursor-bucket entries, dead ones are freed (and counted as
+    /// swept), and the bucket is put in order. `seq` is unique, so
+    /// `(time, seq)` is a total order and the unstable sort is deterministic.
+    #[inline(never)]
+    fn collect_list(&mut self, head: u32) {
+        let mut slot = head;
+        while slot != NIL {
+            let s = &mut self.slots[slot as usize];
+            slot = match s.loc {
+                Loc::Bucket(next) => {
+                    s.loc = Loc::Cursor;
+                    self.cursor_bucket.push(WheelEntry {
+                        time_ns: s.time.as_nanos(),
+                        seq: s.seq,
+                        slot,
+                    });
+                    next
+                }
+                Loc::Dead(next) => {
+                    s.loc = Loc::Free(self.free_head);
+                    self.free_head = slot;
+                    self.counters.tombstones_swept += 1;
+                    next
+                }
+                loc => unreachable!("slot on a bucket list is {loc:?}"),
+            };
+        }
+        if self.cursor_bucket.len() > 1 {
+            self.cursor_bucket.sort_unstable_by_key(WheelEntry::key);
+        }
     }
 
     /// The bucket an in-window timestamp belongs to: the cursor bucket for
@@ -438,13 +518,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Move the wheel window to start at the granule of `nanos` (used when
-    /// every bucket is empty and the next event is far away).
+    /// nothing live is left in the wheel and the next event is far away).
+    /// Buckets jumped over keep whatever dead slots they hold until the
+    /// cursor next comes round to them.
     fn jump_to(&mut self, nanos: u64) {
         debug_assert_eq!(self.in_wheel, 0);
         let granule = nanos / GRANULE_NANOS;
         self.wheel_start = granule * GRANULE_NANOS;
         self.cursor = (granule % WHEEL_BUCKETS as u64) as usize;
-        self.sort_cursor_bucket();
+        self.collect_cursor_bucket();
         self.migrate_far();
     }
 
@@ -456,7 +538,7 @@ impl<E> EventQueue<E> {
     fn advance_cursor(&mut self) {
         self.cursor = (self.cursor + 1) % WHEEL_BUCKETS;
         self.wheel_start = self.wheel_start.saturating_add(GRANULE_NANOS);
-        self.sort_cursor_bucket();
+        self.collect_cursor_bucket();
         self.migrate_far();
     }
 
@@ -483,32 +565,37 @@ impl<E> EventQueue<E> {
         if id.seq >= self.next_seq || (id.slot as usize) >= self.slots.len() {
             return false;
         }
-        let s = &self.slots[id.slot as usize];
+        let s = &mut self.slots[id.slot as usize];
         if s.seq != id.seq {
             return false; // already fired/cancelled; the slot moved on
         }
         match s.loc {
-            Loc::Free(_) => false,
-            Loc::Bucket(_) => {
-                // Lazy: free the slot now, leave the bucket entry behind as a
-                // tombstone for the pop cursor to sweep. The live count stays
-                // exact; only the entry lingers.
+            Loc::Free(_) | Loc::Dead(_) => return false,
+            Loc::Bucket(next) => {
+                // The slot cannot leave its list: drop the event and leave
+                // the slot dead but linked, for the cursor to free when it
+                // collects the bucket.
+                s.event = None;
+                s.loc = Loc::Dead(next);
                 self.in_wheel -= 1;
-                self.live -= 1;
-                self.counters.cancelled += 1;
+            }
+            Loc::Cursor => {
+                // Lazy: free the slot now, leave the entry behind as a
+                // tombstone for the pop cursor to sweep.
+                self.in_wheel -= 1;
                 self.free_slot(id.slot);
-                true
             }
             Loc::Far => {
                 // The heap entry stays behind; it fails the generation check
                 // when it surfaces. Keep the heap top live for `peek_time`.
-                self.live -= 1;
-                self.counters.cancelled += 1;
                 self.free_slot(id.slot);
                 self.clean_far_top();
-                true
             }
         }
+        // The live count stays exact whatever lingers.
+        self.live -= 1;
+        self.counters.cancelled += 1;
+        true
     }
 
     /// Retire the live entry `entry` the pop cursor just passed.
@@ -533,7 +620,7 @@ impl<E> EventQueue<E> {
     #[inline(never)]
     fn pop_merged(&mut self, limit_ns: Option<u64>) -> Option<Option<(SimTime, E)>> {
         while let Some(&top) = self.cursor_heap.peek() {
-            let head = self.buckets[self.cursor].get(self.cursor_head).copied();
+            let head = self.cursor_bucket.get(self.cursor_head).copied();
             let entry = match head {
                 Some(head) if head.key() < top.key() => head,
                 _ => top,
@@ -576,8 +663,8 @@ impl<E> EventQueue<E> {
                     return verdict;
                 }
             }
-            while self.cursor_head < self.buckets[self.cursor].len() {
-                let entry = self.buckets[self.cursor][self.cursor_head];
+            while self.cursor_head < self.cursor_bucket.len() {
+                let entry = self.cursor_bucket[self.cursor_head];
                 if self.entry_live(&entry) {
                     if limit_ns.is_some_and(|l| entry.time_ns > l) {
                         return None;
@@ -588,9 +675,9 @@ impl<E> EventQueue<E> {
                 self.cursor_head += 1;
                 self.counters.tombstones_swept += 1;
             }
-            // Cursor bucket exhausted: recycle its allocation for the next
-            // revolution and move on.
-            self.buckets[self.cursor].clear();
+            // Cursor granule exhausted: empty the bucket for the next one
+            // and move on.
+            self.cursor_bucket.clear();
             self.cursor_head = 0;
             if self.in_wheel > 0 {
                 // Never walk the cursor past the bound. A windowed driver
@@ -642,7 +729,7 @@ impl<E> EventQueue<E> {
     #[inline(never)]
     fn peek_merged(&self) -> Option<u64> {
         let live_time = |e: &WheelEntry| self.entry_live(e).then_some(e.time_ns);
-        let in_bucket = self.buckets[self.cursor][self.cursor_head..]
+        let in_bucket = self.cursor_bucket[self.cursor_head..]
             .iter()
             .find_map(live_time);
         let in_heap = match self.cursor_heap.peek().and_then(live_time) {
@@ -652,40 +739,53 @@ impl<E> EventQueue<E> {
         in_bucket.into_iter().chain(in_heap).min()
     }
 
+    /// The earliest time among the live members of the list at `head`.
+    fn list_min_time(&self, head: u32) -> Option<u64> {
+        let mut best: Option<u64> = None;
+        let mut slot = head;
+        while slot != NIL {
+            let s = &self.slots[slot as usize];
+            slot = match s.loc {
+                Loc::Bucket(next) => {
+                    let t = s.time.as_nanos();
+                    best = Some(best.map_or(t, |b| b.min(t)));
+                    next
+                }
+                Loc::Dead(next) => next,
+                loc => unreachable!("slot on a bucket list is {loc:?}"),
+            };
+        }
+        best
+    }
+
     /// The timestamp of the next live event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
         }
         if self.in_wheel > 0 {
-            if !self.cursor_heap.is_empty() {
-                if let Some(t) = self.peek_merged() {
-                    return Some(SimTime::from_nanos(t));
-                }
-            }
+            // The cursor granule first: sorted, so its first live entry wins
+            // (tombstones are skipped read-only: sweeping needs `&mut`).
+            let in_cursor = if self.cursor_heap.is_empty() {
+                self.cursor_bucket[self.cursor_head..]
+                    .iter()
+                    .find(|e| self.entry_live(e))
+                    .map(|e| e.time_ns)
+            } else {
+                self.peek_merged()
+            };
             // Buckets from the cursor forward partition time, so the first
-            // bucket holding a live entry holds the minimum. The cursor
-            // bucket is sorted (first live entry wins); later buckets are
-            // unsorted until the cursor arrives, so take the min over their
-            // live entries. Tombstones are skipped read-only (sweeping needs
-            // `&mut`).
-            for k in 0..WHEEL_BUCKETS {
-                let idx = (self.cursor + k) % WHEEL_BUCKETS;
-                let start = if k == 0 { self.cursor_head } else { 0 };
-                let mut best: Option<u64> = None;
-                for entry in &self.buckets[idx][start..] {
-                    if self.entry_live(entry) {
-                        if k == 0 {
-                            return Some(SimTime::from_nanos(entry.time_ns));
-                        }
-                        best = Some(best.map_or(entry.time_ns, |b: u64| b.min(entry.time_ns)));
-                    }
-                }
-                if let Some(t) = best {
-                    return Some(SimTime::from_nanos(t));
-                }
-            }
-            unreachable!("in_wheel > 0 but no live bucket entry");
+            // one with a live member holds the minimum; a list is unordered
+            // until the cursor collects it, so take the min over it.
+            let t = in_cursor
+                .or_else(|| {
+                    (1..WHEEL_BUCKETS).find_map(|k| {
+                        let head = self.buckets[(self.cursor + k) % WHEEL_BUCKETS];
+                        self.list_min_time(head)
+                    })
+                })
+                .expect("in_wheel > 0 but no live wheel member");
+            return Some(SimTime::from_nanos(t));
         }
         // The far-heap top is kept live by every mutating operation.
         self.far.peek().map(|f| {
@@ -717,6 +817,13 @@ impl<E> EventQueue<E> {
     /// Total number of events cancelled before firing.
     pub fn cancelled_total(&self) -> u64 {
         self.counters.cancelled
+    }
+
+    /// Entries of bucket storage held: slab slots plus the capacity of the
+    /// cursor granule's two halves.
+    #[cfg(test)]
+    fn bucket_storage(&self) -> usize {
+        self.slots.len() + self.cursor_bucket.capacity() + self.cursor_heap.capacity()
     }
 }
 
@@ -1243,6 +1350,193 @@ mod tests {
             );
         }
         assert!(q.max_shift <= CURSOR_TAIL_MAX);
+    }
+
+    #[test]
+    fn a_cancel_in_a_future_bucket_keeps_its_slot_until_the_cursor_collects_it() {
+        let mut q = EventQueue::new();
+        let mut reference = std::collections::BTreeMap::new();
+        let at = SimTime::from_millis(50).as_nanos();
+        schedule_both(&mut q, &mut reference, at - 1, 0);
+        let dead = schedule_both(&mut q, &mut reference, at, 1);
+        schedule_both(&mut q, &mut reference, at + 1, 2);
+        assert!(q.cancel(dead));
+        reference.remove(&(at, dead.seq));
+        assert!(!q.cancel(dead), "double-cancel must report false");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(at - 1)));
+        // The dead slot sits between two live members of its bucket's list;
+        // handing it out again would cut the list (or loop it).
+        let mut rng = crate::SimRng::seed_from_u64(11);
+        for i in 0..10_000 {
+            let t = rng.next_below(2 * HORIZON_NANOS);
+            let id = schedule_both(&mut q, &mut reference, t, 3 + i);
+            assert_ne!(id.slot, dead.slot, "dead slot reused while linked");
+            assert!(!q.cancel(dead));
+        }
+        // Up to the bucket: the slot is still out of circulation ...
+        let granule = |t: u64| t / GRANULE_NANOS;
+        assert_eq!(granule(at - 1), granule(at + 1));
+        while granule(
+            *reference
+                .first_key_value()
+                .map(|((t, _), _)| t)
+                .expect("two left"),
+        ) < granule(at)
+        {
+            pop_both(&mut q, &mut reference);
+        }
+        assert!(matches!(q.slots[dead.slot as usize].loc, Loc::Dead(_)));
+        assert_eq!(q.counters().tombstones_swept, 0);
+        // ... and collecting it frees the slot, counted as one sweep.
+        pop_both(&mut q, &mut reference);
+        assert!(matches!(q.slots[dead.slot as usize].loc, Loc::Free(_)));
+        assert_eq!(q.counters().tombstones_swept, 1);
+        assert!(!q.cancel(dead));
+        while !reference.is_empty() {
+            pop_both(&mut q, &mut reference);
+        }
+        assert_eq!(q.pop(), None);
+        let c = q.counters();
+        assert_eq!((c.pops, c.cancelled, c.tombstones_swept), (10_002, 1, 1));
+    }
+
+    #[test]
+    fn a_jump_over_dead_buckets_keeps_len_exact_and_frees_them_next_revolution() {
+        let mut q = EventQueue::new();
+        let ids: Vec<EventId> = (1..=500u64)
+            .map(|i| q.schedule_at(SimTime::from_micros(100 * i), 0))
+            .collect();
+        q.schedule_at(SimTime::from_secs(10), 1);
+        for &id in &ids {
+            assert!(q.cancel(id));
+        }
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
+        // Nothing live in the wheel: the window jumps to the far event, over
+        // 500 buckets that hold a dead slot each.
+        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        let dead = |q: &EventQueue<usize>| {
+            q.slots
+                .iter()
+                .filter(|s| matches!(s.loc, Loc::Dead(_)))
+                .count()
+        };
+        assert_eq!((dead(&q), q.counters().tombstones_swept), (500, 0));
+        // The cursor comes round: one event most of a revolution ahead walks
+        // it through every bucket the jump skipped.
+        let later = SimTime::from_nanos(q.wheel_start + HORIZON_NANOS - 1);
+        q.schedule_at(later, 2);
+        assert_eq!(q.counters().placed_wheel, 501);
+        assert_eq!(q.peek_time(), Some(later));
+        assert_eq!(q.pop(), Some((later, 2)));
+        assert_eq!((dead(&q), q.counters().tombstones_swept), (0, 500));
+        // Every slot is back on the free list.
+        for i in 0..501u64 {
+            q.schedule_at(later + SimDuration::from_micros(i), 3);
+        }
+        assert_eq!(q.slots.len(), 501);
+    }
+
+    #[test]
+    fn three_revolutions_with_a_third_cancelled_sweep_every_tombstone() {
+        // Hold model inside the wheel horizon, a third of the successors
+        // cancelled at once or later (in the cursor granule: a tombstone; in
+        // a future bucket: a dead slot), and a heartbeat that keeps the
+        // cursor walking a full revolution past the last cancel.
+        let mut q = EventQueue::new();
+        let mut reference = std::collections::BTreeMap::new();
+        let mut rng = crate::SimRng::seed_from_u64(21);
+        let mut pending: Vec<(u64, EventId)> = Vec::new();
+        for i in 0..2_000 {
+            let t = rng.next_below(HORIZON_NANOS);
+            pending.push((t, schedule_both(&mut q, &mut reference, t, i)));
+        }
+        const BEAT: usize = usize::MAX;
+        schedule_both(&mut q, &mut reference, 0, BEAT);
+        let end = 3 * HORIZON_NANOS;
+        let mut n = 2_000;
+        while let Some((&(now, _), &payload)) = reference.first_key_value() {
+            pop_both(&mut q, &mut reference);
+            if payload == BEAT {
+                if now < end + HORIZON_NANOS {
+                    schedule_both(&mut q, &mut reference, now + HORIZON_NANOS / 3, BEAT);
+                }
+                continue;
+            }
+            if now >= end {
+                continue;
+            }
+            // Mostly a granule or more ahead; sometimes in the one being
+            // consumed.
+            let gap = match rng.next_below(8) {
+                0 => rng.next_below(GRANULE_NANOS / 2),
+                _ => rng.next_below(HORIZON_NANOS - GRANULE_NANOS),
+            };
+            n += 1;
+            pending.push((
+                now + gap,
+                schedule_both(&mut q, &mut reference, now + gap, n),
+            ));
+            if rng.next_below(3) == 0 {
+                // Cancel one that is still pending (the reference knows) and
+                // schedule another in its place, so the population holds.
+                loop {
+                    let pick = rng.next_below(pending.len() as u64) as usize;
+                    let (t, id) = pending.swap_remove(pick);
+                    let was_pending = reference.remove(&(t, id.seq)).is_some();
+                    assert_eq!(q.cancel(id), was_pending);
+                    assert!(!q.cancel(id));
+                    assert_eq!(q.len(), reference.len());
+                    if was_pending {
+                        break;
+                    }
+                }
+                let t = now + rng.next_below(HORIZON_NANOS - GRANULE_NANOS);
+                n += 1;
+                pending.push((t, schedule_both(&mut q, &mut reference, t, n)));
+            }
+        }
+        assert_eq!(q.pop(), None);
+        let c = q.counters();
+        assert!(c.cancelled > 3_000, "only {} cancels", c.cancelled);
+        assert_eq!(c.placed_far, 0);
+        assert_eq!(c.cancelled, c.tombstones_swept);
+        assert_eq!(c.pops + c.cancelled, c.scheduled);
+        assert!(q.slots.iter().all(|s| matches!(s.loc, Loc::Free(_))));
+    }
+
+    #[test]
+    fn bucket_storage_tracks_pending_events_not_visited_buckets() {
+        // A 20 000-event burst into one granule, drained, then 10^6 sparse
+        // holds that take the cursor through every bucket of the wheel a
+        // hundred times over. Per-bucket vectors would each keep their first
+        // allocation (8192 x 4 entries) on top of the burst's.
+        let mut q = EventQueue::new();
+        for (i, t) in burst_times(20_000, 5).into_iter().enumerate() {
+            q.schedule_at(SimTime::from_nanos(t), i);
+        }
+        let peak_pending = q.len();
+        while q.pop().is_some() {}
+        let mut rng = crate::SimRng::seed_from_u64(9);
+        for i in 0..64u64 {
+            q.schedule_at(SimTime::from_micros(20 * i), 0);
+        }
+        for _ in 0..1_000_000 {
+            let (now, _) = q.pop().expect("hold model keeps 64 pending");
+            let gap = SimDuration::from_nanos(rng.next_below(2_000_000));
+            q.schedule_at(now + gap, 0);
+        }
+        assert_eq!(q.len(), 64);
+        let largest_granule = 20_000;
+        assert!(
+            q.bucket_storage() <= 2 * peak_pending + largest_granule,
+            "bucket storage is {} entries for a peak of {peak_pending} pending",
+            q.bucket_storage()
+        );
     }
 
     #[test]

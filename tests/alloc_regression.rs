@@ -12,23 +12,39 @@
 //! drivers are measured: the one-unit world run by its engine, and the
 //! per-pair map in two domains, where every cross-unit packet is parked in
 //! the destination's arena and rides recycled envelope buffers.
+//!
+//! The same allocator tracks live bytes, and a second test holds the same
+//! dumbbell's peak live heap per flow under a ceiling.
 
 use restricted_slow_start::{run, AppModel, CcAlgorithm, FlowSpec, Scenario, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-/// Counts heap allocations while enabled; forwards everything to the system
-/// allocator.
+/// Counts heap allocations while enabled, and tracks live bytes (requested
+/// sizes, so reserved capacity counts) and their high-water mark always;
+/// forwards everything to the system allocator.
 struct CountingAlloc;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The counters are process-global: the tests of this file take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         }
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -36,10 +52,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grew(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -80,7 +99,7 @@ fn counted_run(sc: &Scenario) -> (u64, u64) {
 
 #[test]
 fn steady_state_allocates_nothing_per_event() {
-    // One test, run sequentially: the allocation counter is process-global.
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     for shards in [None, Some(2)] {
         let manyflow = |d: SimDuration| {
             let mut sc = manyflow(d);
@@ -113,6 +132,36 @@ fn steady_state_allocates_nothing_per_event() {
             "shards {shards:?}: steady state allocates {per_event:.4} allocs/event \
              ({extra_allocs} allocations over {extra_events} extra events); \
              the hot path must not allocate per event"
+        );
+    }
+}
+
+/// Peak live heap over `run(sc)`, in bytes above what was live going in.
+fn peak_heap_over_run(sc: &Scenario) -> u64 {
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(before, Ordering::SeqCst);
+    drop(run(sc));
+    PEAK_BYTES.load(Ordering::SeqCst) - before
+}
+
+/// Memory proportional to what is live, as a number that does not depend on
+/// the host: the many-flow dumbbell's peak live heap per flow — world,
+/// event queue, telemetry and the report on top — under a ceiling a tenth
+/// above what it measures (5 429 B one unit, 6 580 B in two domains). With
+/// per-bucket vectors in the calendar wheel, RED state in every port,
+/// four-packet first queue buffers and flow reports rendered beside the
+/// complete world the same runs measure 9 400 and 10 990 B.
+#[test]
+fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    for (shards, ceiling) in [(None, 6_000), (Some(2), 7_250)] {
+        let mut sc = manyflow(SimDuration::from_millis(1500));
+        sc.shards = shards;
+        let per_flow = peak_heap_over_run(&sc) / sc.flows.len() as u64;
+        assert!(
+            per_flow <= ceiling,
+            "shards {shards:?}: peak live heap over run() is {per_flow} B per flow, \
+             ceiling {ceiling}"
         );
     }
 }
