@@ -223,7 +223,7 @@ static VARIANTS: &[Variant] = &[
                 doc: "window above which slow-start growth is capped to max_ssthresh/2 segments per RTT",
             }],
             reference: "RFC 3742",
-            showcase: "experiments -- lss (E8)",
+            showcase: "scenarios/slow_start_variants.json",
         },
         selects: |a| matches!(a, CcAlgorithm::Limited { .. }),
         validate: ok,

@@ -6,14 +6,15 @@
 //! current value of the IFQ is used as the process variable. … the controller
 //! calculates an output that determines the new value of the sender window."
 //!
-//! Concretisation used here (documented in DESIGN.md §4): the controller runs
-//! on every ACK; its output `u` — in *segments* — is the permitted cwnd
-//! change for that ACK, clamped to `[-1, +1]` segment. The `+1` ceiling makes
-//! the scheme *restricted*: it can never out-accelerate standard slow-start
-//! (which adds one MSS per ACK); as the IFQ approaches the set point the
-//! error shrinks and growth throttles smoothly; on overshoot the window eases
-//! off. Outside slow-start (after any loss event) behaviour is plain Reno —
-//! the paper modifies only the slow-start phase.
+//! The paper leaves "an output that determines the new value" open. The
+//! concretisation used here: the controller runs on every ACK; its output
+//! `u` — in *segments* — is the permitted cwnd change for that ACK, clamped
+//! to `[-1, +1]` segment. The `+1` ceiling makes the scheme *restricted*: it
+//! can never out-accelerate standard slow-start (which adds one MSS per
+//! ACK); as the IFQ approaches the set point the error shrinks and growth
+//! throttles smoothly; on overshoot the window eases off. Outside slow-start
+//! (after any loss event) behaviour is plain Reno — the paper modifies only
+//! the slow-start phase.
 
 use crate::reno::Reno;
 use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
@@ -43,9 +44,9 @@ impl RssConfig {
     /// the 100 Mbit/s testbed) with one ACK interval of dead time
     /// (θ ≈ 120 µs), giving `Kc = π/(2Kθ) ≈ 1.571` and `Tc = 4θ = 480 µs`.
     /// The paper's rule `Kp = 0.33·Kc, Ti = 0.5·Tc, Td = 0.33·Tc` yields the
-    /// constants below; E6 reproduces them from the automated search and the
-    /// fig1/headline benches confirm they hold the IFQ at the set point with
-    /// zero stalls.
+    /// constants below; `examples/zn_tuning.rs` reproduces them from the
+    /// automated search and `tests/paper_claims.rs` confirms they hold the
+    /// IFQ at the set point with zero stalls.
     pub fn tuned() -> Self {
         Self::tuned_for(100_000_000, 1500)
     }

@@ -17,11 +17,12 @@
 //! * [`ScenarioSpec`] — the JSON scenario-file schema (the `scenarios/`
 //!   directory and the `rss` CLI): the same experiments as data, with sweep
 //!   grids expanding into deduplicated batches;
-//! * [`run`] / [`run_many`] / [`run_many_memo`] — deterministic execution,
-//!   optionally parallel across scenarios, with duplicate-cell memoization;
+//! * [`run`] / [`run_many`] / [`run_many_memo_timed`] — deterministic
+//!   execution, optionally parallel across scenarios, with duplicate cells
+//!   of one batch sharing a simulation;
 //! * [`RunReport`] / [`FlowReport`] — Web100 snapshots, send-stall event
 //!   logs (Figure 1), cwnd/IFQ/goodput series;
-//! * [`plot`] — terminal rendering used by the benchmark harness.
+//! * [`plot`] — terminal rendering used by the `rss` CLI and the examples.
 //!
 //! ```
 //! use rss_core::{run, Scenario, SimDuration};
@@ -49,9 +50,7 @@ pub mod world;
 pub use body::WireBody;
 pub use fairness::{fairness_csv, fairness_reports, FairnessReport, FlowFairness, VariantFairness};
 pub use report::{FlowReport, RunReport, ShardCounters};
-pub use runner::{
-    run, run_many, run_many_memo, run_many_memo_timed, run_many_timed, run_timed, try_run, RunError,
-};
+pub use runner::{run, run_many, run_many_memo_timed, try_run, RunError};
 pub use scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
 pub use spec::{
     results_csv, BurstLossDef, CcDef, CrossDef, ExpandedRun, FairnessDef, FlapDef, FlowDef,

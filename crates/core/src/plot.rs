@@ -1,5 +1,5 @@
-//! Terminal plotting for the experiment harness: the benches and examples
-//! render each figure as ASCII so results are inspectable without any
+//! Terminal plotting: the `rss` CLI and the examples render each table and
+//! figure as ASCII so results are inspectable without any
 //! external tooling.
 
 /// One labelled series for an overlay chart.

@@ -267,7 +267,7 @@ fn report(sc: &Scenario, worlds: Vec<World>, out: &Outcome) -> RunReport {
 }
 
 /// [`run`], measuring wall time. Returns `(report, wall_ms)`.
-pub fn run_timed(sc: &Scenario) -> (RunReport, f64) {
+fn run_timed(sc: &Scenario) -> (RunReport, f64) {
     let t0 = std::time::Instant::now();
     let report = run(sc);
     (report, t0.elapsed().as_secs_f64() * 1e3)
@@ -278,9 +278,9 @@ pub fn run_timed(sc: &Scenario) -> (RunReport, f64) {
 ///
 /// Each scenario is an independent deterministic simulation, so parallelism
 /// is embarrassingly safe; a shared atomic cursor hands out work.
-pub fn run_many_timed(scenarios: &[Scenario]) -> Vec<(RunReport, f64)> {
+fn run_many_timed(scenarios: &[&Scenario]) -> Vec<(RunReport, f64)> {
     if scenarios.len() <= 1 {
-        return scenarios.iter().map(run_timed).collect();
+        return scenarios.iter().map(|sc| run_timed(sc)).collect();
     }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -303,7 +303,7 @@ pub fn run_many_timed(scenarios: &[Scenario]) -> Vec<(RunReport, f64)> {
                 if i >= scenarios.len() {
                     break;
                 }
-                let report = run_timed(&scenarios[i]);
+                let report = run_timed(scenarios[i]);
                 results[i].set(report).expect("slot claimed twice");
             });
         }
@@ -317,63 +317,54 @@ pub fn run_many_timed(scenarios: &[Scenario]) -> Vec<(RunReport, f64)> {
 
 /// Run a batch of scenarios across worker threads (order-preserving).
 pub fn run_many(scenarios: &[Scenario]) -> Vec<RunReport> {
-    run_many_timed(scenarios)
+    run_many_timed(&scenarios.iter().collect::<Vec<_>>())
         .into_iter()
         .map(|(r, _)| r)
         .collect()
 }
 
-/// The process-global run cache backing [`run_many_memo`].
-///
-/// Scenario aggregates plain config (no floats with NaN, no interior
-/// mutability), so its Debug rendering is a faithful identity key; runs are
-/// deterministic, so a cached report is indistinguishable from a fresh one.
-fn run_cache() -> &'static std::sync::Mutex<std::collections::HashMap<String, (RunReport, f64)>> {
-    static CACHE: std::sync::OnceLock<
-        std::sync::Mutex<std::collections::HashMap<String, (RunReport, f64)>>,
-    > = std::sync::OnceLock::new();
-    CACHE.get_or_init(Default::default)
-}
-
-/// Run a batch of scenarios, executing each *distinct* configuration once —
-/// across the whole process, not just this call.
+/// [`run_many`], executing each *distinct* configuration of the batch once
+/// and keeping per-run wall time in milliseconds.
 ///
 /// Sweep grids routinely contain cells whose scenario is identical (the
-/// anchor point of two sweeps, or a baseline column repeated per row), and
-/// separate experiments in one binary routinely share anchor cells too.
-/// Results are memoized in a process-global cache, so each distinct cell
-/// simulates once per process. Returns the per-cell reports (order
-/// preserved) plus the number of *distinct* configurations in this call
-/// (cells already in the global cache still count as distinct, but cost no
-/// simulation).
-pub fn run_many_memo(scenarios: &[Scenario]) -> (Vec<RunReport>, usize) {
-    let (timed, distinct) = run_many_memo_timed(scenarios);
-    (timed.into_iter().map(|(r, _)| r).collect(), distinct)
-}
-
-/// [`run_many_memo`], keeping per-run wall time in milliseconds. Cache hits
-/// report the wall time of the original simulation, not the lookup.
+/// anchor point of two sweeps, or a baseline column repeated per row).
+/// Scenario aggregates plain config (no floats with NaN, no interior
+/// mutability), so its Debug rendering is a faithful identity key; runs are
+/// deterministic, so a shared report is indistinguishable from a fresh one.
+/// Returns the per-cell `(report, wall_ms)` (order preserved; a duplicate
+/// cell carries the wall time of the one simulation it shares) plus the
+/// number of distinct configurations.
 pub fn run_many_memo_timed(scenarios: &[Scenario]) -> (Vec<(RunReport, f64)>, usize) {
-    let keys: Vec<String> = scenarios.iter().map(|sc| format!("{sc:?}")).collect();
-    let mut distinct: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut fresh: Vec<Scenario> = Vec::new();
-    let mut fresh_keys: Vec<&str> = Vec::new();
-    {
-        let cache = run_cache().lock().expect("run cache poisoned");
-        for (key, sc) in keys.iter().zip(scenarios) {
-            let seen_before = distinct.insert(key, 0).is_some();
-            if !seen_before && !cache.contains_key(key.as_str()) {
-                fresh.push(sc.clone());
-                fresh_keys.push(key);
+    // `slot[i]`: which distinct simulation cell `i` reads.
+    let mut first_seen: BTreeMap<String, usize> = BTreeMap::new();
+    let mut distinct: Vec<&Scenario> = Vec::new();
+    let slot: Vec<usize> = scenarios
+        .iter()
+        .map(|sc| {
+            *first_seen.entry(format!("{sc:?}")).or_insert_with(|| {
+                distinct.push(sc);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let mut readers = vec![0usize; distinct.len()];
+    for &d in &slot {
+        readers[d] += 1;
+    }
+    // The last reader of a simulation takes its report; only earlier
+    // duplicates pay for a copy.
+    let mut ran: Vec<_> = run_many_timed(&distinct).into_iter().map(Some).collect();
+    let reports = slot
+        .iter()
+        .map(|&d| {
+            readers[d] -= 1;
+            match readers[d] {
+                0 => ran[d].take(),
+                _ => ran[d].clone(),
             }
-        }
-    }
-    let fresh_reports = run_many_timed(&fresh);
-    let mut cache = run_cache().lock().expect("run cache poisoned");
-    for (key, report) in fresh_keys.into_iter().zip(fresh_reports) {
-        cache.insert(key.to_string(), report);
-    }
-    let reports = keys.iter().map(|key| cache[key.as_str()].clone()).collect();
+            .expect("taken only by the last reader")
+        })
+        .collect();
     (reports, distinct.len())
 }
 
@@ -519,6 +510,33 @@ mod tests {
         let reason = r.truncated.as_deref().expect("budget truncation reported");
         assert!(reason.contains("event budget 2000 exhausted"), "{reason}");
         assert_eq!(r.events_processed, 2_000);
+    }
+
+    #[test]
+    fn memoized_runner_executes_distinct_configs_once() {
+        let base = tiny(CcAlgorithm::Reno).with_duration(SimDuration::from_millis(400));
+        let other = base.clone().with_seed(7);
+        // Three cells, two distinct configs: the duplicate shares one run.
+        let cells = vec![base.clone(), other.clone(), base.clone()];
+        let (timed, unique) = run_many_memo_timed(&cells);
+        let reports: Vec<RunReport> = timed.into_iter().map(|(r, _)| r).collect();
+        assert_eq!(unique, 2, "duplicate cell must not re-run");
+        assert_eq!(reports.len(), 3);
+        assert_eq!(
+            reports[0].flows[0].vars.data_bytes_out,
+            reports[2].flows[0].vars.data_bytes_out
+        );
+        assert_eq!(reports[0].seed, base.seed);
+        assert_eq!(reports[1].seed, 7);
+        // And the memoized path matches the plain runner bit-for-bit.
+        let direct = run_many(&cells);
+        for (a, b) in reports.iter().zip(&direct) {
+            assert_eq!(
+                a.flows[0].vars.data_bytes_out,
+                b.flows[0].vars.data_bytes_out
+            );
+            assert_eq!(a.events_processed, b.events_processed);
+        }
     }
 
     #[test]

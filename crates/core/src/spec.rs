@@ -2,14 +2,14 @@
 //! expansion into concrete [`Scenario`]s, and the deterministic CSV summary
 //! the `rss` CLI emits.
 //!
-//! Every hand-built testbed in the examples and benches is expressible as
+//! Every testbed the examples and the paper-claims tests run is expressible as
 //! data: topology (rates, delays, queue limits), workload (flows, sizes,
 //! start times, GridFTP-style striping), TCP knobs (slow-start variant as an
 //! *open* enum — new variants such as SSthreshless Start slot in beside
 //! `Standard`/`Restricted`/`Limited` — initial ssthresh, stall response),
 //! run length, seed, and output artifacts. A `sweep` block expands one spec
 //! into a grid of runs (RTT × rate × queue depth × seed × stream count)
-//! which [`crate::run_many_memo`] executes with duplicate cells deduped.
+//! which [`crate::run_many_memo_timed`] executes with duplicate cells deduped.
 //!
 //! Defaults follow [`Scenario::paper_testbed`]: omitting a knob yields the
 //! paper's §4 testbed value, so `scenarios/quickstart.json` reproduces the

@@ -185,6 +185,13 @@ impl<B: Body> RedQueue<B> {
     /// With `gentle` and `ecn` both off this is the original Floyd &
     /// Jacobson sequence, drawing from `rng` at exactly the same points, so
     /// legacy RED runs stay byte-identical.
+    ///
+    /// `#[inline]`: the per-packet enqueue of a RED port, instantiated in
+    /// the crate that names the body type. Without the hint a size change
+    /// elsewhere in that crate has left it as a call out of the fabric's hop
+    /// handler — the failure `scripts/check-hot-inlines.sh` guards against
+    /// for the engine's generics.
+    #[inline]
     pub fn try_enqueue(
         &mut self,
         now: SimTime,

@@ -51,5 +51,5 @@ pub use queue::{EventId, EventQueue, QueueCounters};
 pub use rng::{SimRng, SplitMix64};
 pub use series::{EventCounter, TimeSeries};
 pub use shard::{partition_units, run_sharded, Domain, Envelope, ShardError, ShardStats};
-pub use stats::{convergence_time, jain_fairness, Histogram, Welford};
+pub use stats::{convergence_time, jain_fairness};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

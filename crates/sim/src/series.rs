@@ -2,8 +2,8 @@
 //!
 //! Figure 1 of the paper is a *cumulative event count over time*; the
 //! throughput plots are *windowed rates*. [`TimeSeries`] covers both: it
-//! stores raw `(time, value)` samples and offers cumulative, binned and
-//! integrated views.
+//! stores raw `(time, value)` samples and offers a cumulative view;
+//! [`EventCounter`] is the staircase.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -68,90 +68,6 @@ impl TimeSeries {
             (Some(&t), Some(&v)) => Some((SimTime::from_nanos(t), v)),
             _ => None,
         }
-    }
-
-    /// Maximum value (NaN-free series assumed).
-    pub fn max_value(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::max)
-    }
-
-    /// Minimum value.
-    pub fn min_value(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::min)
-    }
-
-    /// Arithmetic mean of the sample values (unweighted).
-    pub fn mean_value(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Time-weighted mean, treating the series as a step function that holds
-    /// each value until the next sample, evaluated over `[start, end]`.
-    pub fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        if self.is_empty() || end <= start {
-            return None;
-        }
-        let (s, e) = (start.as_nanos(), end.as_nanos());
-        let mut acc = 0.0f64;
-        let mut covered = 0u64;
-        for i in 0..self.len() {
-            let t0 = self.times_ns[i].max(s);
-            let t1 = if i + 1 < self.len() {
-                self.times_ns[i + 1].min(e)
-            } else {
-                e
-            };
-            if t1 > t0 {
-                acc += self.values[i] * (t1 - t0) as f64;
-                covered += t1 - t0;
-            }
-        }
-        if covered == 0 {
-            None
-        } else {
-            Some(acc / covered as f64)
-        }
-    }
-
-    /// Step-function value at time `t` (value of the latest sample ≤ t).
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        let tn = t.as_nanos();
-        match self.times_ns.partition_point(|&x| x <= tn) {
-            0 => None,
-            i => Some(self.values[i - 1]),
-        }
-    }
-
-    /// Resample onto fixed bins of width `bin`: returns, for each bin,
-    /// `(bin_end_time, sum of values of samples inside the bin)`.
-    /// Useful for event-count series (each sample value 1.0).
-    pub fn binned_sums(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        bin: SimDuration,
-    ) -> Vec<(SimTime, f64)> {
-        assert!(bin > SimDuration::ZERO, "zero bin width");
-        let mut out = Vec::new();
-        let mut bin_start = start;
-        let mut idx = 0;
-        while bin_start < end {
-            let bin_end = (bin_start + bin).min(end);
-            let mut sum = 0.0;
-            while idx < self.len() && self.times_ns[idx] < bin_end.as_nanos() {
-                if self.times_ns[idx] >= bin_start.as_nanos() {
-                    sum += self.values[idx];
-                }
-                idx += 1;
-            }
-            out.push((bin_end, sum));
-            bin_start = bin_end;
-        }
-        out
     }
 
     /// Cumulative sum view: `(time, running total)` for each sample.
@@ -246,9 +162,6 @@ mod tests {
         s.push(ms(10), 4.0);
         s.push(ms(20), 8.0);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.max_value(), Some(8.0));
-        assert_eq!(s.min_value(), Some(2.0));
-        assert_eq!(s.mean_value(), Some(14.0 / 3.0));
         assert_eq!(s.last(), Some((ms(20), 8.0)));
     }
 
@@ -258,44 +171,6 @@ mod tests {
         let mut s = TimeSeries::new("x");
         s.push(ms(10), 1.0);
         s.push(ms(5), 2.0);
-    }
-
-    #[test]
-    fn value_at_is_step_function() {
-        let mut s = TimeSeries::new("x");
-        s.push(ms(10), 1.0);
-        s.push(ms(20), 2.0);
-        assert_eq!(s.value_at(ms(5)), None);
-        assert_eq!(s.value_at(ms(10)), Some(1.0));
-        assert_eq!(s.value_at(ms(15)), Some(1.0));
-        assert_eq!(s.value_at(ms(20)), Some(2.0));
-        assert_eq!(s.value_at(ms(999)), Some(2.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weighs_durations() {
-        let mut s = TimeSeries::new("x");
-        s.push(ms(0), 0.0);
-        s.push(ms(10), 10.0); // holds 10.0 for the rest
-                              // Over [0, 20]: 0.0 for 10ms, 10.0 for 10ms -> 5.0.
-        let m = s.time_weighted_mean(ms(0), ms(20)).unwrap();
-        assert!((m - 5.0).abs() < 1e-9);
-        // Over [10, 20]: all 10.0.
-        let m = s.time_weighted_mean(ms(10), ms(20)).unwrap();
-        assert!((m - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn binned_sums_partition_events() {
-        let mut s = TimeSeries::new("ev");
-        for t in [1u64, 2, 3, 12, 13, 25] {
-            s.push(ms(t), 1.0);
-        }
-        let bins = s.binned_sums(ms(0), ms(30), SimDuration::from_millis(10));
-        let sums: Vec<f64> = bins.iter().map(|&(_, v)| v).collect();
-        assert_eq!(sums, vec![3.0, 2.0, 1.0]);
-        let total: f64 = sums.iter().sum();
-        assert_eq!(total, 6.0);
     }
 
     #[test]

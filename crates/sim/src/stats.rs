@@ -1,154 +1,4 @@
-//! Streaming statistics used across the experiment harness.
-
-use serde::{Deserialize, Serialize};
-
-/// Online mean/variance accumulator (Welford's algorithm): numerically stable
-/// and O(1) per sample, suitable for million-event simulation runs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample seen, or None if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample seen, or None if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one (parallel sweeps).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Fixed-bin histogram over a closed range; out-of-range samples clamp to the
-/// edge bins so totals are conserved.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram over `[lo, hi]` with `bins` equal-width bins.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0 && hi > lo, "invalid histogram shape");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Add a sample.
-    pub fn add(&mut self, x: f64) {
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * self.bins.len() as f64) as isize).clamp(0, self.bins.len() as isize - 1)
-            as usize;
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Approximate quantile (by linear walk over bins); `q` in `[0,1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                let width = (self.hi - self.lo) / self.bins.len() as f64;
-                return Some(self.lo + (i as f64 + 0.5) * width);
-            }
-        }
-        Some(self.hi)
-    }
-}
+//! Fairness statistics over per-flow allocations and their time series.
 
 /// Jain's fairness index for a set of per-flow allocations:
 /// `(Σx)² / (n · Σx²)`; 1.0 is perfectly fair, `1/n` is one flow hogging
@@ -189,78 +39,6 @@ pub fn convergence_time(series: &[(f64, f64)], target: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), Some(2.0));
-        assert_eq!(w.max(), Some(9.0));
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.add(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        let b = Welford::new();
-        a.add(1.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = Welford::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 1.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.add(i as f64 + 0.5);
-        }
-        assert_eq!(h.total(), 100);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 50.0).abs() <= 1.0, "median {median}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= 97.0, "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_clamps_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.add(-5.0);
-        h.add(50.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.total(), 2);
-    }
 
     #[test]
     fn jain_index_bounds() {

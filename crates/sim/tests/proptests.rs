@@ -1,9 +1,7 @@
 //! Property-based tests for the simulation engine primitives.
 
 use proptest::prelude::*;
-use rss_sim::{
-    convergence_time, jain_fairness, EventQueue, SimDuration, SimTime, TimeSeries, Welford,
-};
+use rss_sim::{convergence_time, jain_fairness, EventQueue, SimTime};
 
 /// Reference model for the calendar-wheel scheduler: a plain max-heap of
 /// `Reverse(time, seq)` with a cancelled-id set, i.e. the data structure the
@@ -156,50 +154,6 @@ proptest! {
         }
     }
 
-    /// Binned sums conserve the total of in-range samples.
-    #[test]
-    fn binned_sums_conserve_mass(samples in prop::collection::vec((0u64..10_000, -100.0f64..100.0), 0..200)) {
-        let mut sorted = samples.clone();
-        sorted.sort_by_key(|&(t, _)| t);
-        let mut ts = TimeSeries::new("x");
-        for &(t, v) in &sorted {
-            ts.push(SimTime::from_micros(t), v);
-        }
-        let end = SimTime::from_micros(10_000);
-        let bins = ts.binned_sums(SimTime::ZERO, end, SimDuration::from_micros(37));
-        let total: f64 = bins.iter().map(|&(_, v)| v).sum();
-        let expect: f64 = sorted
-            .iter()
-            .filter(|&&(t, _)| t < 10_000)
-            .map(|&(_, v)| v)
-            .sum();
-        prop_assert!((total - expect).abs() < 1e-6, "{total} vs {expect}");
-    }
-
-    /// Welford merge is equivalent to sequential accumulation for any split.
-    #[test]
-    fn welford_merge_any_split(xs in prop::collection::vec(-1e6f64..1e6, 1..300), split in 0usize..300) {
-        let split = split.min(xs.len());
-        let mut seq = Welford::new();
-        for &x in &xs {
-            seq.add(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..split] {
-            a.add(x);
-        }
-        for &x in &xs[split..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), seq.count());
-        let scale = seq.mean().abs().max(1.0);
-        prop_assert!((a.mean() - seq.mean()).abs() / scale < 1e-9);
-        let vscale = seq.variance().abs().max(1.0);
-        prop_assert!((a.variance() - seq.variance()).abs() / vscale < 1e-6);
-    }
-
     /// Jain's fairness index stays in (0, 1] for any non-degenerate
     /// allocation vector, hits 1 exactly on equal shares, and is bounded
     /// below by 1/n (one hog).
@@ -242,22 +196,6 @@ proptest! {
                 prop_assert!(idx == 0 || series[idx - 1].1 < target, "not the earliest");
             }
             None => prop_assert!(series.last().unwrap().1 < target),
-        }
-    }
-
-    /// Time-weighted mean lies within the sample range.
-    #[test]
-    fn time_weighted_mean_within_bounds(samples in prop::collection::vec((0u64..1_000, 0.0f64..50.0), 2..100)) {
-        let mut sorted = samples.clone();
-        sorted.sort_by_key(|&(t, _)| t);
-        let mut ts = TimeSeries::new("x");
-        for &(t, v) in &sorted {
-            ts.push(SimTime::from_millis(t), v);
-        }
-        if let Some(m) = ts.time_weighted_mean(SimTime::ZERO, SimTime::from_secs(2)) {
-            let lo = sorted.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-            let hi = sorted.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-            prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9, "mean {m} outside [{lo}, {hi}]");
         }
     }
 }

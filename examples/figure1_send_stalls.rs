@@ -3,8 +3,8 @@
 //!
 //! The testbeds are data — `scenarios/figure1.json` — and this example is a
 //! thin wrapper that loads the two headline runs from it (the file's third
-//! run, the Tahoe-style stall response, belongs to the bench-side E1
-//! rendering and the CI scenario matrix).
+//! run, the Tahoe-style stall response, is for `rss run` and the CI scenario
+//! matrix).
 //!
 //! ```text
 //! cargo run --release --example figure1_send_stalls

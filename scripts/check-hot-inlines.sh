@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The three hot generics must be inlined into their callers in the shipped
+# The hot generics must be inlined into their callers in the shipped
 # binaries. Release builds use thin LTO over 4 codegen units per crate, so a
 # size change anywhere in a crate can re-partition it and leave one of them
 # as a call through memory — 3-15 % of events/s on the paper testbed, with no
@@ -16,9 +16,9 @@ if [ ${#bins[@]} -eq 0 ]; then
   bins=(benchmark/target/release/rss-benchmark target/release/rss)
 fi
 
-# As `nm -C` prints them: the per-event pop, the per-hop fabric handler, the
-# per-event dispatch.
-hot='EventQueue<.*>::pop_bounded$|Fabric<.*>::handle$|Engine<.*>::dispatch$'
+# As `nm -C` prints them: the per-event pop and the windowed driver's wrapper
+# around it, the per-hop fabric handler, the per-event dispatch.
+hot='EventQueue<.*>::pop_bounded$|EventQueue<.*>::pop_before$|Fabric<.*>::handle$|Engine<.*>::dispatch$'
 
 status=0
 for bin in "${bins[@]}"; do

@@ -42,7 +42,8 @@
 //! (Web100 snapshots, stall logs, cwnd/IFQ/goodput series) and
 //! [`plot`] for terminal rendering. Reproduce the paper's
 //! figures with `cargo run --release --example figure1_send_stalls` or
-//! `cargo run --release -p rss-bench --bin experiments -- all`.
+//! `cargo run --release --bin rss -- run scenarios/figure1.json` (README
+//! "Reproducing the paper" maps every artifact to its scenario file).
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full host + network + TCP stack runs.
 //!
 //! These exercise the exact code paths the paper's experiments use and pin
-//! down the transport invariants the benches rely on: byte-exact delivery,
+//! down the transport invariants the experiments rely on: byte-exact delivery,
 //! loss recovery, determinism, and the paper's qualitative result.
 
 use restricted_slow_start::{
@@ -157,7 +157,14 @@ fn paper_shape_standard_stalls_restricted_does_not() {
     let rss = run(&Scenario::paper_testbed_restricted());
     assert!(std.flows[0].vars.send_stall >= 1);
     assert_eq!(rss.flows[0].vars.send_stall, 0);
-    assert!(rss.flows[0].goodput_bps > 1.2 * std.flows[0].goodput_bps);
+    // scenarios/golden/scenario_headline.csv: 59.6 -> 94.5 Mbit/s, +58.5 %.
+    // Each level within 5 %, the gain within 8 points: a model change that
+    // moves either is named here before the byte-gate merely reports a diff.
+    let (std_bps, rss_bps) = (std.flows[0].goodput_bps, rss.flows[0].goodput_bps);
+    assert!((56.6e6..62.6e6).contains(&std_bps), "standard {std_bps}");
+    assert!((89.8e6..99.2e6).contains(&rss_bps), "restricted {rss_bps}");
+    let gain = rss_bps / std_bps - 1.0;
+    assert!((0.505..0.665).contains(&gain), "gain {gain}");
     // The restricted controller parks the IFQ near 90% of txqueuelen.
     let tail: Vec<f64> = rss
         .sender_ifq_series

@@ -2,10 +2,10 @@
 //! the hand-coded testbed it re-expresses.
 //!
 //! Equality is checked on the `Scenario` structs themselves (via their
-//! `Debug` rendering — the same identity key `run_many_memo` uses). Runs are
-//! pure deterministic functions of the scenario, so struct equality implies
-//! bit-identical reports, event counts and CSVs; for the headline pair the
-//! reports are additionally compared end-to-end. The CI `scenario-matrix`
+//! `Debug` rendering — the same identity key `run_many_memo_timed` uses).
+//! Runs are pure deterministic functions of the scenario, so struct equality
+//! implies bit-identical reports, event counts and CSVs; for the headline
+//! pair the reports are additionally compared end-to-end. The CI `scenario-matrix`
 //! job closes the loop by diffing the CSVs `rss run` emits against the
 //! goldens under `scenarios/golden/`.
 
