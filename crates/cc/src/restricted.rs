@@ -80,30 +80,6 @@ impl RssConfig {
             ..Self::tuned()
         }
     }
-
-    /// Ziegler–Nichols paper rule for `n_flows` sharing one interface queue.
-    ///
-    /// With a shared FIFO, a flow's packets drain in runs, so each
-    /// controller observes the queue with a dead time of roughly the queue
-    /// *residence* time at the set point (`0.9·txqueuelen` packet times) —
-    /// far longer than the single-flow packet-interval θ. The plant gain per
-    /// controller is also divided by `n_flows`. Tuning against that plant
-    /// (`Kc = π/(2Kθ)`, `Tc = 4θ`) keeps the collective loop stable where
-    /// the single-flow gains would limit-cycle into the queue cap.
-    pub fn tuned_shared(rate_bps: u64, wire_pkt_bytes: u32, n_flows: u32, txqueuelen: u32) -> Self {
-        assert!(rate_bps > 0 && wire_pkt_bytes > 0 && n_flows > 0 && txqueuelen > 0);
-        let ack_rate = rate_bps as f64 / (8.0 * wire_pkt_bytes as f64);
-        let per_flow_gain = ack_rate / n_flows as f64;
-        let theta = 0.9 * txqueuelen as f64 / ack_rate;
-        let kc = std::f64::consts::FRAC_PI_2 / (per_flow_gain * theta);
-        let tc = 4.0 * theta;
-        RssConfig {
-            gains: PidGains::pid(0.33 * kc, 0.5 * tc, 0.33 * tc),
-            setpoint_frac: 0.9,
-            max_increment_segments: 1.0,
-            max_decrement_segments: 1.0,
-        }
-    }
 }
 
 impl Default for RssConfig {
@@ -154,11 +130,6 @@ impl RestrictedSlowStart {
     /// The controller (read access, for instrumentation).
     pub fn controller(&self) -> &PidController {
         &self.pid
-    }
-
-    /// The configuration.
-    pub fn rss_config(&self) -> &RssConfig {
-        &self.cfg
     }
 
     fn ensure_setpoint(&mut self, view: &CcView) {

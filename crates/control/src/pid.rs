@@ -73,9 +73,6 @@ pub struct PidConfig {
     /// Smoothing factor for the derivative low-pass filter, in `(0, 1]`.
     /// `1.0` means unfiltered; smaller values smooth more.
     pub derivative_filter: f64,
-    /// Compute the derivative on the *measurement* instead of the error.
-    /// Avoids the output spike when the setpoint changes ("derivative kick").
-    pub derivative_on_measurement: bool,
 }
 
 impl PidConfig {
@@ -87,7 +84,6 @@ impl PidConfig {
             output_min: f64::NEG_INFINITY,
             output_max: f64::INFINITY,
             derivative_filter: 0.5,
-            derivative_on_measurement: true,
         }
     }
 
@@ -103,12 +99,6 @@ impl PidConfig {
     pub fn with_derivative_filter(mut self, alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "filter must be in (0,1]");
         self.derivative_filter = alpha;
-        self
-    }
-
-    /// Compute the derivative on the raw error (builder style).
-    pub fn with_derivative_on_error(mut self) -> Self {
-        self.derivative_on_measurement = false;
         self
     }
 }
@@ -154,11 +144,6 @@ impl PidController {
     /// Change the setpoint without resetting accumulated state.
     pub fn set_setpoint(&mut self, setpoint: f64) {
         self.cfg.setpoint = setpoint;
-    }
-
-    /// Current error `setpoint − pv` for an externally supplied pv.
-    pub fn error_for(&self, pv: f64) -> f64 {
-        self.cfg.setpoint - pv
     }
 
     /// The most recent output (clamped).
@@ -216,14 +201,11 @@ impl PidController {
 
         // Derivative term, low-pass filtered.
         if dt > 0.0 && self.cfg.gains.td > 0.0 {
-            let raw = if self.cfg.derivative_on_measurement {
-                // d(error)/dt = -d(pv)/dt when the setpoint is constant.
-                let prev_pv = self.prev.map_or(pv, |p| p.pv);
-                -(pv - prev_pv) / dt
-            } else {
-                let prev_error = self.prev.map_or(error, |p| p.error);
-                (error - prev_error) / dt
-            };
+            // On the measurement, not the error: d(error)/dt = -d(pv)/dt
+            // while the setpoint holds, and a setpoint change does not kick
+            // the output.
+            let prev_pv = self.prev.map_or(pv, |p| p.pv);
+            let raw = -(pv - prev_pv) / dt;
             let a = self.cfg.derivative_filter;
             self.filtered_derivative = a * raw + (1.0 - a) * self.filtered_derivative;
         }

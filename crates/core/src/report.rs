@@ -126,7 +126,7 @@ impl FlowReport {
     }
 }
 
-/// What a windowed run's executor did, in counts (see
+/// The lookahead-window walk of a run with `shards`, in counts (see
 /// [`rss_sim::ShardStats`]). All three are functions of the scenario alone:
 /// identical at every domain count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,7 +135,8 @@ pub struct ShardCounters {
     pub windows_run: u64,
     /// Grid windows skipped because no domain had an event in them.
     pub windows_skipped: u64,
-    /// Cross-unit messages exchanged between units.
+    /// Flights from one unit into another, whether they crossed a domain
+    /// boundary as envelopes or stayed inside one engine.
     pub envelopes: u64,
 }
 
@@ -177,14 +178,16 @@ pub struct RunReport {
     /// Discrete events the engine dispatched during the run (the simulator
     /// perf harness divides these by wall time for events/sec).
     pub events_processed: u64,
-    /// Event-queue counters of a one-unit run's engine (wheel hit rate,
-    /// tombstone sweeps, far-heap migrations). `None` with `shards`: queue
-    /// placement depends on each domain's private engine, so the counters
-    /// are not grouping-invariant and would break the byte-identical
-    /// reports-across-shard-counts guarantee.
+    /// Executor diagnostic, outside the invariance contract: event-queue
+    /// counters (wheel hit rate, tombstone sweeps, far-heap migrations) of
+    /// the one engine that ran a scenario without `shards`. `None` with
+    /// `shards`: where an event lands in a calendar wheel depends on what
+    /// else its domain's engine holds, so the counters differ by domain
+    /// count, and reports across shard counts are byte-identical.
     pub engine: Option<QueueCounters>,
-    /// Window and envelope counts of a run with `shards`; `None` without
-    /// (the one-unit map runs the whole horizon as one window).
+    /// Executor diagnostic, outside the invariance contract: the window
+    /// walk of a run with `shards` (the same at every shard count); `None`
+    /// without, where one engine runs to the horizon and walks no windows.
     pub shard: Option<ShardCounters>,
     /// `Some(reason)` when the run was ended by a watchdog (`max_sim_time`
     /// or `max_events`) rather than running its course — the explicit

@@ -2,7 +2,7 @@
 
 use crate::report::{FlowReport, RunReport, ShardCounters};
 use crate::scenario::Scenario;
-use crate::shard::run_windowed;
+use crate::shard::{run_windowed, stop_boundary};
 use crate::world::{BuildError, World};
 use rss_net::RedStats;
 use rss_sim::{QueueCounters, ShardError, SimTime, TimeSeries};
@@ -61,14 +61,13 @@ fn flow_report(
 struct Outcome {
     end: SimTime,
     events_processed: u64,
-    /// Engine queue counters; one-unit runs only (they are not invariant
-    /// under the grouping of units into domains).
+    /// Engine queue counters; one-engine runs only.
     engine: Option<QueueCounters>,
-    /// Window and envelope counts; windowed runs only.
+    /// The window walk's counts; windowed runs only.
     shard: Option<ShardCounters>,
     budget_exhausted: bool,
     /// The run ended before its horizon of its own accord (every flow
-    /// completed, or nothing was left to simulate).
+    /// completed).
     ended_early: bool,
 }
 
@@ -142,27 +141,39 @@ pub fn run(sc: &Scenario) -> RunReport {
 /// [`run`], returning a scenario the world builder rejects — or a shard
 /// thread's panic — as an error.
 ///
-/// The model is the same either way; [`Scenario::shards`] picks the unit map
-/// and with it the driver. `None` is the one-unit map: no flight crosses a
-/// unit boundary, so nothing bounds the lookahead and the engine runs the
-/// whole horizon as one window. `Some(n)` is the per-pair map in `n`
-/// domains, advanced in lockstep lookahead windows (see [`crate::shard`]).
+/// The model, the unit map and the event order are the same either way;
+/// [`Scenario::shards`] only picks how many domains the units are grouped
+/// into, and with that the driver. `None` is one domain under one engine,
+/// run to the horizon with no window loop; `Some(n)` is `n` domains advanced
+/// in lockstep lookahead windows (see [`crate::shard`]). The report differs
+/// in its executor diagnostics (`engine`, `shard`) and in nothing else.
 pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
-    // The watchdog clamps the horizon; a window-boundary cut is invariant
-    // across domain counts, so truncated runs stay bit-exact too.
+    // The watchdog clamps the horizon; a cut there is invariant across
+    // domain counts, so truncated runs stay bit-exact too.
     let horizon = SimTime::ZERO + sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
     let (worlds, out) = match sc.shards {
         None => {
             let mut engine = World::build(sc)?.into_engine();
             engine.event_budget = sc.max_events;
-            let stats = engine.run_until(horizon);
+            let mut stats = engine.run_until(horizon);
+            let mut events_processed = stats.events_processed;
+            let ended_early = stats.stopped_by_model && stats.end_time < horizon;
+            if ended_early {
+                // Every flow has completed: end where the window walk would.
+                stats.end_time = stop_boundary(sc, stats.end_time, horizon);
+                events_processed += engine.run_window(stats.end_time);
+            } else if stats.stopped_by_model {
+                // ... at the horizon itself, whose events all still fire.
+                stats = engine.run_until(horizon);
+                events_processed += stats.events_processed;
+            }
             let out = Outcome {
                 end: stats.end_time,
-                events_processed: stats.events_processed,
+                events_processed,
                 engine: Some(engine.queue_counters()),
                 shard: None,
                 budget_exhausted: stats.budget_exhausted,
-                ended_early: stats.drained || stats.stopped_by_model,
+                ended_early,
             };
             (vec![engine.into_model()], out)
         }
@@ -175,7 +186,9 @@ pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
                 shard: Some(ShardCounters {
                     windows_run: stats.windows_run,
                     windows_skipped: stats.windows_skipped,
-                    envelopes: stats.envelopes,
+                    // Not the executor's count of what went through its
+                    // rings: that depends on which units share a domain.
+                    envelopes: worlds.iter().map(|w| w.fabric().cross_unit_flights()).sum(),
                 }),
                 budget_exhausted: false,
                 ended_early: stats.stopped_early,
@@ -203,8 +216,7 @@ fn per_domain<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec
     })
 }
 
-/// Assemble the report from the worlds of all domains (one, for the
-/// one-unit map) and release them.
+/// Assemble the report from the worlds of all domains and release them.
 ///
 /// Network first, flows last: the network-level fields are read off the
 /// complete worlds, then every world gives up all but its connections, and
@@ -458,7 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn unbuildable_scenarios_are_errors_under_either_unit_map() {
+    fn unbuildable_scenarios_are_errors_under_either_driver() {
         // rtt = 3 x access_delay leaves the haul link no delay, hence the
         // windowed driver no lookahead.
         let mut sc = tiny(CcAlgorithm::Reno)
@@ -471,19 +483,20 @@ mod tests {
                 .starts_with("path.access_delay: sharded runs need 0 < 4 x access_delay < rtt"),
             "{err}"
         );
-        // One unit needs no lookahead: the same geometry runs.
+        // One engine waits for nobody: the same geometry runs.
         sc.shards = None;
-        try_run(&sc).expect("one-unit run");
+        try_run(&sc).expect("one-engine run");
 
-        // A registry rejection reads the same whichever map builds the flow.
+        // A registry rejection reads the same whichever driver builds the
+        // flow's world.
         let mut sc = tiny(CcAlgorithm::Reno);
         sc.flows.push(crate::FlowSpec::bulk(CcAlgorithm::Scalable(
             crate::ScalableConfig { ai_cnt: 0 },
         )));
-        let one_unit = try_run(&sc).expect_err("ai_cnt 0").to_string();
-        assert_eq!(one_unit, "flows[1]: ai_cnt must be at least 1, got 0");
-        let per_pair = try_run(&sc.with_shards(2)).expect_err("ai_cnt 0");
-        assert_eq!(per_pair.to_string(), one_unit);
+        let plain = try_run(&sc).expect_err("ai_cnt 0").to_string();
+        assert_eq!(plain, "flows[1]: ai_cnt must be at least 1, got 0");
+        let windowed = try_run(&sc.with_shards(2)).expect_err("ai_cnt 0");
+        assert_eq!(windowed.to_string(), plain);
     }
 
     #[test]

@@ -192,12 +192,12 @@ pub struct Scenario {
     pub stop_when_complete: bool,
     /// Queue discipline on the bottleneck router ports.
     pub queue: QueueDiscipline,
-    /// The unit map and its driver (see [`crate::shard`]). `None`: one unit
-    /// owns the whole topology and one engine runs it to the horizon.
-    /// `Some(n)`: one unit per host pair plus one per bottleneck direction,
-    /// grouped into `n` domains advanced in lockstep lookahead windows;
-    /// results are identical for every `n` (including 1), but a different
-    /// realization (tie-breaks, loss draws) from `None`'s.
+    /// How many domains the units of the dumbbell — one per host pair plus
+    /// one per bottleneck direction, in every run — are grouped into, and
+    /// with that the driver (see [`crate::shard`]). `None`: one domain, run
+    /// to the horizon by one engine. `Some(n)`: `n` domains on a thread
+    /// each, advanced in lockstep lookahead windows. Results are identical
+    /// either way and for every `n`.
     pub shards: Option<u32>,
     /// Deterministic impairment on the long-haul link (both directions;
     /// independent random streams per direction, one shared outage
@@ -211,7 +211,7 @@ pub struct Scenario {
     /// if `duration` is larger (e.g. `stop_when_complete` runs that can no
     /// longer complete because an outage never lifts). A run ended by the
     /// watchdog reports `truncated` in its [`crate::RunReport`]. It clamps
-    /// the horizon, so it holds under either unit map and is
+    /// the horizon, so it holds with and without `shards` and is
     /// shard-count-invariant.
     pub max_sim_time: Option<SimDuration>,
     /// Watchdog: end the run gracefully after this many simulation events.
@@ -308,33 +308,9 @@ impl Scenario {
         self
     }
 
-    /// Builder: run as per-pair units in `n` domains.
+    /// Builder: run in `n` domains.
     pub fn with_shards(mut self, n: u32) -> Self {
         self.shards = Some(n);
-        self
-    }
-
-    /// Builder: impair the long-haul link.
-    pub fn with_haul_impairment(mut self, cfg: ImpairmentConfig) -> Self {
-        self.haul_impairment = Some(cfg);
-        self
-    }
-
-    /// Builder: impair every access link.
-    pub fn with_access_impairment(mut self, cfg: ImpairmentConfig) -> Self {
-        self.access_impairment = Some(cfg);
-        self
-    }
-
-    /// Builder: arm the simulated-time watchdog.
-    pub fn with_max_sim_time(mut self, t: SimDuration) -> Self {
-        self.max_sim_time = Some(t);
-        self
-    }
-
-    /// Builder: arm the event-count watchdog (`shards: None` only).
-    pub fn with_max_events(mut self, n: u64) -> Self {
-        self.max_events = Some(n);
         self
     }
 

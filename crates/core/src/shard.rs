@@ -1,47 +1,45 @@
 //! The unit map of the dumbbell and the windowed driver for it.
 //!
-//! There is one model of the dumbbell, [`crate::World`]. This module says
-//! how it is cut into *units* and drives a cut world through
-//! [`rss_sim::run_sharded`]'s conservative-lookahead windows.
+//! There is one model of the dumbbell, [`crate::World`], and one way it is
+//! cut into *units*. This module holds that map and drives a world spread
+//! over several domains through [`rss_sim::run_sharded`]'s
+//! conservative-lookahead windows.
 //!
 //! # The unit map
 //!
 //! A `UnitPlan` names the unit that owns every egress direction of the
 //! topology, and the domain (thread, engine, [`World`]) that simulates each
-//! unit. Two plans exist:
+//! unit. There is one unit per host pair, plus two hubs: pair `p` owns its
+//! sending and receiving host and the two router egress ports feeding their
+//! access links (the left router's toward the sender, which returns ACKs,
+//! and the right router's toward the receiver, which delivers data); the hub
+//! units own the left and the right router's bottleneck egress port — the
+//! shared queue all data crosses, and the one carrying the ACK stream back.
+//! Pair → hub flights ride an access link (latency `access_delay`), hub →
+//! pair flights the haul link (`haul_delay = rtt/2 − 2·access_delay`); the
+//! lookahead is the smaller of the two.
 //!
-//! * **One unit** (`UnitPlan::whole`, `Scenario::shards = None`): a single
-//!   unit owns everything. No flight crosses a unit boundary, so no message
-//!   leg bounds the lookahead and the whole run is one window —
-//!   [`crate::run`] simply calls `Engine::run_until` on the one world. It is
-//!   still *not* pushed through the window loop. A 25 s paper run is 1.5 M
-//!   events over a grid of 2.5 M ten-microsecond windows; the executor skips
-//!   the ~70 % of them that hold no event and a one-domain barrier is three
-//!   atomics, but the windows that remain average two or three events each.
-//!   Measured per event (`paper_windowed` ÷ `paper_testbed` in `benchmark/`),
-//!   the windowed testbed costs ≈ 1.9× the one-unit one.
-//! * **One unit per host pair, plus two hubs** (`UnitPlan::per_pair`,
-//!   `Scenario::shards = Some(n)`): pair `p` owns its sending and receiving
-//!   host and the two router egress ports feeding their access links (the
-//!   left router's toward the sender, which returns ACKs, and the right
-//!   router's toward the receiver, which delivers data); the hub units own
-//!   the left and the right router's bottleneck egress port — the shared
-//!   queue all data crosses, and the one carrying the ACK stream back.
-//!   Pair → hub flights ride an access link (latency `access_delay`), hub →
-//!   pair flights the haul link (`haul_delay = rtt/2 − 2·access_delay`);
-//!   the lookahead is the smaller of the two. The `host_pairs + 2` units are
-//!   grouped into `n` domains by estimated event weight.
+//! `Scenario::shards` only says how the `host_pairs + 2` units are grouped:
+//! `None` puts them all in one domain, which [`crate::run`] drives with a
+//! single `Engine::run_until` — no window loop, because with every unit in
+//! one queue there is nobody to wait for; `Some(n)` groups them into `n`
+//! domains by estimated event weight and advances those in lockstep
+//! lookahead windows. A flight between two units of one domain is an
+//! ordinary event either way; only a flight into another domain is an
+//! envelope.
 //!
 //! # The bit-exactness ledger
 //!
-//! Under the per-pair plan the `RunReport` is byte-identical for every
+//! The `RunReport` is byte-identical with or without `shards`, at every
 //! domain count (see the [`rss_sim::shard`] module docs for the argument:
-//! *every* cross-unit flight is an envelope, also inside one domain, and
-//! envelopes are injected in `(time, src_unit, seq)` order). That holds
-//! because everything whose order could depend on the grouping is per unit:
+//! events fire in `(time, unit, per-unit seq)` order, and a cross-unit
+//! flight keeps its sender's `(unit, seq)` whichever way it travels). That
+//! holds because everything whose order could depend on the grouping is per
+//! unit:
 //!
 //! | state                         | kept where                               |
 //! |-------------------------------|------------------------------------------|
+//! | event sequence numbers        | per scheduling unit, in the engine       |
 //! | envelope sequence numbers     | per source unit, in the fabric           |
 //! | packet ids                    | per unit, base `unit << 40`              |
 //! | bottleneck RED + loss streams | per port: `seed → 0xFAB0` / `0xFAB1`     |
@@ -52,20 +50,17 @@
 //! | completions                   | counted per world, summed by the driver  |
 //!
 //! Sampling chains are ordinary events, so `events_processed` is a function
-//! of the scenario alone — and so are the executor's own counts
-//! (`RunReport::shard`: windows run, windows skipped, envelopes), because
-//! which grid windows hold an event depends only on the union of the units'
-//! event times. Engine queue counters are *not* partition invariant (where
-//! an event lands in the calendar wheel depends on what else the domain
-//! holds), so windowed runs report `engine: None`.
-//!
-//! The one-unit plan differs from the per-pair plan in data only — both
-//! bottleneck ports draw from the fabric's single `0xFAB` stream, there is
-//! one sampling chain and one packet-id sequence, and same-instant events
-//! of different pairs are ordered by one queue instead of being
-//! independent — so it is a second *realization* of the same physics, not
-//! bit-equal to the first. Making the two coincide needs a keyed event
-//! order in `rss_sim::queue`.
+//! of the scenario alone — and so are the window walk's own counts
+//! (`RunReport::shard`: windows run, windows skipped, cross-unit flights),
+//! because which grid windows hold an event depends only on the union of the
+//! units' event times. A run ends where the walk would end it: at the
+//! horizon, or — under `stop_when_complete` — at the end of the lookahead-grid
+//! window that holds the last completion, which the one-domain driver
+//! computes instead of walking to (`stop_boundary`). Engine queue counters
+//! are *not* grouping invariant (where an event lands in the calendar wheel
+//! depends on what else the domain holds); they and the window counts are
+//! executor diagnostics, reported for the one-engine and the windowed driver
+//! respectively and outside the invariance contract.
 
 use crate::body::WireBody;
 use crate::runner::RunError;
@@ -73,7 +68,8 @@ use crate::scenario::Scenario;
 use crate::world::{BuildError, World};
 use rss_net::Handoff;
 use rss_sim::{
-    partition_units, run_sharded, Domain, Engine, Envelope, ShardStats, SimDuration, SimTime,
+    event_tag, partition_units, run_sharded, Domain, Engine, Envelope, ShardStats, SimDuration,
+    SimTime,
 };
 
 /// The unit map of a scenario's dumbbell (see the module docs).
@@ -89,15 +85,6 @@ pub(crate) struct UnitPlan {
 }
 
 impl UnitPlan {
-    /// One unit owning the whole topology.
-    pub(crate) fn whole(sc: &Scenario) -> Self {
-        UnitPlan {
-            pair_unit: vec![0; sc.host_pairs()],
-            hub_units: [0, 0],
-            unit_domain: vec![0],
-        }
-    }
-
     /// One unit per host pair plus one per bottleneck direction, grouped
     /// into at most `domains` domains by estimated event weight.
     pub(crate) fn per_pair(sc: &Scenario, domains: u32) -> Self {
@@ -105,27 +92,27 @@ impl UnitPlan {
         // Connections dominate (closed-loop, ~4 events per segment round
         // trip), cross sources are open-loop, and each hub sees roughly a
         // quarter of the total edge traffic as queue/serialize events.
-        let mut weights = vec![0u64; pairs];
+        //
+        // The hubs are units 0 and 1, the pairs follow: events of one instant
+        // fire in unit order, so a bottleneck port finishes the packet it is
+        // sending before it takes that instant's arrivals (a departure frees
+        // its slot for them), and a host takes a delivery before it acts.
+        let mut weights = vec![0u64; 2 + pairs];
         for i in 0..sc.flows.len() {
-            weights[sc.flow_pair(i)] += 4;
+            weights[2 + sc.flow_pair(i)] += 4;
         }
         for j in 0..sc.cross.len() {
-            weights[sc.cross_pair(j)] += 2;
+            weights[2 + sc.cross_pair(j)] += 2;
         }
-        weights.iter_mut().for_each(|w| *w = (*w).max(1));
+        weights[2..].iter_mut().for_each(|w| *w = (*w).max(1));
         let edge_sum: u64 = weights.iter().sum();
-        weights.extend([(edge_sum / 4).max(1); 2]);
+        weights[..2].fill((edge_sum / 4).max(1));
         let domains = (domains.max(1) as usize).min(weights.len());
         UnitPlan {
-            pair_unit: (0..pairs as u32).collect(),
-            hub_units: [pairs as u32, pairs as u32 + 1],
+            pair_unit: (2..2 + pairs as u32).collect(),
+            hub_units: [0, 1],
             unit_domain: partition_units(&weights, domains),
         }
-    }
-
-    /// Whether the plan cuts the topology into more than one unit.
-    pub(crate) fn is_partitioned(&self) -> bool {
-        self.unit_domain.len() > 1
     }
 }
 
@@ -137,8 +124,9 @@ impl Domain for DomainEngine {
     type Msg = Handoff<WireBody>;
 
     fn inject(&mut self, env: Envelope<Self::Msg>) {
-        let ev = self.0.model_mut().accept(env.msg);
-        self.0.schedule_at(env.time, ev);
+        let ev = self.0.model_mut().accept(env.dst_unit, env.msg);
+        self.0
+            .schedule_tagged(env.time, event_tag(env.src_unit, env.seq), ev);
     }
 
     fn on_boundary(&mut self, _now: SimTime) {}
@@ -164,20 +152,41 @@ impl Domain for DomainEngine {
     }
 }
 
-/// Run `sc` under the per-pair plan in at most `shards` domains, up to
-/// `horizon`. Returns the domains' worlds for report assembly. The worlds
-/// are built in parallel, as they are run.
+/// The smallest latency of a cross-unit flight: the window of the lookahead
+/// grid. Zero when the haul link has no delay left (`4 × access_delay ≥
+/// rtt`) — such a scenario cannot be spread over domains.
+fn lookahead(sc: &Scenario) -> SimDuration {
+    let access_delay = sc.path.access_delay;
+    let haul_delay = (sc.path.rtt / 2).saturating_sub(access_delay * 2);
+    access_delay.min(haul_delay)
+}
+
+/// Where a `stop_when_complete` run whose last flow completed at
+/// `completed_at` ends: the windowed driver notices at the end of the
+/// lookahead-grid window holding that instant (the horizon, if that comes
+/// first), having run every event before it. Without a lookahead there is
+/// no grid, and the run ends at the completion itself.
+pub(crate) fn stop_boundary(sc: &Scenario, completed_at: SimTime, horizon: SimTime) -> SimTime {
+    let grid = lookahead(sc).as_nanos();
+    if grid == 0 {
+        return completed_at;
+    }
+    let window = completed_at.as_nanos() / grid;
+    SimTime::from_nanos((window + 1).saturating_mul(grid)).min(horizon)
+}
+
+/// Run `sc` in at most `shards` domains, up to `horizon`. Returns the
+/// domains' worlds for report assembly. The worlds are built in parallel, as
+/// they are run.
 pub(crate) fn run_windowed(
     sc: &Scenario,
     shards: u32,
     horizon: SimTime,
 ) -> Result<(Vec<World>, ShardStats), RunError> {
-    let access_delay = sc.path.access_delay;
-    let haul_delay = (sc.path.rtt / 2).saturating_sub(access_delay * 2);
-    let lookahead = access_delay.min(haul_delay);
+    let lookahead = lookahead(sc);
     if lookahead == SimDuration::ZERO {
         return Err(BuildError::Lookahead {
-            access_delay,
+            access_delay: sc.path.access_delay,
             rtt: sc.path.rtt,
         }
         .into());
@@ -206,8 +215,7 @@ pub(crate) fn run_windowed(
             .collect::<Result<Vec<_>, BuildError>>()
     })?;
     // The driver stops at the first window boundary by which every domain
-    // has reported all its completions — the deterministic analogue of the
-    // one-unit world's `request_stop`.
+    // has reported all its completions ([`stop_boundary`]).
     let target = (sc.stop_when_complete && !sc.flows.is_empty()).then_some(sc.flows.len() as u64);
     let stats = run_sharded(&mut engines, &plan.unit_domain, lookahead, horizon, target)?;
     let worlds = engines.into_iter().map(|e| e.0.into_model()).collect();
@@ -265,10 +273,24 @@ mod tests {
     #[test]
     fn shard_counts_are_bit_exact() {
         let sc = busy(4);
-        let serial = report_json(&sc, 1);
+        let serial = run_at(&sc, 1);
+        let walk = serial.shard.expect("windowed runs report their walk");
+        // 4 flows + CBR cross traffic over 800 half-millisecond windows:
+        // every packet crosses units three times, whoever simulates them.
+        assert_eq!(walk.windows_run + walk.windows_skipped, 800);
+        assert!(walk.envelopes > 1000, "{walk:?}");
         for shards in [2, 3, 6] {
-            let parallel = report_json(&sc, shards);
-            assert_eq!(serial, parallel, "{shards} shards diverged from serial");
+            let parallel = run_at(&sc, shards);
+            assert_eq!(
+                parallel.shard,
+                Some(walk),
+                "{shards} shards walked differently"
+            );
+            assert_eq!(
+                serial.to_json(),
+                parallel.to_json(),
+                "{shards} shards diverged from serial"
+            );
         }
     }
 

@@ -98,10 +98,11 @@ pub struct ScenarioSpec {
     /// Opt-in fairness & convergence measurement over every run (JSON
     /// `fairness`, default off).
     pub fairness: Option<FairnessDef>,
-    /// Cut every expanded scenario's world into per-pair units and run them
-    /// in parallel domains (JSON `shards`: a positive integer domain count
-    /// or `"auto"` for one per available core; default: one unit, one
-    /// thread). Results are identical for every count, so `"auto"` stays
+    /// Spread the units of every expanded scenario's world (one per host
+    /// pair, two for the bottleneck) over parallel domains (JSON `shards`: a
+    /// positive integer domain count or `"auto"` for one per available
+    /// core; default: one domain, one thread, no window loop). Results are
+    /// identical with and without it and for every count, so `"auto"` stays
     /// reproducible.
     pub shards: Option<ShardsDef>,
     /// Artifact file names under the output directory (JSON `output`,
@@ -208,13 +209,13 @@ pub struct RunSpec {
     /// point — typically a `stop_when_complete` run whose transfer can never
     /// complete under a permanent outage — ends here with an explicit
     /// `truncated` reason in its report instead of running to `duration_s`.
-    /// Honored with and without `shards` (there the cut lands on a window
-    /// boundary, so truncated runs stay shard-count invariant).
+    /// Honored with and without `shards`, identically: it clamps the
+    /// horizon.
     pub max_sim_time_s: Option<f64>,
     /// Watchdog: hard ceiling on events processed (JSON `max_events`,
-    /// default none). Rejected together with `shards` — a budget cut in
-    /// mid-window would not be shard-count invariant; use `max_sim_time_s`
-    /// there.
+    /// default none). Rejected together with `shards` — the window loop
+    /// takes no budget, and a cut in mid-window would not be shard-count
+    /// invariant; use `max_sim_time_s` there.
     pub max_events: Option<u64>,
 }
 
@@ -1919,7 +1920,7 @@ mod tests {
         let runs = spec.expand().unwrap();
         assert!(runs[0].scenario.shards.unwrap() >= 1);
 
-        // Omitted: the one-unit world.
+        // Omitted: one domain under one engine.
         let spec = ScenarioSpec::from_json(&minimal(r#"[{"label":"x","flows":[{}]}]"#)).unwrap();
         assert_eq!(spec.shards, None);
         assert_eq!(spec.expand().unwrap()[0].scenario.shards, None);
@@ -1960,8 +1961,8 @@ mod tests {
         .unwrap_err();
         assert!(err.msg.contains("run `x`"), "{}", err.msg);
         assert!(err.msg.contains("rtt > 4 x access_delay"), "{}", err.msg);
-        // The same geometry without `shards` stays valid (one unit needs no
-        // lookahead).
+        // The same geometry without `shards` stays valid (one engine waits
+        // for nobody, so it needs no lookahead).
         ScenarioSpec::from_json(
             r#"{"name":"t","runs":[{"label":"x","flows":[{}],"path":{"rtt_ms":0.03}}]}"#,
         )

@@ -17,25 +17,19 @@
 //!
 //! A world is built for a `UnitPlan`: which *unit* owns each host pair
 //! (its two hosts and the two router ports feeding their access links) and
-//! each bottleneck egress port, and which units this world simulates. A
-//! flight whose two ends belong to different units leaves the world as an
-//! envelope (see [`rss_net::Fabric::partitioned`]); everything else is an
-//! ordinary local event. What a plan changes is data, never a code path:
-//!
-//! * `UnitPlan::whole` — one unit owns the topology, so no flight ever
-//!   leaves and the world runs to the horizon in a single
-//!   [`Engine::run_until`]. This is `Scenario::shards = None`.
-//! * `UnitPlan::per_pair` — `host_pairs + 2` units (one per pair, one per
-//!   bottleneck direction) grouped into domains; each domain is one world
-//!   driven in lookahead windows by [`crate::shard`].
+//! each bottleneck egress port — `host_pairs + 2` units in every run — and
+//! which of them this world simulates. All of them, under one
+//! [`Engine::run_until`], is `Scenario::shards = None`; with `shards` the
+//! units are grouped into domains, each domain one world driven in lookahead
+//! windows by [`crate::shard`]. A flight into a unit another world simulates
+//! leaves as an envelope (see [`rss_net::Fabric::partitioned`]); everything
+//! else is an ordinary event of the unit it belongs to.
 //!
 //! Everything whose order could depend on the grouping is kept per unit:
-//! packet ids, envelope sequence numbers, the sampling event chain, and the
-//! random streams of the two bottleneck ports (private per port once they
-//! live in different units; one shared fabric stream when they do not).
-//! The two plans are therefore two realizations of one physics — same
-//! model, different tie-breaks and loss draws — and `tests/one_world.rs`
-//! holds them to the same macroscopic behaviour.
+//! event and envelope sequence numbers, packet ids, the sampling event
+//! chain, and the random streams of the two bottleneck ports. Events fire in
+//! `(time, unit, per-unit seq)` order, so how the units are grouped changes
+//! no byte of a report, and `tests/one_world.rs` holds every feature to that.
 
 use crate::body::WireBody;
 use crate::scenario::Scenario;
@@ -45,7 +39,9 @@ use rss_net::{
     dumbbell, Ecn, Fabric, FlowId, Handoff, Impairment, LinkId, LinkParams, NetEvent, NodeId,
     OutageSchedule, Packet, QueueConfig, RedStats, TrafficSource, UnitMap,
 };
-use rss_sim::{Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime, TimeSeries};
+use rss_sim::{
+    event_tag, Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime, TimeSeries,
+};
 use rss_tcp::{
     make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpReceiver, TcpSegment, TcpSender,
 };
@@ -54,8 +50,7 @@ use std::fmt;
 use std::ops::Range;
 
 /// Events of the complete experiment world. Every index is local to the
-/// world that scheduled the event (under the one-unit plan, local and
-/// scenario-wide indexes coincide).
+/// world that scheduled the event.
 #[derive(Debug, Clone)]
 pub enum Ev {
     /// Network-fabric internal event (POD; payloads live in the fabric's
@@ -117,8 +112,8 @@ pub enum BuildError {
     },
     /// `sample_interval` is zero, so the sampling chain would never advance.
     SampleInterval,
-    /// A multi-unit plan needs a positive lookahead on both message legs:
-    /// `0 < 4 × access_delay < rtt`.
+    /// Spreading the units over domains needs a positive lookahead on both
+    /// message legs: `0 < 4 × access_delay < rtt`.
     Lookahead {
         /// The scenario's access-link delay.
         access_delay: SimDuration,
@@ -210,12 +205,15 @@ pub struct World {
     conn_index: Vec<u32>,
     cross: Vec<Cross>,
     units: Vec<Unit>,
+    /// Units of the whole plan, this world's or not.
+    plan_units: usize,
     scheduled_rto: Vec<Option<SimTime>>,
     sample_interval: SimDuration,
     duration: SimDuration,
-    /// Stop the engine once every connection completed. Only the one-unit
-    /// plan can decide that locally; otherwise the window driver collects
-    /// [`World::take_completions`] from every domain.
+    /// Ask the engine to stop at the event that completes the last
+    /// connection. Only a world that holds every unit can tell
+    /// ([`World::build`]); the window driver collects
+    /// [`World::take_completions`] from every domain instead.
     stop_when_complete: bool,
     completed: u64,
     completions_taken: u64,
@@ -230,14 +228,16 @@ pub struct World {
 }
 
 impl World {
-    /// Build the one-unit world for a scenario ([`Scenario::shards`] is the
-    /// driver's business and ignored here).
+    /// Build the world of every unit of a scenario, for one engine to drive
+    /// ([`Scenario::shards`] is the driver's business and ignored here).
     ///
     /// Fails with a path-qualified [`BuildError`] when a flow's
     /// congestion-control selection is rejected (the declarative spec
     /// pipeline normally catches this earlier with the same qualification).
     pub fn build(sc: &Scenario) -> Result<World, BuildError> {
-        World::build_domain(sc, &UnitPlan::whole(sc), 0)
+        let mut world = World::build_domain(sc, &UnitPlan::per_pair(sc, 1), 0)?;
+        world.stop_when_complete = sc.stop_when_complete;
+        Ok(world)
     }
 
     /// Build the world of the units `plan` assigns to `domain`.
@@ -305,11 +305,8 @@ impl World {
             if let Some(red) = red {
                 fabric.set_red_port(router, d.bottleneck, red);
             }
-            // Ports in different units cannot share a stream; ports of one
-            // unit keep drawing from the fabric's.
-            if plan.is_partitioned() {
-                fabric.set_port_rng(router, d.bottleneck, rng.derive(0xFAB0 + k as u64));
-            }
+            // Ports in different units cannot share a stream.
+            fabric.set_port_rng(router, d.bottleneck, rng.derive(0xFAB0 + k as u64));
             if let (Some(cfg), Some(schedule)) = (haul_cfg, &haul_schedule) {
                 let imp = Impairment::new(cfg, schedule.clone(), haul_rng.derive(1 + k as u64));
                 fabric.set_impairment(d.bottleneck, router, imp);
@@ -424,9 +421,10 @@ impl World {
             conn_index,
             cross,
             units,
+            plan_units: plan.unit_domain.len(),
             sample_interval: sc.sample_interval,
             duration: sc.duration,
-            stop_when_complete: sc.stop_when_complete && !plan.is_partitioned(),
+            stop_when_complete: false,
             completed: 0,
             completions_taken: 0,
             bottleneck_series: owns_bottleneck.then(|| TimeSeries::new("bottleneck_queue")),
@@ -436,36 +434,40 @@ impl World {
         })
     }
 
-    /// Wrap the world in an engine seeded with its initial events: flow
-    /// starts and cross sources in scenario order, then one sampling chain
-    /// per unit that has something to sample.
+    /// Wrap the world in an engine seeded with its initial events, each its
+    /// unit's: flow starts and cross sources in scenario order, then one
+    /// sampling chain per unit that has something to sample.
     pub fn into_engine(self) -> Engine<World> {
-        let mut evs: Vec<(SimTime, Ev)> = Vec::new();
+        let unit_of = |host: u32| self.units[self.hosts[host as usize].unit as usize].id;
+        let mut evs: Vec<(u32, SimTime, Ev)> = Vec::new();
         for (c, conn) in self.conns.iter().enumerate() {
-            evs.push((conn.start, Ev::FlowStart { conn: c as u32 }));
+            let ev = Ev::FlowStart { conn: c as u32 };
+            evs.push((unit_of(conn.hosts[0]), conn.start, ev));
         }
         for (x, cross) in self.cross.iter().enumerate() {
-            evs.push((cross.start, Ev::CrossEmit { idx: x as u32 }));
+            let ev = Ev::CrossEmit { idx: x as u32 };
+            evs.push((unit_of(cross.host), cross.start, ev));
         }
         for (u, unit) in self.units.iter().enumerate() {
             let hosts = &self.hosts[unit.hosts.clone()];
             if unit.samples_bottleneck || hosts.iter().any(|h| h.ifq_series.is_some()) {
-                evs.push((SimTime::ZERO, Ev::Sample { unit: u as u32 }));
+                evs.push((unit.id, SimTime::ZERO, Ev::Sample { unit: u as u32 }));
             }
         }
-        let mut engine = Engine::new(self);
-        for (t, ev) in evs {
-            engine.schedule_at(t, ev);
+        let units = self.plan_units;
+        let mut engine = Engine::with_units(self, units);
+        for (unit, t, ev) in evs {
+            engine.schedule_for(unit, t, ev);
         }
         engine
     }
 
     // --- the window driver's side (see `crate::shard`) -----------------------
 
-    /// An envelope from another unit arrived: park the packet and return the
-    /// event to schedule at the envelope's time.
-    pub(crate) fn accept(&mut self, h: Handoff<WireBody>) -> Ev {
-        Ev::Net(self.fabric.park(h))
+    /// An envelope for `unit` arrived from another world: park the packet
+    /// and return the event to schedule at the envelope's time.
+    pub(crate) fn accept(&mut self, unit: u32, h: Handoff<WireBody>) -> Ev {
+        Ev::Net(self.fabric.park(unit, h))
     }
 
     /// Move the envelopes produced since the last call into `into`.
@@ -699,7 +701,6 @@ impl World {
                             if self.stop_when_complete && self.completed == self.conns.len() as u64
                             {
                                 sched.request_stop();
-                                return;
                             }
                         }
                         self.pump(ci, now, sched);
@@ -744,13 +745,13 @@ impl Connections {
 }
 
 /// Index of unit `id` in `units`, appending it (with an empty host range at
-/// `next_host`) on first sight. Units are visited in ascending order, so one
-/// seen before is the last one.
+/// `next_host`) on first sight. A unit's visits are consecutive, so one seen
+/// before is the last one.
 fn local_unit(units: &mut Vec<Unit>, id: u32, next_host: usize) -> u32 {
     if units.last().map(|u| u.id) != Some(id) {
         units.push(Unit {
             id,
-            next_pkt: (id as u64) << 40,
+            next_pkt: event_tag(id, 0),
             hosts: next_host..next_host,
             samples_bottleneck: false,
         });
@@ -765,6 +766,11 @@ impl Model for World {
         let now = sched.now();
         match ev {
             Ev::Net(nev) => {
+                // A flight may have crossed units: what follows is the
+                // receiving unit's, whoever sent it.
+                if let NetEvent::Arrival { unit, .. } = nev {
+                    sched.enter(unit);
+                }
                 // Fabric follow-ups go straight into the scheduler: the
                 // closure borrows only `sched`, disjoint from `self.fabric`,
                 // so the hot path buffers (and allocates) nothing.

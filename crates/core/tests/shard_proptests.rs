@@ -1,7 +1,8 @@
-//! Property-based check of the sharded runner's headline guarantee: for a
-//! random small scenario, the `RunReport` JSON is byte-identical for every
-//! shard count. `shards = 1` is the reference; any divergence at k > 1 means
-//! some grouping-visible state leaked across a unit boundary.
+//! Property-based check of the runner's headline guarantee: for a random
+//! small scenario, the `RunReport` JSON is byte-identical without `shards`
+//! and at every shard count. `shards = 1` is the reference; any divergence
+//! means some grouping-visible state leaked across a unit boundary, or a
+//! driver ordered, cut or counted the run its own way.
 
 use proptest::prelude::*;
 use rss_core::{
@@ -61,7 +62,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Any grouping of units into 2–4 shards reproduces the 1-shard report
-    /// byte-for-byte.
+    /// byte-for-byte, and so — up to the two executor diagnostics — does the
+    /// one-engine run without `shards`.
     #[test]
     fn sharded_reports_are_bit_identical(
         n_flows in 2usize..=8,
@@ -76,8 +78,11 @@ proptest! {
         let base = random_scenario(
             n_flows, &starts_ms, &bounded, loss_millis, cross, shared_host, seed,
         );
-        let reference = run(&base.clone().with_shards(1)).to_json();
-        let parallel = run(&base.with_shards(shards)).to_json();
-        prop_assert_eq!(reference, parallel, "{} shards diverged", shards);
+        let mut reference = run(&base.clone().with_shards(1));
+        let parallel = run(&base.clone().with_shards(shards)).to_json();
+        prop_assert_eq!(reference.to_json(), parallel, "{} shards diverged", shards);
+        let mut plain = run(&base);
+        prop_assert!(plain.engine.take().is_some() && reference.shard.take().is_some());
+        prop_assert_eq!(reference.to_json(), plain.to_json(), "no shards diverged");
     }
 }

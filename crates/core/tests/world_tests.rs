@@ -282,14 +282,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// `runner::report` reads the network-level fields, releases each world down
-/// to its connections, and only then renders the flows. Both digests were
-/// recorded from the commit before that reorder (flows first, on top of the
-/// complete worlds), so a field dropped, reordered or read after its owner
-/// was released shows here, under either unit map.
+/// to its connections, and only then renders the flows. The two-domain
+/// digest was recorded from the commit before that reorder (flows first, on
+/// top of the complete worlds), so a field dropped, reordered or read after
+/// its owner was released shows here; the one-engine digest is pinned from
+/// the commit that made it the same realization (it differs from the other
+/// in the `engine` / `shard` diagnostics only).
 #[test]
 fn report_json_is_pinned_across_the_network_first_reorder() {
     for (shards, want) in [
-        (None, 0x6d6c_2af4_98d7_4747u64),
+        (None, 0x81b3_5da0_676d_52ddu64),
         (Some(2), 0x8e20_a59e_a145_d0d1),
     ] {
         let mut sc = red_cross();

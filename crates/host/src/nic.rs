@@ -11,7 +11,7 @@
 //! [`HostNic`] models the qdisc + device pair: bounded FIFO, one packet being
 //! serialized at a time, busy-time accounting for utilization reports.
 
-use rss_net::{Body, DropTailQueue, EnqueueError, Packet, QueueConfig, QueueStats};
+use rss_net::{Body, DropTailQueue, EnqueueError, Packet, QueueConfig};
 use rss_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -105,11 +105,6 @@ impl<B: Body> HostNic<B> {
     /// Counter snapshot.
     pub fn stats(&self) -> NicStats {
         self.stats
-    }
-
-    /// Raw queue statistics.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.ifq.stats()
     }
 
     /// True while the device is serializing a packet.

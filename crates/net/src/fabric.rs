@@ -12,15 +12,15 @@
 //!
 //! # Units
 //!
-//! A fabric normally simulates its whole topology. [`Fabric::partitioned`]
-//! instead takes a [`UnitMap`] — which *unit* owns each egress direction
-//! `(node, link)` — and simulates only the units the map marks local: ports
-//! exist only for local directions, and a flight whose far end belongs to a
-//! different unit than its near end leaves as an [`Envelope`] in the outbox
-//! ([`Fabric::drain_outbox`]) instead of becoming a local arrival event. The
-//! owner of that unit's fabric re-enters it with [`Fabric::park`]. The empty
-//! map (what [`Fabric::new`] uses) is one unit owning everything, so no
-//! flight ever crosses and the partitioning code is a single untaken branch.
+//! A [`UnitMap`] says which *unit* owns each egress direction `(node, link)`
+//! and which units this fabric simulates: ports exist only for local
+//! directions. Every arrival event names the unit that acts on it (the host,
+//! or the router egress port the packet routes to), so the embedding model
+//! can schedule the follow-ups as that unit's. A flight into a unit another
+//! fabric simulates leaves as an [`Envelope`] in the outbox
+//! ([`Fabric::drain_outbox`]) instead, and the owner of that unit's fabric
+//! re-enters it with [`Fabric::park`]. [`Fabric::new`] is the one-unit map:
+//! everything local, every arrival unit 0's.
 //!
 //! # What a port costs
 //!
@@ -52,12 +52,16 @@ use serde::{Deserialize, Serialize};
 /// scheduling a hop copies ~16 bytes instead of a full [`Packet`].
 #[derive(Debug, Clone, Copy)]
 pub enum NetEvent {
-    /// A packet finished propagating along `link` and reached `node`.
+    /// A packet finished propagating along a link and reached its far end.
     Arrival {
-        /// Node the packet arrived at.
-        node: NodeId,
-        /// Link it arrived on.
-        link: LinkId,
+        /// Who acts on it, as the direction index (`link * 2 + side`) of an
+        /// egress: the host's own end of its access link, or the router
+        /// egress port the packet routes to (`u32::MAX` if none does).
+        /// Settled when the flight was launched, so the route is looked up
+        /// once per hop.
+        at: u32,
+        /// Unit that owns that egress.
+        unit: u32,
         /// Handle to the packet, parked in the fabric's arena.
         pkt: PacketRef,
     },
@@ -129,31 +133,32 @@ struct Port<B> {
     transmitting: Option<Packet<B>>,
     /// Private stream for this port's RED decisions and for random loss on
     /// the link it feeds; `None` draws from the fabric's shared stream.
-    /// Boxed for the same reason as [`PortQueue::Red`]: only hub ports of a
-    /// cut world have one.
+    /// Boxed for the same reason as [`PortQueue::Red`]: only the two
+    /// bottleneck ports of a dumbbell have one.
     rng: Option<Box<SimRng>>,
 }
 
-/// A packet crossing from one unit to another: the arrival it would have
-/// been, with the payload inline (the source fabric's arena is not the
-/// destination's).
+/// [`NetEvent::Arrival::at`] of a packet no egress of the router it reached
+/// routes to.
+const NO_ROUTE: u32 = u32::MAX;
+
+/// A packet crossing into a unit another fabric simulates: the arrival it
+/// would have been, with the payload inline (the source fabric's arena is
+/// not the destination's).
 #[derive(Debug, Clone)]
 pub struct Handoff<B> {
-    /// Node the packet arrives at.
-    pub node: NodeId,
-    /// Link it arrives on.
-    pub link: LinkId,
+    /// The egress that acts on the arrival ([`NetEvent::Arrival::at`]).
+    pub at: u32,
     /// The packet.
     pub pkt: Packet<B>,
 }
 
 /// Which unit owns each egress direction `(node, link)` of a topology — a
 /// host's NIC side of its access link, or a router's egress port — and which
-/// of those units one fabric simulates. The default (empty) map is a single
-/// unit owning everything.
-#[derive(Debug, Clone, Default)]
+/// of those units one fabric simulates.
+#[derive(Debug, Clone)]
 pub struct UnitMap {
-    /// Owning unit per direction (`link * 2 + side`); empty = one unit.
+    /// Owning unit per direction (`link * 2 + side`).
     owner: Vec<u32>,
     /// `local[unit]`: whether this fabric simulates the unit.
     local: Vec<bool>,
@@ -162,12 +167,9 @@ pub struct UnitMap {
 impl UnitMap {
     /// A map over `topo` with `units` units, none of them local and every
     /// direction owned by unit 0 until [`UnitMap::assign`] says otherwise.
-    /// With a single unit the table stays empty — there is nothing to look
-    /// up, and the fabric's flight path skips the ownership check entirely.
     pub fn new(topo: &Topology, units: usize) -> Self {
-        let dirs = if units > 1 { topo.links().len() * 2 } else { 0 };
         UnitMap {
-            owner: vec![0; dirs],
+            owner: vec![0; topo.links().len() * 2],
             local: vec![false; units],
         }
     }
@@ -175,9 +177,7 @@ impl UnitMap {
     /// Give the egress direction of `link` at `node` to `unit`.
     pub fn assign(&mut self, topo: &Topology, node: NodeId, link: LinkId, unit: u32) {
         assert!((unit as usize) < self.local.len(), "unit out of range");
-        if let Some(owner) = self.owner.get_mut(port_index(topo, node, link)) {
-            *owner = unit;
-        }
+        self.owner[port_index(topo, node, link)] = unit;
     }
 
     /// Mark `unit` as simulated by the fabric this map is handed to.
@@ -187,7 +187,7 @@ impl UnitMap {
 
     /// Whether the fabric holding this map simulates direction `dir`.
     fn is_local(&self, dir: usize) -> bool {
-        self.owner.is_empty() || self.local[self.owner[dir] as usize]
+        self.local[self.owner[dir] as usize]
     }
 }
 
@@ -261,10 +261,12 @@ pub struct Fabric<B> {
     /// In-flight packet payloads, referenced by [`NetEvent::Arrival`] events.
     arena: PacketArena<B>,
     units: UnitMap,
-    /// Envelope sequence counter per source unit, so `(time, unit, seq)` is
-    /// a unique key however units are grouped into fabrics.
+    /// Flights each unit has launched into another unit. An envelope takes
+    /// its source unit's count as its sequence number, so `(time, unit,
+    /// seq)` is a unique key however units are grouped into fabrics.
     seq: Vec<u64>,
-    /// Cross-unit flights produced since the last [`Fabric::drain_outbox`].
+    /// Flights into units this fabric does not simulate, produced since the
+    /// last [`Fabric::drain_outbox`].
     outbox: Vec<Envelope<Handoff<B>>>,
     /// Packets dropped at routers because no route existed.
     pub unroutable_drops: u64,
@@ -276,12 +278,14 @@ impl<B: Body> Fabric<B> {
     /// Build a fabric over `topo` with drop-tail queues of `router_queue`
     /// capacity on every router egress port.
     pub fn new(topo: Topology, router_queue: QueueConfig, rng: SimRng) -> Self {
-        Self::partitioned(topo, router_queue, rng, UnitMap::default())
+        let mut one_unit = UnitMap::new(&topo, 1);
+        one_unit.set_local(0);
+        Self::partitioned(topo, router_queue, rng, one_unit)
     }
 
     /// [`Fabric::new`] for the units `units` marks local: only their router
-    /// egress ports are built, and flights between different units go to
-    /// the outbox (see the module docs).
+    /// egress ports are built, and flights into any other unit go to the
+    /// outbox (see the module docs).
     pub fn partitioned(
         topo: Topology,
         router_queue: QueueConfig,
@@ -332,15 +336,22 @@ impl<B: Body> Fabric<B> {
         port.rng = Some(Box::new(rng));
     }
 
-    /// Re-enter a packet another unit's fabric handed off: park it in this
-    /// fabric's arena and return the arrival event to schedule at the
+    /// Re-enter a packet another fabric handed off to `unit`: park it in
+    /// this fabric's arena and return the arrival event to schedule at the
     /// envelope's time.
-    pub fn park(&mut self, h: Handoff<B>) -> NetEvent {
+    pub fn park(&mut self, unit: u32, h: Handoff<B>) -> NetEvent {
         NetEvent::Arrival {
-            node: h.node,
-            link: h.link,
+            at: h.at,
+            unit,
             pkt: self.arena.insert(h.pkt),
         }
+    }
+
+    /// Flights launched from one unit into another so far, whichever way
+    /// they travelled (a function of the unit map, not of which units share
+    /// this fabric).
+    pub fn cross_unit_flights(&self) -> u64 {
+        self.seq.iter().sum()
     }
 
     /// Move the cross-unit flights produced since the last call into `into`,
@@ -388,25 +399,12 @@ impl<B: Body> Fabric<B> {
         try_port_index(&self.topo, from, link).and_then(|idx| self.impairments.get(idx))
     }
 
-    /// The routing table (mutable, for override experiments).
-    pub fn routes_mut(&mut self) -> &mut RoutingTable {
-        &mut self.routes
-    }
-
     /// Statistics for a link (zeroed default if unused).
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
         self.link_stats
             .get(link.0 as usize)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Queue statistics of a router egress port (None for a pair that is not
-    /// a router egress port, including nodes not on the link).
-    pub fn port_stats(&self, node: NodeId, link: LinkId) -> Option<QueueStats> {
-        try_port_index(&self.topo, node, link)
-            .and_then(|idx| self.ports.get(idx))
-            .map(|p| p.queue.stats())
     }
 
     /// Instantaneous queue length of a router egress port.
@@ -485,8 +483,9 @@ impl<B: Body> Fabric<B> {
         self.launch(now, dir, &spec, extra_delay, pkt, sched);
     }
 
-    /// Send `pkt` down `spec`'s link from direction `dir`: a local arrival
-    /// event, or — when the far end belongs to another unit — an envelope.
+    /// Send `pkt` down `spec`'s link from direction `dir`: an arrival event
+    /// for the unit that owns the far end, or — when another fabric
+    /// simulates that unit — an envelope.
     #[inline]
     fn launch(
         &mut self,
@@ -500,65 +499,58 @@ impl<B: Body> Fabric<B> {
         let delay = spec.params.prop_delay + extra_delay;
         // `dir` is `link * 2 + side`, so the far end's own side is `dir ^ 1`.
         let node = if dir & 1 == 0 { spec.b } else { spec.a };
-        if !self.units.owner.is_empty() {
-            // The far end is owned by whoever will act on the arrival: the
-            // host itself, or the router egress port the packet routes to
-            // (an unroutable packet stays put and is counted on arrival).
-            let far_dir = match self.topo.kind(node) {
-                NodeKind::Host => dir ^ 1,
-                NodeKind::Router => match self.routes.next_link(node, pkt.dst) {
-                    Some(out) => port_index(&self.topo, node, out),
-                    None => dir,
-                },
-            };
-            let (src_unit, dst_unit) = (self.units.owner[dir], self.units.owner[far_dir]);
-            if src_unit != dst_unit {
-                let seq = &mut self.seq[src_unit as usize];
-                *seq += 1;
+        // The far end is owned by whoever will act on the arrival: the
+        // host itself, or the router egress port the packet routes to
+        // (an unroutable packet stays with the sender's unit and is counted
+        // on arrival).
+        let at = match self.topo.kind(node) {
+            NodeKind::Host => dir ^ 1,
+            NodeKind::Router => match self.routes.next_link(node, pkt.dst) {
+                Some(out) => port_index(&self.topo, node, out),
+                None => NO_ROUTE as usize,
+            },
+        };
+        let src_unit = self.units.owner[dir];
+        let unit = self.units.owner.get(at).copied().unwrap_or(src_unit);
+        let at = at as u32;
+        if src_unit != unit {
+            let seq = &mut self.seq[src_unit as usize];
+            *seq += 1;
+            if !self.units.local[unit as usize] {
                 self.outbox.push(Envelope {
                     time: now + delay,
                     src_unit,
                     seq: *seq,
-                    dst_unit,
-                    msg: Handoff {
-                        node,
-                        link: spec.id,
-                        pkt,
-                    },
+                    dst_unit: unit,
+                    msg: Handoff { at, pkt },
                 });
                 return;
             }
         }
-        let parked = self.arena.insert(pkt);
-        sched(
-            delay,
-            NetEvent::Arrival {
-                node,
-                link: spec.id,
-                pkt: parked,
-            },
-        );
+        let pkt = self.arena.insert(pkt);
+        sched(delay, NetEvent::Arrival { at, unit, pkt });
     }
 
-    /// If `port` is idle and has queued work, begin serializing the next
-    /// packet.
+    /// If the port at direction `idx` — `node`'s egress onto `spec`'s link —
+    /// is idle and has queued work, begin serializing the next packet.
     fn kick_port(
-        &mut self,
+        ports: &mut DirTable<Port<B>>,
+        idx: usize,
         node: NodeId,
-        link: LinkId,
+        spec: &LinkSpec,
         now: SimTime,
         sched: &mut dyn FnMut(SimDuration, NetEvent),
     ) {
-        let idx = port_index(&self.topo, node, link);
-        let port = self.ports.get_mut(idx).expect("missing port");
+        let port = ports.get_mut(idx).expect("missing port");
         if port.transmitting.is_some() {
             return;
         }
         let Some(pkt) = port.queue.dequeue(now) else {
             return;
         };
-        let ser = self.topo.link(link).params.serialize_time(pkt.wire_size());
+        let ser = spec.params.serialize_time(pkt.wire_size());
         port.transmitting = Some(pkt);
+        let link = spec.id;
         sched(ser, NetEvent::PortTxDone { node, link });
     }
 
@@ -579,21 +571,23 @@ impl<B: Body> Fabric<B> {
         sched: &mut dyn FnMut(SimDuration, NetEvent),
     ) -> Option<(NodeId, Packet<B>)> {
         match ev {
-            NetEvent::Arrival { node, pkt, .. } => {
+            NetEvent::Arrival { at, pkt, .. } => {
                 let pkt = self.arena.take(pkt);
+                let idx = at as usize;
+                let Some(spec) = self.topo.links().get(idx / 2) else {
+                    debug_assert_eq!(at, NO_ROUTE);
+                    self.unroutable_drops += 1;
+                    return None;
+                };
+                let node = if idx & 1 == 0 { spec.a } else { spec.b };
                 if self.topo.kind(node) == NodeKind::Host {
                     return Some((node, pkt));
                 }
                 // Router: forward.
-                let Some(out_link) = self.routes.next_link(node, pkt.dst) else {
-                    self.unroutable_drops += 1;
-                    return None;
-                };
-                let idx = port_index(&self.topo, node, out_link);
                 let port = self.ports.get_mut(idx).expect("router port missing");
                 let rng = port.rng.as_deref_mut().unwrap_or(&mut self.rng);
                 if port.queue.try_enqueue(now, pkt, rng) {
-                    self.kick_port(node, out_link, now, sched);
+                    Self::kick_port(&mut self.ports, idx, node, spec, now, sched);
                 } else {
                     self.queue_drops += 1;
                 }
@@ -607,7 +601,7 @@ impl<B: Body> Fabric<B> {
                     .take()
                     .expect("PortTxDone with no packet in flight");
                 self.start_flight(now, node, link, pkt, sched);
-                self.kick_port(node, link, now, sched);
+                Self::kick_port(&mut self.ports, idx, node, self.topo.link(link), now, sched);
                 None
             }
         }

@@ -4,15 +4,41 @@
 //! state, and handling an event may schedule further events through the
 //! [`Scheduler`] handle. The engine never inspects event payloads; it only
 //! guarantees causal, deterministic ordering.
+//!
+//! # Event order
+//!
+//! Events fire in `(time, scheduling unit, per-unit sequence)` order. A
+//! *unit* is an island of model state whose handlers only ever schedule
+//! events for itself (a model that declares none is one unit, unit 0, and its
+//! ties fire in insertion order). Every event the engine schedules is tagged
+//! [`event_tag`]`(unit, seq)` with the unit that scheduled it and that unit's
+//! own counter; a handler's schedules are stamped with the unit of the event
+//! being dispatched, read back from its tag. The one event that changes
+//! hands — a message from one unit to another — keeps its sender's tag and
+//! names the receiver itself ([`Scheduler::enter`]). The order of a unit's
+//! events is therefore a function of the model alone, whichever other units
+//! share the engine.
 
-use crate::queue::{EventId, EventQueue, QueueCounters};
+use crate::queue::{event_tag, tag_unit, EventId, EventQueue, QueueCounters, MAX_UNITS};
 use crate::time::{SimDuration, SimTime};
 
 /// Scheduling interface handed to the model while it processes an event.
 pub struct Scheduler<'a, E> {
     now: SimTime,
+    /// Unit whose counter stamps this handler's schedules.
+    unit: u32,
     queue: &'a mut EventQueue<E>,
+    unit_seq: &'a mut [u64],
     stop_requested: &'a mut bool,
+}
+
+/// Take `unit`'s next tag.
+#[inline]
+fn stamp(unit_seq: &mut [u64], unit: u32) -> u64 {
+    let seq = &mut unit_seq[unit as usize];
+    let tag = event_tag(unit, *seq);
+    *seq += 1;
+    tag
 }
 
 impl<'a, E> Scheduler<'a, E> {
@@ -20,6 +46,13 @@ impl<'a, E> Scheduler<'a, E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The event being handled was a message to `unit` (it carries its
+    /// sender's tag): stamp this handler's schedules as `unit`'s.
+    #[inline]
+    pub fn enter(&mut self, unit: u32) {
+        self.unit = unit;
     }
 
     /// Schedule an event at an absolute time. Must not be in the past.
@@ -30,18 +63,18 @@ impl<'a, E> Scheduler<'a, E> {
             self.now,
             time
         );
-        self.queue.schedule_at(time, event)
+        self.schedule(time, event)
     }
 
     /// Schedule an event `delay` after the current time.
     pub fn after(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.queue.schedule_at(self.now + delay, event)
+        self.schedule(self.now + delay, event)
     }
 
-    /// Schedule an event at the current instant (fires after already-pending
-    /// same-instant events, preserving insertion order).
-    pub fn immediately(&mut self, event: E) -> EventId {
-        self.queue.schedule_at(self.now, event)
+    #[inline]
+    fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+        let tag = stamp(self.unit_seq, self.unit);
+        self.queue.schedule_tagged(time, tag, event)
     }
 
     /// Cancel a pending event.
@@ -84,6 +117,8 @@ pub struct RunStats {
 pub struct Engine<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
+    /// Next sequence number of each scheduling unit.
+    unit_seq: Vec<u64>,
     now: SimTime,
     events_processed: u64,
     /// Hard cap on dispatched events; guards against runaway schedules in
@@ -99,11 +134,20 @@ pub struct Engine<M: Model> {
 }
 
 impl<M: Model> Engine<M> {
-    /// Create an engine at t = 0 around `model`.
+    /// Create an engine at t = 0 around `model`, a single scheduling unit.
     pub fn new(model: M) -> Self {
+        Engine::with_units(model, 1)
+    }
+
+    /// [`Engine::new`] for a model of `units` scheduling units (module
+    /// docs); unit ids are `0..units`, whether or not this engine will ever
+    /// dispatch an event of each.
+    pub fn with_units(model: M, units: usize) -> Self {
+        assert!(units <= MAX_UNITS, "{units} units do not fit an event tag");
         Engine {
             model,
             queue: EventQueue::new(),
+            unit_seq: vec![0; units.max(1)],
             now: SimTime::ZERO,
             events_processed: 0,
             event_limit: u64::MAX,
@@ -122,7 +166,7 @@ impl<M: Model> Engine<M> {
     }
 
     /// Mutable access to the model (for pre-run configuration and post-run
-    /// inspection; mutating mid-run between `step` calls is allowed and is how
+    /// inspection; mutating mid-run between runs is allowed and is how
     /// external drivers inject work).
     pub fn model_mut(&mut self) -> &mut M {
         &mut self.model
@@ -133,15 +177,23 @@ impl<M: Model> Engine<M> {
         self.model
     }
 
-    /// Schedule an initial event before (or between) runs.
+    /// Schedule an initial event before (or between) runs, as unit 0's.
     pub fn schedule_at(&mut self, time: SimTime, event: M::Event) -> EventId {
-        assert!(time >= self.now, "cannot schedule into the past");
-        self.queue.schedule_at(time, event)
+        self.schedule_for(0, time, event)
     }
 
-    /// Number of live pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
+    /// [`Engine::schedule_at`] as `unit`'s event.
+    pub fn schedule_for(&mut self, unit: u32, time: SimTime, event: M::Event) -> EventId {
+        let tag = stamp(&mut self.unit_seq, unit);
+        self.schedule_tagged(time, tag, event)
+    }
+
+    /// Schedule a message that arrived from a unit this engine does not
+    /// run, under the tag its sender gave it; the handler names the
+    /// receiving unit ([`Scheduler::enter`]).
+    pub fn schedule_tagged(&mut self, time: SimTime, tag: u64, event: M::Event) -> EventId {
+        assert!(time >= self.now, "cannot schedule into the past");
+        self.queue.schedule_tagged(time, tag, event)
     }
 
     /// Time of the earliest pending event, if any. Read-only: the queue is
@@ -161,26 +213,20 @@ impl<M: Model> Engine<M> {
     /// Dispatch one already-popped event. Returns false if the model
     /// requested a stop.
     #[inline]
-    fn dispatch(&mut self, time: SimTime, event: M::Event) -> bool {
+    fn dispatch(&mut self, time: SimTime, tag: u64, event: M::Event) -> bool {
         debug_assert!(time >= self.now, "event queue violated causality");
         self.now = time;
         self.events_processed += 1;
         let mut stop = false;
         let mut sched = Scheduler {
             now: self.now,
+            unit: tag_unit(tag),
             queue: &mut self.queue,
+            unit_seq: &mut self.unit_seq,
             stop_requested: &mut stop,
         };
         self.model.handle(event, &mut sched);
         !stop
-    }
-
-    /// Dispatch the single earliest event. Returns false if the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
-            return false;
-        };
-        self.dispatch(time, event)
     }
 
     /// Run until the queue drains, the model requests a stop, or the horizon
@@ -207,7 +253,7 @@ impl<M: Model> Engine<M> {
             // The bounded pop fuses the peek-then-pop pair into one bucket
             // scan — the hot loop touches the cursor bucket exactly once per
             // event.
-            let Some((time, event)) = self.queue.pop_at_or_before(horizon) else {
+            let Some((time, tag, event)) = self.queue.pop_at_or_before(horizon) else {
                 drained = self.queue.is_empty();
                 break;
             };
@@ -217,7 +263,7 @@ impl<M: Model> Engine<M> {
                     self.event_limit, self.now
                 );
             }
-            if !self.dispatch(time, event) {
+            if !self.dispatch(time, tag, event) {
                 stopped_by_model = true;
                 break;
             }
@@ -253,14 +299,14 @@ impl<M: Model> Engine<M> {
     /// assert in [`Engine::schedule_at`].
     pub fn run_window(&mut self, end: SimTime) -> u64 {
         let start_events = self.events_processed;
-        while let Some((time, event)) = self.queue.pop_before(end) {
+        while let Some((time, tag, event)) = self.queue.pop_before(end) {
             if self.events_processed - start_events >= self.event_limit {
                 panic!(
                     "event limit {} exceeded at t={:?}; runaway schedule?",
                     self.event_limit, self.now
                 );
             }
-            if !self.dispatch(time, event) {
+            if !self.dispatch(time, tag, event) {
                 break;
             }
         }
@@ -344,6 +390,71 @@ mod tests {
         eng.schedule_at(SimTime::from_millis(30), ());
         assert_eq!(eng.run_window(SimTime::from_millis(60)), 6);
         assert_eq!(eng.now(), SimTime::from_millis(50));
+    }
+
+    /// Three units. An event is `(unit it belongs to, label)`; handling
+    /// label 0 makes the unit schedule two follow-ups for the same instant
+    /// and send one message to the next unit, due at that instant too.
+    struct Units {
+        fired: Vec<(u32, u32)>,
+    }
+
+    impl Model for Units {
+        type Event = (u32, u32);
+        fn handle(&mut self, (unit, label): (u32, u32), sched: &mut Scheduler<'_, (u32, u32)>) {
+            // A message carries its sender's tag; the receiver says whose
+            // the follow-ups are.
+            sched.enter(unit);
+            self.fired.push((unit, label));
+            if label == 0 {
+                let at = SimTime::from_millis(1);
+                sched.at(at, (unit, 1));
+                sched.at(at, ((unit + 1) % 3, 9));
+                sched.at(at, (unit, 2));
+            } else if label == 9 {
+                sched.after(SimDuration::ZERO, (unit, 10));
+            }
+        }
+    }
+
+    #[test]
+    fn ties_fire_by_unit_then_by_that_units_sequence() {
+        // Seeded in the order 2, 0, 1 — which must not matter.
+        let run = |seed_order: [u32; 3]| {
+            let mut eng = Engine::with_units(Units { fired: vec![] }, 3);
+            for unit in seed_order {
+                eng.schedule_for(unit, SimTime::ZERO, (unit, 0));
+            }
+            eng.run_to_completion();
+            eng.into_model().fired
+        };
+        let fired = run([2, 0, 1]);
+        assert_eq!(fired, run([0, 1, 2]));
+        assert_eq!(fired[..3], [(0, 0), (1, 0), (2, 0)]);
+        // At 1 ms, by sender tag: unit 0's three schedules in the order it
+        // made them (the middle one is unit 1's message), then unit 1's,
+        // then unit 2's. A message's own follow-up is stamped as the
+        // receiver's: unit 1's (1, 10) sorts behind everything unit 0 sent
+        // but ahead of unit 2's schedules, and unit 0's (0, 10) — made last
+        // of all — still fires before the events of units 1 and 2 that are
+        // pending beside it.
+        assert_eq!(
+            fired[3..],
+            [
+                (0, 1),
+                (1, 9),
+                (0, 2),
+                (1, 1),
+                (2, 9),
+                (1, 2),
+                (1, 10),
+                (2, 1),
+                (0, 9),
+                (0, 10),
+                (2, 2),
+                (2, 10),
+            ]
+        );
     }
 
     struct Stopper {

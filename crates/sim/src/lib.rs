@@ -47,7 +47,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, RunStats, Scheduler};
-pub use queue::{EventId, EventQueue, QueueCounters};
+pub use queue::{event_tag, EventId, EventQueue, QueueCounters};
 pub use rng::{SimRng, SplitMix64};
 pub use series::{EventCounter, TimeSeries};
 pub use shard::{partition_units, run_sharded, Domain, Envelope, ShardError, ShardStats};

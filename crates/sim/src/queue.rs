@@ -1,9 +1,15 @@
 //! The pending-event queue at the heart of the discrete-event engine.
 //!
-//! Events are ordered by `(time, sequence)`. The sequence number is a strictly
-//! increasing insertion counter, so events scheduled for the same instant fire
-//! in insertion order. That tie-break rule is what makes whole-simulation runs
-//! bit-exact reproducible, which the experiment harness depends on.
+//! Events are ordered by `(time, tag)`, and the order they were inserted in
+//! plays no part. A tag is a `u64` the scheduler supplies, unique per event;
+//! the engine packs it as [`event_tag`]`(unit, seq)` — the scheduling unit
+//! that made the event and that unit's own sequence number — so events of one
+//! instant fire unit by unit and, within a unit, in the order that unit
+//! scheduled them. Both halves are functions of the simulated scenario, not of
+//! which units share a queue, and that is what makes a run bit-exact
+//! reproducible on one engine or on several (see [`crate::shard`]).
+//! [`EventQueue::schedule_at`] tags from the queue's own insertion counter:
+//! the one-unit case, where ties fire in insertion order.
 //!
 //! # Implementation: list heads, a slot slab, one sorted cursor bucket
 //!
@@ -11,7 +17,7 @@
 //! structure in the simulator. It is three things:
 //!
 //! * **The slab.** Every pending event lives in one reusable `Slot` — its
-//!   time, sequence number, payload and a `Loc` saying where the event is
+//!   time, tag, payload and a `Loc` saying where the event is
 //!   filed. Freed slots form a list through `Loc::Free`.
 //! * **The wheel: `WHEEL_BUCKETS` list heads.** A single-revolution calendar
 //!   of `GRANULE_NANOS` granules covering a sliding window of roughly 134 ms.
@@ -24,13 +30,13 @@
 //!   into the wheel as the window slides.
 //! * **The cursor bucket.** When the pop cursor reaches a granule its list is
 //!   walked once into `cursor_bucket`, one reusable `Vec` of
-//!   `(time, seq, slot)` entries, and sorted (if it holds more than one).
+//!   `(time, tag, slot)` entries, and sorted (if it holds more than one).
 //!   Only the granule being consumed pays for order, and that `Vec` is the
 //!   only bucket storage there is: what the queue holds is O(pending events),
 //!   not a sum of per-bucket high-water marks.
 //!
 //! Pop order does not depend on the representation: a granule's members are
-//! sorted by the total order `(time, seq)` on arrival, so the order they were
+//! sorted by the total order `(time, tag)` on arrival, so the order they were
 //! linked in (latest first) is immaterial, and everything after the sort runs
 //! on a sorted `Vec` of self-contained entries. Nor do the counters on a run
 //! that cancels nothing: an event is placed, migrated and popped at the same
@@ -43,18 +49,18 @@
 //!
 //! # Cancellation and dead slots
 //!
-//! Cancellation is O(1) to *validate* (a slot-index probe plus a sequence
+//! Cancellation is O(1) to *validate* (a slot-index probe plus a tag
 //! check — no hashing) and O(1) to *perform*; [`EventQueue::len`] is always
 //! exact, because the live count is decremented at cancel time. What is left
 //! behind depends on where the event was filed:
 //!
 //! * In the cursor granule or the far heap the slot is freed at once and the
-//!   `(time, seq, slot)` entry stays behind as a tombstone; it fails the
-//!   generation check (`seq` mismatch, or a `Loc` that is not the entry's)
+//!   `(time, tag, slot)` entry stays behind as a tombstone; it fails the
+//!   generation check (`tag` mismatch, or a `Loc` that is not the entry's)
 //!   when the pop cursor or the heap top reaches it, and is swept there.
 //! * Linked in a future bucket, the slot cannot leave its list (the list is
 //!   singly linked), so the payload is dropped and the slot marked
-//!   `Loc::Dead`: dead but linked. It keeps its sequence number — a second
+//!   `Loc::Dead`: dead but linked. It keeps its tag — a second
 //!   cancel of the same id finds `Dead` and reports `false` — is skipped by
 //!   [`EventQueue::peek_time`], and is not handed out again until the cursor
 //!   collects its bucket, which frees it and counts it in
@@ -75,7 +81,7 @@
 //! window boundary's arrivals, a synchronized retransmission-timer wave —
 //! costs O(log n) per event instead of a `memmove` of the bucket per event.
 //!
-//! Pop order is still ascending `(time, seq)`: both halves hold entries under
+//! Pop order is still ascending `(time, tag)`: both halves hold entries under
 //! that one total order and every pop, sweep and peek takes the smaller of
 //! the bucket's head and the heap's top, so the sequence consumed is the
 //! sorted merge of the two — what one sorted bucket holding all of them
@@ -110,13 +116,34 @@ const NIL: u32 = u32::MAX;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
-/// Carries the event's globally unique sequence number plus its slab slot, so
-/// cancellation validates in O(1) (slot probe + sequence comparison) instead
-/// of hashing into a tombstone set.
+/// Carries the event's tag (unique among the events a queue ever holds) plus
+/// its slab slot, so cancellation validates in O(1) (slot probe + tag
+/// comparison) instead of hashing into a tombstone set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId {
-    seq: u64,
+    tag: u64,
     slot: u32,
+}
+
+/// Bits of an event tag below the scheduling unit (see [`event_tag`]).
+const TAG_SEQ_BITS: u32 = 40;
+/// Scheduling units a tag can name.
+pub(crate) const MAX_UNITS: usize = 1 << (64 - TAG_SEQ_BITS);
+
+/// The tie-break half of an event's sort key `(time, tag)`: scheduling unit
+/// above, that unit's sequence number below, so same-instant events fire
+/// unit by unit and, within a unit, in the order the unit scheduled them.
+/// Packet ids of a unit number from the same base, `event_tag(unit, 0)`.
+#[inline]
+pub const fn event_tag(unit: u32, seq: u64) -> u64 {
+    debug_assert!((unit as usize) < MAX_UNITS && seq < 1 << TAG_SEQ_BITS);
+    (unit as u64) << TAG_SEQ_BITS | seq
+}
+
+/// The scheduling unit an [`event_tag`] names.
+#[inline]
+pub(crate) const fn tag_unit(tag: u64) -> u32 {
+    (tag >> TAG_SEQ_BITS) as u32
 }
 
 /// Where a slot currently resides.
@@ -137,9 +164,9 @@ enum Loc {
 }
 
 struct Slot<E> {
-    /// Sequence number of the occupying event; stale for free slots. Acts as
-    /// the generation check: an [`EventId`] is live iff its `seq` matches.
-    seq: u64,
+    /// Tag of the occupying event; stale for free slots. Acts as
+    /// the generation check: an [`EventId`] is live iff its `tag` matches.
+    tag: u64,
     time: SimTime,
     loc: Loc,
     event: Option<E>,
@@ -152,22 +179,22 @@ struct Slot<E> {
 #[derive(Debug, Clone, Copy)]
 struct WheelEntry {
     time_ns: u64,
-    seq: u64,
+    tag: u64,
     slot: u32,
 }
 
 impl WheelEntry {
     #[inline]
     fn key(&self) -> (u64, u64) {
-        (self.time_ns, self.seq)
+        (self.time_ns, self.tag)
     }
 }
 
-// Reversed, so std's max-heap pops the earliest `(time, seq)` first (the
+// Reversed, so std's max-heap pops the earliest `(time, tag)` first (the
 // cursor heap and the far heap). The cursor bucket sorts by `key()`.
 impl PartialEq for WheelEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.tag == other.tag
     }
 }
 impl Eq for WheelEntry {}
@@ -222,25 +249,13 @@ impl QueueCounters {
             self.tombstones_swept as f64 / self.pops as f64
         }
     }
-
-    /// Accumulate another queue's counters (used when a sharded run merges
-    /// its per-domain engines).
-    pub fn merge(&mut self, other: &QueueCounters) {
-        self.scheduled += other.scheduled;
-        self.pops += other.pops;
-        self.placed_wheel += other.placed_wheel;
-        self.placed_far += other.placed_far;
-        self.far_migrations += other.far_migrations;
-        self.cancelled += other.cancelled;
-        self.tombstones_swept += other.tombstones_swept;
-    }
 }
 
 /// A time-ordered queue of future events.
 ///
 /// Near-future events (within ~134 ms of the wheel cursor) sit in calendar
 /// buckets; far-future events overflow to a heap and migrate into the wheel
-/// as the cursor advances. Pop order is exactly ascending `(time, seq)`.
+/// as the cursor advances. Pop order is exactly ascending `(time, tag)`.
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free_head: u32,
@@ -249,7 +264,7 @@ pub struct EventQueue<E> {
     /// through `Loc::Bucket` / `Loc::Dead`. The cursor's own head is always
     /// [`NIL`]: its members are in `cursor_bucket`.
     buckets: Vec<u32>,
-    /// The granule under the cursor, sorted ascending by `(time, seq)`.
+    /// The granule under the cursor, sorted ascending by `(time, tag)`.
     /// With `cursor_heap` it additionally absorbs any event at or before
     /// the current granule, so the first live entry of the two is the global
     /// minimum. Entries may be tombstones (cancelled events); liveness is a
@@ -308,7 +323,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    fn alloc_slot(&mut self, seq: u64, time: SimTime, event: E) -> u32 {
+    fn alloc_slot(&mut self, tag: u64, time: SimTime, event: E) -> u32 {
         if self.free_head != NIL {
             let slot = self.free_head;
             let s = &mut self.slots[slot as usize];
@@ -316,14 +331,14 @@ impl<E> EventQueue<E> {
                 unreachable!("free list head not free");
             };
             self.free_head = next;
-            s.seq = seq;
+            s.tag = tag;
             s.time = time;
             s.event = Some(event);
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("slot index overflow");
             self.slots.push(Slot {
-                seq,
+                tag,
                 time,
                 loc: Loc::Free(NIL),
                 event: Some(event),
@@ -340,14 +355,14 @@ impl<E> EventQueue<E> {
         event
     }
 
-    /// True if a cursor-granule entry still refers to a live event. Sequence
-    /// numbers are never reused, so a matching `seq` identifies the exact
+    /// True if a cursor-granule entry still refers to a live event. Tags
+    /// are never reused, so a matching `tag` identifies the exact
     /// event; the location check rejects a cancelled-but-not-yet-reused slot
-    /// (freeing keeps the stale `seq` behind).
+    /// (freeing keeps the stale `tag` behind).
     #[inline]
     fn entry_live(&self, e: &WheelEntry) -> bool {
         let s = &self.slots[e.slot as usize];
-        s.seq == e.seq && s.loc == Loc::Cursor
+        s.tag == e.tag && s.loc == Loc::Cursor
     }
 
     /// File `slot` under bucket `idx`. A future bucket is a list: the slot
@@ -367,7 +382,7 @@ impl<E> EventQueue<E> {
         s.loc = Loc::Cursor;
         let entry = WheelEntry {
             time_ns: s.time.as_nanos(),
-            seq: s.seq,
+            tag: s.tag,
             slot,
         };
         // The consumed prefix stays put; an overdue event must still land
@@ -404,8 +419,8 @@ impl<E> EventQueue<E> {
 
     /// [`Self::collect_cursor_bucket`] for a non-empty list: live members
     /// become cursor-bucket entries, dead ones are freed (and counted as
-    /// swept), and the bucket is put in order. `seq` is unique, so
-    /// `(time, seq)` is a total order and the unstable sort is deterministic.
+    /// swept), and the bucket is put in order. `tag` is unique, so
+    /// `(time, tag)` is a total order and the unstable sort is deterministic.
     #[inline(never)]
     fn collect_list(&mut self, head: u32) {
         let mut slot = head;
@@ -416,7 +431,7 @@ impl<E> EventQueue<E> {
                     s.loc = Loc::Cursor;
                     self.cursor_bucket.push(WheelEntry {
                         time_ns: s.time.as_nanos(),
-                        seq: s.seq,
+                        tag: s.tag,
                         slot,
                     });
                     next
@@ -460,7 +475,7 @@ impl<E> EventQueue<E> {
             s.loc = Loc::Far;
             self.far.push(WheelEntry {
                 time_ns: t,
-                seq: s.seq,
+                tag: s.tag,
                 slot,
             });
             self.counters.placed_far += 1;
@@ -472,7 +487,7 @@ impl<E> EventQueue<E> {
     fn clean_far_top(&mut self) {
         while let Some(top) = self.far.peek() {
             let s = &self.slots[top.slot as usize];
-            if s.seq == top.seq && s.loc == Loc::Far {
+            if s.tag == top.tag && s.loc == Loc::Far {
                 break;
             }
             self.far.pop();
@@ -483,7 +498,7 @@ impl<E> EventQueue<E> {
     /// True if the far-heap entry still refers to a live event.
     fn far_entry_live(&self, f: &WheelEntry) -> bool {
         let s = &self.slots[f.slot as usize];
-        s.seq == f.seq && s.loc == Loc::Far
+        s.tag == f.tag && s.loc == Loc::Far
     }
 
     /// Pull far-heap events that now fall inside the wheel window into their
@@ -542,15 +557,25 @@ impl<E> EventQueue<E> {
         self.migrate_far();
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
+    /// Schedule `event` to fire at absolute time `at`, tagged from the
+    /// queue's own counter: ties fire in insertion order (one unit, unit 0).
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
-        let seq = self.next_seq;
+        let tag = self.next_seq;
         self.next_seq += 1;
+        self.schedule_tagged(at, tag, event)
+    }
+
+    /// Schedule `event` at `at` under a tag of the caller's (see
+    /// [`event_tag`]): it fires in `(time, tag)` order whatever order events
+    /// were inserted in. A queue must never see a tag twice — a tag is also
+    /// the generation an [`EventId`] is validated by.
+    #[inline]
+    pub fn schedule_tagged(&mut self, at: SimTime, tag: u64, event: E) -> EventId {
         self.counters.scheduled += 1;
         self.live += 1;
-        let slot = self.alloc_slot(seq, at, event);
+        let slot = self.alloc_slot(tag, at, event);
         self.place(slot);
-        EventId { seq, slot }
+        EventId { tag, slot }
     }
 
     /// Schedule `event` to fire `after` past the given current time.
@@ -559,14 +584,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancel a previously scheduled event. Returns true if the id was still
-    /// pending (not yet fired and not already cancelled). Ids this queue
-    /// never issued — including forged or foreign ids — are rejected.
+    /// pending (not yet fired and not already cancelled). An id whose slot
+    /// does not hold an event of its tag — fired, cancelled, or another
+    /// queue's — is rejected.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.seq >= self.next_seq || (id.slot as usize) >= self.slots.len() {
+        let Some(s) = self.slots.get_mut(id.slot as usize) else {
             return false;
-        }
-        let s = &mut self.slots[id.slot as usize];
-        if s.seq != id.seq {
+        };
+        if s.tag != id.tag {
             return false; // already fired/cancelled; the slot moved on
         }
         match s.loc {
@@ -600,12 +625,12 @@ impl<E> EventQueue<E> {
 
     /// Retire the live entry `entry` the pop cursor just passed.
     #[inline]
-    fn take(&mut self, entry: WheelEntry) -> (SimTime, E) {
+    fn take(&mut self, entry: WheelEntry) -> (SimTime, u64, E) {
         self.in_wheel -= 1;
         self.live -= 1;
         self.counters.pops += 1;
         let event = self.free_slot(entry.slot);
-        (SimTime::from_nanos(entry.time_ns), event)
+        (SimTime::from_nanos(entry.time_ns), entry.tag, event)
     }
 
     /// [`Self::pop_bounded`] while the cursor heap holds entries: consume the
@@ -618,7 +643,7 @@ impl<E> EventQueue<E> {
     /// loop must not carry this code.
     #[cold]
     #[inline(never)]
-    fn pop_merged(&mut self, limit_ns: Option<u64>) -> Option<Option<(SimTime, E)>> {
+    fn pop_merged(&mut self, limit_ns: Option<u64>) -> Option<Option<(SimTime, u64, E)>> {
         while let Some(&top) = self.cursor_heap.peek() {
             let head = self.cursor_bucket.get(self.cursor_head).copied();
             let entry = match head {
@@ -629,7 +654,7 @@ impl<E> EventQueue<E> {
             if live && limit_ns.is_some_and(|l| entry.time_ns > l) {
                 return Some(None);
             }
-            if entry.seq == top.seq {
+            if entry.tag == top.tag {
                 self.cursor_heap.pop();
             } else {
                 self.cursor_head += 1;
@@ -653,7 +678,7 @@ impl<E> EventQueue<E> {
     /// into the dispatch loop — measured at +15 % wall time per run on the
     /// paper testbed.
     #[inline(always)]
-    fn pop_bounded(&mut self, limit_ns: Option<u64>) -> Option<(SimTime, E)> {
+    fn pop_bounded(&mut self, limit_ns: Option<u64>) -> Option<(SimTime, u64, E)> {
         if self.live == 0 {
             return None;
         }
@@ -704,24 +729,26 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_bounded(None)
+        self.pop_bounded(None).map(|(time, _, event)| (time, event))
     }
 
-    /// Remove and return the earliest live event, but only if its timestamp
-    /// is `<= limit`; otherwise leave the queue untouched and return `None`.
-    /// One bucket scan where a `peek_time` + `pop` pair would take two.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+    /// Remove and return the earliest live event as `(time, tag, event)`, but
+    /// only if its timestamp is `<= limit`; otherwise leave the queue
+    /// untouched and return `None`. One bucket scan where a `peek_time` +
+    /// `pop` pair would take two.
+    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
         self.pop_bounded(Some(limit.as_nanos()))
     }
 
-    /// Remove and return the earliest live event strictly before `end`.
+    /// Remove and return the earliest live event strictly before `end`, as
+    /// `(time, tag, event)`.
     ///
     /// `#[inline]`: this is the windowed driver's pop. Left to the codegen
     /// units it has come out as a call from `Engine::run_window` — the
     /// out-of-line copy `pop_bounded` warns about, 15–20 % of wall
     /// time on the windowed paper testbed.
     #[inline]
-    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
         let limit = end.as_nanos().checked_sub(1)?;
         self.pop_bounded(Some(limit))
     }
@@ -1003,13 +1030,13 @@ mod tests {
         assert_eq!(q.len(), 2, "a bounded miss must not consume anything");
         assert_eq!(
             q.pop_at_or_before(SimTime::from_millis(10)),
-            Some((SimTime::from_millis(10), "a")),
+            Some((SimTime::from_millis(10), 0, "a")),
             "the bound is inclusive"
         );
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(19)), None);
         assert_eq!(
             q.pop_at_or_before(SimTime::from_millis(25)),
-            Some((SimTime::from_millis(20), "b"))
+            Some((SimTime::from_millis(20), 1, "b"))
         );
         assert_eq!(q.pop_at_or_before(SimTime::from_secs(1)), None);
     }
@@ -1022,7 +1049,7 @@ mod tests {
         assert_eq!(q.pop_before(SimTime::ZERO), None, "end = 0 pops nothing");
         assert_eq!(
             q.pop_before(SimTime::from_nanos(SimTime::from_millis(10).as_nanos() + 1)),
-            Some((SimTime::from_millis(10), "a"))
+            Some((SimTime::from_millis(10), 0, "a"))
         );
     }
 
@@ -1139,7 +1166,7 @@ mod tests {
                     7 => {
                         let peeked = q.peek_time();
                         let end = SimTime::from_nanos(now + raw * 10_000);
-                        if let Some((t, _)) = q.pop_before(end) {
+                        if let Some((t, _, _)) = q.pop_before(end) {
                             proptest::prop_assert_eq!(Some(t), peeked);
                             now = now.max(t.as_nanos());
                         } else {
@@ -1183,7 +1210,7 @@ mod tests {
         payload: usize,
     ) -> EventId {
         let id = q.schedule_at(SimTime::from_nanos(t), payload);
-        reference.insert((t, id.seq), payload);
+        reference.insert((t, id.tag), payload);
         id
     }
 
@@ -1204,16 +1231,29 @@ mod tests {
     fn a_burst_into_one_granule_pops_in_reference_order_and_shifts_nothing() {
         // 20 000 events inside the granule under the cursor, in random
         // order, pops in between (so later inserts are also overdue ones).
-        // As sorted inserts into one Vec this shifts ~10^8 entries.
+        // As sorted inserts into one Vec this shifts ~10^8 entries. The
+        // tags are those of seven units' sequences, dealt out in shuffled
+        // order: what pops first is a matter of the key alone, never of
+        // which event was inserted first.
         let mut q = EventQueue::new();
         let mut reference = std::collections::BTreeMap::new();
         let mut rng = crate::SimRng::seed_from_u64(7);
+        let mut tags: Vec<u64> = (0..20_000u64)
+            .map(|i| event_tag((i % 7) as u32, i / 7))
+            .collect();
+        for i in (1..tags.len()).rev() {
+            tags.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let mut in_key_order = 0;
         for (i, t) in burst_times(20_000, 1).into_iter().enumerate() {
-            schedule_both(&mut q, &mut reference, t, i);
+            q.schedule_tagged(SimTime::from_nanos(t), tags[i], i);
+            reference.insert((t, tags[i]), i);
+            in_key_order += usize::from(i > 0 && tags[i - 1] < tags[i]);
             if rng.next_below(4) == 0 {
                 pop_both(&mut q, &mut reference);
             }
         }
+        assert!((5_000..15_000).contains(&in_key_order), "not shuffled");
         assert!(!q.cursor_heap.is_empty(), "the burst never left the bucket");
         while !reference.is_empty() {
             pop_both(&mut q, &mut reference);
@@ -1226,6 +1266,8 @@ mod tests {
         );
         let c = q.counters();
         assert_eq!((c.pops, c.tombstones_swept), (20_000, 0));
+        // The key is two words and the entry three, as before units.
+        assert_eq!(std::mem::size_of::<WheelEntry>(), 24);
     }
 
     #[test]
@@ -1242,7 +1284,7 @@ mod tests {
         for &(t, id) in ids.iter().step_by(3) {
             assert!(q.cancel(id));
             assert!(!q.cancel(id));
-            reference.remove(&(t, id.seq));
+            reference.remove(&(t, id.tag));
             assert_eq!(q.len(), reference.len());
         }
         // Half way down, then a second burst on top of the tombstones.
@@ -1309,13 +1351,13 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
         assert_eq!(
             q.pop_at_or_before(SimTime::from_micros(5)),
-            Some((SimTime::from_micros(5), 99))
+            Some((SimTime::from_micros(5), 10, 99))
         );
         // The heap is empty again: the bound now meets the bucket's head.
         assert_eq!(q.pop_before(SimTime::from_micros(10)), None);
         assert_eq!(
             q.pop_before(SimTime::from_micros(11)),
-            Some((SimTime::from_micros(10), 0))
+            Some((SimTime::from_micros(10), 0, 0))
         );
 
         // A miss sweeps the tombstones in front of the first live entry
@@ -1345,7 +1387,7 @@ mod tests {
         for i in 0..50u64 {
             assert_eq!(
                 q.pop_before(SimTime::from_nanos(base)),
-                Some((SimTime::from_nanos(base - 1_000 + i), i as usize))
+                Some((SimTime::from_nanos(base - 1_000 + i), 69 - i, i as usize))
             );
         }
         assert_eq!(q.pop_before(SimTime::from_nanos(base)), None);
@@ -1367,7 +1409,7 @@ mod tests {
         let dead = schedule_both(&mut q, &mut reference, at, 1);
         schedule_both(&mut q, &mut reference, at + 1, 2);
         assert!(q.cancel(dead));
-        reference.remove(&(at, dead.seq));
+        reference.remove(&(at, dead.tag));
         assert!(!q.cancel(dead), "double-cancel must report false");
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(at - 1)));
@@ -1493,7 +1535,7 @@ mod tests {
                 loop {
                     let pick = rng.next_below(pending.len() as u64) as usize;
                     let (t, id) = pending.swap_remove(pick);
-                    let was_pending = reference.remove(&(t, id.seq)).is_some();
+                    let was_pending = reference.remove(&(t, id.tag)).is_some();
                     assert_eq!(q.cancel(id), was_pending);
                     assert!(!q.cancel(id));
                     assert_eq!(q.len(), reference.len());

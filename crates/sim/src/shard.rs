@@ -49,11 +49,13 @@
 //! Grouping units into domains must not change any observable state. The
 //! argument:
 //!
-//! 1. **Units share no mutable state.** All interaction is via messages, and
-//!    *every* cross-unit message goes through the ring — even when both units
-//!    happen to share a domain. The union of per-unit state is therefore a
-//!    product of independent machines driven by (local events ∪ injected
-//!    arrivals).
+//! 1. **Units share no mutable state.** All interaction is via messages
+//!    with a latency of at least `L`. A message to a unit of another domain
+//!    goes through the ring; one to a unit of the sender's own domain may
+//!    take the ring too, or be scheduled straight into the engine the two
+//!    share. Either way it carries its sender's `(unit, seq)`. The union of
+//!    per-unit state is therefore a product of independent machines driven
+//!    by (local events ∪ arrivals).
 //! 2. **Injection order is canonical.** Each domain sorts the arrivals it
 //!    drains by `(arrival_time, source_unit, per-source sequence)` before
 //!    injecting. The key is unique — a source unit's sequence counter never
@@ -61,15 +63,24 @@
 //!    not of ring layout or thread interleaving, and the sort may be an
 //!    unstable one: no two keys are equal, so there is no tie for stability
 //!    to settle, and sorting in place needs no scratch buffer per window.
-//! 3. **Within a window, event order per unit is reproducible.** The engine
-//!    orders events by `(time, insertion-seq)`. Injections happen first (at
-//!    the window boundary, in canonical order), and subsequent insertions are
-//!    made by handlers in engine order. Two same-timestamp events belonging
-//!    to *different* units may interleave differently under a different
-//!    grouping, but by (1) they touch disjoint state, and every
-//!    grouping-visible side effect (message sequence numbers, RNG draws,
-//!    packet ids, counters) is kept per-unit — so per-unit event streams,
-//!    and hence all results, are identical for any grouping.
+//!    (The engine would put them in the same order by itself — see 3 — so
+//!    the sort is a courtesy to its calendar wheel, not a correctness step.)
+//! 3. **A unit's event order does not depend on who shares its engine.**
+//!    The engine fires events in `(time, unit, per-unit seq)` order
+//!    ([`crate::engine`]): an event a unit schedules for itself is keyed by
+//!    that unit and its own counter, an arrival by the sending unit and the
+//!    sender's counter, whether it was injected from the ring at a window
+//!    boundary or scheduled directly when it was sent. Insertion order — the
+//!    one thing a grouping does change — is not part of the key. An arrival
+//!    is in the queue before its time comes either way (it was sent at least
+//!    `L` earlier, i.e. in an earlier window), so whenever a unit's next
+//!    event is popped, the candidates and their keys are the same under any
+//!    grouping. Two same-timestamp events belonging to *different* units
+//!    may be dispatched in a different relative order by different engines,
+//!    but by (1) they touch disjoint state, and every grouping-visible side
+//!    effect (sequence numbers, RNG draws, packet ids, counters) is kept
+//!    per unit — so per-unit event streams, and hence all results, are
+//!    identical for any grouping.
 //! 4. **Skipping a window changes nothing.** When the executor jumps from
 //!    boundary `w` to `w' = ⌊m / L⌋·L`, every message published so far has
 //!    been injected (the rings were drained at `w`), and `m` is the earliest
@@ -77,19 +88,19 @@
 //!    `[w, w')` hold no event, hence fire no handler, schedule nothing and
 //!    send nothing: running them would leave every model, ring and reported
 //!    counter as it found them (only a calendar wheel's cursor would move,
-//!    which no pop order depends on). `w'` is on the grid, so the windows that do run are
-//!    the same `[kL, (k+1)L)` the fixed-grid walk would have run, and
-//!    arrivals enter each engine's insertion sequence at the same point as
-//!    before. `m` is the minimum over *all* domains, i.e. over the union of
-//!    the units' event times, which by (1)–(3) does not depend on the
-//!    grouping. The completion-target verdict is taken at `w`, before the
+//!    which no pop order depends on). `w'` is on the grid, so the windows
+//!    that do run are the same `[kL, (k+1)L)` the fixed-grid walk would have
+//!    run. `m` is the minimum over *all* domains, i.e. over the union of the
+//!    units' event times, which by (1)–(3) does not depend on the grouping. The completion-target verdict is taken at `w`, before the
 //!    jump: completions are only reported by windows that run, so `w` is
 //!    the boundary at which the fixed-grid walk would have stopped too.
 //!
 //! By induction over windows, every unit sees the same arrivals and produces
-//! the same messages under any partition, including the single-domain one —
-//! which is why `shards = 1` is the serial reference the parallel runs are
-//! byte-compared against.
+//! the same messages under any partition, including the single-domain one.
+//! And a single domain needs no windows at all: with every unit in one
+//! engine there is no peer to wait for, so running that engine straight to
+//! the horizon dispatches the same per-unit streams (3) — which is why a
+//! run without `shards` is byte-comparable with the windowed runs.
 
 use crate::{SimDuration, SimTime};
 use core::fmt;
@@ -163,9 +174,9 @@ pub struct ShardStats {
     /// had an event in them; `windows_run + windows_skipped` is the length
     /// of the fixed-grid walk.
     pub windows_skipped: u64,
-    /// Cross-unit messages exchanged through the rings. Like the two window
-    /// counts a function of the units' event times and the unit map alone,
-    /// so identical for every grouping of units into domains.
+    /// Messages the domains handed to the rings. A domain may deliver a
+    /// message between two of its own units itself, so — unlike the two
+    /// window counts — this can depend on the grouping.
     pub envelopes: u64,
 }
 

@@ -17,8 +17,10 @@ if [ ${#bins[@]} -eq 0 ]; then
 fi
 
 # As `nm -C` prints them: the per-event pop and the windowed driver's wrapper
-# around it, the per-hop fabric handler, the per-event dispatch.
-hot='EventQueue<.*>::pop_bounded$|EventQueue<.*>::pop_before$|Fabric<.*>::handle$|Engine<.*>::dispatch$'
+# around it, the tagged schedule every `Scheduler` call ends in (the
+# scheduler's own stamping wrapper may stand alone; a second call below it
+# may not), the per-hop fabric handler, the per-event dispatch.
+hot='EventQueue<.*>::pop_bounded$|EventQueue<.*>::pop_before$|EventQueue<.*>::schedule_tagged$|Fabric<.*>::handle$|Engine<.*>::dispatch$'
 
 status=0
 for bin in "${bins[@]}"; do

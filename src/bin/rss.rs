@@ -218,10 +218,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
         )
     );
 
-    // Executor counters on request. One-unit runs expose the calendar
-    // wheel's placement/cancellation telemetry (it depends on how units are
-    // grouped into domains, so runs with `shards` omit it); runs with
-    // `shards` expose the window walk and the envelope count, which do not.
+    // Executor diagnostics on request. Runs without `shards` expose their one
+    // engine's calendar-wheel placement/cancellation telemetry (it depends on
+    // how units are grouped into domains, so runs with `shards` omit it);
+    // runs with `shards` expose the window walk and the cross-unit flight
+    // count, which do not.
     if stats {
         let labelled = |row: Vec<String>, er: &ExpandedRun| {
             [vec![er.cell.to_string(), er.label.clone()], row].concat()

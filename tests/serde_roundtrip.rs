@@ -279,15 +279,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The JSON byte contract. Both digests were recorded from the commit before
-/// the allocation-free writer replaced `format!("{x}")` in `vendor/serde`, so
-/// this compares the serializer against its predecessor, not against itself:
-/// ~7 MB per run of timestamps, window samples, counters and strings.
+/// The JSON byte contract: ~7 MB per run of timestamps, window samples,
+/// counters and strings. Both digests are pinned from the realization of the
+/// commit that made the per-pair unit map the only one (the physics of these
+/// two runs did not move; `events_processed` and the engine counters did, by
+/// the sampling chains of two more units). They therefore hold the serializer
+/// to itself; that it renders what `format!("{x}")` rendered is what
+/// `cargo test -p serde` sweeps.
 #[test]
 fn paper_testbed_json_matches_pinned_digests() {
     for (sc, want) in [
-        (Scenario::paper_testbed_standard(), 0x9d4b_a01d_781d_0079u64),
-        (Scenario::paper_testbed_restricted(), 0xd3b6_87c9_dbbb_b414),
+        (Scenario::paper_testbed_standard(), 0x41b5_397a_aede_d1a9u64),
+        (Scenario::paper_testbed_restricted(), 0x1ddb_5ec2_1b66_691a),
     ] {
         let json = run(&sc).to_json();
         assert_eq!(
