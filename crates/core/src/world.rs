@@ -773,8 +773,10 @@ impl Model for World {
                 }
                 // Fabric follow-ups go straight into the scheduler: the
                 // closure borrows only `sched`, disjoint from `self.fabric`,
-                // so the hot path buffers (and allocates) nothing.
-                let delivered = self.fabric.handle(nev, now, &mut |d, e| {
+                // so the hot path buffers (and allocates) nothing — and the
+                // fabric takes it by type, so the event is built in the
+                // queue slot it is stored in.
+                let delivered = self.fabric.handle(nev, now, |d, e| {
                     sched.after(d, Ev::Net(e));
                 });
                 if let Some((node, pkt)) = delivered {
@@ -784,10 +786,9 @@ impl Model for World {
             Ev::NicTxDone { host } => {
                 let h = &mut self.hosts[host as usize];
                 let pkt = h.nic.on_tx_done(now);
-                self.fabric
-                    .start_flight(now, h.node, h.link, pkt, &mut |d, e| {
-                        sched.after(d, Ev::Net(e));
-                    });
+                self.fabric.start_flight(now, h.node, h.link, pkt, |d, e| {
+                    sched.after(d, Ev::Net(e));
+                });
                 if let Some(ser) = h.nic.start_tx_if_idle(now) {
                     sched.after(ser, Ev::NicTxDone { host });
                 }

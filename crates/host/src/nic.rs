@@ -11,7 +11,7 @@
 //! [`HostNic`] models the qdisc + device pair: bounded FIFO, one packet being
 //! serialized at a time, busy-time accounting for utilization reports.
 
-use rss_net::{Body, DropTailQueue, EnqueueError, Packet, QueueConfig};
+use rss_net::{Body, DropTailQueue, EnqueueError, Packet, QueueConfig, SerializeMemo};
 use rss_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +59,9 @@ pub struct HostNic<B> {
     /// Packet currently being serialized by the device.
     transmitting: Option<Packet<B>>,
     tx_started: SimTime,
+    /// Serialization time of the last packet's size (a bulk sender's are
+    /// all one MSS).
+    ser: SerializeMemo,
     stats: NicStats,
 }
 
@@ -70,6 +73,7 @@ impl<B: Body> HostNic<B> {
             cfg,
             transmitting: None,
             tx_started: SimTime::ZERO,
+            ser: SerializeMemo::default(),
             stats: NicStats::default(),
         }
     }
@@ -142,7 +146,7 @@ impl<B: Body> HostNic<B> {
             return None;
         }
         let pkt = self.ifq.dequeue()?;
-        let ser = SimDuration::for_bytes_at_rate(pkt.wire_size() as u64, self.cfg.nic_rate_bps);
+        let ser = self.ser.time(pkt.wire_size(), self.cfg.nic_rate_bps);
         self.transmitting = Some(pkt);
         self.tx_started = now;
         Some(ser)

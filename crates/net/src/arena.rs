@@ -1,11 +1,13 @@
 //! Generational packet arena: pooled storage for packets in flight.
 //!
 //! The fabric's hot loop moves every packet through the event queue once per
-//! hop. Carrying the full [`Packet`] inside the event made each schedule/pop
-//! copy ~80 bytes and forced the embedding world to buffer events in
-//! per-hop `Vec`s; parking the payload here turns the event into a POD
-//! [`PacketRef`] (8 bytes) and the slot storage is recycled through a
-//! free-list, so the steady state allocates nothing.
+//! hop, and through a router port's queue and transmitter in between.
+//! Carrying the full [`Packet`] through all of those made each schedule, pop,
+//! enqueue and dequeue copy ~80 bytes; parking the payload here once, when a
+//! host NIC puts it on the wire, leaves a POD [`PacketHandle`] (16 bytes: the
+//! [`PacketRef`] plus the two things a queue asks of a packet) to make the
+//! trip, and the slot storage is recycled through a free-list, so the steady
+//! state allocates nothing.
 //!
 //! Safety against stale references is generational: every slot carries a
 //! generation counter bumped when the packet is taken out, and a
@@ -13,7 +15,8 @@
 //! (refs never redeemed) are observable via [`PacketArena::live`];
 //! double-frees trip a generation debug-assertion and an occupancy panic.
 
-use crate::packet::{Body, Packet};
+use crate::packet::{Body, Ecn, Packet};
+use crate::queue::Queued;
 
 /// A POD handle to a packet parked in a [`PacketArena`].
 ///
@@ -23,6 +26,36 @@ use crate::packet::{Body, Packet};
 pub struct PacketRef {
     slot: u32,
     gen: u32,
+}
+
+/// What moves through the fabric in a parked packet's stead — port queues,
+/// the transmitter slot, arrival events: its [`PacketRef`] plus the wire size
+/// and ECN codepoint the queue disciplines read, so no hop short of the last
+/// touches the arena slot for more than the destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketHandle {
+    /// The parked packet.
+    pub pkt: PacketRef,
+    /// Its wire size in bytes.
+    pub size: u32,
+    /// Its ECN codepoint. An AQM's CE mark lands here first; the fabric
+    /// writes it back to the parked packet when the port starts serializing.
+    pub ecn: Ecn,
+}
+
+impl Queued for PacketHandle {
+    #[inline]
+    fn wire_size(&self) -> u32 {
+        self.size
+    }
+    #[inline]
+    fn ecn(&self) -> Ecn {
+        self.ecn
+    }
+    #[inline]
+    fn set_ecn(&mut self, codepoint: Ecn) {
+        self.ecn = codepoint;
+    }
 }
 
 /// Slot-recycling policy of a [`PacketArena`].
@@ -132,14 +165,35 @@ impl<B> PacketArena<B> {
         }
         pkt
     }
+
+    /// A parked packet, without redeeming its handle.
+    #[inline]
+    pub fn get(&self, r: PacketRef) -> &Packet<B> {
+        let s = &self.slots[r.slot as usize];
+        debug_assert_eq!(s.gen, r.gen, "stale PacketRef");
+        s.pkt.as_ref().expect("empty arena slot")
+    }
+
+    /// [`PacketArena::get`], mutably.
+    #[inline]
+    pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet<B> {
+        let s = &mut self.slots[r.slot as usize];
+        debug_assert_eq!(s.gen, r.gen, "stale PacketRef");
+        s.pkt.as_mut().expect("empty arena slot")
+    }
 }
 
 impl<B: Body> PacketArena<B> {
-    /// Wire size of a parked packet without redeeming its handle.
-    pub fn wire_size(&self, r: PacketRef) -> u32 {
-        let s = &self.slots[r.slot as usize];
-        debug_assert_eq!(s.gen, r.gen, "stale PacketRef");
-        s.pkt.as_ref().expect("empty arena slot").wire_size()
+    /// [`PacketArena::insert`], returning the handle that travels in the
+    /// packet's stead.
+    #[inline]
+    pub fn park(&mut self, pkt: Packet<B>) -> PacketHandle {
+        let (size, ecn) = (pkt.wire_size(), pkt.body.ecn());
+        PacketHandle {
+            pkt: self.insert(pkt),
+            size,
+            ecn,
+        }
     }
 }
 

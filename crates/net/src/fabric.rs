@@ -10,6 +10,23 @@
 //! callback, so the embedding world model decides how fabric events are
 //! represented in its own event enum.
 //!
+//! # A hop moves a handle
+//!
+//! [`Fabric::start_flight`] parks the packet in the fabric's [`PacketArena`]
+//! once. From there to the far host only its 16-byte [`PacketHandle`] moves —
+//! through [`NetEvent::Arrival`], a port's queue and its transmitter slot —
+//! and the packet itself is read for its destination at each router and
+//! written for a CE mark. It leaves the arena where its trip ends: returned
+//! by [`Fabric::handle`] at a host, inline in an [`Envelope`] when another
+//! fabric simulates the next unit, or dropped (queue overflow, RED, link
+//! loss, impairment, no route — every one of them frees the slot).
+//!
+//! What a hop asks of the topology is compiled at construction into one
+//! 16-byte record per egress direction (the node it leaves, that node's
+//! routing row if it is a router, the owning unit, the link's parameters)
+//! and one `destination → egress direction` row per router, so a hop is a
+//! few indexed loads and never walks [`Topology`].
+//!
 //! # Units
 //!
 //! A [`UnitMap`] says which *unit* owns each egress direction `(node, link)`
@@ -26,30 +43,33 @@
 //!
 //! A 10k-pair dumbbell has 20 002 router egress ports, 16 618 of which never
 //! carry a packet in a 2 s run, and two of which run RED. A port is therefore
-//! kept to what every port uses — a drop-tail queue (whose buffer is
-//! allocated on its first packet, for one packet: [`DropTailQueue`]), the
-//! packet being serialized and two pointers: [`PortQueue::Red`] holds its
-//! [`RedQueue`] in a `Box`, and a port's private random stream
-//! ([`Fabric::set_port_rng`]) is boxed too. The RED and hub ports pay one
-//! pointer hop per packet; every other port stops carrying 160 bytes of state
-//! it never reads. The port table itself is sized once, from a count of the
+//! kept to what every port uses — a drop-tail queue of handles (whose buffer
+//! is allocated on its first packet, for one handle: [`DropTail`]), the handle
+//! being serialized, the last serialization time and two pointers:
+//! [`PortQueue::Red`] holds its [`Red`] queue in a `Box`, and a port's
+//! private random stream ([`Fabric::set_port_rng`]) is boxed too. The RED and
+//! hub ports pay one pointer hop per packet; every other port stops carrying
+//! 160 bytes of state it never reads. A queued packet costs its port 16
+//! bytes; the packet sits in the arena, whose slots are shared by every port
+//! and recycled. The port table itself is sized once, from a count of the
 //! directions the fabric simulates.
 
-use crate::arena::{ArenaMode, PacketArena, PacketRef};
+use crate::arena::{ArenaMode, PacketArena, PacketHandle};
 use crate::impair::{Impairment, Verdict};
-use crate::packet::{Body, LinkId, NodeId, Packet};
-use crate::queue::{DropTailQueue, QueueConfig, QueueStats};
-use crate::red::{RedConfig, RedQueue, RedStats};
-use crate::topology::{LinkSpec, NodeKind, RoutingTable, Topology};
+use crate::packet::{Body, Ecn, LinkId, NodeId, Packet};
+use crate::queue::{DropTail, QueueConfig, QueueStats};
+use crate::red::{Red, RedConfig, RedStats};
+use crate::topology::{LinkParams, NodeKind, SerializeMemo, Topology};
 use rss_sim::{Envelope, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Fabric-internal events. The embedding model stores these in its own event
 /// enum and feeds them back into [`Fabric::handle`].
 ///
 /// Plain-old-data: in-flight packet payloads are parked in the fabric's
-/// [`PacketArena`] and the event carries only the 8-byte [`PacketRef`], so
-/// scheduling a hop copies ~16 bytes instead of a full [`Packet`].
+/// [`PacketArena`] and the event carries only the 16-byte [`PacketHandle`],
+/// so scheduling a hop copies ~24 bytes instead of a full [`Packet`].
 #[derive(Debug, Clone, Copy)]
 pub enum NetEvent {
     /// A packet finished propagating along a link and reached its far end.
@@ -62,8 +82,11 @@ pub enum NetEvent {
         at: u32,
         /// Unit that owns that egress.
         unit: u32,
-        /// Handle to the packet, parked in the fabric's arena.
-        pkt: PacketRef,
+        /// The packet, parked in the fabric's arena since its host NIC sent
+        /// it: the same handle goes into the port's queue and transmitter
+        /// and into the next arrival, until a host (or an envelope, or a
+        /// drop) redeems it.
+        pkt: PacketHandle,
     },
     /// A router egress port finished serializing its current packet.
     PortTxDone {
@@ -74,27 +97,32 @@ pub enum NetEvent {
     },
 }
 
-/// Queue discipline on a router egress port.
-pub enum PortQueue<B> {
+/// Queue discipline on a router egress port, over handles to parked packets.
+pub enum PortQueue {
     /// Plain drop-tail FIFO.
-    DropTail(DropTailQueue<B>),
+    DropTail(DropTail<PacketHandle>),
     /// RED active queue management. Boxed: a topology has a handful of RED
     /// ports (the bottleneck's) and, at scale, tens of thousands of
     /// drop-tail access ports that would otherwise each carry RED's state.
-    Red(Box<RedQueue<B>>),
+    Red(Box<Red<PacketHandle>>),
 }
 
-impl<B: Body> PortQueue<B> {
+impl PortQueue {
     /// Offer a packet to the queue discipline; `false` means it was dropped.
     /// Drop-tail ignores `now` and `rng`; RED consumes both.
-    pub fn try_enqueue(&mut self, now: SimTime, pkt: Packet<B>, rng: &mut SimRng) -> bool {
+    ///
+    /// `#[inline]` (and on [`PortQueue::dequeue`]): not generic, so without
+    /// the hint the per-hop enqueue is a call into this crate.
+    #[inline]
+    pub fn try_enqueue(&mut self, now: SimTime, pkt: PacketHandle, rng: &mut SimRng) -> bool {
         match self {
             PortQueue::DropTail(q) => q.try_enqueue(pkt).is_ok(),
             PortQueue::Red(q) => q.try_enqueue(now, pkt, rng).is_ok(),
         }
     }
     /// Take the next packet for transmission.
-    pub fn dequeue(&mut self, now: SimTime) -> Option<Packet<B>> {
+    #[inline]
+    pub fn dequeue(&mut self, now: SimTime) -> Option<PacketHandle> {
         match self {
             PortQueue::DropTail(q) => q.dequeue(),
             PortQueue::Red(q) => q.dequeue(now),
@@ -127,20 +155,41 @@ impl<B: Body> PortQueue<B> {
     }
 }
 
-struct Port<B> {
-    queue: PortQueue<B>,
+struct Port {
+    queue: PortQueue,
     /// The packet currently being serialized, if any.
-    transmitting: Option<Packet<B>>,
+    transmitting: Option<PacketHandle>,
     /// Private stream for this port's RED decisions and for random loss on
     /// the link it feeds; `None` draws from the fabric's shared stream.
     /// Boxed for the same reason as [`PortQueue::Red`]: only the two
     /// bottleneck ports of a dumbbell have one.
     rng: Option<Box<SimRng>>,
+    /// Serialization time of the last packet's size on the port's link.
+    ser: SerializeMemo,
 }
 
 /// [`NetEvent::Arrival::at`] of a packet no egress of the router it reached
 /// routes to.
 const NO_ROUTE: u32 = u32::MAX;
+
+/// [`Hop::row`] of a direction that leaves a host.
+const HOST: u32 = u32::MAX;
+
+/// What a hop asks about one egress direction `link * 2 + side`, compiled
+/// from the topology, its routes and the unit map at construction.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    /// The node this direction's packets leave — and the one that acts on an
+    /// arrival addressed to it.
+    from: NodeId,
+    /// [`HOST`] if `from` is a host; else which row of [`Fabric::routes`]
+    /// is `from`'s.
+    row: u32,
+    /// Unit that owns the direction.
+    unit: u32,
+    /// The link's parameters, as an index into [`Fabric::params`].
+    params: u32,
+}
 
 /// A packet crossing into a unit another fabric simulates: the arrival it
 /// would have been, with the payload inline (the source fabric's arena is
@@ -232,35 +281,47 @@ impl<T> DirTable<T> {
 /// Per-link transfer statistics (one entry per direction of use).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct LinkStats {
-    /// Packets that completed the link.
+    /// Packets put on the link. Counted at departure, once the loss model
+    /// and the impairment have let the packet go — not on arrival, so a
+    /// packet still flying when the run ends is counted, and a duplicate is
+    /// counted as a packet of its own.
     pub delivered_pkts: u64,
-    /// Bytes that completed the link.
+    /// Bytes put on the link; counted as `delivered_pkts` is.
     pub delivered_bytes: u64,
-    /// Packets lost to random link loss.
+    /// Packets lost to random link loss or dropped by the impairment.
     pub lost_pkts: u64,
 }
 
 /// The interior packet-forwarding machine.
 ///
-/// Router egress ports and link statistics live in dense tables built once at
-/// construction ("topology-freeze") time: a link has exactly two ends, so the
-/// port for `(node, link)` sits at `link * 2 + side`, and the per-hop lookups
-/// on the packet path are indexed loads instead of tree walks.
+/// Router egress ports, hop records and link statistics live in dense tables
+/// built once at construction ("topology-freeze") time: a link has exactly
+/// two ends, so everything about `(node, link)` sits at `link * 2 + side`,
+/// and the per-hop lookups on the packet path are indexed loads instead of
+/// tree walks.
 pub struct Fabric<B> {
     topo: Topology,
-    routes: RoutingTable,
-    /// Router egress ports by direction (`link * 2 + side`); host-side ends
-    /// of a link, and directions another unit's fabric owns, have none.
-    ports: DirTable<Port<B>>,
+    /// One record per direction (`link * 2 + side`).
+    hops: Vec<Hop>,
+    /// One row of `topo.node_count()` words per router, in node order:
+    /// `routes[row * nodes + dst]` is the router's egress direction toward
+    /// `dst`, or [`NO_ROUTE`].
+    routes: Vec<u32>,
+    /// The distinct link parameters of the topology ([`Hop::params`]).
+    params: Vec<LinkParams>,
+    /// `local[unit]`: whether this fabric simulates the unit.
+    local: Vec<bool>,
+    /// Router egress ports by direction; host-side ends of a link, and
+    /// directions another unit's fabric owns, have none.
+    ports: DirTable<Port>,
     rng: SimRng,
     /// Per-link-direction impairments, indexed like ports. An absent entry
     /// (the default everywhere) is a zero-cost clean link.
     impairments: DirTable<Impairment>,
     /// Per-link transfer statistics, indexed by raw link id.
     link_stats: Vec<LinkStats>,
-    /// In-flight packet payloads, referenced by [`NetEvent::Arrival`] events.
+    /// Every packet inside the fabric: flying, queued or being serialized.
     arena: PacketArena<B>,
-    units: UnitMap,
     /// Flights each unit has launched into another unit. An envelope takes
     /// its source unit's count as its sequence number, so `(time, unit,
     /// seq)` is a unique key however units are grouped into fabrics.
@@ -292,7 +353,6 @@ impl<B: Body> Fabric<B> {
         rng: SimRng,
         units: UnitMap,
     ) -> Self {
-        let routes = topo.compute_routes();
         let dirs = topo.links().len() * 2;
         // Counted first, so the port table is sized once instead of doubling
         // its way up (three reallocation copies, and half again as much
@@ -305,22 +365,26 @@ impl<B: Body> Fabric<B> {
             ports.insert(
                 idx,
                 Port {
-                    queue: PortQueue::DropTail(DropTailQueue::new(router_queue)),
+                    queue: PortQueue::DropTail(DropTail::new(router_queue)),
                     transmitting: None,
                     rng: None,
+                    ser: SerializeMemo::default(),
                 },
             );
         }
+        let (hops, routes, params) = compile_hops(&topo, &units.owner);
         Fabric {
             impairments: DirTable::new(dirs),
             link_stats: vec![LinkStats::default(); topo.links().len()],
             topo,
+            hops,
             routes,
+            params,
             ports,
             rng,
             arena: PacketArena::new(),
             seq: vec![0; units.local.len()],
-            units,
+            local: units.local,
             outbox: Vec::new(),
             unroutable_drops: 0,
             queue_drops: 0,
@@ -343,7 +407,7 @@ impl<B: Body> Fabric<B> {
         NetEvent::Arrival {
             at: h.at,
             unit,
-            pkt: self.arena.insert(h.pkt),
+            pkt: self.arena.park(h.pkt),
         }
     }
 
@@ -367,8 +431,9 @@ impl<B: Body> Fabric<B> {
         self.arena.set_mode(mode);
     }
 
-    /// Packets currently in flight on links (parked in the arena). A drained
-    /// run ends at zero; anything else is a leak.
+    /// Packets currently inside the fabric (parked in the arena): flying
+    /// along a link, waiting in a router port's queue, or being serialized
+    /// by one. A drained run ends at zero; anything else is a leak.
     pub fn packets_in_flight(&self) -> usize {
         self.arena.live()
     }
@@ -377,7 +442,7 @@ impl<B: Body> Fabric<B> {
     pub fn set_red_port(&mut self, node: NodeId, link: LinkId, cfg: RedConfig) {
         let idx = port_index(&self.topo, node, link);
         let port = self.ports.get_mut(idx).expect("not a router egress port");
-        port.queue = PortQueue::Red(Box::new(RedQueue::new(cfg)));
+        port.queue = PortQueue::Red(Box::new(Red::new(cfg)));
     }
 
     /// The topology the fabric runs on.
@@ -422,29 +487,58 @@ impl<B: Body> Fabric<B> {
             .and_then(|p| p.queue.red_stats())
     }
 
-    /// Put a fully serialized packet onto `link` leaving `from`: applies the
-    /// link loss model and schedules the far-end arrival.
+    /// [`port_index`] from the hop records: the same answer and the same
+    /// loud endpoint check, without the walk through the topology.
+    #[inline]
+    fn dir_of(&self, node: NodeId, link: LinkId) -> usize {
+        let dir = link.0 as usize * 2;
+        if self.hops[dir].from == node {
+            dir
+        } else {
+            assert!(self.hops[dir + 1].from == node, "node not on link");
+            dir + 1
+        }
+    }
+
+    /// Put a fully serialized packet onto `link` leaving `from`: parks it,
+    /// applies the link loss model and schedules the far-end arrival.
     ///
-    /// Host NICs call this directly (their serialization time is the NIC's
-    /// business); router ports call it internally when serialization ends.
+    /// Host NICs call this (their serialization time is the NIC's business);
+    /// a router port puts its packet's handle on the link itself when
+    /// serialization ends.
     pub fn start_flight(
         &mut self,
         now: SimTime,
         from: NodeId,
         link: LinkId,
         pkt: Packet<B>,
-        sched: &mut dyn FnMut(SimDuration, NetEvent),
+        mut sched: impl FnMut(SimDuration, NetEvent),
     ) {
-        let spec = *self.topo.link(link);
-        let dir = port_index(&self.topo, from, link);
-        let stats = &mut self.link_stats[link.0 as usize];
-        if spec.params.loss_prob > 0.0 {
+        let dir = self.dir_of(from, link);
+        let pkt = self.arena.park(pkt);
+        self.depart(now, dir, pkt, &mut sched);
+    }
+
+    /// A parked packet leaves direction `dir`: the loss model and the
+    /// impairment decide whether (and how late, and how many times) it
+    /// arrives.
+    #[inline]
+    fn depart(
+        &mut self,
+        now: SimTime,
+        dir: usize,
+        pkt: PacketHandle,
+        sched: &mut impl FnMut(SimDuration, NetEvent),
+    ) {
+        let loss_prob = self.params[self.hops[dir].params as usize].loss_prob;
+        if loss_prob > 0.0 {
             let rng = match self.ports.get_mut(dir) {
                 Some(Port { rng: Some(own), .. }) => &mut **own,
                 _ => &mut self.rng,
             };
-            if rng.chance(spec.params.loss_prob) {
-                stats.lost_pkts += 1;
+            if rng.chance(loss_prob) {
+                self.link_stats[dir / 2].lost_pkts += 1;
+                self.arena.take(pkt.pkt);
                 return;
             }
         }
@@ -452,105 +546,144 @@ impl<B: Body> Fabric<B> {
         // loss model: outage/burst drops, jitter (delay is only ever added,
         // so the link's propagation delay stays a valid lookahead bound for
         // the windowed driver) and duplication.
-        let (extra_delay, duplicate) = match self.impairments.get_mut(dir) {
-            None => (SimDuration::ZERO, false),
-            Some(imp) => match imp.decide(now) {
+        let mut extra_delay = SimDuration::ZERO;
+        if let Some(imp) = self.impairments.get_mut(dir) {
+            match imp.decide(now) {
                 Verdict::Drop(_) => {
-                    stats.lost_pkts += 1;
+                    self.link_stats[dir / 2].lost_pkts += 1;
+                    self.arena.take(pkt.pkt);
                     return;
                 }
                 Verdict::Deliver {
-                    extra_delay,
+                    extra_delay: jitter,
                     duplicate,
-                } => (extra_delay, duplicate),
-            },
-        };
-        if duplicate {
-            // The copy takes its own jittered flight, first; same packet id,
-            // so the receiver's dedup accounting sees it as a true duplicate.
-            let extra2 = self
-                .impairments
-                .get_mut(dir)
-                .expect("duplicate verdict implies an impairment")
-                .dup_jitter();
-            stats.delivered_pkts += 1;
-            stats.delivered_bytes += pkt.wire_size() as u64;
-            self.launch(now, dir, &spec, extra2, pkt.clone(), sched);
+                } => {
+                    extra_delay = jitter;
+                    if duplicate {
+                        let jitter = imp.dup_jitter();
+                        self.launch_copy(now, dir, jitter, pkt, sched);
+                    }
+                }
+            }
         }
-        let stats = &mut self.link_stats[link.0 as usize];
+        let stats = &mut self.link_stats[dir / 2];
         stats.delivered_pkts += 1;
-        stats.delivered_bytes += pkt.wire_size() as u64;
-        self.launch(now, dir, &spec, extra_delay, pkt, sched);
+        stats.delivered_bytes += pkt.size as u64;
+        self.launch(now, dir, extra_delay, pkt, sched);
     }
 
-    /// Send `pkt` down `spec`'s link from direction `dir`: an arrival event
-    /// for the unit that owns the far end, or — when another fabric
-    /// simulates that unit — an envelope.
+    /// The impairment duplicated `pkt`: park a copy and send it on its own
+    /// jittered flight, ahead of the original. Same packet id, so the
+    /// receiver's dedup accounting sees it as a true duplicate. Out of line,
+    /// so the hot departure has one [`Fabric::launch`] in it.
+    #[cold]
+    #[inline(never)]
+    fn launch_copy(
+        &mut self,
+        now: SimTime,
+        dir: usize,
+        jitter: SimDuration,
+        pkt: PacketHandle,
+        sched: &mut impl FnMut(SimDuration, NetEvent),
+    ) {
+        let copy = self.arena.get(pkt.pkt).clone();
+        let copy = PacketHandle {
+            pkt: self.arena.insert(copy),
+            ..pkt
+        };
+        let stats = &mut self.link_stats[dir / 2];
+        stats.delivered_pkts += 1;
+        stats.delivered_bytes += pkt.size as u64;
+        self.launch(now, dir, jitter, copy, sched);
+    }
+
+    /// Where a packet for `dst` put on the link at direction `dir` is acted
+    /// on: the far host's own direction, or the egress direction the far
+    /// router forwards it on ([`NO_ROUTE`] if none) — and the unit that owns
+    /// it (an unroutable packet stays with the sender's unit and is counted
+    /// on arrival). `dst` is asked for only at a router.
+    #[inline]
+    fn next_hop(&self, dir: usize, dst: impl FnOnce() -> NodeId) -> (u32, u32) {
+        // `dir` is `link * 2 + side`, so the far end's own side is `dir ^ 1`.
+        let far = dir ^ 1;
+        let at = match self.hops[far].row {
+            HOST => far as u32,
+            row => {
+                let nodes = self.topo.node_count();
+                let dst = dst().0 as usize;
+                if dst < nodes {
+                    self.routes[row as usize * nodes + dst]
+                } else {
+                    NO_ROUTE
+                }
+            }
+        };
+        let unit = self.hops.get(at as usize).unwrap_or(&self.hops[dir]).unit;
+        (at, unit)
+    }
+
+    /// Send `pkt` down the link at direction `dir`: an arrival event for the
+    /// unit that owns the far end, or — when another fabric simulates that
+    /// unit — an envelope.
     #[inline]
     fn launch(
         &mut self,
         now: SimTime,
         dir: usize,
-        spec: &LinkSpec,
         extra_delay: SimDuration,
-        pkt: Packet<B>,
-        sched: &mut dyn FnMut(SimDuration, NetEvent),
+        pkt: PacketHandle,
+        sched: &mut impl FnMut(SimDuration, NetEvent),
     ) {
-        let delay = spec.params.prop_delay + extra_delay;
-        // `dir` is `link * 2 + side`, so the far end's own side is `dir ^ 1`.
-        let node = if dir & 1 == 0 { spec.b } else { spec.a };
-        // The far end is owned by whoever will act on the arrival: the
-        // host itself, or the router egress port the packet routes to
-        // (an unroutable packet stays with the sender's unit and is counted
-        // on arrival).
-        let at = match self.topo.kind(node) {
-            NodeKind::Host => dir ^ 1,
-            NodeKind::Router => match self.routes.next_link(node, pkt.dst) {
-                Some(out) => port_index(&self.topo, node, out),
-                None => NO_ROUTE as usize,
-            },
-        };
-        let src_unit = self.units.owner[dir];
-        let unit = self.units.owner.get(at).copied().unwrap_or(src_unit);
-        let at = at as u32;
+        let hop = self.hops[dir];
+        let delay = self.params[hop.params as usize].prop_delay + extra_delay;
+        let (at, unit) = self.next_hop(dir, || self.arena.get(pkt.pkt).dst);
+        let src_unit = hop.unit;
         if src_unit != unit {
             let seq = &mut self.seq[src_unit as usize];
             *seq += 1;
-            if !self.units.local[unit as usize] {
+            if !self.local[unit as usize] {
                 self.outbox.push(Envelope {
                     time: now + delay,
                     src_unit,
                     seq: *seq,
                     dst_unit: unit,
-                    msg: Handoff { at, pkt },
+                    msg: Handoff {
+                        at,
+                        pkt: self.arena.take(pkt.pkt),
+                    },
                 });
                 return;
             }
         }
-        let pkt = self.arena.insert(pkt);
         sched(delay, NetEvent::Arrival { at, unit, pkt });
     }
 
-    /// If the port at direction `idx` — `node`'s egress onto `spec`'s link —
-    /// is idle and has queued work, begin serializing the next packet.
+    /// If `port` — `node`'s egress onto `link`, whose parameters are
+    /// `params` — is idle and has queued work, begin serializing the next
+    /// packet.
+    #[inline]
     fn kick_port(
-        ports: &mut DirTable<Port<B>>,
-        idx: usize,
+        port: &mut Port,
+        arena: &mut PacketArena<B>,
+        params: &LinkParams,
         node: NodeId,
-        spec: &LinkSpec,
+        link: LinkId,
         now: SimTime,
-        sched: &mut dyn FnMut(SimDuration, NetEvent),
+        sched: &mut impl FnMut(SimDuration, NetEvent),
     ) {
-        let port = ports.get_mut(idx).expect("missing port");
         if port.transmitting.is_some() {
             return;
         }
         let Some(pkt) = port.queue.dequeue(now) else {
             return;
         };
-        let ser = spec.params.serialize_time(pkt.wire_size());
+        if pkt.ecn == Ecn::Ce {
+            // The queue's mark (or an earlier hop's: the write is
+            // idempotent) reaches the packet before it reaches the wire.
+            arena.get_mut(pkt.pkt).body.set_ecn(Ecn::Ce);
+        }
+        let ser = port.ser.time(pkt.size, params.rate_bps);
         port.transmitting = Some(pkt);
-        let link = spec.id;
         sched(ser, NetEvent::PortTxDone { node, link });
     }
 
@@ -568,44 +701,94 @@ impl<B: Body> Fabric<B> {
         &mut self,
         ev: NetEvent,
         now: SimTime,
-        sched: &mut dyn FnMut(SimDuration, NetEvent),
+        mut sched: impl FnMut(SimDuration, NetEvent),
     ) -> Option<(NodeId, Packet<B>)> {
         match ev {
             NetEvent::Arrival { at, pkt, .. } => {
-                let pkt = self.arena.take(pkt);
                 let idx = at as usize;
-                let Some(spec) = self.topo.links().get(idx / 2) else {
+                let Some(&hop) = self.hops.get(idx) else {
                     debug_assert_eq!(at, NO_ROUTE);
+                    self.arena.take(pkt.pkt);
                     self.unroutable_drops += 1;
                     return None;
                 };
-                let node = if idx & 1 == 0 { spec.a } else { spec.b };
-                if self.topo.kind(node) == NodeKind::Host {
-                    return Some((node, pkt));
+                if hop.row == HOST {
+                    return Some((hop.from, self.arena.take(pkt.pkt)));
                 }
                 // Router: forward.
                 let port = self.ports.get_mut(idx).expect("router port missing");
                 let rng = port.rng.as_deref_mut().unwrap_or(&mut self.rng);
                 if port.queue.try_enqueue(now, pkt, rng) {
-                    Self::kick_port(&mut self.ports, idx, node, spec, now, sched);
+                    let params = &self.params[hop.params as usize];
+                    let link = LinkId(at / 2);
+                    Self::kick_port(
+                        port,
+                        &mut self.arena,
+                        params,
+                        hop.from,
+                        link,
+                        now,
+                        &mut sched,
+                    );
                 } else {
+                    self.arena.take(pkt.pkt);
                     self.queue_drops += 1;
                 }
                 None
             }
             NetEvent::PortTxDone { node, link } => {
-                let idx = port_index(&self.topo, node, link);
+                let idx = self.dir_of(node, link);
                 let port = self.ports.get_mut(idx).expect("missing port");
                 let pkt = port
                     .transmitting
                     .take()
                     .expect("PortTxDone with no packet in flight");
-                self.start_flight(now, node, link, pkt, sched);
-                Self::kick_port(&mut self.ports, idx, node, self.topo.link(link), now, sched);
+                self.depart(now, idx, pkt, &mut sched);
+                let port = self.ports.get_mut(idx).expect("missing port");
+                let params = &self.params[self.hops[idx].params as usize];
+                Self::kick_port(port, &mut self.arena, params, node, link, now, &mut sched);
                 None
             }
         }
     }
+}
+
+/// The hop records of `topo` under the unit ownership `owner`, the routers'
+/// routing rows and the distinct link parameters the records index
+/// ([`Fabric::hops`], [`Fabric::routes`], [`Fabric::params`]). Every route
+/// is checked here, once, to leave its router on a link the router is on.
+fn compile_hops(topo: &Topology, owner: &[u32]) -> (Vec<Hop>, Vec<u32>, Vec<LinkParams>) {
+    let table = topo.compute_routes();
+    let mut row_of = vec![HOST; topo.node_count()];
+    let mut routes = Vec::new();
+    let routers = topo.nodes().filter(|&n| topo.kind(n) == NodeKind::Router);
+    for (row, node) in routers.enumerate() {
+        row_of[node.0 as usize] = row as u32;
+        routes.extend(topo.nodes().map(|dst| match table.next_link(node, dst) {
+            Some(out) => port_index(topo, node, out) as u32,
+            None => NO_ROUTE,
+        }));
+    }
+    let mut params = Vec::new();
+    let mut interned = HashMap::new();
+    let mut hops = Vec::with_capacity(owner.len());
+    for link in topo.links() {
+        let p = link.params;
+        let key = (p.rate_bps, p.prop_delay, p.loss_prob.to_bits());
+        let params_idx = *interned.entry(key).or_insert_with(|| {
+            params.push(p);
+            params.len() as u32 - 1
+        });
+        for from in [link.a, link.b] {
+            hops.push(Hop {
+                from,
+                row: row_of[from.0 as usize],
+                unit: owner[hops.len()],
+                params: params_idx,
+            });
+        }
+    }
+    (hops, routes, params)
 }
 
 /// The router egress directions of `topo` that `units` marks local.
@@ -623,10 +806,9 @@ fn local_router_dirs<'a>(
 }
 
 /// Dense index of the egress port at `node` feeding `link`: a link has two
-/// ends, so ports live at `link * 2 + side`. Hot-path variant: the endpoint
-/// check is a couple of compares and keeps an internal invariant violation
-/// loud in release instead of silently resolving to the wrong port.
-#[inline]
+/// ends, so ports live at `link * 2 + side`. Build- and configuration-time
+/// variant; the packet path reads the same answer off the hop records
+/// ([`Fabric::dir_of`]).
 fn port_index(topo: &Topology, node: NodeId, link: LinkId) -> usize {
     let spec = topo.link(link);
     assert!(node == spec.a || node == spec.b, "node not on link");
@@ -644,7 +826,7 @@ fn try_port_index(topo: &Topology, node: NodeId, link: LinkId) -> Option<usize> 
 mod tests {
     use super::*;
     use crate::packet::{FlowId, PacketIdGen, RawBody};
-    use crate::topology::{dumbbell, LinkParams};
+    use crate::topology::{dumbbell, single_path, LinkParams, RoutingTable};
     use rss_sim::{Engine, Model, Scheduler};
 
     /// Minimal world: raw packets pumped through a fabric, arrivals counted.
@@ -718,11 +900,112 @@ mod tests {
 
     #[test]
     fn a_port_does_not_carry_red_state_or_a_private_stream_inline() {
-        // 20 000 access ports on the 10k-flow dumbbell: a drop-tail queue,
-        // the packet on the wire and two pointers' worth of options.
-        let port = std::mem::size_of::<Port<RawBody>>();
-        assert!(port <= 200, "Port<RawBody> is {port} bytes");
-        assert!(std::mem::size_of::<RedQueue<RawBody>>() > 200);
+        use std::mem::size_of;
+        // 20 000 access ports on the 10k-flow dumbbell: a drop-tail queue of
+        // handles, the handle on the wire, the serialization memo and two
+        // pointers' worth of options.
+        let port = size_of::<Port>();
+        assert!(port <= 160, "Port is {port} bytes");
+        assert!(size_of::<Red<PacketHandle>>() > 160);
+        // What a queued or flying packet costs outside the arena, and what a
+        // direction costs the hop table.
+        assert_eq!(size_of::<PacketHandle>(), 16);
+        assert_eq!(size_of::<Option<PacketHandle>>(), 16);
+        assert!(size_of::<Hop>() <= 16, "Hop is {} bytes", size_of::<Hop>());
+    }
+
+    /// [`Fabric::next_hop`] derived on the fly from the topology API the
+    /// table is compiled from: who acts on a packet for `dst` put on the link
+    /// at direction `dir`, and which unit that is.
+    fn next_hop_by_walk(
+        topo: &Topology,
+        routes: &RoutingTable,
+        owner: &[u32],
+        dir: usize,
+        dst: NodeId,
+    ) -> (u32, u32) {
+        let spec = topo.link(LinkId(dir as u32 / 2));
+        let node = if dir & 1 == 0 { spec.b } else { spec.a };
+        let at = match topo.kind(node) {
+            NodeKind::Host => dir ^ 1,
+            NodeKind::Router => match routes.next_link(node, dst) {
+                Some(out) => port_index(topo, node, out),
+                None => NO_ROUTE as usize,
+            },
+        };
+        let unit = owner.get(at).copied().unwrap_or(owner[dir]);
+        (at as u32, unit)
+    }
+
+    /// Every entry of `topo`'s compiled hop table against the walk, with a
+    /// unit of its own per direction so a wrong owner cannot hide.
+    fn assert_hop_table_matches_the_walk(topo: Topology) {
+        let dirs = topo.links().len() * 2;
+        let mut units = UnitMap::new(&topo, dirs);
+        for l in topo.links() {
+            for node in [l.a, l.b] {
+                let unit = port_index(&topo, node, l.id) as u32;
+                units.assign(&topo, node, l.id, unit);
+                units.set_local(unit);
+            }
+        }
+        let owner = units.owner.clone();
+        let routes = topo.compute_routes();
+        let fabric: Fabric<RawBody> = Fabric::partitioned(
+            topo.clone(),
+            QueueConfig::packets(4),
+            SimRng::seed_from_u64(1),
+            units,
+        );
+        let mut unrouted = 0;
+        for dir in 0..dirs {
+            let spec = topo.link(LinkId(dir as u32 / 2));
+            let hop = fabric.hops[dir];
+            assert_eq!(hop.from, if dir & 1 == 0 { spec.a } else { spec.b });
+            assert_eq!(hop.row == HOST, topo.kind(hop.from) == NodeKind::Host);
+            assert_eq!(hop.unit, owner[dir]);
+            let p = fabric.params[hop.params as usize];
+            assert_eq!(
+                (p.rate_bps, p.prop_delay, p.loss_prob.to_bits()),
+                (
+                    spec.params.rate_bps,
+                    spec.params.prop_delay,
+                    spec.params.loss_prob.to_bits()
+                )
+            );
+            assert_eq!(fabric.dir_of(hop.from, spec.id), dir);
+            // One past the last node too: a destination outside the
+            // topology has no route anywhere.
+            for dst in (0..=topo.node_count() as u32).map(NodeId) {
+                let walked = next_hop_by_walk(&topo, &routes, &owner, dir, dst);
+                assert_eq!(fabric.next_hop(dir, || dst), walked, "{dir} -> {dst:?}");
+                unrouted += usize::from(walked.0 == NO_ROUTE);
+            }
+        }
+        assert!(unrouted > 0, "no NO_ROUTE entry was compared");
+    }
+
+    #[test]
+    fn the_hop_table_is_the_topology_walk_compiled() {
+        let access = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+        let haul = LinkParams::new(100_000_000, SimDuration::from_millis(10)).with_loss(0.01);
+        assert_hop_table_matches_the_walk(dumbbell(3, access, haul).0);
+        assert_hop_table_matches_the_walk(single_path(100_000_000, SimDuration::from_millis(60)).0);
+
+        // r0 — r1 — r2, a host on r0, a host homed on both r1 and r2, and a
+        // host and a router nothing connects to.
+        let mut line = Topology::new();
+        let r: Vec<NodeId> = (0..3).map(|_| line.add_router()).collect();
+        line.connect(r[0], r[1], haul);
+        line.connect(r[1], r[2], access);
+        let single = line.add_host();
+        line.connect(single, r[0], access);
+        let dual = line.add_host();
+        line.connect(dual, r[1], access);
+        line.connect(dual, r[2], haul);
+        line.add_host();
+        line.add_router();
+        assert_hop_table_matches_the_walk(line);
     }
 
     #[test]

@@ -21,16 +21,17 @@ pub mod red;
 pub mod topology;
 pub mod traffic;
 
-pub use arena::{ArenaMode, PacketArena, PacketRef};
+pub use arena::{ArenaMode, PacketArena, PacketHandle, PacketRef};
 pub use fabric::{Fabric, Handoff, LinkStats, NetEvent, PortQueue, UnitMap};
 pub use impair::{
     DropCause, Flap, GilbertElliott, ImpairStats, Impairment, ImpairmentConfig, Jitter,
     OutageSchedule, OutageWindow, Verdict,
 };
 pub use packet::{Body, Ecn, FlowId, LinkId, NodeId, Packet, PacketIdGen, RawBody};
-pub use queue::{DropTailQueue, EnqueueError, QueueConfig, QueueStats};
-pub use red::{RedConfig, RedQueue, RedStats};
+pub use queue::{DropTail, DropTailQueue, EnqueueError, QueueConfig, QueueStats, Queued};
+pub use red::{Red, RedConfig, RedQueue, RedStats};
 pub use topology::{
-    dumbbell, single_path, Dumbbell, LinkParams, LinkSpec, NodeKind, RoutingTable, Topology,
+    dumbbell, single_path, Dumbbell, LinkParams, LinkSpec, NodeKind, RoutingTable, SerializeMemo,
+    Topology,
 };
 pub use traffic::{TrafficPattern, TrafficSource};

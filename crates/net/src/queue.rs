@@ -1,8 +1,13 @@
 //! Drop-tail FIFO queue — the building block of both router ports and the
 //! host interface queue (IFQ) whose overflow generates the paper's
 //! send-stall events.
+//!
+//! The disciplines are generic over what they hold ([`Queued`]): a host's
+//! IFQ holds the [`Packet`]s themselves ([`DropTailQueue`]), a router port
+//! holds 16-byte [`crate::PacketHandle`]s to packets parked in the fabric's
+//! arena.
 
-use crate::packet::{Body, Packet};
+use crate::packet::{Body, Ecn, Packet};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -68,19 +73,47 @@ pub enum EnqueueError {
     ByteLimit,
 }
 
-/// A bounded FIFO with drop-tail semantics.
+/// What a queue discipline asks of the things it holds.
+pub trait Queued {
+    /// On-the-wire size in bytes: byte occupancy and byte limits.
+    fn wire_size(&self) -> u32;
+    /// ECN codepoint: whether an AQM may mark instead of dropping.
+    fn ecn(&self) -> Ecn;
+    /// Overwrite the ECN codepoint (an AQM setting CE).
+    fn set_ecn(&mut self, codepoint: Ecn);
+}
+
+impl<B: Body> Queued for Packet<B> {
+    #[inline]
+    fn wire_size(&self) -> u32 {
+        self.body.wire_size()
+    }
+    #[inline]
+    fn ecn(&self) -> Ecn {
+        self.body.ecn()
+    }
+    #[inline]
+    fn set_ecn(&mut self, codepoint: Ecn) {
+        self.body.set_ecn(codepoint);
+    }
+}
+
+/// A bounded FIFO with drop-tail semantics, over any [`Queued`] element.
 #[derive(Debug, Clone)]
-pub struct DropTailQueue<B> {
+pub struct DropTail<T> {
     cfg: QueueConfig,
-    q: VecDeque<Packet<B>>,
+    q: VecDeque<T>,
     bytes: u64,
     stats: QueueStats,
 }
 
-impl<B: Body> DropTailQueue<B> {
+/// A drop-tail queue of [`Packet`]s with body `B`.
+pub type DropTailQueue<B> = DropTail<Packet<B>>;
+
+impl<T: Queued> DropTail<T> {
     /// Create an empty queue with the given limits.
     pub fn new(cfg: QueueConfig) -> Self {
-        DropTailQueue {
+        DropTail {
             cfg,
             q: VecDeque::new(),
             bytes: 0,
@@ -94,7 +127,7 @@ impl<B: Body> DropTailQueue<B> {
     }
 
     /// Check whether `pkt` would be accepted right now, without mutating.
-    pub fn would_accept(&self, pkt: &Packet<B>) -> Result<(), EnqueueError> {
+    pub fn would_accept(&self, pkt: &T) -> Result<(), EnqueueError> {
         if let Some(maxp) = self.cfg.max_packets {
             if self.q.len() as u32 >= maxp {
                 return Err(EnqueueError::PacketLimit);
@@ -109,7 +142,7 @@ impl<B: Body> DropTailQueue<B> {
     }
 
     /// Enqueue, or return the packet unchanged if the queue is full.
-    pub fn try_enqueue(&mut self, pkt: Packet<B>) -> Result<(), (EnqueueError, Packet<B>)> {
+    pub fn try_enqueue(&mut self, pkt: T) -> Result<(), (EnqueueError, T)> {
         match self.would_accept(&pkt) {
             Ok(()) => {
                 self.bytes += pkt.wire_size() as u64;
@@ -136,7 +169,7 @@ impl<B: Body> DropTailQueue<B> {
     }
 
     /// Pop the head-of-line packet.
-    pub fn dequeue(&mut self) -> Option<Packet<B>> {
+    pub fn dequeue(&mut self) -> Option<T> {
         let pkt = self.q.pop_front()?;
         self.bytes -= pkt.wire_size() as u64;
         self.stats.dequeued += 1;

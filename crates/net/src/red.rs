@@ -18,8 +18,8 @@
 //!   RFC 3168 §7 — once the average exceeds the band, marking no longer
 //!   protects the queue.
 
-use crate::packet::{Body, Ecn, Packet};
-use crate::queue::{DropTailQueue, EnqueueError, QueueConfig, QueueStats};
+use crate::packet::{Ecn, Packet};
+use crate::queue::{DropTail, EnqueueError, QueueConfig, QueueStats, Queued};
 use rss_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -91,11 +91,12 @@ pub struct RedStats {
     pub ecn_marks: u64,
 }
 
-/// A RED-managed queue; wraps a [`DropTailQueue`] for storage.
+/// A RED-managed queue over any [`Queued`] element; wraps a [`DropTail`] for
+/// storage.
 #[derive(Debug, Clone)]
-pub struct RedQueue<B> {
+pub struct Red<T> {
     cfg: RedConfig,
-    inner: DropTailQueue<B>,
+    inner: DropTail<T>,
     avg: f64,
     count_since_drop: i64,
     idle_since: Option<SimTime>,
@@ -104,14 +105,17 @@ pub struct RedQueue<B> {
     ecn_marks: u64,
 }
 
-impl<B: Body> RedQueue<B> {
+/// A RED queue of [`Packet`]s with body `B`.
+pub type RedQueue<B> = Red<Packet<B>>;
+
+impl<T: Queued> Red<T> {
     /// Create an empty RED queue.
     pub fn new(cfg: RedConfig) -> Self {
         assert!(cfg.min_th < cfg.max_th, "min_th must be below max_th");
         assert!(cfg.max_p > 0.0 && cfg.max_p <= 1.0);
         assert!(cfg.wq > 0.0 && cfg.wq <= 1.0);
-        RedQueue {
-            inner: DropTailQueue::new(cfg.capacity),
+        Red {
+            inner: DropTail::new(cfg.capacity),
             cfg,
             avg: 0.0,
             count_since_drop: -1,
@@ -195,9 +199,9 @@ impl<B: Body> RedQueue<B> {
     pub fn try_enqueue(
         &mut self,
         now: SimTime,
-        mut pkt: Packet<B>,
+        mut pkt: T,
         rng: &mut SimRng,
-    ) -> Result<(), (EnqueueError, Packet<B>)> {
+    ) -> Result<(), (EnqueueError, T)> {
         self.update_avg(now);
         let force_th = if self.cfg.gentle {
             2.0 * self.cfg.max_th
@@ -229,8 +233,8 @@ impl<B: Body> RedQueue<B> {
                 self.cfg.max_p * (self.avg - self.cfg.min_th) / (self.cfg.max_th - self.cfg.min_th);
             let pa = pb / (1.0 - (self.count_since_drop as f64 * pb).min(0.999));
             if rng.chance(pa) {
-                if self.cfg.ecn && pkt.body.ecn() == Ecn::Ect {
-                    pkt.body.set_ecn(Ecn::Ce);
+                if self.cfg.ecn && pkt.ecn() == Ecn::Ect {
+                    pkt.set_ecn(Ecn::Ce);
                     self.ecn_marks += 1;
                     self.count_since_drop = 0;
                     // Falls through to the enqueue below.
@@ -254,7 +258,7 @@ impl<B: Body> RedQueue<B> {
     }
 
     /// Pop the head-of-line packet at `now`.
-    pub fn dequeue(&mut self, now: SimTime) -> Option<Packet<B>> {
+    pub fn dequeue(&mut self, now: SimTime) -> Option<T> {
         let pkt = self.inner.dequeue();
         if self.inner.is_empty() {
             self.idle_since = Some(now);
@@ -266,7 +270,7 @@ impl<B: Body> RedQueue<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, NodeId, RawBody};
+    use crate::packet::{Body, FlowId, NodeId, RawBody};
 
     fn pkt(id: u64) -> Packet<RawBody> {
         Packet {

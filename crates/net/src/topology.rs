@@ -66,6 +66,30 @@ impl LinkParams {
     }
 }
 
+/// A transmitter's memory of the last serialization time it computed. A
+/// router port or a NIC sends runs of equal-sized packets at one rate, and
+/// the 64-bit division behind [`SimDuration::for_bytes_at_rate`] is the
+/// dearest instruction of a hop; the memo answers a repeat from two words.
+/// It starts at the one size whose time is the same at every rate: none.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SerializeMemo {
+    bytes: u32,
+    time: SimDuration,
+}
+
+impl SerializeMemo {
+    /// Serialization time of `bytes` at `rate_bps` — the transmitter's one
+    /// rate: the memo is keyed on the size alone.
+    #[inline]
+    pub fn time(&mut self, bytes: u32, rate_bps: u64) -> SimDuration {
+        if bytes != self.bytes {
+            let time = SimDuration::for_bytes_at_rate(bytes as u64, rate_bps);
+            *self = SerializeMemo { bytes, time };
+        }
+        self.time
+    }
+}
+
 /// A link instance between two nodes.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {

@@ -4,9 +4,11 @@ use proptest::prelude::*;
 use rss_net::{
     dumbbell, ArenaMode, Body, DropTailQueue, Ecn, Fabric, FlowId, GilbertElliott, Impairment,
     ImpairmentConfig, Jitter, LinkId, LinkParams, NetEvent, NodeId, Packet, PacketIdGen,
-    QueueConfig, RawBody, RedConfig, RedQueue, Topology,
+    QueueConfig, RawBody, RedConfig, RedQueue, Topology, UnitMap,
 };
 use rss_sim::{Engine, Model, Scheduler, SimDuration, SimRng, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn pkt(id: u64, size: u32) -> Packet<RawBody> {
     Packet {
@@ -174,6 +176,329 @@ fn impaired_run(
         "drained run leaked arena slots"
     );
     eng.into_model().delivered
+}
+
+/// One fabric of the leak audit: a dumbbell whose left bottleneck port is
+/// where packets die.
+#[derive(Debug, Clone)]
+struct AuditCase {
+    seed: u64,
+    pairs: usize,
+    /// Drop-tail capacity of every router port.
+    queue_pkts: u32,
+    /// RED on the left bottleneck port instead of drop-tail, capacity
+    /// `queue_pkts`: whether it marks, and its averaging weight.
+    red: Option<(bool, f64)>,
+    loss_prob: f64,
+    imp: ImpairmentConfig,
+    /// Simulate only the sending half: the left router's bottleneck port and
+    /// everything behind it. Flights across the bottleneck leave as
+    /// envelopes.
+    split: bool,
+    /// Per packet: inject gap (µs), sending pair, wire size, and whether it
+    /// is addressed to a node nothing connects to.
+    sends: Vec<(u64, usize, u32, bool)>,
+}
+
+/// How the packets of one audited run ended.
+#[derive(Debug, Default)]
+struct AuditTally {
+    delivered: u64,
+    delivered_ce: u64,
+    enveloped: u64,
+    enveloped_ce: u64,
+    queue_drops: u64,
+    red_early: u64,
+    red_forced: u64,
+    red_marks: u64,
+    link_lost: u64,
+    impair_drops: u64,
+    duplicates: u64,
+    unroutable: u64,
+}
+
+/// Pending fabric events in `(time, insertion)` order; an engine would do,
+/// but the audit looks at the fabric between any two events.
+#[derive(Default)]
+struct Pending {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    events: Vec<NetEvent>,
+    arrivals: usize,
+    tx_dones: usize,
+}
+
+impl Pending {
+    fn push(&mut self, at: SimTime, ev: NetEvent) {
+        match ev {
+            NetEvent::Arrival { .. } => self.arrivals += 1,
+            NetEvent::PortTxDone { .. } => self.tx_dones += 1,
+        }
+        self.heap.push(Reverse((at, self.events.len() as u64)));
+        self.events.push(ev);
+    }
+
+    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, NetEvent)> {
+        let &Reverse((at, i)) = self.heap.peek().filter(|e| e.0 .0 <= limit)?;
+        self.heap.pop();
+        let ev = self.events[i as usize];
+        match ev {
+            NetEvent::Arrival { .. } => self.arrivals -= 1,
+            NetEvent::PortTxDone { .. } => self.tx_dones -= 1,
+        }
+        Some((at, ev))
+    }
+}
+
+/// Run `case` to drain, holding the arena to account after every injection
+/// and every event: what is parked is exactly what is queued in a port,
+/// being serialized by one (a pending `PortTxDone`) or flying (a pending
+/// `Arrival`), and nothing once the network is empty.
+fn audited_run(case: &AuditCase) -> AuditTally {
+    let access = LinkParams::new(1_000_000_000, SimDuration::from_micros(50));
+    let bottleneck =
+        LinkParams::new(20_000_000, SimDuration::from_millis(2)).with_loss(case.loss_prob);
+    let (mut topo, d) = dumbbell(case.pairs, access, bottleneck);
+    let nowhere = topo.add_host();
+    let queue = QueueConfig::packets(case.queue_pkts);
+    let rng = SimRng::seed_from_u64(case.seed);
+    let mut fabric: Fabric<EctBody> = if case.split {
+        let mut units = UnitMap::new(&topo, 2);
+        units.assign(&topo, d.right_router, d.bottleneck, 1);
+        for (&r, &link) in d.receivers.iter().zip(&d.receiver_access) {
+            units.assign(&topo, d.right_router, link, 1);
+            units.assign(&topo, r, link, 1);
+        }
+        units.set_local(0);
+        Fabric::partitioned(topo, queue, rng, units)
+    } else {
+        Fabric::new(topo, queue, rng)
+    };
+    if let Some((ecn, wq)) = case.red {
+        let mut red = RedConfig::for_capacity(case.queue_pkts, SimDuration::from_micros(600));
+        // A low band: early decisions and marks within a few packets. A
+        // fast average then force-drops at `max_th`; a slow one lets a burst
+        // run into the hard limit.
+        red.min_th = 0.5;
+        red.max_p = 0.5;
+        red.wq = wq;
+        red.ecn = ecn;
+        fabric.set_red_port(d.left_router, d.bottleneck, red);
+    }
+    fabric.set_impairment(
+        d.bottleneck,
+        d.left_router,
+        Impairment::from_config(
+            &case.imp,
+            &SimRng::seed_from_u64(case.seed ^ 0x5eed),
+            SimTime::from_secs(60),
+        ),
+    );
+
+    let mut ports = vec![
+        (d.left_router, d.bottleneck),
+        (d.right_router, d.bottleneck),
+    ];
+    ports.extend(d.sender_access.iter().map(|&l| (d.left_router, l)));
+    ports.extend(d.receiver_access.iter().map(|&l| (d.right_router, l)));
+    let mut pending = Pending::default();
+    let mut tally = AuditTally::default();
+    let mut outbox = Vec::new();
+    let mut audit = |fabric: &mut Fabric<EctBody>, pending: &Pending, tally: &mut AuditTally| {
+        fabric.drain_outbox(&mut outbox);
+        for env in outbox.drain(..) {
+            tally.enveloped += 1;
+            tally.enveloped_ce += u64::from(env.msg.pkt.body.ecn == Ecn::Ce);
+        }
+        let queued: usize = ports
+            .iter()
+            .filter_map(|&(node, link)| fabric.port_queue_len(node, link))
+            .sum();
+        assert_eq!(
+            fabric.packets_in_flight(),
+            queued + pending.tx_dones + pending.arrivals,
+            "parked != queued {queued} + serializing {} + flying {}",
+            pending.tx_dones,
+            pending.arrivals
+        );
+    };
+
+    let mut ids = PacketIdGen::new();
+    let mut at = SimTime::ZERO;
+    for &(gap_us, pair, size, lost) in &case.sends {
+        at += SimDuration::from_micros(gap_us);
+        // Everything due before this injection happens first.
+        while let Some((now, ev)) = pending.pop_at_or_before(at) {
+            let out = fabric.handle(ev, now, |dl, e| pending.push(now + dl, e));
+            if let Some((_, pkt)) = out {
+                tally.delivered += 1;
+                tally.delivered_ce += u64::from(pkt.body.ecn == Ecn::Ce);
+            }
+            audit(&mut fabric, &pending, &mut tally);
+        }
+        let pair = pair % case.pairs;
+        let pkt = Packet {
+            id: ids.next_id(),
+            src: d.senders[pair],
+            dst: if lost { nowhere } else { d.receivers[pair] },
+            flow: FlowId(pair as u32),
+            created: at,
+            body: EctBody {
+                size: size.max(40),
+                ecn: Ecn::Ect,
+            },
+        };
+        fabric.start_flight(at, d.senders[pair], d.sender_access[pair], pkt, |dl, e| {
+            pending.push(at + dl, e)
+        });
+        audit(&mut fabric, &pending, &mut tally);
+    }
+    while let Some((now, ev)) = pending.pop_at_or_before(SimTime::MAX) {
+        let out = fabric.handle(ev, now, |dl, e| pending.push(now + dl, e));
+        if let Some((_, pkt)) = out {
+            tally.delivered += 1;
+            tally.delivered_ce += u64::from(pkt.body.ecn == Ecn::Ce);
+        }
+        audit(&mut fabric, &pending, &mut tally);
+    }
+    assert_eq!(fabric.packets_in_flight(), 0, "drained run leaked");
+
+    tally.queue_drops = fabric.queue_drops;
+    tally.unroutable = fabric.unroutable_drops;
+    if let Some(red) = fabric.red_port_stats(d.left_router, d.bottleneck) {
+        tally.red_early = red.early_drops;
+        tally.red_forced = red.forced_drops;
+        tally.red_marks = red.ecn_marks;
+    }
+    let imp = fabric
+        .impairment(d.bottleneck, d.left_router)
+        .expect("installed above")
+        .stats;
+    tally.impair_drops = imp.burst_drops + imp.outage_drops;
+    tally.duplicates = imp.duplicates;
+    tally.link_lost = fabric.link_stats(d.bottleneck).lost_pkts - tally.impair_drops;
+    // Every packet sent, and every copy made, ended exactly one way.
+    assert_eq!(
+        case.sends.len() as u64 + tally.duplicates,
+        tally.delivered
+            + tally.enveloped
+            + tally.queue_drops
+            + tally.link_lost
+            + tally.impair_drops
+            + tally.unroutable,
+        "{tally:?}"
+    );
+    assert!(tally.queue_drops >= tally.red_early + tally.red_forced);
+    tally
+}
+
+/// Burst loss, duplication and jitter on the audited bottleneck.
+fn audit_impairment(dup: f64, p_good_to_bad: f64) -> ImpairmentConfig {
+    ImpairmentConfig {
+        burst_loss: Some(GilbertElliott {
+            p_good_to_bad,
+            p_bad_to_good: 0.3,
+            loss_good: 0.0,
+            loss_bad: 0.8,
+        }),
+        jitter: Some(Jitter {
+            prob: 0.3,
+            max: SimDuration::from_micros(3_000),
+        }),
+        duplicate_prob: dup,
+        ..Default::default()
+    }
+}
+
+/// The audit on fixed fabrics that between them make a packet die every way
+/// it can — each asserted to have happened, so the property below is not
+/// vacuous about any of them.
+#[test]
+fn every_way_a_parked_packet_dies_frees_its_slot() {
+    let burst: Vec<(u64, usize, u32, bool)> = (0..400)
+        .map(|i| {
+            (
+                if i % 40 == 0 { 4_000 } else { 30 },
+                i as usize,
+                1000,
+                i % 7 == 3,
+            )
+        })
+        .collect();
+    let case = AuditCase {
+        seed: 7,
+        pairs: 3,
+        queue_pkts: 6,
+        red: None,
+        loss_prob: 0.1,
+        imp: audit_impairment(0.2, 0.05),
+        split: false,
+        sends: burst,
+    };
+    let t = audited_run(&case);
+    assert!(t.queue_drops > 0, "no drop-tail overflow: {t:?}");
+    assert!(t.link_lost > 0, "no loss_prob drop: {t:?}");
+    assert!(t.impair_drops > 0, "no impairment drop: {t:?}");
+    assert!(t.duplicates > 0, "no duplicate: {t:?}");
+    assert!(t.unroutable > 0, "no unroutable drop: {t:?}");
+    assert!(t.delivered > 0 && t.enveloped == 0, "{t:?}");
+
+    let red = AuditCase {
+        red: Some((true, 0.5)),
+        queue_pkts: 12,
+        ..case.clone()
+    };
+    let t = audited_run(&red);
+    assert!(t.red_early > 0, "no RED early drop: {t:?}");
+    // A mark lands on the handle in the queue; it must be on the packet
+    // that comes out of the arena, however it comes out.
+    assert!(t.red_marks > 0 && t.delivered_ce > 0, "{t:?}");
+    assert!(t.delivered_ce <= t.red_marks + t.duplicates, "{t:?}");
+
+    let slow = AuditCase {
+        red: Some((false, 0.002)),
+        ..red.clone()
+    };
+    let t = audited_run(&slow);
+    assert!(t.red_forced > 0, "no RED forced drop: {t:?}");
+
+    let t = audited_run(&AuditCase { split: true, ..red });
+    assert!(t.enveloped > 0 && t.enveloped_ce > 0, "no hand-off: {t:?}");
+    assert_eq!(t.delivered, 0, "the receiving half is another fabric's");
+}
+
+proptest! {
+    /// A parked packet is queued, serializing or flying — at every step, on
+    /// random fabrics, whichever way packets die on them (see
+    /// [`audited_run`]) — and a drained fabric holds none.
+    #[test]
+    fn the_arena_holds_exactly_the_packets_inside_the_fabric(
+        seed in 0u64..1_000_000,
+        pairs in 1usize..4,
+        queue_pkts in 1u32..12,
+        red in prop_oneof![
+            Just(None),
+            (any::<bool>(), prop_oneof![Just(0.002), 0.01f64..1.0]).prop_map(Some),
+        ],
+        loss_prob in prop_oneof![Just(0.0), 0.0f64..0.4],
+        dup in 0.0f64..0.4,
+        p_good_to_bad in 0.0f64..0.2,
+        split in any::<bool>(),
+        sends in prop::collection::vec(
+            (0u64..800, 0usize..4, 40u32..1500, (0u32..10).prop_map(|k| k == 0)),
+            1..160,
+        ),
+    ) {
+        audited_run(&AuditCase {
+            seed,
+            pairs,
+            queue_pkts,
+            red,
+            loss_prob,
+            imp: audit_impairment(dup, p_good_to_bad),
+            split,
+            sends,
+        });
+    }
 }
 
 proptest! {

@@ -323,6 +323,10 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// `#[inline]`: the event is moved into its slot here. Out of line, the
+    /// caller stores it to the stack in the pieces it built it from and this
+    /// reloads it whole.
+    #[inline]
     fn alloc_slot(&mut self, tag: u64, time: SimTime, event: E) -> u32 {
         if self.free_head != NIL {
             let slot = self.free_head;

@@ -21,6 +21,13 @@ fi
 # scheduler's own stamping wrapper may stand alone; a second call below it
 # may not), the per-hop fabric handler, the per-event dispatch.
 hot='EventQueue<.*>::pop_bounded$|EventQueue<.*>::pop_before$|EventQueue<.*>::schedule_tagged$|Fabric<.*>::handle$|Engine<.*>::dispatch$'
+# And the two places a fabric follow-up event changes hands: the closure the
+# world's handler gives the fabric, and the queue's slot allocator. Either
+# one standing alone means the event is stored to the stack in the 4-byte
+# pieces it was built from and reloaded 16 bytes at a time on the other side
+# of the call — a store-forwarding stall per hop, the two hottest
+# instructions of a profile, with no test failing.
+hot+='|<.*World as .*Model>::handle::\{\{closure\}\}$|EventQueue<.*>::alloc_slot$'
 
 status=0
 for bin in "${bins[@]}"; do

@@ -147,14 +147,16 @@ fn peak_heap_over_run(sc: &Scenario) -> u64 {
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures (5 261 B under one engine, 6 177 B in two domains). With
-/// per-bucket vectors in the calendar wheel, RED state in every port,
-/// four-packet first queue buffers and flow reports rendered beside the
-/// complete world the same runs measure 9 400 and 10 990 B.
+/// above what it measures under one engine (5 164 B) and 8 % above in two
+/// domains (6 284 B: each domain's fabric compiles its own 16-byte hop
+/// record per direction of the whole topology). With per-bucket vectors in the
+/// calendar wheel, RED state in every port, four-packet first queue buffers
+/// and flow reports rendered beside the complete world the same runs
+/// measure 9 400 and 10 990 B.
 #[test]
 fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    for (shards, ceiling) in [(None, 5_800), (Some(2), 6_800)] {
+    for (shards, ceiling) in [(None, 5_700), (Some(2), 6_800)] {
         let mut sc = manyflow(SimDuration::from_millis(1500));
         sc.shards = shards;
         let per_flow = peak_heap_over_run(&sc) / sc.flows.len() as u64;
