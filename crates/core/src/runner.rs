@@ -5,13 +5,13 @@ use crate::scenario::Scenario;
 use crate::shard::{run_windowed, stop_boundary};
 use crate::world::{BuildError, World};
 use rss_net::RedStats;
-use rss_sim::{QueueCounters, ShardError, SimTime, TimeSeries};
+use rss_sim::{QueueCounters, ShardError, SimTime};
 use rss_tcp::{TcpReceiver, TcpSender};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Finalize one connection and build its report.
+/// Finalize one connection and build its report, moving its timelines in.
 fn flow_report(
     i: usize,
     sc: &Scenario,
@@ -22,9 +22,10 @@ fn flow_report(
 ) -> FlowReport {
     sender.finish(end);
     let rstats = receiver.stats();
-    let w = sender.web100();
+    let w = sender.web100_mut();
     let vars = w.snapshot();
     let goodput = w.goodput_bps(end);
+    let t = w.take_timelines();
     FlowReport {
         conn: i as u32,
         algo: sc.flows[i].algo.label().into(),
@@ -32,22 +33,10 @@ fn flow_report(
         goodput_bps: goodput,
         utilization: goodput / sc.path.rate_bps as f64,
         completed_at_s: completed_at.map(|t| t.as_secs_f64()),
-        stall_times_s: w.send_stalls().times().map(|t| t.as_secs_f64()).collect(),
-        congestion_times_s: w
-            .congestion_events()
-            .times()
-            .map(|t| t.as_secs_f64())
-            .collect(),
-        cwnd_series: w
-            .cwnd_series()
-            .iter()
-            .map(|(t, v)| (t.as_secs_f64(), v))
-            .collect(),
-        acked_series: w
-            .acked_series()
-            .iter()
-            .map(|(t, v)| (t.as_secs_f64(), v))
-            .collect(),
+        stall_times_s: t.stall_times_s,
+        congestion_times_s: t.congestion_times_s,
+        cwnd_series: t.cwnd_series,
+        acked_series: t.acked_series,
         receiver_delivered_bytes: receiver.rcv_nxt(),
         receiver_dup_segments: rstats.duplicate_segments,
         receiver_ooo_segments: rstats.out_of_order_segments,
@@ -222,24 +211,25 @@ fn per_domain<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec
 /// complete worlds, then every world gives up all but its connections, and
 /// only then are the per-flow reports — the bulk of a many-flow report —
 /// allocated. The peak is connections + flow reports instead of worlds +
-/// flow reports.
-fn report(sc: &Scenario, worlds: Vec<World>, out: &Outcome) -> RunReport {
+/// flow reports. Every series is moved into the report, none copied.
+fn report(sc: &Scenario, mut worlds: Vec<World>, out: &Outcome) -> RunReport {
     let end = out.end;
-    let series = |s: &TimeSeries| s.iter().map(|(t, v)| (t.as_secs_f64(), v)).collect();
     // The report's host-level fields describe flow 0's sending host.
-    let (sender_nic, ifq_series) = worlds
+    let sender_nic = worlds
         .iter()
-        .find_map(|w| w.sender_host(0))
+        .find_map(World::sender_host)
         .expect("flow 0 belongs to a world");
-    let sender_ifq_series = series(ifq_series);
     let sender_nic_utilization = sender_nic.utilization(end);
     let sender_nic = sender_nic.stats();
+    let sender_ifq_series = worlds
+        .iter_mut()
+        .find_map(World::take_sender_ifq_series)
+        .expect("flow 0 belongs to a world");
     let red: Vec<RedStats> = worlds.iter().map(World::red_stats).collect();
     let router_queue_drops = worlds.iter().map(|w| w.fabric().queue_drops).sum();
     let bottleneck_queue_series = worlds
-        .iter()
-        .find_map(World::bottleneck_series)
-        .map(series)
+        .iter_mut()
+        .find_map(World::take_bottleneck_series)
         .expect("one world owns the forward bottleneck");
     let cross_offered_bytes = worlds.iter().map(World::cross_offered_bytes).sum();
     let cross_delivered_bytes = worlds.iter().map(World::cross_delivered_bytes).sum();

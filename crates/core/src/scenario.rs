@@ -184,9 +184,10 @@ pub struct Scenario {
     /// Put every flow on one sending host (parallel-stream experiments);
     /// otherwise each flow gets its own host pair.
     pub shared_sender_host: bool,
-    /// Periodic sampling interval for world-level series (IFQ depth).
+    /// Periodic sampling interval of the two queue-depth series: flow 0's
+    /// sender IFQ and the forward bottleneck queue.
     pub sample_interval: SimDuration,
-    /// Thinning stride for dense per-connection series (1 = keep all).
+    /// Thinning stride for the per-connection cwnd series (1 = keep all).
     pub web100_stride: u32,
     /// Stop as soon as every bounded flow completes.
     pub stop_when_complete: bool,

@@ -45,22 +45,24 @@
 //! | bottleneck RED + loss streams | per port: `seed → 0xFAB0` / `0xFAB1`     |
 //! | impairment streams            | per link direction (`0x1FA`, `0xACC·p`)  |
 //! | cross-traffic streams         | per source (`0x0C05 + j`)                |
-//! | sampling                      | one `Sample` event chain per unit        |
+//! | sampling                      | two chains, in their queues' units       |
 //! | drop / delivery counters      | per fabric, summed at report time        |
 //! | completions                   | counted per world, summed by the driver  |
 //!
-//! Sampling chains are ordinary events, so `events_processed` is a function
-//! of the scenario alone — and so are the window walk's own counts
-//! (`RunReport::shard`: windows run, windows skipped, cross-unit flights),
-//! because which grid windows hold an event depends only on the union of the
-//! units' event times. A run ends where the walk would end it: at the
-//! horizon, or — under `stop_when_complete` — at the end of the lookahead-grid
-//! window that holds the last completion, which the one-domain driver
-//! computes instead of walking to (`stop_boundary`). Engine queue counters
-//! are *not* grouping invariant (where an event lands in the calendar wheel
-//! depends on what else the domain holds); they and the window counts are
-//! executor diagnostics, reported for the one-engine and the windowed driver
-//! respectively and outside the invariance contract.
+//! The two sampling chains (flow 0's sender IFQ, the forward bottleneck) are
+//! ordinary events of the units that own those queues, so
+//! `events_processed` is a function of the scenario alone — and so are the
+//! window walk's own counts (`RunReport::shard`: windows run, windows
+//! skipped, cross-unit flights), because which grid windows hold an event
+//! depends only on the union of the units' event times. A run ends where the
+//! walk would end it: at the horizon, or — under `stop_when_complete` — at
+//! the end of the lookahead-grid window that holds the last completion,
+//! which the one-domain driver computes instead of walking to
+//! (`stop_boundary`). Engine queue counters are *not* grouping invariant
+//! (where an event lands in the calendar wheel depends on what else the
+//! domain holds); they and the window counts are executor diagnostics,
+//! reported for the one-engine and the windowed driver respectively and
+//! outside the invariance contract.
 
 use crate::body::WireBody;
 use crate::runner::RunError;

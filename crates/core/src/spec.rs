@@ -194,10 +194,10 @@ pub struct RunSpec {
     /// Bottleneck queue discipline (JSON `queue`: `"DropTail"`,
     /// `{"Red": {...}}` or `{"RedEcn": {...}}`; default `"DropTail"`).
     pub queue: Option<QueueDef>,
-    /// World-series sampling interval, milliseconds (JSON
-    /// `sample_interval_ms`, default 10).
+    /// Sampling interval of the sender-IFQ and bottleneck queue series,
+    /// milliseconds (JSON `sample_interval_ms`, default 10).
     pub sample_interval_ms: Option<f64>,
-    /// Thinning stride for dense per-connection series, samples (JSON
+    /// Thinning stride for the per-connection cwnd series, samples (JSON
     /// `web100_stride`, default 1 = keep all).
     pub web100_stride: Option<u32>,
     /// Size the receive window to the path (4×BDP, floor 2 MB), applied
@@ -667,20 +667,33 @@ fn mbps_to_bps(mbps: f64, what: &str) -> Result<u64, SpecError> {
     Ok((mbps * 1e6).round() as u64)
 }
 
+/// `x` units of `unit_ns` nanoseconds as whole nanoseconds, or an error when
+/// that does not fit the clock's `u64` (a cast would saturate silently).
+fn to_nanos(x: f64, unit_ns: f64, what: &str) -> Result<u64, SpecError> {
+    let ns = (x * unit_ns).round();
+    // `u64::MAX as f64` is 2^64 itself; every double below it fits.
+    if ns >= u64::MAX as f64 {
+        return Err(SpecError::new(format!(
+            "{what} must be under 2^64 ns (about 584 years), got {x}"
+        )));
+    }
+    Ok(ns as u64)
+}
+
 fn ms_to_duration(ms: f64, what: &str) -> Result<SimDuration, SpecError> {
     if !ms.is_finite() || ms < 0.0 {
         return Err(SpecError::new(format!(
             "{what} must be non-negative, got {ms}"
         )));
     }
-    Ok(SimDuration::from_nanos((ms * 1e6).round() as u64))
+    to_nanos(ms, 1e6, what).map(SimDuration::from_nanos)
 }
 
 fn secs_to_duration(s: f64, what: &str) -> Result<SimDuration, SpecError> {
     if !s.is_finite() || s <= 0.0 {
         return Err(SpecError::new(format!("{what} must be positive, got {s}")));
     }
-    Ok(SimDuration::from_nanos((s * 1e9).round() as u64))
+    to_nanos(s, 1e9, what).map(SimDuration::from_nanos)
 }
 
 fn secs_to_time(s: f64, what: &str) -> Result<SimTime, SpecError> {
@@ -689,7 +702,7 @@ fn secs_to_time(s: f64, what: &str) -> Result<SimTime, SpecError> {
             "{what} must be non-negative, got {s}"
         )));
     }
-    Ok(SimTime::from_nanos((s * 1e9).round() as u64))
+    to_nanos(s, 1e9, what).map(SimTime::from_nanos)
 }
 
 /// A probability knob: finite and in [0, 1]. NaN fails the range test, so
@@ -949,7 +962,11 @@ impl RunSpec {
                 Some(m) => Some(mbps_to_bps(m, "path.access_rate_mbps")?),
                 None => None,
             },
-            access_delay: SimDuration::from_nanos((access_delay_us * 1e3).round() as u64),
+            access_delay: SimDuration::from_nanos(to_nanos(
+                access_delay_us,
+                1e3,
+                "path.access_delay_us",
+            )?),
         };
         let queue = self
             .queue
@@ -1617,6 +1634,21 @@ mod tests {
         .expand()
         .unwrap_err();
         assert!(err.msg.contains("max_sim_time_s"), "{}", err.msg);
+        // A duration whose nanoseconds overflow the clock's u64 is rejected,
+        // not saturated into a run that panics on its first `now + d`.
+        for (run, knob) in [
+            (r#""tcp":{"stall_retry_ms":1e15}"#, "tcp.stall_retry_ms"),
+            (r#""duration_s":1e12"#, "duration_s"),
+        ] {
+            let err = ScenarioSpec::from_json(&minimal(&format!(
+                r#"[{{"label":"x","flows":[{{}}],{run}}}]"#
+            )))
+            .unwrap()
+            .validate()
+            .unwrap_err();
+            let want = format!("run `x`: {knob} must be under 2^64 ns (about 584 years)");
+            assert!(err.msg.starts_with(&want), "{}", err.msg);
+        }
         let err =
             ScenarioSpec::from_json(&minimal(r#"[{"label":"x","flows":[{}],"max_events":0}]"#))
                 .unwrap()

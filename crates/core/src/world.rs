@@ -26,10 +26,21 @@
 //! else is an ordinary event of the unit it belongs to.
 //!
 //! Everything whose order could depend on the grouping is kept per unit:
-//! event and envelope sequence numbers, packet ids, the sampling event
-//! chain, and the random streams of the two bottleneck ports. Events fire in
+//! event and envelope sequence numbers, packet ids, the sampling chains, and
+//! the random streams of the two bottleneck ports. Events fire in
 //! `(time, unit, per-unit seq)` order, so how the units are grouped changes
 //! no byte of a report, and `tests/one_world.rs` holds every feature to that.
+//!
+//! # What is sampled
+//!
+//! Two queue depths are sampled on the `sample_interval` grid, because the
+//! report reads exactly two: the IFQ of flow 0's sending host (the signal the
+//! paper's controller watches, `RunReport::sender_ifq_series`) and the
+//! forward bottleneck queue (`RunReport::bottleneck_queue_series`). Each is
+//! one chain of [`Ev::Sample`] events belonging to the unit that owns what
+//! it samples, so a run has at most two chains whatever its host-pair or
+//! shard count. Both series are recorded as the `(t_s, packets)` vectors the
+//! report holds and moved into it.
 
 use crate::body::WireBody;
 use crate::scenario::Scenario;
@@ -39,15 +50,12 @@ use rss_net::{
     dumbbell, Ecn, Fabric, FlowId, Handoff, Impairment, LinkId, LinkParams, NetEvent, NodeId,
     OutageSchedule, Packet, QueueConfig, RedStats, TrafficSource, UnitMap,
 };
-use rss_sim::{
-    event_tag, Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime, TimeSeries,
-};
+use rss_sim::{event_tag, Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime};
 use rss_tcp::{
     make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpReceiver, TcpSegment, TcpSender,
 };
 use rss_workload::AppDriver;
 use std::fmt;
-use std::ops::Range;
 
 /// Events of the complete experiment world. Every index is local to the
 /// world that scheduled the event.
@@ -93,11 +101,17 @@ pub enum Ev {
         /// Cross-stream index.
         idx: u32,
     },
-    /// Periodic sampling of one unit's series.
-    Sample {
-        /// Unit index.
-        unit: u32,
-    },
+    /// Periodic sampling of one queue-depth series.
+    Sample(Probe),
+}
+
+/// The queues a world samples (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The IFQ of flow 0's sending host.
+    SenderIfq,
+    /// The forward bottleneck queue.
+    Bottleneck,
 }
 
 /// Why a [`Scenario`] cannot be turned into a runnable world.
@@ -175,8 +189,6 @@ struct Host {
     /// Connections sending from this host, in flow order. Frozen after
     /// build; the transmit path walks it by index.
     conns: Vec<u32>,
-    /// IFQ-depth series (sending hosts only).
-    ifq_series: Option<TimeSeries>,
 }
 
 /// Per-unit state: whatever must not depend on how units are grouped.
@@ -185,10 +197,6 @@ struct Unit {
     id: u32,
     /// Next packet id; units number from disjoint bases.
     next_pkt: u64,
-    /// This unit's hosts (contiguous: hosts are laid out unit by unit).
-    hosts: Range<usize>,
-    /// Whether this unit owns, and so samples, the forward bottleneck queue.
-    samples_bottleneck: bool,
 }
 
 /// The experiment state of the units one `UnitPlan` domain owns;
@@ -217,9 +225,13 @@ pub struct World {
     stop_when_complete: bool,
     completed: u64,
     completions_taken: u64,
-    /// Forward bottleneck queue-depth series (instantaneous packets), on the
-    /// same grid as the IFQ series. `None` when another world owns the port.
-    bottleneck_series: Option<TimeSeries>,
+    /// Flow 0's sending host and its IFQ-depth series `(t_s, packets)`.
+    /// `None` when another world owns flow 0.
+    sender_ifq: Option<(u32, Vec<(f64, f64)>)>,
+    /// The forward bottleneck port's unit and its queue-depth series
+    /// `(t_s, packets)`, on the same grid. `None` when another world owns
+    /// the port.
+    bottleneck_series: Option<(u32, Vec<(f64, f64)>)>,
     /// The two routers framing the bottleneck (forward direction first).
     routers: [NodeId; 2],
     /// The shared long-haul (bottleneck) link.
@@ -341,7 +353,7 @@ impl World {
                     );
                 }
             }
-            let unit = local_unit(&mut units, plan.pair_unit[p], hosts.len());
+            let unit = local_unit(&mut units, plan.pair_unit[p]);
             for (k, (node, link)) in [
                 (d.senders[p], d.sender_access[p]),
                 (d.receivers[p], d.receiver_access[p]),
@@ -356,15 +368,8 @@ impl World {
                     link,
                     unit,
                     conns: Vec::new(),
-                    ifq_series: None,
                 });
             }
-            units[unit as usize].hosts.end = hosts.len();
-        }
-        let owns_bottleneck = owns(plan.hub_units[0]);
-        if owns_bottleneck {
-            let unit = local_unit(&mut units, plan.hub_units[0], hosts.len());
-            units[unit as usize].samples_bottleneck = true;
         }
 
         let owns_flow = |i: usize| owns_pair(sc.flow_pair(i));
@@ -378,10 +383,9 @@ impl World {
             let mut sender = TcpSender::new(id, sc.tcp, cc, f.app.initial_bytes());
             sender.web100_mut().sample_stride = sc.web100_stride;
             conn_index[i] = conns.len() as u32;
-            let host = &mut hosts[pair_hosts[pair][0] as usize];
-            host.conns.push(conns.len() as u32);
-            host.ifq_series
-                .get_or_insert_with(|| TimeSeries::new(format!("ifq_host{}", host.node.0)));
+            hosts[pair_hosts[pair][0] as usize]
+                .conns
+                .push(conns.len() as u32);
             conns.push(Conn {
                 id,
                 sender,
@@ -427,7 +431,8 @@ impl World {
             stop_when_complete: false,
             completed: 0,
             completions_taken: 0,
-            bottleneck_series: owns_bottleneck.then(|| TimeSeries::new("bottleneck_queue")),
+            sender_ifq: owns_flow(0).then(|| (pair_hosts[sc.flow_pair(0)][0], Vec::new())),
+            bottleneck_series: owns(plan.hub_units[0]).then(|| (plan.hub_units[0], Vec::new())),
             routers,
             bottleneck: d.bottleneck,
             cross_delivered_bytes: 0,
@@ -435,8 +440,8 @@ impl World {
     }
 
     /// Wrap the world in an engine seeded with its initial events, each its
-    /// unit's: flow starts and cross sources in scenario order, then one
-    /// sampling chain per unit that has something to sample.
+    /// unit's: flow starts and cross sources in scenario order, then the
+    /// sampling chains of the series this world records.
     pub fn into_engine(self) -> Engine<World> {
         let unit_of = |host: u32| self.units[self.hosts[host as usize].unit as usize].id;
         let mut evs: Vec<(u32, SimTime, Ev)> = Vec::new();
@@ -448,11 +453,11 @@ impl World {
             let ev = Ev::CrossEmit { idx: x as u32 };
             evs.push((unit_of(cross.host), cross.start, ev));
         }
-        for (u, unit) in self.units.iter().enumerate() {
-            let hosts = &self.hosts[unit.hosts.clone()];
-            if unit.samples_bottleneck || hosts.iter().any(|h| h.ifq_series.is_some()) {
-                evs.push((unit.id, SimTime::ZERO, Ev::Sample { unit: u as u32 }));
-            }
+        if let Some((host, _)) = self.sender_ifq {
+            evs.push((unit_of(host), SimTime::ZERO, Ev::Sample(Probe::SenderIfq)));
+        }
+        if let Some((unit, _)) = self.bottleneck_series {
+            evs.push((unit, SimTime::ZERO, Ev::Sample(Probe::Bottleneck)));
         }
         let units = self.plan_units;
         let mut engine = Engine::with_units(self, units);
@@ -487,8 +492,9 @@ impl World {
     /// Release everything but the connections: hosts and their NICs, the
     /// fabric (ports, queues, packet arena, topology, routes), the timer
     /// table. A finished run needs the network for a handful of counters and
-    /// two series; the per-flow reports are built from what is left, after
-    /// this, so they are never resident beside the network they describe.
+    /// the two sampled series (taken before this); the per-flow reports are
+    /// built from what is left, after this, so they are never resident
+    /// beside the network they describe.
     pub(crate) fn into_connections(self) -> Connections {
         Connections {
             conns: self.conns,
@@ -496,13 +502,22 @@ impl World {
         }
     }
 
-    /// The NIC and IFQ-depth series of the host scenario flow `i` sends
-    /// from; `None` when another world owns the flow.
-    pub fn sender_host(&self, i: usize) -> Option<(&HostNic<WireBody>, &TimeSeries)> {
-        let c = self.conns.get(*self.conn_index.get(i)? as usize)?;
-        let host = &self.hosts[c.hosts[0] as usize];
-        let series = host.ifq_series.as_ref().expect("sending host has a series");
-        Some((&host.nic, series))
+    /// The NIC of flow 0's sending host, the host the report's host-level
+    /// fields describe; `None` when another world owns flow 0.
+    pub fn sender_host(&self) -> Option<&HostNic<WireBody>> {
+        let (host, _) = self.sender_ifq.as_ref()?;
+        Some(&self.hosts[*host as usize].nic)
+    }
+
+    /// That host's IFQ-depth series `(t_s, packets)` on the sampling grid;
+    /// `None` when another world owns flow 0.
+    pub fn sender_ifq_series(&self) -> Option<&[(f64, f64)]> {
+        self.sender_ifq.as_ref().map(|(_, s)| &s[..])
+    }
+
+    /// Move flow 0's sending-host IFQ series out, for the report.
+    pub(crate) fn take_sender_ifq_series(&mut self) -> Option<Vec<(f64, f64)>> {
+        self.sender_ifq.take().map(|(_, s)| s)
     }
 
     /// The network fabric (router/link statistics).
@@ -524,10 +539,16 @@ impl World {
         sum
     }
 
-    /// Forward-direction bottleneck queue-depth series (instantaneous
-    /// packets on the sampling grid); `None` when another world owns it.
-    pub fn bottleneck_series(&self) -> Option<&TimeSeries> {
-        self.bottleneck_series.as_ref()
+    /// Forward-direction bottleneck queue-depth series `(t_s, packets)`,
+    /// instantaneous depth on the sampling grid; `None` when another world
+    /// owns the port.
+    pub fn bottleneck_series(&self) -> Option<&[(f64, f64)]> {
+        self.bottleneck_series.as_ref().map(|(_, s)| &s[..])
+    }
+
+    /// Move the bottleneck series out, for the report.
+    pub(crate) fn take_bottleneck_series(&mut self) -> Option<Vec<(f64, f64)>> {
+        self.bottleneck_series.take().map(|(_, s)| s)
     }
 
     /// Bytes this world's cross streams have offered so far.
@@ -744,16 +765,13 @@ impl Connections {
     }
 }
 
-/// Index of unit `id` in `units`, appending it (with an empty host range at
-/// `next_host`) on first sight. A unit's visits are consecutive, so one seen
-/// before is the last one.
-fn local_unit(units: &mut Vec<Unit>, id: u32, next_host: usize) -> u32 {
+/// Index of unit `id` in `units`, appending it on first sight. A unit's
+/// visits are consecutive, so one seen before is the last one.
+fn local_unit(units: &mut Vec<Unit>, id: u32) -> u32 {
     if units.last().map(|u| u.id) != Some(id) {
         units.push(Unit {
             id,
             next_pkt: event_tag(id, 0),
-            hosts: next_host..next_host,
-            samples_bottleneck: false,
         });
     }
     units.len() as u32 - 1
@@ -850,22 +868,26 @@ impl Model for World {
             Ev::CrossEmit { idx } => {
                 self.emit_cross(idx as usize, now, sched);
             }
-            Ev::Sample { unit } => {
-                let u = &self.units[unit as usize];
-                for host in &mut self.hosts[u.hosts.clone()] {
-                    if let Some(series) = host.ifq_series.as_mut() {
-                        series.push(now, host.nic.ifq_queued() as f64);
+            Ev::Sample(probe) => {
+                let (depth, series) = match probe {
+                    Probe::SenderIfq => {
+                        let (host, series) =
+                            self.sender_ifq.as_mut().expect("chain of flow 0's world");
+                        (self.hosts[*host as usize].nic.ifq_queued() as f64, series)
                     }
-                }
-                if u.samples_bottleneck {
-                    let depth = self.fabric.port_queue_len(self.routers[0], self.bottleneck);
-                    let series = self.bottleneck_series.as_mut();
-                    let (depth, series) = depth.zip(series).expect("sampling unit owns the port");
-                    series.push(now, depth as f64);
-                }
+                    Probe::Bottleneck => {
+                        let depth = self.fabric.port_queue_len(self.routers[0], self.bottleneck);
+                        let (_, series) = self
+                            .bottleneck_series
+                            .as_mut()
+                            .expect("chain of the port's world");
+                        (depth.expect("sampling world owns the port") as f64, series)
+                    }
+                };
+                series.push((now.as_secs_f64(), depth));
                 let next = now + self.sample_interval;
                 if next <= SimTime::ZERO + self.duration {
-                    sched.at(next, Ev::Sample { unit });
+                    sched.at(next, Ev::Sample(probe));
                 }
             }
         }

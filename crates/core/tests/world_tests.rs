@@ -1,6 +1,6 @@
 //! World-model integration tests: wiring details the end-to-end suite
 //! doesn't pin down (start offsets, shared hosts, RED bottlenecks, periodic
-//! apps, sampling series).
+//! apps, the sampled series and what sampling costs).
 
 use rss_core::{
     run, AppModel, CcAlgorithm, CrossSpec, FlowSpec, RssConfig, Scenario, SimDuration, SimTime,
@@ -287,12 +287,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// top of the complete worlds), so a field dropped, reordered or read after
 /// its owner was released shows here; the one-engine digest is pinned from
 /// the commit that made it the same realization (it differs from the other
-/// in the `engine` / `shard` diagnostics only).
+/// in the `engine` / `shard` diagnostics only). Both were re-pinned once
+/// when sampling shrank to two chains per run: against the digests before,
+/// the JSON differed in `events_processed` and `engine.*` alone (15 566 →
+/// 15 323 events, three of the four pairs' 81-sample chains gone).
 #[test]
 fn report_json_is_pinned_across_the_network_first_reorder() {
     for (shards, want) in [
-        (None, 0x81b3_5da0_676d_52ddu64),
-        (Some(2), 0x8e20_a59e_a145_d0d1),
+        (None, 0xd350_3f2b_d97b_61fbu64),
+        (Some(2), 0xa0b1_11e1_fee0_4e24),
     ] {
         let mut sc = red_cross();
         sc.shards = shards;
@@ -322,13 +325,37 @@ fn reporting_accessors_work_on_an_unconsumed_world() {
     let world = engine.model();
     let r = run(&sc);
     assert_eq!(stats.events_processed, r.events_processed);
-    let (nic, ifq) = world.sender_host(0).expect("flow 0 is this world's");
+    let nic = world.sender_host().expect("flow 0 is this world's");
     assert_eq!(nic.stats().tx_pkts, r.sender_nic.tx_pkts);
-    assert_eq!(ifq.iter().count(), r.sender_ifq_series.len());
-    assert!(world.sender_host(sc.flows.len()).is_none());
+    let ifq = world.sender_ifq_series().expect("flow 0 is this world's");
+    // The series the world recorded is the report's, sample for sample.
+    assert!(ifq.len() > 1);
+    assert_eq!(ifq, r.sender_ifq_series);
     assert_eq!(world.fabric().queue_drops, r.router_queue_drops);
     assert_eq!(world.red_stats().ecn_marks, r.router_ecn_marks);
     let depth = world.bottleneck_series().expect("one world owns the port");
-    assert_eq!(depth.iter().count(), r.bottleneck_queue_series.len());
+    assert_eq!(depth, r.bottleneck_queue_series);
     assert_eq!(world.cross_delivered_bytes(), r.cross_delivered_bytes);
+}
+
+/// Sampling costs two event chains per run — flow 0's sender IFQ and the
+/// forward bottleneck — whatever the host-pair count: the events a finer
+/// grid adds are the same for 1 and 8 pairs, under one engine and in two
+/// domains.
+#[test]
+fn sampling_runs_two_chains_whatever_the_host_pair_count() {
+    let events = |pairs: usize, interval_ms: u64, shards: Option<u32>| {
+        let mut sc = base(CcAlgorithm::Reno).with_duration(SimDuration::from_secs(1));
+        sc.flows = vec![FlowSpec::bulk(CcAlgorithm::Reno); pairs];
+        sc.sample_interval = SimDuration::from_millis(interval_ms);
+        sc.shards = shards;
+        run(&sc).events_processed
+    };
+    for shards in [None, Some(2)] {
+        for pairs in [1, 8] {
+            // A chain samples [0, 1 s] 11 times at 100 ms, 5 times at 250 ms.
+            let extra = events(pairs, 100, shards) - events(pairs, 250, shards);
+            assert_eq!(extra, 2 * (11 - 5), "shards {shards:?}, {pairs} pairs");
+        }
+    }
 }

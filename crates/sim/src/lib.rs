@@ -12,9 +12,11 @@
 //!   reproducible from a `u64` seed.
 //! * **Zero-cost genericity** — the engine is generic over the model's event
 //!   type; there is no boxing or dynamic dispatch on the hot path.
-//! * **Measurement built in** — [`TimeSeries`]/[`EventCounter`] capture the
-//!   exact artifacts the paper reports (cumulative send-stall staircases,
-//!   windowed throughput).
+//! * **Measurement stays with its reader** — the engine records only its
+//!   own counters ([`QueueCounters`], [`ShardStats`]). A model records the
+//!   series its report reads, in the report's `(t_s, value)` shape, and the
+//!   statistics kernel ([`jain_fairness`], [`convergence_time`]) works on
+//!   plain slices of them.
 //!
 //! ```
 //! use rss_sim::{Engine, Model, Scheduler, SimDuration, SimTime};
@@ -41,7 +43,6 @@
 pub mod engine;
 pub mod queue;
 pub mod rng;
-pub mod series;
 pub mod shard;
 pub mod stats;
 pub mod time;
@@ -49,7 +50,6 @@ pub mod time;
 pub use engine::{Engine, Model, RunStats, Scheduler};
 pub use queue::{event_tag, EventId, EventQueue, QueueCounters};
 pub use rng::{SimRng, SplitMix64};
-pub use series::{EventCounter, TimeSeries};
 pub use shard::{partition_units, run_sharded, Domain, Envelope, ShardError, ShardStats};
 pub use stats::{convergence_time, jain_fairness};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

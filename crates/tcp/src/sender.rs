@@ -214,7 +214,8 @@ impl TcpSender {
         &self.web100
     }
 
-    /// Mutable instrument access (the driver records IFQ samples here).
+    /// Mutable instrument access: the driver sets the cwnd sampling stride,
+    /// and a finished flow's report takes the timelines.
     pub fn web100_mut(&mut self) -> &mut InstrumentBlock {
         &mut self.web100
     }
@@ -474,7 +475,6 @@ impl TcpSender {
     pub fn on_ack(&mut self, now: SimTime, ack: u64, rwnd: u64, ifq: IfqSnapshot) {
         self.peer_rwnd = rwnd;
         self.web100.on_rwin(rwnd);
-        self.web100.on_ifq_depth(now, ifq.depth);
 
         if ack > self.snd_una {
             let newly = ack - self.snd_una;

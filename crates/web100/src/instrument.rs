@@ -1,32 +1,38 @@
 //! The live instrument block: the hooks the TCP stack calls, the counters
-//! they update, and the time-series the experiment harness reads back.
+//! they update, and the timelines a flow report carries.
 
+use crate::series::{push, record};
 use crate::vars::{CongestionKind, SndLimState, Web100Vars};
-use rss_sim::{EventCounter, SimTime, TimeSeries};
-use serde::{Deserialize, Serialize};
+use rss_sim::SimTime;
+
+/// What a connection records over time, already in the shape a flow report
+/// holds: times in seconds since the start of the run (`SimTime::as_secs_f64`),
+/// each list append-only in time order.
+#[derive(Debug, Clone, Default)]
+pub struct Timelines {
+    /// When each send-stall signal fired (Figure 1's series).
+    pub stall_times_s: Vec<f64>,
+    /// When each congestion signal of any kind fired.
+    pub congestion_times_s: Vec<f64>,
+    /// Congestion-window samples `(t_s, cwnd_bytes)`, every
+    /// `sample_stride`-th change.
+    pub cwnd_series: Vec<(f64, f64)>,
+    /// Cumulative acked bytes `(t_s, bytes)`, one sample per ACK that
+    /// acknowledged new data.
+    pub acked_series: Vec<(f64, f64)>,
+}
 
 /// Per-connection instrumentation, updated synchronously by the TCP stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InstrumentBlock {
     vars: Web100Vars,
-    /// Timestamps of every send-stall (Figure 1's series).
-    send_stalls: EventCounter,
-    /// Timestamps of every congestion signal of any kind.
-    congestion_events: EventCounter,
-    /// cwnd samples over time (bytes).
-    cwnd_series: TimeSeries,
-    /// IFQ occupancy samples over time (packets) — our addition; the paper's
-    /// controller observes this signal.
-    ifq_series: TimeSeries,
-    /// Cumulative acked bytes over time, for throughput plots.
-    acked_series: TimeSeries,
+    timelines: Timelines,
     lim_state: SndLimState,
     lim_since_ns: u64,
-    /// Sampling stride for the dense series (every Nth update is recorded);
+    /// Sampling stride for the cwnd series (every Nth change is recorded);
     /// 1 records everything.
     pub sample_stride: u32,
     cwnd_updates: u32,
-    ifq_updates: u32,
 }
 
 impl Default for InstrumentBlock {
@@ -40,16 +46,11 @@ impl InstrumentBlock {
     pub fn new() -> Self {
         InstrumentBlock {
             vars: Web100Vars::default(),
-            send_stalls: EventCounter::new(),
-            congestion_events: EventCounter::new(),
-            cwnd_series: TimeSeries::new("cwnd_bytes"),
-            ifq_series: TimeSeries::new("ifq_pkts"),
-            acked_series: TimeSeries::new("acked_bytes"),
+            timelines: Timelines::default(),
             lim_state: SndLimState::Sender,
             lim_since_ns: 0,
             sample_stride: 1,
             cwnd_updates: 0,
-            ifq_updates: 0,
         }
     }
 
@@ -63,29 +64,15 @@ impl InstrumentBlock {
         self.vars
     }
 
-    /// Send-stall event log.
-    pub fn send_stalls(&self) -> &EventCounter {
-        &self.send_stalls
+    /// The timelines recorded so far.
+    pub fn timelines(&self) -> &Timelines {
+        &self.timelines
     }
 
-    /// Congestion-signal event log (all kinds).
-    pub fn congestion_events(&self) -> &EventCounter {
-        &self.congestion_events
-    }
-
-    /// Congestion-window time series (bytes).
-    pub fn cwnd_series(&self) -> &TimeSeries {
-        &self.cwnd_series
-    }
-
-    /// IFQ-occupancy time series (packets).
-    pub fn ifq_series(&self) -> &TimeSeries {
-        &self.ifq_series
-    }
-
-    /// Cumulative acked-bytes time series.
-    pub fn acked_series(&self) -> &TimeSeries {
-        &self.acked_series
+    /// Move the timelines out (a finished flow's report takes them),
+    /// leaving them empty.
+    pub fn take_timelines(&mut self) -> Timelines {
+        std::mem::take(&mut self.timelines)
     }
 
     // --- hooks called by the TCP stack -------------------------------------
@@ -108,21 +95,21 @@ impl InstrumentBlock {
         }
         if newly_acked > 0 {
             self.vars.thru_bytes_acked += newly_acked;
-            self.acked_series
-                .push(now, self.vars.thru_bytes_acked as f64);
+            let acked = self.vars.thru_bytes_acked as f64;
+            push(&mut self.timelines.acked_series, now, acked);
         }
     }
 
     /// A congestion signal fired.
     pub fn on_congestion(&mut self, now: SimTime, kind: CongestionKind) {
         self.vars.congestion_signals += 1;
-        self.congestion_events.record(now);
+        record(&mut self.timelines.congestion_times_s, now);
         match kind {
             CongestionKind::FastRetransmit => self.vars.fast_retran += 1,
             CongestionKind::Timeout => self.vars.timeouts += 1,
             CongestionKind::SendStall => {
                 self.vars.send_stall += 1;
-                self.send_stalls.record(now);
+                record(&mut self.timelines.stall_times_s, now);
             }
             CongestionKind::EcnEcho => self.vars.ecn_echoes += 1,
         }
@@ -134,7 +121,7 @@ impl InstrumentBlock {
         self.vars.max_cwnd = self.vars.max_cwnd.max(cwnd_bytes);
         self.cwnd_updates += 1;
         if self.cwnd_updates.is_multiple_of(self.sample_stride.max(1)) {
-            self.cwnd_series.push(now, cwnd_bytes as f64);
+            push(&mut self.timelines.cwnd_series, now, cwnd_bytes as f64);
         }
     }
 
@@ -168,14 +155,6 @@ impl InstrumentBlock {
     /// The connection entered congestion avoidance.
     pub fn on_enter_cong_avoid(&mut self) {
         self.vars.cong_avoid_episodes += 1;
-    }
-
-    /// IFQ occupancy observed (the controller's process variable).
-    pub fn on_ifq_depth(&mut self, now: SimTime, depth_pkts: u32) {
-        self.ifq_updates += 1;
-        if self.ifq_updates.is_multiple_of(self.sample_stride.max(1)) {
-            self.ifq_series.push(now, depth_pkts as f64);
-        }
     }
 
     /// The sender-limitation state machine moved to `state` at `now`.
@@ -237,9 +216,9 @@ mod tests {
         assert_eq!(v.send_stall, 2);
         assert_eq!(v.congestion_signals, 3);
         assert_eq!(v.fast_retran, 1);
-        assert_eq!(b.send_stalls().count(), 2);
-        assert_eq!(b.send_stalls().count_at(ms(600)), 1);
-        assert_eq!(b.congestion_events().count(), 3);
+        let t = b.timelines();
+        assert_eq!(t.stall_times_s, [0.5, 1.2]);
+        assert_eq!(t.congestion_times_s, [0.5, 0.8, 1.2]);
     }
 
     #[test]
@@ -250,7 +229,14 @@ mod tests {
         b.on_cwnd(ms(20), 2896);
         assert_eq!(b.vars().cur_cwnd, 2896);
         assert_eq!(b.vars().max_cwnd, 5792);
-        assert_eq!(b.cwnd_series().len(), 3);
+        assert_eq!(
+            b.timelines().cwnd_series,
+            [(0.0, 2896.0), (0.01, 5792.0), (0.02, 2896.0)]
+        );
+        // The report takes the series; the block keeps counting.
+        assert_eq!(b.take_timelines().cwnd_series.len(), 3);
+        assert!(b.timelines().cwnd_series.is_empty());
+        assert_eq!(b.vars().max_cwnd, 5792);
     }
 
     #[test]
@@ -286,7 +272,10 @@ mod tests {
         b.on_ack_in(ms(1000), 125_000, false);
         // 250 kB in 1 s = 2 Mbit/s.
         assert!((b.goodput_bps(SimTime::from_secs(1)) - 2_000_000.0).abs() < 1.0);
-        assert_eq!(b.acked_series().len(), 2);
+        assert_eq!(
+            b.timelines().acked_series,
+            [(0.5, 125_000.0), (1.0, 250_000.0)]
+        );
         assert_eq!(b.vars().thru_bytes_acked, 250_000);
     }
 
@@ -308,10 +297,8 @@ mod tests {
         b.sample_stride = 10;
         for i in 0..100 {
             b.on_cwnd(ms(i), 1000 + i);
-            b.on_ifq_depth(ms(i), i as u32);
         }
-        assert_eq!(b.cwnd_series().len(), 10);
-        assert_eq!(b.ifq_series().len(), 10);
+        assert_eq!(b.timelines().cwnd_series.len(), 10);
         // Counters are unaffected by sampling.
         assert_eq!(b.vars().cur_cwnd, 1099);
     }

@@ -8,13 +8,16 @@
 //!
 //! This crate reproduces that observability layer for the simulated stack:
 //! an [`InstrumentBlock`] per connection with TCP-KIS-named counters
-//! ([`Web100Vars`]), timestamped event logs for stalls and congestion
-//! signals, and time series for cwnd, IFQ depth and acked bytes.
+//! ([`Web100Vars`]) and the [`Timelines`] a flow report carries: when each
+//! send-stall and congestion signal fired, and the cwnd and acked-bytes
+//! series. The host's IFQ depth is not recorded here; the world samples
+//! the one sending host the report describes.
 
 #![warn(missing_docs)]
 
 pub mod instrument;
+mod series;
 pub mod vars;
 
-pub use instrument::InstrumentBlock;
+pub use instrument::{InstrumentBlock, Timelines};
 pub use vars::{CongestionKind, SndLimState, Web100Vars};

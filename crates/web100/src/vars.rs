@@ -158,54 +158,6 @@ impl Web100Vars {
         }
         self.thru_bytes_acked as f64 * 8.0 / window_secs
     }
-
-    /// Retransmission rate: retransmitted packets / packets out.
-    pub fn retrans_rate(&self) -> f64 {
-        if self.pkts_out == 0 {
-            0.0
-        } else {
-            self.pkts_retrans as f64 / self.pkts_out as f64
-        }
-    }
-
-    /// Render the counters as `name,value` CSV lines (sorted, stable order).
-    pub fn to_csv(&self) -> String {
-        let rows: &[(&str, u64)] = &[
-            ("AckPktsIn", self.ack_pkts_in),
-            ("BytesRetrans", self.bytes_retrans),
-            ("CongAvoidEpisodes", self.cong_avoid_episodes),
-            ("CongestionSignals", self.congestion_signals),
-            ("CurCwnd", self.cur_cwnd),
-            ("CurRTO_us", self.cur_rto_us),
-            ("CurRwinRcvd", self.cur_rwin_rcvd),
-            ("CurSsthresh", self.cur_ssthresh),
-            ("DataBytesOut", self.data_bytes_out),
-            ("DupAcksIn", self.dup_acks_in),
-            ("EcnEchoes", self.ecn_echoes),
-            ("FastRetran", self.fast_retran),
-            ("MaxCwnd", self.max_cwnd),
-            ("MaxRTT_us", self.max_rtt_us),
-            ("MinRTT_us", self.min_rtt_us),
-            ("PktsOut", self.pkts_out),
-            ("PktsRetrans", self.pkts_retrans),
-            ("SendStall", self.send_stall),
-            ("SlowStartEpisodes", self.slow_start_episodes),
-            ("SmoothedRTT_us", self.smoothed_rtt_us),
-            ("SndLimTimeCwnd_ns", self.snd_lim_time_cwnd_ns),
-            ("SndLimTimeRwin_ns", self.snd_lim_time_rwin_ns),
-            ("SndLimTimeSender_ns", self.snd_lim_time_sender_ns),
-            ("ThruBytesAcked", self.thru_bytes_acked),
-            ("Timeouts", self.timeouts),
-        ];
-        let mut out = String::from("variable,value\n");
-        for (name, v) in rows {
-            out.push_str(name);
-            out.push(',');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -245,27 +197,9 @@ mod tests {
     fn derived_rates() {
         let v = Web100Vars {
             thru_bytes_acked: 1_250_000,
-            pkts_out: 1000,
-            pkts_retrans: 25,
             ..Default::default()
         };
         assert!((v.goodput_over(1.0) - 10_000_000.0).abs() < 1.0);
         assert_eq!(v.goodput_over(0.0), 0.0);
-        assert!((v.retrans_rate() - 0.025).abs() < 1e-12);
-        assert_eq!(Web100Vars::default().retrans_rate(), 0.0);
-    }
-
-    #[test]
-    fn csv_contains_paper_variables() {
-        let v = Web100Vars {
-            send_stall: 4,
-            cur_cwnd: 123,
-            ..Default::default()
-        };
-        let csv = v.to_csv();
-        assert!(csv.contains("SendStall,4\n"));
-        assert!(csv.contains("CurCwnd,123\n"));
-        assert!(csv.starts_with("variable,value\n"));
-        assert_eq!(csv.lines().count(), 26);
     }
 }
