@@ -667,14 +667,20 @@ fn mbps_to_bps(mbps: f64, what: &str) -> Result<u64, SpecError> {
     Ok((mbps * 1e6).round() as u64)
 }
 
+/// Every time and duration knob lies below this many nanoseconds (2^62,
+/// about 146 years), so a time inside the horizon plus any one knob —
+/// `now + stall_retry`, or `now + rto` with the RTO clamped to `max_rto` —
+/// stays under 2^63 and never overflows the clock's `u64`.
+const KNOB_NS_LIMIT: f64 = (1u64 << 62) as f64;
+
 /// `x` units of `unit_ns` nanoseconds as whole nanoseconds, or an error when
-/// that does not fit the clock's `u64` (a cast would saturate silently).
+/// that is not below [`KNOB_NS_LIMIT`] (a cast would saturate silently, and
+/// a value that fits a `u64` can still overflow once added to the clock).
 fn to_nanos(x: f64, unit_ns: f64, what: &str) -> Result<u64, SpecError> {
     let ns = (x * unit_ns).round();
-    // `u64::MAX as f64` is 2^64 itself; every double below it fits.
-    if ns >= u64::MAX as f64 {
+    if ns >= KNOB_NS_LIMIT {
         return Err(SpecError::new(format!(
-            "{what} must be under 2^64 ns (about 584 years), got {x}"
+            "{what} must be under 2^62 ns (about 146 years), got {x}"
         )));
     }
     Ok(ns as u64)
@@ -1635,9 +1641,14 @@ mod tests {
         .unwrap_err();
         assert!(err.msg.contains("max_sim_time_s"), "{}", err.msg);
         // A duration whose nanoseconds overflow the clock's u64 is rejected,
-        // not saturated into a run that panics on its first `now + d`.
+        // not saturated into a run that panics on its first `now + d`; so is
+        // one that fits a u64 but overflows once added to a time in the run.
         for (run, knob) in [
             (r#""tcp":{"stall_retry_ms":1e15}"#, "tcp.stall_retry_ms"),
+            (
+                r#""tcp":{"stall_retry_ms":1.8446744073709e13}"#,
+                "tcp.stall_retry_ms",
+            ),
             (r#""duration_s":1e12"#, "duration_s"),
         ] {
             let err = ScenarioSpec::from_json(&minimal(&format!(
@@ -1646,7 +1657,7 @@ mod tests {
             .unwrap()
             .validate()
             .unwrap_err();
-            let want = format!("run `x`: {knob} must be under 2^64 ns (about 584 years)");
+            let want = format!("run `x`: {knob} must be under 2^62 ns (about 146 years)");
             assert!(err.msg.starts_with(&want), "{}", err.msg);
         }
         let err =

@@ -8,10 +8,15 @@
 //! sender.can_transmit ─► HostNic.enqueue (IFQ) ──full──► send-stall ─► CC
 //!        │ ok                                              (Figure 1 event)
 //!        ▼
-//! NicTxDone ─► Fabric.start_flight ─► router queues ─► receiver host
-//!                                                          │
-//!            sender.on_ack ◄─ ACK path (receiver NIC) ◄─ TcpReceiver
+//! NicTxDone ─► Fabric.start_flight ─► Arrival ─► router port ─► Arrival ─► … ─► receiver host
+//!                                        (busy: waits in the queue                    │
+//!                                         for its PortTxDone)                         │
+//!            sender.on_ack ◄─ ACK path (receiver NIC) ◄─ TcpReceiver ◄────────────────┘
 //! ```
+//!
+//! A segment costs its sender's `NicTxDone` and one `Arrival` per hop; a
+//! `PortTxDone` is added only at a router port where it waits behind another
+//! packet.
 //!
 //! # The unit map
 //!

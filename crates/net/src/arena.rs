@@ -1,7 +1,7 @@
 //! Generational packet arena: pooled storage for packets in flight.
 //!
 //! The fabric's hot loop moves every packet through the event queue once per
-//! hop, and through a router port's queue and transmitter in between.
+//! hop, and through a router port's queue in between.
 //! Carrying the full [`Packet`] through all of those made each schedule, pop,
 //! enqueue and dequeue copy ~80 bytes; parking the payload here once, when a
 //! host NIC puts it on the wire, leaves a POD [`PacketHandle`] (16 bytes: the
@@ -28,10 +28,10 @@ pub struct PacketRef {
     gen: u32,
 }
 
-/// What moves through the fabric in a parked packet's stead — port queues,
-/// the transmitter slot, arrival events: its [`PacketRef`] plus the wire size
-/// and ECN codepoint the queue disciplines read, so no hop short of the last
-/// touches the arena slot for more than the destination.
+/// What moves through the fabric in a parked packet's stead — port queues
+/// and arrival events: its [`PacketRef`] plus the wire size and ECN
+/// codepoint the queue disciplines read, so no hop short of the last touches
+/// the arena slot for more than the destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketHandle {
     /// The parked packet.

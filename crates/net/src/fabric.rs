@@ -14,12 +14,20 @@
 //!
 //! [`Fabric::start_flight`] parks the packet in the fabric's [`PacketArena`]
 //! once. From there to the far host only its 16-byte [`PacketHandle`] moves —
-//! through [`NetEvent::Arrival`], a port's queue and its transmitter slot —
-//! and the packet itself is read for its destination at each router and
-//! written for a CE mark. It leaves the arena where its trip ends: returned
-//! by [`Fabric::handle`] at a host, inline in an [`Envelope`] when another
-//! fabric simulates the next unit, or dropped (queue overflow, RED, link
-//! loss, impairment, no route — every one of them frees the slot).
+//! through [`NetEvent::Arrival`] and a port's queue — and the packet itself
+//! is read for its destination at each router and written for a CE mark. It
+//! leaves the arena where its trip ends: returned by [`Fabric::handle`] at a
+//! host, inline in an [`Envelope`] when another fabric simulates the next
+//! unit, or dropped (queue overflow, RED, link loss, impairment, no route —
+//! every one of them frees the slot).
+//!
+//! A router port has no transmitter slot. A packet is on the link from the
+//! instant its port starts serializing it: the loss model and the impairment
+//! decide its fate then (the impairment at the instant serialization ends),
+//! and its arrival is scheduled serialization + propagation later. The port
+//! keeps only when its transmitter is free again, and a
+//! [`NetEvent::PortTxDone`] is scheduled only for a packet that has to wait
+//! behind it, so a packet crossing an idle path costs one event per hop.
 //!
 //! What a hop asks of the topology is compiled at construction into one
 //! 16-byte record per egress direction (the node it leaves, that node's
@@ -44,8 +52,9 @@
 //! A 10k-pair dumbbell has 20 002 router egress ports, 16 618 of which never
 //! carry a packet in a 2 s run, and two of which run RED. A port is therefore
 //! kept to what every port uses — a drop-tail queue of handles (whose buffer
-//! is allocated on its first packet, for one handle: [`DropTail`]), the handle
-//! being serialized, the last serialization time and two pointers:
+//! is allocated for one handle when a packet first has to wait: [`DropTail`];
+//! a packet that finds the transmitter free passes the queue by), when its
+//! transmitter is free, the last serialization time and two pointers:
 //! [`PortQueue::Red`] holds its [`Red`] queue in a `Box`, and a port's
 //! private random stream ([`Fabric::set_port_rng`]) is boxed too. The RED and
 //! hub ports pay one pointer hop per packet; every other port stops carrying
@@ -53,6 +62,13 @@
 //! bytes; the packet sits in the arena, whose slots are shared by every port
 //! and recycled. The port table itself is sized once, from a count of the
 //! directions the fabric simulates.
+//!
+//! In events, a port costs a [`NetEvent::PortTxDone`] per packet that found
+//! its transmitter busy and nothing else: a packet that finds it free goes
+//! onto the link from its own [`NetEvent::Arrival`]. On the paper testbed,
+//! where the sender's interface queue is the only one that fills, that is
+//! eight events per data segment and its ACK where twelve were: each one's
+//! `NicTxDone` and three arrivals.
 
 use crate::arena::{ArenaMode, PacketArena, PacketHandle};
 use crate::impair::{Impairment, Verdict};
@@ -83,12 +99,13 @@ pub enum NetEvent {
         /// Unit that owns that egress.
         unit: u32,
         /// The packet, parked in the fabric's arena since its host NIC sent
-        /// it: the same handle goes into the port's queue and transmitter
-        /// and into the next arrival, until a host (or an envelope, or a
-        /// drop) redeems it.
+        /// it: the same handle goes into the port's queue and into the next
+        /// arrival, until a host (or an envelope, or a drop) redeems it.
         pkt: PacketHandle,
     },
-    /// A router egress port finished serializing its current packet.
+    /// A router egress port finished serializing a packet while others
+    /// waited behind it: the next one starts. Scheduled only then — a port
+    /// whose queue is empty when a serialization ends has no event for it.
     PortTxDone {
         /// Router owning the port.
         node: NodeId,
@@ -120,6 +137,21 @@ impl PortQueue {
             PortQueue::Red(q) => q.try_enqueue(now, pkt, rng).is_ok(),
         }
     }
+    /// Offer a packet that finds the queue empty and the transmitter free:
+    /// the packet to serialize at once, or `None` if it is dropped. RED
+    /// enqueues and dequeues it, so its average and idle time see both;
+    /// drop-tail, which keeps nothing a packet passing through would change
+    /// but its counters, only checks that it would have been accepted.
+    #[inline]
+    fn pass(&mut self, now: SimTime, pkt: PacketHandle, rng: &mut SimRng) -> Option<PacketHandle> {
+        match self {
+            PortQueue::DropTail(q) => q.would_accept(&pkt).is_ok().then_some(pkt),
+            PortQueue::Red(q) => {
+                q.try_enqueue(now, pkt, rng).ok()?;
+                q.dequeue(now)
+            }
+        }
+    }
     /// Take the next packet for transmission.
     #[inline]
     pub fn dequeue(&mut self, now: SimTime) -> Option<PacketHandle> {
@@ -139,7 +171,8 @@ impl PortQueue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Storage-layer statistics.
+    /// Storage-layer statistics. On a fabric's drop-tail port they count the
+    /// packets that waited: one that passed the queue by is not in them.
     pub fn stats(&self) -> QueueStats {
         match self {
             PortQueue::DropTail(q) => q.stats(),
@@ -155,10 +188,24 @@ impl PortQueue {
     }
 }
 
+/// A router port's transmitter. The packet it serializes is already on the
+/// link, so it holds no packet, only when it is free again.
+#[derive(Debug, Clone, Copy)]
+enum Tx {
+    /// Free, nothing queued.
+    Idle,
+    /// Serializing until this instant, nothing queued: no event is due, and
+    /// an arrival at or after it finds the port free.
+    Until(SimTime),
+    /// Serializing until this instant with packets queued behind: the one
+    /// [`NetEvent::PortTxDone`] due then starts the next.
+    Pending(SimTime),
+}
+
 struct Port {
     queue: PortQueue,
-    /// The packet currently being serialized, if any.
-    transmitting: Option<PacketHandle>,
+    /// When the transmitter is free, and whether a `PortTxDone` is due.
+    tx: Tx,
     /// Private stream for this port's RED decisions and for random loss on
     /// the link it feeds; `None` draws from the fabric's shared stream.
     /// Boxed for the same reason as [`PortQueue::Red`]: only the two
@@ -281,10 +328,11 @@ impl<T> DirTable<T> {
 /// Per-link transfer statistics (one entry per direction of use).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct LinkStats {
-    /// Packets put on the link. Counted at departure, once the loss model
-    /// and the impairment have let the packet go — not on arrival, so a
-    /// packet still flying when the run ends is counted, and a duplicate is
-    /// counted as a packet of its own.
+    /// Packets put on the link. Counted when serialization starts (a host
+    /// NIC's ends before it hands the packet over), once the loss model and
+    /// the impairment have let the packet go — not on arrival, so a packet
+    /// still serializing or flying when the run ends is counted, and a
+    /// duplicate is counted as a packet of its own.
     pub delivered_pkts: u64,
     /// Bytes put on the link; counted as `delivered_pkts` is.
     pub delivered_bytes: u64,
@@ -320,7 +368,8 @@ pub struct Fabric<B> {
     impairments: DirTable<Impairment>,
     /// Per-link transfer statistics, indexed by raw link id.
     link_stats: Vec<LinkStats>,
-    /// Every packet inside the fabric: flying, queued or being serialized.
+    /// Every packet inside the fabric: queued, or on a link (serializing or
+    /// flying).
     arena: PacketArena<B>,
     /// Flights each unit has launched into another unit. An envelope takes
     /// its source unit's count as its sequence number, so `(time, unit,
@@ -366,7 +415,7 @@ impl<B: Body> Fabric<B> {
                 idx,
                 Port {
                     queue: PortQueue::DropTail(DropTail::new(router_queue)),
-                    transmitting: None,
+                    tx: Tx::Idle,
                     rng: None,
                     ser: SerializeMemo::default(),
                 },
@@ -431,9 +480,9 @@ impl<B: Body> Fabric<B> {
         self.arena.set_mode(mode);
     }
 
-    /// Packets currently inside the fabric (parked in the arena): flying
-    /// along a link, waiting in a router port's queue, or being serialized
-    /// by one. A drained run ends at zero; anything else is a leak.
+    /// Packets currently inside the fabric (parked in the arena): waiting in
+    /// a router port's queue, or on a link, being serialized onto it or
+    /// flying along it. A drained run ends at zero; anything else is a leak.
     pub fn packets_in_flight(&self) -> usize {
         self.arena.live()
     }
@@ -505,7 +554,7 @@ impl<B: Body> Fabric<B> {
     ///
     /// Host NICs call this (their serialization time is the NIC's business);
     /// a router port puts its packet's handle on the link itself when
-    /// serialization ends.
+    /// serialization starts.
     pub fn start_flight(
         &mut self,
         now: SimTime,
@@ -516,17 +565,19 @@ impl<B: Body> Fabric<B> {
     ) {
         let dir = self.dir_of(from, link);
         let pkt = self.arena.park(pkt);
-        self.depart(now, dir, pkt, &mut sched);
+        self.depart(now, dir, SimDuration::ZERO, pkt, &mut sched);
     }
 
-    /// A parked packet leaves direction `dir`: the loss model and the
-    /// impairment decide whether (and how late, and how many times) it
+    /// A parked packet goes onto direction `dir` at `now` and has left it
+    /// completely `ser` later: the loss model and the impairment (as of that
+    /// instant) decide whether (and how late, and how many times) it
     /// arrives.
     #[inline]
     fn depart(
         &mut self,
         now: SimTime,
         dir: usize,
+        ser: SimDuration,
         pkt: PacketHandle,
         sched: &mut impl FnMut(SimDuration, NetEvent),
     ) {
@@ -546,9 +597,9 @@ impl<B: Body> Fabric<B> {
         // loss model: outage/burst drops, jitter (delay is only ever added,
         // so the link's propagation delay stays a valid lookahead bound for
         // the windowed driver) and duplication.
-        let mut extra_delay = SimDuration::ZERO;
+        let mut wait = ser;
         if let Some(imp) = self.impairments.get_mut(dir) {
-            match imp.decide(now) {
+            match imp.decide(now + ser) {
                 Verdict::Drop(_) => {
                     self.link_stats[dir / 2].lost_pkts += 1;
                     self.arena.take(pkt.pkt);
@@ -558,10 +609,10 @@ impl<B: Body> Fabric<B> {
                     extra_delay: jitter,
                     duplicate,
                 } => {
-                    extra_delay = jitter;
+                    wait = ser + jitter;
                     if duplicate {
-                        let jitter = imp.dup_jitter();
-                        self.launch_copy(now, dir, jitter, pkt, sched);
+                        let copy_wait = ser + imp.dup_jitter();
+                        self.launch_copy(now, dir, copy_wait, pkt, sched);
                     }
                 }
             }
@@ -569,7 +620,7 @@ impl<B: Body> Fabric<B> {
         let stats = &mut self.link_stats[dir / 2];
         stats.delivered_pkts += 1;
         stats.delivered_bytes += pkt.size as u64;
-        self.launch(now, dir, extra_delay, pkt, sched);
+        self.launch(now, dir, wait, pkt, sched);
     }
 
     /// The impairment duplicated `pkt`: park a copy and send it on its own
@@ -582,7 +633,7 @@ impl<B: Body> Fabric<B> {
         &mut self,
         now: SimTime,
         dir: usize,
-        jitter: SimDuration,
+        wait: SimDuration,
         pkt: PacketHandle,
         sched: &mut impl FnMut(SimDuration, NetEvent),
     ) {
@@ -594,7 +645,7 @@ impl<B: Body> Fabric<B> {
         let stats = &mut self.link_stats[dir / 2];
         stats.delivered_pkts += 1;
         stats.delivered_bytes += pkt.size as u64;
-        self.launch(now, dir, jitter, copy, sched);
+        self.launch(now, dir, wait, copy, sched);
     }
 
     /// Where a packet for `dst` put on the link at direction `dir` is acted
@@ -622,20 +673,20 @@ impl<B: Body> Fabric<B> {
         (at, unit)
     }
 
-    /// Send `pkt` down the link at direction `dir`: an arrival event for the
-    /// unit that owns the far end, or — when another fabric simulates that
-    /// unit — an envelope.
+    /// Send `pkt` down the link at direction `dir`, propagating from `wait`
+    /// after `now`: an arrival event for the unit that owns the far end, or —
+    /// when another fabric simulates that unit — an envelope.
     #[inline]
     fn launch(
         &mut self,
         now: SimTime,
         dir: usize,
-        extra_delay: SimDuration,
+        wait: SimDuration,
         pkt: PacketHandle,
         sched: &mut impl FnMut(SimDuration, NetEvent),
     ) {
         let hop = self.hops[dir];
-        let delay = self.params[hop.params as usize].prop_delay + extra_delay;
+        let delay = self.params[hop.params as usize].prop_delay + wait;
         let (at, unit) = self.next_hop(dir, || self.arena.get(pkt.pkt).dst);
         let src_unit = hop.unit;
         if src_unit != unit {
@@ -658,33 +709,36 @@ impl<B: Body> Fabric<B> {
         sched(delay, NetEvent::Arrival { at, unit, pkt });
     }
 
-    /// If `port` — `node`'s egress onto `link`, whose parameters are
-    /// `params` — is idle and has queued work, begin serializing the next
-    /// packet.
-    #[inline]
-    fn kick_port(
-        port: &mut Port,
-        arena: &mut PacketArena<B>,
-        params: &LinkParams,
-        node: NodeId,
-        link: LinkId,
+    /// The router port at direction `dir` starts serializing `pkt` at `now`.
+    /// The packet goes onto the link ([`Fabric::depart`]), and the
+    /// transmitter is busy until its serialization ends. Returns how long
+    /// that is if packets wait behind it: the [`NetEvent::PortTxDone`] the
+    /// caller schedules.
+    fn transmit(
+        &mut self,
         now: SimTime,
+        dir: usize,
+        pkt: PacketHandle,
         sched: &mut impl FnMut(SimDuration, NetEvent),
-    ) {
-        if port.transmitting.is_some() {
-            return;
-        }
-        let Some(pkt) = port.queue.dequeue(now) else {
-            return;
+    ) -> Option<SimDuration> {
+        let hop = self.hops[dir];
+        let port = self.ports.get_mut(dir).expect("router port missing");
+        let ser = port
+            .ser
+            .time(pkt.size, self.params[hop.params as usize].rate_bps);
+        let waiting = !port.queue.is_empty();
+        port.tx = if waiting {
+            Tx::Pending(now + ser)
+        } else {
+            Tx::Until(now + ser)
         };
         if pkt.ecn == Ecn::Ce {
             // The queue's mark (or an earlier hop's: the write is
             // idempotent) reaches the packet before it reaches the wire.
-            arena.get_mut(pkt.pkt).body.set_ecn(Ecn::Ce);
+            self.arena.get_mut(pkt.pkt).body.set_ecn(Ecn::Ce);
         }
-        let ser = port.ser.time(pkt.size, params.rate_bps);
-        port.transmitting = Some(pkt);
-        sched(ser, NetEvent::PortTxDone { node, link });
+        self.depart(now, dir, ser, pkt, sched);
+        waiting.then_some(ser)
     }
 
     /// Process one fabric event. Returns `Some((host, packet))` when a packet
@@ -703,7 +757,9 @@ impl<B: Body> Fabric<B> {
         now: SimTime,
         mut sched: impl FnMut(SimDuration, NetEvent),
     ) -> Option<(NodeId, Packet<B>)> {
-        match ev {
+        // The router port that acted, and when its next start is due if
+        // packets wait behind its transmitter.
+        let (dir, next_start) = match ev {
             NetEvent::Arrival { at, pkt, .. } => {
                 let idx = at as usize;
                 let Some(&hop) = self.hops.get(idx) else {
@@ -717,39 +773,60 @@ impl<B: Body> Fabric<B> {
                 }
                 // Router: forward.
                 let port = self.ports.get_mut(idx).expect("router port missing");
+                let free = match port.tx {
+                    Tx::Idle => true,
+                    // A serialization that ends at this very instant has
+                    // ended: the departure is taken before the arrival.
+                    Tx::Until(end) if end <= now => {
+                        // RED's idle time starts where the transmission
+                        // ended, once: from here the port is `Idle`, even if
+                        // this packet is dropped.
+                        if let PortQueue::Red(red) = &mut port.queue {
+                            red.idle_from(end);
+                        }
+                        port.tx = Tx::Idle;
+                        true
+                    }
+                    Tx::Until(_) | Tx::Pending(_) => false,
+                };
                 let rng = port.rng.as_deref_mut().unwrap_or(&mut self.rng);
-                if port.queue.try_enqueue(now, pkt, rng) {
-                    let params = &self.params[hop.params as usize];
-                    let link = LinkId(at / 2);
-                    Self::kick_port(
-                        port,
-                        &mut self.arena,
-                        params,
-                        hop.from,
-                        link,
-                        now,
-                        &mut sched,
-                    );
+                let admitted = if free {
+                    port.queue.pass(now, pkt, rng)
                 } else {
+                    port.queue.try_enqueue(now, pkt, rng).then_some(pkt)
+                };
+                let Some(admitted) = admitted else {
                     self.arena.take(pkt.pkt);
                     self.queue_drops += 1;
+                    return None;
+                };
+                if free {
+                    (idx, self.transmit(now, idx, admitted, &mut sched))
+                } else if let Tx::Until(end) = port.tx {
+                    // The first packet to wait behind the transmitter.
+                    port.tx = Tx::Pending(end);
+                    (idx, Some(end - now))
+                } else {
+                    return None;
                 }
-                None
             }
             NetEvent::PortTxDone { node, link } => {
                 let idx = self.dir_of(node, link);
-                let port = self.ports.get_mut(idx).expect("missing port");
-                let pkt = port
-                    .transmitting
-                    .take()
-                    .expect("PortTxDone with no packet in flight");
-                self.depart(now, idx, pkt, &mut sched);
-                let port = self.ports.get_mut(idx).expect("missing port");
-                let params = &self.params[self.hops[idx].params as usize];
-                Self::kick_port(port, &mut self.arena, params, node, link, now, &mut sched);
-                None
+                let port = self.ports.get_mut(idx).expect("router port missing");
+                debug_assert!(matches!(port.tx, Tx::Pending(end) if end == now));
+                let pkt = port.queue.dequeue(now).expect("a packet waits");
+                (idx, self.transmit(now, idx, pkt, &mut sched))
             }
+        };
+        // A port's next start is scheduled here alone, so `sched` has two
+        // call sites, this and `Fabric::launch`: with a third, it has stood
+        // alone in the shipped binaries, a call per scheduled hop.
+        if let Some(wait) = next_start {
+            let node = self.hops[dir].from;
+            let link = LinkId(dir as u32 / 2);
+            sched(wait, NetEvent::PortTxDone { node, link });
         }
+        None
     }
 }
 
@@ -829,16 +906,34 @@ mod tests {
     use crate::topology::{dumbbell, single_path, LinkParams, RoutingTable};
     use rss_sim::{Engine, Model, Scheduler};
 
-    /// Minimal world: raw packets pumped through a fabric, arrivals counted.
+    /// Minimal world: raw packets pumped through a fabric, deliveries and
+    /// the events it took recorded.
     struct RawWorld {
         fabric: Fabric<RawBody>,
         delivered: Vec<(SimTime, NodeId, u64)>,
+        arrivals: usize,
+        tx_dones: Vec<(SimTime, NodeId, LinkId)>,
+    }
+
+    impl RawWorld {
+        fn new(fabric: Fabric<RawBody>) -> Self {
+            RawWorld {
+                fabric,
+                delivered: vec![],
+                arrivals: 0,
+                tx_dones: vec![],
+            }
+        }
     }
 
     impl Model for RawWorld {
         type Event = NetEvent;
         fn handle(&mut self, ev: Self::Event, sched: &mut Scheduler<'_, Self::Event>) {
             let now = sched.now();
+            match ev {
+                NetEvent::Arrival { .. } => self.arrivals += 1,
+                NetEvent::PortTxDone { node, link } => self.tx_dones.push((now, node, link)),
+            }
             // Fabric follow-up events go straight into the scheduler — no
             // per-hop buffering.
             let out = self.fabric.handle(ev, now, &mut |d, e| {
@@ -859,13 +954,7 @@ mod tests {
         let bottleneck = LinkParams::new(bn_rate, SimDuration::from_millis(10));
         let (topo, d) = dumbbell(n, access, bottleneck);
         let fabric = Fabric::new(topo, queue, SimRng::seed_from_u64(99));
-        (
-            RawWorld {
-                fabric,
-                delivered: vec![],
-            },
-            d,
-        )
+        (RawWorld::new(fabric), d)
     }
 
     /// Injection-time events outlive the `model_mut` borrow, so they stage
@@ -902,7 +991,7 @@ mod tests {
     fn a_port_does_not_carry_red_state_or_a_private_stream_inline() {
         use std::mem::size_of;
         // 20 000 access ports on the 10k-flow dumbbell: a drop-tail queue of
-        // handles, the handle on the wire, the serialization memo and two
+        // handles, the transmitter's state, the serialization memo and two
         // pointers' worth of options.
         let port = size_of::<Port>();
         assert!(port <= 160, "Port is {port} bytes");
@@ -1049,6 +1138,44 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_path_costs_one_event_per_hop() {
+        let run = |packets: usize| {
+            let (world, d) = mk_world(1, 100_000_000, QueueConfig::packets(100));
+            let mut eng = Engine::new(world);
+            let mut ids = PacketIdGen::new();
+            let mut pending = Vec::new();
+            for _ in 0..packets {
+                send(
+                    &mut eng,
+                    &mut ids,
+                    &mut pending,
+                    d.senders[0],
+                    d.sender_access[0],
+                    d.receivers[0],
+                    1500,
+                    SimTime::ZERO,
+                );
+            }
+            eng.run_to_completion();
+            let w = eng.into_model();
+            assert_eq!(w.delivered.len(), packets);
+            (w.arrivals, w.tx_dones, d)
+        };
+        // Into the left router, across the bottleneck, into the receiver.
+        let (arrivals, tx_dones, _) = run(1);
+        assert_eq!((arrivals, tx_dones.len()), (3, 0));
+        // Two at once: the second waits behind the first at the bottleneck,
+        // and only there — the far access port (1 Gbit/s) has finished the
+        // first by the time the second crosses.
+        let (arrivals, tx_dones, d) = run(2);
+        assert_eq!(arrivals, 6);
+        let first_sent = SimTime::ZERO
+            + SimDuration::from_micros(100)
+            + SimDuration::for_bytes_at_rate(1500, 100_000_000);
+        assert_eq!(tx_dones, vec![(first_sent, d.left_router, d.bottleneck)]);
+    }
+
+    #[test]
     fn bottleneck_serializes_back_to_back_packets() {
         let (world, d) = mk_world(1, 100_000_000, QueueConfig::packets(100));
         let mut eng = Engine::new(world);
@@ -1096,7 +1223,7 @@ mod tests {
         }
         eng.run_to_completion();
         let world = eng.model();
-        // 1 transmitting + 2 queued survive at the left router.
+        // 1 on the link + 2 queued survive at the left router.
         assert_eq!(world.delivered.len(), 3);
         assert_eq!(world.fabric.queue_drops, 7);
     }
@@ -1138,10 +1265,7 @@ mod tests {
                 QueueConfig::packets(100),
                 SimRng::seed_from_u64(seed),
             );
-            let mut eng = Engine::new(RawWorld {
-                fabric,
-                delivered: vec![],
-            });
+            let mut eng = Engine::new(RawWorld::new(fabric));
             let mut ids = PacketIdGen::new();
             let mut pending = Vec::new();
             for i in 0..100u64 {

@@ -265,6 +265,15 @@ impl<T: Queued> Red<T> {
         }
         pkt
     }
+
+    /// The empty queue's link went idle at `t`: the next enqueue decays the
+    /// average over the time since. This is what a [`Red::dequeue`] at `t`
+    /// finding the queue empty does, for a transmitter that has no event at
+    /// the end of a transmission and says so at the next arrival instead.
+    pub fn idle_from(&mut self, t: SimTime) {
+        debug_assert!(self.inner.is_empty(), "idle with packets queued");
+        self.idle_since = Some(t);
+    }
 }
 
 #[cfg(test)]

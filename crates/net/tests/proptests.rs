@@ -250,9 +250,10 @@ impl Pending {
 }
 
 /// Run `case` to drain, holding the arena to account after every injection
-/// and every event: what is parked is exactly what is queued in a port,
-/// being serialized by one (a pending `PortTxDone`) or flying (a pending
-/// `Arrival`), and nothing once the network is empty.
+/// and every event: what is parked is exactly what is queued in a port or on
+/// a link (a pending `Arrival`: a packet being serialized is already on its
+/// way), and nothing once the network is empty; and a `PortTxDone` is
+/// pending for exactly the ports with packets queued.
 fn audited_run(case: &AuditCase) -> AuditTally {
     let access = LinkParams::new(1_000_000_000, SimDuration::from_micros(50));
     let bottleneck =
@@ -309,16 +310,21 @@ fn audited_run(case: &AuditCase) -> AuditTally {
             tally.enveloped += 1;
             tally.enveloped_ce += u64::from(env.msg.pkt.body.ecn == Ecn::Ce);
         }
-        let queued: usize = ports
+        let lens = ports
             .iter()
-            .filter_map(|&(node, link)| fabric.port_queue_len(node, link))
-            .sum();
+            .filter_map(|&(node, link)| fabric.port_queue_len(node, link));
+        let queued: usize = lens.clone().sum();
         assert_eq!(
             fabric.packets_in_flight(),
-            queued + pending.tx_dones + pending.arrivals,
-            "parked != queued {queued} + serializing {} + flying {}",
-            pending.tx_dones,
+            queued + pending.arrivals,
+            "parked != queued {queued} + on a link {}",
             pending.arrivals
+        );
+        // A port schedules its next start only while packets wait.
+        let backlogged = lens.filter(|&len| len > 0).count();
+        assert_eq!(
+            pending.tx_dones, backlogged,
+            "PortTxDone per backlogged port"
         );
     };
 
@@ -467,9 +473,9 @@ fn every_way_a_parked_packet_dies_frees_its_slot() {
 }
 
 proptest! {
-    /// A parked packet is queued, serializing or flying — at every step, on
-    /// random fabrics, whichever way packets die on them (see
-    /// [`audited_run`]) — and a drained fabric holds none.
+    /// A parked packet is queued or on a link — at every step, on random
+    /// fabrics, whichever way packets die on them (see [`audited_run`]) — and
+    /// a drained fabric holds none.
     #[test]
     fn the_arena_holds_exactly_the_packets_inside_the_fabric(
         seed in 0u64..1_000_000,
@@ -498,6 +504,390 @@ proptest! {
             split,
             sends,
         });
+    }
+}
+
+/// The port under test in the differential below: drop-tail (with random
+/// loss on the link it feeds) or RED (without: RED and link loss on one port
+/// share its stream, and starting a serialization rather than ending it is
+/// when the loss draw is taken, so the two interleave differently by design).
+#[derive(Debug, Clone)]
+enum DiffQueue {
+    DropTail { cap: u32, loss_prob: f64 },
+    Red(RedConfig),
+}
+
+/// One input of the port differential.
+#[derive(Debug, Clone)]
+struct PortCase {
+    seed: u64,
+    queue: DiffQueue,
+    /// Per packet: the gap before its arrival in quarter milliseconds, its
+    /// wire size and whether it is ECN-capable. Sizes are 500, 1000 or 1500
+    /// bytes, whole quarter milliseconds at [`DIFF_RATE`], so arrivals land
+    /// exactly on a departure often.
+    arrivals: Vec<(u64, u32, bool)>,
+}
+
+/// The tested port's link: 8 Mbit/s, 3 ms.
+const DIFF_RATE: u64 = 8_000_000;
+const DIFF_PROP: SimDuration = SimDuration::from_millis(3);
+
+/// What one port did with a packet stream, as both sides of the differential
+/// report it.
+#[derive(Debug, PartialEq)]
+struct PortTrace {
+    /// Per packet: when its serialization ended and whether it left CE, or
+    /// `None` when the queue or the link dropped it.
+    fates: Vec<Option<(SimTime, bool)>>,
+    /// RED's average after each arrival, as bits.
+    avgs: Vec<u64>,
+    /// RED's counters at the end: average (bits), early, forced, marks.
+    red: Option<(u64, u64, u64, u64)>,
+    queue_drops: u64,
+    lost: u64,
+    /// Serializations that started as another ended, with the packet
+    /// waiting: the reference's departures that dequeued one, the fabric's
+    /// `PortTxDone` events.
+    back_to_back: u64,
+}
+
+impl PortTrace {
+    fn empty(packets: usize) -> Self {
+        PortTrace {
+            fates: vec![None; packets],
+            avgs: Vec::new(),
+            red: None,
+            queue_drops: 0,
+            lost: 0,
+            back_to_back: 0,
+        }
+    }
+}
+
+/// Situations the reference met, so the differential is known not to be
+/// vacuous about any of them.
+#[derive(Debug, Default)]
+struct PortCoverage {
+    /// An arrival at the instant a serialization ended with nothing queued.
+    idle_ties: u64,
+    /// An arrival at the instant a serialization ended with a packet queued.
+    busy_ties: u64,
+    /// RED dropped an arrival that found the transmitter busy, and the next
+    /// arrival found it free.
+    busy_drop_then_idle: u64,
+    /// RED dropped an arrival that found the transmitter free, and so did
+    /// the next arrival.
+    idle_drop_then_idle: u64,
+}
+
+fn diff_arrivals(case: &PortCase) -> Vec<(SimTime, Packet<EctBody>)> {
+    let mut at = SimTime::ZERO;
+    let arrivals = case.arrivals.iter().enumerate();
+    arrivals
+        .map(|(id, &(gap, size, ect))| {
+            at += SimDuration::from_micros(250 * gap);
+            let pkt = Packet {
+                id: id as u64,
+                src: NodeId(0),
+                dst: NodeId(2),
+                flow: FlowId(0),
+                created: at,
+                body: EctBody {
+                    size,
+                    ecn: if ect { Ecn::Ect } else { Ecn::NotEct },
+                },
+            };
+            (at, pkt)
+        })
+        .collect()
+}
+
+/// A router port with the semantics it had when every departure was an
+/// event: the packet being serialized sits in a transmitter slot, and each
+/// serialization ends in a departure that puts it on the link (the loss
+/// draw) and dequeues the next packet — on an empty queue too, which is
+/// where RED's idle time starts. A departure at the instant of an arrival is
+/// taken first.
+fn reference_port(case: &PortCase) -> (PortTrace, PortCoverage) {
+    enum Queue {
+        DropTail(DropTailQueue<EctBody>),
+        Red(RedQueue<EctBody>),
+    }
+    let (mut queue, loss_prob) = match &case.queue {
+        DiffQueue::DropTail { cap, loss_prob } => (
+            Queue::DropTail(DropTailQueue::new(QueueConfig::packets(*cap))),
+            *loss_prob,
+        ),
+        DiffQueue::Red(cfg) => (Queue::Red(RedQueue::new(*cfg)), 0.0),
+    };
+    let dequeue = |queue: &mut Queue, now: SimTime| match queue {
+        Queue::DropTail(q) => q.dequeue(),
+        Queue::Red(q) => q.dequeue(now),
+    };
+    let serialize = |pkt: Packet<EctBody>, now: SimTime| {
+        let end = now + SimDuration::for_bytes_at_rate(pkt.body.size as u64, DIFF_RATE);
+        (pkt, end)
+    };
+    let mut rng = SimRng::seed_from_u64(case.seed);
+    let mut trace = PortTrace::empty(case.arrivals.len());
+    let mut cov = PortCoverage::default();
+    let mut arrivals = diff_arrivals(case).into_iter().peekable();
+    let mut transmitting: Option<(Packet<EctBody>, SimTime)> = None;
+    // Whether the last arrival was a RED drop, and whether it found the
+    // transmitter free.
+    let mut last_red_drop: Option<bool> = None;
+    loop {
+        let next_arrival = arrivals.peek().map(|&(at, _)| at);
+        match (transmitting.as_ref().map(|&(_, end)| end), next_arrival) {
+            (None, None) => break,
+            (Some(end), next) if next.is_none_or(|at| end <= at) => {
+                let (pkt, _) = transmitting.take().expect("serializing");
+                if loss_prob > 0.0 && rng.chance(loss_prob) {
+                    trace.lost += 1;
+                } else {
+                    trace.fates[pkt.id as usize] = Some((end, pkt.body.ecn == Ecn::Ce));
+                }
+                let waiting = dequeue(&mut queue, end);
+                if next == Some(end) {
+                    if waiting.is_some() {
+                        cov.busy_ties += 1;
+                    } else {
+                        cov.idle_ties += 1;
+                    }
+                }
+                if let Some(pkt) = waiting {
+                    trace.back_to_back += 1;
+                    transmitting = Some(serialize(pkt, end));
+                }
+            }
+            _ => {
+                let (now, pkt) = arrivals.next().expect("an arrival is next");
+                let free = transmitting.is_none();
+                if free {
+                    match last_red_drop {
+                        Some(false) => cov.busy_drop_then_idle += 1,
+                        Some(true) => cov.idle_drop_then_idle += 1,
+                        None => {}
+                    }
+                }
+                let accepted = match &mut queue {
+                    Queue::DropTail(q) => q.try_enqueue(pkt).is_ok(),
+                    Queue::Red(q) => {
+                        let ok = q.try_enqueue(now, pkt, &mut rng).is_ok();
+                        trace.avgs.push(q.avg().to_bits());
+                        last_red_drop = (!ok).then_some(free);
+                        ok
+                    }
+                };
+                trace.queue_drops += u64::from(!accepted);
+                if free && accepted {
+                    transmitting = dequeue(&mut queue, now).map(|pkt| serialize(pkt, now));
+                }
+            }
+        }
+    }
+    if let Queue::Red(q) = &queue {
+        let s = q.red_stats();
+        trace.red = Some((s.avg.to_bits(), s.early_drops, s.forced_drops, s.ecn_marks));
+    }
+    (trace, cov)
+}
+
+/// The same stream through a [`Fabric`]'s router port: a host feeds the
+/// router over a zero-delay link, and the port under test feeds another
+/// host. Each packet is injected only once everything due by its instant has
+/// happened, so a `PortTxDone` at that instant is taken before it, as a
+/// bottleneck port's is in the world model.
+fn fabric_port(case: &PortCase) -> PortTrace {
+    let mut topo = Topology::new();
+    let src = topo.add_host();
+    let router = topo.add_router();
+    let dst = topo.add_host();
+    let feed = topo.connect(
+        src,
+        router,
+        LinkParams::new(1_000_000_000, SimDuration::ZERO),
+    );
+    let (cap, loss_prob) = match &case.queue {
+        DiffQueue::DropTail { cap, loss_prob } => (*cap, *loss_prob),
+        DiffQueue::Red(cfg) => (cfg.capacity.max_packets.expect("packet limit"), 0.0),
+    };
+    let out = topo.connect(
+        router,
+        dst,
+        LinkParams::new(DIFF_RATE, DIFF_PROP).with_loss(loss_prob),
+    );
+    let mut fabric: Fabric<EctBody> = Fabric::new(
+        topo,
+        QueueConfig::packets(cap),
+        SimRng::seed_from_u64(!case.seed),
+    );
+    if let DiffQueue::Red(cfg) = &case.queue {
+        fabric.set_red_port(router, out, *cfg);
+    }
+    fabric.set_port_rng(router, out, SimRng::seed_from_u64(case.seed));
+
+    let mut trace = PortTrace::empty(case.arrivals.len());
+    let mut pending = Pending::default();
+    let mut handle = |fabric: &mut Fabric<EctBody>, pending: &mut Pending, now, ev| {
+        trace.back_to_back += u64::from(matches!(ev, NetEvent::PortTxDone { .. }));
+        match fabric.handle(ev, now, |d, e| pending.push(now + d, e)) {
+            Some((_, pkt)) => {
+                let end = now - DIFF_PROP;
+                trace.fates[pkt.id as usize] = Some((end, pkt.body.ecn == Ecn::Ce));
+            }
+            None if matches!(ev, NetEvent::Arrival { .. }) => {
+                if let Some(red) = fabric.red_port_stats(router, out) {
+                    trace.avgs.push(red.avg.to_bits());
+                }
+            }
+            None => {}
+        }
+    };
+    for (at, pkt) in diff_arrivals(case) {
+        while let Some((now, ev)) = pending.pop_at_or_before(at) {
+            handle(&mut fabric, &mut pending, now, ev);
+        }
+        fabric.start_flight(at, src, feed, pkt, |d, e| pending.push(at + d, e));
+    }
+    while let Some((now, ev)) = pending.pop_at_or_before(SimTime::MAX) {
+        handle(&mut fabric, &mut pending, now, ev);
+    }
+    assert_eq!(fabric.packets_in_flight(), 0, "drained port leaked");
+    trace.queue_drops = fabric.queue_drops;
+    trace.lost = fabric.link_stats(out).lost_pkts;
+    trace.red = fabric
+        .red_port_stats(router, out)
+        .map(|s| (s.avg.to_bits(), s.early_drops, s.forced_drops, s.ecn_marks));
+    trace
+}
+
+/// Run `case` through both ports and require the same trace, bit for bit.
+fn port_differential(case: &PortCase) -> PortCoverage {
+    let (want, cov) = reference_port(case);
+    let got = fabric_port(case);
+    assert_eq!(got, want, "{case:?}");
+    cov
+}
+
+/// A RED port for the differential: a low band and a small buffer, so early
+/// drops, marks and (with a slow average) forced drops come within a few
+/// packets.
+fn diff_red(cap: u32, wq: f64, max_p: f64, ecn: bool, gentle: bool) -> DiffQueue {
+    let mut red = RedConfig::for_capacity(cap, SimDuration::from_micros(600));
+    red.min_th = 0.5;
+    red.max_th = 0.5 + cap as f64 / 3.0;
+    red.max_p = max_p;
+    red.wq = wq;
+    red.ecn = ecn;
+    red.gentle = gentle;
+    DiffQueue::Red(red)
+}
+
+fn diff_queue() -> impl Strategy<Value = DiffQueue> {
+    let red = |ecn: bool, gentle: bool| {
+        (
+            2u32..12,
+            prop_oneof![Just(0.002), 0.02f64..1.0],
+            0.05f64..1.0,
+        )
+            .prop_map(move |(cap, wq, max_p)| diff_red(cap, wq, max_p, ecn, gentle))
+    };
+    prop_oneof![
+        (1u32..6, prop_oneof![Just(0.0), 0.0f64..0.3])
+            .prop_map(|(cap, loss_prob)| DiffQueue::DropTail { cap, loss_prob }),
+        red(false, false),
+        red(true, false),
+        red(false, true),
+        red(true, true),
+    ]
+}
+
+/// Arrival gaps in quarter milliseconds: mostly bursts (a third of a
+/// 1000-byte serialization apart or less), sometimes an idle spell.
+fn diff_gap() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..4, 0u64..4, 0u64..8, 10u64..80]
+}
+
+/// The differential on fixed streams of every discipline, each situation it
+/// exists for asserted to have happened.
+#[test]
+fn the_port_differential_meets_ties_idle_gaps_and_red_drops() {
+    let mut rng = SimRng::seed_from_u64(28);
+    let mut stream = || -> Vec<(u64, u32, bool)> {
+        (0..600)
+            .map(|_| {
+                let gap = match rng.range_inclusive(0, 4) {
+                    0 => 0,
+                    1 | 2 => rng.range_inclusive(0, 3),
+                    3 => rng.range_inclusive(0, 7),
+                    _ => rng.range_inclusive(10, 79),
+                };
+                let size = 500 * rng.range_inclusive(1, 3) as u32;
+                (gap, size, rng.chance(0.7))
+            })
+            .collect()
+    };
+    let mut total = PortCoverage::default();
+    let queues = [
+        DiffQueue::DropTail {
+            cap: 3,
+            loss_prob: 0.1,
+        },
+        diff_red(8, 0.3, 0.5, false, false),
+        diff_red(8, 0.002, 0.5, false, false),
+        diff_red(8, 0.3, 0.5, true, false),
+        diff_red(8, 0.3, 0.2, false, true),
+        diff_red(8, 0.3, 0.2, true, true),
+    ];
+    for (k, queue) in queues.into_iter().enumerate() {
+        let case = PortCase {
+            seed: k as u64,
+            queue,
+            arrivals: stream(),
+        };
+        let cov = port_differential(&case);
+        let (trace, _) = reference_port(&case);
+        assert!(cov.idle_ties > 0 && cov.busy_ties > 0, "{cov:?}");
+        assert!(trace.back_to_back > 0, "{k}: nothing ever waited");
+        match &case.queue {
+            DiffQueue::DropTail { .. } => {
+                assert!(trace.lost > 0 && trace.queue_drops > 0, "{trace:?}")
+            }
+            DiffQueue::Red(cfg) => {
+                let (_, early, forced, marks) = trace.red.expect("a RED port");
+                assert!(early + forced > 0, "{k}: RED never dropped");
+                assert_eq!(marks > 0, cfg.ecn, "{k}: marks {marks}");
+                assert!(cfg.wq > 0.01 || forced > 0, "{k}: no forced drop");
+            }
+        }
+        total.busy_drop_then_idle += cov.busy_drop_then_idle;
+        total.idle_drop_then_idle += cov.idle_drop_then_idle;
+    }
+    assert!(total.busy_drop_then_idle > 0, "{total:?}");
+    assert!(total.idle_drop_then_idle > 0, "{total:?}");
+}
+
+proptest! {
+    /// A router port that puts a packet on the link as it starts serializing
+    /// it, with an event only for a packet waiting behind the transmitter,
+    /// does what a port with an event at every departure did: the same fate
+    /// for every packet (dropped, CE, when its serialization ended), the
+    /// same RED average after every arrival and the same RED counters, bit
+    /// for bit — across drop-tail with link loss, RED dropping, RED marking
+    /// and gentle RED; arrivals exactly at a departure; idle gaps; and RED
+    /// drops followed by an arrival at an idle port.
+    #[test]
+    fn a_port_matches_the_event_per_departure_reference(
+        seed in 0u64..1_000_000,
+        queue in diff_queue(),
+        arrivals in prop::collection::vec(
+            (diff_gap(), (1u32..4).prop_map(|k| 500 * k), any::<bool>()),
+            1..300,
+        ),
+    ) {
+        port_differential(&PortCase { seed, queue, arrivals });
     }
 }
 
