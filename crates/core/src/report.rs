@@ -179,7 +179,7 @@ pub struct RunReport {
     /// perf harness divides these by wall time for events/sec).
     pub events_processed: u64,
     /// Executor diagnostic, outside the invariance contract: event-queue
-    /// counters (wheel hit rate, tombstone sweeps, far-heap migrations) of
+    /// counters (wheel hit rate, cancels, far-heap migrations) of
     /// the one engine that ran a scenario without `shards`. `None` with
     /// `shards`: where an event lands in a calendar wheel depends on what
     /// else its domain's engine holds, so the counters differ by domain
@@ -364,7 +364,6 @@ mod tests {
                 placed_far: 2,
                 far_migrations: 1,
                 cancelled: 1,
-                tombstones_swept: 1,
             }),
             shard: None,
             truncated: None,
@@ -387,7 +386,7 @@ mod tests {
         );
         // Engine queue counters ride along in full when present.
         assert!(json.contains("\"engine\":{\"scheduled\":10"), "{json}");
-        assert!(json.contains("\"tombstones_swept\":1"), "{json}");
+        assert!(json.contains("\"cancelled\":1}"), "{json}");
         // Every flow field of the Web100 block must be present exactly once.
         assert_eq!(json.matches("\"send_stall\":").count(), 1, "{json}");
     }

@@ -215,9 +215,9 @@ pub struct Scenario {
     /// the horizon, so it holds with and without `shards` and is
     /// shard-count-invariant.
     pub max_sim_time: Option<SimDuration>,
-    /// Watchdog: end the run gracefully after this many simulation events.
-    /// Unlike the engine's panicking `event_limit`, exhaustion is reported
-    /// as a truncated run, not a crash. `shards: None` only: the windowed
+    /// Watchdog: end the run gracefully after this many simulation events
+    /// (the engine's `event_budget`); exhaustion is reported as a truncated
+    /// run, not a crash. `shards: None` only: the windowed
     /// driver has no budget (the spec layer rejects the combination), so
     /// bound those runs with `max_sim_time`.
     pub max_events: Option<u64>,

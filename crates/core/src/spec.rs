@@ -356,9 +356,11 @@ pub struct TcpDef {
     /// Receiver's advertised window, bytes (JSON `rwnd_bytes`, default
     /// 2 MiB).
     pub rwnd_bytes: Option<u64>,
-    /// Lower RTO bound, milliseconds (JSON `min_rto_ms`, default 200).
+    /// Lower RTO bound, milliseconds (JSON `min_rto_ms`, default 200, at
+    /// least 1).
     pub min_rto_ms: Option<f64>,
-    /// Upper RTO bound, milliseconds (JSON `max_rto_ms`, default 60 000).
+    /// Upper RTO bound, milliseconds (JSON `max_rto_ms`, default 60 000, at
+    /// least `min_rto_ms`).
     pub max_rto_ms: Option<f64>,
     /// ACK generation policy (JSON `ack_policy`, default
     /// `"EverySegment"`).
@@ -367,10 +369,10 @@ pub struct TcpDef {
     /// `"Cwr"`).
     pub stall_response: Option<StallResponse>,
     /// Post-stall re-probe delay, milliseconds (JSON `stall_retry_ms`,
-    /// default 1).
+    /// default 1, positive).
     pub stall_retry_ms: Option<f64>,
     /// Duplicate ACKs triggering fast retransmit, count (JSON
-    /// `dupack_threshold`, default 3).
+    /// `dupack_threshold`, default 3, at least 1).
     pub dupack_threshold: Option<u32>,
     /// ECN negotiation for every flow (JSON `ecn`, default: `true` exactly
     /// when the run's `queue` is `RedEcn`). Explicitly setting it decouples
@@ -1027,11 +1029,25 @@ impl RunSpec {
         if let Some(x) = t.rwnd_bytes {
             tcp.rwnd = x;
         }
+        // A zero RTO floor or ceiling re-arms the retransmission check at
+        // the instant it fires, forever.
         if let Some(x) = t.min_rto_ms {
+            if x.is_nan() || x < 1.0 {
+                return Err(SpecError::new(format!(
+                    "tcp.min_rto_ms must be at least 1, got {x}"
+                )));
+            }
             tcp.min_rto = ms_to_duration(x, "tcp.min_rto_ms")?;
         }
         if let Some(x) = t.max_rto_ms {
             tcp.max_rto = ms_to_duration(x, "tcp.max_rto_ms")?;
+        }
+        if tcp.max_rto < tcp.min_rto {
+            return Err(SpecError::new(format!(
+                "tcp.max_rto_ms must be at least tcp.min_rto_ms ({} ms), got {} ms",
+                tcp.min_rto.as_nanos() as f64 / 1e6,
+                tcp.max_rto.as_nanos() as f64 / 1e6
+            )));
         }
         if let Some(x) = t.ack_policy {
             tcp.ack_policy = x;
@@ -1041,8 +1057,17 @@ impl RunSpec {
         }
         if let Some(x) = t.stall_retry_ms {
             tcp.stall_retry = ms_to_duration(x, "tcp.stall_retry_ms")?;
+            if tcp.stall_retry == SimDuration::ZERO {
+                return Err(SpecError::new(format!(
+                    "tcp.stall_retry_ms must be positive (at least 1 ns), got {x}"
+                )));
+            }
         }
         if let Some(x) = t.dupack_threshold {
+            // The count is raised before it is compared, so 0 never fires.
+            if x == 0 {
+                return Err(SpecError::new("tcp.dupack_threshold must be at least 1"));
+            }
             tcp.dupack_threshold = x;
         }
         tcp.ecn = t.ecn.unwrap_or(queue.ecn_marking());
@@ -1670,6 +1695,54 @@ mod tests {
             "{}",
             err.msg
         );
+        // TCP knobs that would livelock the engine (a zero RTO re-fires at
+        // the instant it fires; so does a zero stall retry) or switch fast
+        // retransmit off.
+        for (tcp, want) in [
+            (
+                r#"{"max_rto_ms":0}"#,
+                "tcp.max_rto_ms must be at least tcp.min_rto_ms (200 ms), got 0 ms",
+            ),
+            (
+                r#"{"max_rto_ms":0.000001}"#,
+                "tcp.max_rto_ms must be at least tcp.min_rto_ms (200 ms), got 0.000001 ms",
+            ),
+            (
+                r#"{"min_rto_ms":500,"max_rto_ms":100}"#,
+                "tcp.max_rto_ms must be at least tcp.min_rto_ms (500 ms), got 100 ms",
+            ),
+            (
+                r#"{"min_rto_ms":0}"#,
+                "tcp.min_rto_ms must be at least 1, got 0",
+            ),
+            (
+                r#"{"min_rto_ms":0.5}"#,
+                "tcp.min_rto_ms must be at least 1, got 0.5",
+            ),
+            (
+                r#"{"stall_retry_ms":0,"stall_response":"Ignore"}"#,
+                "tcp.stall_retry_ms must be positive (at least 1 ns), got 0",
+            ),
+            (
+                r#"{"dupack_threshold":0}"#,
+                "tcp.dupack_threshold must be at least 1",
+            ),
+        ] {
+            let err = ScenarioSpec::from_json(&minimal(&format!(
+                r#"[{{"label":"x","flows":[{{}}],"tcp":{tcp}}}]"#
+            )))
+            .unwrap()
+            .validate()
+            .unwrap_err();
+            assert_eq!(err.msg, format!("run `x`: {want}"), "{tcp}");
+        }
+        // The edges themselves are accepted.
+        let spec = ScenarioSpec::from_json(&minimal(
+            r#"[{"label":"x","flows":[{}],
+                 "tcp":{"min_rto_ms":1,"max_rto_ms":1,"stall_retry_ms":0.001,"dupack_threshold":1}}]"#,
+        ))
+        .unwrap();
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

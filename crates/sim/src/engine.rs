@@ -19,7 +19,7 @@
 //! events is therefore a function of the model alone, whichever other units
 //! share the engine.
 
-use crate::queue::{event_tag, tag_unit, EventId, EventQueue, QueueCounters, MAX_UNITS};
+use crate::queue::{event_tag, tag_unit, EventQueue, QueueCounters, MAX_UNITS};
 use crate::time::{SimDuration, SimTime};
 
 /// Scheduling interface handed to the model while it processes an event.
@@ -64,7 +64,7 @@ impl<'a, E> Scheduler<'a, E> {
     /// fold into the handler; `inline(always)` was measured and loses to its
     /// own code size (every cold call site pays too).
     #[inline]
-    pub fn at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: now={:?} requested={:?}",
@@ -76,19 +76,14 @@ impl<'a, E> Scheduler<'a, E> {
 
     /// Schedule an event `delay` after the current time.
     #[inline]
-    pub fn after(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn after(&mut self, delay: SimDuration, event: E) {
         self.schedule(self.now + delay, event)
     }
 
     #[inline]
-    fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+    fn schedule(&mut self, time: SimTime, event: E) {
         let tag = stamp(self.unit_seq, self.unit);
-        self.queue.schedule_tagged(time, tag, event)
-    }
-
-    /// Cancel a pending event.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+        self.queue.schedule_tagged(time, tag, event);
     }
 
     /// Ask the engine to stop after the current event completes.
@@ -130,15 +125,10 @@ pub struct Engine<M: Model> {
     unit_seq: Vec<u64>,
     now: SimTime,
     events_processed: u64,
-    /// Hard cap on dispatched events; guards against runaway schedules in
-    /// experiments (a full 25 s paper run is ~10^6 events).
-    pub event_limit: u64,
-    /// Soft, non-panicking watchdog: when set, [`Engine::run_until`] stops
-    /// once the engine's *lifetime* event count reaches the budget and
-    /// reports it via [`RunStats::budget_exhausted`]. Unlike
-    /// [`Engine::event_limit`] (a per-call panic against runaway schedules),
-    /// this ends an un-completable run gracefully so its partial results can
-    /// still be reported.
+    /// The watchdog: when set, [`Engine::run_until`] stops once the
+    /// engine's *lifetime* event count reaches the budget and reports it via
+    /// [`RunStats::budget_exhausted`], so an un-completable run ends
+    /// gracefully and its partial results can still be reported.
     pub event_budget: Option<u64>,
 }
 
@@ -159,7 +149,6 @@ impl<M: Model> Engine<M> {
             unit_seq: vec![0; units.max(1)],
             now: SimTime::ZERO,
             events_processed: 0,
-            event_limit: u64::MAX,
             event_budget: None,
         }
     }
@@ -187,22 +176,22 @@ impl<M: Model> Engine<M> {
     }
 
     /// Schedule an initial event before (or between) runs, as unit 0's.
-    pub fn schedule_at(&mut self, time: SimTime, event: M::Event) -> EventId {
-        self.schedule_for(0, time, event)
+    pub fn schedule_at(&mut self, time: SimTime, event: M::Event) {
+        self.schedule_for(0, time, event);
     }
 
     /// [`Engine::schedule_at`] as `unit`'s event.
-    pub fn schedule_for(&mut self, unit: u32, time: SimTime, event: M::Event) -> EventId {
+    pub fn schedule_for(&mut self, unit: u32, time: SimTime, event: M::Event) {
         let tag = stamp(&mut self.unit_seq, unit);
-        self.schedule_tagged(time, tag, event)
+        self.schedule_tagged(time, tag, event);
     }
 
     /// Schedule a message that arrived from a unit this engine does not
     /// run, under the tag its sender gave it; the handler names the
     /// receiving unit ([`Scheduler::enter`]).
-    pub fn schedule_tagged(&mut self, time: SimTime, tag: u64, event: M::Event) -> EventId {
+    pub fn schedule_tagged(&mut self, time: SimTime, tag: u64, event: M::Event) {
         assert!(time >= self.now, "cannot schedule into the past");
-        self.queue.schedule_tagged(time, tag, event)
+        self.queue.schedule_tagged(time, tag, event);
     }
 
     /// Time of the earliest pending event, if any. Read-only: the queue is
@@ -212,9 +201,9 @@ impl<M: Model> Engine<M> {
         self.queue.peek_time()
     }
 
-    /// The event queue's activity counters (pops, wheel-vs-heap placement,
-    /// migrations, cancels, tombstone sweeps). Always maintained; reading
-    /// them costs nothing beyond this copy.
+    /// The event queue's activity counters (schedules, pops, wheel-vs-heap
+    /// placement, migrations, cancels). Always maintained; reading them
+    /// costs nothing beyond this copy.
     pub fn queue_counters(&self) -> QueueCounters {
         self.queue.counters()
     }
@@ -266,12 +255,6 @@ impl<M: Model> Engine<M> {
                 drained = self.queue.is_empty();
                 break;
             };
-            if self.events_processed - start_events >= self.event_limit {
-                panic!(
-                    "event limit {} exceeded at t={:?}; runaway schedule?",
-                    self.event_limit, self.now
-                );
-            }
             if !self.dispatch(time, tag, event) {
                 stopped_by_model = true;
                 break;
@@ -309,12 +292,6 @@ impl<M: Model> Engine<M> {
     pub fn run_window(&mut self, end: SimTime) -> u64 {
         let start_events = self.events_processed;
         while let Some((time, tag, event)) = self.queue.pop_before(end) {
-            if self.events_processed - start_events >= self.event_limit {
-                panic!(
-                    "event limit {} exceeded at t={:?}; runaway schedule?",
-                    self.event_limit, self.now
-                );
-            }
             if !self.dispatch(time, tag, event) {
                 break;
             }
@@ -494,36 +471,6 @@ mod tests {
         assert_eq!(eng.model().count, 6);
     }
 
-    struct Canceller {
-        cancelled_fired: bool,
-    }
-    enum CEv {
-        Arm,
-        ShouldNotFire,
-    }
-    impl Model for Canceller {
-        type Event = CEv;
-        fn handle(&mut self, ev: CEv, sched: &mut Scheduler<'_, CEv>) {
-            match ev {
-                CEv::Arm => {
-                    let id = sched.after(SimDuration::from_secs(1), CEv::ShouldNotFire);
-                    assert!(sched.cancel(id));
-                }
-                CEv::ShouldNotFire => self.cancelled_fired = true,
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut eng = Engine::new(Canceller {
-            cancelled_fired: false,
-        });
-        eng.schedule_at(SimTime::ZERO, CEv::Arm);
-        eng.run_to_completion();
-        assert!(!eng.model().cancelled_fired);
-    }
-
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
@@ -559,18 +506,5 @@ mod tests {
         let stats2 = eng.run_until(SimTime::from_secs(10));
         assert!(stats2.budget_exhausted);
         assert_eq!(stats2.events_processed, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_catches_runaway() {
-        let mut eng = Engine::new(Ticker {
-            period: SimDuration::ZERO,
-            remaining: u32::MAX,
-            fired_at: vec![],
-        });
-        eng.event_limit = 1000;
-        eng.schedule_at(SimTime::ZERO, ());
-        eng.run_to_completion();
     }
 }

@@ -17,12 +17,12 @@
 //! structure in the simulator. It is three things:
 //!
 //! * **The slab.** Every pending event lives in one reusable `Slot` — its
-//!   time, tag, payload and a `Loc` saying where the event is
-//!   filed. Freed slots form a list through `Loc::Free`.
+//!   time, tag, payload and one `next` link. Freed slots form a list through
+//!   that link.
 //! * **The wheel: `WHEEL_BUCKETS` list heads.** A single-revolution calendar
 //!   of `GRANULE_NANOS` granules covering a sliding window of roughly 134 ms.
 //!   A bucket is a `u32`: the slot of its most recently scheduled member, and
-//!   each member's `Loc::Bucket` carries the next one. Scheduling into a
+//!   each member's `next` names the one linked before it. Scheduling into a
 //!   future granule is therefore two stores — the new slot's link and the
 //!   head — into lines the allocation just touched, and the wheel itself is
 //!   32 KB whatever the run holds. Events beyond the wheel horizon
@@ -38,34 +38,33 @@
 //! Pop order does not depend on the representation: a granule's members are
 //! sorted by the total order `(time, tag)` on arrival, so the order they were
 //! linked in (latest first) is immaterial, and everything after the sort runs
-//! on a sorted `Vec` of self-contained entries. Nor do the counters on a run
-//! that cancels nothing: an event is placed, migrated and popped at the same
-//! points whichever way its bucket is stored.
+//! on a sorted `Vec` of self-contained entries. Nor do the counters: an
+//! event is placed, migrated and popped at the same points whichever way its
+//! bucket is stored.
 //!
 //! The pop path consumes the cursor bucket through a moving head offset
 //! (`cursor_head`) instead of `Vec::remove(0)`, so a granule of depth *k* is
 //! drained with zero memmoves. [`EventQueue::pop_at_or_before`] fuses the
 //! engine's peek-then-pop pair into one bucket scan.
 //!
-//! # Cancellation and dead slots
+//! # Only live events are filed
 //!
-//! Cancellation is O(1) to *validate* (a slot-index probe plus a tag
-//! check — no hashing) and O(1) to *perform*; [`EventQueue::len`] is always
-//! exact, because the live count is decremented at cancel time. What is left
-//! behind depends on where the event was filed:
+//! [`EventQueue::cancel`] takes an event out of wherever it is filed and
+//! frees its slot at once, so every list member and every bucket or heap
+//! entry is a pending event: no pop, peek, collection or migration checks
+//! liveness, and [`EventQueue::len`] is exact. Where an event is filed
+//! follows from its time and the cursor, so no slot records it:
 //!
-//! * In the cursor granule or the far heap the slot is freed at once and the
-//!   `(time, tag, slot)` entry stays behind as a tombstone; it fails the
-//!   generation check (`tag` mismatch, or a `Loc` that is not the entry's)
-//!   when the pop cursor or the heap top reaches it, and is swept there.
-//! * Linked in a future bucket, the slot cannot leave its list (the list is
-//!   singly linked), so the payload is dropped and the slot marked
-//!   `Loc::Dead`: dead but linked. It keeps its tag — a second
-//!   cancel of the same id finds `Dead` and reports `false` — is skipped by
-//!   [`EventQueue::peek_time`], and is not handed out again until the cursor
-//!   collects its bucket, which frees it and counts it in
-//!   `tombstones_swept`. A dead slot costs one slab slot until then; it never
-//!   reaches the cursor bucket.
+//! * before the end of the cursor granule: an entry of the sorted cursor
+//!   bucket, removed at its binary-searched key, or else of the cursor heap;
+//! * inside the wheel window: a member of its granule's list, unlinked;
+//! * beyond the window: an entry of the far heap.
+//!
+//! An id is validated by a slot probe and a tag check: a freed slot holds no
+//! event, and a reused one holds another tag. Removal walks a list or
+//! rebuilds a heap. The models cancel nothing — a timer is a deadline its
+//! handler re-checks — so cancellation is kept exact and simple, not fast at
+//! volume.
 //!
 //! # The cursor granule: a sorted bucket and a heap
 //!
@@ -82,17 +81,15 @@
 //! costs O(log n) per event instead of a `memmove` of the bucket per event.
 //!
 //! Pop order is still ascending `(time, tag)`: both halves hold entries under
-//! that one total order and every pop, sweep and peek takes the smaller of
-//! the bucket's head and the heap's top, so the sequence consumed is the
-//! sorted merge of the two — what one sorted bucket holding all of them
-//! would give. Tombstones are consumed at their place in that merge, so
-//! `tombstones_swept` counts the same sweeps at the same pops. The heap only
-//! ever holds entries of the granule under the cursor, and the cursor moves
-//! only once both halves are exhausted — so the heap is empty whenever the
-//! cursor advances or jumps, and while it is empty the pop loop is the plain
-//! bucket scan.
+//! that one total order and every pop and peek takes the smaller of the
+//! bucket's head and the heap's top, so the sequence consumed is the sorted
+//! merge of the two — what one sorted bucket holding all of them would give.
+//! The heap only ever holds entries of the granule under the cursor, and the
+//! cursor moves only once both halves are exhausted — so the heap is empty
+//! whenever the cursor advances or jumps, and while it is empty the pop loop
+//! is the plain bucket scan.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -117,8 +114,8 @@ const NIL: u32 = u32::MAX;
 /// Handle to a scheduled event, usable for cancellation.
 ///
 /// Carries the event's tag (unique among the events a queue ever holds) plus
-/// its slab slot, so cancellation validates in O(1) (slot probe + tag
-/// comparison) instead of hashing into a tombstone set.
+/// its slab slot, so cancellation validates in O(1): a slot probe and a tag
+/// comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId {
     tag: u64,
@@ -146,36 +143,20 @@ pub(crate) const fn tag_unit(tag: u64) -> u32 {
     (tag >> TAG_SEQ_BITS) as u32
 }
 
-/// Where a slot currently resides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// Free-list member; the payload is the next free slot (or [`NIL`]).
-    Free(u32),
-    /// Linked in a future wheel bucket; the payload is the bucket's next
-    /// member (or [`NIL`]).
-    Bucket(u32),
-    /// Cancelled while linked in a future bucket: no event, still on the
-    /// list (payload as for `Bucket`) until the cursor collects it.
-    Dead(u32),
-    /// In the cursor granule: an entry of the cursor bucket or cursor heap.
-    Cursor,
-    /// In the far-future fallback heap.
-    Far,
-}
-
 struct Slot<E> {
-    /// Tag of the occupying event; stale for free slots. Acts as
-    /// the generation check: an [`EventId`] is live iff its `tag` matches.
+    /// Tag of the occupying event; stale for a free slot. An [`EventId`] is
+    /// pending iff its slot holds an event of its tag.
     tag: u64,
     time: SimTime,
-    loc: Loc,
+    /// The next member of the future bucket's list this slot is linked in,
+    /// or of the free list; [`NIL`] ends a list. Unused in the cursor
+    /// granule and the far heap.
+    next: u32,
     event: Option<E>,
 }
 
-/// A cursor-bucket or heap entry: the sort key is carried inline so ordering,
-/// liveness checks and tombstone sweeps never dereference the slab. Entries
-/// outlive their event (lazy cancellation), which is safe exactly because
-/// the key is self-contained.
+/// A cursor-bucket or heap entry: the sort key is carried inline so ordering
+/// never dereferences the slab.
 #[derive(Debug, Clone, Copy)]
 struct WheelEntry {
     time_ns: u64,
@@ -216,7 +197,7 @@ impl Ord for WheelEntry {
 pub struct QueueCounters {
     /// Events ever scheduled.
     pub scheduled: u64,
-    /// Live events removed through the pop path.
+    /// Events removed through the pop path.
     pub pops: u64,
     /// Events placed directly into a wheel bucket at schedule time.
     pub placed_wheel: u64,
@@ -224,10 +205,8 @@ pub struct QueueCounters {
     pub placed_far: u64,
     /// Far-heap events migrated into the wheel as the window advanced.
     pub far_migrations: u64,
-    /// Live events cancelled before firing.
+    /// Events cancelled before firing.
     pub cancelled: u64,
-    /// Dead (cancelled) entries swept past by pops, peeks and heap cleaning.
-    pub tombstones_swept: u64,
 }
 
 impl QueueCounters {
@@ -238,15 +217,6 @@ impl QueueCounters {
             1.0
         } else {
             self.placed_wheel as f64 / self.scheduled as f64
-        }
-    }
-
-    /// Dead entries swept per successful pop. 0.0 for an idle queue.
-    pub fn tombstone_ratio(&self) -> f64 {
-        if self.pops == 0 {
-            0.0
-        } else {
-            self.tombstones_swept as f64 / self.pops as f64
         }
     }
 }
@@ -261,14 +231,13 @@ pub struct EventQueue<E> {
     free_head: u32,
     /// `buckets[(t / GRANULE) % WHEEL_BUCKETS]`: head of the list of slots
     /// filed under that future granule ([`NIL`] when empty), threaded
-    /// through `Loc::Bucket` / `Loc::Dead`. The cursor's own head is always
-    /// [`NIL`]: its members are in `cursor_bucket`.
+    /// through `Slot::next`. The cursor's own head is always [`NIL`]: its
+    /// members are in `cursor_bucket`.
     buckets: Vec<u32>,
     /// The granule under the cursor, sorted ascending by `(time, tag)`.
     /// With `cursor_heap` it additionally absorbs any event at or before
-    /// the current granule, so the first live entry of the two is the global
-    /// minimum. Entries may be tombstones (cancelled events); liveness is a
-    /// slab generation check.
+    /// the current granule, so the first entry of the two is the global
+    /// minimum.
     cursor_bucket: Vec<WheelEntry>,
     /// The cursor granule's other half (module docs): inserts that would
     /// have shifted a long tail of the cursor bucket. Empty in the sparse
@@ -278,15 +247,15 @@ pub struct EventQueue<E> {
     /// `(wheel_start / GRANULE) % WHEEL_BUCKETS`.
     cursor: usize,
     /// Consumed prefix of the cursor bucket: entries below this offset have
-    /// been popped or swept. The bucket is cleared (capacity kept) when the
-    /// prefix reaches the end.
+    /// been popped. The bucket is cleared (capacity kept) when the prefix
+    /// reaches the end.
     cursor_head: usize,
     /// Lower bound (nanos, granule-aligned) of the cursor bucket.
     wheel_start: u64,
     far: BinaryHeap<WheelEntry>,
-    /// Live events resident in the wheel (cursor granule + future buckets).
+    /// Events resident in the wheel (cursor granule + future buckets).
     in_wheel: usize,
-    /// All live events (wheel + far).
+    /// All pending events (wheel + far).
     live: usize,
     next_seq: u64,
     counters: QueueCounters,
@@ -331,10 +300,7 @@ impl<E> EventQueue<E> {
         if self.free_head != NIL {
             let slot = self.free_head;
             let s = &mut self.slots[slot as usize];
-            let Loc::Free(next) = s.loc else {
-                unreachable!("free list head not free");
-            };
-            self.free_head = next;
+            self.free_head = s.next;
             s.tag = tag;
             s.time = time;
             s.event = Some(event);
@@ -344,7 +310,7 @@ impl<E> EventQueue<E> {
             self.slots.push(Slot {
                 tag,
                 time,
-                loc: Loc::Free(NIL),
+                next: NIL,
                 event: Some(event),
             });
             slot
@@ -354,19 +320,9 @@ impl<E> EventQueue<E> {
     fn free_slot(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
         let event = s.event.take().expect("freeing empty slot");
-        s.loc = Loc::Free(self.free_head);
+        s.next = self.free_head;
         self.free_head = slot;
         event
-    }
-
-    /// True if a cursor-granule entry still refers to a live event. Tags
-    /// are never reused, so a matching `tag` identifies the exact
-    /// event; the location check rejects a cancelled-but-not-yet-reused slot
-    /// (freeing keeps the stale `tag` behind).
-    #[inline]
-    fn entry_live(&self, e: &WheelEntry) -> bool {
-        let s = &self.slots[e.slot as usize];
-        s.tag == e.tag && s.loc == Loc::Cursor
     }
 
     /// File `slot` under bucket `idx`. A future bucket is a list: the slot
@@ -379,11 +335,10 @@ impl<E> EventQueue<E> {
         self.in_wheel += 1;
         let s = &mut self.slots[slot as usize];
         if idx != self.cursor {
-            s.loc = Loc::Bucket(self.buckets[idx]);
+            s.next = self.buckets[idx];
             self.buckets[idx] = slot;
             return;
         }
-        s.loc = Loc::Cursor;
         let entry = WheelEntry {
             time_ns: s.time.as_nanos(),
             tag: s.tag,
@@ -421,33 +376,21 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`Self::collect_cursor_bucket`] for a non-empty list: live members
-    /// become cursor-bucket entries, dead ones are freed (and counted as
-    /// swept), and the bucket is put in order. `tag` is unique, so
-    /// `(time, tag)` is a total order and the unstable sort is deterministic.
+    /// [`Self::collect_cursor_bucket`] for a non-empty list: its members
+    /// become cursor-bucket entries, and the bucket is put in order. `tag` is
+    /// unique, so `(time, tag)` is a total order and the unstable sort is
+    /// deterministic.
     #[inline(never)]
     fn collect_list(&mut self, head: u32) {
         let mut slot = head;
         while slot != NIL {
-            let s = &mut self.slots[slot as usize];
-            slot = match s.loc {
-                Loc::Bucket(next) => {
-                    s.loc = Loc::Cursor;
-                    self.cursor_bucket.push(WheelEntry {
-                        time_ns: s.time.as_nanos(),
-                        tag: s.tag,
-                        slot,
-                    });
-                    next
-                }
-                Loc::Dead(next) => {
-                    s.loc = Loc::Free(self.free_head);
-                    self.free_head = slot;
-                    self.counters.tombstones_swept += 1;
-                    next
-                }
-                loc => unreachable!("slot on a bucket list is {loc:?}"),
-            };
+            let s = &self.slots[slot as usize];
+            self.cursor_bucket.push(WheelEntry {
+                time_ns: s.time.as_nanos(),
+                tag: s.tag,
+                slot,
+            });
+            slot = s.next;
         }
         if self.cursor_bucket.len() > 1 {
             self.cursor_bucket.sort_unstable_by_key(WheelEntry::key);
@@ -469,14 +412,13 @@ impl<E> EventQueue<E> {
 
     /// Route a freshly allocated slot to its wheel bucket or the far heap.
     fn place(&mut self, slot: u32) {
-        let t = self.slots[slot as usize].time.as_nanos();
+        let s = &self.slots[slot as usize];
+        let t = s.time.as_nanos();
         if t < self.wheel_start.saturating_add(HORIZON_NANOS) {
             let idx = self.in_window_bucket(t);
             self.bucket_insert(idx, slot);
             self.counters.placed_wheel += 1;
         } else {
-            let s = &mut self.slots[slot as usize];
-            s.loc = Loc::Far;
             self.far.push(WheelEntry {
                 time_ns: t,
                 tag: s.tag,
@@ -486,30 +428,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drop cancelled entries off the top of the far heap so `peek` can trust
-    /// it with `&self`.
-    fn clean_far_top(&mut self) {
-        while let Some(top) = self.far.peek() {
-            let s = &self.slots[top.slot as usize];
-            if s.tag == top.tag && s.loc == Loc::Far {
-                break;
-            }
-            self.far.pop();
-            self.counters.tombstones_swept += 1;
-        }
-    }
-
-    /// True if the far-heap entry still refers to a live event.
-    fn far_entry_live(&self, f: &WheelEntry) -> bool {
-        let s = &self.slots[f.slot as usize];
-        s.tag == f.tag && s.loc == Loc::Far
-    }
-
     /// Pull far-heap events that now fall inside the wheel window into their
     /// buckets. Runs at every cursor move, and almost always finds nothing
-    /// due: the far-heap top is live (every mutating operation keeps it so),
-    /// so one comparison settles that, and only it is inlined into the pop
-    /// loop.
+    /// due: one comparison against the far-heap top settles that, and only
+    /// it is inlined into the pop loop.
     #[inline]
     fn migrate_far(&mut self) {
         let end = self.wheel_start.saturating_add(HORIZON_NANOS);
@@ -521,14 +443,7 @@ impl<E> EventQueue<E> {
     /// [`Self::migrate_far`] once the far-heap top is due before `end`.
     #[inline(never)]
     fn migrate_far_due(&mut self, end: u64) {
-        while let Some(top) = self.far.peek() {
-            if !self.far_entry_live(top) {
-                self.far.pop();
-                continue;
-            }
-            if top.time_ns >= end {
-                break;
-            }
+        while self.far.peek().is_some_and(|top| top.time_ns < end) {
             let f = self.far.pop().expect("peeked entry vanished");
             let idx = self.in_window_bucket(f.time_ns);
             self.bucket_insert(idx, f.slot);
@@ -537,9 +452,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Move the wheel window to start at the granule of `nanos` (used when
-    /// nothing live is left in the wheel and the next event is far away).
-    /// Buckets jumped over keep whatever dead slots they hold until the
-    /// cursor next comes round to them.
+    /// the wheel holds nothing and the next event is far away).
     fn jump_to(&mut self, nanos: u64) {
         debug_assert_eq!(self.in_wheel, 0);
         let granule = nanos / GRANULE_NANOS;
@@ -582,52 +495,61 @@ impl<E> EventQueue<E> {
         EventId { tag, slot }
     }
 
-    /// Schedule `event` to fire `after` past the given current time.
-    pub fn schedule_after(&mut self, now: SimTime, after: SimDuration, event: E) -> EventId {
-        self.schedule_at(now + after, event)
-    }
-
-    /// Cancel a previously scheduled event. Returns true if the id was still
-    /// pending (not yet fired and not already cancelled). An id whose slot
-    /// does not hold an event of its tag — fired, cancelled, or another
-    /// queue's — is rejected.
+    /// Cancel a previously scheduled event: take it out of where it is filed
+    /// and free its slot. Returns true if the id was still pending (not yet
+    /// fired and not already cancelled). An id whose slot does not hold an
+    /// event of its tag — fired, cancelled, or another queue's — is rejected.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(s) = self.slots.get_mut(id.slot as usize) else {
+        let Some(s) = self.slots.get(id.slot as usize) else {
             return false;
         };
-        if s.tag != id.tag {
-            return false; // already fired/cancelled; the slot moved on
+        if s.tag != id.tag || s.event.is_none() {
+            return false; // fired or cancelled: the slot is free or moved on
         }
-        match s.loc {
-            Loc::Free(_) | Loc::Dead(_) => return false,
-            Loc::Bucket(next) => {
-                // The slot cannot leave its list: drop the event and leave
-                // the slot dead but linked, for the cursor to free when it
-                // collects the bucket.
-                s.event = None;
-                s.loc = Loc::Dead(next);
-                self.in_wheel -= 1;
-            }
-            Loc::Cursor => {
-                // Lazy: free the slot now, leave the entry behind as a
-                // tombstone for the pop cursor to sweep.
-                self.in_wheel -= 1;
-                self.free_slot(id.slot);
-            }
-            Loc::Far => {
-                // The heap entry stays behind; it fails the generation check
-                // when it surfaces. Keep the heap top live for `peek_time`.
-                self.free_slot(id.slot);
-                self.clean_far_top();
+        // Where the event is filed follows from its time (module docs).
+        let t = s.time.as_nanos();
+        if t >= self.wheel_start.saturating_add(HORIZON_NANOS) {
+            self.far.retain(|e| e.tag != id.tag);
+        } else {
+            self.in_wheel -= 1;
+            match self.in_window_bucket(t) {
+                idx if idx == self.cursor => self.unfile_cursor((t, id.tag)),
+                idx => self.unlink(idx, id.slot),
             }
         }
-        // The live count stays exact whatever lingers.
+        drop(self.free_slot(id.slot));
         self.live -= 1;
         self.counters.cancelled += 1;
         true
     }
 
-    /// Retire the live entry `entry` the pop cursor just passed.
+    /// Remove the cursor-granule entry of `key`: from the unconsumed part of
+    /// the sorted bucket if it is there, from the cursor heap otherwise.
+    fn unfile_cursor(&mut self, key: (u64, u64)) {
+        let start = self.cursor_head;
+        match self.cursor_bucket[start..].binary_search_by_key(&key, WheelEntry::key) {
+            Ok(pos) => {
+                self.cursor_bucket.remove(start + pos);
+            }
+            Err(_) => self.cursor_heap.retain(|e| e.tag != key.1),
+        }
+    }
+
+    /// Unlink `slot` from the list of future bucket `idx`.
+    fn unlink(&mut self, idx: usize, slot: u32) {
+        let next = self.slots[slot as usize].next;
+        if self.buckets[idx] == slot {
+            self.buckets[idx] = next;
+            return;
+        }
+        let mut prev = self.buckets[idx];
+        while self.slots[prev as usize].next != slot {
+            prev = self.slots[prev as usize].next;
+        }
+        self.slots[prev as usize].next = next;
+    }
+
+    /// Retire the entry `entry` the pop cursor just passed.
     #[inline]
     fn take(&mut self, entry: WheelEntry) -> (SimTime, u64, E) {
         self.in_wheel -= 1;
@@ -637,44 +559,34 @@ impl<E> EventQueue<E> {
         (SimTime::from_nanos(entry.time_ns), entry.tag, event)
     }
 
-    /// [`Self::pop_bounded`] while the cursor heap holds entries: consume the
-    /// sorted merge of the bucket's unconsumed part and the heap — sweeping
-    /// tombstones at their place in it — up to the first live entry.
-    /// `Some(verdict)` is `pop_bounded`'s answer; `None` means the heap ran
-    /// empty first and the plain bucket scan takes over.
+    /// [`Self::pop_bounded`] while the cursor heap holds entries: the next
+    /// event is the smaller of the bucket's head and the heap's top.
     ///
     /// Out of line and cold: the sparse regime never gets here, and its pop
     /// loop must not carry this code.
     #[cold]
     #[inline(never)]
-    fn pop_merged(&mut self, limit_ns: Option<u64>) -> Option<Option<(SimTime, u64, E)>> {
-        while let Some(&top) = self.cursor_heap.peek() {
-            let head = self.cursor_bucket.get(self.cursor_head).copied();
-            let entry = match head {
-                Some(head) if head.key() < top.key() => head,
-                _ => top,
-            };
-            let live = self.entry_live(&entry);
-            if live && limit_ns.is_some_and(|l| entry.time_ns > l) {
-                return Some(None);
-            }
-            if entry.tag == top.tag {
-                self.cursor_heap.pop();
-            } else {
-                self.cursor_head += 1;
-            }
-            if live {
-                return Some(Some(self.take(entry)));
-            }
-            self.counters.tombstones_swept += 1;
+    fn pop_merged(&mut self, limit_ns: Option<u64>) -> Option<(SimTime, u64, E)> {
+        let top = *self.cursor_heap.peek().expect("cursor heap is empty");
+        let entry = match self.cursor_bucket.get(self.cursor_head) {
+            Some(&head) if head.key() < top.key() => head,
+            _ => top,
+        };
+        if limit_ns.is_some_and(|l| entry.time_ns > l) {
+            return None;
         }
-        None
+        if entry.tag == top.tag {
+            self.cursor_heap.pop();
+        } else {
+            self.cursor_head += 1;
+        }
+        Some(self.take(entry))
     }
 
-    /// Remove and return the earliest live event at or before `limit`
-    /// (in nanos); `None` lifts the bound. Shared scan behind [`Self::pop`]
-    /// and [`Self::pop_at_or_before`] — one pass finds, bounds-checks and
-    /// consumes the minimum, sweeping tombstones on the way.
+    /// Remove and return the earliest event at or before `limit` (in
+    /// nanos); `None` lifts the bound. Shared scan behind [`Self::pop`] and
+    /// [`Self::pop_at_or_before`] — one pass finds, bounds-checks and
+    /// consumes the minimum.
     ///
     /// Forced inline: an engine that is driven both to a horizon and in
     /// windows reaches this through two wrappers, and as a shared
@@ -688,21 +600,14 @@ impl<E> EventQueue<E> {
         }
         loop {
             if !self.cursor_heap.is_empty() {
-                if let Some(verdict) = self.pop_merged(limit_ns) {
-                    return verdict;
-                }
+                return self.pop_merged(limit_ns);
             }
-            while self.cursor_head < self.cursor_bucket.len() {
-                let entry = self.cursor_bucket[self.cursor_head];
-                if self.entry_live(&entry) {
-                    if limit_ns.is_some_and(|l| entry.time_ns > l) {
-                        return None;
-                    }
-                    self.cursor_head += 1;
-                    return Some(self.take(entry));
+            if let Some(&entry) = self.cursor_bucket.get(self.cursor_head) {
+                if limit_ns.is_some_and(|l| entry.time_ns > l) {
+                    return None;
                 }
                 self.cursor_head += 1;
-                self.counters.tombstones_swept += 1;
+                return Some(self.take(entry));
             }
             // Cursor granule exhausted: empty the bucket for the next one
             // and move on.
@@ -721,8 +626,7 @@ impl<E> EventQueue<E> {
                 self.advance_cursor();
                 continue;
             }
-            // Everything live is beyond the horizon: jump the window.
-            self.clean_far_top();
+            // Everything pending is beyond the horizon: jump the window.
             let t = self.far.peek().expect("live count out of sync").time_ns;
             if limit_ns.is_some_and(|l| t > l) {
                 return None;
@@ -731,12 +635,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Remove and return the earliest live event.
+    /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_bounded(None).map(|(time, _, event)| (time, event))
     }
 
-    /// Remove and return the earliest live event as `(time, tag, event)`, but
+    /// Remove and return the earliest event as `(time, tag, event)`, but
     /// only if its timestamp is `<= limit`; otherwise leave the queue
     /// untouched and return `None`. One bucket scan where a `peek_time` +
     /// `pop` pair would take two.
@@ -744,7 +648,7 @@ impl<E> EventQueue<E> {
         self.pop_bounded(Some(limit.as_nanos()))
     }
 
-    /// Remove and return the earliest live event strictly before `end`, as
+    /// Remove and return the earliest event strictly before `end`, as
     /// `(time, tag, event)`.
     ///
     /// `#[inline]`: this is the windowed driver's pop. Left to the codegen
@@ -757,86 +661,49 @@ impl<E> EventQueue<E> {
         self.pop_bounded(Some(limit))
     }
 
-    /// The earliest live time in the cursor granule while its heap holds
-    /// entries: the bucket's first live entry or the heap's, whichever is
-    /// earlier. A live heap top is the heap's minimum; under a cancelled top
-    /// the lot is looked through (read-only: sweeping needs `&mut`). `None`
-    /// when the granule holds only tombstones.
-    #[cold]
-    #[inline(never)]
-    fn peek_merged(&self) -> Option<u64> {
-        let live_time = |e: &WheelEntry| self.entry_live(e).then_some(e.time_ns);
-        let in_bucket = self.cursor_bucket[self.cursor_head..]
-            .iter()
-            .find_map(live_time);
-        let in_heap = match self.cursor_heap.peek().and_then(live_time) {
-            Some(t) => Some(t),
-            None => self.cursor_heap.iter().filter_map(live_time).min(),
-        };
-        in_bucket.into_iter().chain(in_heap).min()
-    }
-
-    /// The earliest time among the live members of the list at `head`.
+    /// The earliest time among the members of the list at `head`.
     fn list_min_time(&self, head: u32) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut slot = head;
+        let (mut best, mut slot) = (u64::MAX, head);
         while slot != NIL {
             let s = &self.slots[slot as usize];
-            slot = match s.loc {
-                Loc::Bucket(next) => {
-                    let t = s.time.as_nanos();
-                    best = Some(best.map_or(t, |b| b.min(t)));
-                    next
-                }
-                Loc::Dead(next) => next,
-                loc => unreachable!("slot on a bucket list is {loc:?}"),
-            };
+            best = best.min(s.time.as_nanos());
+            slot = s.next;
         }
-        best
+        (head != NIL).then_some(best)
     }
 
-    /// The timestamp of the next live event, if any.
+    /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
         }
         if self.in_wheel > 0 {
-            // The cursor granule first: sorted, so its first live entry wins
-            // (tombstones are skipped read-only: sweeping needs `&mut`).
-            let in_cursor = if self.cursor_heap.is_empty() {
-                self.cursor_bucket[self.cursor_head..]
-                    .iter()
-                    .find(|e| self.entry_live(e))
-                    .map(|e| e.time_ns)
-            } else {
-                self.peek_merged()
-            };
+            // The cursor granule first: the earlier of its two halves' heads.
+            let head = self.cursor_bucket.get(self.cursor_head);
+            let in_cursor = head.into_iter().chain(self.cursor_heap.peek());
             // Buckets from the cursor forward partition time, so the first
-            // one with a live member holds the minimum; a list is unordered
-            // until the cursor collects it, so take the min over it.
+            // one with a member holds the minimum; a list is unordered until
+            // the cursor collects it, so take the min over it.
             let t = in_cursor
+                .map(|e| e.time_ns)
+                .min()
                 .or_else(|| {
                     (1..WHEEL_BUCKETS).find_map(|k| {
-                        let head = self.buckets[(self.cursor + k) % WHEEL_BUCKETS];
-                        self.list_min_time(head)
+                        self.list_min_time(self.buckets[(self.cursor + k) % WHEEL_BUCKETS])
                     })
                 })
-                .expect("in_wheel > 0 but no live wheel member");
+                .expect("in_wheel > 0 but the wheel is empty");
             return Some(SimTime::from_nanos(t));
         }
-        // The far-heap top is kept live by every mutating operation.
-        self.far.peek().map(|f| {
-            debug_assert!(self.far_entry_live(f));
-            SimTime::from_nanos(f.time_ns)
-        })
+        self.far.peek().map(|f| SimTime::from_nanos(f.time_ns))
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// True when no live events remain.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -844,16 +711,6 @@ impl<E> EventQueue<E> {
     /// Activity counters since construction.
     pub fn counters(&self) -> QueueCounters {
         self.counters
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.counters.scheduled
-    }
-
-    /// Total number of events cancelled before firing.
-    pub fn cancelled_total(&self) -> u64 {
-        self.counters.cancelled
     }
 
     /// Entries of bucket storage held: slab slots plus the capacity of the
@@ -867,6 +724,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -914,26 +772,19 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_after(SimTime::from_secs(5), SimDuration::from_secs(2), "z");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(7), "z")));
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut q = EventQueue::new();
         let a = q.schedule_at(SimTime::ZERO, 1);
         q.schedule_at(SimTime::ZERO, 2);
         q.cancel(a);
-        assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.cancelled_total(), 1);
+        let c = q.counters();
+        assert_eq!((c.scheduled, c.cancelled), (2, 1));
     }
 
     #[test]
     fn foreign_or_forged_ids_are_rejected() {
         // Regression: cancelling an id this queue never issued used to poison
-        // the tombstone set and underflow `len()`.
+        // the cancelled-id set and underflow `len()`.
         let mut a: EventQueue<&str> = EventQueue::new();
         let mut b = EventQueue::new();
         a.schedule_at(SimTime::from_secs(1), "a0");
@@ -943,7 +794,7 @@ mod tests {
         let foreign = b.schedule_at(SimTime::from_secs(9), 9);
         assert!(!a.cancel(foreign), "never-issued id must be rejected");
         assert_eq!(a.len(), 1, "len must be unaffected by a rejected cancel");
-        assert_eq!(a.cancelled_total(), 0);
+        assert_eq!(a.counters().cancelled, 0);
         assert_eq!(a.pop(), Some((SimTime::from_secs(1), "a0")));
         assert_eq!(a.pop(), None);
     }
@@ -1091,26 +942,67 @@ mod tests {
     }
 
     #[test]
-    fn lazy_cancel_tombstones_are_swept_at_pop() {
+    fn a_cancel_in_the_cursor_bucket_removes_its_entry() {
         let mut q = EventQueue::new();
-        // All in one granule: the cancelled middle entries become tombstones
-        // in the same bucket the survivors pop from.
+        // All in the granule under the cursor: the cancelled middle entries
+        // leave the sorted bucket the survivors pop from.
         let t = |us: u64| SimTime::from_micros(us);
-        let a = q.schedule_at(t(10), "a");
-        let b = q.schedule_at(t(20), "b");
-        let c = q.schedule_at(t(30), "c");
-        let d = q.schedule_at(t(40), "d");
+        q.schedule_at(t(1), "a");
+        let b = q.schedule_at(t(2), "b");
+        let c = q.schedule_at(t(3), "c");
+        q.schedule_at(t(4), "d");
+        assert_eq!(q.cursor_bucket.len(), 4);
         assert!(q.cancel(b));
         assert!(q.cancel(c));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((t(10), "a")));
-        assert_eq!(q.pop(), Some((t(40), "d")));
+        assert_eq!(q.cursor_bucket.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(1)));
+        assert_eq!(q.pop(), Some((t(1), "a")));
+        assert_eq!(q.pop(), Some((t(4), "d")));
         assert_eq!(q.pop(), None);
         let counters = q.counters();
-        assert_eq!(counters.cancelled, 2);
-        assert_eq!(counters.tombstones_swept, 2, "both tombstones swept");
-        assert_eq!(counters.pops, 2);
-        let _ = (a, d);
+        assert_eq!((counters.cancelled, counters.pops), (2, 2));
+    }
+
+    #[test]
+    fn a_cancel_in_any_of_the_four_places_frees_its_slot_for_the_next_schedule() {
+        let mut q = EventQueue::new();
+        let us = SimTime::from_micros;
+        // Ten entries in the sorted cursor bucket, then one in front of all
+        // of them: past the shift limit, so into the cursor heap.
+        let bucket: Vec<EventId> = (0..10u64)
+            .map(|i| q.schedule_at(us(10 + i / 4), i as usize))
+            .collect();
+        let heap = q.schedule_at(us(5), 10);
+        let list = q.schedule_at(SimTime::from_millis(50), 11);
+        let far = q.schedule_at(SimTime::from_secs(10), 12);
+        assert_eq!((q.cursor_bucket.len(), q.cursor_heap.len()), (10, 1));
+        assert_eq!((q.counters().placed_wheel, q.far.len()), (12, 1));
+        let list_bucket = q.in_window_bucket(SimTime::from_millis(50).as_nanos());
+        assert_ne!(q.buckets[list_bucket], NIL);
+        for (k, (place, id)) in [
+            ("cursor bucket", bucket[4]),
+            ("cursor heap", heap),
+            ("future bucket", list),
+            ("far heap", far),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(q.cancel(id), "{place}");
+            assert_eq!(q.len(), 12, "{place}");
+            let again = q.schedule_at(SimTime::from_secs(20), 100 + k);
+            assert_eq!(again.slot, id.slot, "{place}: the slot was not freed");
+            assert!(!q.cancel(id), "{place}: the stale id hit the new event");
+        }
+        // Each event left where it was filed, and nothing else did.
+        assert_eq!(q.cursor_bucket.len(), 9);
+        assert!(q.cursor_heap.is_empty());
+        assert_eq!(q.buckets[list_bucket], NIL);
+        assert_eq!(q.far.len(), 4);
+        assert_eq!(q.slots.len(), 13);
+        let popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(popped, [0, 1, 2, 3, 5, 6, 7, 8, 9, 100, 101, 102, 103]);
     }
 
     #[test]
@@ -1130,13 +1022,12 @@ mod tests {
         let c = q.counters();
         assert_eq!(c.far_migrations, 1);
         assert_eq!(c.pops, 2);
-        assert_eq!(c.tombstone_ratio(), 0.0);
     }
 
     proptest::proptest! {
         /// `peek_time` is asked at every window boundary of a sharded run,
-        /// so it must name exactly the event the next pop returns — past
-        /// tombstones in the cursor bucket, unsorted later buckets, the far
+        /// so it must name exactly the event the next pop returns — across
+        /// cancels in the cursor bucket, unsorted later buckets, the far
         /// heap and overdue inserts — and, being a question, must leave the
         /// wheel where bounded pops parked it.
         #[test]
@@ -1159,7 +1050,7 @@ mod tests {
                         };
                         ids.push(q.schedule_at(SimTime::from_nanos(t), i));
                     }
-                    // Cancel: leaves a tombstone wherever the event was.
+                    // Cancel: removes the event wherever it is filed.
                     5 | 6 => {
                         if !ids.is_empty() {
                             q.cancel(ids[pick % ids.len()]);
@@ -1268,14 +1159,13 @@ mod tests {
             "one insert shifted {} entries",
             q.max_shift
         );
-        let c = q.counters();
-        assert_eq!((c.pops, c.tombstones_swept), (20_000, 0));
+        assert_eq!(q.counters().pops, 20_000);
         // The key is two words and the entry three, as before units.
         assert_eq!(std::mem::size_of::<WheelEntry>(), 24);
     }
 
     #[test]
-    fn cancels_inside_the_cursor_heap_are_swept_in_order() {
+    fn cancels_inside_the_cursor_heap_keep_reference_order() {
         let mut q = EventQueue::new();
         let mut reference = std::collections::BTreeMap::new();
         let ids: Vec<(u64, EventId)> = burst_times(20_000, 2)
@@ -1291,7 +1181,7 @@ mod tests {
             reference.remove(&(t, id.tag));
             assert_eq!(q.len(), reference.len());
         }
-        // Half way down, then a second burst on top of the tombstones.
+        // Half way down, then a second burst into the same granule.
         for _ in 0..reference.len() / 2 {
             pop_both(&mut q, &mut reference);
         }
@@ -1303,8 +1193,9 @@ mod tests {
         }
         assert!(q.max_shift <= CURSOR_TAIL_MAX);
 
-        // Only tombstones left in the heap, the one live event beyond the
-        // horizon: the pop sweeps them all before the wheel jumps.
+        // Every cursor-granule event cancelled, the one left beyond the
+        // horizon: both halves are empty before the wheel jumps, and the
+        // burst's slots serve the next schedules.
         let mut q = EventQueue::new();
         let ids: Vec<EventId> = burst_times(200, 4)
             .into_iter()
@@ -1315,11 +1206,15 @@ mod tests {
         for id in ids {
             assert!(q.cancel(id));
         }
+        assert!(q.cursor_heap.is_empty());
+        assert_eq!(q.cursor_bucket.len(), q.cursor_head);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
-        assert!(q.cursor_heap.is_empty(), "the wheel jumped over its heap");
-        assert_eq!(q.counters().tombstones_swept, 200);
+        for i in 0..201 {
+            q.schedule_at(SimTime::from_secs(11), i);
+        }
+        assert_eq!(q.slots.len(), 201);
     }
 
     /// A cursor bucket of ten entries at 10 µs, 11 µs, …, and one event at
@@ -1364,13 +1259,13 @@ mod tests {
             Some((SimTime::from_micros(10), 0, 0))
         );
 
-        // A miss sweeps the tombstones in front of the first live entry
-        // whatever their own times, as the plain bucket scan does.
+        // A cancelled heap top leaves the heap at once: the bound then meets
+        // the bucket's head, as the plain bucket scan does.
         let (mut q, first) = heap_top_first(5);
         assert!(q.cancel(first));
-        assert_eq!(q.pop_at_or_before(SimTime::from_micros(4)), None);
-        assert_eq!(q.counters().tombstones_swept, 1);
         assert!(q.cursor_heap.is_empty());
+        assert_eq!(q.pop_at_or_before(SimTime::from_micros(4)), None);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(10)));
     }
 
     #[test]
@@ -1405,56 +1300,42 @@ mod tests {
     }
 
     #[test]
-    fn a_cancel_in_a_future_bucket_keeps_its_slot_until_the_cursor_collects_it() {
+    fn a_cancel_in_a_future_bucket_unlinks_it_and_frees_its_slot() {
         let mut q = EventQueue::new();
         let mut reference = std::collections::BTreeMap::new();
         let at = SimTime::from_millis(50).as_nanos();
+        let granule = |t: u64| t / GRANULE_NANOS;
+        assert_eq!(granule(at - 1), granule(at + 1));
         schedule_both(&mut q, &mut reference, at - 1, 0);
-        let dead = schedule_both(&mut q, &mut reference, at, 1);
+        let cancelled = schedule_both(&mut q, &mut reference, at, 1);
         schedule_both(&mut q, &mut reference, at + 1, 2);
-        assert!(q.cancel(dead));
-        reference.remove(&(at, dead.tag));
-        assert!(!q.cancel(dead), "double-cancel must report false");
+        // Linked latest first: the cancelled event sits between the two
+        // other members of its bucket's list.
+        assert!(q.cancel(cancelled));
+        reference.remove(&(at, cancelled.tag));
+        assert!(!q.cancel(cancelled), "double-cancel must report false");
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(at - 1)));
-        // The dead slot sits between two live members of its bucket's list;
-        // handing it out again would cut the list (or loop it).
+        // The slot left the list with its event: the next schedule takes it,
+        // into the same list, and the stale id does not reach the newcomer.
+        let reused = schedule_both(&mut q, &mut reference, at, 3);
+        assert_eq!(reused.slot, cancelled.slot);
+        assert!(!q.cancel(cancelled));
         let mut rng = crate::SimRng::seed_from_u64(11);
         for i in 0..10_000 {
             let t = rng.next_below(2 * HORIZON_NANOS);
-            let id = schedule_both(&mut q, &mut reference, t, 3 + i);
-            assert_ne!(id.slot, dead.slot, "dead slot reused while linked");
-            assert!(!q.cancel(dead));
+            schedule_both(&mut q, &mut reference, t, 4 + i);
         }
-        // Up to the bucket: the slot is still out of circulation ...
-        let granule = |t: u64| t / GRANULE_NANOS;
-        assert_eq!(granule(at - 1), granule(at + 1));
-        while granule(
-            *reference
-                .first_key_value()
-                .map(|((t, _), _)| t)
-                .expect("two left"),
-        ) < granule(at)
-        {
-            pop_both(&mut q, &mut reference);
-        }
-        assert!(matches!(q.slots[dead.slot as usize].loc, Loc::Dead(_)));
-        assert_eq!(q.counters().tombstones_swept, 0);
-        // ... and collecting it frees the slot, counted as one sweep.
-        pop_both(&mut q, &mut reference);
-        assert!(matches!(q.slots[dead.slot as usize].loc, Loc::Free(_)));
-        assert_eq!(q.counters().tombstones_swept, 1);
-        assert!(!q.cancel(dead));
         while !reference.is_empty() {
             pop_both(&mut q, &mut reference);
         }
         assert_eq!(q.pop(), None);
         let c = q.counters();
-        assert_eq!((c.pops, c.cancelled, c.tombstones_swept), (10_002, 1, 1));
+        assert_eq!((c.pops, c.cancelled), (10_003, 1));
     }
 
     #[test]
-    fn a_jump_over_dead_buckets_keeps_len_exact_and_frees_them_next_revolution() {
+    fn cancelling_every_wheel_event_empties_every_list_before_the_jump() {
         let mut q = EventQueue::new();
         let ids: Vec<EventId> = (1..=500u64)
             .map(|i| q.schedule_at(SimTime::from_micros(100 * i), 0))
@@ -1464,20 +1345,15 @@ mod tests {
             assert!(q.cancel(id));
         }
         assert_eq!(q.len(), 1);
+        assert_eq!(q.in_wheel, 0);
+        assert!(q.buckets.iter().all(|&head| head == NIL));
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
-        // Nothing live in the wheel: the window jumps to the far event, over
-        // 500 buckets that hold a dead slot each.
+        // Nothing in the wheel: the window jumps to the far event, over 500
+        // buckets that are empty again.
         assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
         assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
-        let dead = |q: &EventQueue<usize>| {
-            q.slots
-                .iter()
-                .filter(|s| matches!(s.loc, Loc::Dead(_)))
-                .count()
-        };
-        assert_eq!((dead(&q), q.counters().tombstones_swept), (500, 0));
         // The cursor comes round: one event most of a revolution ahead walks
         // it through every bucket the jump skipped.
         let later = SimTime::from_nanos(q.wheel_start + HORIZON_NANOS - 1);
@@ -1485,7 +1361,6 @@ mod tests {
         assert_eq!(q.counters().placed_wheel, 501);
         assert_eq!(q.peek_time(), Some(later));
         assert_eq!(q.pop(), Some((later, 2)));
-        assert_eq!((dead(&q), q.counters().tombstones_swept), (0, 500));
         // Every slot is back on the free list.
         for i in 0..501u64 {
             q.schedule_at(later + SimDuration::from_micros(i), 3);
@@ -1494,11 +1369,11 @@ mod tests {
     }
 
     #[test]
-    fn three_revolutions_with_a_third_cancelled_sweep_every_tombstone() {
+    fn three_revolutions_with_a_third_cancelled_match_the_reference() {
         // Hold model inside the wheel horizon, a third of the successors
-        // cancelled at once or later (in the cursor granule: a tombstone; in
-        // a future bucket: a dead slot), and a heartbeat that keeps the
-        // cursor walking a full revolution past the last cancel.
+        // cancelled at once or later (in the cursor granule or in a future
+        // bucket's list), and a heartbeat that keeps the cursor walking a
+        // full revolution past the last cancel.
         let mut q = EventQueue::new();
         let mut reference = std::collections::BTreeMap::new();
         let mut rng = crate::SimRng::seed_from_u64(21);
@@ -1556,9 +1431,10 @@ mod tests {
         let c = q.counters();
         assert!(c.cancelled > 3_000, "only {} cancels", c.cancelled);
         assert_eq!(c.placed_far, 0);
-        assert_eq!(c.cancelled, c.tombstones_swept);
         assert_eq!(c.pops + c.cancelled, c.scheduled);
-        assert!(q.slots.iter().all(|s| matches!(s.loc, Loc::Free(_))));
+        assert!(q.slots.iter().all(|s| s.event.is_none()));
+        // Every pop and cancel freed its slot before the next schedule.
+        assert_eq!(q.slots.len(), 2_001, "the slab outgrew the pending events");
     }
 
     #[test]

@@ -35,10 +35,20 @@ impl ReferenceQueue {
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
-        while let Some(std::cmp::Reverse((t, seq))) = self.heap.pop() {
+        self.pop_if(|_| true)
+    }
+
+    /// Pop the minimum only if its time passes `due`.
+    fn pop_if(&mut self, due: impl Fn(u64) -> bool) -> Option<(u64, usize)> {
+        while let Some(&std::cmp::Reverse((t, seq))) = self.heap.peek() {
             if self.cancelled.remove(&seq) {
+                self.heap.pop();
                 continue;
             }
+            if !due(t) {
+                return None;
+            }
+            self.heap.pop();
             let p = self.payload.remove(&seq).expect("payload missing");
             return Some((t, p));
         }
@@ -74,40 +84,82 @@ proptest! {
 
     /// The calendar-wheel queue is a drop-in replacement for the reference
     /// heap model: identical pop order, lengths and cancel outcomes across
-    /// random schedule/cancel/pop interleavings. Times mix three scales —
-    /// nanosecond-dense (heavy same-instant ties), sub-horizon and far
-    /// beyond the wheel horizon (heap-fallback + migration paths).
+    /// random schedule/cancel/pop interleavings. Times mix four scales —
+    /// nanosecond-dense (heavy same-instant ties), inside the granule under
+    /// the cursor (runs of them overflow the sorted cursor bucket into the
+    /// cursor heap), sub-horizon and far beyond the wheel horizon
+    /// (heap-fallback + migration paths) — so a cancel reaches every place
+    /// an event can be filed. Pops are unbounded, inclusive-bounded and
+    /// exclusive-bounded, each checked against the reference minimum.
     #[test]
     fn scheduler_is_drop_in_for_reference_heap(
-        ops in prop::collection::vec((0u8..6, 0u64..40, 0usize..64), 1..300)
+        ops in prop::collection::vec((0u8..10, 0u64..40, 0usize..64), 1..300)
     ) {
         let mut q = EventQueue::new();
         let mut reference = ReferenceQueue::default();
         let mut ids = Vec::new(); // (production id, model seq), issue order
+        let mut now = 0u64; // latest time popped
         for (i, &(sel, t_raw, pick)) in ops.iter().enumerate() {
             match sel {
                 // Schedule at one of three time scales; payload = op index.
-                0..=2 => {
+                0 | 2 | 3 => {
                     let t = match sel {
                         0 => t_raw,                     // dense: plenty of ties
-                        1 => t_raw * 10_000_000,        // within one revolution
+                        2 => t_raw * 10_000_000,        // within one revolution
                         _ => t_raw * 40_000_000_000,    // far beyond the horizon
                     };
                     let id = q.schedule_at(SimTime::from_nanos(t), i);
                     let seq = reference.schedule(t, i);
                     ids.push((id, seq));
                 }
-                // Cancel a previously issued id (may already be dead).
-                3..=4 => {
+                // A run of up to 16 into the granule of the last pop (the
+                // wheel's is 2^14 ns), latest first: each lands in front of
+                // the one before it, so a long run leaves the sorted cursor
+                // bucket for the cursor heap.
+                1 => {
+                    let granule = now - now % 16_384;
+                    for j in 0..=pick as u64 % 16 {
+                        let t = granule + (t_raw + 16 - j) * 300;
+                        let id = q.schedule_at(SimTime::from_nanos(t), i);
+                        let seq = reference.schedule(t, i);
+                        ids.push((id, seq));
+                    }
+                }
+                // Cancel a previously issued id (may already be dead): any
+                // of them, or one of the last eight, which is likelier still
+                // to sit where it was first filed.
+                4..=5 => {
                     if !ids.is_empty() {
-                        let (id, seq) = ids[pick % ids.len()];
+                        let k = match sel {
+                            4 => pick % ids.len(),
+                            _ => ids.len() - 1 - pick % ids.len().min(8),
+                        };
+                        let (id, seq) = ids[k];
                         prop_assert_eq!(q.cancel(id), reference.cancel(seq));
                     }
+                }
+                // Pop at or before a bound a few granules or a fraction of a
+                // revolution ahead.
+                6 => {
+                    let limit = now + t_raw * if pick % 2 == 0 { 3_000 } else { 1_000_000 };
+                    let got = q.pop_at_or_before(SimTime::from_nanos(limit));
+                    let got = got.map(|(t, _, p)| (t.as_nanos(), p));
+                    prop_assert_eq!(got, reference.pop_if(|t| t <= limit));
+                    now = now.max(got.map_or(0, |(t, _)| t));
+                }
+                // Pop strictly before a bound (a lookahead window's end).
+                7 => {
+                    let end = now + t_raw * if pick % 2 == 0 { 3_000 } else { 1_000_000 };
+                    let got = q.pop_before(SimTime::from_nanos(end));
+                    let got = got.map(|(t, _, p)| (t.as_nanos(), p));
+                    prop_assert_eq!(got, reference.pop_if(|t| t < end));
+                    now = now.max(got.map_or(0, |(t, _)| t));
                 }
                 // Pop.
                 _ => {
                     let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
                     prop_assert_eq!(got, reference.pop());
+                    now = now.max(got.map_or(0, |(t, _)| t));
                 }
             }
             prop_assert_eq!(q.len(), reference.len());

@@ -237,7 +237,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     q.pops.to_string(),
                     format!("{:.1}", q.wheel_hit_rate() * 100.0),
                     q.cancelled.to_string(),
-                    format!("{:.1}", q.tombstone_ratio() * 100.0),
                     q.far_migrations.to_string(),
                 ];
                 Some(labelled(row, er))
@@ -255,7 +254,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                         "pops",
                         "wheel hit %",
                         "cancelled",
-                        "tombstone %",
                         "far migrations"
                     ],
                     &engine_rows

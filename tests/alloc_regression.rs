@@ -1,6 +1,6 @@
 //! Steady-state allocation regression test for the many-flow hot path.
 //!
-//! The packet arena, the calendar wheel's lazy cancellation, and the batched
+//! The packet arena, the calendar wheel's reusable slot slab, and the batched
 //! shard envelopes exist so that the per-event simulation loop allocates
 //! *nothing* once a run is warmed up: every per-packet and per-timer buffer
 //! is pooled. This test pins that property with a counting global allocator:
