@@ -239,10 +239,6 @@ impl CongestionControl for BbrProbe {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "bbr-probe"
-    }
 }
 
 #[cfg(test)]

@@ -202,10 +202,6 @@ impl CongestionControl for HighSpeedTcp {
             self.ca_accum = 0;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "highspeed-tcp"
-    }
 }
 
 #[cfg(test)]
@@ -324,6 +320,9 @@ mod tests {
 
     #[test]
     fn name_is_stable() {
-        assert_eq!(hs(2, 2).name(), "highspeed-tcp");
+        assert_eq!(
+            crate::registry::find("highspeed").unwrap().algo,
+            "highspeed-tcp"
+        );
     }
 }

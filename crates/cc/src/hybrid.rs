@@ -185,10 +185,6 @@ impl CongestionControl for HybridStart {
     fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
         self.base.on_recovery(view, ev);
     }
-
-    fn name(&self) -> &'static str {
-        "hybrid-start"
-    }
 }
 
 #[cfg(test)]

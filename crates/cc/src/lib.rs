@@ -8,8 +8,8 @@
 //! Slow-Start needs), so `rss-tcp` no longer drags the control library in —
 //! and makes every future slow-start variant a one-crate-local change.
 //!
-//! The six implementations are the paper's comparison set plus the
-//! extension variants added through the registry:
+//! The nine implementations are the paper's comparison set plus extension
+//! variants:
 //!
 //! * [`Reno`] — standard slow-start + AIMD congestion avoidance, the
 //!   Linux 2.4.19 baseline the paper measures against;
@@ -43,14 +43,16 @@
 //!    scheme does not change, as `restricted.rs` and `ssthreshless.rs` do),
 //!    plus a `Copy + Serialize + Deserialize` config struct if it has
 //!    parameters. Give it phase-transition unit tests in the same file.
-//! 2. **Registry entry** — add an arm to [`CcAlgorithm`] carrying the config
-//!    and one [`registry::Variant`] row to the table in `registry.rs`
-//!    (metadata + `validate` + `build`). Everything downstream — labels,
-//!    `rss list --variants`, dispatch — follows from that row; there is no
-//!    other `match` to extend.
+//! 2. **`CcAlgorithm` arm** — add the arm carrying the config. The compiler
+//!    then refuses to build until three exhaustive `match`es handle it:
+//!    [`CcAlgorithm::info`] (point it at a new [`VariantInfo`] row in
+//!    `registry.rs`'s table, which labels, `rss list --variants` and the
+//!    gallery read), [`registry::validate`] (every parameter rule the
+//!    constructor would otherwise assert on) and [`CcEngine::new`] (the
+//!    constructor call). Nothing else dispatches on the arm.
 //! 3. **`CcDef` arm** — mirror the config in `rss_core::spec::CcDef` so
 //!    scenario files can name the variant; its `to_algorithm` resolves the
-//!    spec into the [`CcAlgorithm`] arm and the registry validates it.
+//!    spec into the [`CcAlgorithm`] arm, and spec expansion validates it.
 //! 4. **Scenario** — add a `scenarios/<variant>_*.json` file exercising the
 //!    regime the scheme targets and a byte-golden under `scenarios/golden/`
 //!    so CI gates its behavior from day one.
@@ -74,7 +76,7 @@ pub use filter::{BandwidthEstimator, WindowedMaxFilter, WindowedMinFilter};
 pub use highspeed::HighSpeedTcp;
 pub use hybrid::HybridStart;
 pub use limited::LimitedSlowStart;
-pub use registry::{CcError, ParamInfo, Variant, VariantInfo};
+pub use registry::{CcError, ParamInfo, VariantInfo};
 pub use relentless::RelentlessCc;
 pub use reno::Reno;
 pub use restricted::{RestrictedSlowStart, RssConfig};
@@ -248,9 +250,6 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     fn pacing(&self) -> PacingDecision {
         PacingDecision::Unpaced
     }
-
-    /// Algorithm name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Which congestion-control algorithm a flow runs.
@@ -287,9 +286,25 @@ pub enum CcAlgorithm {
 }
 
 impl CcAlgorithm {
+    /// The variant's row in the [`registry`] table.
+    pub fn info(&self) -> &'static VariantInfo {
+        let row = match self {
+            CcAlgorithm::Reno => 0,
+            CcAlgorithm::Restricted(_) => 1,
+            CcAlgorithm::Limited { .. } => 2,
+            CcAlgorithm::Ssthreshless(_) => 3,
+            CcAlgorithm::HighSpeed => 4,
+            CcAlgorithm::Scalable(_) => 5,
+            CcAlgorithm::Bbr => 6,
+            CcAlgorithm::Relentless => 7,
+            CcAlgorithm::Hybrid => 8,
+        };
+        &registry::VARIANTS[row]
+    }
+
     /// Short label for reports — the variant's registry name.
     pub fn label(&self) -> &'static str {
-        registry::entry_for(self).info.name
+        self.info().name
     }
 }
 
@@ -308,19 +323,6 @@ pub struct CcParams {
     pub stall_response: StallResponse,
 }
 
-/// Construct a boxed congestion controller by algorithm selection,
-/// dispatching through the [`registry`] table.
-///
-/// Returns the registry's [`CcError`] when validation rejects the parameters
-/// (the declarative pipeline path-qualifies and surfaces it; hand-built
-/// callers propagate it to their own error channel).
-pub fn make_cc(
-    algo: &CcAlgorithm,
-    params: &CcParams,
-) -> Result<Box<dyn CongestionControl>, CcError> {
-    registry::build(algo, params)
-}
-
 /// Dispatch shell the sender holds its congestion controller in.
 ///
 /// The per-ACK hooks are the hottest calls in the simulator after the event
@@ -330,22 +332,49 @@ pub fn make_cc(
 /// therefore gets a monomorphized fast path: `CcEngine::Reno` stores the
 /// concrete type inline, and the `#[inline]` match arms below let the
 /// optimizer devirtualize and inline the whole per-ACK sequence. Every other
-/// variant keeps the boxed registry path unchanged.
+/// variant is boxed behind the trait object.
 #[derive(Debug)]
 pub enum CcEngine {
     /// Inline standard TCP (RFC 5681 Reno) — the monomorphized fast path.
     Reno(Reno),
-    /// Any registered variant, behind the usual trait object.
+    /// Any other variant, behind the usual trait object.
     Dyn(Box<dyn CongestionControl>),
 }
 
 impl CcEngine {
-    /// Borrow the controller as a trait object (reporting, tests).
-    pub fn as_dyn(&self) -> &dyn CongestionControl {
-        match self {
-            CcEngine::Reno(r) => r,
-            CcEngine::Dyn(b) => b.as_ref(),
-        }
+    /// Validate `algo` against the connection inputs ([`registry::validate`])
+    /// and construct its controller: standard Reno on the inline fast path,
+    /// every other variant boxed. Returns the [`CcError`] validation raised;
+    /// the declarative pipeline path-qualifies it per flow, hand-built
+    /// callers surface it on their own error channel.
+    pub fn new(algo: &CcAlgorithm, p: &CcParams) -> Result<CcEngine, CcError> {
+        registry::validate(algo, p)?;
+        let (cwnd, ssthresh, mss, stall) =
+            (p.initial_cwnd, p.initial_ssthresh, p.mss, p.stall_response);
+        let cc: Box<dyn CongestionControl> = match *algo {
+            CcAlgorithm::Reno => return Ok(CcEngine::Reno(Reno::new(cwnd, ssthresh, mss, stall))),
+            CcAlgorithm::Restricted(cfg) => {
+                Box::new(RestrictedSlowStart::new(cwnd, ssthresh, mss, stall, cfg))
+            }
+            CcAlgorithm::Limited { max_ssthresh } => Box::new(LimitedSlowStart::with_max_ssthresh(
+                cwnd,
+                ssthresh,
+                mss,
+                stall,
+                max_ssthresh.unwrap_or(100 * mss as u64),
+            )),
+            CcAlgorithm::Ssthreshless(cfg) => {
+                Box::new(SsthreshlessStart::new(cwnd, mss, stall, cfg))
+            }
+            CcAlgorithm::HighSpeed => Box::new(HighSpeedTcp::new(cwnd, ssthresh, mss, stall)),
+            CcAlgorithm::Scalable(cfg) => {
+                Box::new(ScalableTcp::new(cwnd, ssthresh, mss, stall, cfg))
+            }
+            CcAlgorithm::Bbr => Box::new(BbrProbe::new(cwnd, mss)),
+            CcAlgorithm::Relentless => Box::new(RelentlessCc::new(cwnd, ssthresh, mss, stall)),
+            CcAlgorithm::Hybrid => Box::new(HybridStart::new(cwnd, ssthresh, mss, stall)),
+        };
+        Ok(CcEngine::Dyn(cc))
     }
 }
 
@@ -411,30 +440,6 @@ impl CongestionControl for CcEngine {
             CcEngine::Dyn(b) => b.pacing(),
         }
     }
-    #[inline]
-    fn name(&self) -> &'static str {
-        match self {
-            CcEngine::Reno(r) => r.name(),
-            CcEngine::Dyn(b) => b.name(),
-        }
-    }
-}
-
-/// Construct a congestion controller in its [`CcEngine`] dispatch shell:
-/// standard Reno lands on the inline fast path, everything else on the boxed
-/// registry path. Returns the registry's [`CcError`] like [`make_cc`] on
-/// rejected parameters.
-pub fn make_cc_engine(algo: &CcAlgorithm, params: &CcParams) -> Result<CcEngine, CcError> {
-    registry::validate_params(algo, params)?;
-    Ok(match algo {
-        CcAlgorithm::Reno => CcEngine::Reno(Reno::new(
-            params.initial_cwnd,
-            params.initial_ssthresh,
-            params.mss,
-            params.stall_response,
-        )),
-        _ => CcEngine::Dyn(make_cc(algo, params)?),
-    })
 }
 
 #[cfg(test)]
@@ -467,49 +472,40 @@ mod tests {
         }
     }
 
-    fn built(algo: CcAlgorithm) -> Box<dyn CongestionControl> {
-        make_cc(&algo, &params()).expect("valid defaults rejected")
+    fn built(algo: CcAlgorithm) -> CcEngine {
+        CcEngine::new(&algo, &params()).expect("valid defaults rejected")
     }
 
     #[test]
     fn factory_builds_each_algorithm() {
-        assert_eq!(built(CcAlgorithm::Reno).name(), "reno");
-        assert_eq!(
-            built(CcAlgorithm::Restricted(RssConfig::tuned())).name(),
-            "restricted-slow-start"
-        );
-        assert_eq!(
-            built(CcAlgorithm::Limited { max_ssthresh: None }).name(),
-            "limited-slow-start"
-        );
-        assert_eq!(
-            built(CcAlgorithm::Ssthreshless(SslConfig::default())).name(),
-            "ssthreshless-start"
-        );
-        assert_eq!(built(CcAlgorithm::HighSpeed).name(), "highspeed-tcp");
-        assert_eq!(
-            built(CcAlgorithm::Scalable(ScalableConfig::default())).name(),
-            "scalable-tcp"
-        );
-        assert_eq!(built(CcAlgorithm::Bbr).name(), "bbr-probe");
-        assert_eq!(built(CcAlgorithm::Relentless).name(), "relentless-cc");
-        assert_eq!(built(CcAlgorithm::Hybrid).name(), "hybrid-start");
+        // Reno rides the inline fast path, every other variant the box.
+        assert!(matches!(built(CcAlgorithm::Reno), CcEngine::Reno(_)));
+        for algo in [
+            CcAlgorithm::Restricted(RssConfig::tuned()),
+            CcAlgorithm::Limited { max_ssthresh: None },
+            CcAlgorithm::Ssthreshless(SslConfig::default()),
+            CcAlgorithm::HighSpeed,
+            CcAlgorithm::Scalable(ScalableConfig::default()),
+            CcAlgorithm::Bbr,
+            CcAlgorithm::Relentless,
+            CcAlgorithm::Hybrid,
+        ] {
+            assert!(matches!(built(algo), CcEngine::Dyn(_)), "{algo:?}");
+        }
     }
 
     #[test]
     fn factory_uses_params_initial_window() {
         let p = params();
-        let cc = make_cc(&CcAlgorithm::Reno, &p).expect("valid defaults rejected");
-        assert_eq!(cc.cwnd(), p.initial_cwnd);
+        assert_eq!(built(CcAlgorithm::Reno).cwnd(), p.initial_cwnd);
     }
 
     #[test]
     fn factory_reports_rejection_instead_of_panicking() {
         let mut p = params();
         p.initial_cwnd = 0;
-        let err = make_cc(&CcAlgorithm::Reno, &p).expect_err("zero cwnd accepted");
+        let err = CcEngine::new(&CcAlgorithm::Reno, &p).expect_err("zero cwnd accepted");
         assert!(err.msg.contains("initial_cwnd"), "unhelpful error: {err}");
-        assert!(make_cc_engine(&CcAlgorithm::Reno, &p).is_err());
     }
 
     #[test]

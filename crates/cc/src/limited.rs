@@ -81,10 +81,6 @@ impl CongestionControl for LimitedSlowStart {
     fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
         self.base.on_recovery(view, ev);
     }
-
-    fn name(&self) -> &'static str {
-        "limited-slow-start"
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +154,10 @@ mod tests {
     #[test]
     fn name_and_param_accessors() {
         let cc = lss(50);
-        assert_eq!(cc.name(), "limited-slow-start");
+        assert_eq!(
+            crate::registry::find("limited").unwrap().algo,
+            "limited-slow-start"
+        );
         assert_eq!(cc.max_ssthresh(), 50 * MSS as u64);
     }
 }

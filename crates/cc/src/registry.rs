@@ -1,18 +1,18 @@
-//! The variant registry: one table row per congestion-control scheme.
+//! The variant registry: one row of data per congestion-control scheme.
 //!
-//! Each [`Variant`] bundles display metadata with the scheme's parameter
-//! validation and constructor, keyed by the short name reports and scenario
-//! files use. Downstream layers dispatch through this data instead of
-//! hand-maintained `match`es: [`crate::make_cc`] builds through
-//! [`build`], `rss_core::spec` validates through [`validate`],
-//! `CcAlgorithm::label` reads [`Variant::info`], and `rss list --variants`
-//! prints [`variants`]. Adding a scheme is adding one row here (see the
-//! crate docs for the full four-step recipe).
+//! Each [`VariantInfo`] row is the display metadata of one [`CcAlgorithm`]
+//! arm — the short name reports and scenario files use, its summary, its
+//! parameters and where it comes from. [`variants`] lists the rows in
+//! presentation order for `rss list --variants` and the generated gallery
+//! ([`markdown_gallery`]).
+//!
+//! What a variant *does* lives in three exhaustive `match`es over
+//! [`CcAlgorithm`], so adding an arm fails to compile until each handles
+//! it: [`CcAlgorithm::info`] picks the row (and with it
+//! [`CcAlgorithm::label`]), [`validate`] holds the parameter rules, and
+//! [`CcEngine::new`](crate::CcEngine::new) builds the controller.
 
-use crate::{
-    BbrProbe, CcAlgorithm, CcParams, CongestionControl, HighSpeedTcp, HybridStart,
-    LimitedSlowStart, RelentlessCc, Reno, RestrictedSlowStart, ScalableTcp, SsthreshlessStart,
-};
+use crate::{CcAlgorithm, CcParams};
 use std::fmt;
 
 /// An invalid congestion-control parameterisation, caught at validation
@@ -45,7 +45,7 @@ pub struct ParamInfo {
     pub name: &'static str,
     /// Default when the field is omitted.
     pub default: &'static str,
-    /// Valid range (what `validate`/`validate_params` enforces).
+    /// Valid range (what [`validate`] enforces).
     pub range: &'static str,
     /// What the knob does.
     pub doc: &'static str,
@@ -56,7 +56,7 @@ pub struct ParamInfo {
 pub struct VariantInfo {
     /// Registry key and report label (e.g. `"standard"`).
     pub name: &'static str,
-    /// The [`CongestionControl::name`] the built controller reports.
+    /// The algorithm name the gallery prints beside the registry key.
     pub algo: &'static str,
     /// One-line summary of the scheme.
     pub summary: &'static str,
@@ -71,350 +71,127 @@ pub struct VariantInfo {
     pub showcase: &'static str,
 }
 
-/// One registry row: metadata plus the data-driven selector, validator and
-/// constructor for a variant.
-pub struct Variant {
-    /// Display/dispatch metadata.
-    pub info: VariantInfo,
-    selects: fn(&CcAlgorithm) -> bool,
-    /// Parameter rules checkable from the algorithm selection alone.
-    validate: fn(&CcAlgorithm) -> Result<(), CcError>,
-    /// Parameter rules that need the connection inputs too (e.g. anything
-    /// measured against the MSS) — the rest of the constructor's contract,
-    /// so nothing the registry admits can panic at build time.
-    validate_params: fn(&CcAlgorithm, &CcParams) -> Result<(), CcError>,
-    build: fn(&CcAlgorithm, &CcParams) -> Box<dyn CongestionControl>,
-}
-
-impl fmt::Debug for Variant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Variant").field("info", &self.info).finish()
-    }
-}
-
-fn ok(_: &CcAlgorithm) -> Result<(), CcError> {
-    Ok(())
-}
-
-fn ok_params(_: &CcAlgorithm, _: &CcParams) -> Result<(), CcError> {
-    Ok(())
-}
-
-fn other(algo: &CcAlgorithm) -> ! {
-    unreachable!("registry row selected for foreign algorithm {algo:?}")
-}
-
-/// Connection-input rules every variant shares: the constructor contracts
-/// that used to live in asserts. Checked by [`validate_params`] and
-/// [`build`] before any per-variant rule.
-fn common_params(params: &CcParams) -> Result<(), CcError> {
-    if params.mss == 0 {
-        return Err(CcError::new("mss must be positive, got 0"));
-    }
-    if params.initial_cwnd == 0 {
-        return Err(CcError::new(
-            "initial_cwnd must be positive, got 0 (a zero window can never open)",
-        ));
-    }
-    Ok(())
-}
-
-/// The registry table. Order is presentation order (`rss list --variants`,
-/// docs): the paper's comparison set first, extensions after.
-static VARIANTS: &[Variant] = &[
-    Variant {
-        info: VariantInfo {
-            name: "standard",
-            algo: "reno",
-            summary: "RFC 5681 slow-start + AIMD (NewReno recovery), the Linux 2.4.19 baseline",
-            params: "none",
-            params_detail: &[],
-            reference: "RFC 5681",
-            showcase: "scenarios/quickstart.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Reno),
-        validate: ok,
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Reno => Box::new(Reno::new(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-            )),
-            _ => other(algo),
-        },
+/// The registry table, one row per [`CcAlgorithm`] arm in the order
+/// [`CcAlgorithm::info`] indexes it. Order is presentation order (`rss list
+/// --variants`, docs): the paper's comparison set first, extensions after.
+pub(crate) static VARIANTS: [VariantInfo; 9] = [
+    VariantInfo {
+        name: "standard",
+        algo: "reno",
+        summary: "RFC 5681 slow-start + AIMD (NewReno recovery), the Linux 2.4.19 baseline",
+        params: "none",
+        params_detail: &[],
+        reference: "RFC 5681",
+        showcase: "scenarios/quickstart.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "restricted",
-            algo: "restricted-slow-start",
-            summary: "slow-start growth paced by a PID controller holding the IFQ at a set point",
-            params: "tuning (ForPath|PerStream|ForRate|Gains), setpoint_frac (0,1]",
-            params_detail: &[
-                ParamInfo {
-                    name: "tuning",
-                    default: "\"ForPath\"",
-                    range: "ForPath | PerStream | ForRate{rate_mbps, wire_pkt_bytes} | Gains{kp, ti, td}",
-                    doc: "how the PID gains are chosen (Ziegler\u{2013}Nichols per path/stream/rate, or explicit)",
-                },
-                ParamInfo {
-                    name: "setpoint_frac",
-                    default: "0.9",
-                    range: "(0, 1]",
-                    doc: "IFQ set point as a fraction of txqueuelen",
-                },
-            ],
-            reference: "Allcock et al., CLUSTER 2005",
-            showcase: "scenarios/headline.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Restricted(_)),
-        validate: |algo| match algo {
-            CcAlgorithm::Restricted(cfg) => {
-                if !(cfg.setpoint_frac > 0.0 && cfg.setpoint_frac <= 1.0) {
-                    return Err(CcError::new(format!(
-                        "setpoint_frac must be in (0, 1], got {}",
-                        cfg.setpoint_frac
-                    )));
-                }
-                if !(cfg.max_increment_segments.is_finite() && cfg.max_increment_segments > 0.0) {
-                    return Err(CcError::new(
-                        "max_increment_segments must be positive and finite",
-                    ));
-                }
-                if !(cfg.max_decrement_segments.is_finite() && cfg.max_decrement_segments >= 0.0) {
-                    return Err(CcError::new(
-                        "max_decrement_segments must be non-negative and finite",
-                    ));
-                }
-                if !cfg.gains.is_valid() {
-                    return Err(CcError::new(format!(
-                        "PID gains must satisfy Kp \u{2265} 0 and Td \u{2265} 0 (finite) and \
-                         Ti > 0 (infinity allowed), got kp={} ti={} td={}",
-                        cfg.gains.kp, cfg.gains.ti, cfg.gains.td
-                    )));
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        },
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Restricted(cfg) => Box::new(RestrictedSlowStart::new(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-                *cfg,
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "restricted",
+        algo: "restricted-slow-start",
+        summary: "slow-start growth paced by a PID controller holding the IFQ at a set point",
+        params: "tuning (ForPath|PerStream|ForRate|Gains), setpoint_frac (0,1]",
+        params_detail: &[
+            ParamInfo {
+                name: "tuning",
+                default: "\"ForPath\"",
+                range: "ForPath | PerStream | ForRate{rate_mbps, wire_pkt_bytes} | Gains{kp, ti, td}",
+                doc: "how the PID gains are chosen (Ziegler\u{2013}Nichols per path/stream/rate, or explicit)",
+            },
+            ParamInfo {
+                name: "setpoint_frac",
+                default: "0.9",
+                range: "(0, 1]",
+                doc: "IFQ set point as a fraction of txqueuelen",
+            },
+        ],
+        reference: "Allcock et al., CLUSTER 2005",
+        showcase: "scenarios/headline.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "limited",
-            algo: "limited-slow-start",
-            summary: "slow-start growth capped open-loop past max_ssthresh",
-            params: "max_ssthresh bytes (default 100 segments)",
-            params_detail: &[ParamInfo {
-                name: "max_ssthresh",
-                default: "100 \u{b7} MSS bytes",
-                range: "\u{2265} 2 \u{b7} MSS bytes",
-                doc: "window above which slow-start growth is capped to max_ssthresh/2 segments per RTT",
-            }],
-            reference: "RFC 3742",
-            showcase: "scenarios/slow_start_variants.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Limited { .. }),
-        validate: ok,
-        validate_params: |algo, p| match algo {
-            CcAlgorithm::Limited {
-                max_ssthresh: Some(t),
-            } if *t < 2 * p.mss as u64 => Err(CcError::new(format!(
-                "max_ssthresh must be at least two segments ({} bytes at MSS {}), got {t}",
-                2 * p.mss as u64,
-                p.mss
-            ))),
-            _ => Ok(()),
-        },
-        build: |algo, p| match algo {
-            CcAlgorithm::Limited { max_ssthresh } => Box::new(LimitedSlowStart::with_max_ssthresh(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-                max_ssthresh.unwrap_or(100 * p.mss as u64),
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "limited",
+        algo: "limited-slow-start",
+        summary: "slow-start growth capped open-loop past max_ssthresh",
+        params: "max_ssthresh bytes (default 100 segments)",
+        params_detail: &[ParamInfo {
+            name: "max_ssthresh",
+            default: "100 \u{b7} MSS bytes",
+            range: "\u{2265} 2 \u{b7} MSS bytes",
+            doc: "window above which slow-start growth is capped to max_ssthresh/2 segments per RTT",
+        }],
+        reference: "RFC 3742",
+        showcase: "scenarios/slow_start_variants.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "ssthreshless",
-            algo: "ssthreshless-start",
-            summary: "delay-probed slow-start with no ssthresh estimate; exits at the measured BDP",
-            params: "gamma_segments > 0 (default 8)",
-            params_detail: &[ParamInfo {
-                name: "gamma_segments",
-                default: "8",
-                range: "> 0, finite",
-                doc: "backlog (segments) at which the delay probe stops doubling, then confirms a standing queue of 2\u{b7}\u{3b3}",
-            }],
-            reference: "arXiv:1401.7146",
-            showcase: "scenarios/ssthreshless_lfn.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Ssthreshless(_)),
-        validate: |algo| match algo {
-            CcAlgorithm::Ssthreshless(cfg)
-                if !(cfg.gamma_segments.is_finite() && cfg.gamma_segments > 0.0) =>
-            {
-                Err(CcError::new(format!(
-                    "gamma_segments must be positive and finite, got {}",
-                    cfg.gamma_segments
-                )))
-            }
-            _ => Ok(()),
-        },
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Ssthreshless(cfg) => Box::new(SsthreshlessStart::new(
-                p.initial_cwnd,
-                p.mss,
-                p.stall_response,
-                *cfg,
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "ssthreshless",
+        algo: "ssthreshless-start",
+        summary: "delay-probed slow-start with no ssthresh estimate; exits at the measured BDP",
+        params: "gamma_segments > 0 (default 8)",
+        params_detail: &[ParamInfo {
+            name: "gamma_segments",
+            default: "8",
+            range: "> 0, finite",
+            doc: "backlog (segments) at which the delay probe stops doubling, then confirms a standing queue of 2\u{b7}\u{3b3}",
+        }],
+        reference: "arXiv:1401.7146",
+        showcase: "scenarios/ssthreshless_lfn.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "highspeed",
-            algo: "highspeed-tcp",
-            summary: "RFC 3649 a(w)/b(w) response tables: faster growth, gentler backoff at large windows",
-            params: "none (the RFC's constants)",
-            params_detail: &[],
-            reference: "RFC 3649; arXiv:1705.08929",
-            showcase: "scenarios/fairness_staggered.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::HighSpeed),
-        validate: ok,
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::HighSpeed => Box::new(HighSpeedTcp::new(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "highspeed",
+        algo: "highspeed-tcp",
+        summary: "RFC 3649 a(w)/b(w) response tables: faster growth, gentler backoff at large windows",
+        params: "none (the RFC's constants)",
+        params_detail: &[],
+        reference: "RFC 3649; arXiv:1705.08929",
+        showcase: "scenarios/fairness_staggered.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "scalable",
-            algo: "scalable-tcp",
-            summary: "Kelly's MIMD: grow by acked/ai_cnt per ACK, fixed 1/8 backoff on congestion",
-            params: "ai_cnt \u{2265} 1 (default 100)",
-            params_detail: &[ParamInfo {
-                name: "ai_cnt",
-                default: "100",
-                range: "\u{2265} 1",
-                doc: "increase denominator: the window grows by newly_acked/ai_cnt bytes per ACK",
-            }],
-            reference: "Kelly, CCR 2003; arXiv:1705.08929",
-            showcase: "scenarios/fairness_shared_bottleneck.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Scalable(_)),
-        validate: |algo| match algo {
-            CcAlgorithm::Scalable(cfg) if cfg.ai_cnt == 0 => {
-                Err(CcError::new("ai_cnt must be at least 1, got 0"))
-            }
-            _ => Ok(()),
-        },
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Scalable(cfg) => Box::new(ScalableTcp::new(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-                *cfg,
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "scalable",
+        algo: "scalable-tcp",
+        summary: "Kelly's MIMD: grow by acked/ai_cnt per ACK, fixed 1/8 backoff on congestion",
+        params: "ai_cnt \u{2265} 1 (default 100)",
+        params_detail: &[ParamInfo {
+            name: "ai_cnt",
+            default: "100",
+            range: "\u{2265} 1",
+            doc: "increase denominator: the window grows by newly_acked/ai_cnt bytes per ACK",
+        }],
+        reference: "Kelly, CCR 2003; arXiv:1705.08929",
+        showcase: "scenarios/fairness_shared_bottleneck.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "bbr",
-            algo: "bbr-probe",
-            summary: "rate-based probe: paced at the windowed max-bandwidth/min-RTT estimate \
-                      through startup/drain/probe-bw gain cycling",
-            params: "none (the reference gain constants)",
-            params_detail: &[],
-            reference: "Cardwell et al., ACM Queue 14(5) 2016 (BBR)",
-            showcase: "scenarios/bbr_lfn.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Bbr),
-        validate: ok,
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Bbr => Box::new(BbrProbe::new(p.initial_cwnd, p.mss)),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "bbr",
+        algo: "bbr-probe",
+        summary: "rate-based probe: paced at the windowed max-bandwidth/min-RTT estimate \
+                  through startup/drain/probe-bw gain cycling",
+        params: "none (the reference gain constants)",
+        params_detail: &[],
+        reference: "Cardwell et al., ACM Queue 14(5) 2016 (BBR)",
+        showcase: "scenarios/bbr_lfn.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "relentless",
-            algo: "relentless-cc",
-            summary: "Mathis' Relentless: the window decreases by exactly the segments lost, \
-                      giving the closed-form steady state W = 1/p",
-            params: "none",
-            params_detail: &[],
-            reference: "arXiv:1102.3270",
-            showcase: "scenarios/relentless_lfn.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Relentless),
-        validate: ok,
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Relentless => Box::new(RelentlessCc::new(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "relentless",
+        algo: "relentless-cc",
+        summary: "Mathis' Relentless: the window decreases by exactly the segments lost, \
+                  giving the closed-form steady state W = 1/p",
+        params: "none",
+        params_detail: &[],
+        reference: "arXiv:1102.3270",
+        showcase: "scenarios/relentless_lfn.json",
     },
-    Variant {
-        info: VariantInfo {
-            name: "hybrid",
-            algo: "hybrid-start",
-            summary: "HyStart: standard TCP whose slow-start exits early on ACK-train or \
-                      delay-increase evidence, before the first loss",
-            params: "none (the reference thresholds)",
-            params_detail: &[],
-            reference: "Ha & Rhee, Computer Networks 55(9) 2011 (HyStart)",
-            showcase: "scenarios/bbr_lfn.json",
-        },
-        selects: |a| matches!(a, CcAlgorithm::Hybrid),
-        validate: ok,
-        validate_params: ok_params,
-        build: |algo, p| match algo {
-            CcAlgorithm::Hybrid => Box::new(HybridStart::new(
-                p.initial_cwnd,
-                p.initial_ssthresh,
-                p.mss,
-                p.stall_response,
-            )),
-            _ => other(algo),
-        },
+    VariantInfo {
+        name: "hybrid",
+        algo: "hybrid-start",
+        summary: "HyStart: standard TCP whose slow-start exits early on ACK-train or \
+                  delay-increase evidence, before the first loss",
+        params: "none (the reference thresholds)",
+        params_detail: &[],
+        reference: "Ha & Rhee, Computer Networks 55(9) 2011 (HyStart)",
+        showcase: "scenarios/bbr_lfn.json",
     },
 ];
 
 /// All registered variants, in presentation order.
-pub fn variants() -> &'static [Variant] {
-    VARIANTS
+pub fn variants() -> &'static [VariantInfo] {
+    &VARIANTS
 }
 
 /// Render the registry as the variant-gallery markdown document
@@ -428,11 +205,11 @@ pub fn markdown_gallery() -> String {
          cargo run --release --bin rss -- list --variants --markdown > docs/VARIANTS.md -->\n\n\
          Every congestion-control variant a scenario file's `cc` field accepts,\n\
          straight from the `rss_cc::registry` table (`rss list --variants`).\n\
-         Adding a variant is a trait impl + one registry row + a `CcDef` arm +\n\
-         a scenario; the `rss-cc` crate docs walk through it.\n",
+         Adding a variant is a trait impl + a `CcAlgorithm` arm + a `CcDef` arm +\n\
+         a scenario; the compiler then asks for the arm's row, rules and\n\
+         constructor, and the `rss-cc` crate docs walk through it.\n",
     );
-    for v in VARIANTS {
-        let i = &v.info;
+    for i in &VARIANTS {
         out.push_str(&format!(
             "\n## `{}` \u{2014} {}\n\n{}\n\n- **Reference:** {}\n- **Showcase:** `{}`\n",
             i.name, i.algo, i.summary, i.reference, i.showcase
@@ -462,49 +239,82 @@ pub fn markdown_gallery() -> String {
 }
 
 /// Look a variant up by its registry name.
-pub fn find(name: &str) -> Option<&'static Variant> {
-    VARIANTS.iter().find(|v| v.info.name == name)
+pub fn find(name: &str) -> Option<&'static VariantInfo> {
+    VARIANTS.iter().find(|v| v.name == name)
 }
 
-/// The registry row responsible for an algorithm selection.
-pub fn entry_for(algo: &CcAlgorithm) -> &'static Variant {
-    VARIANTS
-        .iter()
-        .find(|v| (v.selects)(algo))
-        .unwrap_or_else(|| panic!("no registry entry for {algo:?}"))
-}
-
-/// Validate a parameterisation against its variant's selection-only rules
-/// (see [`validate_params`] for the rules that need connection inputs).
-pub fn validate(algo: &CcAlgorithm) -> Result<(), CcError> {
-    let v = entry_for(algo);
-    (v.validate)(algo)
-}
-
-/// Full validation: the selection-only rules plus the variant's
-/// params-dependent rules — everything [`build`] checks, so a
-/// parameterisation that passes here cannot panic at construction time.
-pub fn validate_params(algo: &CcAlgorithm, params: &CcParams) -> Result<(), CcError> {
-    let v = entry_for(algo);
-    common_params(params)?;
-    (v.validate)(algo)?;
-    (v.validate_params)(algo, params)
-}
-
-/// Validate (both rule sets), then construct the boxed controller for
-/// `algo`.
-pub fn build(algo: &CcAlgorithm, params: &CcParams) -> Result<Box<dyn CongestionControl>, CcError> {
-    let v = entry_for(algo);
-    common_params(params)?;
-    (v.validate)(algo)?;
-    (v.validate_params)(algo, params)?;
-    Ok((v.build)(algo, params))
+/// Check a parameterisation against the rules every variant shares and its
+/// own: everything a constructor would otherwise assert on, so whatever
+/// passes here builds through [`CcEngine::new`](crate::CcEngine::new).
+pub fn validate(algo: &CcAlgorithm, params: &CcParams) -> Result<(), CcError> {
+    if params.mss == 0 {
+        return Err(CcError::new("mss must be positive, got 0"));
+    }
+    if params.initial_cwnd == 0 {
+        return Err(CcError::new(
+            "initial_cwnd must be positive, got 0 (a zero window can never open)",
+        ));
+    }
+    match algo {
+        CcAlgorithm::Restricted(cfg) => {
+            if !(cfg.setpoint_frac > 0.0 && cfg.setpoint_frac <= 1.0) {
+                return Err(CcError::new(format!(
+                    "setpoint_frac must be in (0, 1], got {}",
+                    cfg.setpoint_frac
+                )));
+            }
+            if !(cfg.max_increment_segments.is_finite() && cfg.max_increment_segments > 0.0) {
+                return Err(CcError::new(
+                    "max_increment_segments must be positive and finite",
+                ));
+            }
+            if !(cfg.max_decrement_segments.is_finite() && cfg.max_decrement_segments >= 0.0) {
+                return Err(CcError::new(
+                    "max_decrement_segments must be non-negative and finite",
+                ));
+            }
+            if !cfg.gains.is_valid() {
+                return Err(CcError::new(format!(
+                    "PID gains must satisfy Kp \u{2265} 0 and Td \u{2265} 0 (finite) and \
+                     Ti > 0 (infinity allowed), got kp={} ti={} td={}",
+                    cfg.gains.kp, cfg.gains.ti, cfg.gains.td
+                )));
+            }
+            Ok(())
+        }
+        CcAlgorithm::Limited {
+            max_ssthresh: Some(t),
+        } if *t < 2 * params.mss as u64 => Err(CcError::new(format!(
+            "max_ssthresh must be at least two segments ({} bytes at MSS {}), got {t}",
+            2 * params.mss as u64,
+            params.mss
+        ))),
+        CcAlgorithm::Ssthreshless(cfg)
+            if !(cfg.gamma_segments.is_finite() && cfg.gamma_segments > 0.0) =>
+        {
+            Err(CcError::new(format!(
+                "gamma_segments must be positive and finite, got {}",
+                cfg.gamma_segments
+            )))
+        }
+        CcAlgorithm::Scalable(cfg) if cfg.ai_cnt == 0 => {
+            Err(CcError::new("ai_cnt must be at least 1, got 0"))
+        }
+        CcAlgorithm::Reno
+        | CcAlgorithm::Limited { .. }
+        | CcAlgorithm::Ssthreshless(_)
+        | CcAlgorithm::HighSpeed
+        | CcAlgorithm::Scalable(_)
+        | CcAlgorithm::Bbr
+        | CcAlgorithm::Relentless
+        | CcAlgorithm::Hybrid => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RssConfig, ScalableConfig, SslConfig, StallResponse};
+    use crate::{CcEngine, RssConfig, ScalableConfig, SslConfig, StallResponse};
 
     fn params() -> CcParams {
         CcParams {
@@ -517,7 +327,7 @@ mod tests {
 
     #[test]
     fn every_variant_is_listed_once_and_buildable() {
-        let names: Vec<_> = variants().iter().map(|v| v.info.name).collect();
+        let names: Vec<_> = variants().iter().map(|v| v.name).collect();
         assert_eq!(
             names,
             [
@@ -533,31 +343,48 @@ mod tests {
             ],
             "presentation order is part of the contract"
         );
-        let algos = [
-            CcAlgorithm::Reno,
-            CcAlgorithm::Restricted(RssConfig::tuned()),
-            CcAlgorithm::Limited { max_ssthresh: None },
-            CcAlgorithm::Ssthreshless(SslConfig::default()),
-            CcAlgorithm::HighSpeed,
-            CcAlgorithm::Scalable(ScalableConfig::default()),
-            CcAlgorithm::Bbr,
-            CcAlgorithm::Relentless,
-            CcAlgorithm::Hybrid,
+        // One probe per arm, in row order, with the controller type it builds.
+        let probes = [
+            (CcAlgorithm::Reno, "Reno"),
+            (
+                CcAlgorithm::Restricted(RssConfig::tuned()),
+                "RestrictedSlowStart",
+            ),
+            (
+                CcAlgorithm::Limited { max_ssthresh: None },
+                "LimitedSlowStart",
+            ),
+            (
+                CcAlgorithm::Ssthreshless(SslConfig::default()),
+                "SsthreshlessStart",
+            ),
+            (CcAlgorithm::HighSpeed, "HighSpeedTcp"),
+            (
+                CcAlgorithm::Scalable(ScalableConfig::default()),
+                "ScalableTcp",
+            ),
+            (CcAlgorithm::Bbr, "BbrProbe"),
+            (CcAlgorithm::Relentless, "RelentlessCc"),
+            (CcAlgorithm::Hybrid, "HybridStart"),
         ];
-        assert_eq!(algos.len(), variants().len(), "one probe per registry row");
-        for algo in &algos {
-            let v = entry_for(algo);
-            let built = build(algo, &params()).expect("defaults validate");
-            assert_eq!(built.name(), v.info.algo, "metadata matches the impl");
+        assert_eq!(probes.len(), variants().len(), "one probe per registry row");
+        for ((algo, ty), row) in probes.iter().zip(variants()) {
+            assert!(std::ptr::eq(algo.info(), row), "{algo:?} reads another row");
+            assert_eq!(algo.label(), row.name);
+            let built = CcEngine::new(algo, &params()).expect("defaults validate");
+            let dbg = format!("{built:?}");
+            assert!(
+                dbg.starts_with(&format!("Reno({ty} {{"))
+                    || dbg.starts_with(&format!("Dyn({ty} {{")),
+                "row `{}` built {dbg}",
+                row.name
+            );
         }
     }
 
     #[test]
     fn find_by_name() {
-        assert_eq!(
-            find("ssthreshless").unwrap().info.algo,
-            "ssthreshless-start"
-        );
+        assert_eq!(find("ssthreshless").unwrap().algo, "ssthreshless-start");
         assert!(find("vegas").is_none());
     }
 
@@ -565,7 +392,7 @@ mod tests {
     fn restricted_validation_rejects_bad_setpoint_and_gains() {
         let mut cfg = RssConfig::tuned();
         cfg.setpoint_frac = 1.5;
-        let err = validate(&CcAlgorithm::Restricted(cfg)).unwrap_err();
+        let err = validate(&CcAlgorithm::Restricted(cfg), &params()).unwrap_err();
         assert!(err.msg.contains("setpoint_frac"), "{}", err.msg);
 
         // Everything PidGains::is_valid rejects must fail validation —
@@ -581,13 +408,13 @@ mod tests {
         ] {
             let mut cfg = RssConfig::tuned();
             cfg.gains = rss_control::PidGains::pid(kp, ti, td);
-            let err = validate(&CcAlgorithm::Restricted(cfg)).unwrap_err();
+            let err = validate(&CcAlgorithm::Restricted(cfg), &params()).unwrap_err();
             assert!(err.msg.contains("PID gains"), "{kp}/{ti}/{td}: {}", err.msg);
         }
         // Ti = ∞ (integral term disabled) stays legal.
         let mut cfg = RssConfig::tuned();
         cfg.gains = rss_control::PidGains::pid(1.0, f64::INFINITY, 0.1);
-        assert!(validate(&CcAlgorithm::Restricted(cfg)).is_ok());
+        assert!(validate(&CcAlgorithm::Restricted(cfg), &params()).is_ok());
     }
 
     #[test]
@@ -595,22 +422,13 @@ mod tests {
         // Anything below the constructor's 2·MSS floor must be caught at
         // validation time, not by the assert at build time.
         for t in [0u64, 1, 1000, 2 * 1448 - 1] {
-            let err = validate_params(
-                &CcAlgorithm::Limited {
-                    max_ssthresh: Some(t),
-                },
-                &params(),
-            )
-            .unwrap_err();
+            let algo = CcAlgorithm::Limited {
+                max_ssthresh: Some(t),
+            };
+            let err = validate(&algo, &params()).unwrap_err();
             assert!(err.msg.contains("max_ssthresh"), "{t}: {}", err.msg);
             assert!(
-                build(
-                    &CcAlgorithm::Limited {
-                        max_ssthresh: Some(t)
-                    },
-                    &params()
-                )
-                .is_err(),
+                CcEngine::new(&algo, &params()).is_err(),
                 "{t} must not reach the constructor"
             );
         }
@@ -620,7 +438,7 @@ mod tests {
                 max_ssthresh: Some(2 * 1448),
             },
         ] {
-            assert!(validate_params(&algo, &params()).is_ok());
+            assert!(validate(&algo, &params()).is_ok());
         }
     }
 
@@ -630,16 +448,24 @@ mod tests {
             let algo = CcAlgorithm::Ssthreshless(SslConfig {
                 gamma_segments: gamma,
             });
-            let err = validate(&algo).unwrap_err();
+            let err = validate(&algo, &params()).unwrap_err();
             assert!(err.msg.contains("gamma_segments"), "{}", err.msg);
         }
     }
 
     #[test]
     fn scalable_validation_rejects_zero_ai_cnt() {
-        let err = validate(&CcAlgorithm::Scalable(ScalableConfig { ai_cnt: 0 })).unwrap_err();
+        let err = validate(
+            &CcAlgorithm::Scalable(ScalableConfig { ai_cnt: 0 }),
+            &params(),
+        )
+        .unwrap_err();
         assert!(err.msg.contains("ai_cnt"), "{}", err.msg);
-        assert!(validate(&CcAlgorithm::Scalable(ScalableConfig { ai_cnt: 1 })).is_ok());
+        assert!(validate(
+            &CcAlgorithm::Scalable(ScalableConfig { ai_cnt: 1 }),
+            &params()
+        )
+        .is_ok());
     }
 
     #[test]
@@ -649,17 +475,17 @@ mod tests {
         assert!(md.contains("GENERATED FILE"), "must mark itself generated");
         for v in variants() {
             assert!(
-                md.contains(&format!("## `{}` \u{2014} {}", v.info.name, v.info.algo)),
+                md.contains(&format!("## `{}` \u{2014} {}", v.name, v.algo)),
                 "missing section for {}",
-                v.info.name
+                v.name
             );
-            assert!(md.contains(v.info.reference), "{} reference", v.info.name);
-            assert!(md.contains(v.info.showcase), "{} showcase", v.info.name);
-            for p in v.info.params_detail {
+            assert!(md.contains(v.reference), "{} reference", v.name);
+            assert!(md.contains(v.showcase), "{} showcase", v.name);
+            for p in v.params_detail {
                 assert!(
                     md.contains(&format!("| `{}` |", p.name)),
                     "{}: missing param row {}",
-                    v.info.name,
+                    v.name,
                     p.name
                 );
             }
@@ -680,6 +506,6 @@ mod tests {
     fn build_surfaces_validation_errors() {
         let mut cfg = RssConfig::tuned();
         cfg.setpoint_frac = 0.0;
-        assert!(build(&CcAlgorithm::Restricted(cfg), &params()).is_err());
+        assert!(CcEngine::new(&CcAlgorithm::Restricted(cfg), &params()).is_err());
     }
 }

@@ -146,10 +146,6 @@ impl CongestionControl for RelentlessCc {
         }
         self.base.on_recovery(view, ev);
     }
-
-    fn name(&self) -> &'static str {
-        "relentless-cc"
-    }
 }
 
 #[cfg(test)]

@@ -152,10 +152,6 @@ impl CongestionControl for Reno {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "reno"
-    }
 }
 
 #[cfg(test)]

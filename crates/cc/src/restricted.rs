@@ -202,10 +202,6 @@ impl CongestionControl for RestrictedSlowStart {
     fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
         self.base.on_recovery(view, ev);
     }
-
-    fn name(&self) -> &'static str {
-        "restricted-slow-start"
-    }
 }
 
 #[cfg(test)]

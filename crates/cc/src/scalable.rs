@@ -127,10 +127,6 @@ impl CongestionControl for ScalableTcp {
             self.ai_accum = 0;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "scalable-tcp"
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +220,10 @@ mod tests {
     #[test]
     fn name_and_params() {
         let cc = stcp(2, 2);
-        assert_eq!(cc.name(), "scalable-tcp");
+        assert_eq!(
+            crate::registry::find("scalable").unwrap().algo,
+            "scalable-tcp"
+        );
         assert_eq!(cc.ai_cnt(), 100);
     }
 }

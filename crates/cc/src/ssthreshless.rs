@@ -288,10 +288,6 @@ impl CongestionControl for SsthreshlessStart {
             self.phase = Phase::Done;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "ssthreshless-start"
-    }
 }
 
 #[cfg(test)]
@@ -523,7 +519,10 @@ mod tests {
     #[test]
     fn name_and_config_accessors() {
         let cc = ssl();
-        assert_eq!(cc.name(), "ssthreshless-start");
+        assert_eq!(
+            crate::registry::find("ssthreshless").unwrap().algo,
+            "ssthreshless-start"
+        );
         assert_eq!(cc.ssl_config().gamma_segments, 8.0);
     }
 }

@@ -11,11 +11,10 @@
 //! * [`PidController`] — the discrete-time transfer function
 //!   `Kp (E + 1/Ti ∫E dt + Td dE/dt)` with anti-windup and derivative
 //!   filtering;
-//! * [`plant`] — reference plants (first/second-order lags, integrators,
-//!   dead time) with analytic ultimate gains for validation;
+//! * [`plant`] — reference plants (first-order lag, integrators, dead time)
+//!   with analytic ultimate gains for validation;
 //! * [`ziegler_nichols`] — the automated closed-loop ultimate-gain search
-//!   and the paper's `0.33 Kc / 0.5 Tc / 0.33 Tc` tuning rule;
-//! * [`tuning`] — step-response quality metrics for the ablation study.
+//!   and the paper's `0.33 Kc / 0.5 Tc / 0.33 Tc` tuning rule.
 //!
 //! ```
 //! use rss_control::{find_ultimate_gain, DeadTimePlant, FirstOrderPlant, ZnSearchConfig};
@@ -32,14 +31,10 @@
 
 pub mod pid;
 pub mod plant;
-pub mod tuning;
 pub mod ziegler_nichols;
 
 pub use pid::{PidConfig, PidController, PidGains};
-pub use plant::{
-    fopdt_ultimate, DeadTimePlant, FirstOrderPlant, IntegratorPlant, Plant, SecondOrderPlant,
-};
-pub use tuning::{simulate_closed_loop, step_metrics, StepMetrics};
+pub use plant::{fopdt_ultimate, DeadTimePlant, FirstOrderPlant, IntegratorPlant, Plant};
 pub use ziegler_nichols::{
     classify_response, find_ultimate_gain, LoopBehavior, ZnError, ZnResult, ZnSearchConfig,
 };

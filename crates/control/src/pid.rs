@@ -240,6 +240,8 @@ impl PidController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plant::{DeadTimePlant, FirstOrderPlant, Plant};
+    use crate::ziegler_nichols::{find_ultimate_gain, ZnSearchConfig};
     use rss_sim::SimDuration;
 
     fn t(ms: u64) -> SimTime {
@@ -371,5 +373,58 @@ mod tests {
         assert!(PidGains::pi(1.0, 2.0).is_valid());
         assert!(!PidGains::pid(1.0, 0.0, 0.1).is_valid()); // Ti = 0 ill-formed
         assert!(!PidGains::pid(1.0, 1.0, f64::INFINITY).is_valid());
+    }
+
+    /// Close a loop of `cfg` around `plant` for `duration` seconds at a
+    /// fixed `dt`; returns the plant output the controller saw each step.
+    fn closed_loop<P: Plant>(plant: &mut P, cfg: PidConfig, dt: f64, duration: f64) -> Vec<f64> {
+        let mut pid = PidController::new(cfg);
+        (0..(duration / dt).ceil() as usize)
+            .map(|i| {
+                let y = plant.output();
+                let u = pid.update(SimTime::from_secs_f64(i as f64 * dt), y);
+                plant.step(u, dt);
+                y
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pi_eliminates_steady_state_error_on_first_order() {
+        // P-only on a first-order plant leaves offset; PI removes it.
+        let mut plant = FirstOrderPlant::new(1.0, 0.5, 0.0);
+        let p_cfg = PidConfig::new(PidGains::p(2.0), 1.0);
+        let y_final_p = *closed_loop(&mut plant, p_cfg, 1e-3, 20.0).last().unwrap();
+        // P-only steady state: y = Kp*K/(1+Kp*K) = 2/3.
+        assert!((y_final_p - 2.0 / 3.0).abs() < 0.01, "y {y_final_p}");
+
+        plant.reset();
+        let pi_cfg = PidConfig::new(PidGains::pi(2.0, 0.5), 1.0);
+        let y_final_pi = *closed_loop(&mut plant, pi_cfg, 1e-3, 20.0).last().unwrap();
+        assert!((y_final_pi - 1.0).abs() < 0.01, "y {y_final_pi}");
+    }
+
+    #[test]
+    fn zn_paper_gains_stabilize_fopdt() {
+        // End-to-end: tune on the plant, then close the loop with the paper's
+        // rule and check the step response settles with bounded overshoot.
+        let mut plant = DeadTimePlant::new(FirstOrderPlant::new(1.0, 1.0, 0.0), 1.0);
+        let zcfg = ZnSearchConfig {
+            dt: 2e-3,
+            sim_time: 80.0,
+            ..Default::default()
+        };
+        let zn = find_ultimate_gain(&mut plant, &zcfg).unwrap();
+        plant.reset();
+        let ys = closed_loop(
+            &mut plant,
+            PidConfig::new(zn.paper_gains(), 1.0),
+            2e-3,
+            60.0,
+        );
+        let last = ys[ys.len() - 1];
+        let peak = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert!((last - 1.0).abs() < 0.02, "settles at {last}");
+        assert!(peak < 1.6, "overshoots to {peak}");
     }
 }

@@ -114,53 +114,6 @@ impl Plant for IntegratorPlant {
     }
 }
 
-/// Second-order plant: `y'' + 2ζωₙ y' + ωₙ² y = K ωₙ² u`.
-#[derive(Debug, Clone)]
-pub struct SecondOrderPlant {
-    /// Steady-state gain.
-    pub gain: f64,
-    /// Natural frequency ωₙ (rad/s).
-    pub omega_n: f64,
-    /// Damping ratio ζ.
-    pub zeta: f64,
-    y: f64,
-    ydot: f64,
-}
-
-impl SecondOrderPlant {
-    /// Create at rest.
-    pub fn new(gain: f64, omega_n: f64, zeta: f64) -> Self {
-        assert!(omega_n > 0.0 && zeta >= 0.0);
-        SecondOrderPlant {
-            gain,
-            omega_n,
-            zeta,
-            y: 0.0,
-            ydot: 0.0,
-        }
-    }
-}
-
-impl Plant for SecondOrderPlant {
-    fn step(&mut self, u: f64, dt: f64) -> f64 {
-        // Semi-implicit Euler keeps the oscillator stable for the small dt
-        // the tuner uses.
-        let acc = self.gain * self.omega_n * self.omega_n * u
-            - 2.0 * self.zeta * self.omega_n * self.ydot
-            - self.omega_n * self.omega_n * self.y;
-        self.ydot += acc * dt;
-        self.y += self.ydot * dt;
-        self.y
-    }
-    fn output(&self) -> f64 {
-        self.y
-    }
-    fn reset(&mut self) {
-        self.y = 0.0;
-        self.ydot = 0.0;
-    }
-}
-
 /// Wraps another plant with pure transport delay (dead time) on the input.
 ///
 /// Dead time is what gives a first-order plant a finite ultimate gain, making
@@ -322,30 +275,6 @@ mod tests {
             p.step(-5.0, 0.01);
         }
         assert_eq!(p.output(), 0.0);
-    }
-
-    #[test]
-    fn second_order_underdamped_overshoots() {
-        let mut p = SecondOrderPlant::new(1.0, 10.0, 0.2);
-        let mut peak = 0.0f64;
-        for _ in 0..100_000 {
-            peak = peak.max(p.step(1.0, 0.0001));
-        }
-        assert!(
-            peak > 1.3,
-            "underdamped system should overshoot, peak {peak}"
-        );
-        assert!((p.output() - 1.0).abs() < 0.05, "settles near 1.0");
-    }
-
-    #[test]
-    fn second_order_overdamped_does_not_overshoot() {
-        let mut p = SecondOrderPlant::new(1.0, 10.0, 2.0);
-        let mut peak = 0.0f64;
-        for _ in 0..200_000 {
-            peak = peak.max(p.step(1.0, 0.0001));
-        }
-        assert!(peak <= 1.001, "peak {peak}");
     }
 
     #[test]

@@ -63,9 +63,8 @@ pub use world::{BuildError, Ev, World};
 // depending on every substrate crate directly.
 pub use rss_cc::{registry as cc_registry, CcError, CcParams, ScalableConfig, SslConfig};
 pub use rss_control::{
-    find_ultimate_gain, simulate_closed_loop, step_metrics, DeadTimePlant, FirstOrderPlant,
-    IntegratorPlant, PidConfig, PidController, PidGains, Plant, SecondOrderPlant, StepMetrics,
-    ZnResult, ZnSearchConfig,
+    find_ultimate_gain, DeadTimePlant, FirstOrderPlant, IntegratorPlant, PidConfig, PidController,
+    PidGains, Plant, ZnResult, ZnSearchConfig,
 };
 pub use rss_host::{HostConfig, NicStats};
 pub use rss_net::{

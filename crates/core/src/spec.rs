@@ -73,7 +73,7 @@ use crate::report::RunReport;
 use crate::scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
 use rss_host::HostConfig;
 use rss_net::{Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow, TrafficPattern};
-use rss_sim::{SimDuration, SimTime};
+use rss_sim::{SimDuration, SimTime, MAX_UNITS};
 use rss_tcp::{AckPolicy, CcAlgorithm, RssConfig, StallResponse, TcpConfig};
 use rss_workload::{stripe_bytes, AppModel};
 use serde::{Deserialize, Serialize};
@@ -443,9 +443,9 @@ pub struct FlowDef {
 }
 
 /// The slow-start variant under test — an **open** enum mirroring the
-/// variants registered in [`rss_cc::registry`]: a new scheme adds one arm
-/// here (resolved and validated through the registry), and scenario files
-/// using it stay data.
+/// [`CcAlgorithm`] arms listed in [`rss_cc::registry`]: a new scheme adds
+/// one arm here (resolved into its `CcAlgorithm` arm, which expansion
+/// validates), and scenario files using it stay data.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum CcDef {
     /// Standard TCP (Reno/NewReno, the paper's baseline).
@@ -660,10 +660,12 @@ impl std::error::Error for SpecError {}
 // Unit conversions (validated)
 // ---------------------------------------------------------------------------
 
+/// A rate in Mbit/s as whole bit/s. Anything below 1 bit/s would round to
+/// a zero-rate link, which serializes nothing.
 fn mbps_to_bps(mbps: f64, what: &str) -> Result<u64, SpecError> {
-    if !mbps.is_finite() || mbps <= 0.0 {
+    if !mbps.is_finite() || mbps * 1e6 < 1.0 {
         return Err(SpecError::new(format!(
-            "{what} must be a positive rate, got {mbps}"
+            "{what} must be a rate of at least 1 bit/s (1e-6 Mbit/s), got {mbps}"
         )));
     }
     Ok((mbps * 1e6).round() as u64)
@@ -877,16 +879,16 @@ impl QueueDef {
 impl CcDef {
     /// Resolve to a concrete algorithm for a flow on a `path_rate_bps` path
     /// with `wire_pkt_bytes` packets, one of `n_flows` on its sending host.
-    /// Parameter validation is the registry's
-    /// ([`rss_cc::registry::validate`]) — per-variant rules live beside the
-    /// variant, not here.
+    /// The variant's parameter rules are checked once, with the resolved
+    /// connection inputs, by [`rss_cc::registry::validate`] during
+    /// expansion.
     pub fn to_algorithm(
         &self,
         path_rate_bps: u64,
         wire_pkt_bytes: u32,
         n_flows: u32,
     ) -> Result<CcAlgorithm, SpecError> {
-        let algo = match *self {
+        Ok(match *self {
             CcDef::Standard => CcAlgorithm::Reno,
             CcDef::Restricted {
                 tuning,
@@ -901,7 +903,7 @@ impl CcDef {
                         rate_mbps,
                         wire_pkt_bytes,
                     } => RssConfig::tuned_for(
-                        mbps_to_bps(rate_mbps, "tuning rate_mbps")?,
+                        mbps_to_bps(rate_mbps, "tuning.ForRate.rate_mbps")?,
                         wire_pkt_bytes,
                     ),
                     TuningDef::Gains { kp, ti, td } => {
@@ -932,9 +934,7 @@ impl CcDef {
             CcDef::Bbr => CcAlgorithm::Bbr,
             CcDef::Relentless => CcAlgorithm::Relentless,
             CcDef::Hybrid => CcAlgorithm::Hybrid,
-        };
-        rss_cc::registry::validate(&algo).map_err(|e| SpecError::new(e.msg))?;
-        Ok(algo)
+        })
     }
 }
 
@@ -1072,6 +1072,7 @@ impl RunSpec {
         }
         tcp.ecn = t.ecn.unwrap_or(queue.ecn_marking());
 
+        let max_flows = max_flows(self.cross.as_ref().map_or(0, Vec::len));
         let flows: Vec<FlowSpec> = match (&self.gridftp, &self.flows) {
             (Some(_), Some(defs)) if !defs.is_empty() => {
                 return Err(SpecError::new(
@@ -1084,6 +1085,9 @@ impl RunSpec {
                         "gridftp.streams and gridftp.total_bytes must be positive",
                     ));
                 }
+                if g.streams > max_flows {
+                    return Err(too_many_flows("gridftp.streams", max_flows));
+                }
                 let algo = g.cc.to_algorithm(rate_bps, host.mtu, g.streams)?;
                 stripe_bytes(g.total_bytes, g.streams)
                     .into_iter()
@@ -1095,14 +1099,7 @@ impl RunSpec {
                     .collect()
             }
             (None, Some(defs)) if !defs.is_empty() => {
-                let mut n: u32 = 0;
-                for (i, f) in defs.iter().enumerate() {
-                    let count = f.count.unwrap_or(1);
-                    if count == 0 {
-                        return Err(SpecError::new(format!("flows[{i}].count must be positive")));
-                    }
-                    n = n.saturating_add(count);
-                }
+                let n = total_flows(defs, max_flows)?;
                 let mut out = Vec::with_capacity(n as usize);
                 for f in defs {
                     let spec = FlowSpec {
@@ -1141,11 +1138,11 @@ impl RunSpec {
             })
             .collect::<Result<_, SpecError>>()?;
 
-        // Full registry validation against the resolved connection inputs:
-        // a flow that passes here cannot panic in a variant constructor at
-        // run time (e.g. a `max_ssthresh` below the 2·MSS floor).
+        // Each flow's controller against the resolved connection inputs: a
+        // flow that passes here cannot panic in a variant constructor at run
+        // time (e.g. a `max_ssthresh` below the 2·MSS floor).
         for (i, f) in flows.iter().enumerate() {
-            rss_cc::registry::validate_params(&f.algo, &tcp.cc_params())
+            rss_cc::registry::validate(&f.algo, &tcp.cc_params())
                 .map_err(|e| SpecError::new(format!("flows[{i}]: {}", e.msg)))?;
         }
 
@@ -1191,6 +1188,37 @@ impl RunSpec {
         }
         Ok(sc)
     }
+}
+
+/// The most flows a run with `n_cross` cross streams may hold. Every flow
+/// and cross stream may get its own host pair, and the pairs plus the two
+/// hub units must fit the engine's [`MAX_UNITS`] scheduling units.
+fn max_flows(n_cross: usize) -> u32 {
+    (MAX_UNITS - 2).saturating_sub(n_cross) as u32
+}
+
+fn too_many_flows(what: &str, max: u32) -> SpecError {
+    SpecError::new(format!(
+        "{what}: this run holds at most {max} flows (a host pair per flow and \
+         cross stream, plus 2 hub units, in the engine's {MAX_UNITS} scheduling units)"
+    ))
+}
+
+/// The number of flows `defs` replicate to, summed with checked arithmetic
+/// before anything is allocated for them.
+fn total_flows(defs: &[FlowDef], max: u32) -> Result<u32, SpecError> {
+    let mut n: u32 = 0;
+    for (i, f) in defs.iter().enumerate() {
+        let count = f.count.unwrap_or(1);
+        if count == 0 {
+            return Err(SpecError::new(format!("flows[{i}].count must be positive")));
+        }
+        n = n
+            .checked_add(count)
+            .filter(|&n| n <= max)
+            .ok_or_else(|| too_many_flows("flows", max))?;
+    }
+    Ok(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -1827,6 +1855,35 @@ mod tests {
         .unwrap();
         let err = spec.validate().unwrap_err();
         assert!(err.msg.contains("PID gains"), "{}", err.msg);
+        // ...and rates that round to a zero-rate link, which cannot
+        // serialize a packet.
+        for (block, what) in [
+            (r#""path":{"rate_mbps":1e-9}"#, "path.rate_mbps"),
+            (
+                r#""path":{"access_rate_mbps":1e-9}"#,
+                "path.access_rate_mbps",
+            ),
+            (r#""host":{"nic_rate_mbps":1e-9}"#, "host.nic_rate_mbps"),
+            (
+                r#""flows":[{"cc":{"Restricted":{"tuning":{"ForRate":
+                     {"rate_mbps":1e-9,"wire_pkt_bytes":1500}}}}}]"#,
+                "tuning.ForRate.rate_mbps",
+            ),
+        ] {
+            let flows = if block.starts_with(r#""flows""#) {
+                ""
+            } else {
+                r#""flows":[{}],"#
+            };
+            let spec = ScenarioSpec::from_json(&minimal(&format!(
+                r#"[{{"label":"slow",{flows}{block}}}]"#
+            )))
+            .unwrap();
+            let err = spec.validate().unwrap_err();
+            assert!(err.msg.contains("run `slow`"), "{}", err.msg);
+            assert!(err.msg.contains(what), "{}", err.msg);
+            assert!(err.msg.contains("at least 1 bit/s"), "{}", err.msg);
+        }
     }
 
     #[test]
@@ -2104,6 +2161,65 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.msg.contains("flows[0].count"), "{}", err.msg);
+    }
+
+    #[test]
+    fn flow_counts_past_the_engine_unit_limit_are_rejected() {
+        // Every flow and cross stream may get a host pair, and the pairs
+        // plus two hub units must fit the engine's 2^24 scheduling units.
+        let at_limit = (MAX_UNITS - 2) as u32;
+        let flows = |counts: &str| {
+            let defs: Vec<String> = counts
+                .split(',')
+                .map(|c| format!(r#"{{"count":{c}}}"#))
+                .collect();
+            ScenarioSpec::from_json(&minimal(&format!(
+                r#"[{{"label":"huge","flows":[{}]}}]"#,
+                defs.join(",")
+            )))
+            .unwrap()
+        };
+        // At the limit the count is accepted; checked without expanding, which
+        // would allocate 2^24 flows.
+        let spec = flows(&format!("{},1", at_limit - 1));
+        let defs = spec.runs[0].flows.as_deref().unwrap();
+        assert_eq!(total_flows(defs, max_flows(0)).unwrap(), at_limit);
+        // One cross stream takes one host pair from the flows.
+        assert!(total_flows(defs, max_flows(1)).is_err());
+        // One past it is a spec error naming the run and `flows`.
+        let err = flows(&format!("{at_limit},1")).validate().unwrap_err();
+        assert!(err.msg.contains("run `huge`: flows:"), "{}", err.msg);
+        assert!(
+            err.msg.contains(&format!("at most {at_limit} flows")),
+            "{}",
+            err.msg
+        );
+        // GridFTP streams are flows too.
+        let err = ScenarioSpec::from_json(&minimal(&format!(
+            r#"[{{"label":"striped","gridftp":{{"total_bytes":1000000000000,
+                  "streams":{},"cc":"Standard"}}}}]"#,
+            at_limit + 1
+        )))
+        .unwrap()
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.msg.contains("run `striped`: gridftp.streams:"),
+            "{}",
+            err.msg
+        );
+    }
+
+    #[test]
+    fn flow_counts_that_overflow_are_rejected_before_any_allocation() {
+        // Two u32::MAX counts used to saturate to one 2^32-flow allocation
+        // and abort `rss validate`.
+        let spec = ScenarioSpec::from_json(&minimal(
+            r#"[{"label":"overflow","flows":[{"count":4294967295},{"count":4294967295}]}]"#,
+        ))
+        .unwrap();
+        let err = spec.validate().unwrap_err();
+        assert!(err.msg.contains("run `overflow`: flows:"), "{}", err.msg);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, RunStats, Scheduler};
-pub use queue::{event_tag, EventId, EventQueue, QueueCounters};
+pub use queue::{event_tag, EventId, EventQueue, QueueCounters, MAX_UNITS};
 pub use rng::{SimRng, SplitMix64};
 pub use shard::{partition_units, run_sharded, Domain, Envelope, ShardError, ShardStats};
 pub use stats::{convergence_time, jain_fairness};

@@ -125,7 +125,7 @@ pub struct EventId {
 /// Bits of an event tag below the scheduling unit (see [`event_tag`]).
 const TAG_SEQ_BITS: u32 = 40;
 /// Scheduling units a tag can name.
-pub(crate) const MAX_UNITS: usize = 1 << (64 - TAG_SEQ_BITS);
+pub const MAX_UNITS: usize = 1 << (64 - TAG_SEQ_BITS);
 
 /// The tie-break half of an event's sort key `(time, tag)`: scheduling unit
 /// above, that unit's sequence number below, so same-instant events fire

@@ -14,8 +14,8 @@
 //! through per-ACK/per-congestion hooks and surfaces everything a variant
 //! can pace on — IFQ occupancy for the paper's [`RestrictedSlowStart`],
 //! RTT extremes for delay-based schemes like [`SsthreshlessStart`] — in the
-//! [`CcView`] it hands to each hook. Variants register in [`rss_cc::registry`]; see that
-//! crate's docs for the how-to.
+//! [`CcView`] it hands to each hook. Each variant is an arm of
+//! [`CcAlgorithm`]; see the `rss-cc` crate docs for the how-to.
 //!
 //! The sender and receiver are sans-IO state machines: an embedding world
 //! model (see `rss-core`) moves segments between them through the simulated
@@ -42,17 +42,13 @@ pub use rtt::RttEstimator;
 pub use sender::{IfqSnapshot, TcpSender, TxPlan};
 pub use types::{AckPolicy, ConnId, SegKind, TcpConfig, TcpSegment};
 
-/// Construct a congestion controller for a connection configured by `cfg` —
-/// a convenience wrapper deriving [`CcParams`] from the transport config and
-/// dispatching through the [`rss_cc::registry`] table. Standard Reno comes
-/// back on the [`CcEngine`] monomorphized fast path; every other variant
-/// rides the boxed registry path.
-///
-/// Returns the registry's [`CcError`] when validation rejects the algorithm
-/// selection or the derived parameters; callers surface it on their own
-/// error channel (the declarative pipeline path-qualifies it per flow).
+/// Construct a congestion controller for a connection configured by `cfg`:
+/// [`CcEngine::new`] with the [`CcParams`] the transport config derives.
+/// Returns its [`CcError`] when validation rejects the algorithm selection
+/// or the derived parameters; callers surface it on their own error channel
+/// (the declarative pipeline path-qualifies it per flow).
 pub fn make_cc(algo: CcAlgorithm, cfg: &TcpConfig) -> Result<CcEngine, CcError> {
-    rss_cc::make_cc_engine(&algo, &cfg.cc_params())
+    CcEngine::new(&algo, &cfg.cc_params())
 }
 
 #[cfg(test)]
@@ -66,27 +62,32 @@ mod tests {
     #[test]
     fn factory_builds_each_algorithm() {
         let cfg = TcpConfig::default();
-        assert_eq!(built(CcAlgorithm::Reno, &cfg).name(), "reno");
-        assert_eq!(
-            built(CcAlgorithm::Restricted(RssConfig::tuned()), &cfg).name(),
-            "restricted-slow-start"
-        );
-        assert_eq!(
-            built(CcAlgorithm::Limited { max_ssthresh: None }, &cfg).name(),
-            "limited-slow-start"
-        );
-        assert_eq!(
-            built(CcAlgorithm::Ssthreshless(SslConfig::default()), &cfg).name(),
-            "ssthreshless-start"
-        );
-        assert_eq!(built(CcAlgorithm::HighSpeed, &cfg).name(), "highspeed-tcp");
-        assert_eq!(
-            built(CcAlgorithm::Scalable(ScalableConfig::default()), &cfg).name(),
-            "scalable-tcp"
-        );
-        assert_eq!(built(CcAlgorithm::Bbr, &cfg).name(), "bbr-probe");
-        assert_eq!(built(CcAlgorithm::Relentless, &cfg).name(), "relentless-cc");
-        assert_eq!(built(CcAlgorithm::Hybrid, &cfg).name(), "hybrid-start");
+        for (algo, ty) in [
+            (CcAlgorithm::Reno, "Reno(Reno {"),
+            (
+                CcAlgorithm::Restricted(RssConfig::tuned()),
+                "Dyn(RestrictedSlowStart {",
+            ),
+            (
+                CcAlgorithm::Limited { max_ssthresh: None },
+                "Dyn(LimitedSlowStart {",
+            ),
+            (
+                CcAlgorithm::Ssthreshless(SslConfig::default()),
+                "Dyn(SsthreshlessStart {",
+            ),
+            (CcAlgorithm::HighSpeed, "Dyn(HighSpeedTcp {"),
+            (
+                CcAlgorithm::Scalable(ScalableConfig::default()),
+                "Dyn(ScalableTcp {",
+            ),
+            (CcAlgorithm::Bbr, "Dyn(BbrProbe {"),
+            (CcAlgorithm::Relentless, "Dyn(RelentlessCc {"),
+            (CcAlgorithm::Hybrid, "Dyn(HybridStart {"),
+        ] {
+            let dbg = format!("{:?}", built(algo, &cfg));
+            assert!(dbg.starts_with(ty), "{} built {dbg}", algo.label());
+        }
     }
 
     #[test]

@@ -100,106 +100,3 @@ pub struct Web100Vars {
     /// Time limited by the sender itself (app or local queues).
     pub snd_lim_time_sender_ns: u64,
 }
-
-impl Web100Vars {
-    /// Counter difference `self − earlier`, the Web100 "snapshot delta" idiom
-    /// (read a snapshot, run a phase, read again, subtract). Monotone
-    /// counters subtract (saturating); gauges keep the newer value.
-    pub fn delta(&self, earlier: &Web100Vars) -> Web100Vars {
-        Web100Vars {
-            // counters
-            pkts_out: self.pkts_out.saturating_sub(earlier.pkts_out),
-            data_bytes_out: self.data_bytes_out.saturating_sub(earlier.data_bytes_out),
-            pkts_retrans: self.pkts_retrans.saturating_sub(earlier.pkts_retrans),
-            bytes_retrans: self.bytes_retrans.saturating_sub(earlier.bytes_retrans),
-            ack_pkts_in: self.ack_pkts_in.saturating_sub(earlier.ack_pkts_in),
-            thru_bytes_acked: self
-                .thru_bytes_acked
-                .saturating_sub(earlier.thru_bytes_acked),
-            congestion_signals: self
-                .congestion_signals
-                .saturating_sub(earlier.congestion_signals),
-            fast_retran: self.fast_retran.saturating_sub(earlier.fast_retran),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            send_stall: self.send_stall.saturating_sub(earlier.send_stall),
-            ecn_echoes: self.ecn_echoes.saturating_sub(earlier.ecn_echoes),
-            dup_acks_in: self.dup_acks_in.saturating_sub(earlier.dup_acks_in),
-            slow_start_episodes: self
-                .slow_start_episodes
-                .saturating_sub(earlier.slow_start_episodes),
-            cong_avoid_episodes: self
-                .cong_avoid_episodes
-                .saturating_sub(earlier.cong_avoid_episodes),
-            snd_lim_time_rwin_ns: self
-                .snd_lim_time_rwin_ns
-                .saturating_sub(earlier.snd_lim_time_rwin_ns),
-            snd_lim_time_cwnd_ns: self
-                .snd_lim_time_cwnd_ns
-                .saturating_sub(earlier.snd_lim_time_cwnd_ns),
-            snd_lim_time_sender_ns: self
-                .snd_lim_time_sender_ns
-                .saturating_sub(earlier.snd_lim_time_sender_ns),
-            // gauges: keep the current reading
-            cur_cwnd: self.cur_cwnd,
-            max_cwnd: self.max_cwnd,
-            cur_ssthresh: self.cur_ssthresh,
-            cur_rwin_rcvd: self.cur_rwin_rcvd,
-            smoothed_rtt_us: self.smoothed_rtt_us,
-            min_rtt_us: self.min_rtt_us,
-            max_rtt_us: self.max_rtt_us,
-            cur_rto_us: self.cur_rto_us,
-        }
-    }
-
-    /// Mean goodput in bits/s implied by `thru_bytes_acked` over a window.
-    pub fn goodput_over(&self, window_secs: f64) -> f64 {
-        if window_secs <= 0.0 {
-            return 0.0;
-        }
-        self.thru_bytes_acked as f64 * 8.0 / window_secs
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_subtracts_counters_keeps_gauges() {
-        let early = Web100Vars {
-            pkts_out: 100,
-            data_bytes_out: 100_000,
-            send_stall: 1,
-            cur_cwnd: 5_000,
-            max_cwnd: 9_000,
-            min_rtt_us: 50_000,
-            ..Default::default()
-        };
-        let late = Web100Vars {
-            pkts_out: 250,
-            data_bytes_out: 260_000,
-            send_stall: 3,
-            cur_cwnd: 2_000,
-            max_cwnd: 12_000,
-            min_rtt_us: 48_000,
-            ..Default::default()
-        };
-        let d = late.delta(&early);
-        assert_eq!(d.pkts_out, 150);
-        assert_eq!(d.data_bytes_out, 160_000);
-        assert_eq!(d.send_stall, 2);
-        assert_eq!(d.cur_cwnd, 2_000, "gauge keeps newest");
-        assert_eq!(d.max_cwnd, 12_000);
-        assert_eq!(d.min_rtt_us, 48_000);
-    }
-
-    #[test]
-    fn derived_rates() {
-        let v = Web100Vars {
-            thru_bytes_acked: 1_250_000,
-            ..Default::default()
-        };
-        assert!((v.goodput_over(1.0) - 10_000_000.0).abs() < 1.0);
-        assert_eq!(v.goodput_over(0.0), 0.0);
-    }
-}

@@ -487,11 +487,11 @@ fn cmd_list_variants(markdown: bool) -> ExitCode {
         .iter()
         .map(|v| {
             vec![
-                v.info.name.to_string(),
-                v.info.algo.to_string(),
-                v.info.summary.to_string(),
-                v.info.params.to_string(),
-                v.info.reference.to_string(),
+                v.name.to_string(),
+                v.algo.to_string(),
+                v.summary.to_string(),
+                v.params.to_string(),
+                v.reference.to_string(),
             ]
         })
         .collect();

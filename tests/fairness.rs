@@ -98,8 +98,8 @@ fn both_new_variants_are_in_the_registry_menu() {
     for name in ["highspeed", "scalable"] {
         let v = cc_registry::find(name)
             .unwrap_or_else(|| panic!("`{name}` missing from `rss list --variants`"));
-        assert!(!v.info.summary.is_empty());
-        assert!(!v.info.showcase.is_empty());
+        assert!(!v.summary.is_empty());
+        assert!(!v.showcase.is_empty());
     }
     // And the generated gallery mentions the fairness scenarios.
     let md = cc_registry::markdown_gallery();
