@@ -124,16 +124,6 @@ impl HighSpeedTcp {
         table[idx - 1]
     }
 
-    /// The table's additive increase for the current window, segments/RTT.
-    pub fn current_ai_segments(&self) -> u32 {
-        self.row().ai
-    }
-
-    /// The table's multiplicative decrease for the current window.
-    pub fn current_b(&self) -> f64 {
-        self.row().b_q8 as f64 / 256.0
-    }
-
     /// `ssthresh = max((1 − b(w)) · flight, 2 MSS)` — the RFC's decrease,
     /// applied to the flight size like the Reno baseline halves it.
     fn reduce(&mut self, view: &CcView) {
@@ -261,9 +251,9 @@ mod tests {
     fn large_windows_grow_superlinearly_and_back_off_gently() {
         let mut cc = hs(1000, 5);
         assert!(!cc.in_slow_start());
-        let ai = cc.current_ai_segments();
+        let ai = cc.row().ai;
         assert!(ai > 5, "a(1000) should be well above standard, got {ai}");
-        let b = cc.current_b();
+        let b = cc.row().b_q8 as f64 / 256.0;
         assert!(b < 0.4 && b > 0.1, "b(1000) should be relaxed, got {b}");
         // One window of per-segment ACKs grows ≈ ai segments.
         let before = cc.cwnd();

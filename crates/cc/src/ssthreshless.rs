@@ -135,11 +135,6 @@ impl SsthreshlessStart {
         }
     }
 
-    /// The configuration.
-    pub fn ssl_config(&self) -> &SslConfig {
-        &self.cfg
-    }
-
     /// True while the delay probe (the variant's slow-start phase) runs.
     pub fn probing(&self) -> bool {
         self.phase != Phase::Done
@@ -523,6 +518,6 @@ mod tests {
             crate::registry::find("ssthreshless").unwrap().algo,
             "ssthreshless-start"
         );
-        assert_eq!(cc.ssl_config().gamma_segments, 8.0);
+        assert_eq!(cc.cfg.gamma_segments, 8.0);
     }
 }

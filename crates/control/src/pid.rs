@@ -94,13 +94,6 @@ impl PidConfig {
         self.output_max = max;
         self
     }
-
-    /// Set the derivative filter factor (builder style).
-    pub fn with_derivative_filter(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "filter must be in (0,1]");
-        self.derivative_filter = alpha;
-        self
-    }
 }
 
 /// The controller state. Feed it timestamped process-variable samples through
@@ -282,8 +275,10 @@ mod tests {
     #[test]
     fn derivative_opposes_rapid_pv_rise() {
         // derivative on measurement: pv jumping up should *reduce* output.
-        let cfg = PidConfig::new(PidGains::pid(1.0, f64::INFINITY, 0.1), 10.0)
-            .with_derivative_filter(1.0);
+        let cfg = PidConfig {
+            derivative_filter: 1.0,
+            ..PidConfig::new(PidGains::pid(1.0, f64::INFINITY, 0.1), 10.0)
+        };
         let mut c = PidController::new(cfg);
         c.update(t(0), 0.0);
         let u_slow = 10.0 - 5.0; // E if pv were 5, no derivative
@@ -295,8 +290,10 @@ mod tests {
 
     #[test]
     fn derivative_kick_avoided_on_setpoint_change() {
-        let cfg =
-            PidConfig::new(PidGains::pid(1.0, f64::INFINITY, 1.0), 0.0).with_derivative_filter(1.0);
+        let cfg = PidConfig {
+            derivative_filter: 1.0,
+            ..PidConfig::new(PidGains::pid(1.0, f64::INFINITY, 1.0), 0.0)
+        };
         let mut c = PidController::new(cfg);
         c.update(t(0), 5.0);
         c.set_setpoint(100.0);

@@ -108,26 +108,6 @@ impl ZnResult {
     pub fn paper_gains(&self) -> PidGains {
         PidGains::pid(0.33 * self.kc, 0.5 * self.tc, 0.33 * self.tc)
     }
-
-    /// Classic Ziegler–Nichols PID rule: `0.6 Kc, 0.5 Tc, 0.125 Tc`.
-    pub fn classic_pid(&self) -> PidGains {
-        PidGains::pid(0.6 * self.kc, 0.5 * self.tc, 0.125 * self.tc)
-    }
-
-    /// Classic Ziegler–Nichols PI rule: `0.45 Kc, Tc/1.2`.
-    pub fn classic_pi(&self) -> PidGains {
-        PidGains::pi(0.45 * self.kc, self.tc / 1.2)
-    }
-
-    /// Classic Ziegler–Nichols P rule: `0.5 Kc`.
-    pub fn classic_p(&self) -> PidGains {
-        PidGains::p(0.5 * self.kc)
-    }
-
-    /// The "no overshoot" conservative rule: `0.2 Kc, 0.5 Tc, 0.33 Tc`.
-    pub fn no_overshoot(&self) -> PidGains {
-        PidGains::pid(0.2 * self.kc, 0.5 * self.tc, 0.33 * self.tc)
-    }
 }
 
 /// Detected peaks of a response: indices and values of local maxima.
@@ -337,14 +317,6 @@ mod tests {
         assert!((g.kp - 0.99).abs() < 1e-12);
         assert!((g.ti - 1.0).abs() < 1e-12);
         assert!((g.td - 0.66).abs() < 1e-12);
-        let c = r.classic_pid();
-        assert!((c.kp - 1.8).abs() < 1e-12);
-        assert!((c.td - 0.25).abs() < 1e-12);
-        let pi = r.classic_pi();
-        assert!((pi.kp - 1.35).abs() < 1e-12);
-        assert!(pi.td == 0.0);
-        assert!(r.classic_p().ti.is_infinite());
-        assert!(r.no_overshoot().kp < g.kp);
     }
 
     #[test]

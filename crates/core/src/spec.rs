@@ -1020,6 +1020,13 @@ impl RunSpec {
         if let Some(x) = t.header_bytes {
             tcp.header_bytes = x;
         }
+        if tcp.mss.checked_add(tcp.header_bytes).is_none() {
+            return Err(SpecError::new(format!(
+                "tcp.header_bytes: tcp.mss + tcp.header_bytes must fit the u32 wire size, \
+                 got {} + {}",
+                tcp.mss, tcp.header_bytes
+            )));
+        }
         if let Some(x) = t.initial_cwnd_mss {
             tcp.initial_cwnd_mss = x;
         }
@@ -1183,8 +1190,18 @@ impl RunSpec {
         if sc.sample_interval == SimDuration::ZERO {
             return Err(SpecError::new("sample_interval_ms must be positive"));
         }
-        if self.auto_rwnd.unwrap_or(false) {
+        let rwnd_from = if self.auto_rwnd.unwrap_or(false) {
             sc = sc.with_auto_rwnd();
+            "auto_rwnd"
+        } else {
+            "tcp.rwnd_bytes"
+        };
+        // The silly-window rule never sends into a window below one MSS.
+        if sc.tcp.rwnd < sc.tcp.mss as u64 {
+            return Err(SpecError::new(format!(
+                "{rwnd_from}: the receive window ({} bytes) must hold one tcp.mss ({} bytes)",
+                sc.tcp.rwnd, sc.tcp.mss
+            )));
         }
         Ok(sc)
     }
@@ -1884,6 +1901,42 @@ mod tests {
             assert!(err.msg.contains(what), "{}", err.msg);
             assert!(err.msg.contains("at least 1 bit/s"), "{}", err.msg);
         }
+        // ...and a segment whose wire size overflows its u32 (a panic in
+        // `TcpSegment::wire_size`), or a receive window below one MSS, which
+        // the silly-window rule never sends into (a run of 0 bytes).
+        let run = |block: &str| {
+            ScenarioSpec::from_json(&minimal(&format!(
+                r#"[{{"label":"seg","flows":[{{}}],{block}}}]"#
+            )))
+            .unwrap()
+            .validate()
+        };
+        for (block, want) in [
+            (
+                r#""tcp":{"header_bytes":4294967295}"#,
+                "tcp.header_bytes: tcp.mss + tcp.header_bytes must fit the u32 wire size, \
+                 got 1448 + 4294967295",
+            ),
+            (
+                r#""tcp":{"rwnd_bytes":1000}"#,
+                "tcp.rwnd_bytes: the receive window (1000 bytes) must hold one tcp.mss (1448 bytes)",
+            ),
+            (
+                r#""tcp":{"mss":100000000}"#,
+                "tcp.rwnd_bytes: the receive window (2097152 bytes) must hold one tcp.mss \
+                 (100000000 bytes)",
+            ),
+            (
+                r#""tcp":{"mss":100000000},"auto_rwnd":true"#,
+                "auto_rwnd: the receive window (3000000 bytes) must hold one tcp.mss \
+                 (100000000 bytes)",
+            ),
+        ] {
+            assert_eq!(run(block).unwrap_err().msg, format!("run `seg`: {want}"));
+        }
+        // The edges themselves are accepted.
+        assert!(run(r#""tcp":{"header_bytes":4294965847}"#).is_ok());
+        assert!(run(r#""tcp":{"rwnd_bytes":1448}"#).is_ok());
     }
 
     #[test]

@@ -101,19 +101,9 @@ impl<B: Body> HostNic<B> {
         self.cfg.txqueuelen
     }
 
-    /// IFQ occupancy in [0, 1].
-    pub fn fill_fraction(&self) -> f64 {
-        self.ifq_queued() as f64 / self.cfg.txqueuelen as f64
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> NicStats {
         self.stats
-    }
-
-    /// True while the device is serializing a packet.
-    pub fn is_busy(&self) -> bool {
-        self.transmitting.is_some()
     }
 
     /// Offer a packet to the qdisc.
@@ -131,11 +121,6 @@ impl<B: Body> HostNic<B> {
                 Err(e)
             }
         }
-    }
-
-    /// Non-mutating probe: would an MTU-sized packet be accepted right now?
-    pub fn has_room(&self) -> bool {
-        (self.ifq.len() as u32) < self.cfg.txqueuelen
     }
 
     /// If the device is idle and the IFQ is non-empty, move the head packet
@@ -211,11 +196,11 @@ mod tests {
         let ser = n.start_tx_if_idle(SimTime::ZERO).unwrap();
         // 1500 B at 100 Mbit/s = 120 us.
         assert_eq!(ser, SimDuration::from_micros(120));
-        assert!(n.is_busy());
+        assert_eq!(n.ifq_depth(), 1, "the device slot holds the packet");
         let done = SimTime::ZERO + ser;
         let out = n.on_tx_done(done);
         assert_eq!(out.id, 0);
-        assert!(!n.is_busy());
+        assert_eq!(n.ifq_depth(), 0);
         assert_eq!(n.stats().tx_pkts, 1);
         assert_eq!(n.stats().tx_bytes, 1500);
         assert_eq!(n.stats().busy_time, ser);
@@ -288,19 +273,6 @@ mod tests {
         n.start_tx_if_idle(SimTime::from_micros(240)).unwrap();
         let u = n.utilization(SimTime::from_micros(300));
         assert!((u - (120.0 + 60.0) / 300.0).abs() < 1e-9, "u = {u}");
-    }
-
-    #[test]
-    fn fill_fraction_against_txqueuelen() {
-        let mut n = nic(4);
-        assert_eq!(n.fill_fraction(), 0.0);
-        n.enqueue(pkt(0, 100)).unwrap();
-        n.enqueue(pkt(1, 100)).unwrap();
-        assert_eq!(n.fill_fraction(), 0.5);
-        assert!(n.has_room());
-        n.enqueue(pkt(2, 100)).unwrap();
-        n.enqueue(pkt(3, 100)).unwrap();
-        assert!(!n.has_room());
     }
 
     #[test]

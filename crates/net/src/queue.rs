@@ -191,18 +191,6 @@ impl<T: Queued> DropTail<T> {
         self.bytes
     }
 
-    /// Occupancy as a fraction of the packet limit (None if unbounded).
-    pub fn fill_fraction(&self) -> Option<f64> {
-        self.cfg
-            .max_packets
-            .map(|maxp| self.q.len() as f64 / maxp as f64)
-            .or_else(|| {
-                self.cfg
-                    .max_bytes
-                    .map(|maxb| self.bytes as f64 / maxb as f64)
-            })
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> QueueStats {
         self.stats
@@ -275,15 +263,6 @@ mod tests {
         assert_eq!(q.bytes(), 200);
         q.dequeue().unwrap();
         assert_eq!(q.bytes(), 0);
-    }
-
-    #[test]
-    fn fill_fraction_packet_based() {
-        let mut q = DropTailQueue::new(QueueConfig::packets(4));
-        assert_eq!(q.fill_fraction(), Some(0.0));
-        q.try_enqueue(pkt(0, 1)).unwrap();
-        q.try_enqueue(pkt(1, 1)).unwrap();
-        assert_eq!(q.fill_fraction(), Some(0.5));
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl LinkParams {
         self.loss_prob = p;
         self
     }
-
-    /// Serialization time of `bytes` on this link.
-    pub fn serialize_time(&self, bytes: u32) -> SimDuration {
-        SimDuration::for_bytes_at_rate(bytes as u64, self.rate_bps)
-    }
 }
 
 /// A transmitter's memory of the last serialization time it computed. A

@@ -132,13 +132,6 @@ impl SimRng {
         // in (0,1] and the log is finite.
         -mean * (1.0 - self.next_f64()).ln()
     }
-
-    /// Pareto-distributed sample (shape `alpha`, scale `xm`), heavy-tailed
-    /// flow sizes for workload models.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0, "invalid pareto params");
-        xm / (1.0 - self.next_f64()).powf(1.0 / alpha)
-    }
 }
 
 impl rand::RngCore for SimRng {
@@ -256,14 +249,6 @@ mod tests {
         assert!(r.chance(1.0));
         let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
         assert!((2000..3000).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::seed_from_u64(29);
-        for _ in 0..1000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

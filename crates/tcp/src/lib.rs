@@ -3,11 +3,11 @@
 //! The transport substrate of the *Restricted Slow-Start for TCP*
 //! reproduction. It implements the sender/receiver machinery a congestion
 //! control study needs — cumulative ACKs, delayed ACKs, RFC 6298 RTT
-//! estimation and retransmission timeouts, NewReno fast retransmit/recovery,
-//! go-back-N timeout recovery — plus the paper's local-congestion pathway:
-//! when the host interface queue rejects a segment, the sender receives a
-//! **send-stall** signal and (configurably, like Linux 2.4) treats it as
-//! congestion.
+//! estimation and retransmission timeouts, NewReno fast retransmit/recovery
+//! ([`recovery`]), go-back-N timeout recovery — plus the paper's local-
+//! congestion pathway: when the host interface queue rejects a segment, the
+//! sender receives a **send-stall** signal and (configurably, like Linux
+//! 2.4) treats it as congestion.
 //!
 //! Congestion control is the separate [`rss_cc`] layer (re-exported here as
 //! [`cc`]): the sender drives any [`CongestionControl`] implementation
@@ -19,13 +19,15 @@
 //!
 //! The sender and receiver are sans-IO state machines: an embedding world
 //! model (see `rss-core`) moves segments between them through the simulated
-//! host NIC and network fabric.
+//! host NIC and network fabric. Modules: [`sender`], [`recovery`]
+//! (NewReno), [`receiver`], [`rtt`] (RFC 6298) and [`types`].
 
 #![warn(missing_docs)]
 
 pub use rss_cc as cc;
 
 pub mod receiver;
+pub mod recovery;
 pub mod rtt;
 pub mod sender;
 pub mod types;

@@ -1,5 +1,7 @@
-//! The send side: window accounting, loss detection and recovery,
-//! retransmission timers, send-stall handling, and Web100 instrumentation.
+//! The send side: window accounting, retransmission timers, send-stall
+//! handling, and Web100 instrumentation. Loss recovery is [`NewReno`]'s;
+//! every call into the congestion controller goes through one function,
+//! which also records the cwnd, ssthresh and phase changes.
 //!
 //! The sender is sans-IO: the embedding world model asks it what to transmit
 //! ([`TcpSender::can_transmit`]), attempts to place the segment on the host
@@ -12,6 +14,7 @@
 use crate::cc::{
     CcEngine, CcView, CongestionControl, CongestionEvent, PacingDecision, RecoveryEvent,
 };
+use crate::recovery::{CcSignal, NewReno};
 use crate::rtt::RttEstimator;
 use crate::types::{ConnId, StallResponse, TcpConfig};
 use rss_sim::{SimDuration, SimTime};
@@ -52,13 +55,6 @@ struct SentInfo {
     app_limited: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Recovery {
-    /// `snd_nxt` when recovery began; a cumulative ACK at or past this ends
-    /// recovery (NewReno's `recover`).
-    recover: u64,
-}
-
 /// One connection's send state.
 #[derive(Debug)]
 pub struct TcpSender {
@@ -77,10 +73,9 @@ pub struct TcpSender {
     app_total: Option<u64>,
     peer_rwnd: u64,
 
-    dupacks: u32,
-    recovery: Option<Recovery>,
-    /// Segments queued for retransmission ahead of new data.
-    retx_queue: VecDeque<(u64, u32)>,
+    /// Fast retransmit and recovery: the duplicate-ACK count, the recovery
+    /// point and the hole to retransmit.
+    recovery: NewReno,
     /// Send timestamps as a ring ordered by segment end-offset. New data
     /// appends at the back; cumulative ACKs drain from the front, so the
     /// per-ACK bookkeeping is O(acked segments) with no tree rebalancing.
@@ -148,9 +143,7 @@ impl TcpSender {
             snd_nxt: 0,
             max_sent: 0,
             app_total,
-            dupacks: 0,
-            recovery: None,
-            retx_queue: VecDeque::new(),
+            recovery: NewReno::default(),
             sent_times: VecDeque::new(),
             last_rtt: None,
             min_rtt: None,
@@ -222,7 +215,7 @@ impl TcpSender {
 
     /// True while a fast-recovery episode is in progress.
     pub fn in_recovery(&self) -> bool {
-        self.recovery.is_some()
+        self.recovery.in_recovery()
     }
 
     /// Number of RTO episodes so far: runs of consecutive retransmission
@@ -330,12 +323,8 @@ impl TcpSender {
         {
             return None;
         }
-        if let Some(&(seq, len)) = self.retx_queue.front() {
-            return Some(TxPlan {
-                seq,
-                len,
-                retransmit: true,
-            });
+        if let Some(plan) = self.recovery.retransmit(self.snd_una) {
+            return Some(plan);
         }
         let window = self.effective_window();
         if self.flight() >= window {
@@ -366,9 +355,7 @@ impl TcpSender {
     #[inline]
     pub fn commit_transmit(&mut self, now: SimTime, plan: TxPlan) {
         let end = plan.seq + plan.len as u64;
-        if plan.retransmit && self.retx_queue.front() == Some(&(plan.seq, plan.len)) {
-            self.retx_queue.pop_front();
-        }
+        self.recovery.on_transmit(plan, self.snd_una);
         if plan.seq == self.snd_nxt {
             self.snd_nxt = end;
         }
@@ -437,11 +424,7 @@ impl TcpSender {
         if self.snd_una >= self.stall_signal_gate
             || self.cfg.stall_response == StallResponse::Ignore
         {
-            let view = self.view(now, ifq);
-            self.web100.on_congestion(now, CongestionKind::SendStall);
-            let was_ss = self.cc.in_slow_start();
-            self.cc.on_congestion(&view, CongestionEvent::LocalStall);
-            self.after_cc_change(now, was_ss);
+            self.signal(now, ifq, CcSignal::Congestion(CongestionEvent::LocalStall));
             self.stall_signal_gate = self.snd_nxt;
         }
     }
@@ -453,52 +436,33 @@ impl TcpSender {
     /// through [`rss_cc::RecoveryEvent::EcnEcho`], so every registry variant
     /// reacts through its existing `on_recovery` hook.
     pub fn on_ecn_echo(&mut self, now: SimTime, ifq: IfqSnapshot) {
-        if self.recovery.is_some() {
+        if self.recovery.in_recovery() {
             // Loss recovery already cut the window for this flight; reacting
             // again would double-punish one congestion episode.
             return;
         }
         if self.snd_una >= self.ecn_cwr_gate {
-            let view = self.view(now, ifq);
-            self.web100.on_congestion(now, CongestionKind::EcnEcho);
-            let was_ss = self.cc.in_slow_start();
-            self.cc.on_recovery(&view, RecoveryEvent::EcnEcho);
-            self.after_cc_change(now, was_ss);
+            self.signal(now, ifq, CcSignal::Recovery(RecoveryEvent::EcnEcho));
             self.ecn_cwr_gate = self.snd_nxt;
         }
     }
 
     // --- ACK processing ------------------------------------------------------
 
-    /// Process a cumulative ACK.
+    /// Process a cumulative ACK; one at or below `snd_una` is a duplicate.
     #[inline]
     pub fn on_ack(&mut self, now: SimTime, ack: u64, rwnd: u64, ifq: IfqSnapshot) {
         self.peer_rwnd = rwnd;
         self.web100.on_rwin(rwnd);
-
-        if ack > self.snd_una {
-            let newly = ack - self.snd_una;
-            self.web100.on_ack_in(now, newly, false);
+        let newly = ack.saturating_sub(self.snd_una);
+        self.web100.on_ack_in(now, newly, newly == 0);
+        if newly > 0 {
             self.snd_una = ack;
             self.delivered += newly;
             // A late ACK can outrun a go-back-N rollback: segments sent
             // before the timeout are still in flight and may be acked after
             // snd_nxt was pulled back. Never let snd_una pass snd_nxt.
             self.snd_nxt = self.snd_nxt.max(ack);
-            // Drop queued retransmissions the ACK has made moot (and trim a
-            // partially-acked head).
-            while let Some(&(seq, len)) = self.retx_queue.front() {
-                let end = seq + len as u64;
-                if end <= ack {
-                    self.retx_queue.pop_front();
-                } else if seq < ack {
-                    self.retx_queue[0] = (ack, (end - ack) as u32);
-                    break;
-                } else {
-                    break;
-                }
-            }
-            self.dupacks = 0;
             // Forward progress clears RTO backoff even if Karn's rule
             // forbids a sample (all-retransmitted window under heavy loss).
             self.rtt.clear_backoff();
@@ -507,67 +471,13 @@ impl TcpSender {
                 self.rto_max_recovery = Some(self.rto_max_recovery.map_or(span, |m| m.max(span)));
             }
             self.take_rtt_sample(now, ack);
-
-            let was_ss = self.cc.in_slow_start();
-            let view = self.view(now, ifq);
-            match self.recovery {
-                Some(r) if ack >= r.recover => {
-                    self.recovery = None;
-                    self.retx_queue.clear();
-                    self.cc
-                        .on_recovery(&view, RecoveryEvent::Exit { newly_acked: newly });
-                }
-                Some(_) => {
-                    // Partial ACK: retransmit the next hole immediately.
-                    self.cc
-                        .on_recovery(&view, RecoveryEvent::PartialAck { newly_acked: newly });
-                    let len = (self.cfg.mss as u64).min(self.snd_nxt - self.snd_una) as u32;
-                    if len > 0 && self.retx_queue.is_empty() {
-                        self.retx_queue.push_back((self.snd_una, len));
-                    }
-                }
-                None => {
-                    self.cc.on_ack(&view, newly);
-                }
-            }
-            self.after_cc_change(now, was_ss);
-
             // Re-arm or clear the RTO.
-            self.rto_deadline = if self.flight() > 0 || !self.retx_queue.is_empty() {
-                Some(now + self.rtt.rto())
-            } else {
-                None
-            };
-        } else {
-            // Duplicate ACK.
-            self.web100.on_ack_in(now, 0, true);
-            if self.flight() == 0 {
-                return;
-            }
-            self.dupacks += 1;
-            let was_ss = self.cc.in_slow_start();
-            let view = self.view(now, ifq);
-            if self.recovery.is_some() {
-                self.cc.on_recovery(&view, RecoveryEvent::DupAck);
-                self.after_cc_change(now, was_ss);
-            } else if self.dupacks == self.cfg.dupack_threshold {
-                self.enter_fast_recovery(now, view, was_ss);
-            }
+            self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto());
         }
-    }
-
-    fn enter_fast_recovery(&mut self, now: SimTime, view: CcView, was_ss: bool) {
-        self.recovery = Some(Recovery {
-            recover: self.snd_nxt,
-        });
-        self.web100
-            .on_congestion(now, CongestionKind::FastRetransmit);
-        self.cc
-            .on_congestion(&view, CongestionEvent::FastRetransmit);
-        self.after_cc_change(now, was_ss);
-        let len = (self.cfg.mss as u64).min(self.snd_nxt - self.snd_una) as u32;
-        self.retx_queue.clear();
-        self.retx_queue.push_back((self.snd_una, len));
+        let flight = self.snd_una..self.snd_nxt;
+        if let Some(sig) = self.recovery.on_ack(newly, flight, &self.cfg) {
+            self.signal(now, ifq, sig);
+        }
     }
 
     #[inline]
@@ -619,45 +529,60 @@ impl TcpSender {
         let Some(deadline) = self.rto_deadline else {
             return false;
         };
-        if now < deadline || (self.flight() == 0 && self.retx_queue.is_empty()) {
+        if now < deadline || self.flight() == 0 {
             return false;
         }
         // Retransmission timeout: go-back-N from snd_una, collapse window,
         // re-enter slow-start (RFC 5681 §3.1).
-        let was_ss = self.cc.in_slow_start();
-        let view = self.view(now, ifq);
-        self.web100.on_congestion(now, CongestionKind::Timeout);
-        self.cc.on_congestion(&view, CongestionEvent::Timeout);
+        self.signal(now, ifq, CcSignal::Congestion(CongestionEvent::Timeout));
         self.rtt.backoff();
         if self.rto_episode_since.is_none() {
             self.rto_episode_since = Some(now);
             self.rto_episodes += 1;
         }
-        self.recovery = None;
-        self.dupacks = 0;
-        self.retx_queue.clear();
+        self.recovery = NewReno::default();
         // Roll back: everything past snd_una is presumed lost and will be
         // resent under the collapsed window (receiver dedups any survivors).
         self.snd_nxt = self.snd_una;
         self.sent_times.clear();
         self.stall_until = None;
-        self.after_cc_change(now, was_ss);
-        if !was_ss {
-            self.web100.on_enter_slow_start();
-        }
         self.rto_deadline = Some(now + self.rtt.rto());
         true
     }
 
     // --- bookkeeping ---------------------------------------------------------
 
+    /// The one call into the congestion controller: hand it `sig` with a
+    /// fresh view, then record the new cwnd, ssthresh and phase.
     #[inline]
-    fn after_cc_change(&mut self, now: SimTime, was_slow_start: bool) {
+    fn signal(&mut self, now: SimTime, ifq: IfqSnapshot, sig: CcSignal) {
+        let was_ss = self.cc.in_slow_start();
+        let view = self.view(now, ifq);
+        match sig {
+            CcSignal::Ack(newly) => self.cc.on_ack(&view, newly),
+            CcSignal::Congestion(ev) => {
+                let kind = match ev {
+                    CongestionEvent::FastRetransmit => CongestionKind::FastRetransmit,
+                    CongestionEvent::Timeout => CongestionKind::Timeout,
+                    CongestionEvent::LocalStall => CongestionKind::SendStall,
+                };
+                self.web100.on_congestion(now, kind);
+                self.cc.on_congestion(&view, ev);
+            }
+            CcSignal::Recovery(ev) => {
+                if ev == RecoveryEvent::EcnEcho {
+                    self.web100.on_congestion(now, CongestionKind::EcnEcho);
+                }
+                self.cc.on_recovery(&view, ev);
+            }
+        }
         self.web100.on_cwnd(now, self.cc.cwnd());
         self.web100.on_ssthresh(self.cc.ssthresh());
-        let is_ss = self.cc.in_slow_start();
-        if was_slow_start && !is_ss {
+        if was_ss && !self.cc.in_slow_start() {
             self.web100.on_enter_cong_avoid();
+        } else if !was_ss && sig == CcSignal::Congestion(CongestionEvent::Timeout) {
+            // A timeout re-enters slow start whatever the controller reports.
+            self.web100.on_enter_slow_start();
         }
     }
 
@@ -1034,7 +959,7 @@ mod tests {
         assert_eq!(s.snd_una(), 2000);
         assert_eq!(s.snd_nxt(), 2000, "snd_nxt clamped forward");
         assert_eq!(s.flight(), 0);
-        // Retransmission queue must not resend acked bytes.
+        // The go-back-N resend must not repeat acked bytes.
         if let Some(p) = s.can_transmit(d + SimDuration::from_millis(2)) {
             assert!(p.seq >= 2000, "stale retransmission {p:?}");
         }
@@ -1045,9 +970,10 @@ mod tests {
         let mut s = sender(None);
         drain(&mut s, t(0));
         let d = s.rto_deadline().unwrap();
-        s.on_rto_check(d, ifq()); // queues retx of (0, 1000)
-                                  // ACK covering part of the rolled-back range: retransmission resumes
-                                  // exactly at the ACK point, never below it.
+        // The timeout rolls snd_nxt back to 0. An ACK covering part of the
+        // rolled-back range: retransmission resumes exactly at the ACK
+        // point, never below it.
+        s.on_rto_check(d, ifq());
         s.on_ack(d + SimDuration::from_millis(1), 500, 1_000_000, ifq());
         let p = s.can_transmit(d + SimDuration::from_millis(2)).unwrap();
         assert_eq!(p.seq, 500, "must resume at the ACK point: {p:?}");
@@ -1227,7 +1153,7 @@ mod tests {
         assert!(s.in_recovery());
         let p = s.can_transmit(t(55)).unwrap();
         s.commit_transmit(t(55), p);
-        // Partial ACK: one segment past una, still below recover point.
+        // Partial ACK: one segment past una, still below the recovery point.
         s.on_ack(t(60), una + 1000, 1_000_000, ifq());
         assert!(s.in_recovery());
         let p2 = s.can_transmit(t(60)).unwrap();

@@ -154,10 +154,14 @@ proptest! {
     }
 
     /// Sender-level fuzz: a bounded transfer driven by arbitrary interleaved
-    /// ACK progress and timer fires never violates flight/window accounting.
+    /// transmissions, cumulative and duplicate ACKs, ECN echoes, send-stalls
+    /// and timer fires never violates flight/window accounting, and loss
+    /// recovery keeps its shape: a retransmitted hole starts at `snd_una`
+    /// and is at most one MSS, fast retransmit counts exactly the entries
+    /// into recovery, and a timeout ends recovery.
     #[test]
     fn sender_accounting_invariants(
-        script in prop::collection::vec((0u8..3, 1u64..5), 1..200),
+        script in prop::collection::vec((0u8..6, 1u64..5), 1..200),
     ) {
         use rss_tcp::{IfqSnapshot, Reno, TcpSender};
         let cfg = TcpConfig {
@@ -175,10 +179,18 @@ proptest! {
         let mut now = SimTime::ZERO;
         for &(op, amount) in &script {
             now += rss_sim::SimDuration::from_millis(10);
+            let was_recovering = s.in_recovery();
+            let fast_retran = s.web100().vars().fast_retran;
             match op {
                 0 => {
-                    // Transmit as allowed.
+                    // Transmit as allowed. A plan that is not the next new
+                    // byte (nor a go-back-N resend from it) is the hole.
                     while let Some(p) = s.can_transmit(now) {
+                        if p.seq != s.snd_nxt() {
+                            prop_assert!(p.retransmit, "{:?}", p);
+                            prop_assert_eq!(p.seq, s.snd_una());
+                            prop_assert!(p.len > 0 && p.len <= 1000, "{:?}", p);
+                        }
                         s.commit_transmit(now, p);
                     }
                 }
@@ -189,15 +201,31 @@ proptest! {
                         s.on_ack(now, ack, 1_000_000, ifq);
                     }
                 }
-                _ => {
+                2 => {
                     if let Some(d) = s.rto_deadline() {
                         // Firing the timer advances the wall clock to the
                         // deadline; keep the script's clock monotone.
                         now = now.max(d);
-                        s.on_rto_check(now, ifq);
+                        if s.on_rto_check(now, ifq) {
+                            prop_assert!(!s.in_recovery(), "recovery survived a timeout");
+                        }
                     }
                 }
+                3 => {
+                    // `amount` duplicate ACKs.
+                    for _ in 0..amount {
+                        s.on_ack(now, s.snd_una(), 1_000_000, ifq);
+                    }
+                }
+                4 => s.on_ecn_echo(now, ifq),
+                _ => s.on_local_stall(now, IfqSnapshot { depth: 100, max: 100 }),
             }
+            let entered = !was_recovering && s.in_recovery();
+            prop_assert_eq!(
+                s.web100().vars().fast_retran - fast_retran,
+                u64::from(entered),
+                "fast retransmits vs entries into recovery"
+            );
             prop_assert!(s.snd_una() <= s.snd_nxt(), "una passed nxt");
             prop_assert_eq!(s.flight(), s.snd_nxt() - s.snd_una());
             prop_assert!(s.snd_nxt() <= 200_000 + 1000, "sent past app data");
