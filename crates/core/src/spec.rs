@@ -1108,7 +1108,17 @@ impl RunSpec {
             (None, Some(defs)) if !defs.is_empty() => {
                 let n = total_flows(defs, max_flows)?;
                 let mut out = Vec::with_capacity(n as usize);
-                for f in defs {
+                for (i, f) in defs.iter().enumerate() {
+                    // A zero interval re-fires the write at the same instant,
+                    // forever.
+                    if let Some(AppModel::Periodic { interval, .. }) = f.app {
+                        if interval == SimDuration::ZERO {
+                            return Err(SpecError::new(format!(
+                                "flows[{i}].app.Periodic.interval must be positive \
+                                 (at least 1 ns), got 0"
+                            )));
+                        }
+                    }
                     let spec = FlowSpec {
                         algo: f
                             .cc
@@ -1133,7 +1143,9 @@ impl RunSpec {
             .as_deref()
             .unwrap_or(&[])
             .iter()
-            .map(|c| {
+            .enumerate()
+            .map(|(j, c)| {
+                check_pattern(&c.pattern, j)?;
                 Ok(CrossSpec {
                     pattern: c.pattern,
                     start: secs_to_time(c.start_s.unwrap_or(0.0), "cross start_s")?,
@@ -1190,6 +1202,17 @@ impl RunSpec {
         if sc.sample_interval == SimDuration::ZERO {
             return Err(SpecError::new("sample_interval_ms must be positive"));
         }
+        let horizon = sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
+        let interval = sc.sample_interval.as_nanos();
+        if u128::from(horizon.as_nanos()) > u128::from(interval) * u128::from(MAX_SAMPLES) {
+            return Err(SpecError::new(format!(
+                "sample_interval_ms: a {} s horizon over {} ms is {} samples per series, \
+                 past the {MAX_SAMPLES} (2^20) a run may take",
+                horizon.as_secs_f64(),
+                interval as f64 / 1e6,
+                horizon.as_nanos() as f64 / interval as f64,
+            )));
+        }
         let rwnd_from = if self.auto_rwnd.unwrap_or(false) {
             sc = sc.with_auto_rwnd();
             "auto_rwnd"
@@ -1205,6 +1228,65 @@ impl RunSpec {
         }
         Ok(sc)
     }
+}
+
+/// The most samples one sampled series may take: the run's horizon
+/// (`duration_s`, clamped by `max_sim_time_s`) over `sample_interval_ms`.
+/// The paper testbed takes 2 500.
+const MAX_SAMPLES: u64 = 1 << 20;
+
+/// Check cross stream `j`'s `pattern` against what
+/// [`rss_net::TrafficSource`] can run, naming the field at fault as
+/// `cross[j].pattern.<Variant>.<field>`: a rate and a packet size of at
+/// least 1, a mean gap `pkt_size·8/rate_bps` of at least 1 ns (below that
+/// the source emits about once a nanosecond or faster, for the whole run),
+/// and OnOff means that are positive and finite (exponential draws need
+/// them).
+fn check_pattern(pattern: &TrafficPattern, j: usize) -> Result<(), SpecError> {
+    let (variant, rate_bps, pkt_size, means) = match *pattern {
+        TrafficPattern::Cbr { rate_bps, pkt_size } => ("Cbr", rate_bps, pkt_size, None),
+        TrafficPattern::Poisson { rate_bps, pkt_size } => ("Poisson", rate_bps, pkt_size, None),
+        TrafficPattern::OnOff {
+            rate_bps,
+            pkt_size,
+            on_mean_s,
+            off_mean_s,
+        } => (
+            "OnOff",
+            rate_bps,
+            pkt_size,
+            Some([("on_mean_s", on_mean_s), ("off_mean_s", off_mean_s)]),
+        ),
+    };
+    let field = |name: &str| format!("cross[{j}].pattern.{variant}.{name}");
+    if rate_bps == 0 {
+        return Err(SpecError::new(format!(
+            "{} must be at least 1 bit/s, got 0",
+            field("rate_bps")
+        )));
+    }
+    if pkt_size == 0 {
+        return Err(SpecError::new(format!(
+            "{} must be at least 1 byte, got 0",
+            field("pkt_size")
+        )));
+    }
+    if u128::from(pkt_size) * 8 * 1_000_000_000 < u128::from(rate_bps) {
+        return Err(SpecError::new(format!(
+            "{}: the mean gap pkt_size·8/rate_bps must be at least 1 ns, got \
+             {pkt_size}·8/{rate_bps} s",
+            field("rate_bps")
+        )));
+    }
+    for (name, mean) in means.into_iter().flatten() {
+        if !(mean.is_finite() && mean > 0.0) {
+            return Err(SpecError::new(format!(
+                "{} must be positive and finite, got {mean}",
+                field(name)
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The most flows a run with `n_cross` cross streams may hold. Every flow
@@ -1903,13 +1985,22 @@ mod tests {
         }
         // ...and a segment whose wire size overflows its u32 (a panic in
         // `TcpSegment::wire_size`), or a receive window below one MSS, which
-        // the silly-window rule never sends into (a run of 0 bytes).
+        // the silly-window rule never sends into (a run of 0 bytes). Then
+        // inputs that panicked or never finished in `rss run`: a cross
+        // source with a zero rate (a zero-rate link; an infinite Poisson
+        // mean), a zero OnOff mean, a zero packet size or a gap below 1 ns
+        // (it emits forever at one instant); a Periodic app with a zero
+        // interval (it writes forever at one instant); and a sampling grid
+        // past 2^20 samples per series (10^8 events in a 0.05 s run).
         let run = |block: &str| {
-            ScenarioSpec::from_json(&minimal(&format!(
-                r#"[{{"label":"seg","flows":[{{}}],{block}}}]"#
-            )))
-            .unwrap()
-            .validate()
+            let flows = if block.starts_with(r#""flows""#) {
+                ""
+            } else {
+                r#""flows":[{}],"#
+            };
+            ScenarioSpec::from_json(&minimal(&format!(r#"[{{"label":"seg",{flows}{block}}}]"#)))
+                .unwrap()
+                .validate()
         };
         for (block, want) in [
             (
@@ -1931,12 +2022,55 @@ mod tests {
                 "auto_rwnd: the receive window (3000000 bytes) must hold one tcp.mss \
                  (100000000 bytes)",
             ),
+            (
+                r#""cross":[{"pattern":{"Cbr":{"rate_bps":0,"pkt_size":1000}}}]"#,
+                "cross[0].pattern.Cbr.rate_bps must be at least 1 bit/s, got 0",
+            ),
+            (
+                r#""cross":[{"pattern":{"Poisson":{"rate_bps":0,"pkt_size":1000}}}]"#,
+                "cross[0].pattern.Poisson.rate_bps must be at least 1 bit/s, got 0",
+            ),
+            (
+                r#""cross":[{"pattern":{"Cbr":{"rate_bps":1000000,"pkt_size":1000}}},
+                            {"pattern":{"OnOff":{"rate_bps":1000000,"pkt_size":1000,
+                                                 "on_mean_s":0,"off_mean_s":1}}}]"#,
+                "cross[1].pattern.OnOff.on_mean_s must be positive and finite, got 0",
+            ),
+            (
+                r#""cross":[{"pattern":{"Cbr":{"rate_bps":1000000,"pkt_size":0}}}]"#,
+                "cross[0].pattern.Cbr.pkt_size must be at least 1 byte, got 0",
+            ),
+            (
+                r#""cross":[{"pattern":{"Cbr":{"rate_bps":18446744073709551615,"pkt_size":1}}}]"#,
+                "cross[0].pattern.Cbr.rate_bps: the mean gap pkt_size·8/rate_bps must be at \
+                 least 1 ns, got 1·8/18446744073709551615 s",
+            ),
+            (
+                r#""flows":[{},{"app":{"Periodic":{"burst_bytes":1000,"interval":0,"count":null}}}]"#,
+                "flows[1].app.Periodic.interval must be positive (at least 1 ns), got 0",
+            ),
+            (
+                r#""duration_s":0.05,"sample_interval_ms":0.000001"#,
+                "sample_interval_ms: a 0.05 s horizon over 0.000001 ms is 50000000 samples \
+                 per series, past the 1048576 (2^20) a run may take",
+            ),
+            (
+                r#""duration_s":1.048577,"sample_interval_ms":0.001"#,
+                "sample_interval_ms: a 1.048577 s horizon over 0.001 ms is 1048577 samples \
+                 per series, past the 1048576 (2^20) a run may take",
+            ),
         ] {
             assert_eq!(run(block).unwrap_err().msg, format!("run `seg`: {want}"));
         }
-        // The edges themselves are accepted.
+        // The edges themselves are accepted: a 1 ns gap, 2^20 samples (also
+        // when `max_sim_time_s` is what clamps the horizon to it).
         assert!(run(r#""tcp":{"header_bytes":4294965847}"#).is_ok());
         assert!(run(r#""tcp":{"rwnd_bytes":1448}"#).is_ok());
+        assert!(
+            run(r#""cross":[{"pattern":{"Cbr":{"rate_bps":8000000000,"pkt_size":1}}}]"#).is_ok()
+        );
+        assert!(run(r#""duration_s":1.048576,"sample_interval_ms":0.001"#).is_ok());
+        assert!(run(r#""max_sim_time_s":1.048576,"sample_interval_ms":0.001"#).is_ok());
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! What a hop asks of the topology is compiled at construction into one
 //! 16-byte record per egress direction (the node it leaves, that node's
 //! routing row if it is a router, the owning unit, the link's parameters)
-//! and one `destination → egress direction` row per router, so a hop is a
-//! few indexed loads and never walks [`Topology`].
+//! and one `destination → egress direction` row per router, written by a
+//! breadth-first search from that router. A hop is a few indexed loads, and
+//! the [`Topology`] is dropped once the tables are built.
 //!
 //! # Units
 //!
@@ -343,15 +344,16 @@ pub struct LinkStats {
 /// The interior packet-forwarding machine.
 ///
 /// Router egress ports, hop records and link statistics live in dense tables
-/// built once at construction ("topology-freeze") time: a link has exactly
-/// two ends, so everything about `(node, link)` sits at `link * 2 + side`,
-/// and the per-hop lookups on the packet path are indexed loads instead of
-/// tree walks.
+/// built once at construction: a link has exactly two ends, so everything
+/// about `(node, link)` sits at `link * 2 + side`, and every lookup after
+/// construction reads the hop records instead of the topology, which the
+/// fabric does not keep.
 pub struct Fabric<B> {
-    topo: Topology,
     /// One record per direction (`link * 2 + side`).
     hops: Vec<Hop>,
-    /// One row of `topo.node_count()` words per router, in node order:
+    /// The topology's node count: the stride of [`Fabric::routes`].
+    nodes: usize,
+    /// One row of `nodes` words per router, in node order:
     /// `routes[row * nodes + dst]` is the router's egress direction toward
     /// `dst`, or [`NO_ROUTE`].
     routes: Vec<u32>,
@@ -425,8 +427,8 @@ impl<B: Body> Fabric<B> {
         Fabric {
             impairments: DirTable::new(dirs),
             link_stats: vec![LinkStats::default(); topo.links().len()],
-            topo,
             hops,
+            nodes: topo.node_count(),
             routes,
             params,
             ports,
@@ -444,7 +446,7 @@ impl<B: Body> Fabric<B> {
     /// for its RED decisions and for loss on the link it feeds. Without one
     /// the port draws from the fabric's shared stream.
     pub fn set_port_rng(&mut self, node: NodeId, link: LinkId, rng: SimRng) {
-        let idx = port_index(&self.topo, node, link);
+        let idx = self.dir_of(node, link);
         let port = self.ports.get_mut(idx).expect("not a router egress port");
         port.rng = Some(Box::new(rng));
     }
@@ -489,28 +491,24 @@ impl<B: Body> Fabric<B> {
 
     /// Replace the queue on one router egress port with RED.
     pub fn set_red_port(&mut self, node: NodeId, link: LinkId, cfg: RedConfig) {
-        let idx = port_index(&self.topo, node, link);
+        let idx = self.dir_of(node, link);
         let port = self.ports.get_mut(idx).expect("not a router egress port");
         port.queue = PortQueue::Red(Box::new(Red::new(cfg)));
-    }
-
-    /// The topology the fabric runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// Install a deterministic impairment on the direction of `link` whose
     /// packets depart `from`. Each direction carries its own instance (its
     /// own random streams); impairing one direction leaves the other clean.
     pub fn set_impairment(&mut self, link: LinkId, from: NodeId, imp: Impairment) {
-        let idx = port_index(&self.topo, from, link);
+        let idx = self.dir_of(from, link);
         self.impairments.insert(idx, imp);
     }
 
     /// The impairment installed on `(link, from)`, if any — read-only access
     /// for post-run drop/jitter accounting.
     pub fn impairment(&self, link: LinkId, from: NodeId) -> Option<&Impairment> {
-        try_port_index(&self.topo, from, link).and_then(|idx| self.impairments.get(idx))
+        self.try_dir(from, link)
+            .and_then(|idx| self.impairments.get(idx))
     }
 
     /// Statistics for a link (zeroed default if unused).
@@ -523,7 +521,7 @@ impl<B: Body> Fabric<B> {
 
     /// Instantaneous queue length of a router egress port.
     pub fn port_queue_len(&self, node: NodeId, link: LinkId) -> Option<usize> {
-        try_port_index(&self.topo, node, link)
+        self.try_dir(node, link)
             .and_then(|idx| self.ports.get(idx))
             .map(|p| p.queue.len())
     }
@@ -531,13 +529,13 @@ impl<B: Body> Fabric<B> {
     /// RED counters of a router egress port; None when the pair is not a
     /// router egress port or the port runs drop-tail.
     pub fn red_port_stats(&self, node: NodeId, link: LinkId) -> Option<RedStats> {
-        try_port_index(&self.topo, node, link)
+        self.try_dir(node, link)
             .and_then(|idx| self.ports.get(idx))
             .and_then(|p| p.queue.red_stats())
     }
 
     /// [`port_index`] from the hop records: the same answer and the same
-    /// loud endpoint check, without the walk through the topology.
+    /// loud endpoint check.
     #[inline]
     fn dir_of(&self, node: NodeId, link: LinkId) -> usize {
         let dir = link.0 as usize * 2;
@@ -547,6 +545,16 @@ impl<B: Body> Fabric<B> {
             assert!(self.hops[dir + 1].from == node, "node not on link");
             dir + 1
         }
+    }
+
+    /// [`Fabric::dir_of`] for a caller's `(node, link)`: None when the link
+    /// is unknown or `node` is not one of its ends.
+    fn try_dir(&self, node: NodeId, link: LinkId) -> Option<usize> {
+        let dir = link.0 as usize * 2;
+        let ends = self.hops.get(dir..dir + 2)?;
+        ends.iter()
+            .position(|h| h.from == node)
+            .map(|side| dir + side)
     }
 
     /// Put a fully serialized packet onto `link` leaving `from`: parks it,
@@ -660,7 +668,7 @@ impl<B: Body> Fabric<B> {
         let at = match self.hops[far].row {
             HOST => far as u32,
             row => {
-                let nodes = self.topo.node_count();
+                let nodes = self.nodes;
                 let dst = dst().0 as usize;
                 if dst < nodes {
                     self.routes[row as usize * nodes + dst]
@@ -832,16 +840,18 @@ impl<B: Body> Fabric<B> {
 
 /// The hop records of `topo` under the unit ownership `owner`, the routers'
 /// routing rows and the distinct link parameters the records index
-/// ([`Fabric::hops`], [`Fabric::routes`], [`Fabric::params`]). Every route
-/// is checked here, once, to leave its router on a link the router is on.
+/// ([`Fabric::hops`], [`Fabric::routes`], [`Fabric::params`]). A router
+/// gets a full row even with one link, so a destination it cannot reach is
+/// dropped there instead of bouncing back. Hosts get none: a host sends
+/// everything on its NIC's link.
 fn compile_hops(topo: &Topology, owner: &[u32]) -> (Vec<Hop>, Vec<u32>, Vec<LinkParams>) {
-    let table = topo.compute_routes();
     let mut row_of = vec![HOST; topo.node_count()];
     let mut routes = Vec::new();
     let routers = topo.nodes().filter(|&n| topo.kind(n) == NodeKind::Router);
     for (row, node) in routers.enumerate() {
         row_of[node.0 as usize] = row as u32;
-        routes.extend(topo.nodes().map(|dst| match table.next_link(node, dst) {
+        let first_links = topo.first_links(node).into_iter();
+        routes.extend(first_links.map(|first| match first {
             Some(out) => port_index(topo, node, out) as u32,
             None => NO_ROUTE,
         }));
@@ -883,27 +893,20 @@ fn local_router_dirs<'a>(
 }
 
 /// Dense index of the egress port at `node` feeding `link`: a link has two
-/// ends, so ports live at `link * 2 + side`. Build- and configuration-time
-/// variant; the packet path reads the same answer off the hop records
-/// ([`Fabric::dir_of`]).
+/// ends, so ports live at `link * 2 + side`. Build-time variant; once the
+/// topology is dropped, the fabric reads the same answer off its hop
+/// records ([`Fabric::dir_of`]).
 fn port_index(topo: &Topology, node: NodeId, link: LinkId) -> usize {
     let spec = topo.link(link);
     assert!(node == spec.a || node == spec.b, "node not on link");
     link.0 as usize * 2 + usize::from(node == spec.b)
 }
 
-/// Validated [`port_index`] for externally-supplied `(node, link)` pairs:
-/// None when the link is unknown or `node` is not one of its endpoints.
-fn try_port_index(topo: &Topology, node: NodeId, link: LinkId) -> Option<usize> {
-    let spec = topo.links().get(link.0 as usize)?;
-    (node == spec.a || node == spec.b).then(|| link.0 as usize * 2 + usize::from(node == spec.b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::{FlowId, PacketIdGen, RawBody};
-    use crate::topology::{dumbbell, single_path, LinkParams, RoutingTable};
+    use crate::topology::{dumbbell, LinkParams};
     use rss_sim::{Engine, Model, Scheduler};
 
     /// Minimal world: raw packets pumped through a fabric, deliveries and
@@ -1003,31 +1006,63 @@ mod tests {
         assert!(size_of::<Hop>() <= 16, "Hop is {} bytes", size_of::<Hop>());
     }
 
-    /// [`Fabric::next_hop`] derived on the fly from the topology API the
-    /// table is compiled from: who acts on a packet for `dst` put on the link
-    /// at direction `dir`, and which unit that is.
+    /// Reference routing, independent of [`Topology::first_links`]: the
+    /// dense all-pairs table, one BFS per node over a plain adjacency list
+    /// rebuilt from the link list (so in `connect` order). `[at][dst]` is
+    /// the first link of the shortest path, ties to the earlier link.
+    fn dense_first_links(t: &Topology) -> Vec<Vec<Option<LinkId>>> {
+        let n = t.node_count();
+        let mut adjacency = vec![Vec::new(); n];
+        for l in t.links() {
+            adjacency[l.a.0 as usize].push((l.id, l.b));
+            adjacency[l.b.0 as usize].push((l.id, l.a));
+        }
+        (0..n)
+            .map(|src| {
+                let mut first = vec![None; n];
+                let mut seen = vec![false; n];
+                seen[src] = true;
+                let mut queue = std::collections::VecDeque::from([src]);
+                while let Some(at) = queue.pop_front() {
+                    for &(link, nb) in &adjacency[at] {
+                        let nb = nb.0 as usize;
+                        if !seen[nb] {
+                            seen[nb] = true;
+                            first[nb] = first[at].or(Some(link));
+                            queue.push_back(nb);
+                        }
+                    }
+                }
+                first
+            })
+            .collect()
+    }
+
+    /// [`Fabric::next_hop`] derived on the fly from the topology and the
+    /// dense reference: who acts on a packet for `dst` put on the link at
+    /// direction `dir`, and which unit that is.
     fn next_hop_by_walk(
         topo: &Topology,
-        routes: &RoutingTable,
+        reference: &[Vec<Option<LinkId>>],
         owner: &[u32],
         dir: usize,
         dst: NodeId,
     ) -> (u32, u32) {
         let spec = topo.link(LinkId(dir as u32 / 2));
         let node = if dir & 1 == 0 { spec.b } else { spec.a };
-        let at = match topo.kind(node) {
-            NodeKind::Host => dir ^ 1,
-            NodeKind::Router => match routes.next_link(node, dst) {
-                Some(out) => port_index(topo, node, out),
-                None => NO_ROUTE as usize,
-            },
+        let first = reference[node.0 as usize].get(dst.0 as usize).copied();
+        let at = match (topo.kind(node), first.flatten()) {
+            (NodeKind::Host, _) => dir ^ 1,
+            (NodeKind::Router, Some(out)) => port_index(topo, node, out),
+            (NodeKind::Router, None) => NO_ROUTE as usize,
         };
         let unit = owner.get(at).copied().unwrap_or(owner[dir]);
         (at as u32, unit)
     }
 
-    /// Every entry of `topo`'s compiled hop table against the walk, with a
-    /// unit of its own per direction so a wrong owner cannot hide.
+    /// Every router row and every entry of `topo`'s compiled hop table
+    /// against the dense reference, with a unit of its own per direction so
+    /// a wrong owner cannot hide.
     fn assert_hop_table_matches_the_walk(topo: Topology) {
         let dirs = topo.links().len() * 2;
         let mut units = UnitMap::new(&topo, dirs);
@@ -1039,13 +1074,27 @@ mod tests {
             }
         }
         let owner = units.owner.clone();
-        let routes = topo.compute_routes();
+        let reference = dense_first_links(&topo);
         let fabric: Fabric<RawBody> = Fabric::partitioned(
             topo.clone(),
             QueueConfig::packets(4),
             SimRng::seed_from_u64(1),
             units,
         );
+        // One row per router, in node order, and none for a host.
+        let nodes = topo.node_count();
+        let routers: Vec<NodeId> = topo
+            .nodes()
+            .filter(|&n| topo.kind(n) == NodeKind::Router)
+            .collect();
+        assert_eq!(fabric.routes.len(), routers.len() * nodes);
+        for (row, &router) in fabric.routes.chunks(nodes).zip(&routers) {
+            let expect: Vec<u32> = reference[router.0 as usize]
+                .iter()
+                .map(|first| first.map_or(NO_ROUTE, |l| port_index(&topo, router, l) as u32))
+                .collect();
+            assert_eq!(row, expect, "row of {router:?}");
+        }
         let mut unrouted = 0;
         for dir in 0..dirs {
             let spec = topo.link(LinkId(dir as u32 / 2));
@@ -1063,23 +1112,32 @@ mod tests {
                 )
             );
             assert_eq!(fabric.dir_of(hop.from, spec.id), dir);
+            assert_eq!(fabric.try_dir(hop.from, spec.id), Some(dir));
             // One past the last node too: a destination outside the
             // topology has no route anywhere.
-            for dst in (0..=topo.node_count() as u32).map(NodeId) {
-                let walked = next_hop_by_walk(&topo, &routes, &owner, dir, dst);
+            for dst in (0..=nodes as u32).map(NodeId) {
+                let walked = next_hop_by_walk(&topo, &reference, &owner, dir, dst);
                 assert_eq!(fabric.next_hop(dir, || dst), walked, "{dir} -> {dst:?}");
                 unrouted += usize::from(walked.0 == NO_ROUTE);
             }
         }
         assert!(unrouted > 0, "no NO_ROUTE entry was compared");
+        // A link past the last, or a node off the link, has no direction.
+        let past = LinkId(topo.links().len() as u32);
+        assert_eq!(fabric.try_dir(NodeId(0), past), None);
+        if let Some(l) = topo.links().first() {
+            let off = topo.nodes().find(|&n| n != l.a && n != l.b);
+            assert_eq!(off.and_then(|n| fabric.try_dir(n, l.id)), None);
+        }
     }
 
     #[test]
     fn the_hop_table_is_the_topology_walk_compiled() {
         let access = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
         let haul = LinkParams::new(100_000_000, SimDuration::from_millis(10)).with_loss(0.01);
-        assert_hop_table_matches_the_walk(dumbbell(3, access, haul).0);
-        assert_hop_table_matches_the_walk(single_path(100_000_000, SimDuration::from_millis(60)).0);
+        for pairs in [1, 2, 40] {
+            assert_hop_table_matches_the_walk(dumbbell(pairs, access, haul).0);
+        }
 
         // r0 — r1 — r2, a host on r0, a host homed on both r1 and r2, and a
         // host and a router nothing connects to.
@@ -1095,6 +1153,27 @@ mod tests {
         line.add_host();
         line.add_router();
         assert_hop_table_matches_the_walk(line);
+    }
+
+    #[test]
+    fn large_dumbbell_routes_stay_compact() {
+        // 10k pairs: 20 002 nodes. An all-pairs table would be nodes² ≈
+        // 4×10⁸ entries; the fabric compiles one row per router, two here.
+        let access = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+        let (topo, d) = dumbbell(10_000, access, access);
+        let nodes = topo.node_count();
+        let fabric: Fabric<RawBody> =
+            Fabric::new(topo, QueueConfig::packets(4), SimRng::seed_from_u64(1));
+        assert_eq!(fabric.routes.len(), 2 * nodes);
+        // Into the left router from the last sender: on to the bottleneck.
+        let sender_out = fabric.dir_of(d.senders[9_999], d.sender_access[9_999]);
+        let bottleneck = fabric.dir_of(d.left_router, d.bottleneck);
+        let dst = d.receivers[9_999];
+        assert_eq!(fabric.next_hop(sender_out, || dst).0, bottleneck as u32);
+        // Across the bottleneck: out on the receiver's access link.
+        let dst = d.receivers[1_234];
+        let access_out = fabric.dir_of(d.right_router, d.receiver_access[1_234]);
+        assert_eq!(fabric.next_hop(bottleneck, || dst).0, access_out as u32);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! queues connected by rate/delay/loss links, plus the cross-traffic sources
 //! used in the friendliness experiments.
 //!
+//! A [`Topology`] is only the input to a [`Fabric`]: the fabric compiles
+//! its static shortest-path routes, one breadth-first search per router,
+//! straight into its own per-direction tables and keeps no graph.
+//!
 //! The crate is generic over the packet body (see [`Body`]) so the TCP layer
 //! can send full segment metadata through the fabric without a dependency
 //! cycle.
@@ -30,8 +34,5 @@ pub use impair::{
 pub use packet::{Body, Ecn, FlowId, LinkId, NodeId, Packet, PacketIdGen, RawBody};
 pub use queue::{DropTail, DropTailQueue, EnqueueError, QueueConfig, QueueStats, Queued};
 pub use red::{Red, RedConfig, RedQueue, RedStats};
-pub use topology::{
-    dumbbell, single_path, Dumbbell, LinkParams, LinkSpec, NodeKind, RoutingTable, SerializeMemo,
-    Topology,
-};
+pub use topology::{dumbbell, Dumbbell, LinkParams, LinkSpec, NodeKind, SerializeMemo, Topology};
 pub use traffic::{TrafficPattern, TrafficSource};

@@ -1,4 +1,4 @@
-//! Property-based tests for queues, topology routing, and the packet arena.
+//! Property-based tests for queues, fabric routing, and the packet arena.
 
 use proptest::prelude::*;
 use rss_net::{
@@ -37,62 +37,6 @@ impl Body for EctBody {
     }
     fn set_ecn(&mut self, codepoint: Ecn) {
         self.ecn = codepoint;
-    }
-}
-
-/// Reference routing for a connected graph: the dense all-pairs table, one
-/// BFS per node over a plain `Vec<Vec<_>>` adjacency rebuilt from the link
-/// list (so in `connect` order, whatever [`Topology`] stores). `[at][dst]`
-/// is the first link of the shortest path, ties to the earlier link.
-fn dense_first_links(t: &Topology) -> Vec<Vec<Option<LinkId>>> {
-    let n = t.node_count();
-    let mut adjacency = vec![Vec::new(); n];
-    for l in t.links() {
-        adjacency[l.a.0 as usize].push((l.id, l.b));
-        adjacency[l.b.0 as usize].push((l.id, l.a));
-    }
-    (0..n)
-        .map(|src| {
-            let mut first = vec![None; n];
-            let mut seen = vec![false; n];
-            seen[src] = true;
-            let mut queue = std::collections::VecDeque::from([src]);
-            while let Some(at) = queue.pop_front() {
-                for &(link, nb) in &adjacency[at] {
-                    let nb = nb.0 as usize;
-                    if !seen[nb] {
-                        seen[nb] = true;
-                        first[nb] = first[at].or(Some(link));
-                        queue.push_back(nb);
-                    }
-                }
-            }
-            first
-        })
-        .collect()
-}
-
-/// `compute_routes` answers every `(at, dst)` as the dense reference does.
-fn assert_routes_match_dense_reference(t: &Topology) {
-    let routes = t.compute_routes();
-    let reference = dense_first_links(t);
-    for at in t.nodes() {
-        for dst in t.nodes() {
-            assert_eq!(
-                routes.next_link(at, dst),
-                reference[at.0 as usize][dst.0 as usize],
-                "{at:?} -> {dst:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn dumbbell_routes_match_the_dense_reference() {
-    let params = LinkParams::new(1_000_000, SimDuration::from_millis(1));
-    for pairs in [1, 2, 40] {
-        let (t, _) = dumbbell(pairs, params, params);
-        assert_routes_match_dense_reference(&t);
     }
 }
 
@@ -1079,41 +1023,69 @@ proptest! {
         prop_assert_eq!(q.ecn_marks(), delivered_ce, "a CE mark went missing");
     }
 
-    /// On random linear ("chain") topologies, BFS routing reaches every node
-    /// and following next-hops converges without loops.
+    /// On a random chain of routers, cut in two when `0 < cut < routers`,
+    /// with host `i` on router `i % routers`: one packet from every host to
+    /// every other, each through a fresh `Fabric`, arrives after exactly the
+    /// latency of the chain's one path between them, or — across the cut —
+    /// never, dropped as unroutable at its first router.
     #[test]
-    fn routes_converge_on_chains(hosts in 2usize..8, routers in 1usize..6) {
+    fn routes_converge_on_chains(hosts in 2usize..8, routers in 1usize..6, cut in 0usize..6) {
         let mut t = Topology::new();
         let params = LinkParams::new(1_000_000, SimDuration::from_millis(1));
-        // chain of routers with one host hanging off each end and each router.
         let rs: Vec<_> = (0..routers).map(|_| t.add_router()).collect();
-        for w in rs.windows(2) {
-            t.connect(w[0], w[1], params);
+        for (i, w) in rs.windows(2).enumerate() {
+            if i + 1 != cut {
+                t.connect(w[0], w[1], params);
+            }
         }
-        let hs: Vec<_> = (0..hosts)
+        let hs: Vec<(NodeId, LinkId, usize)> = (0..hosts)
             .map(|i| {
                 let h = t.add_host();
-                t.connect(h, rs[i % routers], params);
-                h
+                let r = i % routers;
+                (h, t.connect(h, rs[r], params), r)
             })
             .collect();
-        assert_routes_match_dense_reference(&t);
-        let routes = t.compute_routes();
-        for &a in &hs {
-            for &b in &hs {
+        let size = 1000;
+        let ser = SimDuration::for_bytes_at_rate(size as u64, params.rate_bps);
+        for &(a, link, ra) in &hs {
+            for &(b, _, rb) in &hs {
                 if a == b {
                     continue;
                 }
-                // Walk the route; must terminate within node_count hops.
-                let mut at = a;
-                let mut hops = 0;
-                while at != b {
-                    let link = routes.next_link(at, b);
-                    prop_assert!(link.is_some(), "no route {a:?}->{b:?}");
-                    at = t.link(link.unwrap()).other_end(at);
-                    hops += 1;
-                    prop_assert!(hops <= t.node_count(), "routing loop {a:?}->{b:?}");
+                let fabric = Fabric::new(t.clone(), QueueConfig::packets(4), SimRng::seed_from_u64(1));
+                let mut eng = Engine::new(ArenaWorld { fabric, delivered: vec![] });
+                let packet = Packet {
+                    id: 7,
+                    src: a,
+                    dst: b,
+                    flow: FlowId(0),
+                    created: SimTime::ZERO,
+                    body: RawBody { size },
+                };
+                let mut pending = Vec::new();
+                eng.model_mut().fabric.start_flight(SimTime::ZERO, a, link, packet, |d, e| {
+                    pending.push((d, e))
+                });
+                for (d, e) in pending {
+                    eng.schedule_at(SimTime::ZERO + d, e);
                 }
+                // Far past the longest path's 46 ms: a packet still in
+                // flight by then is in a routing loop.
+                eng.run_until(SimTime::from_secs(1));
+                let world = eng.into_model();
+                let apart = cut > 0 && cut < routers && (ra < cut) != (rb < cut);
+                if apart {
+                    prop_assert!(world.delivered.is_empty(), "{a:?} -> {b:?} crossed the cut");
+                    prop_assert_eq!(world.fabric.unroutable_drops, 1);
+                } else {
+                    // Both access links and the routers' chain between
+                    // them, each crossed once; each router on the way
+                    // serializes the packet once.
+                    let links = 2 + ra.abs_diff(rb) as u64;
+                    let latency = params.prop_delay * links + ser * (links - 1);
+                    prop_assert_eq!(&world.delivered, &vec![(SimTime::ZERO + latency, b, 7)]);
+                }
+                prop_assert_eq!(world.fabric.packets_in_flight(), 0);
             }
         }
     }

@@ -165,17 +165,21 @@ fn paper_shape_standard_stalls_restricted_does_not() {
     assert!((89.8e6..99.2e6).contains(&rss_bps), "restricted {rss_bps}");
     let gain = rss_bps / std_bps - 1.0;
     assert!((0.505..0.665).contains(&gain), "gain {gain}");
-    // The restricted controller parks the IFQ near 90% of txqueuelen.
+    // The restricted controller parks the IFQ at 90 % of txqueuelen: over
+    // the run's second half the mean is within 1.5 packets of 90 (the
+    // sampled queue sits up to one packet above what the controller reads;
+    // `tests/paper_claims.rs` derives why).
+    let half = rss.duration_s / 2.0;
     let tail: Vec<f64> = rss
         .sender_ifq_series
         .iter()
-        .filter(|&&(t, _)| t > 10.0)
+        .filter(|&&(t, _)| t > half)
         .map(|&(_, v)| v)
         .collect();
     let mean = tail.iter().sum::<f64>() / tail.len() as f64;
     assert!(
-        (85.0..95.0).contains(&mean),
-        "IFQ should sit near the 90-packet set point, got {mean}"
+        (mean - 90.0).abs() <= 1.5,
+        "IFQ should sit at the 90-packet set point, got {mean}"
     );
 }
 

@@ -56,6 +56,38 @@ fn run_file(file: &str, keep: impl Fn(&ExpandedRun) -> bool) -> (ScenarioSpec, V
     (spec, ran)
 }
 
+/// The mean of flow 0's sampled IFQ depth over the run's second half is
+/// within 1.5 packets of the controller's `set_point`.
+///
+/// The mean sits up to one packet above the set point, by construction. The
+/// controller reads the IFQ when an ACK arrives, before the segment that
+/// ACK releases is queued (`World::deliver` takes the snapshot, then
+/// pumps), and its integral term holds that reading at the set point. Each
+/// ACK then queues one segment and each NIC completion takes one off. On
+/// the paper's path the ACK arrives 12.48 µs after a completion: the 60 ms
+/// of propagation and the routers' two data serializations are whole
+/// 120 µs packet times, and the ACK's own three 52-byte serializations at
+/// 100 Mbit/s add 3 × 4.16 µs. So the queue is one packet above the reading
+/// except in those 12.48 µs of every 120. The 10 ms sample grid is 83⅓
+/// packet times, so its samples fall at three phases 40 µs apart, and at
+/// most one of them can land in that gap. The mean is therefore the set
+/// point plus 1 or plus 2/3.
+fn assert_ifq_holds_set_point(report: &RunReport, set_point: f64) {
+    let half = report.duration_s / 2.0;
+    let tail: Vec<f64> = report
+        .sender_ifq_series
+        .iter()
+        .filter(|&&(t, _)| t > half)
+        .map(|&(_, v)| v)
+        .collect();
+    assert!(!tail.is_empty(), "no IFQ samples in the second half");
+    let mean = tail.iter().sum::<f64>() / tail.len() as f64;
+    assert!(
+        (mean - set_point).abs() <= 1.5,
+        "IFQ mean {mean} over the second half, set point {set_point}"
+    );
+}
+
 /// The run labelled `label` (at interface-queue depth `txq`, for swept files).
 fn cell<'a>(ran: &'a [Ran], label: &str, txq: u32) -> &'a Ran {
     ran.iter()
@@ -151,9 +183,13 @@ fn txqueuelen_sweep_shows_papers_tradeoff() {
     assert_eq!(depths.len(), 6);
     let improvement =
         |q| cell(&ran, "restricted", q).goodput() / cell(&ran, "standard", q).goodput() - 1.0;
-    // Restricted never stalls at any queue depth.
+    // Restricted never stalls at any queue depth, and it holds the IFQ at
+    // its set point, 0.9 × txqueuelen, plus the offset
+    // `assert_ifq_holds_set_point` explains.
     for &q in &depths {
-        assert_eq!(cell(&ran, "restricted", q).stalls(), 0, "txqueuelen {q}");
+        let rss = cell(&ran, "restricted", q);
+        assert_eq!(rss.stalls(), 0, "txqueuelen {q}");
+        assert_ifq_holds_set_point(&rss.report, 0.9 * q as f64);
     }
     // At the paper's txqueuelen = 100 the improvement is large.
     assert!(improvement(100) > 0.2, "{}", improvement(100));
