@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rss_net::{
     dumbbell, ArenaMode, Body, DropTailQueue, Ecn, Fabric, FlowId, GilbertElliott, Impairment,
-    ImpairmentConfig, Jitter, LinkId, LinkParams, NetEvent, NodeId, Packet, PacketIdGen,
+    ImpairmentConfig, Jitter, LinkId, LinkParams, NetEvent, NodeId, NodeKind, Packet, PacketIdGen,
     QueueConfig, RawBody, RedConfig, RedQueue, Topology, UnitMap,
 };
 use rss_sim::{Engine, Model, Scheduler, SimDuration, SimRng, SimTime};
@@ -56,6 +56,114 @@ impl Model for ArenaWorld {
         });
         if let Some((node, pkt)) = out {
             self.delivered.push((now, node, pkt.id));
+        }
+    }
+}
+
+/// One `size`-byte packet, id 7, from host `a` out on `link` to `b`, through
+/// a fresh `Fabric` over `t`, run for a simulated second.
+fn send_one(t: &Topology, a: NodeId, link: LinkId, b: NodeId, size: u32) -> ArenaWorld {
+    let fabric = Fabric::new(t.clone(), QueueConfig::packets(4), SimRng::seed_from_u64(1));
+    let mut eng = Engine::new(ArenaWorld {
+        fabric,
+        delivered: vec![],
+    });
+    let packet = Packet {
+        id: 7,
+        src: a,
+        dst: b,
+        flow: FlowId(0),
+        created: SimTime::ZERO,
+        body: RawBody { size },
+    };
+    let mut pending = Vec::new();
+    eng.model_mut()
+        .fabric
+        .start_flight(SimTime::ZERO, a, link, packet, |d, e| pending.push((d, e)));
+    for (d, e) in pending {
+        eng.schedule_at(SimTime::ZERO + d, e);
+    }
+    eng.run_until(SimTime::from_secs(1));
+    eng.into_model()
+}
+
+/// Reference routing for a connected graph: the dense all-pairs table, one
+/// BFS per node over a plain `Vec<Vec<_>>` adjacency rebuilt from the link
+/// list (so in `connect` order, whatever [`Topology`] stores). `[at][dst]`
+/// is the first link of the shortest path, ties to the earlier link.
+fn dense_first_links(t: &Topology) -> Vec<Vec<Option<LinkId>>> {
+    let n = t.node_count();
+    let mut adjacency = vec![Vec::new(); n];
+    for l in t.links() {
+        adjacency[l.a.0 as usize].push((l.id, l.b));
+        adjacency[l.b.0 as usize].push((l.id, l.a));
+    }
+    (0..n)
+        .map(|src| {
+            let mut first = vec![None; n];
+            let mut seen = vec![false; n];
+            seen[src] = true;
+            let mut queue = std::collections::VecDeque::from([src]);
+            while let Some(at) = queue.pop_front() {
+                for &(link, nb) in &adjacency[at] {
+                    let nb = nb.0 as usize;
+                    if !seen[nb] {
+                        seen[nb] = true;
+                        first[nb] = first[at].or(Some(link));
+                        queue.push_back(nb);
+                    }
+                }
+            }
+            first
+        })
+        .collect()
+}
+
+/// Between every two hosts of a 1-, 2- and 40-pair dumbbell the fabric
+/// forwards a packet along the dense reference's path: each link on it
+/// carries the packet once, no other link carries it, and it arrives after
+/// that path's latency.
+#[test]
+fn dumbbell_routes_match_the_dense_reference() {
+    let params = LinkParams::new(1_000_000, SimDuration::from_millis(1));
+    let size = 1000;
+    let ser = SimDuration::for_bytes_at_rate(size as u64, params.rate_bps);
+    for pairs in [1, 2, 40] {
+        let (t, _) = dumbbell(pairs, params, params);
+        let reference = dense_first_links(&t);
+        let hosts: Vec<NodeId> = t.nodes().filter(|&n| t.kind(n) == NodeKind::Host).collect();
+        for &a in &hosts {
+            for &b in &hosts {
+                if a == b {
+                    continue;
+                }
+                let mut path = Vec::new();
+                let mut at = a;
+                while at != b {
+                    let link =
+                        reference[at.0 as usize][b.0 as usize].expect("dumbbell is connected");
+                    path.push(link);
+                    at = t.link(link).other_end(at);
+                }
+                let world = send_one(&t, a, path[0], b, size);
+                for l in t.links() {
+                    assert_eq!(
+                        world.fabric.link_stats(l.id).delivered_pkts,
+                        u64::from(path.contains(&l.id)),
+                        "{a:?} -> {b:?} on {:?}",
+                        l.id
+                    );
+                }
+                // Each router on the way serializes the packet once.
+                let links = path.len() as u64;
+                let latency = params.prop_delay * links + ser * (links - 1);
+                assert_eq!(
+                    world.delivered,
+                    vec![(SimTime::ZERO + latency, b, 7)],
+                    "{a:?} -> {b:?}"
+                );
+                assert_eq!(world.fabric.packets_in_flight(), 0);
+            }
         }
     }
 }
@@ -1052,27 +1160,9 @@ proptest! {
                 if a == b {
                     continue;
                 }
-                let fabric = Fabric::new(t.clone(), QueueConfig::packets(4), SimRng::seed_from_u64(1));
-                let mut eng = Engine::new(ArenaWorld { fabric, delivered: vec![] });
-                let packet = Packet {
-                    id: 7,
-                    src: a,
-                    dst: b,
-                    flow: FlowId(0),
-                    created: SimTime::ZERO,
-                    body: RawBody { size },
-                };
-                let mut pending = Vec::new();
-                eng.model_mut().fabric.start_flight(SimTime::ZERO, a, link, packet, |d, e| {
-                    pending.push((d, e))
-                });
-                for (d, e) in pending {
-                    eng.schedule_at(SimTime::ZERO + d, e);
-                }
-                // Far past the longest path's 46 ms: a packet still in
-                // flight by then is in a routing loop.
-                eng.run_until(SimTime::from_secs(1));
-                let world = eng.into_model();
+                // A second is far past the longest path's 46 ms: a packet
+                // still in flight by then is in a routing loop.
+                let world = send_one(&t, a, link, b, size);
                 let apart = cut > 0 && cut < routers && (ra < cut) != (rb < cut);
                 if apart {
                     prop_assert!(world.delivered.is_empty(), "{a:?} -> {b:?} crossed the cut");
