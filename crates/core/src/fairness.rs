@@ -231,16 +231,21 @@ mod tests {
     use super::*;
     use crate::report::FlowReport;
     use rss_host::NicStats;
-    use rss_web100::Web100Vars;
+    use rss_sim::SimTime;
+    use rss_web100::{Series, Web100Vars};
 
     /// A flow whose cumulative acked bytes ramp linearly from `from_s` at
-    /// `rate_bps`.
+    /// `rate_bps` (whole bytes every quarter second at the rates below).
     fn ramp_flow(conn: u32, algo: &str, from_s: f64, rate_bps: f64, end_s: f64) -> FlowReport {
-        let mut acked = vec![(0.0, 0.0), (from_s, 0.0)];
+        let mut acked = Series::new();
+        acked.push(SimTime::ZERO, 0);
+        acked.push(SimTime::from_secs_f64(from_s), 0);
         let mut t = from_s;
         while t < end_s {
             t += 0.25;
-            acked.push((t, (t - from_s) * rate_bps / 8.0));
+            let bytes = (t - from_s) * rate_bps / 8.0;
+            assert_eq!(bytes.fract(), 0.0, "{bytes}");
+            acked.push(SimTime::from_secs_f64(t), bytes as u64);
         }
         FlowReport {
             conn,
@@ -254,7 +259,7 @@ mod tests {
             completed_at_s: None,
             stall_times_s: vec![],
             congestion_times_s: vec![],
-            cwnd_series: vec![],
+            cwnd_series: Series::new(),
             acked_series: acked,
             receiver_delivered_bytes: 0,
             receiver_dup_segments: 0,

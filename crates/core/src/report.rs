@@ -3,7 +3,7 @@
 
 use rss_host::NicStats;
 use rss_sim::{jain_fairness, QueueCounters};
-use rss_web100::Web100Vars;
+use rss_web100::{Series, Web100Vars};
 use serde::{Deserialize, Serialize};
 
 /// Everything measured about one flow.
@@ -25,10 +25,12 @@ pub struct FlowReport {
     pub stall_times_s: Vec<f64>,
     /// Timestamps of all congestion signals, seconds.
     pub congestion_times_s: Vec<f64>,
-    /// Congestion-window samples `(t_s, cwnd_bytes)`.
-    pub cwnd_series: Vec<(f64, f64)>,
-    /// Cumulative acked bytes `(t_s, bytes)`.
-    pub acked_series: Vec<(f64, f64)>,
+    /// Congestion-window samples `(t, cwnd_bytes)`; rendered and read as
+    /// `(t_s, cwnd_bytes)` pairs.
+    pub cwnd_series: Series,
+    /// Cumulative acked bytes `(t, bytes)`; rendered and read as `(t_s,
+    /// bytes)` pairs.
+    pub acked_series: Series,
     /// Bytes delivered in order to the receiving application.
     pub receiver_delivered_bytes: u64,
     /// Fully duplicate segments seen by the receiver (spurious retransmits).
@@ -92,14 +94,13 @@ impl FlowReport {
     /// instead of materializing a `Vec` of pairs per flow.
     pub fn goodput_series_fill(&self, window_s: f64, end_s: f64, out: &mut Vec<f64>) {
         assert!(window_s > 0.0, "window must be positive");
-        let mut i = 0usize;
+        let mut acked = self.acked_series.iter().peekable();
         let mut cum = 0.0; // cumulative acked bytes at the current window end
         let mut cum_prev = 0.0; // ... at the previous window end
         let mut t = window_s;
         while t <= end_s + 1e-9 {
-            while i < self.acked_series.len() && self.acked_series[i].0 <= t {
-                cum = self.acked_series[i].1;
-                i += 1;
+            while let Some((_, bytes)) = acked.next_if(|&(ts, _)| ts <= t) {
+                cum = bytes;
             }
             out.push((cum - cum_prev) * 8.0 / window_s);
             cum_prev = cum;
@@ -113,7 +114,7 @@ impl FlowReport {
         let at = |t: f64| -> f64 {
             // Step function over cumulative acked bytes.
             let mut v = 0.0;
-            for &(ts, bytes) in &self.acked_series {
+            for (ts, bytes) in self.acked_series.iter() {
                 if ts <= t {
                     v = bytes;
                 } else {
@@ -201,9 +202,10 @@ impl RunReport {
     /// snapshots, series, NIC and router accounting — lands in one
     /// machine-readable artifact.
     pub fn to_json(&self) -> String {
-        // Reserved once from the series lengths: a sample pair renders in
-        // ~22 bytes, a flow's fixed part (the Web100 block) in under 1 KiB.
-        // An estimate, not a bound — short costs a regrowth, long costs
+        // Reserved once from the series lengths (a packed flow series knows
+        // its length without decoding): a sample pair renders in ~22 bytes,
+        // a flow's fixed part (the Web100 block) in under 1 KiB. An
+        // estimate, not a bound — short costs a regrowth, long costs
         // untouched pages.
         let pairs = self.sender_ifq_series.len()
             + self.bottleneck_queue_series.len()
@@ -254,6 +256,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rss_sim::SimTime;
 
     fn flow(stalls: Vec<f64>, goodput: f64) -> FlowReport {
         FlowReport {
@@ -268,8 +271,11 @@ mod tests {
             completed_at_s: None,
             stall_times_s: stalls,
             congestion_times_s: vec![],
-            cwnd_series: vec![],
-            acked_series: vec![(0.0, 0.0), (1.0, 125_000.0), (2.0, 375_000.0)],
+            cwnd_series: Series::new(),
+            acked_series: [(0, 0), (1, 125_000), (2, 375_000)]
+                .map(|(t, v)| (SimTime::from_secs(t), v))
+                .into_iter()
+                .collect(),
             receiver_delivered_bytes: 0,
             receiver_dup_segments: 0,
             receiver_ooo_segments: 0,

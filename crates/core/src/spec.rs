@@ -1241,7 +1241,9 @@ const MAX_SAMPLES: u64 = 1 << 20;
 /// least 1, a mean gap `pkt_size·8/rate_bps` of at least 1 ns (below that
 /// the source emits about once a nanosecond or faster, for the whole run),
 /// and OnOff means that are positive and finite (exponential draws need
-/// them).
+/// them), with an on-period mean of at least a thousandth of the packet gap
+/// (the source draws on-periods until one packet's gap of on-time has
+/// accrued, about gap / `on_mean_s` draws per packet).
 fn check_pattern(pattern: &TrafficPattern, j: usize) -> Result<(), SpecError> {
     let (variant, rate_bps, pkt_size, means) = match *pattern {
         TrafficPattern::Cbr { rate_bps, pkt_size } => ("Cbr", rate_bps, pkt_size, None),
@@ -1283,6 +1285,16 @@ fn check_pattern(pattern: &TrafficPattern, j: usize) -> Result<(), SpecError> {
             return Err(SpecError::new(format!(
                 "{} must be positive and finite, got {mean}",
                 field(name)
+            )));
+        }
+    }
+    if let TrafficPattern::OnOff { on_mean_s, .. } = *pattern {
+        let gap_s = pkt_size as f64 * 8.0 / rate_bps as f64;
+        if on_mean_s < gap_s / 1000.0 {
+            return Err(SpecError::new(format!(
+                "{} must be at least a thousandth of the packet gap \
+                 pkt_size·8/rate_bps = {pkt_size}·8/{rate_bps} s, got {on_mean_s}",
+                field("on_mean_s")
             )));
         }
     }
@@ -1988,7 +2000,9 @@ mod tests {
         // the silly-window rule never sends into (a run of 0 bytes). Then
         // inputs that panicked or never finished in `rss run`: a cross
         // source with a zero rate (a zero-rate link; an infinite Poisson
-        // mean), a zero OnOff mean, a zero packet size or a gap below 1 ns
+        // mean), a zero OnOff mean, an OnOff on-period mean under a
+        // thousandth of the packet gap (10^9 draws per packet at 1e-12 s), a
+        // zero packet size or a gap below 1 ns
         // (it emits forever at one instant); a Periodic app with a zero
         // interval (it writes forever at one instant); and a sampling grid
         // past 2^20 samples per series (10^8 events in a 0.05 s run).
@@ -2035,6 +2049,12 @@ mod tests {
                             {"pattern":{"OnOff":{"rate_bps":1000000,"pkt_size":1000,
                                                  "on_mean_s":0,"off_mean_s":1}}}]"#,
                 "cross[1].pattern.OnOff.on_mean_s must be positive and finite, got 0",
+            ),
+            (
+                r#""cross":[{"pattern":{"OnOff":{"rate_bps":1000000,"pkt_size":1000,
+                                                 "on_mean_s":1e-12,"off_mean_s":1}}}]"#,
+                "cross[0].pattern.OnOff.on_mean_s must be at least a thousandth of the packet \
+                 gap pkt_size·8/rate_bps = 1000·8/1000000 s, got 0.000000000001",
             ),
             (
                 r#""cross":[{"pattern":{"Cbr":{"rate_bps":1000000,"pkt_size":0}}}]"#,

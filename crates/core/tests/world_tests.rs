@@ -24,7 +24,7 @@ fn flow_start_offset_is_respected() {
     let f = &r.flows[0];
     assert!(f.vars.data_bytes_out > 0);
     // Nothing acked before the start time.
-    let first_ack_t = f.acked_series.first().map(|&(t, _)| t).unwrap();
+    let first_ack_t = f.acked_series.first().map(|(t, _)| t).unwrap();
     assert!(
         first_ack_t >= 1.5,
         "data moved before flow start: {first_ack_t}"
@@ -45,7 +45,7 @@ fn staggered_flows_both_progress() {
     assert!(r.flows[0].vars.thru_bytes_acked > 0);
     assert!(r.flows[1].vars.thru_bytes_acked > 0);
     // The staggered flow's first activity is at/after its start time.
-    let f1_first = r.flows[1].acked_series.first().map(|&(t, _)| t).unwrap();
+    let f1_first = r.flows[1].acked_series.first().map(|(t, _)| t).unwrap();
     assert!(f1_first >= 1.0, "flow 1 moved before its start: {f1_first}");
     // Flow 0 was alone for the first second and banked progress there.
     let f0_at_1s = r.flows[0].goodput_in_window_bps(0.0, 1.0);
@@ -159,7 +159,7 @@ fn periodic_app_writes_on_schedule() {
     assert_eq!(f.receiver_delivered_bytes, 40_000);
     // Bursts at 0, 0.5, 1.0, 1.5 s: delivery of the last burst happens
     // after 1.5 s.
-    let last_t = f.acked_series.last().map(|&(t, _)| t).unwrap();
+    let last_t = f.acked_series.last().map(|(t, _)| t).unwrap();
     assert!(last_t >= 1.5, "last burst acked too early: {last_t}");
 }
 

@@ -1,25 +1,26 @@
 //! The live instrument block: the hooks the TCP stack calls, the counters
 //! they update, and the timelines a flow report carries.
 
-use crate::series::{push, record};
+use crate::series::{record, Series};
 use crate::vars::{CongestionKind, SndLimState, Web100Vars};
 use rss_sim::SimTime;
 
 /// What a connection records over time, already in the shape a flow report
-/// holds: times in seconds since the start of the run (`SimTime::as_secs_f64`),
-/// each list append-only in time order.
+/// holds, each list append-only in time order: event times in seconds since
+/// the start of the run (`SimTime::as_secs_f64`), samples as packed
+/// [`Series`].
 #[derive(Debug, Clone, Default)]
 pub struct Timelines {
     /// When each send-stall signal fired (Figure 1's series).
     pub stall_times_s: Vec<f64>,
     /// When each congestion signal of any kind fired.
     pub congestion_times_s: Vec<f64>,
-    /// Congestion-window samples `(t_s, cwnd_bytes)`, every
+    /// Congestion-window samples `(t, cwnd_bytes)`, every
     /// `sample_stride`-th change.
-    pub cwnd_series: Vec<(f64, f64)>,
-    /// Cumulative acked bytes `(t_s, bytes)`, one sample per ACK that
+    pub cwnd_series: Series,
+    /// Cumulative acked bytes `(t, bytes)`, one sample per ACK that
     /// acknowledged new data.
-    pub acked_series: Vec<(f64, f64)>,
+    pub acked_series: Series,
 }
 
 /// Per-connection instrumentation, updated synchronously by the TCP stack.
@@ -88,6 +89,9 @@ impl InstrumentBlock {
     }
 
     /// An ACK arrived acknowledging `newly_acked` fresh bytes.
+    // This hook and `on_cwnd` run on every ACK and record a sample each:
+    // inlined into the sender they cost less than the calls did.
+    #[inline]
     pub fn on_ack_in(&mut self, now: SimTime, newly_acked: u64, is_dup: bool) {
         self.vars.ack_pkts_in += 1;
         if is_dup {
@@ -95,8 +99,8 @@ impl InstrumentBlock {
         }
         if newly_acked > 0 {
             self.vars.thru_bytes_acked += newly_acked;
-            let acked = self.vars.thru_bytes_acked as f64;
-            push(&mut self.timelines.acked_series, now, acked);
+            let acked = self.vars.thru_bytes_acked;
+            self.timelines.acked_series.push(now, acked);
         }
     }
 
@@ -116,12 +120,13 @@ impl InstrumentBlock {
     }
 
     /// The congestion window changed.
+    #[inline]
     pub fn on_cwnd(&mut self, now: SimTime, cwnd_bytes: u64) {
         self.vars.cur_cwnd = cwnd_bytes;
         self.vars.max_cwnd = self.vars.max_cwnd.max(cwnd_bytes);
         self.cwnd_updates += 1;
         if self.cwnd_updates.is_multiple_of(self.sample_stride.max(1)) {
-            push(&mut self.timelines.cwnd_series, now, cwnd_bytes as f64);
+            self.timelines.cwnd_series.push(now, cwnd_bytes);
         }
     }
 
@@ -230,7 +235,7 @@ mod tests {
         assert_eq!(b.vars().cur_cwnd, 2896);
         assert_eq!(b.vars().max_cwnd, 5792);
         assert_eq!(
-            b.timelines().cwnd_series,
+            b.timelines().cwnd_series.iter().collect::<Vec<_>>(),
             [(0.0, 2896.0), (0.01, 5792.0), (0.02, 2896.0)]
         );
         // The report takes the series; the block keeps counting.
@@ -273,7 +278,7 @@ mod tests {
         // 250 kB in 1 s = 2 Mbit/s.
         assert!((b.goodput_bps(SimTime::from_secs(1)) - 2_000_000.0).abs() < 1.0);
         assert_eq!(
-            b.timelines().acked_series,
+            b.timelines().acked_series.iter().collect::<Vec<_>>(),
             [(0.5, 125_000.0), (1.0, 250_000.0)]
         );
         assert_eq!(b.vars().thru_bytes_acked, 250_000);

@@ -10,8 +10,12 @@
 //! an [`InstrumentBlock`] per connection with TCP-KIS-named counters
 //! ([`Web100Vars`]) and the [`Timelines`] a flow report carries: when each
 //! send-stall and congestion signal fired, and the cwnd and acked-bytes
-//! series. The host's IFQ depth is not recorded here; the world samples
-//! the one sending host the report describes.
+//! series. Those two take a sample per ACK, so they are [`Series`]: each
+//! `(SimTime, u64)` sample packed as two varint steps (about 5 bytes where
+//! an `(f64, f64)` pair took 16), read back as the same `(t_s, value)`
+//! floats and rendered to the same JSON bytes. The host's IFQ depth is not
+//! recorded here; the world samples the one sending host the report
+//! describes.
 
 #![warn(missing_docs)]
 
@@ -20,4 +24,5 @@ mod series;
 pub mod vars;
 
 pub use instrument::{InstrumentBlock, Timelines};
+pub use series::{Samples, Series};
 pub use vars::{CongestionKind, SndLimState, Web100Vars};

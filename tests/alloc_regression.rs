@@ -148,18 +148,20 @@ fn peak_heap_over_run(sc: &Scenario) -> u64 {
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures under one engine (4 604 B) and in two domains
-/// (5 736 B: each domain's fabric compiles its own 16-byte hop record per
-/// direction of the whole topology). With an IFQ series and a sampling
-/// chain for every sending host, a per-ACK IFQ series in every sender and
-/// the series copied into the report, the same runs measure 5 164 and
+/// above what it measures under one engine (4 061 B) and in two domains
+/// (5 044 B: each domain's fabric compiles its own 16-byte hop record per
+/// direction of the whole topology). With each flow's cwnd and acked
+/// samples held as `(f64, f64)` pairs instead of packed steps, the same
+/// runs measure 4 604 and 5 736 B (ceilings 5 060 / 6 310); with an IFQ
+/// series and a sampling chain for every sending host, a per-ACK IFQ series
+/// in every sender and the series copied into the report as well, 5 164 and
 /// 6 284 B; with per-bucket vectors in the calendar wheel, RED state in
 /// every port, four-packet first queue buffers and flow reports rendered
 /// beside the complete world as well, 9 400 and 10 990 B.
 #[test]
 fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    for (shards, ceiling) in [(None, 5_060), (Some(2), 6_310)] {
+    for (shards, ceiling) in [(None, 4_470), (Some(2), 5_550)] {
         let mut sc = manyflow(SimDuration::from_millis(1500));
         sc.shards = shards;
         let per_flow = peak_heap_over_run(&sc) / sc.flows.len() as u64;
@@ -173,12 +175,14 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
 
 /// Telemetry recorded once, where the report reads it: the paper testbed's
 /// restricted run (one flow, 25 s, 407 947 cwnd + acked samples, one per
-/// ACK) peaks at 21.2 B of live heap per reported sample, under a ceiling a
-/// tenth above. A sample is recorded as the report's own 16-byte `(t_s,
-/// value)` pair and moved into the report; the rest is the two vectors'
-/// doubling slack and the world. A series nothing reads (the per-ACK IFQ
+/// ACK) peaks at 5.82 B of live heap per reported sample, under a ceiling a
+/// tenth above. A sample is recorded as two varint steps of a packed
+/// `Series` (a ~120 µs time step and a ~1448-byte value step: about five
+/// bytes) and moved into the report; the rest is the step buffers' doubling
+/// slack and the world. Held as 16-byte `(t_s, value)` pairs, the same run
+/// measured 21.2 B (ceiling 23.4). A series nothing reads (the per-ACK IFQ
 /// series the sender once kept beside them) or a copy made at report time
-/// shows here: with both, the same run measured 47.1 B.
+/// shows here: with both, on top of the pairs, it measured 47.1 B.
 #[test]
 fn paper_testbed_peak_heap_stays_under_the_per_sample_ceiling() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -190,8 +194,8 @@ fn paper_testbed_peak_heap_stays_under_the_per_sample_ceiling() {
         .sum();
     let per_sample = peak_heap_over_run(&sc) as f64 / samples as f64;
     assert!(
-        per_sample <= 23.4,
-        "peak live heap over run() is {per_sample:.1} B per reported cwnd + acked \
-         sample ({samples} samples), ceiling 23.4"
+        per_sample <= 6.4,
+        "peak live heap over run() is {per_sample:.2} B per reported cwnd + acked \
+         sample ({samples} samples), ceiling 6.4"
     );
 }
