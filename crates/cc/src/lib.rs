@@ -52,7 +52,7 @@
 //!    constructor call). Nothing else dispatches on the arm.
 //! 3. **`CcDef` arm** — mirror the config in `rss_core::spec::CcDef` so
 //!    scenario files can name the variant; its `to_algorithm` resolves the
-//!    spec into the [`CcAlgorithm`] arm, and spec expansion validates it.
+//!    spec into the [`CcAlgorithm`] arm and validates it once per definition.
 //! 4. **Scenario** — add a `scenarios/<variant>_*.json` file exercising the
 //!    regime the scheme targets and a byte-golden under `scenarios/golden/`
 //!    so CI gates its behavior from day one.

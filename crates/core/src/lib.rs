@@ -55,7 +55,7 @@ pub use scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Sc
 pub use spec::{
     results_csv, BurstLossDef, CcDef, CrossDef, ExpandedRun, FairnessDef, FlapDef, FlowDef,
     GridFtpDef, HostDef, ImpairmentDef, ImpairmentsDef, JitterDef, OutageDef, OutputSpec, PathDef,
-    QueueDef, RunSpec, ScenarioSpec, ShardsDef, SpecError, SweepSpec, TcpDef, TuningDef,
+    QueueDef, RedDef, RunSpec, ScenarioSpec, ShardsDef, SpecError, SweepSpec, TcpDef, TuningDef,
 };
 pub use world::{BuildError, Ev, World};
 

@@ -18,7 +18,10 @@
 //! Unknown fields, unknown variants and type mismatches are hard errors
 //! carrying the JSON path and source line (`at $.runs[0].tcp.mss (line 14):
 //! …`) — a typo in a scenario file fails loudly instead of silently running
-//! the default.
+//! the default. Semantic errors are path-qualified too: every numeric knob is
+//! range-checked once, where it is written, and the error names the run and
+//! the knob's JSON path (``run `a`: flows[1].cc: ai_cnt must be at least 1,
+//! got 0``).
 //!
 //! Every field's rustdoc states its JSON name (always the Rust field name —
 //! the vendored serde derives use externally-tagged field names verbatim),
@@ -71,6 +74,7 @@
 
 use crate::report::RunReport;
 use crate::scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
+use rss_cc::{CcParams, ScalableConfig, SslConfig};
 use rss_host::HostConfig;
 use rss_net::{Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow, TrafficPattern};
 use rss_sim::{SimDuration, SimTime, MAX_UNITS};
@@ -390,39 +394,32 @@ pub enum QueueDef {
     #[default]
     DropTail,
     /// RED early dropping.
-    Red {
-        /// Average-queue threshold where early drops begin, packets (JSON
-        /// `min_th`, default `0.25 × router_queue_pkts`).
-        min_th: Option<f64>,
-        /// Average-queue threshold where the drop probability reaches
-        /// `max_p`, packets (JSON `max_th`, default
-        /// `0.75 × router_queue_pkts`; must exceed `min_th`).
-        max_th: Option<f64>,
-        /// EWMA weight of the average-queue filter, dimensionless in (0, 1]
-        /// (JSON `w_q`, default 0.002).
-        w_q: Option<f64>,
-        /// Drop/mark probability at `max_th`, dimensionless in (0, 1] (JSON
-        /// `max_p`, default 0.1).
-        max_p: Option<f64>,
-        /// Gentle mode: ramp `max_p`→1 over `(max_th, 2·max_th)` instead of
-        /// force-dropping at `max_th` (JSON `gentle`, default false).
-        gentle: Option<bool>,
-    },
+    Red(RedDef),
     /// RED with ECN: CE-mark ECT packets in the probabilistic band instead
     /// of dropping them (same knobs as `Red`). Also switches every flow to
     /// ECN unless `tcp.ecn` overrides it.
-    RedEcn {
-        /// As `Red` (JSON `min_th`).
-        min_th: Option<f64>,
-        /// As `Red` (JSON `max_th`).
-        max_th: Option<f64>,
-        /// As `Red` (JSON `w_q`).
-        w_q: Option<f64>,
-        /// As `Red` (JSON `max_p`).
-        max_p: Option<f64>,
-        /// As `Red` (JSON `gentle`).
-        gentle: Option<bool>,
-    },
+    RedEcn(RedDef),
+}
+
+/// The knobs of a `Red` or `RedEcn` queue (JSON `{"Red": {...}}`).
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct RedDef {
+    /// Average-queue threshold where early drops begin, packets (JSON
+    /// `min_th`, default `0.25 × router_queue_pkts`).
+    pub min_th: Option<f64>,
+    /// Average-queue threshold where the drop probability reaches `max_p`,
+    /// packets (JSON `max_th`, default `0.75 × router_queue_pkts`; must
+    /// exceed `min_th`).
+    pub max_th: Option<f64>,
+    /// EWMA weight of the average-queue filter, dimensionless in (0, 1]
+    /// (JSON `w_q`, default 0.002).
+    pub w_q: Option<f64>,
+    /// Drop/mark probability at `max_th`, dimensionless in (0, 1] (JSON
+    /// `max_p`, default 0.1).
+    pub max_p: Option<f64>,
+    /// Gentle mode: ramp `max_p`→1 over `(max_th, 2·max_th)` instead of
+    /// force-dropping at `max_th` (JSON `gentle`, default false).
+    pub gentle: Option<bool>,
 }
 
 /// One TCP flow.
@@ -594,22 +591,6 @@ impl FairnessDef {
     pub fn eps(&self) -> f64 {
         self.eps.unwrap_or(0.05)
     }
-
-    fn check(&self) -> Result<(), SpecError> {
-        let w = self.window_s();
-        if !(w.is_finite() && w > 0.0) {
-            return Err(SpecError::new(format!(
-                "fairness.window_s must be positive, got {w}"
-            )));
-        }
-        let e = self.eps();
-        if !(e.is_finite() && e > 0.0 && e < 1.0) {
-            return Err(SpecError::new(format!(
-                "fairness.eps must be in (0, 1), got {e}"
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// Artifact names, relative to the CLI's output directory.
@@ -657,18 +638,52 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 // ---------------------------------------------------------------------------
-// Unit conversions (validated)
+// Range checks and unit conversions
 // ---------------------------------------------------------------------------
 
-/// A rate in Mbit/s as whole bit/s. Anything below 1 bit/s would round to
-/// a zero-rate link, which serializes nothing.
-fn mbps_to_bps(mbps: f64, what: &str) -> Result<u64, SpecError> {
-    if !mbps.is_finite() || mbps * 1e6 < 1.0 {
-        return Err(SpecError::new(format!(
-            "{what} must be a rate of at least 1 bit/s (1e-6 Mbit/s), got {mbps}"
-        )));
+/// The range a numeric knob must lie in. Each range has one message, so a
+/// rule reads the same for every knob it applies to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Range {
+    Positive,
+    NonNegative,
+    Prob,
+    UpToOne,
+    Open,
+    AtLeastOne,
+}
+
+use Range::{AtLeastOne, NonNegative, Open, Positive, Prob, UpToOne};
+
+impl Range {
+    /// `Ok` when `x` lies in the range (NaN lies in none), else the one
+    /// message of a value out of range: "`<path> must be <range>, got <x>`".
+    /// A count shows no `x`: 0 is its only bad value.
+    fn require(self, x: f64, path: &str, show_x: bool) -> Result<(), SpecError> {
+        let (holds, name) = match self {
+            Positive => (x.is_finite() && x > 0.0, "positive"),
+            NonNegative => (x.is_finite() && x >= 0.0, "non-negative"),
+            Prob => ((0.0..=1.0).contains(&x), "in [0, 1]"),
+            UpToOne => (x > 0.0 && x <= 1.0, "in (0, 1]"),
+            Open => (x > 0.0 && x < 1.0, "in (0, 1)"),
+            AtLeastOne => (x >= 1.0, "at least 1"),
+        };
+        match (holds, show_x) {
+            (true, _) => Ok(()),
+            (false, true) => Err(SpecError::new(format!("{path} must be {name}, got {x}"))),
+            (false, false) => Err(SpecError::new(format!("{path} must be {name}"))),
+        }
     }
-    Ok((mbps * 1e6).round() as u64)
+}
+
+/// `x`, if it lies in `range`.
+fn check(x: f64, range: Range, path: &str) -> Result<f64, SpecError> {
+    range.require(x, path, true).map(|()| x)
+}
+
+/// An integer count, kept off 0 by `range` (`Positive` or `AtLeastOne`).
+fn count<T: Copy + Into<u64>>(n: T, range: Range, path: &str) -> Result<T, SpecError> {
+    range.require(n.into() as f64, path, false).map(|()| n)
 }
 
 /// Every time and duration knob lies below this many nanoseconds (2^62,
@@ -677,109 +692,81 @@ fn mbps_to_bps(mbps: f64, what: &str) -> Result<u64, SpecError> {
 /// stays under 2^63 and never overflows the clock's `u64`.
 const KNOB_NS_LIMIT: f64 = (1u64 << 62) as f64;
 
-/// `x` units of `unit_ns` nanoseconds as whole nanoseconds, or an error when
-/// that is not below [`KNOB_NS_LIMIT`] (a cast would saturate silently, and
-/// a value that fits a `u64` can still overflow once added to the clock).
-fn to_nanos(x: f64, unit_ns: f64, what: &str) -> Result<u64, SpecError> {
+/// `x` units of `unit_ns` nanoseconds, in `range`, as whole nanoseconds
+/// below [`KNOB_NS_LIMIT`] (a cast would saturate silently, and a value that
+/// fits a `u64` can still overflow once added to the clock). A `Positive`
+/// duration must be at least 1 ns once rounded.
+fn nanos(x: f64, unit_ns: f64, range: Range, path: &str) -> Result<SimDuration, SpecError> {
     let ns = (x * unit_ns).round();
+    if range == Positive && (ns.is_nan() || ns < 1.0) {
+        return Err(SpecError::new(format!(
+            "{path} must be positive (at least 1 ns), got {x}"
+        )));
+    }
+    check(x, range, path)?;
     if ns >= KNOB_NS_LIMIT {
         return Err(SpecError::new(format!(
-            "{what} must be under 2^62 ns (about 146 years), got {x}"
+            "{path} must be under 2^62 ns (about 146 years), got {x}"
         )));
     }
-    Ok(ns as u64)
+    Ok(SimDuration::from_nanos(ns as u64))
 }
 
-fn ms_to_duration(ms: f64, what: &str) -> Result<SimDuration, SpecError> {
-    if !ms.is_finite() || ms < 0.0 {
+/// A rate in Mbit/s as whole bit/s: at least 1 bit/s (a slower link
+/// rounds to a zero rate, which serializes nothing) and under 2^64 bit/s
+/// (`u64::MAX as f64` is 2^64; a cast would saturate silently).
+fn bps(mbps: f64, path: &str) -> Result<u64, SpecError> {
+    let bps = mbps * 1e6;
+    if !(bps >= 1.0 && bps < u64::MAX as f64) {
         return Err(SpecError::new(format!(
-            "{what} must be non-negative, got {ms}"
+            "{path} must be a rate of at least 1 bit/s (1e-6 Mbit/s) and under 2^64 bit/s, \
+             got {mbps}"
         )));
     }
-    to_nanos(ms, 1e6, what).map(SimDuration::from_nanos)
-}
-
-fn secs_to_duration(s: f64, what: &str) -> Result<SimDuration, SpecError> {
-    if !s.is_finite() || s <= 0.0 {
-        return Err(SpecError::new(format!("{what} must be positive, got {s}")));
-    }
-    to_nanos(s, 1e9, what).map(SimDuration::from_nanos)
-}
-
-fn secs_to_time(s: f64, what: &str) -> Result<SimTime, SpecError> {
-    if !s.is_finite() || s < 0.0 {
-        return Err(SpecError::new(format!(
-            "{what} must be non-negative, got {s}"
-        )));
-    }
-    to_nanos(s, 1e9, what).map(SimTime::from_nanos)
-}
-
-/// A probability knob: finite and in [0, 1]. NaN fails the range test, so
-/// it is rejected with the same path-qualified message.
-fn prob(v: f64, what: &str) -> Result<f64, SpecError> {
-    if !(0.0..=1.0).contains(&v) {
-        return Err(SpecError::new(format!("{what} must be in [0, 1], got {v}")));
-    }
-    Ok(v)
+    Ok(bps.round() as u64)
 }
 
 impl ImpairmentDef {
-    /// Validate and convert to the engine-level config. `what` is the JSON
+    /// Validate and convert to the engine-level config. `at` is the JSON
     /// path prefix (e.g. `path.impairments.haul`) so every error names the
     /// exact offending knob.
-    fn to_config(&self, what: &str) -> Result<ImpairmentConfig, SpecError> {
-        let burst_loss = match &self.burst_loss {
-            None => None,
-            Some(b) => Some(GilbertElliott {
-                p_good_to_bad: prob(b.p_good_to_bad, &format!("{what}.burst_loss.p_good_to_bad"))?,
-                p_bad_to_good: prob(b.p_bad_to_good, &format!("{what}.burst_loss.p_bad_to_good"))?,
-                loss_good: prob(
-                    b.loss_good.unwrap_or(0.0),
-                    &format!("{what}.burst_loss.loss_good"),
-                )?,
-                loss_bad: prob(b.loss_bad, &format!("{what}.burst_loss.loss_bad"))?,
-            }),
-        };
-        let outages = self
-            .outages
-            .as_deref()
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-            .map(|(i, o)| {
-                Ok(OutageWindow {
-                    start: secs_to_time(o.start_s, &format!("{what}.outages[{i}].start_s"))?,
-                    duration: secs_to_duration(
-                        o.duration_s,
-                        &format!("{what}.outages[{i}].duration_s"),
-                    )?,
-                })
-            })
-            .collect::<Result<_, SpecError>>()?;
-        let flap = match &self.flap {
-            None => None,
-            Some(f) => Some(Flap {
-                mean_up: secs_to_duration(f.mean_up_s, &format!("{what}.flap.mean_up_s"))?,
-                mean_down: secs_to_duration(f.mean_down_s, &format!("{what}.flap.mean_down_s"))?,
-            }),
-        };
-        let jitter = match &self.jitter {
-            None => None,
-            Some(j) => Some(Jitter {
-                prob: prob(j.prob, &format!("{what}.jitter.prob"))?,
-                max: ms_to_duration(j.max_ms, &format!("{what}.jitter.max_ms"))?,
-            }),
-        };
+    fn to_config(&self, at: &str) -> Result<ImpairmentConfig, SpecError> {
+        let prob = |x, knob: &str| check(x, Prob, &format!("{at}.{knob}"));
+        let time = |x, unit, range, knob: &str| nanos(x, unit, range, &format!("{at}.{knob}"));
+        let mut outages = Vec::new();
+        for (i, o) in self.outages.iter().flatten().enumerate() {
+            let knob = |name| format!("outages[{i}].{name}");
+            outages.push(OutageWindow {
+                start: SimTime::ZERO + time(o.start_s, 1e9, NonNegative, &knob("start_s"))?,
+                duration: time(o.duration_s, 1e9, Positive, &knob("duration_s"))?,
+            });
+        }
         Ok(ImpairmentConfig {
-            burst_loss,
+            burst_loss: match self.burst_loss {
+                None => None,
+                Some(b) => Some(GilbertElliott {
+                    p_good_to_bad: prob(b.p_good_to_bad, "burst_loss.p_good_to_bad")?,
+                    p_bad_to_good: prob(b.p_bad_to_good, "burst_loss.p_bad_to_good")?,
+                    loss_good: prob(b.loss_good.unwrap_or(0.0), "burst_loss.loss_good")?,
+                    loss_bad: prob(b.loss_bad, "burst_loss.loss_bad")?,
+                }),
+            },
             outages,
-            flap,
-            jitter,
-            duplicate_prob: prob(
-                self.duplicate_prob.unwrap_or(0.0),
-                &format!("{what}.duplicate_prob"),
-            )?,
+            flap: match self.flap {
+                None => None,
+                Some(f) => Some(Flap {
+                    mean_up: time(f.mean_up_s, 1e9, Positive, "flap.mean_up_s")?,
+                    mean_down: time(f.mean_down_s, 1e9, Positive, "flap.mean_down_s")?,
+                }),
+            },
+            jitter: match self.jitter {
+                None => None,
+                Some(j) => Some(Jitter {
+                    prob: prob(j.prob, "jitter.prob")?,
+                    max: time(j.max_ms, 1e6, NonNegative, "jitter.max_ms")?,
+                }),
+            },
+            duplicate_prob: prob(self.duplicate_prob.unwrap_or(0.0), "duplicate_prob")?,
         })
     }
 }
@@ -788,123 +775,86 @@ impl ImpairmentDef {
 // Conversion to concrete scenarios
 // ---------------------------------------------------------------------------
 
-/// Resolve one RED parameter block against the `for_capacity` defaults,
-/// rejecting out-of-range knobs with the exact JSON path (`what` is
-/// `queue.Red` or `queue.RedEcn`).
-#[allow(clippy::too_many_arguments)]
-fn red_params(
-    cap: u32,
-    min_th: Option<f64>,
-    max_th: Option<f64>,
-    w_q: Option<f64>,
-    max_p: Option<f64>,
-    gentle: Option<bool>,
-    what: &str,
-) -> Result<RedParams, SpecError> {
-    let d = RedParams::for_capacity(cap);
-    let p = RedParams {
-        min_th: min_th.unwrap_or(d.min_th),
-        max_th: max_th.unwrap_or(d.max_th),
-        wq: w_q.unwrap_or(d.wq),
-        max_p: max_p.unwrap_or(d.max_p),
-        gentle: gentle.unwrap_or(d.gentle),
-    };
-    if !p.min_th.is_finite() || p.min_th < 0.0 {
-        return Err(SpecError::new(format!(
-            "{what}.min_th must be non-negative, got {}",
-            p.min_th
-        )));
+impl RedDef {
+    /// Resolve against the [`RedParams::for_capacity`] defaults of a `cap`
+    /// packet queue; `at` is `queue.Red` or `queue.RedEcn`.
+    fn to_params(self, cap: u32, at: &str) -> Result<RedParams, SpecError> {
+        let d = RedParams::for_capacity(cap);
+        let knob = |x: Option<f64>, default, range, name: &str| {
+            check(x.unwrap_or(default), range, &format!("{at}.{name}"))
+        };
+        let min_th = knob(self.min_th, d.min_th, NonNegative, "min_th")?;
+        let max_th = self.max_th.unwrap_or(d.max_th);
+        if !max_th.is_finite() || min_th >= max_th {
+            return Err(SpecError::new(format!(
+                "{at}.min_th must be below {at}.max_th, got {min_th} >= {max_th}"
+            )));
+        }
+        Ok(RedParams {
+            min_th,
+            max_th,
+            wq: knob(self.w_q, d.wq, UpToOne, "w_q")?,
+            max_p: knob(self.max_p, d.max_p, UpToOne, "max_p")?,
+            gentle: self.gentle.unwrap_or(d.gentle),
+        })
     }
-    if !p.max_th.is_finite() || p.min_th >= p.max_th {
-        return Err(SpecError::new(format!(
-            "{what}.min_th must be below {what}.max_th, got {} >= {}",
-            p.min_th, p.max_th
-        )));
-    }
-    if !(p.wq > 0.0 && p.wq <= 1.0) {
-        return Err(SpecError::new(format!(
-            "{what}.w_q must be in (0, 1], got {}",
-            p.wq
-        )));
-    }
-    if !(p.max_p > 0.0 && p.max_p <= 1.0) {
-        return Err(SpecError::new(format!(
-            "{what}.max_p must be in (0, 1], got {}",
-            p.max_p
-        )));
-    }
-    Ok(p)
 }
 
 impl QueueDef {
     /// Resolve to the scenario-level discipline for a bottleneck of `cap`
     /// packets, validating every knob with its JSON path.
     pub fn to_discipline(&self, cap: u32) -> Result<QueueDiscipline, SpecError> {
-        Ok(match *self {
+        Ok(match self {
             QueueDef::DropTail => QueueDiscipline::DropTail,
-            QueueDef::Red {
-                min_th,
-                max_th,
-                w_q,
-                max_p,
-                gentle,
-            } => QueueDiscipline::Red(red_params(
-                cap,
-                min_th,
-                max_th,
-                w_q,
-                max_p,
-                gentle,
-                "queue.Red",
-            )?),
-            QueueDef::RedEcn {
-                min_th,
-                max_th,
-                w_q,
-                max_p,
-                gentle,
-            } => QueueDiscipline::RedEcn(red_params(
-                cap,
-                min_th,
-                max_th,
-                w_q,
-                max_p,
-                gentle,
-                "queue.RedEcn",
-            )?),
+            QueueDef::Red(red) => QueueDiscipline::Red(red.to_params(cap, "queue.Red")?),
+            QueueDef::RedEcn(red) => QueueDiscipline::RedEcn(red.to_params(cap, "queue.RedEcn")?),
         })
     }
 }
 
 impl CcDef {
     /// Resolve to a concrete algorithm for a flow on a `path_rate_bps` path
-    /// with `wire_pkt_bytes` packets, one of `n_flows` on its sending host.
-    /// The variant's parameter rules are checked once, with the resolved
-    /// connection inputs, by [`rss_cc::registry::validate`] during
-    /// expansion.
+    /// with `wire_pkt_bytes` packets, one of `n_flows` on its sending host,
+    /// and check the variant's parameter rules against the connection's
+    /// `params` ([`rss_cc::registry::validate`]). `at` is the definition's
+    /// JSON path (`flows[i].cc` or `gridftp.cc`), which every error names.
     pub fn to_algorithm(
         &self,
+        at: &str,
         path_rate_bps: u64,
         wire_pkt_bytes: u32,
         n_flows: u32,
+        params: &CcParams,
     ) -> Result<CcAlgorithm, SpecError> {
-        Ok(match *self {
+        let algo = match *self {
             CcDef::Standard => CcAlgorithm::Reno,
             CcDef::Restricted {
                 tuning,
                 setpoint_frac,
             } => {
+                let at = format!("{at}.Restricted.tuning");
                 let mut cfg = match tuning.unwrap_or(TuningDef::ForPath) {
                     TuningDef::ForPath => RssConfig::tuned_for(path_rate_bps, wire_pkt_bytes),
                     TuningDef::PerStream => {
-                        RssConfig::tuned_for(path_rate_bps / n_flows.max(1) as u64, wire_pkt_bytes)
+                        let n = u64::from(n_flows.max(1));
+                        if path_rate_bps < n {
+                            return Err(SpecError::new(format!(
+                                "{at}: PerStream needs at least 1 bit/s per flow, got \
+                                 {path_rate_bps} bit/s over {n} flows"
+                            )));
+                        }
+                        RssConfig::tuned_for(path_rate_bps / n, wire_pkt_bytes)
                     }
                     TuningDef::ForRate {
                         rate_mbps,
                         wire_pkt_bytes,
                     } => RssConfig::tuned_for(
-                        mbps_to_bps(rate_mbps, "tuning.ForRate.rate_mbps")?,
-                        wire_pkt_bytes,
+                        bps(rate_mbps, &format!("{at}.ForRate.rate_mbps"))?,
+                        count(
+                            wire_pkt_bytes,
+                            Positive,
+                            &format!("{at}.ForRate.wire_pkt_bytes"),
+                        )?,
                     ),
                     TuningDef::Gains { kp, ti, td } => {
                         RssConfig::with_gains(rss_control::PidGains::pid(kp, ti, td))
@@ -916,25 +866,23 @@ impl CcDef {
                 CcAlgorithm::Restricted(cfg)
             }
             CcDef::Limited { max_ssthresh } => CcAlgorithm::Limited { max_ssthresh },
-            CcDef::Ssthreshless { gamma_segments } => {
-                let mut cfg = rss_cc::SslConfig::default();
-                if let Some(g) = gamma_segments {
-                    cfg.gamma_segments = g;
-                }
-                CcAlgorithm::Ssthreshless(cfg)
-            }
+            CcDef::Ssthreshless { gamma_segments } => CcAlgorithm::Ssthreshless(SslConfig {
+                gamma_segments: gamma_segments.unwrap_or(SslConfig::default().gamma_segments),
+            }),
             CcDef::HighSpeed => CcAlgorithm::HighSpeed,
-            CcDef::Scalable { ai_cnt } => {
-                let mut cfg = rss_cc::ScalableConfig::default();
-                if let Some(n) = ai_cnt {
-                    cfg.ai_cnt = n;
-                }
-                CcAlgorithm::Scalable(cfg)
-            }
+            CcDef::Scalable { ai_cnt } => CcAlgorithm::Scalable(ScalableConfig {
+                ai_cnt: ai_cnt.unwrap_or(ScalableConfig::default().ai_cnt),
+            }),
             CcDef::Bbr => CcAlgorithm::Bbr,
             CcDef::Relentless => CcAlgorithm::Relentless,
             CcDef::Hybrid => CcAlgorithm::Hybrid,
-        })
+        };
+        // A definition that passes here cannot panic in a variant
+        // constructor at run time (e.g. a `max_ssthresh` below the 2·MSS
+        // floor), however many flows replicate it.
+        rss_cc::registry::validate(&algo, params)
+            .map_err(|e| SpecError::new(format!("{at}: {}", e.msg)))?;
+        Ok(algo)
     }
 }
 
@@ -947,107 +895,77 @@ impl RunSpec {
     }
 
     fn build_scenario(&self) -> Result<Scenario, SpecError> {
+        let secs = |x, range, path: &str| nanos(x, 1e9, range, path);
+        let ms = |x, range, path: &str| nanos(x, 1e6, range, path);
+
         let p = self.path.clone().unwrap_or_default();
-        let rate_bps = mbps_to_bps(p.rate_mbps.unwrap_or(100.0), "path.rate_mbps")?;
-        let loss_prob = p.loss_prob.unwrap_or(0.0);
-        if !(0.0..=1.0).contains(&loss_prob) {
-            return Err(SpecError::new(format!(
-                "path.loss_prob must be in [0, 1], got {loss_prob}"
-            )));
-        }
-        let access_delay_us = p.access_delay_us.unwrap_or(10.0);
-        if !access_delay_us.is_finite() || access_delay_us <= 0.0 {
-            return Err(SpecError::new(format!(
-                "path.access_delay_us must be positive, got {access_delay_us}"
-            )));
-        }
         let path = PathSpec {
-            rate_bps,
-            rtt: ms_to_duration(p.rtt_ms.unwrap_or(60.0), "path.rtt_ms")?,
+            rate_bps: bps(p.rate_mbps.unwrap_or(100.0), "path.rate_mbps")?,
+            rtt: ms(p.rtt_ms.unwrap_or(60.0), NonNegative, "path.rtt_ms")?,
             router_queue_pkts: p.router_queue_pkts.unwrap_or(200),
-            loss_prob,
+            loss_prob: check(p.loss_prob.unwrap_or(0.0), Prob, "path.loss_prob")?,
             access_rate_bps: match p.access_rate_mbps {
-                Some(m) => Some(mbps_to_bps(m, "path.access_rate_mbps")?),
+                Some(m) => Some(bps(m, "path.access_rate_mbps")?),
                 None => None,
             },
-            access_delay: SimDuration::from_nanos(to_nanos(
-                access_delay_us,
+            access_delay: nanos(
+                p.access_delay_us.unwrap_or(10.0),
                 1e3,
+                Positive,
                 "path.access_delay_us",
-            )?),
+            )?,
         };
-        let queue = self
-            .queue
-            .unwrap_or_default()
-            .to_discipline(path.router_queue_pkts)?;
-        let (haul_impairment, access_impairment) = match &p.impairments {
-            None => (None, None),
-            Some(d) => (
-                d.haul
-                    .as_ref()
-                    .map(|i| i.to_config("path.impairments.haul"))
-                    .transpose()?,
-                d.access
-                    .as_ref()
-                    .map(|i| i.to_config("path.impairments.access"))
-                    .transpose()?,
-            ),
-        };
+        let queue = self.queue.unwrap_or_default();
+        let queue = queue.to_discipline(path.router_queue_pkts)?;
+        let impairments = p.impairments.unwrap_or_default();
+        let impair = |i: Option<ImpairmentDef>, at| i.map(|i| i.to_config(at)).transpose();
 
         let h = self.host.unwrap_or_default();
         let host = HostConfig {
-            nic_rate_bps: match h.nic_rate_mbps {
-                Some(m) => mbps_to_bps(m, "host.nic_rate_mbps")?,
-                None => rate_bps,
-            },
-            txqueuelen: h.txqueuelen.unwrap_or(100),
-            mtu: h.mtu.unwrap_or(1500),
+            nic_rate_bps: h
+                .nic_rate_mbps
+                .map_or(Ok(path.rate_bps), |m| bps(m, "host.nic_rate_mbps"))?,
+            txqueuelen: count(h.txqueuelen.unwrap_or(100), Positive, "host.txqueuelen")?,
+            mtu: count(h.mtu.unwrap_or(1500), Positive, "host.mtu")?,
         };
-        if host.txqueuelen == 0 || host.mtu == 0 {
-            return Err(SpecError::new(
-                "host.txqueuelen and host.mtu must be positive",
-            ));
-        }
 
         let t = self.tcp.unwrap_or_default();
-        let mut tcp = TcpConfig::default();
-        if let Some(x) = t.mss {
-            if x == 0 {
-                return Err(SpecError::new("tcp.mss must be positive"));
-            }
-            tcp.mss = x;
-        }
-        if let Some(x) = t.header_bytes {
-            tcp.header_bytes = x;
-        }
+        let d = TcpConfig::default();
+        // An omitted `tcp.<knob>` in milliseconds keeps its `default`.
+        let tcp_ms = |x: Option<f64>, default, range, knob| {
+            x.map_or(Ok(default), |x| ms(x, range, &format!("tcp.{knob}")))
+        };
+        let tcp = TcpConfig {
+            mss: count(t.mss.unwrap_or(d.mss), Positive, "tcp.mss")?,
+            header_bytes: t.header_bytes.unwrap_or(d.header_bytes),
+            initial_cwnd_mss: count(
+                t.initial_cwnd_mss.unwrap_or(d.initial_cwnd_mss),
+                Positive,
+                "tcp.initial_cwnd_mss",
+            )?,
+            initial_ssthresh: t.initial_ssthresh.or(d.initial_ssthresh),
+            rwnd: t.rwnd_bytes.unwrap_or(d.rwnd),
+            // A zero RTO floor re-arms the retransmission check at the
+            // instant it fires, forever.
+            min_rto: tcp_ms(t.min_rto_ms, d.min_rto, AtLeastOne, "min_rto_ms")?,
+            max_rto: tcp_ms(t.max_rto_ms, d.max_rto, NonNegative, "max_rto_ms")?,
+            ack_policy: t.ack_policy.unwrap_or(d.ack_policy),
+            stall_response: t.stall_response.unwrap_or(d.stall_response),
+            stall_retry: tcp_ms(t.stall_retry_ms, d.stall_retry, Positive, "stall_retry_ms")?,
+            // The count is raised before it is compared, so 0 never fires.
+            dupack_threshold: count(
+                t.dupack_threshold.unwrap_or(d.dupack_threshold),
+                AtLeastOne,
+                "tcp.dupack_threshold",
+            )?,
+            ecn: t.ecn.unwrap_or(queue.ecn_marking()),
+        };
         if tcp.mss.checked_add(tcp.header_bytes).is_none() {
             return Err(SpecError::new(format!(
                 "tcp.header_bytes: tcp.mss + tcp.header_bytes must fit the u32 wire size, \
                  got {} + {}",
                 tcp.mss, tcp.header_bytes
             )));
-        }
-        if let Some(x) = t.initial_cwnd_mss {
-            tcp.initial_cwnd_mss = x;
-        }
-        if let Some(x) = t.initial_ssthresh {
-            tcp.initial_ssthresh = Some(x);
-        }
-        if let Some(x) = t.rwnd_bytes {
-            tcp.rwnd = x;
-        }
-        // A zero RTO floor or ceiling re-arms the retransmission check at
-        // the instant it fires, forever.
-        if let Some(x) = t.min_rto_ms {
-            if x.is_nan() || x < 1.0 {
-                return Err(SpecError::new(format!(
-                    "tcp.min_rto_ms must be at least 1, got {x}"
-                )));
-            }
-            tcp.min_rto = ms_to_duration(x, "tcp.min_rto_ms")?;
-        }
-        if let Some(x) = t.max_rto_ms {
-            tcp.max_rto = ms_to_duration(x, "tcp.max_rto_ms")?;
         }
         if tcp.max_rto < tcp.min_rto {
             return Err(SpecError::new(format!(
@@ -1056,29 +974,10 @@ impl RunSpec {
                 tcp.max_rto.as_nanos() as f64 / 1e6
             )));
         }
-        if let Some(x) = t.ack_policy {
-            tcp.ack_policy = x;
-        }
-        if let Some(x) = t.stall_response {
-            tcp.stall_response = x;
-        }
-        if let Some(x) = t.stall_retry_ms {
-            tcp.stall_retry = ms_to_duration(x, "tcp.stall_retry_ms")?;
-            if tcp.stall_retry == SimDuration::ZERO {
-                return Err(SpecError::new(format!(
-                    "tcp.stall_retry_ms must be positive (at least 1 ns), got {x}"
-                )));
-            }
-        }
-        if let Some(x) = t.dupack_threshold {
-            // The count is raised before it is compared, so 0 never fires.
-            if x == 0 {
-                return Err(SpecError::new("tcp.dupack_threshold must be at least 1"));
-            }
-            tcp.dupack_threshold = x;
-        }
-        tcp.ecn = t.ecn.unwrap_or(queue.ecn_marking());
 
+        // Each `cc` definition is built and checked once, then replicated.
+        let params = tcp.cc_params();
+        let cc = |cc: CcDef, at: &str, n| cc.to_algorithm(at, path.rate_bps, host.mtu, n, &params);
         let max_flows = max_flows(self.cross.as_ref().map_or(0, Vec::len));
         let flows: Vec<FlowSpec> = match (&self.gridftp, &self.flows) {
             (Some(_), Some(defs)) if !defs.is_empty() => {
@@ -1087,15 +986,12 @@ impl RunSpec {
                 ));
             }
             (Some(g), _) => {
-                if g.streams == 0 || g.total_bytes == 0 {
-                    return Err(SpecError::new(
-                        "gridftp.streams and gridftp.total_bytes must be positive",
-                    ));
-                }
+                count(g.total_bytes, Positive, "gridftp.total_bytes")?;
+                count(g.streams, Positive, "gridftp.streams")?;
                 if g.streams > max_flows {
                     return Err(too_many_flows("gridftp.streams", max_flows));
                 }
-                let algo = g.cc.to_algorithm(rate_bps, host.mtu, g.streams)?;
+                let algo = cc(g.cc, "gridftp.cc", g.streams)?;
                 stripe_bytes(g.total_bytes, g.streams)
                     .into_iter()
                     .map(|bytes| FlowSpec {
@@ -1109,23 +1005,18 @@ impl RunSpec {
                 let n = total_flows(defs, max_flows)?;
                 let mut out = Vec::with_capacity(n as usize);
                 for (i, f) in defs.iter().enumerate() {
+                    let at = |knob: &str| format!("flows[{i}].{knob}");
                     // A zero interval re-fires the write at the same instant,
                     // forever.
                     if let Some(AppModel::Periodic { interval, .. }) = f.app {
-                        if interval == SimDuration::ZERO {
-                            return Err(SpecError::new(format!(
-                                "flows[{i}].app.Periodic.interval must be positive \
-                                 (at least 1 ns), got 0"
-                            )));
-                        }
+                        let ns = interval.as_nanos() as f64;
+                        nanos(ns, 1.0, Positive, &at("app.Periodic.interval"))?;
                     }
                     let spec = FlowSpec {
-                        algo: f
-                            .cc
-                            .unwrap_or_default()
-                            .to_algorithm(rate_bps, host.mtu, n)?,
+                        algo: cc(f.cc.unwrap_or_default(), &at("cc"), n)?,
                         app: f.app.unwrap_or(AppModel::Bulk { bytes: None }),
-                        start: secs_to_time(f.start_s.unwrap_or(0.0), "flow start_s")?,
+                        start: SimTime::ZERO
+                            + secs(f.start_s.unwrap_or(0.0), NonNegative, &at("start_s"))?,
                     };
                     out.extend((0..f.count.unwrap_or(1)).map(|_| spec));
                 }
@@ -1138,36 +1029,18 @@ impl RunSpec {
             }
         };
 
-        let cross = self
-            .cross
-            .as_deref()
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-            .map(|(j, c)| {
-                check_pattern(&c.pattern, j)?;
-                Ok(CrossSpec {
-                    pattern: c.pattern,
-                    start: secs_to_time(c.start_s.unwrap_or(0.0), "cross start_s")?,
-                    stop: match c.stop_s {
-                        Some(s) => Some(secs_to_time(s, "cross stop_s")?),
-                        None => None,
-                    },
-                })
-            })
-            .collect::<Result<_, SpecError>>()?;
-
-        // Each flow's controller against the resolved connection inputs: a
-        // flow that passes here cannot panic in a variant constructor at run
-        // time (e.g. a `max_ssthresh` below the 2·MSS floor).
-        for (i, f) in flows.iter().enumerate() {
-            rss_cc::registry::validate(&f.algo, &tcp.cc_params())
-                .map_err(|e| SpecError::new(format!("flows[{i}]: {}", e.msg)))?;
-        }
-
-        let web100_stride = self.web100_stride.unwrap_or(1);
-        if web100_stride == 0 {
-            return Err(SpecError::new("web100_stride must be positive"));
+        let mut cross = Vec::new();
+        for (j, c) in self.cross.iter().flatten().enumerate() {
+            check_pattern(&c.pattern, j)?;
+            let time = |s, knob| secs(s, NonNegative, &format!("cross[{j}].{knob}"));
+            cross.push(CrossSpec {
+                pattern: c.pattern,
+                start: SimTime::ZERO + time(c.start_s.unwrap_or(0.0), "start_s")?,
+                stop: match c.stop_s {
+                    Some(s) => Some(SimTime::ZERO + time(s, "stop_s")?),
+                    None => None,
+                },
+            });
         }
 
         let mut sc = Scenario {
@@ -1176,32 +1049,30 @@ impl RunSpec {
             tcp,
             flows,
             cross,
-            duration: secs_to_duration(self.duration_s.unwrap_or(25.0), "duration_s")?,
+            duration: secs(self.duration_s.unwrap_or(25.0), Positive, "duration_s")?,
             seed: self.seed.unwrap_or(1),
             shared_sender_host: self.shared_sender_host.unwrap_or(false),
-            sample_interval: ms_to_duration(
+            sample_interval: ms(
                 self.sample_interval_ms.unwrap_or(10.0),
+                Positive,
                 "sample_interval_ms",
             )?,
-            web100_stride,
+            web100_stride: count(self.web100_stride.unwrap_or(1), Positive, "web100_stride")?,
             stop_when_complete: self.stop_when_complete.unwrap_or(false),
             queue,
             // The spec-level `shards` knob is applied during expansion.
             shards: None,
-            haul_impairment,
-            access_impairment,
-            max_sim_time: match self.max_sim_time_s {
-                Some(s) => Some(secs_to_duration(s, "max_sim_time_s")?),
+            haul_impairment: impair(impairments.haul, "path.impairments.haul")?,
+            access_impairment: impair(impairments.access, "path.impairments.access")?,
+            max_sim_time: self
+                .max_sim_time_s
+                .map(|s| secs(s, Positive, "max_sim_time_s"))
+                .transpose()?,
+            max_events: match self.max_events {
+                Some(n) => Some(count(n, Positive, "max_events")?),
                 None => None,
             },
-            max_events: match self.max_events {
-                Some(0) => return Err(SpecError::new("max_events must be positive")),
-                other => other,
-            },
         };
-        if sc.sample_interval == SimDuration::ZERO {
-            return Err(SpecError::new("sample_interval_ms must be positive"));
-        }
         let horizon = sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
         let interval = sc.sample_interval.as_nanos();
         if u128::from(horizon.as_nanos()) > u128::from(interval) * u128::from(MAX_SAMPLES) {
@@ -1320,12 +1191,9 @@ fn too_many_flows(what: &str, max: u32) -> SpecError {
 fn total_flows(defs: &[FlowDef], max: u32) -> Result<u32, SpecError> {
     let mut n: u32 = 0;
     for (i, f) in defs.iter().enumerate() {
-        let count = f.count.unwrap_or(1);
-        if count == 0 {
-            return Err(SpecError::new(format!("flows[{i}].count must be positive")));
-        }
+        let c = count(f.count.unwrap_or(1), Positive, &format!("flows[{i}].count"))?;
         n = n
-            .checked_add(count)
+            .checked_add(c)
             .filter(|&n| n <= max)
             .ok_or_else(|| too_many_flows("flows", max))?;
     }
@@ -1336,14 +1204,17 @@ fn total_flows(defs: &[FlowDef], max: u32) -> Result<u32, SpecError> {
 // Loading, validation, sweep expansion
 // ---------------------------------------------------------------------------
 
-/// One sweep axis: `None` = keep the run's own value.
-fn axis<T: Copy>(values: &Option<Vec<T>>, name: &str) -> Result<Vec<Option<T>>, SpecError> {
-    match values {
-        Some(xs) if xs.is_empty() => Err(SpecError::new(format!(
-            "sweep axis `{name}` must not be empty"
-        ))),
-        Some(xs) => Ok(xs.iter().copied().map(Some).collect()),
-        None => Ok(vec![None]),
+impl SweepSpec {
+    /// Each axis's name and length (`None` when absent, which keeps the
+    /// run's own value), outermost first.
+    fn axes(&self) -> [(&'static str, Option<usize>); 5] {
+        [
+            ("rate_mbps", self.rate_mbps.as_ref().map(Vec::len)),
+            ("rtt_ms", self.rtt_ms.as_ref().map(Vec::len)),
+            ("txqueuelen", self.txqueuelen.as_ref().map(Vec::len)),
+            ("seed", self.seed.as_ref().map(Vec::len)),
+            ("streams", self.streams.as_ref().map(Vec::len)),
+        ]
     }
 }
 
@@ -1381,19 +1252,9 @@ impl ScenarioSpec {
     /// Number of sweep cells (1 when no sweep block is present). An empty
     /// axis yields 0 — the same spec [`Self::expand`] rejects as invalid.
     pub fn cells(&self) -> usize {
-        fn len<T>(axis: &Option<Vec<T>>) -> usize {
-            axis.as_ref().map_or(1, |v| v.len())
-        }
-        match &self.sweep {
-            None => 1,
-            Some(s) => {
-                len(&s.rate_mbps)
-                    * len(&s.rtt_ms)
-                    * len(&s.txqueuelen)
-                    * len(&s.seed)
-                    * len(&s.streams)
-            }
-        }
+        self.sweep.as_ref().map_or(1, |s| {
+            s.axes().iter().map(|(_, len)| len.unwrap_or(1)).product()
+        })
     }
 
     /// Expand the sweep grid into concrete runs: axes nest in declaration
@@ -1416,8 +1277,9 @@ impl ScenarioSpec {
         if self.runs.is_empty() {
             return Err(SpecError::new("a scenario needs at least one run"));
         }
-        if let Some(f) = &self.fairness {
-            f.check()?;
+        if let Some(f) = fairness {
+            check(f.window_s(), Positive, "fairness.window_s")?;
+            check(f.eps(), Open, "fairness.eps")?;
         }
         for (i, run) in self.runs.iter().enumerate() {
             if run.label.is_empty() {
@@ -1433,79 +1295,73 @@ impl ScenarioSpec {
             }
         }
         let sw = self.sweep.clone().unwrap_or_default();
-        let rates = axis(&sw.rate_mbps, "rate_mbps")?;
-        let rtts = axis(&sw.rtt_ms, "rtt_ms")?;
-        let queues = axis(&sw.txqueuelen, "txqueuelen")?;
-        let seeds = axis(&sw.seed, "seed")?;
-        let streams_axis = axis(&sw.streams, "streams")?;
+        if let Some((name, _)) = sw.axes().iter().find(|(_, len)| *len == Some(0)) {
+            return Err(SpecError::new(format!(
+                "sweep axis `{name}` must not be empty"
+            )));
+        }
 
         let mut out = Vec::new();
-        let mut cell = 0usize;
-        for &rate in &rates {
-            for &rtt in &rtts {
-                for &q in &queues {
-                    for &seed in &seeds {
-                        for &streams in &streams_axis {
-                            for (i, run) in self.runs.iter().enumerate() {
-                                let mut r = run.clone();
-                                if let Some(rate) = rate {
-                                    r.path.get_or_insert_with(Default::default).rate_mbps =
-                                        Some(rate);
-                                }
-                                if let Some(rtt) = rtt {
-                                    r.path.get_or_insert_with(Default::default).rtt_ms = Some(rtt);
-                                }
-                                if let Some(q) = q {
-                                    r.host.get_or_insert_with(Default::default).txqueuelen =
-                                        Some(q);
-                                }
-                                if let Some(seed) = seed {
-                                    r.seed = Some(seed);
-                                }
-                                if let Some(streams) = streams {
-                                    match &mut r.gridftp {
-                                        Some(g) => g.streams = streams,
-                                        None => {
-                                            return Err(SpecError::new(format!(
-                                                "run `{}`: the `streams` sweep axis requires a `gridftp` block",
-                                                run.label
-                                            )));
-                                        }
-                                    }
-                                }
-                                let mut scenario = r.to_scenario()?;
-                                if let Some(sh) = self.shards {
-                                    // The windowed driver has no event
-                                    // budget; say so instead of dropping
-                                    // the watchdog the spec asked for.
-                                    if run.max_events.is_some() {
-                                        return Err(SpecError::new(format!(
-                                            "$.runs[{i}].max_events: not supported with \
-                                             shards; use max_sim_time_s"
-                                        )));
-                                    }
-                                    let access = scenario.path.access_delay;
-                                    if scenario.path.rtt / 2 <= access * 2 {
-                                        return Err(SpecError::new(format!(
-                                            "run `{}`: sharded execution needs rtt > 4 x \
-                                             access_delay (rtt {} ms, access_delay_us {})",
-                                            run.label,
-                                            scenario.path.rtt.as_secs_f64() * 1e3,
-                                            access.as_nanos() as f64 / 1e3,
-                                        )));
-                                    }
-                                    scenario.shards = Some(sh.resolve());
-                                }
-                                out.push(ExpandedRun {
-                                    label: run.label.clone(),
-                                    cell,
-                                    scenario,
-                                });
-                            }
-                            cell += 1;
-                        }
-                    }
+        for cell in 0..self.cells() {
+            for (i, run) in self.runs.iter().enumerate() {
+                let mut r = run.clone();
+                // The cell's index on each present axis, innermost first.
+                let mut rest = cell;
+                let mut next = |len: usize| {
+                    let k = rest % len;
+                    rest /= len;
+                    k
+                };
+                if let Some(xs) = &sw.streams {
+                    let Some(g) = &mut r.gridftp else {
+                        return Err(SpecError::new(format!(
+                            "run `{}`: the `streams` sweep axis requires a `gridftp` block",
+                            run.label
+                        )));
+                    };
+                    g.streams = xs[next(xs.len())];
                 }
+                if let Some(xs) = &sw.seed {
+                    r.seed = Some(xs[next(xs.len())]);
+                }
+                if let Some(xs) = &sw.txqueuelen {
+                    r.host.get_or_insert_with(Default::default).txqueuelen =
+                        Some(xs[next(xs.len())]);
+                }
+                if let Some(xs) = &sw.rtt_ms {
+                    r.path.get_or_insert_with(Default::default).rtt_ms = Some(xs[next(xs.len())]);
+                }
+                if let Some(xs) = &sw.rate_mbps {
+                    r.path.get_or_insert_with(Default::default).rate_mbps =
+                        Some(xs[next(xs.len())]);
+                }
+                let mut scenario = r.to_scenario()?;
+                if let Some(sh) = self.shards {
+                    // The windowed driver has no event budget; say so
+                    // instead of dropping the watchdog the spec asked for.
+                    if run.max_events.is_some() {
+                        return Err(SpecError::new(format!(
+                            "$.runs[{i}].max_events: not supported with shards; use \
+                             max_sim_time_s"
+                        )));
+                    }
+                    let access = scenario.path.access_delay;
+                    if scenario.path.rtt / 2 <= access * 2 {
+                        return Err(SpecError::new(format!(
+                            "run `{}`: sharded execution needs rtt > 4 x access_delay (rtt {} \
+                             ms, access_delay_us {})",
+                            run.label,
+                            scenario.path.rtt.as_secs_f64() * 1e3,
+                            access.as_nanos() as f64 / 1e3,
+                        )));
+                    }
+                    scenario.shards = Some(sh.resolve());
+                }
+                out.push(ExpandedRun {
+                    label: run.label.clone(),
+                    cell,
+                    scenario,
+                });
             }
         }
         Ok(out)
@@ -1761,6 +1617,15 @@ mod tests {
                 "path.impairments.haul.burst_loss.p_good_to_bad",
                 r#"{"burst_loss":{"p_good_to_bad":nan,"p_bad_to_good":0.1,"loss_bad":0.5}}"#,
             ),
+            (
+                "path.impairments.haul.burst_loss.p_bad_to_good",
+                r#"{"burst_loss":{"p_good_to_bad":0.1,"p_bad_to_good":1.5,"loss_bad":0.5}}"#,
+            ),
+            (
+                "path.impairments.haul.burst_loss.loss_good",
+                r#"{"burst_loss":{"p_good_to_bad":0.1,"p_bad_to_good":0.1,
+                                  "loss_good":-0.1,"loss_bad":0.5}}"#,
+            ),
         ] {
             let doc = minimal(&format!(
                 r#"[{{"label":"x","flows":[{{}}],"path":{{"impairments":{{"haul":{json}}}}}}}]"#
@@ -1865,6 +1730,19 @@ mod tests {
             (
                 r#"{"dupack_threshold":0}"#,
                 "tcp.dupack_threshold must be at least 1",
+            ),
+            (r#"{"mss":0}"#, "tcp.mss must be positive"),
+            (
+                r#"{"initial_cwnd_mss":0}"#,
+                "tcp.initial_cwnd_mss must be positive",
+            ),
+            (
+                r#"{"max_rto_ms":-1}"#,
+                "tcp.max_rto_ms must be non-negative, got -1",
+            ),
+            (
+                r#"{"stall_retry_ms":0.0000001}"#,
+                "tcp.stall_retry_ms must be positive (at least 1 ns), got 0.0000001",
             ),
         ] {
             let err = ScenarioSpec::from_json(&minimal(&format!(
@@ -2091,6 +1969,180 @@ mod tests {
         );
         assert!(run(r#""duration_s":1.048576,"sample_interval_ms":0.001"#).is_ok());
         assert!(run(r#""max_sim_time_s":1.048576,"sample_interval_ms":0.001"#).is_ok());
+        // One out-of-range value per ranged knob: the message names the run,
+        // then the knob's full JSON path. A `cc` is checked once, where it is
+        // defined, whichever flow replicates it; a rate of 2^64 bit/s or more
+        // is rejected, not saturated.
+        let knob = |block: &str| {
+            let flows = if block.contains(r#""flows""#) || block.contains(r#""gridftp""#) {
+                ""
+            } else {
+                r#""flows":[{}],"#
+            };
+            ScenarioSpec::from_json(&minimal(&format!(r#"[{{"label":"x",{flows}{block}}}]"#)))
+                .unwrap()
+                .validate()
+                .unwrap_err()
+                .msg
+        };
+        const TOO_FAST: &str = "must be a rate of at least 1 bit/s (1e-6 Mbit/s) and under 2^64 \
+                                bit/s, got 1000000000000000000000";
+        let restricted = |params: &str| format!(r#""flows":[{{"cc":{{"Restricted":{params}}}}}]"#);
+        for (block, want) in [
+            (
+                r#""path":{"rate_mbps":1e300}"#.to_string(),
+                format!("path.rate_mbps {TOO_FAST}"),
+            ),
+            (
+                r#""path":{"access_rate_mbps":1e300}"#.into(),
+                format!("path.access_rate_mbps {TOO_FAST}"),
+            ),
+            (
+                r#""host":{"nic_rate_mbps":1e300}"#.into(),
+                format!("host.nic_rate_mbps {TOO_FAST}"),
+            ),
+            (
+                restricted(r#"{"tuning":{"ForRate":{"rate_mbps":1e300,"wire_pkt_bytes":1500}}}"#),
+                format!("flows[0].cc.Restricted.tuning.ForRate.rate_mbps {TOO_FAST}"),
+            ),
+            (
+                restricted(r#"{"tuning":{"ForRate":{"rate_mbps":100,"wire_pkt_bytes":0}}}"#),
+                "flows[0].cc.Restricted.tuning.ForRate.wire_pkt_bytes must be positive".into(),
+            ),
+            (
+                r#""path":{"rate_mbps":0.000001},
+                   "flows":[{"count":2,"cc":{"Restricted":{"tuning":"PerStream"}}}]"#
+                    .into(),
+                "flows[0].cc.Restricted.tuning: PerStream needs at least 1 bit/s per flow, got \
+                 1 bit/s over 2 flows"
+                    .into(),
+            ),
+            (
+                restricted(r#"{"setpoint_frac":1.5}"#),
+                "flows[0].cc: setpoint_frac must be in (0, 1], got 1.5".into(),
+            ),
+            (
+                r#""flows":[{"count":3},{"cc":{"Scalable":{"ai_cnt":0}}}]"#.into(),
+                "flows[1].cc: ai_cnt must be at least 1, got 0".into(),
+            ),
+            (
+                r#""gridftp":{"total_bytes":1000000,"streams":2,
+                             "cc":{"Scalable":{"ai_cnt":0}}}"#
+                    .into(),
+                "gridftp.cc: ai_cnt must be at least 1, got 0".into(),
+            ),
+            (
+                r#""gridftp":{"total_bytes":0,"streams":2,"cc":"Standard"}"#.into(),
+                "gridftp.total_bytes must be positive".into(),
+            ),
+            (
+                r#""gridftp":{"total_bytes":1000000,"streams":0,"cc":"Standard"}"#.into(),
+                "gridftp.streams must be positive".into(),
+            ),
+            (
+                r#""path":{"rtt_ms":-1}"#.into(),
+                "path.rtt_ms must be non-negative, got -1".into(),
+            ),
+            (
+                r#""path":{"loss_prob":1.5}"#.into(),
+                "path.loss_prob must be in [0, 1], got 1.5".into(),
+            ),
+            (
+                r#""path":{"access_delay_us":0.0001}"#.into(),
+                "path.access_delay_us must be positive (at least 1 ns), got 0.0001".into(),
+            ),
+            (
+                r#""path":{"impairments":{"haul":{"outages":[{"start_s":-1,"duration_s":1}]}}}"#
+                    .into(),
+                "path.impairments.haul.outages[0].start_s must be non-negative, got -1".into(),
+            ),
+            (
+                r#""path":{"impairments":{"access":{"outages":[{"start_s":1,"duration_s":0}]}}}"#
+                    .into(),
+                "path.impairments.access.outages[0].duration_s must be positive (at least 1 ns), \
+                 got 0"
+                    .into(),
+            ),
+            (
+                r#""path":{"impairments":{"haul":{"flap":{"mean_up_s":1,"mean_down_s":0}}}}"#
+                    .into(),
+                "path.impairments.haul.flap.mean_down_s must be positive (at least 1 ns), got 0"
+                    .into(),
+            ),
+            (
+                r#""path":{"impairments":{"haul":{"jitter":{"prob":0.5,"max_ms":-1}}}}"#.into(),
+                "path.impairments.haul.jitter.max_ms must be non-negative, got -1".into(),
+            ),
+            (
+                r#""host":{"txqueuelen":0}"#.into(),
+                "host.txqueuelen must be positive".into(),
+            ),
+            (
+                r#""host":{"mtu":0}"#.into(),
+                "host.mtu must be positive".into(),
+            ),
+            (
+                r#""flows":[{},{"start_s":-1}]"#.into(),
+                "flows[1].start_s must be non-negative, got -1".into(),
+            ),
+            (
+                r#""flows":[{},{"count":0}]"#.into(),
+                "flows[1].count must be positive".into(),
+            ),
+            (
+                r#""cross":[{"pattern":{"Cbr":{"rate_bps":1000000,"pkt_size":1000}},
+                             "start_s":-1}]"#
+                    .into(),
+                "cross[0].start_s must be non-negative, got -1".into(),
+            ),
+            (
+                r#""cross":[{"pattern":{"Cbr":{"rate_bps":1000000,"pkt_size":1000}}},
+                            {"pattern":{"Cbr":{"rate_bps":1000000,"pkt_size":1000}},
+                             "stop_s":-1}]"#
+                    .into(),
+                "cross[1].stop_s must be non-negative, got -1".into(),
+            ),
+            (
+                r#""duration_s":0"#.into(),
+                "duration_s must be positive (at least 1 ns), got 0".into(),
+            ),
+            (
+                r#""sample_interval_ms":0"#.into(),
+                "sample_interval_ms must be positive (at least 1 ns), got 0".into(),
+            ),
+            (
+                r#""max_sim_time_s":0"#.into(),
+                "max_sim_time_s must be positive (at least 1 ns), got 0".into(),
+            ),
+            (
+                r#""max_events":0"#.into(),
+                "max_events must be positive".into(),
+            ),
+            (
+                r#""web100_stride":0"#.into(),
+                "web100_stride must be positive".into(),
+            ),
+        ] {
+            let msg = knob(&block);
+            assert!(
+                msg.starts_with(&format!("run `x`: {want}")),
+                "{block}: {msg}"
+            );
+        }
+        // The `rate_mbps` sweep axis writes `path.rate_mbps`.
+        let err = ScenarioSpec::from_json(
+            r#"{"name":"t","runs":[{"label":"x","flows":[{}]}],
+                "sweep":{"rate_mbps":[100,1e300]}}"#,
+        )
+        .unwrap()
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.msg
+                .starts_with(&format!("run `x`: path.rate_mbps {TOO_FAST}")),
+            "{}",
+            err.msg
+        );
     }
 
     #[test]
@@ -2492,6 +2544,13 @@ mod tests {
                 r#"{"RedEcn":{"min_th":30,"max_th":30}}"#,
                 "must be below",
             ),
+            ("queue.RedEcn.w_q", r#"{"RedEcn":{"w_q":0}}"#, "in (0, 1]"),
+            (
+                "queue.RedEcn.min_th",
+                r#"{"RedEcn":{"min_th":-5}}"#,
+                "non-negative",
+            ),
+            ("queue.Red.max_p", r#"{"Red":{"max_p":1.5}}"#, "in (0, 1]"),
         ] {
             let doc = minimal(&format!(
                 r#"[{{"label":"x","flows":[{{}}],"queue":{fragment}}}]"#

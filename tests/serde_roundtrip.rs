@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use restricted_slow_start::{
     run, BurstLossDef, CcDef, FairnessDef, FlowDef, ImpairmentDef, ImpairmentsDef, JitterDef,
-    OutageDef, PathDef, QueueDef, RunReport, RunSpec, Scenario, ScenarioSpec, ShardsDef,
+    OutageDef, PathDef, QueueDef, RedDef, RunReport, RunSpec, Scenario, ScenarioSpec, ShardsDef,
     SimDuration, SweepSpec, TuningDef,
 };
 
@@ -137,20 +137,20 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                     queue: match (seed + i as u64) % 4 {
                         0 => None,
                         1 => Some(QueueDef::DropTail),
-                        2 => Some(QueueDef::Red {
+                        2 => Some(QueueDef::Red(RedDef {
                             min_th: Some(10.0),
                             max_th: None,
                             w_q: Some(0.005),
                             max_p: None,
                             gentle: Some(true),
-                        }),
-                        _ => Some(QueueDef::RedEcn {
+                        })),
+                        _ => Some(QueueDef::RedEcn(RedDef {
                             min_th: None,
                             max_th: Some(60.0),
                             w_q: None,
                             max_p: Some(0.2),
                             gentle: None,
-                        }),
+                        })),
                     },
                     sample_interval_ms: None,
                     web100_stride: Some(stride),
