@@ -6,17 +6,19 @@
 //!
 //! ```text
 //! sender.can_transmit ─► HostNic.enqueue (IFQ) ──full──► send-stall ─► CC
-//!        │ ok                                              (Figure 1 event)
-//!        ▼
-//! NicTxDone ─► Fabric.start_flight ─► Arrival ─► router port ─► Arrival ─► … ─► receiver host
-//!                                        (busy: waits in the queue                    │
-//!                                         for its PortTxDone)                         │
-//!            sender.on_ack ◄─ ACK path (receiver NIC) ◄─ TcpReceiver ◄────────────────┘
+//!        │ ok: at the IFQ's tail; its head is               (Figure 1 event)
+//!        ▼     the packet the device serializes
+//! NicTxDone (head leaves) ─► Fabric.start_flight ─► Arrival ─► router port ─► Arrival ─► … ─► receiver host
+//!   └─► pump the host's connections              (busy: waits in the queue                    │
+//!                                                 for its PortTxDone)                         │
+//!            sender.on_ack ◄─ ACK path (receiver NIC) ◄─ TcpReceiver ◄────────────────────────┘
 //! ```
 //!
 //! A segment costs its sender's `NicTxDone` and one `Arrival` per hop; a
 //! `PortTxDone` is added only at a router port where it waits behind another
-//! packet.
+//! packet. A `NicTxDone` frees an IFQ slot, so it pumps every connection
+//! sending from that host: a range of the connection table, since a host's
+//! flows are consecutive.
 //!
 //! # The unit map
 //!
@@ -57,10 +59,12 @@ use rss_net::{
 };
 use rss_sim::{event_tag, Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime};
 use rss_tcp::{
-    make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpReceiver, TcpSegment, TcpSender,
+    make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpConfig, TcpReceiver, TcpSegment,
+    TcpSender,
 };
 use rss_workload::AppDriver;
 use std::fmt;
+use std::ops::Range;
 
 /// Events of the complete experiment world. Every index is local to the
 /// world that scheduled the event.
@@ -191,9 +195,10 @@ struct Host {
     link: LinkId,
     /// Index of the unit that owns this host.
     unit: u32,
-    /// Connections sending from this host, in flow order. Frozen after
-    /// build; the transmit path walks it by index.
-    conns: Vec<u32>,
+    /// Connections sending from this host: consecutive, because flows are
+    /// built in order and a flow's host pair never precedes an earlier
+    /// flow's.
+    conns: Range<u32>,
 }
 
 /// Per-unit state: whatever must not depend on how units are grouped.
@@ -216,6 +221,9 @@ pub struct World {
     conns: Vec<Conn>,
     /// Connection index by scenario flow id (`u32::MAX`: another world's).
     conn_index: Vec<u32>,
+    /// The scenario's TCP configuration: what a segment carries of it
+    /// (`header_bytes`, the ECN codepoint) is read here, once for all flows.
+    tcp: TcpConfig,
     cross: Vec<Cross>,
     units: Vec<Unit>,
     /// Units of the whole plan, this world's or not.
@@ -372,7 +380,7 @@ impl World {
                     node,
                     link,
                     unit,
-                    conns: Vec::new(),
+                    conns: 0..0,
                 });
             }
         }
@@ -387,10 +395,14 @@ impl World {
                 make_cc(f.algo, &sc.tcp).map_err(|source| BuildError::Cc { flow: i, source })?;
             let mut sender = TcpSender::new(id, sc.tcp, cc, f.app.initial_bytes());
             sender.web100_mut().sample_stride = sc.web100_stride;
-            conn_index[i] = conns.len() as u32;
-            hosts[pair_hosts[pair][0] as usize]
-                .conns
-                .push(conns.len() as u32);
+            let c = conns.len() as u32;
+            conn_index[i] = c;
+            let sending = &mut hosts[pair_hosts[pair][0] as usize].conns;
+            if sending.start == sending.end {
+                *sending = c..c;
+            }
+            assert_eq!(sending.end, c, "a host's connections are consecutive");
+            sending.end = c + 1;
             conns.push(Conn {
                 id,
                 sender,
@@ -428,6 +440,7 @@ impl World {
             scheduled_rto: vec![None; conns.len()],
             conns,
             conn_index,
+            tcp: sc.tcp,
             cross,
             units,
             plan_units: plan.unit_domain.len(),
@@ -621,7 +634,6 @@ impl World {
                 break;
             };
             let host = conn.hosts[0];
-            let cfg = conn.sender.config();
             let seg = TcpSegment {
                 conn: conn.id,
                 kind: SegKind::Data {
@@ -629,8 +641,8 @@ impl World {
                     len: plan.len,
                     retransmit: plan.retransmit,
                 },
-                header_bytes: cfg.header_bytes,
-                ecn: if cfg.ecn { Ecn::Ect } else { Ecn::NotEct },
+                header_bytes: self.tcp.header_bytes,
+                ecn: if self.tcp.ecn { Ecn::Ect } else { Ecn::NotEct },
             };
             let (src, dst, flow) = (conn.src, conn.dst, conn.id.into());
             if self.enqueue(host, src, dst, flow, WireBody::Tcp(seg), now, sched) {
@@ -675,7 +687,7 @@ impl World {
                 rwnd: ack.rwnd,
                 ece: ack.ece,
             },
-            header_bytes: conn.sender.config().header_bytes,
+            header_bytes: self.tcp.header_bytes,
             ecn: Ecn::NotEct,
         };
         // ACKs leave the receiver host. A full receiver IFQ silently drops
@@ -816,10 +828,8 @@ impl Model for World {
                     sched.after(ser, Ev::NicTxDone { host });
                 }
                 // A queue slot freed: stalled connections on this host may
-                // proceed. (Index loop: the list is frozen after build, and
-                // cloning it here would allocate once per packet.)
-                for k in 0..self.hosts[host as usize].conns.len() {
-                    let ci = self.hosts[host as usize].conns[k];
+                // proceed.
+                for ci in self.hosts[host as usize].conns.clone() {
                     self.pump(ci as usize, now, sched);
                 }
             }
@@ -896,5 +906,21 @@ impl Model for World {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn a_flow_costs_two_hosts_and_one_connection() {
+        // 256, 296 and 1 056 B while each NIC kept its device's packet beside
+        // a counting drop-tail IFQ, each host a vector of its connections and
+        // each connection two copies of the scenario's `TcpConfig`.
+        assert!(size_of::<HostNic<WireBody>>() <= 112);
+        assert!(size_of::<Host>() <= 136, "Host is {} B", size_of::<Host>());
+        assert!(size_of::<Conn>() <= 920, "Conn is {} B", size_of::<Conn>());
     }
 }

@@ -8,12 +8,18 @@
 //! fed that failure back into TCP as if it were network congestion, which is
 //! the pathology Restricted Slow-Start removes.
 //!
-//! [`HostNic`] models the qdisc + device pair: bounded FIFO, one packet being
-//! serialized at a time, busy-time accounting for utilization reports.
+//! [`HostNic`] models the qdisc + device pair as one FIFO: while the device
+//! is busy, the packet it serializes is the IFQ's head, so the device slot is
+//! counted in [`HostNic::ifq_depth`] and left out of [`HostNic::ifq_queued`],
+//! and an enqueue is refused when `txqueuelen` packets wait behind it. The
+//! FIFO's buffer grows one slot at a time: its capacity is the deepest the
+//! IFQ has been, device slot included (at most `txqueuelen + 1`), and a host
+//! that never sends owns none.
 
-use rss_net::{Body, DropTailQueue, EnqueueError, Packet, QueueConfig, SerializeMemo};
+use rss_net::{Body, EnqueueError, Packet, SerializeMemo};
 use rss_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Static configuration of a host's transmit path.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -55,10 +61,11 @@ pub struct NicStats {
 #[derive(Debug, Clone)]
 pub struct HostNic<B> {
     cfg: HostConfig,
-    ifq: DropTailQueue<B>,
-    /// Packet currently being serialized by the device.
-    transmitting: Option<Packet<B>>,
-    tx_started: SimTime,
+    /// The IFQ in FIFO order. While the device is busy its head is the
+    /// packet being serialized.
+    ifq: VecDeque<Packet<B>>,
+    /// When the device started serializing the head; `None` while idle.
+    tx_started: Option<SimTime>,
     /// Serialization time of the last packet's size (a bulk sender's are
     /// all one MSS).
     ser: SerializeMemo,
@@ -69,10 +76,9 @@ impl<B: Body> HostNic<B> {
     /// Create an idle NIC with an empty IFQ.
     pub fn new(cfg: HostConfig) -> Self {
         HostNic {
-            ifq: DropTailQueue::new(QueueConfig::packets(cfg.txqueuelen)),
             cfg,
-            transmitting: None,
-            tx_started: SimTime::ZERO,
+            ifq: VecDeque::new(),
+            tx_started: None,
             ser: SerializeMemo::default(),
             stats: NicStats::default(),
         }
@@ -88,12 +94,12 @@ impl<B: Body> HostNic<B> {
     /// backlog is read on Linux only loosely — the device slot is counted
     /// because it is still host-side backlog.
     pub fn ifq_depth(&self) -> u32 {
-        self.ifq.len() as u32 + u32::from(self.transmitting.is_some())
+        self.ifq.len() as u32
     }
 
     /// Queued packets excluding the device slot.
     pub fn ifq_queued(&self) -> u32 {
-        self.ifq.len() as u32
+        self.ifq_depth() - u32::from(self.tx_started.is_some())
     }
 
     /// Maximum IFQ depth (txqueuelen).
@@ -114,40 +120,44 @@ impl<B: Body> HostNic<B> {
     /// forwards it to the congestion-control module as a local congestion
     /// signal.
     pub fn enqueue(&mut self, pkt: Packet<B>) -> Result<(), (EnqueueError, Packet<B>)> {
-        match self.ifq.try_enqueue(pkt) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.stats.stalls += 1;
-                Err(e)
-            }
+        if self.ifq_queued() >= self.cfg.txqueuelen {
+            self.stats.stalls += 1;
+            return Err((EnqueueError::PacketLimit, pkt));
         }
+        if self.ifq.len() == self.ifq.capacity() {
+            self.ifq.reserve_exact(1);
+        }
+        self.ifq.push_back(pkt);
+        Ok(())
     }
 
-    /// If the device is idle and the IFQ is non-empty, move the head packet
-    /// onto the device and return its serialization time; the caller
-    /// schedules a tx-done event that far in the future.
+    /// If the device is idle and the IFQ is non-empty, start serializing the
+    /// head packet and return its serialization time; the caller schedules a
+    /// tx-done event that far in the future.
     pub fn start_tx_if_idle(&mut self, now: SimTime) -> Option<SimDuration> {
-        if self.transmitting.is_some() {
+        if self.tx_started.is_some() {
             return None;
         }
-        let pkt = self.ifq.dequeue()?;
-        let ser = self.ser.time(pkt.wire_size(), self.cfg.nic_rate_bps);
-        self.transmitting = Some(pkt);
-        self.tx_started = now;
-        Some(ser)
+        let size = self.ifq.front()?.wire_size();
+        self.tx_started = Some(now);
+        Some(self.ser.time(size, self.cfg.nic_rate_bps))
     }
 
     /// The device finished serializing: returns the packet now on the wire.
     /// The caller puts it in flight and calls [`HostNic::start_tx_if_idle`]
     /// again for the next one.
     pub fn on_tx_done(&mut self, now: SimTime) -> Packet<B> {
-        let pkt = self
-            .transmitting
+        let started = self
+            .tx_started
             .take()
             .expect("tx-done with no packet on device");
+        let pkt = self
+            .ifq
+            .pop_front()
+            .expect("the device's packet heads the IFQ");
         self.stats.tx_pkts += 1;
         self.stats.tx_bytes += pkt.wire_size() as u64;
-        self.stats.busy_time += now.saturating_since(self.tx_started);
+        self.stats.busy_time += now.saturating_since(started);
         pkt
     }
 
@@ -158,8 +168,8 @@ impl<B: Body> HostNic<B> {
             return 0.0;
         }
         let mut busy = self.stats.busy_time;
-        if self.transmitting.is_some() {
-            busy += now.saturating_since(self.tx_started);
+        if let Some(started) = self.tx_started {
+            busy += now.saturating_since(started);
         }
         busy.as_nanos() as f64 / total as f64
     }
@@ -273,6 +283,62 @@ mod tests {
         n.start_tx_if_idle(SimTime::from_micros(240)).unwrap();
         let u = n.utilization(SimTime::from_micros(300));
         assert!((u - (120.0 + 60.0) / 300.0).abs() < 1e-9, "u = {u}");
+    }
+
+    #[test]
+    fn the_buffer_is_as_deep_as_the_ifq_has_been_device_slot_included() {
+        let mut n = nic(4);
+        assert_eq!(n.ifq.capacity(), 0, "an unused NIC owns no buffer");
+        // A packet at a time through an idle device: one slot.
+        let mut now = SimTime::ZERO;
+        for i in 0..100 {
+            n.enqueue(pkt(i, 1500)).unwrap();
+            now += n.start_tx_if_idle(now).unwrap();
+            n.on_tx_done(now);
+        }
+        assert_eq!(n.ifq.capacity(), 1);
+        // A backlog grows it slot by slot: the device's packet plus
+        // `txqueuelen` behind it, and not one more for the refused packet.
+        n.enqueue(pkt(100, 1500)).unwrap();
+        n.start_tx_if_idle(now).unwrap();
+        let mut deepest = 1;
+        for i in 101..110 {
+            if n.enqueue(pkt(i, 1500)).is_ok() {
+                deepest += 1;
+            }
+            assert_eq!(n.ifq.capacity(), deepest, "after packet {i}");
+        }
+        assert_eq!(deepest, 5);
+        assert_eq!(n.ifq_depth(), 5);
+        assert_eq!(n.ifq_queued(), 4);
+        // Draining keeps the buffer, and refilling to the same depth reuses
+        // it, FIFO order intact across the wrap.
+        let mut ids = Vec::new();
+        while n.ifq_depth() > 0 {
+            now += SimDuration::from_micros(120);
+            ids.push(n.on_tx_done(now).id);
+            n.start_tx_if_idle(now);
+            if ids.len() == 2 {
+                n.enqueue(pkt(200, 1500)).unwrap();
+                n.enqueue(pkt(201, 1500)).unwrap();
+            }
+        }
+        assert_eq!(ids, [100, 101, 102, 103, 104, 200, 201]);
+        assert_eq!(n.ifq.capacity(), 5);
+    }
+
+    #[test]
+    fn a_nic_holds_no_packet_inline() {
+        use std::mem::size_of;
+        // The device's packet is the IFQ's head, so a NIC is the same size
+        // whatever its packets carry. With a packet slot for the device and
+        // a drop-tail queue (limits and counters) for the IFQ it was 256 B
+        // for the simulator's `Packet<WireBody>`.
+        assert!(size_of::<HostNic<RawBody>>() <= 112);
+        assert_eq!(
+            size_of::<HostNic<RawBody>>(),
+            size_of::<HostNic<[u8; 64]>>()
+        );
     }
 
     #[test]

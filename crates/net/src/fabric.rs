@@ -62,7 +62,9 @@
 //! 160 bytes of state it never reads. A queued packet costs its port 16
 //! bytes; the packet sits in the arena, whose slots are shared by every port
 //! and recycled. The port table itself is sized once, from a count of the
-//! directions the fabric simulates.
+//! directions the fabric simulates, and the impairment table's per-direction
+//! index is built by the first [`Fabric::set_impairment`]: a clean network
+//! has none.
 //!
 //! In events, a port costs a [`NetEvent::PortTxDone`] per packet that found
 //! its transmitter busy and nothing else: a packet that finds it free goes
@@ -74,7 +76,7 @@
 use crate::arena::{ArenaMode, PacketArena, PacketHandle};
 use crate::impair::{Impairment, Verdict};
 use crate::packet::{Body, Ecn, LinkId, NodeId, Packet};
-use crate::queue::{DropTail, QueueConfig, QueueStats};
+use crate::queue::{DropTail, QueueConfig};
 use crate::red::{Red, RedConfig, RedStats};
 use crate::topology::{LinkParams, NodeKind, SerializeMemo, Topology};
 use rss_sim::{Envelope, SimDuration, SimRng, SimTime};
@@ -141,8 +143,8 @@ impl PortQueue {
     /// Offer a packet that finds the queue empty and the transmitter free:
     /// the packet to serialize at once, or `None` if it is dropped. RED
     /// enqueues and dequeues it, so its average and idle time see both;
-    /// drop-tail, which keeps nothing a packet passing through would change
-    /// but its counters, only checks that it would have been accepted.
+    /// drop-tail, which keeps nothing a packet passing through would change,
+    /// only checks that it would have been accepted.
     #[inline]
     fn pass(&mut self, now: SimTime, pkt: PacketHandle, rng: &mut SimRng) -> Option<PacketHandle> {
         match self {
@@ -171,14 +173,6 @@ impl PortQueue {
     /// Whether the queue holds no packets.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Storage-layer statistics. On a fabric's drop-tail port they count the
-    /// packets that waited: one that passed the queue by is not in them.
-    pub fn stats(&self) -> QueueStats {
-        match self {
-            PortQueue::DropTail(q) => q.stats(),
-            PortQueue::Red(q) => q.stats(),
-        }
     }
     /// RED counters, when this port runs RED (None for drop-tail).
     pub fn red_stats(&self) -> Option<RedStats> {
@@ -290,9 +284,11 @@ impl UnitMap {
 
 /// A table over the direction index `link * 2 + side` that stores only the
 /// occupied entries, so a fabric that owns (or impairs) a few directions of
-/// a large topology does not pay a full slot for every empty one.
+/// a large topology does not pay a full slot for every empty one. An index
+/// shorter than the topology's direction count reads as empty past its end,
+/// so `DirTable::new(0)` costs nothing until its first insert.
 struct DirTable<T> {
-    /// Index into `items` per direction; `u32::MAX` = empty.
+    /// Index into `items` per direction; `u32::MAX` (or no entry) = empty.
     slot: Vec<u32>,
     items: Vec<T>,
 }
@@ -307,15 +303,20 @@ impl<T> DirTable<T> {
 
     #[inline]
     fn get(&self, dir: usize) -> Option<&T> {
-        self.items.get(self.slot[dir] as usize)
+        self.items.get(*self.slot.get(dir)? as usize)
     }
 
     #[inline]
     fn get_mut(&mut self, dir: usize) -> Option<&mut T> {
-        self.items.get_mut(self.slot[dir] as usize)
+        self.items.get_mut(*self.slot.get(dir)? as usize)
     }
 
-    fn insert(&mut self, dir: usize, item: T) {
+    /// Put `item` at `dir`, building the index for all `dirs` directions if
+    /// the table has none yet.
+    fn insert(&mut self, dir: usize, dirs: usize, item: T) {
+        if self.slot.is_empty() {
+            self.slot = vec![u32::MAX; dirs];
+        }
         match self.get_mut(dir) {
             Some(old) => *old = item,
             None => {
@@ -366,7 +367,8 @@ pub struct Fabric<B> {
     ports: DirTable<Port>,
     rng: SimRng,
     /// Per-link-direction impairments, indexed like ports. An absent entry
-    /// (the default everywhere) is a zero-cost clean link.
+    /// (the default everywhere) is a zero-cost clean link, and a fabric with
+    /// no impairment has no index either.
     impairments: DirTable<Impairment>,
     /// Per-link transfer statistics, indexed by raw link id.
     link_stats: Vec<LinkStats>,
@@ -415,6 +417,7 @@ impl<B: Body> Fabric<B> {
         for idx in local_router_dirs(&topo, &units) {
             ports.insert(
                 idx,
+                dirs,
                 Port {
                     queue: PortQueue::DropTail(DropTail::new(router_queue)),
                     tx: Tx::Idle,
@@ -425,7 +428,7 @@ impl<B: Body> Fabric<B> {
         }
         let (hops, routes, params) = compile_hops(&topo, &units.owner);
         Fabric {
-            impairments: DirTable::new(dirs),
+            impairments: DirTable::new(0),
             link_stats: vec![LinkStats::default(); topo.links().len()],
             hops,
             nodes: topo.node_count(),
@@ -501,7 +504,7 @@ impl<B: Body> Fabric<B> {
     /// own random streams); impairing one direction leaves the other clean.
     pub fn set_impairment(&mut self, link: LinkId, from: NodeId, imp: Impairment) {
         let idx = self.dir_of(from, link);
-        self.impairments.insert(idx, imp);
+        self.impairments.insert(idx, self.hops.len(), imp);
     }
 
     /// The impairment installed on `(link, from)`, if any — read-only access
@@ -995,9 +998,9 @@ mod tests {
         use std::mem::size_of;
         // 20 000 access ports on the 10k-flow dumbbell: a drop-tail queue of
         // handles, the transmitter's state, the serialization memo and two
-        // pointers' worth of options.
+        // pointers' worth of options. 152 B while the queue kept counters.
         let port = size_of::<Port>();
-        assert!(port <= 160, "Port is {port} bytes");
+        assert!(port <= 104, "Port is {port} bytes");
         assert!(size_of::<Red<PacketHandle>>() > 160);
         // What a queued or flying packet costs outside the arena, and what a
         // direction costs the hop table.

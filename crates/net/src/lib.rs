@@ -32,7 +32,7 @@ pub use impair::{
     OutageSchedule, OutageWindow, Verdict,
 };
 pub use packet::{Body, Ecn, FlowId, LinkId, NodeId, Packet, PacketIdGen, RawBody};
-pub use queue::{DropTail, DropTailQueue, EnqueueError, QueueConfig, QueueStats, Queued};
+pub use queue::{DropTail, DropTailQueue, EnqueueError, QueueConfig, Queued};
 pub use red::{Red, RedConfig, RedQueue, RedStats};
 pub use topology::{dumbbell, Dumbbell, LinkParams, LinkSpec, NodeKind, SerializeMemo, Topology};
 pub use traffic::{TrafficPattern, TrafficSource};

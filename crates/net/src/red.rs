@@ -19,7 +19,7 @@
 //!   protects the queue.
 
 use crate::packet::{Ecn, Packet};
-use crate::queue::{DropTail, EnqueueError, QueueConfig, QueueStats, Queued};
+use crate::queue::{DropTail, EnqueueError, QueueConfig, Queued};
 use rss_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -154,11 +154,6 @@ impl<T: Queued> Red<T> {
             forced_drops: self.forced_drops,
             ecn_marks: self.ecn_marks,
         }
-    }
-
-    /// Storage-layer statistics.
-    pub fn stats(&self) -> QueueStats {
-        self.inner.stats()
     }
 
     /// Current instantaneous length.

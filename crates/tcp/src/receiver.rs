@@ -40,7 +40,9 @@ pub struct ReceiverStats {
 #[derive(Debug)]
 pub struct TcpReceiver {
     conn: ConnId,
-    cfg: TcpConfig,
+    /// The advertised window, bytes: [`TcpConfig::rwnd`].
+    rwnd: u64,
+    ack_policy: AckPolicy,
     rcv_nxt: u64,
     /// Out-of-order segments: start → end (coalesced on insert).
     ooo: BTreeMap<u64, u64>,
@@ -56,7 +58,8 @@ impl TcpReceiver {
     pub fn new(conn: ConnId, cfg: TcpConfig) -> Self {
         TcpReceiver {
             conn,
-            cfg,
+            rwnd: cfg.rwnd,
+            ack_policy: cfg.ack_policy,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             segs_since_ack: 0,
@@ -104,7 +107,7 @@ impl TcpReceiver {
         self.stats.acks_out += 1;
         AckToSend {
             ack: self.rcv_nxt,
-            rwnd: self.cfg.rwnd,
+            rwnd: self.rwnd,
             ece: std::mem::take(&mut self.ece_pending),
         }
     }
@@ -134,7 +137,7 @@ impl TcpReceiver {
         self.rcv_nxt = self.rcv_nxt.max(end);
         self.drain_ooo();
 
-        match self.cfg.ack_policy {
+        match self.ack_policy {
             AckPolicy::EverySegment => Some(self.make_ack()),
             AckPolicy::Delayed { timeout } => {
                 if filled_gap && self.rcv_nxt > end {
@@ -335,5 +338,12 @@ mod tests {
     fn zero_len_rejected() {
         let mut r = TcpReceiver::new(ConnId(0), cfg_every());
         r.on_segment(t(0), 0, 0);
+    }
+
+    #[test]
+    fn a_receiver_keeps_its_window_and_policy_not_the_config() {
+        // One per flow. Holding the whole `TcpConfig` it was 184 B.
+        let r = std::mem::size_of::<TcpReceiver>();
+        assert!(r <= 120, "TcpReceiver is {r} bytes");
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::cc::{CongestionEvent, RecoveryEvent};
 use crate::sender::TxPlan;
-use crate::types::TcpConfig;
 use std::ops::Range;
 
 /// What the congestion controller hears: the argument of the sender's one
@@ -59,10 +58,17 @@ impl NewReno {
     }
 
     /// An ACK acknowledged `newly` bytes (0: a duplicate) and left `flight`
-    /// (`snd_una..snd_nxt`) unacknowledged. Returns what the controller
-    /// hears, if anything.
+    /// (`snd_una..snd_nxt`) unacknowledged; the `dupack_threshold`-th
+    /// duplicate enters recovery, and a hole is at most `mss` long. Returns
+    /// what the controller hears, if anything.
     #[inline]
-    pub fn on_ack(&mut self, newly: u64, flight: Range<u64>, cfg: &TcpConfig) -> Option<CcSignal> {
+    pub fn on_ack(
+        &mut self,
+        newly: u64,
+        flight: Range<u64>,
+        dupack_threshold: u32,
+        mss: u32,
+    ) -> Option<CcSignal> {
         if newly == 0 {
             if flight.is_empty() {
                 return None;
@@ -74,7 +80,7 @@ impl NewReno {
             if self.in_recovery() {
                 return Some(CcSignal::Recovery(RecoveryEvent::DupAck));
             }
-            if self.dupacks != cfg.dupack_threshold {
+            if self.dupacks != dupack_threshold {
                 return None;
             }
             //= https://www.rfc-editor.org/rfc/rfc9002#section-7.3.2
@@ -84,7 +90,7 @@ impl NewReno {
             // (`TcpSender::on_ecn_echo`), so an echo before this fast
             // retransmit in the same window of data cuts that window twice.
             self.recover = Some(flight.end);
-            self.hole = Some(first_segment_end(flight, cfg.mss));
+            self.hole = Some(first_segment_end(flight, mss));
             return Some(CcSignal::Congestion(CongestionEvent::FastRetransmit));
         }
         self.dupacks = 0;
@@ -107,7 +113,7 @@ impl NewReno {
                 // unless the last one is still waiting to be sent. Data past
                 // it is in flight, because `recover <= snd_nxt`.
                 if self.hole.is_none() {
-                    self.hole = Some(first_segment_end(flight, cfg.mss));
+                    self.hole = Some(first_segment_end(flight, mss));
                 }
                 RecoveryEvent::PartialAck { newly_acked: newly }
             }
@@ -126,7 +132,7 @@ mod tests {
     use super::*;
     use crate::cc::{CcEngine, Reno, StallResponse};
     use crate::sender::{IfqSnapshot, TcpSender};
-    use crate::types::ConnId;
+    use crate::types::{ConnId, TcpConfig};
     use rss_sim::SimTime;
     use std::cmp::Ordering;
     use CcSignal::{Ack, Congestion, Recovery};
@@ -154,7 +160,7 @@ mod tests {
     fn recovering() -> NewReno {
         let mut r = NewReno::default();
         for _ in 0..3 {
-            r.on_ack(0, 0..10_000, &cfg(3));
+            r.on_ack(0, 0..10_000, 3, MSS);
         }
         assert!(r.in_recovery());
         r
@@ -177,7 +183,7 @@ mod tests {
                     Ordering::Equal => Some(Congestion(CongestionEvent::FastRetransmit)),
                     Ordering::Greater => Some(Recovery(RecoveryEvent::DupAck)),
                 };
-                let got = r.on_ack(0, outstanding.clone(), &cfg(threshold));
+                let got = r.on_ack(0, outstanding.clone(), threshold, MSS);
                 assert_eq!(got, want, "threshold {threshold}, duplicate {n}");
                 assert_eq!(r.in_recovery(), n >= threshold);
             }
@@ -186,7 +192,7 @@ mod tests {
         // With nothing outstanding a duplicate is not counted at all.
         let mut r = NewReno::default();
         for _ in 0..5 {
-            assert_eq!(r.on_ack(0, 7000..7000, &cfg(3)), None);
+            assert_eq!(r.on_ack(0, 7000..7000, 3, MSS), None);
         }
         assert_eq!(r, NewReno::default());
     }
@@ -220,7 +226,7 @@ mod tests {
                 r.on_transmit(r.retransmit(0).unwrap(), 0);
                 assert_eq!(r.retransmit(0), None);
             }
-            let got = r.on_ack(ack, ack..10_000, &cfg(3));
+            let got = r.on_ack(ack, ack..10_000, 3, MSS);
             let partial = RecoveryEvent::PartialAck { newly_acked: ack };
             assert_eq!(got, Some(Recovery(partial)), "sent {sent}, ack {ack}");
             assert!(r.in_recovery());
@@ -241,13 +247,13 @@ mod tests {
                 r.on_transmit(r.retransmit(0).unwrap(), 0);
             }
             let exit = RecoveryEvent::Exit { newly_acked: ack };
-            assert_eq!(r.on_ack(ack, ack..nxt, &cfg(3)), Some(Recovery(exit)));
+            assert_eq!(r.on_ack(ack, ack..nxt, 3, MSS), Some(Recovery(exit)));
             assert!(!r.in_recovery());
             assert_eq!(r.retransmit(ack), None);
             assert_eq!(r, NewReno::default(), "ack {ack}");
             // What follows is ordinary: an ACK of new data reaches `on_ack`.
             assert_eq!(
-                r.on_ack(500, ack + 500..nxt.max(ack + 500), &cfg(3)),
+                r.on_ack(500, ack + 500..nxt.max(ack + 500), 3, MSS),
                 Some(Ack(500))
             );
         }

@@ -59,7 +59,11 @@ struct SentInfo {
 #[derive(Debug)]
 pub struct TcpSender {
     conn: ConnId,
-    cfg: TcpConfig,
+    /// What the sender reads of its [`TcpConfig`] after construction.
+    mss: u32,
+    dupack_threshold: u32,
+    stall_retry: SimDuration,
+    stall_response: StallResponse,
     cc: CcEngine,
     rtt: RttEstimator,
     web100: InstrumentBlock,
@@ -134,8 +138,11 @@ impl TcpSender {
         web100.on_enter_slow_start();
         TcpSender {
             conn,
+            mss: cfg.mss,
+            dupack_threshold: cfg.dupack_threshold,
+            stall_retry: cfg.stall_retry,
+            stall_response: cfg.stall_response,
             peer_rwnd: cfg.rwnd,
-            cfg,
             cc,
             rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
             web100,
@@ -169,11 +176,6 @@ impl TcpSender {
     /// The connection id.
     pub fn conn(&self) -> ConnId {
         self.conn
-    }
-
-    /// Static configuration.
-    pub fn config(&self) -> &TcpConfig {
-        &self.cfg
     }
 
     /// First unacknowledged byte.
@@ -269,7 +271,7 @@ impl TcpSender {
     fn view(&self, now: SimTime, ifq: IfqSnapshot) -> CcView {
         CcView {
             now,
-            mss: self.cfg.mss,
+            mss: self.mss,
             flight: self.flight(),
             ifq_depth: ifq.depth,
             ifq_max: ifq.max,
@@ -335,13 +337,13 @@ impl TcpSender {
         if remaining == 0 {
             return None;
         }
-        let len = (self.cfg.mss as u64).min(remaining).min(room) as u32;
+        let len = (self.mss as u64).min(remaining).min(room) as u32;
         if len == 0 {
             return None;
         }
         // Avoid silly-window segments: send sub-MSS only at the very end of
         // a finite transfer.
-        if (len as u64) < self.cfg.mss as u64 && remaining > len as u64 {
+        if (len as u64) < self.mss as u64 && remaining > len as u64 {
             return None;
         }
         Some(TxPlan {
@@ -420,10 +422,8 @@ impl TcpSender {
     /// segment is not considered sent, the congestion layer is told (at most
     /// once per outstanding window), and transmission pauses briefly.
     pub fn on_local_stall(&mut self, now: SimTime, ifq: IfqSnapshot) {
-        self.stall_until = Some(now + self.cfg.stall_retry);
-        if self.snd_una >= self.stall_signal_gate
-            || self.cfg.stall_response == StallResponse::Ignore
-        {
+        self.stall_until = Some(now + self.stall_retry);
+        if self.snd_una >= self.stall_signal_gate || self.stall_response == StallResponse::Ignore {
             self.signal(now, ifq, CcSignal::Congestion(CongestionEvent::LocalStall));
             self.stall_signal_gate = self.snd_nxt;
         }
@@ -475,7 +475,8 @@ impl TcpSender {
             self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto());
         }
         let flight = self.snd_una..self.snd_nxt;
-        if let Some(sig) = self.recovery.on_ack(newly, flight, &self.cfg) {
+        let (threshold, mss) = (self.dupack_threshold, self.mss);
+        if let Some(sig) = self.recovery.on_ack(newly, flight, threshold, mss) {
             self.signal(now, ifq, sig);
         }
     }
@@ -1167,7 +1168,9 @@ mod tests {
         // Reno inline beside the boxed trait object. Holding every variant
         // inline would grow each flow's sender by about 200 bytes.
         assert_eq!(size_of::<CcEngine>(), 40);
+        // The four `TcpConfig` fields it reads after construction, not the
+        // whole config: 792 B with it.
         let sender = size_of::<TcpSender>();
-        assert!(sender <= 840, "TcpSender is {sender} bytes");
+        assert!(sender <= 720, "TcpSender is {sender} bytes");
     }
 }

@@ -14,9 +14,11 @@
 //! destination's arena and rides recycled envelope buffers.
 //!
 //! The same allocator tracks live bytes: a second test holds the same
-//! dumbbell's peak live heap per flow under a ceiling, and a third holds the
+//! dumbbell's peak live heap per flow under a ceiling, over the whole run and
+//! over building its world alone, and a third holds the
 //! paper testbed's peak live heap per recorded telemetry sample under one.
 
+use restricted_slow_start::world::World;
 use restricted_slow_start::{run, AppModel, CcAlgorithm, FlowSpec, Scenario, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,38 +139,59 @@ fn steady_state_allocates_nothing_per_event() {
     }
 }
 
-/// Peak live heap over `run(sc)`, in bytes above what was live going in.
-fn peak_heap_over_run(sc: &Scenario) -> u64 {
+/// Peak live heap over `phase`, in bytes above what was live going in.
+fn peak_heap_over<T>(phase: impl FnOnce() -> T) -> u64 {
     let before = LIVE_BYTES.load(Ordering::SeqCst);
     PEAK_BYTES.store(before, Ordering::SeqCst);
-    drop(run(sc));
+    drop(phase());
     PEAK_BYTES.load(Ordering::SeqCst) - before
+}
+
+/// Peak live heap over `run(sc)`, in bytes above what was live going in.
+fn peak_heap_over_run(sc: &Scenario) -> u64 {
+    peak_heap_over(|| run(sc))
 }
 
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures under one engine (4 061 B) and in two domains
-/// (5 044 B: each domain's fabric compiles its own 16-byte hop record per
-/// direction of the whole topology). With each flow's cwnd and acked
-/// samples held as `(f64, f64)` pairs instead of packed steps, the same
-/// runs measure 4 604 and 5 736 B (ceilings 5 060 / 6 310); with an IFQ
-/// series and a sampling chain for every sending host, a per-ACK IFQ series
-/// in every sender and the series copied into the report as well, 5 164 and
-/// 6 284 B; with per-bucket vectors in the calendar wheel, RED state in
-/// every port, four-packet first queue buffers and flow reports rendered
-/// beside the complete world as well, 9 400 and 10 990 B.
+/// above what it measures under one engine (3 476 B) and in two domains
+/// (4 443 B: each domain's fabric compiles its own 16-byte hop record per
+/// direction of the whole topology), and the same for [`World::build`] alone
+/// (1 677 B), so a per-flow struct that grows names its phase.
+///
+/// Before each host NIC dropped its device-packet slot and its IFQ's
+/// counters, each router port its queue's counters, each connection its two
+/// copies of the scenario's `TcpConfig`, each sending host its vector of
+/// connections and the fabric its impairment index on a clean network, the
+/// same runs measured 4 061 and 5 044 B (ceilings 4 470 / 5 550) and the
+/// build 2 261 B. With each flow's cwnd and acked samples held as
+/// `(f64, f64)` pairs instead of packed steps, the runs measured 4 604 and
+/// 5 736 B (ceilings 5 060 / 6 310); with an IFQ series and a sampling
+/// chain for every sending host, a per-ACK IFQ series in every sender and
+/// the series copied into the report as well, 5 164 and 6 284 B; with
+/// per-bucket vectors in the calendar wheel, RED state in every port,
+/// four-packet first queue buffers and flow reports rendered beside the
+/// complete world as well, 9 400 and 10 990 B.
 #[test]
 fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    for (shards, ceiling) in [(None, 4_470), (Some(2), 5_550)] {
+    let run_in = |shards: Option<u32>| {
         let mut sc = manyflow(SimDuration::from_millis(1500));
         sc.shards = shards;
-        let per_flow = peak_heap_over_run(&sc) / sc.flows.len() as u64;
+        move || run(&sc)
+    };
+    let sc = manyflow(SimDuration::from_millis(1500));
+    let build = || World::build(&sc).expect("the dumbbell builds");
+    for (phase, peak, ceiling) in [
+        ("run(), one engine", peak_heap_over(run_in(None)), 3_830),
+        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_890),
+        ("World::build", peak_heap_over(build), 1_850),
+    ] {
+        let per_flow = peak / sc.flows.len() as u64;
         assert!(
             per_flow <= ceiling,
-            "shards {shards:?}: peak live heap over run() is {per_flow} B per flow, \
-             ceiling {ceiling}"
+            "{phase}: peak live heap is {per_flow} B per flow, ceiling {ceiling}"
         );
     }
 }
