@@ -14,7 +14,7 @@
 //! arithmetic afterwards is integer, so runs stay byte-deterministic.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use std::sync::OnceLock;
 
 /// RFC 3649 §5: the window below which the scheme is standard TCP.
@@ -102,17 +102,15 @@ pub struct HighSpeedTcp {
     mss: u64,
     /// Byte accumulator for table-scaled congestion-avoidance growth.
     ca_accum: u64,
-    stall_response: StallResponse,
 }
 
 impl HighSpeedTcp {
     /// Create a HighSpeed controller (the RFC's constants; no parameters).
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, stall: StallResponse) -> Self {
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
         HighSpeedTcp {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss, stall),
+            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
             mss: mss as u64,
             ca_accum: 0,
-            stall_response: stall,
         }
     }
 
@@ -170,19 +168,11 @@ impl CongestionControl for HighSpeedTcp {
                 self.base.force_cwnd(self.mss);
                 self.ca_accum = 0;
             }
-            CongestionEvent::LocalStall => match self.stall_response {
-                StallResponse::Cwr => {
-                    self.reduce(view);
-                    self.base.force_cwnd(self.base.ssthresh());
-                    self.ca_accum = 0;
-                }
-                StallResponse::RestartFromOne => {
-                    self.reduce(view);
-                    self.base.force_cwnd(self.mss);
-                    self.ca_accum = 0;
-                }
-                StallResponse::Ignore => {}
-            },
+            CongestionEvent::LocalStall => {
+                self.reduce(view);
+                self.base.force_cwnd(self.base.ssthresh());
+                self.ca_accum = 0;
+            }
         }
     }
 
@@ -206,7 +196,6 @@ mod tests {
             cwnd_segments * MSS as u64,
             ssthresh_segments * MSS as u64,
             MSS,
-            StallResponse::Cwr,
         )
     }
 
@@ -302,10 +291,6 @@ mod tests {
         let v = test_view(0, MSS, 400 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::LocalStall);
         assert_eq!(cc.cwnd(), cc.ssthresh());
-        let mut cc =
-            HighSpeedTcp::new(500 * MSS as u64, 5 * MSS as u64, MSS, StallResponse::Ignore);
-        cc.on_congestion(&v, CongestionEvent::LocalStall);
-        assert_eq!(cc.cwnd(), 500 * MSS as u64);
     }
 
     #[test]

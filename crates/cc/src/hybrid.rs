@@ -22,7 +22,7 @@
 //! like the reference implementations.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use rss_sim::{SimDuration, SimTime};
 
 /// Window (in segments) below which HyStart never fires.
@@ -64,9 +64,9 @@ pub struct HybridStart {
 
 impl HybridStart {
     /// Create with an initial window and threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, stall: StallResponse) -> Self {
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
         HybridStart {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss, stall),
+            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
             mss: mss as u64,
             round_remaining: 0,
             last_round_min: None,
@@ -195,12 +195,7 @@ mod tests {
     const MSS: u32 = 1000;
 
     fn hystart(cwnd_segments: u64) -> HybridStart {
-        HybridStart::new(
-            cwnd_segments * MSS as u64,
-            u64::MAX / 2,
-            MSS,
-            StallResponse::Cwr,
-        )
+        HybridStart::new(cwnd_segments * MSS as u64, u64::MAX / 2, MSS)
     }
 
     fn view(now_ms: u64, rtt_ms: u64, min_rtt_ms: u64) -> crate::CcView {

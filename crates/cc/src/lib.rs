@@ -42,7 +42,14 @@
 //!    [`CongestionControl`] (wrap [`Reno`] for the loss-response paths the
 //!    scheme does not change, as `restricted.rs` and `ssthreshless.rs` do),
 //!    plus a `Copy + Serialize + Deserialize` config struct if it has
-//!    parameters. Give it phase-transition unit tests in the same file.
+//!    parameters. The constructor takes the [`CcParams`] window inputs and
+//!    nothing about send-stalls: answer [`CongestionEvent::LocalStall`]
+//!    with the scheme's CWR reduction and [`CongestionEvent::Timeout`] with
+//!    its restart; the sender's `stall_response` setting (in `rss-tcp`)
+//!    picks which of the two a stall becomes, or keeps it from the
+//!    controller. Give it phase-transition unit tests in the same file;
+//!    `rss-tcp`'s stall conformance test walks every registry row through
+//!    all three responses.
 //! 2. **`CcAlgorithm` arm** — add the arm carrying the config. The compiler
 //!    then refuses to build until three exhaustive `match`es handle it:
 //!    [`CcAlgorithm::info`] (point it at a new [`VariantInfo`] row in
@@ -84,7 +91,6 @@ pub use scalable::{ScalableConfig, ScalableTcp};
 pub use ssthreshless::{SslConfig, SsthreshlessStart};
 
 use rss_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Sender state exposed to the congestion controller at decision points.
 #[derive(Debug, Clone, Copy)]
@@ -130,7 +136,11 @@ pub enum CongestionEvent {
     FastRetransmit,
     /// Retransmission timeout (severe network congestion).
     Timeout,
-    /// Local send-stall: the IFQ rejected a segment (host congestion).
+    /// Local send-stall (the IFQ rejected a segment), answered the CWR way
+    /// of Linux 2.4's `tcp_enter_cwr`: reduce the window as for congestion,
+    /// without retransmitting and without restarting slow-start. The sender
+    /// alone decides whether a stall reaches the controller, and as which
+    /// event.
     LocalStall,
 }
 
@@ -186,26 +196,6 @@ pub enum PacingDecision {
         /// reproducing unpaced behavior byte-for-byte).
         bytes_per_sec: u64,
     },
-}
-
-/// How the sender's congestion control responds to a local send-stall.
-///
-/// The paper says Linux "treats these events in the same way as it would
-/// treat the network congestion" (§2); concretely Linux 2.4's local
-/// congestion path (`tcp_enter_cwr`) halves the effective window without
-/// retransmitting. The alternatives let experiments probe harsher and softer
-/// interpretations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StallResponse {
-    /// CWR-style: `ssthresh = max(flight/2, 2·MSS)`, `cwnd = ssthresh`,
-    /// leave slow-start. Linux 2.4 behaviour; the default.
-    Cwr,
-    /// Timeout-style: additionally collapse cwnd to 1 MSS and re-enter
-    /// slow-start (Tahoe-like; worst case).
-    RestartFromOne,
-    /// Pretend it did not happen (upper bound on what ignoring local
-    /// congestion could buy; loses the IFQ signal entirely).
-    Ignore,
 }
 
 /// The window-management interface.
@@ -319,8 +309,6 @@ pub struct CcParams {
     pub initial_ssthresh: u64,
     /// Maximum segment size, bytes.
     pub mss: u32,
-    /// Congestion response to local send-stalls.
-    pub stall_response: StallResponse,
 }
 
 /// Dispatch shell the sender holds its congestion controller in.
@@ -349,30 +337,24 @@ impl CcEngine {
     /// callers surface it on their own error channel.
     pub fn new(algo: &CcAlgorithm, p: &CcParams) -> Result<CcEngine, CcError> {
         registry::validate(algo, p)?;
-        let (cwnd, ssthresh, mss, stall) =
-            (p.initial_cwnd, p.initial_ssthresh, p.mss, p.stall_response);
+        let (cwnd, ssthresh, mss) = (p.initial_cwnd, p.initial_ssthresh, p.mss);
         let cc: Box<dyn CongestionControl> = match *algo {
-            CcAlgorithm::Reno => return Ok(CcEngine::Reno(Reno::new(cwnd, ssthresh, mss, stall))),
+            CcAlgorithm::Reno => return Ok(CcEngine::Reno(Reno::new(cwnd, ssthresh, mss))),
             CcAlgorithm::Restricted(cfg) => {
-                Box::new(RestrictedSlowStart::new(cwnd, ssthresh, mss, stall, cfg))
+                Box::new(RestrictedSlowStart::new(cwnd, ssthresh, mss, cfg))
             }
             CcAlgorithm::Limited { max_ssthresh } => Box::new(LimitedSlowStart::with_max_ssthresh(
                 cwnd,
                 ssthresh,
                 mss,
-                stall,
                 max_ssthresh.unwrap_or(100 * mss as u64),
             )),
-            CcAlgorithm::Ssthreshless(cfg) => {
-                Box::new(SsthreshlessStart::new(cwnd, mss, stall, cfg))
-            }
-            CcAlgorithm::HighSpeed => Box::new(HighSpeedTcp::new(cwnd, ssthresh, mss, stall)),
-            CcAlgorithm::Scalable(cfg) => {
-                Box::new(ScalableTcp::new(cwnd, ssthresh, mss, stall, cfg))
-            }
+            CcAlgorithm::Ssthreshless(cfg) => Box::new(SsthreshlessStart::new(cwnd, mss, cfg)),
+            CcAlgorithm::HighSpeed => Box::new(HighSpeedTcp::new(cwnd, ssthresh, mss)),
+            CcAlgorithm::Scalable(cfg) => Box::new(ScalableTcp::new(cwnd, ssthresh, mss, cfg)),
             CcAlgorithm::Bbr => Box::new(BbrProbe::new(cwnd, mss)),
-            CcAlgorithm::Relentless => Box::new(RelentlessCc::new(cwnd, ssthresh, mss, stall)),
-            CcAlgorithm::Hybrid => Box::new(HybridStart::new(cwnd, ssthresh, mss, stall)),
+            CcAlgorithm::Relentless => Box::new(RelentlessCc::new(cwnd, ssthresh, mss)),
+            CcAlgorithm::Hybrid => Box::new(HybridStart::new(cwnd, ssthresh, mss)),
         };
         Ok(CcEngine::Dyn(cc))
     }
@@ -468,7 +450,6 @@ mod tests {
             initial_cwnd: 2 * 1448,
             initial_ssthresh: u64::MAX / 2,
             mss: 1448,
-            stall_response: StallResponse::Cwr,
         }
     }
 

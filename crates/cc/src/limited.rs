@@ -1,11 +1,11 @@
 //! Limited Slow-Start (RFC 3742) — the era's other proposal for taming
-//! slow-start on big-BDP paths, used as an extension baseline (experiment
-//! E8). Where the paper's scheme closes a feedback loop on the host IFQ,
+//! slow-start on big-BDP paths, used as an extension baseline
+//! (`scenarios/slow_start_variants.json`). Where the paper's scheme closes a feedback loop on the host IFQ,
 //! RFC 3742 simply caps the exponential phase open-loop once the window
 //! passes `max_ssthresh`.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 
 /// RFC 3742 window management: Reno everywhere except the slow-start growth
 /// rule.
@@ -19,8 +19,8 @@ pub struct LimitedSlowStart {
 
 impl LimitedSlowStart {
     /// Create with the RFC's recommended `max_ssthresh` of 100 segments.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, stall: StallResponse) -> Self {
-        Self::with_max_ssthresh(initial_cwnd, initial_ssthresh, mss, stall, 100 * mss as u64)
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
+        Self::with_max_ssthresh(initial_cwnd, initial_ssthresh, mss, 100 * mss as u64)
     }
 
     /// Create with an explicit `max_ssthresh` (bytes).
@@ -28,12 +28,11 @@ impl LimitedSlowStart {
         initial_cwnd: u64,
         initial_ssthresh: u64,
         mss: u32,
-        stall: StallResponse,
         max_ssthresh: u64,
     ) -> Self {
         assert!(max_ssthresh >= 2 * mss as u64);
         LimitedSlowStart {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss, stall),
+            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
             max_ssthresh,
             mss: mss as u64,
         }
@@ -95,7 +94,6 @@ mod tests {
             2 * MSS as u64,
             u64::MAX / 2,
             MSS,
-            StallResponse::Cwr,
             max_ss_segments * MSS as u64,
         )
     }

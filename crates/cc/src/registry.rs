@@ -314,14 +314,13 @@ pub fn validate(algo: &CcAlgorithm, params: &CcParams) -> Result<(), CcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CcEngine, RssConfig, ScalableConfig, SslConfig, StallResponse};
+    use crate::{CcEngine, RssConfig, ScalableConfig, SslConfig};
 
     fn params() -> CcParams {
         CcParams {
             initial_cwnd: 2 * 1448,
             initial_ssthresh: u64::MAX / 2,
             mss: 1448,
-            stall_response: StallResponse::Cwr,
         }
     }
 

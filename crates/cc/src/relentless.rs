@@ -27,7 +27,7 @@
 //! the conservation-of-packets fallback.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 
 /// Relentless window management: Reno growth, decrease-by-losses recovery.
 #[derive(Debug, Clone)]
@@ -45,9 +45,9 @@ pub struct RelentlessCc {
 
 impl RelentlessCc {
     /// Create with an initial window and threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, stall: StallResponse) -> Self {
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
         RelentlessCc {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss, stall),
+            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
             mss: mss as u64,
             recovery_target: 0,
             ca_accum: 0,
@@ -156,7 +156,7 @@ mod tests {
     const MSS: u32 = 1000;
 
     fn relentless(cwnd_segments: u64) -> RelentlessCc {
-        let mut cc = RelentlessCc::new(2 * MSS as u64, u64::MAX / 2, MSS, StallResponse::Cwr);
+        let mut cc = RelentlessCc::new(2 * MSS as u64, u64::MAX / 2, MSS);
         cc.base.force_cwnd(cwnd_segments * MSS as u64);
         cc.base.force_ssthresh(2 * MSS as u64); // congestion avoidance
         cc

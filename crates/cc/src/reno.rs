@@ -2,7 +2,7 @@
 //! avoidance, NewReno-style recovery window management) — the Linux 2.4.19
 //! baseline of the paper's §4, including its response to local send-stalls.
 
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 
 /// Reno/NewReno window management.
 #[derive(Debug, Clone)]
@@ -13,19 +13,17 @@ pub struct Reno {
     /// Byte accumulator for congestion-avoidance growth (appropriate byte
     /// counting of the classic `cwnd += MSS²/cwnd` per ACK).
     ca_accum: u64,
-    stall_response: StallResponse,
 }
 
 impl Reno {
     /// Create with an initial window and threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, stall: StallResponse) -> Self {
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
         assert!(mss > 0);
         Reno {
             cwnd: initial_cwnd,
             ssthresh: initial_ssthresh,
             mss: mss as u64,
             ca_accum: 0,
-            stall_response: stall,
         }
     }
 
@@ -78,21 +76,13 @@ impl Reno {
                 self.cwnd = self.mss; // loss window: restart from one segment
                 self.ca_accum = 0;
             }
-            CongestionEvent::LocalStall => match self.stall_response {
-                StallResponse::Cwr => {
-                    // Linux 2.4 local-congestion path: halve and leave
-                    // slow-start, no retransmission.
-                    self.halve(view);
-                    self.cwnd = self.ssthresh;
-                    self.ca_accum = 0;
-                }
-                StallResponse::RestartFromOne => {
-                    self.halve(view);
-                    self.cwnd = self.mss;
-                    self.ca_accum = 0;
-                }
-                StallResponse::Ignore => {}
-            },
+            CongestionEvent::LocalStall => {
+                // Linux 2.4 local-congestion path: halve and leave
+                // slow-start, no retransmission.
+                self.halve(view);
+                self.cwnd = self.ssthresh;
+                self.ca_accum = 0;
+            }
         }
     }
 }
@@ -161,13 +151,13 @@ mod tests {
 
     const MSS: u32 = 1000;
 
-    fn reno(stall: StallResponse) -> Reno {
-        Reno::new(2 * MSS as u64, u64::MAX / 2, MSS, stall)
+    fn reno() -> Reno {
+        Reno::new(2 * MSS as u64, u64::MAX / 2, MSS)
     }
 
     #[test]
     fn slow_start_doubles_per_window_of_acks() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 0);
         assert!(cc.in_slow_start());
         // One window of per-segment ACKs doubles cwnd: 2 ACKs of 1 MSS each.
@@ -183,7 +173,7 @@ mod tests {
 
     #[test]
     fn slow_start_increment_capped_at_mss_per_ack() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 0);
         // A stretch ACK covering 4 MSS still only grows cwnd by 1 MSS (L=1).
         cc.on_ack(&v, 4 * MSS as u64);
@@ -192,7 +182,7 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_grows_one_mss_per_window() {
-        let mut cc = Reno::new(10 * MSS as u64, 5 * MSS as u64, MSS, StallResponse::Cwr);
+        let mut cc = Reno::new(10 * MSS as u64, 5 * MSS as u64, MSS);
         assert!(!cc.in_slow_start());
         let v = test_view(0, MSS, 0);
         // Ack one full window worth of bytes: cwnd += 1 MSS.
@@ -204,7 +194,7 @@ mod tests {
 
     #[test]
     fn fast_retransmit_halves_and_inflates() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 20 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         assert_eq!(cc.ssthresh(), 10 * MSS as u64);
@@ -218,7 +208,7 @@ mod tests {
 
     #[test]
     fn timeout_collapses_to_one_segment_and_slow_starts() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 16 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.ssthresh(), 8 * MSS as u64);
@@ -228,7 +218,7 @@ mod tests {
 
     #[test]
     fn ssthresh_floor_two_segments() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, MSS as u64); // tiny flight
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.ssthresh(), 2 * MSS as u64);
@@ -236,7 +226,7 @@ mod tests {
 
     #[test]
     fn local_stall_cwr_halves_without_restart() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 200 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::LocalStall);
         assert_eq!(cc.ssthresh(), 100 * MSS as u64);
@@ -245,26 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn local_stall_restart_from_one() {
-        let mut cc = reno(StallResponse::RestartFromOne);
-        let v = test_view(0, MSS, 200 * MSS as u64);
-        cc.on_congestion(&v, CongestionEvent::LocalStall);
-        assert_eq!(cc.cwnd(), MSS as u64);
-        assert!(cc.in_slow_start(), "re-enters slow start toward ssthresh");
-    }
-
-    #[test]
-    fn local_stall_ignore_keeps_window() {
-        let mut cc = reno(StallResponse::Ignore);
-        let v = test_view(0, MSS, 200 * MSS as u64);
-        let before = cc.cwnd();
-        cc.on_congestion(&v, CongestionEvent::LocalStall);
-        assert_eq!(cc.cwnd(), before);
-    }
-
-    #[test]
     fn ecn_echo_halves_like_cwr() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 20 * MSS as u64);
         cc.on_recovery(&v, RecoveryEvent::EcnEcho);
         assert_eq!(cc.ssthresh(), 10 * MSS as u64);
@@ -278,7 +250,7 @@ mod tests {
 
     #[test]
     fn partial_ack_deflates_but_not_below_floor() {
-        let mut cc = reno(StallResponse::Cwr);
+        let mut cc = reno();
         let v = test_view(0, MSS, 20 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         let before = cc.cwnd();

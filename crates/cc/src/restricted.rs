@@ -17,7 +17,7 @@
 //! the slow-start phase.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use rss_control::{PidConfig, PidController, PidGains};
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +37,9 @@ pub struct RssConfig {
 
 impl RssConfig {
     /// Defaults: the paper's 90 % set point with gains from the
-    /// Ziegler–Nichols experiment of E6 (see EXPERIMENTS.md).
+    /// Ziegler–Nichols rule on the small-signal IFQ plant (the paper-rule
+    /// arm of `scenarios/pid_ablation.json`; `examples/zn_tuning.rs` runs
+    /// the tuning experiment itself).
     ///
     /// The IFQ's small-signal plant is an integrator (queue accumulates the
     /// controller's per-ACK increments at the ACK rate, K ≈ 8333 pkt/s on
@@ -103,13 +105,7 @@ pub struct RestrictedSlowStart {
 
 impl RestrictedSlowStart {
     /// Create with explicit initial window/threshold.
-    pub fn new(
-        initial_cwnd: u64,
-        initial_ssthresh: u64,
-        mss: u32,
-        stall: StallResponse,
-        cfg: RssConfig,
-    ) -> Self {
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, cfg: RssConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.setpoint_frac),
             "setpoint fraction out of range"
@@ -118,7 +114,7 @@ impl RestrictedSlowStart {
         let pid_cfg = PidConfig::new(cfg.gains, 0.0)
             .with_output_limits(-cfg.max_decrement_segments, cfg.max_increment_segments);
         RestrictedSlowStart {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss, stall),
+            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
             pid: PidController::new(pid_cfg),
             cfg,
             mss: mss as u64,
@@ -232,7 +228,6 @@ mod tests {
             2 * MSS as u64,
             u64::MAX / 2,
             MSS,
-            StallResponse::Cwr,
             RssConfig {
                 gains: PidGains::pid(0.5, 0.5, 0.05),
                 setpoint_frac: 0.9,
@@ -313,7 +308,6 @@ mod tests {
             10 * MSS as u64,
             5 * MSS as u64, // already past ssthresh: CA
             MSS,
-            StallResponse::Cwr,
             RssConfig::tuned(),
         );
         assert!(!cc.in_slow_start());

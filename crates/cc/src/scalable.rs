@@ -10,7 +10,7 @@
 //! paper's scheme is exactly this delta over Reno).
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Scalable TCP controller.
@@ -35,25 +35,17 @@ pub struct ScalableTcp {
     mss: u64,
     /// Byte accumulator for the fractional per-ACK increase.
     ai_accum: u64,
-    stall_response: StallResponse,
 }
 
 impl ScalableTcp {
     /// Create a Scalable controller.
-    pub fn new(
-        initial_cwnd: u64,
-        initial_ssthresh: u64,
-        mss: u32,
-        stall: StallResponse,
-        cfg: ScalableConfig,
-    ) -> Self {
+    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, cfg: ScalableConfig) -> Self {
         assert!(cfg.ai_cnt > 0, "ai_cnt must be positive");
         ScalableTcp {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss, stall),
+            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
             cfg,
             mss: mss as u64,
             ai_accum: 0,
-            stall_response: stall,
         }
     }
 
@@ -105,19 +97,11 @@ impl CongestionControl for ScalableTcp {
                 self.base.force_cwnd(self.mss);
                 self.ai_accum = 0;
             }
-            CongestionEvent::LocalStall => match self.stall_response {
-                StallResponse::Cwr => {
-                    self.reduce(view);
-                    self.base.force_cwnd(self.base.ssthresh());
-                    self.ai_accum = 0;
-                }
-                StallResponse::RestartFromOne => {
-                    self.reduce(view);
-                    self.base.force_cwnd(self.mss);
-                    self.ai_accum = 0;
-                }
-                StallResponse::Ignore => {}
-            },
+            CongestionEvent::LocalStall => {
+                self.reduce(view);
+                self.base.force_cwnd(self.base.ssthresh());
+                self.ai_accum = 0;
+            }
         }
     }
 
@@ -141,7 +125,6 @@ mod tests {
             cwnd_segments * MSS as u64,
             ssthresh_segments * MSS as u64,
             MSS,
-            StallResponse::Cwr,
             ScalableConfig::default(),
         )
     }

@@ -42,7 +42,7 @@
 //! slow-start is again ssthresh-free).
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent, StallResponse};
+use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the SSthreshless probe.
@@ -95,7 +95,6 @@ pub struct SsthreshlessStart {
     base: Reno,
     cfg: SslConfig,
     mss: u64,
-    stall_response: StallResponse,
     phase: Phase,
     /// Byte accumulator for the paced probe (one MSS per
     /// `PACE_DIVISOR`·MSS acked).
@@ -117,16 +116,15 @@ impl SsthreshlessStart {
     /// `initial_ssthresh` parameter: the probe exit is measured, not
     /// configured. Internally the Reno base keeps an effectively-infinite
     /// threshold until the probe pins it.
-    pub fn new(initial_cwnd: u64, mss: u32, stall: StallResponse, cfg: SslConfig) -> Self {
+    pub fn new(initial_cwnd: u64, mss: u32, cfg: SslConfig) -> Self {
         assert!(
             cfg.gamma_segments.is_finite() && cfg.gamma_segments > 0.0,
             "gamma must be a positive segment count"
         );
         SsthreshlessStart {
-            base: Reno::new(initial_cwnd, u64::MAX / 2, mss, stall),
+            base: Reno::new(initial_cwnd, u64::MAX / 2, mss),
             cfg,
             mss: mss as u64,
-            stall_response: stall,
             phase: Phase::Fast,
             paced_accum: 0,
             settle_remaining: 0,
@@ -265,15 +263,12 @@ impl CongestionControl for SsthreshlessStart {
         self.base.on_congestion(view, ev);
         // The probe state follows the slow-start semantics of the Reno
         // response: a timeout re-enters (ssthresh-free) slow-start, fast
-        // retransmit and CWR leave it.
+        // retransmit and a CWR stall leave it.
         match ev {
             CongestionEvent::Timeout => self.rearm_probe(),
-            CongestionEvent::FastRetransmit => self.phase = Phase::Done,
-            CongestionEvent::LocalStall => match self.stall_response {
-                StallResponse::Cwr => self.phase = Phase::Done,
-                StallResponse::RestartFromOne => self.rearm_probe(),
-                StallResponse::Ignore => {}
-            },
+            CongestionEvent::FastRetransmit | CongestionEvent::LocalStall => {
+                self.phase = Phase::Done
+            }
         }
     }
 
@@ -312,7 +307,6 @@ mod tests {
         SsthreshlessStart::new(
             2 * MSS as u64,
             MSS,
-            StallResponse::Cwr,
             SslConfig {
                 gamma_segments: 8.0,
             },
@@ -445,17 +439,13 @@ mod tests {
 
     #[test]
     fn restart_stall_during_recovery_does_not_balloon_the_window() {
-        // Regression: a RestartFromOne stall while fast recovery is in
-        // flight re-arms the probe; the later recovery exit deflates to the
-        // Reno base's ssthresh, which must be the genuine post-loss value —
-        // not an "infinite" sentinel that would hand the sender an
-        // unbounded window.
-        let mut cc = SsthreshlessStart::new(
-            2 * MSS as u64,
-            MSS,
-            StallResponse::RestartFromOne,
-            SslConfig::recommended(),
-        );
+        // Regression: a timeout-class event (a RestartFromOne stall reaches
+        // the controller as one) while fast recovery is in flight re-arms
+        // the probe; the later recovery exit deflates to the Reno base's
+        // ssthresh, which must be the genuine post-loss value — not an
+        // "infinite" sentinel that would hand the sender an unbounded
+        // window.
+        let mut cc = SsthreshlessStart::new(2 * MSS as u64, MSS, SslConfig::recommended());
         for i in 0..38 {
             cc.on_ack(&view(i, Some(60), Some(60)), MSS as u64);
         }
@@ -464,7 +454,7 @@ mod tests {
             ..view(40, Some(60), Some(60))
         };
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
-        cc.on_congestion(&v, CongestionEvent::LocalStall); // mid-recovery stall
+        cc.on_congestion(&v, CongestionEvent::Timeout); // mid-recovery restart
         assert!(cc.probing(), "RestartFromOne re-arms the probe");
         cc.on_recovery(&v, RecoveryEvent::Exit { newly_acked: 0 });
         assert_eq!(cc.cwnd(), 20 * MSS as u64, "deflate to the real ssthresh");
@@ -491,7 +481,6 @@ mod tests {
         let mut cc = SsthreshlessStart::new(
             2 * MSS as u64,
             MSS,
-            StallResponse::Cwr,
             SslConfig {
                 gamma_segments: 0.5,
             },

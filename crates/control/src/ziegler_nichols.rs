@@ -11,8 +11,8 @@
 //!
 //! are the Ziegler–Nichols *"some overshoot"* rule (`Kc/3, Tc/2, Tc/3`). The
 //! original authors ran this by hand on a live kernel; here the experiment is
-//! automated against a plant model, which makes E6 (the tuning-trace
-//! experiment) reproducible.
+//! automated against a plant model, which makes the tuning experiment
+//! (`examples/zn_tuning.rs`) reproducible.
 
 use crate::pid::PidGains;
 use crate::plant::Plant;

@@ -29,16 +29,17 @@ pub struct RedParams {
 }
 
 impl RedParams {
-    /// The ns-2 style defaults for a queue of `cap` packets — identical to
+    /// The ns-2 style defaults for a queue of `cap` packets, read from
     /// [`rss_net::RedConfig::for_capacity`]; an empty `{"Red": {}}` spec
     /// block resolves to exactly these.
     pub fn for_capacity(cap: u32) -> Self {
+        let c = RedConfig::for_capacity(cap, SimDuration::ZERO);
         RedParams {
-            min_th: cap as f64 * 0.25,
-            max_th: cap as f64 * 0.75,
-            wq: 0.002,
-            max_p: 0.1,
-            gentle: false,
+            min_th: c.min_th,
+            max_th: c.max_th,
+            wq: c.wq,
+            max_p: c.max_p,
+            gentle: c.gentle,
         }
     }
 }

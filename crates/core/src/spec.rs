@@ -895,25 +895,28 @@ impl RunSpec {
     }
 
     fn build_scenario(&self) -> Result<Scenario, SpecError> {
+        // An omitted knob keeps its value in the paper testbed `tb`.
+        let tb = Scenario::paper_testbed(CcAlgorithm::Reno);
+        let (dp, dh, d) = (tb.path, tb.host, tb.tcp);
         let secs = |x, range, path: &str| nanos(x, 1e9, range, path);
-        let ms = |x, range, path: &str| nanos(x, 1e6, range, path);
+        let ms = |x: Option<f64>, or, range, path: &str| {
+            x.map_or(Ok(or), |x| nanos(x, 1e6, range, path))
+        };
+        let rate = |x: Option<f64>, or, path: &str| x.map_or(Ok(or), |m| bps(m, path));
 
         let p = self.path.clone().unwrap_or_default();
         let path = PathSpec {
-            rate_bps: bps(p.rate_mbps.unwrap_or(100.0), "path.rate_mbps")?,
-            rtt: ms(p.rtt_ms.unwrap_or(60.0), NonNegative, "path.rtt_ms")?,
-            router_queue_pkts: p.router_queue_pkts.unwrap_or(200),
-            loss_prob: check(p.loss_prob.unwrap_or(0.0), Prob, "path.loss_prob")?,
+            rate_bps: rate(p.rate_mbps, dp.rate_bps, "path.rate_mbps")?,
+            rtt: ms(p.rtt_ms, dp.rtt, NonNegative, "path.rtt_ms")?,
+            router_queue_pkts: p.router_queue_pkts.unwrap_or(dp.router_queue_pkts),
+            loss_prob: check(p.loss_prob.unwrap_or(dp.loss_prob), Prob, "path.loss_prob")?,
             access_rate_bps: match p.access_rate_mbps {
                 Some(m) => Some(bps(m, "path.access_rate_mbps")?),
-                None => None,
+                None => dp.access_rate_bps,
             },
-            access_delay: nanos(
-                p.access_delay_us.unwrap_or(10.0),
-                1e3,
-                Positive,
-                "path.access_delay_us",
-            )?,
+            access_delay: p.access_delay_us.map_or(Ok(dp.access_delay), |x| {
+                nanos(x, 1e3, Positive, "path.access_delay_us")
+            })?,
         };
         let queue = self.queue.unwrap_or_default();
         let queue = queue.to_discipline(path.router_queue_pkts)?;
@@ -922,19 +925,16 @@ impl RunSpec {
 
         let h = self.host.unwrap_or_default();
         let host = HostConfig {
-            nic_rate_bps: h
-                .nic_rate_mbps
-                .map_or(Ok(path.rate_bps), |m| bps(m, "host.nic_rate_mbps"))?,
-            txqueuelen: count(h.txqueuelen.unwrap_or(100), Positive, "host.txqueuelen")?,
-            mtu: count(h.mtu.unwrap_or(1500), Positive, "host.mtu")?,
+            nic_rate_bps: rate(h.nic_rate_mbps, path.rate_bps, "host.nic_rate_mbps")?,
+            txqueuelen: count(
+                h.txqueuelen.unwrap_or(dh.txqueuelen),
+                Positive,
+                "host.txqueuelen",
+            )?,
+            mtu: count(h.mtu.unwrap_or(dh.mtu), Positive, "host.mtu")?,
         };
 
         let t = self.tcp.unwrap_or_default();
-        let d = TcpConfig::default();
-        // An omitted `tcp.<knob>` in milliseconds keeps its `default`.
-        let tcp_ms = |x: Option<f64>, default, range, knob| {
-            x.map_or(Ok(default), |x| ms(x, range, &format!("tcp.{knob}")))
-        };
         let tcp = TcpConfig {
             mss: count(t.mss.unwrap_or(d.mss), Positive, "tcp.mss")?,
             header_bytes: t.header_bytes.unwrap_or(d.header_bytes),
@@ -947,11 +947,16 @@ impl RunSpec {
             rwnd: t.rwnd_bytes.unwrap_or(d.rwnd),
             // A zero RTO floor re-arms the retransmission check at the
             // instant it fires, forever.
-            min_rto: tcp_ms(t.min_rto_ms, d.min_rto, AtLeastOne, "min_rto_ms")?,
-            max_rto: tcp_ms(t.max_rto_ms, d.max_rto, NonNegative, "max_rto_ms")?,
+            min_rto: ms(t.min_rto_ms, d.min_rto, AtLeastOne, "tcp.min_rto_ms")?,
+            max_rto: ms(t.max_rto_ms, d.max_rto, NonNegative, "tcp.max_rto_ms")?,
             ack_policy: t.ack_policy.unwrap_or(d.ack_policy),
             stall_response: t.stall_response.unwrap_or(d.stall_response),
-            stall_retry: tcp_ms(t.stall_retry_ms, d.stall_retry, Positive, "stall_retry_ms")?,
+            stall_retry: ms(
+                t.stall_retry_ms,
+                d.stall_retry,
+                Positive,
+                "tcp.stall_retry_ms",
+            )?,
             // The count is raised before it is compared, so 0 never fires.
             dupack_threshold: count(
                 t.dupack_threshold.unwrap_or(d.dupack_threshold),
@@ -1049,16 +1054,22 @@ impl RunSpec {
             tcp,
             flows,
             cross,
-            duration: secs(self.duration_s.unwrap_or(25.0), Positive, "duration_s")?,
-            seed: self.seed.unwrap_or(1),
-            shared_sender_host: self.shared_sender_host.unwrap_or(false),
+            duration: (self.duration_s)
+                .map_or(Ok(tb.duration), |x| secs(x, Positive, "duration_s"))?,
+            seed: self.seed.unwrap_or(tb.seed),
+            shared_sender_host: self.shared_sender_host.unwrap_or(tb.shared_sender_host),
             sample_interval: ms(
-                self.sample_interval_ms.unwrap_or(10.0),
+                self.sample_interval_ms,
+                tb.sample_interval,
                 Positive,
                 "sample_interval_ms",
             )?,
-            web100_stride: count(self.web100_stride.unwrap_or(1), Positive, "web100_stride")?,
-            stop_when_complete: self.stop_when_complete.unwrap_or(false),
+            web100_stride: count(
+                self.web100_stride.unwrap_or(tb.web100_stride),
+                Positive,
+                "web100_stride",
+            )?,
+            stop_when_complete: self.stop_when_complete.unwrap_or(tb.stop_when_complete),
             queue,
             // The spec-level `shards` knob is applied during expansion.
             shards: None,

@@ -2,8 +2,9 @@
 //!
 //! The paper's testbed used drop-tail queues, but §1 argues slow-start bursts
 //! are "hard on the rest of the traffic sharing the congested link" — the
-//! friendliness experiments (E9) compare behaviour under both drop-tail and
-//! RED bottlenecks, so an AQM variant is part of the substrate.
+//! friendliness experiments (`scenarios/aqm/red_vs_droptail.json`,
+//! `scenarios/network_bottleneck_boundary.json`) compare behaviour under both
+//! drop-tail and RED bottlenecks, so an AQM variant is part of the substrate.
 //!
 //! Implementation follows Floyd & Jacobson 1993: EWMA average queue length,
 //! linear drop probability between `min_th` and `max_th`, count-based spacing
@@ -65,6 +66,7 @@ impl RedConfig {
     /// (before the count-since-last-drop correction): 0 below `min_th`,
     /// linear up to `max_p` at `max_th`, then either 1 (standard) or a
     /// linear `max_p`→1 ramp over `(max_th, 2·max_th)` (gentle).
+    #[inline]
     pub fn mark_prob(&self, avg: f64) -> f64 {
         if avg <= self.min_th {
             0.0
@@ -208,27 +210,17 @@ impl<T: Queued> Red<T> {
             self.count_since_drop = 0;
             return Err((EnqueueError::PacketLimit, pkt));
         }
-        if self.cfg.gentle && self.avg >= self.cfg.max_th {
-            // Gentle band (max_th, 2·max_th): probability ramps linearly from
-            // max_p to 1. Always a drop, never a mark — above max_th the
-            // queue is in danger and marking no longer protects it
-            // (RFC 3168 §7).
+        // Below the forced-drop threshold: `p_b` from the config's curve,
+        // spread out by the count since the last drop.
+        if self.avg > self.cfg.min_th {
             self.count_since_drop += 1;
-            let pb = self.cfg.max_p
-                + (1.0 - self.cfg.max_p) * (self.avg - self.cfg.max_th) / self.cfg.max_th;
+            let pb = self.cfg.mark_prob(self.avg);
             let pa = pb / (1.0 - (self.count_since_drop as f64 * pb).min(0.999));
             if rng.chance(pa) {
-                self.early_drops += 1;
-                self.count_since_drop = 0;
-                return Err((EnqueueError::PacketLimit, pkt));
-            }
-        } else if self.avg > self.cfg.min_th {
-            self.count_since_drop += 1;
-            let pb =
-                self.cfg.max_p * (self.avg - self.cfg.min_th) / (self.cfg.max_th - self.cfg.min_th);
-            let pa = pb / (1.0 - (self.count_since_drop as f64 * pb).min(0.999));
-            if rng.chance(pa) {
-                if self.cfg.ecn && pkt.ecn() == Ecn::Ect {
+                // Only below max_th may an ECT packet be marked instead: in
+                // the gentle band the queue is in danger and marking no
+                // longer protects it (RFC 3168 §7).
+                if self.cfg.ecn && self.avg < self.cfg.max_th && pkt.ecn() == Ecn::Ect {
                     pkt.set_ecn(Ecn::Ce);
                     self.ecn_marks += 1;
                     self.count_since_drop = 0;

@@ -1,9 +1,9 @@
 //! Cross-traffic generators.
 //!
 //! §1 of the paper argues that slow-start bursts on big-BDP paths are "hard
-//! on the rest of the traffic sharing the congested link"; the friendliness
-//! experiments (E9) share the bottleneck between the TCP flow under test and
-//! these open-loop sources.
+//! on the rest of the traffic sharing the congested link";
+//! `scenarios/network_bottleneck_boundary.json` shares the bottleneck between
+//! the TCP flow under test and one of these open-loop sources.
 
 use rss_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};

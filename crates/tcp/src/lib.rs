@@ -7,7 +7,8 @@
 //! ([`recovery`]), go-back-N timeout recovery — plus the paper's local-
 //! congestion pathway: when the host interface queue rejects a segment, the
 //! sender receives a **send-stall** signal and (configurably, like Linux
-//! 2.4) treats it as congestion.
+//! 2.4) treats it as congestion: [`StallResponse`] is the sender's, and the
+//! controller hears only the event the sender picks.
 //!
 //! Congestion control is the separate [`rss_cc`] layer (re-exported here as
 //! [`cc`]): the sender drives any [`CongestionControl`] implementation
@@ -36,13 +37,12 @@ pub use cc::{
     BbrProbe, CcAlgorithm, CcEngine, CcError, CcParams, CcView, CongestionControl, CongestionEvent,
     HighSpeedTcp, HybridStart, LimitedSlowStart, PacingDecision, RecoveryEvent, RelentlessCc, Reno,
     RestrictedSlowStart, RssConfig, ScalableConfig, ScalableTcp, SslConfig, SsthreshlessStart,
-    StallResponse,
 };
 pub use receiver::{AckToSend, ReceiverStats, TcpReceiver};
 pub use rss_net::Ecn;
 pub use rtt::RttEstimator;
 pub use sender::{IfqSnapshot, TcpSender, TxPlan};
-pub use types::{AckPolicy, ConnId, SegKind, TcpConfig, TcpSegment};
+pub use types::{AckPolicy, ConnId, SegKind, StallResponse, TcpConfig, TcpSegment};
 
 /// Construct a congestion controller for a connection configured by `cfg`:
 /// [`CcEngine::new`] with the [`CcParams`] the transport config derives.
@@ -115,6 +115,5 @@ mod tests {
         assert_eq!(p.initial_cwnd, cfg.initial_cwnd());
         assert_eq!(p.initial_ssthresh, cfg.effective_initial_ssthresh());
         assert_eq!(p.mss, cfg.mss);
-        assert_eq!(p.stall_response, cfg.stall_response);
     }
 }

@@ -15,8 +15,11 @@ use std::ops::Range;
 pub enum CcSignal {
     /// New data acknowledged outside recovery, bytes (`on_ack`).
     Ack(u64),
-    /// A loss or a send-stall (`on_congestion`).
+    /// A loss (`on_congestion`).
     Congestion(CongestionEvent),
+    /// A send-stall, and the event `on_congestion` hears of it (`None`:
+    /// nothing), as the [`StallResponse`](crate::StallResponse) picks.
+    Stall(Option<CongestionEvent>),
     /// A fast-recovery event or an ECN echo (`on_recovery`).
     Recovery(RecoveryEvent),
 }
@@ -130,7 +133,7 @@ fn first_segment_end(flight: Range<u64>, mss: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{CcEngine, Reno, StallResponse};
+    use crate::cc::{CcEngine, Reno};
     use crate::sender::{IfqSnapshot, TcpSender};
     use crate::types::{ConnId, TcpConfig};
     use rss_sim::SimTime;
@@ -271,7 +274,6 @@ mod tests {
                 cfg.initial_cwnd(),
                 cfg.effective_initial_ssthresh(),
                 MSS,
-                StallResponse::Cwr,
             ));
             let mut s = TcpSender::new(ConnId(0), cfg, cc, None);
             let ifq = IfqSnapshot { depth: 0, max: 100 };

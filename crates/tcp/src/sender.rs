@@ -419,14 +419,26 @@ impl TcpSender {
     }
 
     /// The IFQ rejected the segment: a send-stall. Mirrors Linux 2.4: the
-    /// segment is not considered sent, the congestion layer is told (at most
-    /// once per outstanding window), and transmission pauses briefly.
+    /// segment is not considered sent, the congestion layer is told what
+    /// the [`StallResponse`] says (at most once per outstanding window), and
+    /// transmission pauses briefly.
     pub fn on_local_stall(&mut self, now: SimTime, ifq: IfqSnapshot) {
         self.stall_until = Some(now + self.stall_retry);
-        if self.snd_una >= self.stall_signal_gate || self.stall_response == StallResponse::Ignore {
-            self.signal(now, ifq, CcSignal::Congestion(CongestionEvent::LocalStall));
-            self.stall_signal_gate = self.snd_nxt;
-        }
+        //= Allcock, Hegde, Kettimuthu: Restricted Slow-Start for TCP, §2
+        //# treats these events in the same way as it would treat the network
+        //# congestion
+        // `Cwr` is Linux 2.4's answer (`tcp_enter_cwr`). `RestartFromOne`
+        // departs from it by restarting slow-start from one segment;
+        // `Ignore` by telling the controller nothing, which leaves no
+        // reduction to wait out, so every stall is counted.
+        let heard = match self.stall_response {
+            StallResponse::Ignore => None,
+            _ if self.snd_una < self.stall_signal_gate => return,
+            StallResponse::Cwr => Some(CongestionEvent::LocalStall),
+            StallResponse::RestartFromOne => Some(CongestionEvent::Timeout),
+        };
+        self.signal(now, ifq, CcSignal::Stall(heard));
+        self.stall_signal_gate = self.snd_nxt;
     }
 
     /// An arriving ACK carried the ECN echo (ECE): the network CE-marked a
@@ -570,6 +582,12 @@ impl TcpSender {
                 self.web100.on_congestion(now, kind);
                 self.cc.on_congestion(&view, ev);
             }
+            CcSignal::Stall(heard) => {
+                self.web100.on_congestion(now, CongestionKind::SendStall);
+                if let Some(ev) = heard {
+                    self.cc.on_congestion(&view, ev);
+                }
+            }
             CcSignal::Recovery(ev) => {
                 if ev == RecoveryEvent::EcnEcho {
                     self.web100.on_congestion(now, CongestionKind::EcnEcho);
@@ -617,7 +635,6 @@ impl TcpSender {
 mod tests {
     use super::*;
     use crate::cc::Reno;
-    use crate::types::StallResponse;
 
     const MSS: u32 = 1000;
 
@@ -637,7 +654,6 @@ mod tests {
             c.initial_cwnd(),
             c.effective_initial_ssthresh(),
             c.mss,
-            StallResponse::Cwr,
         ));
         TcpSender::new(ConnId(0), c, cc, app_total)
     }
@@ -1020,12 +1036,7 @@ mod tests {
             ..cfg()
         };
         let cc = CcEngine::from(Box::new(PacedStub {
-            inner: Reno::new(
-                c.initial_cwnd(),
-                c.effective_initial_ssthresh(),
-                c.mss,
-                StallResponse::Cwr,
-            ),
+            inner: Reno::new(c.initial_cwnd(), c.effective_initial_ssthresh(), c.mss),
             rate,
         }) as Box<dyn CongestionControl>);
         TcpSender::new(ConnId(0), c, cc, None)
@@ -1127,7 +1138,6 @@ mod tests {
             c.initial_cwnd(),
             c.effective_initial_ssthresh(),
             c.mss,
-            StallResponse::Cwr,
         ));
         let mut s = TcpSender::new(ConnId(0), c, cc, Some(2500));
         drain(&mut s, t(0));

@@ -92,9 +92,31 @@ pub enum AckPolicy {
     },
 }
 
-// The congestion layer owns the stall-response policy (its Reno base acts on
-// it); the transport re-exports it because `TcpConfig` carries it.
-pub use rss_cc::StallResponse;
+/// How the sender answers a local send-stall.
+///
+/// [`TcpSender::on_local_stall`](crate::TcpSender::on_local_stall) is the
+/// one place that tells the three apart; a congestion controller never sees
+/// this setting, only the event the sender hands it. Whatever the response,
+/// Web100 counts the stall as a send-stall.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum StallResponse {
+    /// CWR-style, Linux 2.4's `tcp_enter_cwr` and the default: at most once
+    /// per window of data, the controller applies its
+    /// [`CongestionEvent::LocalStall`](crate::CongestionEvent::LocalStall)
+    /// reduction (Reno: `ssthresh = max(flight/2, 2·MSS)`, `cwnd =
+    /// ssthresh`, leave slow-start), without retransmitting.
+    Cwr,
+    /// Timeout-style (Tahoe-like; the worst case): at most once per window
+    /// of data, the controller applies its own
+    /// [`CongestionEvent::Timeout`](crate::CongestionEvent::Timeout)
+    /// response — cwnd collapses to 1 MSS and slow-start begins again —
+    /// without retransmitting.
+    RestartFromOne,
+    /// Pretend it did not happen: the controller is never told (an upper
+    /// bound on what ignoring local congestion could buy; loses the IFQ
+    /// signal entirely).
+    Ignore,
+}
 
 /// Static TCP configuration shared by sender and receiver.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -165,7 +187,6 @@ impl TcpConfig {
             initial_cwnd: self.initial_cwnd(),
             initial_ssthresh: self.effective_initial_ssthresh(),
             mss: self.mss,
-            stall_response: self.stall_response,
         }
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rss_sim::{SimDuration, SimTime};
 use rss_tcp::{
     make_cc, AckPolicy, CcAlgorithm, CcView, CongestionControl, ConnId, RssConfig, ScalableConfig,
-    SslConfig, StallResponse, TcpConfig, TcpReceiver,
+    SslConfig, TcpConfig, TcpReceiver,
 };
 
 fn cfg_every() -> TcpConfig {
@@ -172,7 +172,6 @@ proptest! {
             cfg.initial_cwnd(),
             cfg.effective_initial_ssthresh(),
             cfg.mss,
-            StallResponse::Cwr,
         ));
         let mut s = TcpSender::new(ConnId(0), cfg, cc, Some(200_000));
         let ifq = IfqSnapshot { depth: 0, max: 100 };
