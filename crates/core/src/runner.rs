@@ -26,6 +26,9 @@ fn flow_report(
     let vars = w.snapshot();
     let goodput = w.goodput_bps(end);
     let t = w.take_timelines();
+    let stall_times_s = secs(t.stall_times());
+    let congestion_times_s = secs(t.congestion_times());
+    let (cwnd_series, acked_series) = t.into_series();
     FlowReport {
         conn: i as u32,
         algo: sc.flows[i].algo.label().into(),
@@ -33,10 +36,10 @@ fn flow_report(
         goodput_bps: goodput,
         utilization: goodput / sc.path.rate_bps as f64,
         completed_at_s: completed_at.map(|t| t.as_secs_f64()),
-        stall_times_s: t.stall_times_s,
-        congestion_times_s: t.congestion_times_s,
-        cwnd_series: t.cwnd_series,
-        acked_series: t.acked_series,
+        stall_times_s,
+        congestion_times_s,
+        cwnd_series,
+        acked_series,
         receiver_delivered_bytes: receiver.rcv_nxt(),
         receiver_dup_segments: rstats.duplicate_segments,
         receiver_ooo_segments: rstats.out_of_order_segments,
@@ -44,6 +47,14 @@ fn flow_report(
         rto_max_backoff: sender.rtt().max_backoff_shift(),
         rto_max_recovery_s: sender.rto_max_recovery().map(|d| d.as_secs_f64()),
     }
+}
+
+/// Signal times as the report holds them: seconds (`SimTime::as_secs_f64`,
+/// the bits recording them as they fired gave), in a vector of their length.
+fn secs(times: impl Iterator<Item = SimTime> + Clone) -> Vec<f64> {
+    let mut secs = Vec::with_capacity(times.clone().count());
+    secs.extend(times.map(SimTime::as_secs_f64));
+    secs
 }
 
 /// How a driver left its worlds: what the report needs beyond their state.

@@ -57,7 +57,9 @@ use rss_net::{
     dumbbell, Ecn, Fabric, FlowId, Handoff, Impairment, LinkId, LinkParams, NetEvent, NodeId,
     OutageSchedule, Packet, QueueConfig, RedStats, TrafficSource, UnitMap,
 };
-use rss_sim::{event_tag, Engine, Envelope, Model, Scheduler, SimDuration, SimRng, SimTime};
+use rss_sim::{
+    event_tag, Engine, Envelope, Model, OptNanos, Scheduler, SimDuration, SimRng, SimTime,
+};
 use rss_tcp::{
     make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpConfig, TcpReceiver, TcpSegment,
     TcpSender,
@@ -172,7 +174,7 @@ struct Conn {
     src: NodeId,
     dst: NodeId,
     start: SimTime,
-    completed_at: Option<SimTime>,
+    completed_at: OptNanos<SimTime>,
 }
 
 struct Cross {
@@ -228,7 +230,7 @@ pub struct World {
     units: Vec<Unit>,
     /// Units of the whole plan, this world's or not.
     plan_units: usize,
-    scheduled_rto: Vec<Option<SimTime>>,
+    scheduled_rto: Vec<OptNanos<SimTime>>,
     sample_interval: SimDuration,
     duration: SimDuration,
     /// Ask the engine to stop at the event that completes the last
@@ -412,7 +414,7 @@ impl World {
                 src: d.senders[pair],
                 dst: d.receivers[pair],
                 start: f.start,
-                completed_at: None,
+                completed_at: OptNanos::NONE,
             });
         }
 
@@ -437,7 +439,7 @@ impl World {
         Ok(World {
             fabric,
             hosts,
-            scheduled_rto: vec![None; conns.len()],
+            scheduled_rto: vec![OptNanos::NONE; conns.len()],
             conns,
             conn_index,
             tcp: sc.tcp,
@@ -569,6 +571,52 @@ impl World {
         self.bottleneck_series.take().map(|(_, s)| s)
     }
 
+    /// The heap bytes this world holds, by owner: the connection table
+    /// (with the flow index and the RTO timer table); the connections'
+    /// send-timestamp rings, timelines and out-of-order ranges; the hosts
+    /// with their IFQ buffers; the fabric's ports, its hop records and
+    /// routes, and its packet arena; and the rest. The event queue is the
+    /// engine's ([`Engine::heap_bytes`]).
+    pub fn footprint(&self) -> Footprint {
+        let per_conn = |f: fn(&Conn) -> usize| self.conns.iter().map(f).sum();
+        let fabric = self.fabric.heap_bytes();
+        let series = [&self.sender_ifq, &self.bottleneck_series]
+            .into_iter()
+            .flatten()
+            .map(|(_, s)| s.capacity() * size_of::<(f64, f64)>());
+        Footprint {
+            rows: vec![
+                (
+                    "connections, inline",
+                    self.conns.capacity() * size_of::<Conn>()
+                        + self.conn_index.capacity() * size_of::<u32>()
+                        + self.scheduled_rto.capacity() * size_of::<OptNanos<SimTime>>(),
+                ),
+                ("send-timestamp rings", per_conn(|c| c.sender.heap_bytes())),
+                (
+                    "timelines",
+                    per_conn(|c| c.sender.web100().timelines().heap_bytes()),
+                ),
+                ("out-of-order ranges", per_conn(|c| c.receiver.heap_bytes())),
+                (
+                    "hosts and IFQ buffers",
+                    self.hosts.capacity() * size_of::<Host>()
+                        + self.hosts.iter().map(|h| h.nic.heap_bytes()).sum::<usize>(),
+                ),
+                ("fabric ports", fabric.ports),
+                ("hop records and routes", fabric.hops),
+                ("packet arena", fabric.arena),
+                (
+                    "other",
+                    fabric.other
+                        + self.cross.capacity() * size_of::<Cross>()
+                        + self.units.capacity() * size_of::<Unit>()
+                        + series.sum::<usize>(),
+                ),
+            ],
+        }
+    }
+
     /// Bytes this world's cross streams have offered so far.
     pub fn cross_offered_bytes(&self) -> u64 {
         self.cross.iter().map(|c| c.sent_bytes).sum()
@@ -667,13 +715,13 @@ impl World {
         }
         sender.update_lim_state(now);
         if let Some(d) = sender.rto_deadline() {
-            let needs = match self.scheduled_rto[ci] {
+            let needs = match self.scheduled_rto[ci].get() {
                 Some(at) => d < at,
                 None => true,
             };
             if needs {
                 sched.at(d.max(now), Ev::RtoCheck { conn: ci as u32 });
-                self.scheduled_rto[ci] = Some(d.max(now));
+                self.scheduled_rto[ci].set(d.max(now));
             }
         }
     }
@@ -734,7 +782,7 @@ impl World {
                         }
                         sender.on_ack(now, ack, rwnd, snap);
                         if sender.is_complete() && self.conns[ci].completed_at.is_none() {
-                            self.conns[ci].completed_at = Some(now);
+                            self.conns[ci].completed_at.set(now);
                             self.completed += 1;
                             if self.stop_when_complete && self.completed == self.conns.len() as u64
                             {
@@ -778,7 +826,21 @@ impl Connections {
         i: usize,
     ) -> Option<(&mut TcpSender, &TcpReceiver, Option<SimTime>)> {
         let c = self.conns.get_mut(*self.conn_index.get(i)? as usize)?;
-        Some((&mut c.sender, &c.receiver, c.completed_at))
+        Some((&mut c.sender, &c.receiver, c.completed_at.get()))
+    }
+}
+
+/// Heap bytes a world holds, by owner ([`World::footprint`]).
+#[derive(Debug, Clone)]
+pub struct Footprint {
+    /// `(owner, bytes)`, in the order the owners were counted.
+    pub rows: Vec<(&'static str, usize)>,
+}
+
+impl Footprint {
+    /// Bytes over every row.
+    pub fn total(&self) -> usize {
+        self.rows.iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 
@@ -843,7 +905,7 @@ impl Model for World {
             }
             Ev::RtoCheck { conn } => {
                 let ci = conn as usize;
-                self.scheduled_rto[ci] = None;
+                self.scheduled_rto[ci] = OptNanos::NONE;
                 // Coalesced deadline check: every ACK pushes the RTO deadline
                 // out, so most checks pop stale. A stale pop re-arms at the
                 // live deadline and does nothing else — the expensive
@@ -852,7 +914,7 @@ impl Model for World {
                 if let Some(d) = self.conns[ci].sender.rto_deadline() {
                     if now < d {
                         sched.at(d, Ev::RtoCheck { conn });
-                        self.scheduled_rto[ci] = Some(d);
+                        self.scheduled_rto[ci].set(d);
                         return;
                     }
                 }
@@ -918,9 +980,12 @@ mod tests {
     fn a_flow_costs_two_hosts_and_one_connection() {
         // 256, 296 and 1 056 B while each NIC kept its device's packet beside
         // a counting drop-tail IFQ, each host a vector of its connections and
-        // each connection two copies of the scenario's `TcpConfig`.
-        assert!(size_of::<HostNic<WireBody>>() <= 112);
-        assert!(size_of::<Host>() <= 136, "Host is {} B", size_of::<Host>());
-        assert!(size_of::<Conn>() <= 920, "Conn is {} B", size_of::<Conn>());
+        // each connection two copies of the scenario's `TcpConfig`; 112, 136
+        // and 920 B with each optional time an `Option` (16 B), the
+        // instrument's timelines inline (64 B) and the RTT sample count.
+        let nic = size_of::<HostNic<WireBody>>();
+        assert!(nic <= 104, "HostNic is {nic} B");
+        assert!(size_of::<Host>() <= 128, "Host is {} B", size_of::<Host>());
+        assert!(size_of::<Conn>() <= 768, "Conn is {} B", size_of::<Conn>());
     }
 }

@@ -17,7 +17,7 @@
 //! that never sends owns none.
 
 use rss_net::{Body, EnqueueError, Packet, SerializeMemo};
-use rss_sim::{SimDuration, SimTime};
+use rss_sim::{OptNanos, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -65,7 +65,7 @@ pub struct HostNic<B> {
     /// packet being serialized.
     ifq: VecDeque<Packet<B>>,
     /// When the device started serializing the head; `None` while idle.
-    tx_started: Option<SimTime>,
+    tx_started: OptNanos<SimTime>,
     /// Serialization time of the last packet's size (a bulk sender's are
     /// all one MSS).
     ser: SerializeMemo,
@@ -78,7 +78,7 @@ impl<B: Body> HostNic<B> {
         HostNic {
             cfg,
             ifq: VecDeque::new(),
-            tx_started: None,
+            tx_started: OptNanos::NONE,
             ser: SerializeMemo::default(),
             stats: NicStats::default(),
         }
@@ -112,6 +112,12 @@ impl<B: Body> HostNic<B> {
         self.stats
     }
 
+    /// Bytes the IFQ's buffer holds on the heap: a slot per packet of the
+    /// deepest the IFQ has been, each a whole [`Packet`].
+    pub fn heap_bytes(&self) -> usize {
+        self.ifq.capacity() * size_of::<Packet<B>>()
+    }
+
     /// Offer a packet to the qdisc.
     ///
     /// On success the caller must invoke [`HostNic::start_tx_if_idle`] to
@@ -139,7 +145,7 @@ impl<B: Body> HostNic<B> {
             return None;
         }
         let size = self.ifq.front()?.wire_size();
-        self.tx_started = Some(now);
+        self.tx_started.set(now);
         Some(self.ser.time(size, self.cfg.nic_rate_bps))
     }
 
@@ -168,7 +174,7 @@ impl<B: Body> HostNic<B> {
             return 0.0;
         }
         let mut busy = self.stats.busy_time;
-        if let Some(started) = self.tx_started {
+        if let Some(started) = self.tx_started.get() {
             busy += now.saturating_since(started);
         }
         busy.as_nanos() as f64 / total as f64
@@ -333,8 +339,9 @@ mod tests {
         // The device's packet is the IFQ's head, so a NIC is the same size
         // whatever its packets carry. With a packet slot for the device and
         // a drop-tail queue (limits and counters) for the IFQ it was 256 B
-        // for the simulator's `Packet<WireBody>`.
-        assert!(size_of::<HostNic<RawBody>>() <= 112);
+        // for the simulator's `Packet<WireBody>`, and 112 B with the device's
+        // start time an `Option` (16 B).
+        assert!(size_of::<HostNic<RawBody>>() <= 104);
         assert_eq!(
             size_of::<HostNic<RawBody>>(),
             size_of::<HostNic<[u8; 64]>>()

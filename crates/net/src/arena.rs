@@ -123,6 +123,11 @@ impl<B> PacketArena<B> {
         self.slots.len()
     }
 
+    /// Bytes the slots and the free list hold on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<ArenaSlot<B>>() + self.free.capacity() * size_of::<u32>()
+    }
+
     /// Park a packet; the returned handle redeems it exactly once.
     #[inline]
     pub fn insert(&mut self, pkt: Packet<B>) -> PacketRef {

@@ -80,7 +80,6 @@ use crate::queue::{DropTail, QueueConfig};
 use crate::red::{Red, RedConfig, RedStats};
 use crate::topology::{LinkParams, NodeKind, SerializeMemo, Topology};
 use rss_sim::{Envelope, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Fabric-internal events. The embedding model stores these in its own event
@@ -179,6 +178,13 @@ impl PortQueue {
         match self {
             PortQueue::DropTail(_) => None,
             PortQueue::Red(q) => Some(q.red_stats()),
+        }
+    }
+    /// Bytes the queue holds on the heap: its buffer, and RED's state.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            PortQueue::DropTail(q) => q.heap_bytes(),
+            PortQueue::Red(q) => size_of::<Red<PacketHandle>>() + q.heap_bytes(),
         }
     }
 }
@@ -294,6 +300,12 @@ struct DirTable<T> {
 }
 
 impl<T> DirTable<T> {
+    /// Bytes the index and the entries hold on the heap, not counting what
+    /// each entry holds.
+    fn heap_bytes(&self) -> usize {
+        self.slot.capacity() * size_of::<u32>() + self.items.capacity() * size_of::<T>()
+    }
+
     fn new(dirs: usize) -> Self {
         DirTable {
             slot: vec![u32::MAX; dirs],
@@ -327,24 +339,25 @@ impl<T> DirTable<T> {
     }
 }
 
-/// Per-link transfer statistics (one entry per direction of use).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct LinkStats {
-    /// Packets put on the link. Counted when serialization starts (a host
-    /// NIC's ends before it hands the packet over), once the loss model and
-    /// the impairment have let the packet go — not on arrival, so a packet
-    /// still serializing or flying when the run ends is counted, and a
-    /// duplicate is counted as a packet of its own.
-    pub delivered_pkts: u64,
-    /// Bytes put on the link; counted as `delivered_pkts` is.
-    pub delivered_bytes: u64,
-    /// Packets lost to random link loss or dropped by the impairment.
-    pub lost_pkts: u64,
+/// What a [`Fabric`] holds on the heap, by owner, in bytes as requested from
+/// the allocator ([`Fabric::heap_bytes`]).
+#[derive(Debug, Clone, Copy)]
+pub struct FabricBytes {
+    /// Router egress ports: the port table and its per-direction index,
+    /// each queue's buffer, RED state and private random stream.
+    pub ports: usize,
+    /// The compiled hop records, routing rows, link parameters and unit
+    /// tables.
+    pub hops: usize,
+    /// The packet arena's slots and free list.
+    pub arena: usize,
+    /// Impairments with their outage schedules, and the envelope outbox.
+    pub other: usize,
 }
 
 /// The interior packet-forwarding machine.
 ///
-/// Router egress ports, hop records and link statistics live in dense tables
+/// Router egress ports and hop records live in dense tables
 /// built once at construction: a link has exactly two ends, so everything
 /// about `(node, link)` sits at `link * 2 + side`, and every lookup after
 /// construction reads the hop records instead of the topology, which the
@@ -370,8 +383,6 @@ pub struct Fabric<B> {
     /// (the default everywhere) is a zero-cost clean link, and a fabric with
     /// no impairment has no index either.
     impairments: DirTable<Impairment>,
-    /// Per-link transfer statistics, indexed by raw link id.
-    link_stats: Vec<LinkStats>,
     /// Every packet inside the fabric: queued, or on a link (serializing or
     /// flying).
     arena: PacketArena<B>,
@@ -384,6 +395,9 @@ pub struct Fabric<B> {
     outbox: Vec<Envelope<Handoff<B>>>,
     /// Packets dropped at routers because no route existed.
     pub unroutable_drops: u64,
+    /// Packets lost on links: to random link loss, or dropped by an
+    /// impairment.
+    pub link_drops: u64,
     /// Packets dropped at router queues.
     pub queue_drops: u64,
 }
@@ -429,7 +443,6 @@ impl<B: Body> Fabric<B> {
         let (hops, routes, params) = compile_hops(&topo, &units.owner);
         Fabric {
             impairments: DirTable::new(0),
-            link_stats: vec![LinkStats::default(); topo.links().len()],
             hops,
             nodes: topo.node_count(),
             routes,
@@ -441,6 +454,7 @@ impl<B: Body> Fabric<B> {
             local: units.local,
             outbox: Vec::new(),
             unroutable_drops: 0,
+            link_drops: 0,
             queue_drops: 0,
         }
     }
@@ -485,6 +499,28 @@ impl<B: Body> Fabric<B> {
         self.arena.set_mode(mode);
     }
 
+    /// What the fabric holds on the heap, by owner.
+    pub fn heap_bytes(&self) -> FabricBytes {
+        let ports = self
+            .ports
+            .items
+            .iter()
+            .map(|p| p.queue.heap_bytes() + p.rng.as_ref().map_or(0, |_| size_of::<SimRng>()));
+        let impairments = self.impairments.items.iter().map(Impairment::heap_bytes);
+        FabricBytes {
+            ports: self.ports.heap_bytes() + ports.sum::<usize>(),
+            hops: self.hops.capacity() * size_of::<Hop>()
+                + self.routes.capacity() * size_of::<u32>()
+                + self.params.capacity() * size_of::<LinkParams>()
+                + self.local.capacity()
+                + self.seq.capacity() * size_of::<u64>(),
+            arena: self.arena.heap_bytes(),
+            other: self.impairments.heap_bytes()
+                + impairments.sum::<usize>()
+                + self.outbox.capacity() * size_of::<Envelope<Handoff<B>>>(),
+        }
+    }
+
     /// Packets currently inside the fabric (parked in the arena): waiting in
     /// a router port's queue, or on a link, being serialized onto it or
     /// flying along it. A drained run ends at zero; anything else is a leak.
@@ -512,14 +548,6 @@ impl<B: Body> Fabric<B> {
     pub fn impairment(&self, link: LinkId, from: NodeId) -> Option<&Impairment> {
         self.try_dir(from, link)
             .and_then(|idx| self.impairments.get(idx))
-    }
-
-    /// Statistics for a link (zeroed default if unused).
-    pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        self.link_stats
-            .get(link.0 as usize)
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Instantaneous queue length of a router egress port.
@@ -599,7 +627,7 @@ impl<B: Body> Fabric<B> {
                 _ => &mut self.rng,
             };
             if rng.chance(loss_prob) {
-                self.link_stats[dir / 2].lost_pkts += 1;
+                self.link_drops += 1;
                 self.arena.take(pkt.pkt);
                 return;
             }
@@ -612,7 +640,7 @@ impl<B: Body> Fabric<B> {
         if let Some(imp) = self.impairments.get_mut(dir) {
             match imp.decide(now + ser) {
                 Verdict::Drop(_) => {
-                    self.link_stats[dir / 2].lost_pkts += 1;
+                    self.link_drops += 1;
                     self.arena.take(pkt.pkt);
                     return;
                 }
@@ -628,9 +656,6 @@ impl<B: Body> Fabric<B> {
                 }
             }
         }
-        let stats = &mut self.link_stats[dir / 2];
-        stats.delivered_pkts += 1;
-        stats.delivered_bytes += pkt.size as u64;
         self.launch(now, dir, wait, pkt, sched);
     }
 
@@ -653,9 +678,6 @@ impl<B: Body> Fabric<B> {
             pkt: self.arena.insert(copy),
             ..pkt
         };
-        let stats = &mut self.link_stats[dir / 2];
-        stats.delivered_pkts += 1;
-        stats.delivered_bytes += pkt.size as u64;
         self.launch(now, dir, wait, copy, sched);
     }
 
@@ -1369,29 +1391,5 @@ mod tests {
         let b = run(5);
         assert_eq!(a, b, "same seed must give identical loss pattern");
         assert!(a > 20 && a < 80, "loss rate wildly off: {a}/100 delivered");
-    }
-
-    #[test]
-    fn link_stats_account_bytes() {
-        let (world, d) = mk_world(1, 100_000_000, QueueConfig::packets(100));
-        let mut eng = Engine::new(world);
-        let mut ids = PacketIdGen::new();
-        let mut pending = Vec::new();
-        for _ in 0..5 {
-            send(
-                &mut eng,
-                &mut ids,
-                &mut pending,
-                d.senders[0],
-                d.sender_access[0],
-                d.receivers[0],
-                1500,
-                SimTime::ZERO,
-            );
-        }
-        eng.run_to_completion();
-        let s = eng.model().fabric.link_stats(d.bottleneck);
-        assert_eq!(s.delivered_pkts, 5);
-        assert_eq!(s.delivered_bytes, 7500);
     }
 }

@@ -294,6 +294,11 @@ struct GeState {
 }
 
 impl Impairment {
+    /// Bytes the outage schedule holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.schedule.windows.capacity() * size_of::<(SimTime, SimTime)>()
+    }
+
     /// Build from a config, a (possibly shared) outage schedule and a
     /// dedicated per-packet random stream.
     pub fn new(cfg: &ImpairmentConfig, schedule: OutageSchedule, rng: SimRng) -> Self {

@@ -26,7 +26,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use arena::{ArenaMode, PacketArena, PacketHandle, PacketRef};
-pub use fabric::{Fabric, Handoff, LinkStats, NetEvent, PortQueue, UnitMap};
+pub use fabric::{Fabric, FabricBytes, Handoff, NetEvent, PortQueue, UnitMap};
 pub use impair::{
     DropCause, Flap, GilbertElliott, ImpairStats, Impairment, ImpairmentConfig, Jitter,
     OutageSchedule, OutageWindow, Verdict,

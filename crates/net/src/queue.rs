@@ -162,6 +162,11 @@ impl<T: Queued> DropTail<T> {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+
+    /// Bytes the buffer holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.q.capacity() * size_of::<T>()
+    }
 }
 
 #[cfg(test)]

@@ -163,6 +163,11 @@ impl<T: Queued> Red<T> {
         self.inner.len()
     }
 
+    /// Bytes the queue's buffer holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.inner.heap_bytes()
+    }
+
     /// True when no packets are queued.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()

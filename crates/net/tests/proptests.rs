@@ -45,12 +45,18 @@ impl Body for EctBody {
 struct ArenaWorld {
     fabric: Fabric<RawBody>,
     delivered: Vec<(SimTime, NodeId, u64)>,
+    /// [`NetEvent::Arrival::at`] of every arrival, in order: the egress
+    /// direction (`link * 2 + side`) that acts on it.
+    arrivals: Vec<u32>,
 }
 
 impl Model for ArenaWorld {
     type Event = NetEvent;
     fn handle(&mut self, ev: Self::Event, sched: &mut Scheduler<'_, Self::Event>) {
         let now = sched.now();
+        if let NetEvent::Arrival { at, .. } = ev {
+            self.arrivals.push(at);
+        }
         let out = self.fabric.handle(ev, now, &mut |d, e| {
             sched.after(d, e);
         });
@@ -67,6 +73,7 @@ fn send_one(t: &Topology, a: NodeId, link: LinkId, b: NodeId, size: u32) -> Aren
     let mut eng = Engine::new(ArenaWorld {
         fabric,
         delivered: vec![],
+        arrivals: vec![],
     });
     let packet = Packet {
         id: 7,
@@ -146,14 +153,15 @@ fn dumbbell_routes_match_the_dense_reference() {
                     at = t.link(link).other_end(at);
                 }
                 let world = send_one(&t, a, path[0], b, size);
-                for l in t.links() {
-                    assert_eq!(
-                        world.fabric.link_stats(l.id).delivered_pkts,
-                        u64::from(path.contains(&l.id)),
-                        "{a:?} -> {b:?} on {:?}",
-                        l.id
-                    );
-                }
+                // It goes onto the first link, each router puts it on the
+                // link its arrival names, and the last arrival is `b`'s own
+                // end of the last link: every link of the path carries it
+                // once, in order, and no other link does.
+                let (&last, routed) = world.arrivals.split_last().expect("it arrives");
+                let mut carried = vec![path[0]];
+                carried.extend(routed.iter().map(|&at| LinkId(at / 2)));
+                assert_eq!(carried, path, "{a:?} -> {b:?}");
+                assert_eq!(LinkId(last / 2), *path.last().unwrap(), "{a:?} -> {b:?}");
                 // Each router on the way serializes the packet once.
                 let links = path.len() as u64;
                 let latency = params.prop_delay * links + ser * (links - 1);
@@ -196,6 +204,7 @@ fn impaired_run(
     let mut eng = Engine::new(ArenaWorld {
         fabric,
         delivered: vec![],
+        arrivals: vec![],
     });
     let mut ids = PacketIdGen::new();
     let mut pending: Vec<(SimDuration, NetEvent)> = Vec::new();
@@ -433,7 +442,8 @@ fn audited_run(case: &AuditCase) -> AuditTally {
         .stats;
     tally.impair_drops = imp.burst_drops + imp.outage_drops;
     tally.duplicates = imp.duplicates;
-    tally.link_lost = fabric.link_stats(d.bottleneck).lost_pkts - tally.impair_drops;
+    // The bottleneck is the one lossy and the one impaired link.
+    tally.link_lost = fabric.link_drops - tally.impair_drops;
     // Every packet sent, and every copy made, ended exactly one way.
     assert_eq!(
         case.sends.len() as u64 + tally.duplicates,
@@ -808,7 +818,8 @@ fn fabric_port(case: &PortCase) -> PortTrace {
     }
     assert_eq!(fabric.packets_in_flight(), 0, "drained port leaked");
     trace.queue_drops = fabric.queue_drops;
-    trace.lost = fabric.link_stats(out).lost_pkts;
+    // `out` is the one lossy link.
+    trace.lost = fabric.link_drops;
     trace.red = fabric
         .red_port_stats(router, out)
         .map(|s| (s.avg.to_bits(), s.early_drops, s.forced_drops, s.ecn_marks));

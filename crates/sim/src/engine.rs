@@ -208,6 +208,12 @@ impl<M: Model> Engine<M> {
         self.queue.counters()
     }
 
+    /// Bytes the engine holds on the heap beside its model: the event
+    /// queue ([`EventQueue::heap_bytes`]) and the per-unit sequence numbers.
+    pub fn heap_bytes(&self) -> usize {
+        self.queue.heap_bytes() + self.unit_seq.capacity() * size_of::<u64>()
+    }
+
     /// Dispatch one already-popped event. Returns false if the model
     /// requested a stop.
     #[inline]

@@ -52,4 +52,6 @@ pub use queue::{event_tag, EventId, EventQueue, QueueCounters, MAX_UNITS};
 pub use rng::{SimRng, SplitMix64};
 pub use shard::{partition_units, run_sharded, Domain, Envelope, ShardError, ShardStats};
 pub use stats::{convergence_time, jain_fairness};
-pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
+pub use time::{
+    Nanos, OptNanos, SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC,
+};

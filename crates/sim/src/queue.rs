@@ -713,6 +713,15 @@ impl<E> EventQueue<E> {
         self.counters
     }
 
+    /// Bytes the queue holds on the heap: its slot slab, the wheel's list
+    /// heads, the cursor granule's two halves and the far heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<Slot<E>>()
+            + self.buckets.capacity() * size_of::<u32>()
+            + (self.cursor_bucket.capacity() + self.cursor_heap.capacity() + self.far.capacity())
+                * size_of::<WheelEntry>()
+    }
+
     /// Entries of bucket storage held: slab slots plus the capacity of the
     /// cursor granule's two halves.
     #[cfg(test)]

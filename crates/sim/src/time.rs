@@ -6,6 +6,7 @@
 //! (the paper's Figure 1 is a time series of discrete events).
 
 use core::fmt;
+use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 use serde::{Deserialize, Serialize};
 
@@ -185,6 +186,105 @@ impl SimDuration {
         let bits = bytes as u128 * 8;
         let nanos = (bits * NANOS_PER_SEC as u128).div_ceil(bits_per_sec as u128);
         SimDuration(u64::try_from(nanos).unwrap_or(u64::MAX))
+    }
+}
+
+/// The two nanosecond counts an [`OptNanos`] can hold: [`SimTime`] and
+/// [`SimDuration`].
+pub trait Nanos: Copy {
+    /// The raw nanosecond count.
+    fn to_nanos(self) -> u64;
+    /// The value of a raw nanosecond count.
+    fn of_nanos(nanos: u64) -> Self;
+}
+
+impl Nanos for SimTime {
+    #[inline]
+    fn to_nanos(self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn of_nanos(nanos: u64) -> Self {
+        SimTime(nanos)
+    }
+}
+
+impl Nanos for SimDuration {
+    #[inline]
+    fn to_nanos(self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn of_nanos(nanos: u64) -> Self {
+        SimDuration(nanos)
+    }
+}
+
+/// An optional [`SimTime`] or [`SimDuration`] in the 8 bytes of the value:
+/// `u64::MAX` nanoseconds means none. An `Option<SimTime>` takes 16 bytes,
+/// half of them its discriminant, and a connection holds a dozen of them.
+///
+/// The one value it cannot hold is `MAX` itself: [`OptNanos::set`] panics
+/// on it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct OptNanos<T>(u64, PhantomData<T>);
+
+impl<T: Nanos> OptNanos<T> {
+    /// None.
+    pub const NONE: Self = OptNanos(u64::MAX, PhantomData);
+
+    /// The value, if any.
+    #[inline]
+    pub fn get(self) -> Option<T> {
+        self.is_some().then(|| T::of_nanos(self.0))
+    }
+
+    /// Hold `value`.
+    ///
+    /// # Panics
+    /// If `value` is `MAX` nanoseconds, which stands for none.
+    #[inline]
+    pub fn set(&mut self, value: T) {
+        let nanos = value.to_nanos();
+        assert!(nanos != u64::MAX, "OptNanos cannot hold MAX");
+        self.0 = nanos;
+    }
+
+    /// Take the value out, leaving none.
+    #[inline]
+    pub fn take(&mut self) -> Option<T> {
+        let value = self.get();
+        self.0 = u64::MAX;
+        value
+    }
+
+    /// Whether a value is held.
+    #[inline]
+    pub fn is_some(self) -> bool {
+        self.0 != u64::MAX
+    }
+
+    /// Whether no value is held.
+    #[inline]
+    pub fn is_none(self) -> bool {
+        self.0 == u64::MAX
+    }
+}
+
+impl<T: Nanos> From<Option<T>> for OptNanos<T> {
+    #[inline]
+    fn from(value: Option<T>) -> Self {
+        let mut o = Self::NONE;
+        if let Some(v) = value {
+            o.set(v);
+        }
+        o
+    }
+}
+
+impl<T: Nanos + fmt::Debug> fmt::Debug for OptNanos<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
     }
 }
 
@@ -390,6 +490,46 @@ mod tests {
                 u64::try_from(wide).unwrap_or(u64::MAX)
             );
         }
+    }
+
+    #[test]
+    fn opt_nanos_is_eight_bytes() {
+        assert_eq!(core::mem::size_of::<OptNanos<SimTime>>(), 8);
+        assert_eq!(core::mem::size_of::<OptNanos<SimDuration>>(), 8);
+        assert_eq!(core::mem::size_of::<Option<SimTime>>(), 16);
+    }
+
+    proptest! {
+        /// Every value below `MAX` reads back as itself, as a time and as a
+        /// duration; `take` hands it out once and leaves none.
+        #[test]
+        fn opt_nanos_round_trips_every_value_below_max(
+            nanos in prop_oneof![0u64..1_000, 0..u64::MAX, u64::MAX - 1_000..u64::MAX],
+        ) {
+            let mut t = OptNanos::<SimTime>::NONE;
+            prop_assert_eq!(t.get(), None);
+            t.set(SimTime::from_nanos(nanos));
+            prop_assert_eq!(t.get(), Some(SimTime::from_nanos(nanos)));
+            prop_assert_eq!(t, Some(SimTime::from_nanos(nanos)).into());
+            prop_assert_eq!(t.take(), Some(SimTime::from_nanos(nanos)));
+            prop_assert!(t.is_none());
+            prop_assert_eq!(t.take(), None);
+            let d = OptNanos::from(Some(SimDuration::from_nanos(nanos)));
+            prop_assert_eq!(d.get(), Some(SimDuration::from_nanos(nanos)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold MAX")]
+    fn opt_nanos_refuses_max_time() {
+        let mut t = OptNanos::NONE;
+        t.set(SimTime::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold MAX")]
+    fn opt_nanos_refuses_max_duration() {
+        let _ = OptNanos::from(Some(SimDuration::MAX));
     }
 
     #[test]

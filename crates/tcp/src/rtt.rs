@@ -1,20 +1,18 @@
 //! RTT estimation and retransmission-timeout computation (RFC 6298, which
 //! codified the RFC 2988 algorithm the Linux 2.4-era stack used).
 
-use rss_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use rss_sim::{OptNanos, SimDuration};
 
 /// SRTT/RTTVAR estimator with RTO derivation and exponential backoff.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttEstimator {
-    srtt: Option<SimDuration>,
+    srtt: OptNanos<SimDuration>,
     rttvar: SimDuration,
     rto: SimDuration,
     min_rto: SimDuration,
     max_rto: SimDuration,
     backoff_shift: u32,
     max_backoff_shift: u32,
-    samples: u64,
 }
 
 impl RttEstimator {
@@ -23,37 +21,35 @@ impl RttEstimator {
     pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
         let initial = SimDuration::from_secs(1).max(min_rto).min(max_rto);
         RttEstimator {
-            srtt: None,
+            srtt: OptNanos::NONE,
             rttvar: SimDuration::ZERO,
             rto: initial,
             min_rto,
             max_rto,
             backoff_shift: 0,
             max_backoff_shift: 0,
-            samples: 0,
         }
     }
 
     /// Feed one RTT measurement (from a never-retransmitted segment, per
     /// Karn's rule — the caller enforces that).
     pub fn on_sample(&mut self, rtt: SimDuration) {
-        self.samples += 1;
-        match self.srtt {
+        let srtt = match self.srtt.get() {
             None => {
-                self.srtt = Some(rtt);
                 self.rttvar = rtt / 2;
+                rtt
             }
             Some(srtt) => {
                 // RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R'|
                 let delta = if srtt > rtt { srtt - rtt } else { rtt - srtt };
                 self.rttvar = (self.rttvar * 3) / 4 + delta / 4;
                 // SRTT = 7/8 SRTT + 1/8 R'
-                self.srtt = Some((srtt * 7) / 8 + rtt / 8);
+                (srtt * 7) / 8 + rtt / 8
             }
-        }
+        };
+        self.srtt.set(srtt);
         // RTO = SRTT + max(G, 4·RTTVAR); clock granularity G is below 1 ns
         // in simulation, so effectively RTO = SRTT + 4·RTTVAR.
-        let srtt = self.srtt.expect("just set");
         let rto = srtt + self.rttvar * 4;
         self.rto = rto.max(self.min_rto).min(self.max_rto);
         self.backoff_shift = 0;
@@ -61,7 +57,7 @@ impl RttEstimator {
 
     /// Smoothed RTT, if any sample has been taken.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt
+        self.srtt.get()
     }
 
     /// RTT variance estimate.
@@ -101,11 +97,6 @@ impl RttEstimator {
     /// data) clears the backoff even when no sample can be taken.
     pub fn clear_backoff(&mut self) {
         self.backoff_shift = 0;
-    }
-
-    /// Number of samples consumed.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -214,10 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_count() {
-        let mut e = est();
-        e.on_sample(ms(10));
-        e.on_sample(ms(12));
-        assert_eq!(e.sample_count(), 2);
+    fn estimator_size_is_pinned() {
+        // 64 B with `srtt` an `Option` (16 B) and a sample count nothing
+        // but tests read.
+        let size = std::mem::size_of::<RttEstimator>();
+        assert!(size <= 48, "RttEstimator is {size} bytes");
     }
 }

@@ -17,7 +17,7 @@ use crate::cc::{
 use crate::recovery::{CcSignal, NewReno};
 use crate::rtt::RttEstimator;
 use crate::types::{ConnId, StallResponse, TcpConfig};
-use rss_sim::{SimDuration, SimTime};
+use rss_sim::{OptNanos, SimDuration, SimTime};
 use rss_web100::{CongestionKind, InstrumentBlock, SndLimState};
 use std::collections::VecDeque;
 
@@ -88,8 +88,8 @@ pub struct TcpSender {
     /// Latest Karn-valid RTT sample and the connection minimum, surfaced to
     /// the congestion controller through [`CcView`] (delay-based variants
     /// pace on them; the RFC 6298 estimator keeps its own smoothing).
-    last_rtt: Option<SimDuration>,
-    min_rtt: Option<SimDuration>,
+    last_rtt: OptNanos<SimDuration>,
+    min_rtt: OptNanos<SimDuration>,
 
     /// Cumulative payload bytes delivered (cumulatively ACKed) so far.
     delivered: u64,
@@ -98,7 +98,7 @@ pub struct TcpSender {
     /// the rate-sample triple surfaced through [`CcView`]. Samples ride the
     /// same Karn filter as RTT: retransmitted segments never produce one.
     delivery_rate: Option<u64>,
-    delivery_interval: Option<SimDuration>,
+    delivery_interval: OptNanos<SimDuration>,
     rate_app_limited: bool,
 
     /// Earliest time the pacer permits the next departure. Only consulted
@@ -107,18 +107,18 @@ pub struct TcpSender {
     pacing_next: SimTime,
     /// Release instant a pacing retry is already armed for (dedup so each
     /// pump schedules at most one wakeup per release time).
-    pacing_armed: Option<SimTime>,
+    pacing_armed: OptNanos<SimTime>,
 
-    rto_deadline: Option<SimTime>,
+    rto_deadline: OptNanos<SimTime>,
     /// Start of the current run of consecutive RTOs (an "episode"), cleared
     /// by forward progress. Feeds the recovery telemetry in run reports.
-    rto_episode_since: Option<SimTime>,
+    rto_episode_since: OptNanos<SimTime>,
     /// Number of RTO episodes (consecutive-timeout runs counted once).
     rto_episodes: u64,
     /// Longest span from an episode's first timeout to the ACK that ended it.
-    rto_max_recovery: Option<SimDuration>,
+    rto_max_recovery: OptNanos<SimDuration>,
     /// No transmission before this time after a stall (driver-retry model).
-    stall_until: Option<SimTime>,
+    stall_until: OptNanos<SimTime>,
     /// Only signal the congestion layer about stalls again once snd_una
     /// passes this point (once-per-window, like Linux CWR).
     stall_signal_gate: u64,
@@ -152,19 +152,19 @@ impl TcpSender {
             app_total,
             recovery: NewReno::default(),
             sent_times: VecDeque::new(),
-            last_rtt: None,
-            min_rtt: None,
+            last_rtt: OptNanos::NONE,
+            min_rtt: OptNanos::NONE,
             delivered: 0,
             delivery_rate: None,
-            delivery_interval: None,
+            delivery_interval: OptNanos::NONE,
             rate_app_limited: false,
             pacing_next: SimTime::ZERO,
-            pacing_armed: None,
-            rto_deadline: None,
-            rto_episode_since: None,
+            pacing_armed: OptNanos::NONE,
+            rto_deadline: OptNanos::NONE,
+            rto_episode_since: OptNanos::NONE,
             rto_episodes: 0,
-            rto_max_recovery: None,
-            stall_until: None,
+            rto_max_recovery: OptNanos::NONE,
+            stall_until: OptNanos::NONE,
             stall_signal_gate: 0,
             ecn_cwr_gate: 0,
             lim_state: SndLimState::Sender,
@@ -215,6 +215,17 @@ impl TcpSender {
         &mut self.web100
     }
 
+    /// Bytes the sender holds on the heap beside its instrument's timelines
+    /// ([`rss_web100::Timelines::heap_bytes`]): its send-timestamp ring and
+    /// a boxed controller's inline state.
+    pub fn heap_bytes(&self) -> usize {
+        let cc = match &self.cc {
+            CcEngine::Reno(_) => 0,
+            CcEngine::Dyn(cc) => size_of_val(&**cc),
+        };
+        self.sent_times.capacity() * size_of::<(u64, SentInfo)>() + cc
+    }
+
     /// True while a fast-recovery episode is in progress.
     pub fn in_recovery(&self) -> bool {
         self.recovery.in_recovery()
@@ -232,7 +243,7 @@ impl TcpSender {
     /// that ended it — the worst post-outage time-to-recover. `None` if no
     /// episode has completed (including an episode still open at run end).
     pub fn rto_max_recovery(&self) -> Option<SimDuration> {
-        self.rto_max_recovery
+        self.rto_max_recovery.get()
     }
 
     /// True when a finite transfer is fully acknowledged.
@@ -245,7 +256,7 @@ impl TcpSender {
 
     /// Deadline the driver must schedule an RTO check for, if any.
     pub fn rto_deadline(&self) -> Option<SimTime> {
-        self.rto_deadline
+        self.rto_deadline.get()
     }
 
     /// The application wrote `bytes` more bytes into the socket (only
@@ -264,7 +275,7 @@ impl TcpSender {
 
     /// Time the driver must re-attempt transmission after a stall, if any.
     pub fn stall_retry_at(&self) -> Option<SimTime> {
-        self.stall_until
+        self.stall_until.get()
     }
 
     #[inline]
@@ -275,11 +286,11 @@ impl TcpSender {
             flight: self.flight(),
             ifq_depth: ifq.depth,
             ifq_max: ifq.max,
-            last_rtt: self.last_rtt,
-            min_rtt: self.min_rtt,
+            last_rtt: self.last_rtt.get(),
+            min_rtt: self.min_rtt.get(),
             delivered: self.delivered,
             delivery_rate: self.delivery_rate,
-            delivery_interval: self.delivery_interval,
+            delivery_interval: self.delivery_interval.get(),
             app_limited: self.rate_app_limited,
         }
     }
@@ -314,7 +325,7 @@ impl TcpSender {
     /// needs to know whether a departure is pending behind it).
     #[inline]
     fn transmit_plan(&self, now: SimTime, ignore_pacing: bool) -> Option<TxPlan> {
-        if let Some(until) = self.stall_until {
+        if let Some(until) = self.stall_until.get() {
             if now < until {
                 return None;
             }
@@ -387,7 +398,7 @@ impl TcpSender {
         self.web100
             .on_data_sent(plan.len, plan.retransmit || was_sent_before);
         // Stall window passed: clear the retry gate on successful enqueue.
-        self.stall_until = None;
+        self.stall_until = OptNanos::NONE;
         // Advance the pacer by this segment's serialization time at the
         // controller's rate. Unpaced controllers never reach this arm, so
         // the window-variant path is byte-identical to the pre-pacing code.
@@ -396,10 +407,10 @@ impl TcpSender {
             // yields a zero gap and reproduces the unpaced schedule exactly.
             let gap_ns = plan.len as u128 * 1_000_000_000 / bytes_per_sec as u128;
             self.pacing_next = self.pacing_next.max(now) + SimDuration::from_nanos(gap_ns as u64);
-            self.pacing_armed = None;
+            self.pacing_armed = OptNanos::NONE;
         }
         if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rtt.rto());
+            self.rto_deadline.set(now + self.rtt.rto());
         }
     }
 
@@ -409,12 +420,12 @@ impl TcpSender {
     pub fn pacing_retry_at(&mut self, now: SimTime) -> Option<SimTime> {
         if now >= self.pacing_next
             || !matches!(self.cc.pacing(), PacingDecision::Rate { .. })
-            || self.pacing_armed == Some(self.pacing_next)
+            || self.pacing_armed.get() == Some(self.pacing_next)
             || self.transmit_plan(now, true).is_none()
         {
             return None;
         }
-        self.pacing_armed = Some(self.pacing_next);
+        self.pacing_armed.set(self.pacing_next);
         Some(self.pacing_next)
     }
 
@@ -423,7 +434,7 @@ impl TcpSender {
     /// the [`StallResponse`] says (at most once per outstanding window), and
     /// transmission pauses briefly.
     pub fn on_local_stall(&mut self, now: SimTime, ifq: IfqSnapshot) {
-        self.stall_until = Some(now + self.stall_retry);
+        self.stall_until.set(now + self.stall_retry);
         //= Allcock, Hegde, Kettimuthu: Restricted Slow-Start for TCP, §2
         //# treats these events in the same way as it would treat the network
         //# congestion
@@ -480,11 +491,12 @@ impl TcpSender {
             self.rtt.clear_backoff();
             if let Some(since) = self.rto_episode_since.take() {
                 let span = now.saturating_since(since);
-                self.rto_max_recovery = Some(self.rto_max_recovery.map_or(span, |m| m.max(span)));
+                let longest = self.rto_max_recovery.get().map_or(span, |m| m.max(span));
+                self.rto_max_recovery.set(longest);
             }
             self.take_rtt_sample(now, ack);
             // Re-arm or clear the RTO.
-            self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto());
+            self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto()).into();
         }
         let flight = self.snd_una..self.snd_nxt;
         let (threshold, mss) = (self.dupack_threshold, self.mss);
@@ -517,13 +529,14 @@ impl TcpSender {
                 let bytes = self.delivered - info.delivered_at_send;
                 let rate = (bytes as u128 * 1_000_000_000 / interval.as_nanos() as u128) as u64;
                 self.delivery_rate = Some(rate);
-                self.delivery_interval = Some(interval);
+                self.delivery_interval.set(interval);
                 self.rate_app_limited = info.app_limited;
             }
         }
         if let Some(rtt) = sample {
-            self.last_rtt = Some(rtt);
-            self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
+            self.last_rtt.set(rtt);
+            self.min_rtt
+                .set(self.min_rtt.get().map_or(rtt, |m| m.min(rtt)));
             self.rtt.on_sample(rtt);
             let srtt = self.rtt.srtt().unwrap_or(rtt);
             self.web100.on_rtt(
@@ -539,7 +552,7 @@ impl TcpSender {
     /// The driver's RTO check fired. Returns true if a timeout actually
     /// happened (stale checks return false).
     pub fn on_rto_check(&mut self, now: SimTime, ifq: IfqSnapshot) -> bool {
-        let Some(deadline) = self.rto_deadline else {
+        let Some(deadline) = self.rto_deadline.get() else {
             return false;
         };
         if now < deadline || self.flight() == 0 {
@@ -550,7 +563,7 @@ impl TcpSender {
         self.signal(now, ifq, CcSignal::Congestion(CongestionEvent::Timeout));
         self.rtt.backoff();
         if self.rto_episode_since.is_none() {
-            self.rto_episode_since = Some(now);
+            self.rto_episode_since.set(now);
             self.rto_episodes += 1;
         }
         self.recovery = NewReno::default();
@@ -558,8 +571,8 @@ impl TcpSender {
         // resent under the collapsed window (receiver dedups any survivors).
         self.snd_nxt = self.snd_una;
         self.sent_times.clear();
-        self.stall_until = None;
-        self.rto_deadline = Some(now + self.rtt.rto());
+        self.stall_until = OptNanos::NONE;
+        self.rto_deadline.set(now + self.rtt.rto());
         true
     }
 
@@ -894,7 +907,7 @@ mod tests {
         s.commit_transmit(d, p);
         // ACK the retransmitted segment: no RTT sample may be taken.
         s.on_ack(d + SimDuration::from_millis(60), 1000, 1_000_000, ifq());
-        assert_eq!(s.rtt().sample_count(), 0);
+        assert!(s.rtt().srtt().is_none());
     }
 
     #[test]
@@ -1179,8 +1192,10 @@ mod tests {
         // inline would grow each flow's sender by about 200 bytes.
         assert_eq!(size_of::<CcEngine>(), 40);
         // The four `TcpConfig` fields it reads after construction, not the
-        // whole config: 792 B with it.
+        // whole config: 792 B with it. 720 B with each optional time an
+        // `Option` (16 B), the instrument's timelines inline (64 B) and the
+        // estimator's sample count.
         let sender = size_of::<TcpSender>();
-        assert!(sender <= 720, "TcpSender is {sender} bytes");
+        assert!(sender <= 592, "TcpSender is {sender} bytes");
     }
 }

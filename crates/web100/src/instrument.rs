@@ -1,26 +1,82 @@
 //! The live instrument block: the hooks the TCP stack calls, the counters
-//! they update, and the timelines a flow report carries.
+//! they update, and the timelines a flow report is built from.
+//!
+//! A connection's timelines sit in one block behind one pointer, allocated
+//! by the first thing recorded: the cwnd and acked-bytes samples as packed
+//! steps, whose buffers move into the report's [`Series`], and the
+//! congestion-signal times as nanosecond steps each marked whether it was
+//! a send-stall (see the `series` module), which the report reads as
+//! [`SimTime`]s and widens to seconds itself.
 
-use crate::series::{record, Series};
+use crate::series::{Packed, Samples, Series, Signals};
 use crate::vars::{CongestionKind, SndLimState, Web100Vars};
 use rss_sim::SimTime;
 
-/// What a connection records over time, already in the shape a flow report
-/// holds, each list append-only in time order: event times in seconds since
-/// the start of the run (`SimTime::as_secs_f64`), samples as packed
-/// [`Series`].
+/// What a connection records over time, each list append-only in time
+/// order: when each congestion signal fired and whether it was a
+/// send-stall, and the cwnd and acked-bytes samples. One pointer inline; a
+/// connection that has recorded nothing holds no heap.
 #[derive(Debug, Clone, Default)]
-pub struct Timelines {
+pub struct Timelines(Option<Box<Recorded>>);
+
+#[derive(Debug, Clone, Default)]
+struct Recorded {
+    signals: Signals,
+    cwnd: Packed,
+    acked: Packed,
+}
+
+impl Timelines {
+    #[inline]
+    fn recorded(&mut self) -> &mut Recorded {
+        self.0.get_or_insert_with(Box::default)
+    }
+
+    fn signals(&self) -> impl Iterator<Item = (SimTime, bool)> + Clone + '_ {
+        self.0.iter().flat_map(|r| r.signals.iter())
+    }
+
     /// When each send-stall signal fired (Figure 1's series).
-    pub stall_times_s: Vec<f64>,
+    pub fn stall_times(&self) -> impl Iterator<Item = SimTime> + Clone + '_ {
+        self.signals().filter(|&(_, stall)| stall).map(|(t, _)| t)
+    }
+
     /// When each congestion signal of any kind fired.
-    pub congestion_times_s: Vec<f64>,
-    /// Congestion-window samples `(t, cwnd_bytes)`, every
-    /// `sample_stride`-th change.
-    pub cwnd_series: Series,
+    pub fn congestion_times(&self) -> impl Iterator<Item = SimTime> + Clone + '_ {
+        self.signals().map(|(t, _)| t)
+    }
+
+    /// Congestion-window samples `(t, cwnd_bytes)`: the first change and
+    /// every `sample_stride`-th.
+    pub fn cwnd_samples(&self) -> Samples<'_> {
+        self.0.as_ref().map_or(Samples::EMPTY, |r| r.cwnd.samples())
+    }
+
     /// Cumulative acked bytes `(t, bytes)`, one sample per ACK that
     /// acknowledged new data.
-    pub acked_series: Series,
+    pub fn acked_samples(&self) -> Samples<'_> {
+        self.0
+            .as_ref()
+            .map_or(Samples::EMPTY, |r| r.acked.samples())
+    }
+
+    /// Move the two sample series out, `(cwnd, acked)`, for the report.
+    pub fn into_series(self) -> (Series, Series) {
+        match self.0 {
+            Some(r) => (r.cwnd.into(), r.acked.into()),
+            None => (Series::new(), Series::new()),
+        }
+    }
+
+    /// Bytes held on the heap: the recorded block and its step buffers.
+    pub fn heap_bytes(&self) -> usize {
+        self.0.as_ref().map_or(0, |r| {
+            size_of::<Recorded>()
+                + r.signals.heap_bytes()
+                + r.cwnd.heap_bytes()
+                + r.acked.heap_bytes()
+        })
+    }
 }
 
 /// Per-connection instrumentation, updated synchronously by the TCP stack.
@@ -100,33 +156,33 @@ impl InstrumentBlock {
         if newly_acked > 0 {
             self.vars.thru_bytes_acked += newly_acked;
             let acked = self.vars.thru_bytes_acked;
-            self.timelines.acked_series.push(now, acked);
+            self.timelines.recorded().acked.push(now, acked);
         }
     }
 
     /// A congestion signal fired.
     pub fn on_congestion(&mut self, now: SimTime, kind: CongestionKind) {
         self.vars.congestion_signals += 1;
-        record(&mut self.timelines.congestion_times_s, now);
+        let stall = kind == CongestionKind::SendStall;
+        self.timelines.recorded().signals.push(now, stall);
         match kind {
             CongestionKind::FastRetransmit => self.vars.fast_retran += 1,
             CongestionKind::Timeout => self.vars.timeouts += 1,
-            CongestionKind::SendStall => {
-                self.vars.send_stall += 1;
-                record(&mut self.timelines.stall_times_s, now);
-            }
+            CongestionKind::SendStall => self.vars.send_stall += 1,
             CongestionKind::EcnEcho => self.vars.ecn_echoes += 1,
         }
     }
 
-    /// The congestion window changed.
+    /// The congestion window changed. The first update is always sampled,
+    /// then every `sample_stride`-th, counting the first as the 1st, so the
+    /// samples do not depend on when the stride was set.
     #[inline]
     pub fn on_cwnd(&mut self, now: SimTime, cwnd_bytes: u64) {
         self.vars.cur_cwnd = cwnd_bytes;
         self.vars.max_cwnd = self.vars.max_cwnd.max(cwnd_bytes);
         self.cwnd_updates += 1;
-        if self.cwnd_updates.is_multiple_of(self.sample_stride.max(1)) {
-            self.timelines.cwnd_series.push(now, cwnd_bytes);
+        if self.cwnd_updates == 1 || self.cwnd_updates.is_multiple_of(self.sample_stride.max(1)) {
+            self.timelines.recorded().cwnd.push(now, cwnd_bytes);
         }
     }
 
@@ -222,8 +278,11 @@ mod tests {
         assert_eq!(v.congestion_signals, 3);
         assert_eq!(v.fast_retran, 1);
         let t = b.timelines();
-        assert_eq!(t.stall_times_s, [0.5, 1.2]);
-        assert_eq!(t.congestion_times_s, [0.5, 0.8, 1.2]);
+        assert_eq!(t.stall_times().collect::<Vec<_>>(), [ms(500), ms(1200)]);
+        assert_eq!(
+            t.congestion_times().collect::<Vec<_>>(),
+            [ms(500), ms(800), ms(1200)]
+        );
     }
 
     #[test]
@@ -235,12 +294,17 @@ mod tests {
         assert_eq!(b.vars().cur_cwnd, 2896);
         assert_eq!(b.vars().max_cwnd, 5792);
         assert_eq!(
-            b.timelines().cwnd_series.iter().collect::<Vec<_>>(),
-            [(0.0, 2896.0), (0.01, 5792.0), (0.02, 2896.0)]
+            b.timelines().cwnd_samples().collect::<Vec<_>>(),
+            [(ms(0), 2896), (ms(10), 5792), (ms(20), 2896)]
         );
         // The report takes the series; the block keeps counting.
-        assert_eq!(b.take_timelines().cwnd_series.len(), 3);
-        assert!(b.timelines().cwnd_series.is_empty());
+        let (cwnd, acked) = b.take_timelines().into_series();
+        assert_eq!(
+            cwnd.iter().collect::<Vec<_>>(),
+            [(0.0, 2896.0), (0.01, 5792.0), (0.02, 2896.0)]
+        );
+        assert!(acked.is_empty());
+        assert_eq!(b.timelines().cwnd_samples().len(), 0);
         assert_eq!(b.vars().max_cwnd, 5792);
     }
 
@@ -278,8 +342,8 @@ mod tests {
         // 250 kB in 1 s = 2 Mbit/s.
         assert!((b.goodput_bps(SimTime::from_secs(1)) - 2_000_000.0).abs() < 1.0);
         assert_eq!(
-            b.timelines().acked_series.iter().collect::<Vec<_>>(),
-            [(0.5, 125_000.0), (1.0, 250_000.0)]
+            b.timelines().acked_samples().collect::<Vec<_>>(),
+            [(ms(500), 125_000), (ms(1000), 250_000)]
         );
         assert_eq!(b.vars().thru_bytes_acked, 250_000);
     }
@@ -303,9 +367,50 @@ mod tests {
         for i in 0..100 {
             b.on_cwnd(ms(i), 1000 + i);
         }
-        assert_eq!(b.timelines().cwnd_series.len(), 10);
+        // The first update, then the 10th, 20th, …, 100th.
+        assert_eq!(b.timelines().cwnd_samples().len(), 11);
         // Counters are unaffected by sampling.
         assert_eq!(b.vars().cur_cwnd, 1099);
+    }
+
+    #[test]
+    fn the_first_cwnd_update_is_sampled_whenever_the_stride_is_set() {
+        // Set before the first update, as a builder that knows the stride
+        // at construction would, and after it, as `World::build` does: the
+        // same samples, the first at t = 0 and the next the 1024th update.
+        let mut before = InstrumentBlock::new();
+        before.sample_stride = 1024;
+        before.on_cwnd(ms(0), 1000);
+        let mut after = InstrumentBlock::new();
+        after.on_cwnd(ms(0), 1000);
+        after.sample_stride = 1024;
+        for i in 2..=3000 {
+            before.on_cwnd(ms(i), i);
+            after.on_cwnd(ms(i), i);
+        }
+        let samples: Vec<_> = before.timelines().cwnd_samples().collect();
+        assert_eq!(samples, [(ms(0), 1000), (ms(1024), 1024), (ms(2048), 2048)]);
+        assert_eq!(
+            after.timelines().cwnd_samples().collect::<Vec<_>>(),
+            samples
+        );
+    }
+
+    #[test]
+    fn timelines_are_one_pointer_and_the_block_is_pinned() {
+        // 64 B inline while the stall and congestion times were two
+        // `Vec<f64>` beside two series, and the block 288 B with them.
+        assert_eq!(size_of::<Timelines>(), 8);
+        let block = size_of::<InstrumentBlock>();
+        assert!(block <= 232, "InstrumentBlock is {block} bytes");
+        let mut b = InstrumentBlock::new();
+        assert_eq!(
+            b.timelines().heap_bytes(),
+            0,
+            "nothing recorded, nothing held"
+        );
+        b.on_congestion(ms(1), CongestionKind::Timeout);
+        assert!(b.timelines().heap_bytes() >= size_of::<Recorded>());
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //!
 //! This crate reproduces that observability layer for the simulated stack:
 //! an [`InstrumentBlock`] per connection with TCP-KIS-named counters
-//! ([`Web100Vars`]) and the [`Timelines`] a flow report carries: when each
-//! send-stall and congestion signal fired, and the cwnd and acked-bytes
-//! series. Those two take a sample per ACK, so they are [`Series`]: each
-//! `(SimTime, u64)` sample packed as two varint steps (about 5 bytes where
-//! an `(f64, f64)` pair took 16), read back as the same `(t_s, value)`
-//! floats and rendered to the same JSON bytes. The host's IFQ depth is not
-//! recorded here; the world samples the one sending host the report
-//! describes.
+//! ([`Web100Vars`]) and the [`Timelines`] a flow report is built from:
+//! when each congestion signal fired and whether it was a send-stall, and
+//! the cwnd and acked-bytes series, all behind one pointer. The series take
+//! a sample per ACK, so they are [`Series`]: each `(SimTime, u64)` sample
+//! packed as two varint steps (about 5 bytes where an `(f64, f64)` pair took
+//! 16), read back as the same `(t_s, value)` floats and rendered to the same
+//! JSON bytes. The signal times are nanosecond steps too, read back as
+//! [`rss_sim::SimTime`]s for the report to widen to seconds. The host's IFQ
+//! depth is not recorded here; the world samples the one sending host the
+//! report describes.
 
 #![warn(missing_docs)]
 

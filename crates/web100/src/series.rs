@@ -1,9 +1,6 @@
-//! Time-ordered recording: the event-time lists a flow report holds, and
-//! [`Series`], the packed per-ACK sample series.
-//!
-//! Times are seconds since the start of the run as the report reads them
-//! (`SimTime::as_secs_f64`). Every append checks that time does not run
-//! backwards.
+//! Time-ordered recording, packed as steps: [`Series`], the per-ACK
+//! sample series a flow report holds, and the congestion-signal times a
+//! connection records while it runs.
 //!
 //! A [`Series`] keeps each `(SimTime, u64)` sample as its step from the one
 //! before (from `(0, 0)` for the first): the nanosecond step, then the value
@@ -14,36 +11,128 @@
 //! `(ns as f64 / 1e9, v as f64)`; JSON is rendered from the integers
 //! ([`serde::write_nanos_as_secs`]) and is byte for byte what that pair
 //! rendered.
+//!
+//! The signal times ([`Signals`]) are held the same way: per signal, its
+//! nanosecond step from the one before and one byte saying whether it was a
+//! send-stall, so a stall, which is also a congestion signal, is recorded
+//! once. They are read back as [`SimTime`]s, which the report widens to
+//! seconds (`SimTime::as_secs_f64`) when it is built.
+//!
+//! Every append checks that time does not run backwards.
 
 use rss_sim::SimTime;
 use serde::{de, Deserialize, Serialize};
 use std::fmt;
 
-/// Append the time of one event at `now` (seconds) to `times`, checked not
-/// to precede the latest entry.
-pub(crate) fn record(times: &mut Vec<f64>, now: SimTime) {
-    let t = now.as_secs_f64();
-    if let Some(&last) = times.last() {
-        assert!(t >= last, "samples must be time-ordered ({t} < {last})");
-    }
-    times.push(t);
-}
-
 /// A time-ordered series of `(SimTime, u64)` samples, packed as varint
 /// steps (see the module docs). Its header lives behind one pointer, so an
-/// empty series is a null pointer and a connection that records two of
-/// them carries 16 bytes inline.
+/// empty series is a null pointer and what holds two of them carries 16
+/// bytes inline; a finished connection's series move into its report.
 #[derive(Clone, Default)]
 pub struct Series(Option<Box<Packed>>);
 
-#[derive(Clone, Default)]
-struct Packed {
+/// A [`Series`]' samples and the latest of them, held inline where a
+/// connection records them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Packed {
     /// Per sample: the time step in ns, then the zigzagged value step.
     steps: Vec<u8>,
     len: usize,
     /// The latest sample, which the next step starts from.
     last_ns: u64,
     last_v: u64,
+}
+
+impl Packed {
+    /// Append the sample `(now, v)`.
+    ///
+    /// # Panics
+    /// If `now` precedes the latest sample.
+    #[inline]
+    pub(crate) fn push(&mut self, now: SimTime, v: u64) {
+        let ns = now.as_nanos();
+        assert!(
+            ns >= self.last_ns,
+            "samples must be time-ordered ({ns} ns < {} ns)",
+            self.last_ns
+        );
+        put_varint(&mut self.steps, ns - self.last_ns);
+        put_varint(&mut self.steps, zigzag(v.wrapping_sub(self.last_v)));
+        self.len += 1;
+        self.last_ns = ns;
+        self.last_v = v;
+    }
+
+    /// The samples in time order, as recorded.
+    pub(crate) fn samples(&self) -> Samples<'_> {
+        Samples {
+            steps: &self.steps,
+            ns: 0,
+            v: 0,
+            left: self.len,
+        }
+    }
+
+    /// Bytes the steps hold on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.steps.capacity()
+    }
+}
+
+/// The recorded samples as a series: the header boxed, the steps moved.
+impl From<Packed> for Series {
+    fn from(p: Packed) -> Self {
+        Series((p.len > 0).then(|| Box::new(p)))
+    }
+}
+
+/// The times of a connection's congestion signals, each marked whether it
+/// was a send-stall (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Signals {
+    /// Per signal: the time step in ns as a varint, then 1 for a send-stall
+    /// and 0 for any other signal.
+    steps: Vec<u8>,
+    /// The latest signal's time, which the next step starts from.
+    last_ns: u64,
+}
+
+impl Signals {
+    /// Record a signal at `now`; `stall` if it was a send-stall.
+    ///
+    /// # Panics
+    /// If `now` precedes the latest signal.
+    pub(crate) fn push(&mut self, now: SimTime, stall: bool) {
+        let ns = now.as_nanos();
+        assert!(
+            ns >= self.last_ns,
+            "signals must be time-ordered ({ns} ns < {} ns)",
+            self.last_ns
+        );
+        put_varint(&mut self.steps, ns - self.last_ns);
+        self.steps.push(u8::from(stall));
+        self.last_ns = ns;
+    }
+
+    /// Every signal in time order: its time and whether it was a send-stall.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, bool)> + Clone + '_ {
+        let mut steps = self.steps.as_slice();
+        let mut ns = 0;
+        std::iter::from_fn(move || {
+            if steps.is_empty() {
+                return None;
+            }
+            ns += take_varint(&mut steps);
+            let (&stall, rest) = steps.split_first().expect("a signal is a step and a mark");
+            steps = rest;
+            Some((SimTime::from_nanos(ns), stall == 1))
+        })
+    }
+
+    /// Bytes held on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.steps.capacity()
+    }
 }
 
 impl Series {
@@ -58,18 +147,7 @@ impl Series {
     /// If `now` precedes the latest sample.
     #[inline]
     pub fn push(&mut self, now: SimTime, v: u64) {
-        let p = self.0.get_or_insert_with(Box::default);
-        let ns = now.as_nanos();
-        assert!(
-            ns >= p.last_ns,
-            "samples must be time-ordered ({ns} ns < {} ns)",
-            p.last_ns
-        );
-        put_varint(&mut p.steps, ns - p.last_ns);
-        put_varint(&mut p.steps, zigzag(v.wrapping_sub(p.last_v)));
-        p.len += 1;
-        p.last_ns = ns;
-        p.last_v = v;
+        self.0.get_or_insert_with(Box::default).push(now, v);
     }
 
     /// Number of samples.
@@ -88,12 +166,7 @@ impl Series {
 
     /// The samples in time order, as recorded.
     pub fn samples(&self) -> Samples<'_> {
-        Samples {
-            steps: self.steps(),
-            ns: 0,
-            v: 0,
-            left: self.len(),
-        }
+        self.0.as_ref().map_or(Samples::EMPTY, |p| p.samples())
     }
 
     /// The samples in time order as the report reads them: `(t_s, value)`
@@ -164,6 +237,16 @@ pub struct Samples<'a> {
     ns: u64,
     v: u64,
     left: usize,
+}
+
+impl Samples<'_> {
+    /// The samples of an empty series.
+    pub(crate) const EMPTY: Samples<'static> = Samples {
+        steps: &[],
+        ns: 0,
+        v: 0,
+        left: 0,
+    };
 }
 
 impl Iterator for Samples<'_> {
@@ -330,12 +413,23 @@ mod tests {
             serde::to_json_string(&s),
             "[[0,2],[0.01,4],[0.02,8],[0.02,1]]"
         );
-        // Events at the same instant are in order.
-        let mut t = Vec::new();
-        record(&mut t, ms(500));
-        record(&mut t, ms(1500));
-        record(&mut t, ms(1500));
-        assert_eq!(t, [0.5, 1.5, 1.5]);
+        // Signals at the same instant are in order, each with its mark.
+        let mut t = Signals::default();
+        t.push(ms(500), true);
+        t.push(ms(1500), false);
+        t.push(ms(1500), true);
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            [(ms(500), true), (ms(1500), false), (ms(1500), true)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn signals_reject_out_of_order() {
+        let mut t = Signals::default();
+        t.push(ms(10), false);
+        t.push(ms(5), true);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!
 //! The same allocator tracks live bytes: a second test holds the same
 //! dumbbell's peak live heap per flow under a ceiling, over the whole run and
-//! over building its world alone, and a third holds the
-//! paper testbed's peak live heap per recorded telemetry sample under one.
+//! over building its world alone, a third holds the paper testbed's peak
+//! live heap per recorded telemetry sample under one, and a fourth prints
+//! where the dumbbell's live heap is at its horizon, by owner, and requires
+//! the owners to explain it.
 
 use restricted_slow_start::world::World;
 use restricted_slow_start::{run, AppModel, CcAlgorithm, FlowSpec, Scenario, SimDuration, SimTime};
@@ -155,12 +157,18 @@ fn peak_heap_over_run(sc: &Scenario) -> u64 {
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures under one engine (3 476 B) and in two domains
-/// (4 443 B: each domain's fabric compiles its own 16-byte hop record per
+/// above what it measures under one engine (3 294 B) and in two domains
+/// (4 212 B: each domain's fabric compiles its own 16-byte hop record per
 /// direction of the whole topology), and the same for [`World::build`] alone
-/// (1 677 B), so a per-flow struct that grows names its phase.
+/// (1 533 B), so a per-flow struct that grows names its phase.
 ///
-/// Before each host NIC dropped its device-packet slot and its IFQ's
+/// With each optional time of a connection, a host NIC and the RTO timer
+/// table an `Option` (16 bytes where 8 hold it), a connection's timelines
+/// 64 bytes inline beside a `Vec<f64>` for its congestion times, per-link
+/// transfer counters nobody read and the RTT estimator's sample count, the
+/// same runs measured 3 476 and 4 443 B (ceilings 3 830 / 4 890) and the
+/// build 1 677 B (ceiling 1 850). Before each host NIC dropped its
+/// device-packet slot and its IFQ's
 /// counters, each router port its queue's counters, each connection its two
 /// copies of the scenario's `TcpConfig`, each sending host its vector of
 /// connections and the fabric its impairment index on a clean network, the
@@ -184,9 +192,9 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let sc = manyflow(SimDuration::from_millis(1500));
     let build = || World::build(&sc).expect("the dumbbell builds");
     for (phase, peak, ceiling) in [
-        ("run(), one engine", peak_heap_over(run_in(None)), 3_830),
-        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_890),
-        ("World::build", peak_heap_over(build), 1_850),
+        ("run(), one engine", peak_heap_over(run_in(None)), 3_620),
+        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_630),
+        ("World::build", peak_heap_over(build), 1_690),
     ] {
         let per_flow = peak / sc.flows.len() as u64;
         assert!(
@@ -194,6 +202,47 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
             "{phase}: peak live heap is {per_flow} B per flow, ceiling {ceiling}"
         );
     }
+}
+
+/// Where the 2 000-flow dumbbell's live heap is at its horizon, by owner:
+/// [`World::footprint`] and the engine's event queue. The rows must explain
+/// at least 90 % of what the counting allocator holds live then, and no
+/// more than all of it, so memory that no owner counts (or an owner that
+/// miscounts) fails here with the table beside it.
+#[test]
+fn manyflow_heap_by_owner() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let sc = manyflow(SimDuration::from_millis(1500));
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let mut engine = World::build(&sc)
+        .expect("the dumbbell builds")
+        .into_engine();
+    engine.run_until(SimTime::ZERO + sc.duration);
+    let live = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    let mut footprint = engine.model().footprint();
+    footprint.rows.push(("event queue", engine.heap_bytes()));
+
+    let flows = sc.flows.len();
+    let mut table = format!("{:<26} {:>10} {:>7}\n", "owner", "bytes", "B/flow");
+    for (owner, bytes) in footprint
+        .rows
+        .iter()
+        .chain([&("explained", footprint.total())])
+    {
+        table += &format!("{owner:<26} {bytes:>10} {:>7}\n", bytes / flows);
+    }
+    table += &format!(
+        "{:<26} {live:>10} {:>7}",
+        "live (counting allocator)",
+        live as usize / flows
+    );
+    println!("{table}");
+    let explained = footprint.total() as f64 / live as f64;
+    assert!(
+        (0.9..=1.0).contains(&explained),
+        "the owners explain {:.1} % of the live heap:\n{table}",
+        explained * 100.0
+    );
 }
 
 /// Telemetry recorded once, where the report reads it: the paper testbed's
