@@ -8,7 +8,7 @@
 //! finished [`RunReport`] into that measurement:
 //!
 //! * a **windowed Jain-index series** over the per-flow goodput timeseries
-//!   ([`crate::FlowReport::goodput_series_bps`]);
+//!   ([`crate::FlowReport::goodput_series_fill`]);
 //! * the **convergence-to-ε time** — the earliest time from which the
 //!   windowed index stays at or above `1 − ε`
 //!   ([`rss_sim::convergence_time`]), which staggered-start scenarios use to

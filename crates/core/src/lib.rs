@@ -17,20 +17,20 @@
 //! * [`ScenarioSpec`] — the JSON scenario-file schema (the `scenarios/`
 //!   directory and the `rss` CLI): the same experiments as data, with sweep
 //!   grids expanding into deduplicated batches;
-//! * [`run`] / [`run_many`] / [`run_many_memo_timed`] — deterministic
-//!   execution, optionally parallel across scenarios, with duplicate cells
-//!   of one batch sharing a simulation;
+//! * [`try_run`] / [`run_many`] — deterministic execution of one scenario,
+//!   or of a batch in parallel with duplicate cells sharing a simulation;
+//!   every run returns its [`RunError`] instead of panicking;
 //! * [`RunReport`] / [`FlowReport`] — Web100 snapshots, send-stall event
 //!   logs (Figure 1), cwnd/IFQ/goodput series;
 //! * [`plot`] — terminal rendering used by the `rss` CLI and the examples.
 //!
 //! ```
-//! use rss_core::{run, Scenario, SimDuration};
+//! use rss_core::{try_run, Scenario, SimDuration};
 //!
 //! // A short run of the paper's testbed, standard TCP vs restricted.
-//! let quick = |sc: Scenario| run(&sc.with_duration(SimDuration::from_millis(800)));
-//! let std_report = quick(Scenario::paper_testbed_standard());
-//! let rss_report = quick(Scenario::paper_testbed_restricted());
+//! let quick = |sc: Scenario| try_run(&sc.with_duration(SimDuration::from_millis(800)));
+//! let std_report = quick(Scenario::paper_testbed_standard()).expect("runs");
+//! let rss_report = quick(Scenario::paper_testbed_restricted()).expect("runs");
 //! assert!(std_report.flows[0].vars.data_bytes_out > 0);
 //! assert!(rss_report.flows[0].vars.data_bytes_out > 0);
 //! ```
@@ -50,7 +50,7 @@ pub mod world;
 pub use body::WireBody;
 pub use fairness::{fairness_csv, fairness_reports, FairnessReport, FlowFairness, VariantFairness};
 pub use report::{FlowReport, RunReport, ShardCounters};
-pub use runner::{run, run_many, run_many_memo_timed, try_run, RunError};
+pub use runner::{run, run_many, try_run, BatchCell, RunError};
 pub use scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
 pub use spec::{
     results_csv, BurstLossDef, CcDef, CrossDef, ExpandedRun, FairnessDef, FlapDef, FlowDef,

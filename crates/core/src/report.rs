@@ -66,32 +66,12 @@ impl FlowReport {
         out
     }
 
-    /// The per-flow goodput timeseries: mean goodput over each consecutive
-    /// `window_s`-second window of `[0, end_s]`, bits/s, derived from the
-    /// cumulative acked series in one pass. Points are labelled with the
-    /// window's *end* time, so `(2.0, g)` is the goodput over `[1, 2]` s at
-    /// `window_s = 1`. This is the series the fairness subsystem compares
-    /// across flows.
-    pub fn goodput_series_bps(&self, window_s: f64, end_s: f64) -> Vec<(f64, f64)> {
-        let mut vals = Vec::new();
-        self.goodput_series_fill(window_s, end_s, &mut vals);
-        // Window end times accumulate exactly as in the fill loop, so the
-        // pairs match what a fused loop would produce bit-for-bit.
-        let mut t = window_s;
-        vals.into_iter()
-            .map(|g| {
-                let sample = (t, g);
-                t += window_s;
-                sample
-            })
-            .collect()
-    }
-
-    /// Append this flow's per-window goodputs (bits/s; one value per window
-    /// ending at `window_s`, `2·window_s`, … up to `end_s`) to `out` — the
-    /// allocation-free core of [`Self::goodput_series_bps`]. The fairness
-    /// pass uses it to fill one row of a preallocated flows × windows table
-    /// instead of materializing a `Vec` of pairs per flow.
+    /// The per-flow goodput timeseries: append the mean goodput (bits/s) over
+    /// each consecutive `window_s`-second window of `[0, end_s]` to `out`,
+    /// one value per window ending at `window_s`, `2·window_s`, … up to
+    /// `end_s`, derived from the cumulative acked series in one pass. This is
+    /// the series the fairness pass compares across flows, filling one row
+    /// of a preallocated flows × windows table.
     pub fn goodput_series_fill(&self, window_s: f64, end_s: f64, out: &mut Vec<f64>) {
         assert!(window_s > 0.0, "window must be positive");
         let mut acked = self.acked_series.iter().peekable();
@@ -304,14 +284,15 @@ mod tests {
     #[test]
     fn goodput_series_matches_the_window_function() {
         let f = flow(vec![], 1e6);
-        let series = f.goodput_series_bps(1.0, 3.0);
+        let mut series = Vec::new();
+        f.goodput_series_fill(1.0, 3.0, &mut series);
         assert_eq!(series.len(), 3);
-        for &(t, g) in &series {
+        for (&g, t) in series.iter().zip([1.0, 2.0, 3.0]) {
             let want = f.goodput_in_window_bps(t - 1.0, t);
             assert!((g - want).abs() < 1e-6, "window ending {t}: {g} vs {want}");
         }
         // Past the last sample the cumulative series is flat: zero goodput.
-        assert_eq!(series[2].1, 0.0);
+        assert_eq!(series[2], 0.0);
     }
 
     #[test]

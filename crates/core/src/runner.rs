@@ -2,7 +2,7 @@
 
 use crate::report::{FlowReport, RunReport, ShardCounters};
 use crate::scenario::Scenario;
-use crate::shard::{run_windowed, stop_boundary};
+use crate::shard::{check_sharded, run_windowed, stop_boundary};
 use crate::world::{BuildError, World};
 use rss_net::RedStats;
 use rss_sim::{QueueCounters, ShardError, SimTime};
@@ -10,6 +10,8 @@ use rss_tcp::{TcpReceiver, TcpSender};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Finalize one connection and build its report, moving its timelines in.
 fn flow_report(
@@ -125,10 +127,12 @@ impl From<ShardError> for RunError {
     }
 }
 
-/// Execute one scenario and collect its report.
+/// [`try_run`], panicking with the [`RunError`] text instead of returning
+/// it.
 ///
-/// Panics with the [`RunError`] text when the scenario cannot be built or a
-/// shard thread panicked; [`try_run`] returns it instead.
+/// A shim kept for one caller, the benchmark's pipeline drive
+/// (`benchmark/src/api.rs`), and deleted once that call moves to
+/// [`try_run`]. Everything else runs through [`try_run`] or [`run_many`].
 pub fn run(sc: &Scenario) -> RunReport {
     try_run(sc).unwrap_or_else(|e| match e {
         RunError::Build(e) => panic!(
@@ -138,8 +142,9 @@ pub fn run(sc: &Scenario) -> RunReport {
     })
 }
 
-/// [`run`], returning a scenario the world builder rejects — or a shard
-/// thread's panic — as an error.
+/// Execute one scenario and collect its report, or return why there is
+/// none: a scenario the world builder or the sharded-run check rejects, or a
+/// shard thread's panic.
 ///
 /// The model, the unit map and the event order are the same either way;
 /// [`Scenario::shards`] only picks how many domains the units are grouped
@@ -148,6 +153,7 @@ pub fn run(sc: &Scenario) -> RunReport {
 /// in lockstep lookahead windows (see [`crate::shard`]). The report differs
 /// in its executor diagnostics (`engine`, `shard`) and in nothing else.
 pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
+    check_sharded(sc)?;
     // The watchdog clamps the horizon; a cut there is invariant across
     // domain counts, so truncated runs stay bit-exact too.
     let horizon = SimTime::ZERO + sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
@@ -279,75 +285,22 @@ fn report(sc: &Scenario, mut worlds: Vec<World>, out: &Outcome) -> RunReport {
     }
 }
 
-/// [`run`], measuring wall time. Returns `(report, wall_ms)`.
-fn run_timed(sc: &Scenario) -> (RunReport, f64) {
-    let t0 = std::time::Instant::now();
-    let report = run(sc);
-    (report, t0.elapsed().as_secs_f64() * 1e3)
-}
+/// One cell of a [`run_many`] batch: its report, or why there is none, and
+/// the wall time of the simulation that produced it, in milliseconds.
+pub type BatchCell = (Result<RunReport, RunError>, f64);
 
-/// Run a batch of scenarios across worker threads (order-preserving),
-/// measuring per-run wall time in milliseconds.
-///
-/// Each scenario is an independent deterministic simulation, so parallelism
-/// is embarrassingly safe; a shared atomic cursor hands out work.
-fn run_many_timed(scenarios: &[&Scenario]) -> Vec<(RunReport, f64)> {
-    if scenarios.len() <= 1 {
-        return scenarios.iter().map(|sc| run_timed(sc)).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(scenarios.len());
-    let cursor = AtomicUsize::new(0);
-    // Each slot is written exactly once, by the unique worker that claimed
-    // its index off the cursor; OnceLock gives lock-free single-writer slots.
-    let results: Vec<std::sync::OnceLock<(RunReport, f64)>> = scenarios
-        .iter()
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-
-    // std::thread::scope joins every worker before returning and re-raises
-    // any worker panic, so all result slots are filled on the happy path.
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    break;
-                }
-                let report = run_timed(scenarios[i]);
-                results[i].set(report).expect("slot claimed twice");
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("missing result"))
-        .collect()
-}
-
-/// Run a batch of scenarios across worker threads (order-preserving).
-pub fn run_many(scenarios: &[Scenario]) -> Vec<RunReport> {
-    run_many_timed(&scenarios.iter().collect::<Vec<_>>())
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// [`run_many`], executing each *distinct* configuration of the batch once
-/// and keeping per-run wall time in milliseconds.
+/// Run a batch of scenarios across worker threads, executing each *distinct*
+/// configuration once. Returns one [`BatchCell`] per scenario, in input order,
+/// plus the number of distinct configurations.
 ///
 /// Sweep grids routinely contain cells whose scenario is identical (the
 /// anchor point of two sweeps, or a baseline column repeated per row).
 /// Scenario aggregates plain config (no floats with NaN, no interior
 /// mutability), so its Debug rendering is a faithful identity key; runs are
-/// deterministic, so a shared report is indistinguishable from a fresh one.
-/// Returns the per-cell `(report, wall_ms)` (order preserved; a duplicate
-/// cell carries the wall time of the one simulation it shares) plus the
-/// number of distinct configurations.
-pub fn run_many_memo_timed(scenarios: &[Scenario]) -> (Vec<(RunReport, f64)>, usize) {
+/// deterministic, so a shared outcome — report or error — is
+/// indistinguishable from a fresh one. A duplicate cell carries the wall time
+/// of the one simulation it shares.
+pub fn run_many(scenarios: &[Scenario]) -> (Vec<BatchCell>, usize) {
     // `slot[i]`: which distinct simulation cell `i` reads.
     let mut first_seen: BTreeMap<String, usize> = BTreeMap::new();
     let mut distinct: Vec<&Scenario> = Vec::new();
@@ -360,14 +313,40 @@ pub fn run_many_memo_timed(scenarios: &[Scenario]) -> (Vec<(RunReport, f64)>, us
             })
         })
         .collect();
+
+    // Simulations are independent, so a shared atomic cursor hands them to
+    // the workers (the calling thread is one). Each result is written once,
+    // by the worker that claimed its index: OnceLock gives lock-free
+    // single-writer slots. The scope joins every worker before returning
+    // and re-raises a worker's panic.
+    let results: Vec<OnceLock<BatchCell>> = distinct.iter().map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || loop {
+        let d = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(sc) = distinct.get(d) else { break };
+        let t0 = Instant::now();
+        let report = try_run(sc);
+        let cell = (report, t0.elapsed().as_secs_f64() * 1e3);
+        results[d].set(cell).expect("slot claimed twice");
+    };
+    let workers = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(distinct.len());
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+
     let mut readers = vec![0usize; distinct.len()];
     for &d in &slot {
         readers[d] += 1;
     }
-    // The last reader of a simulation takes its report; only earlier
+    // The last reader of a simulation takes its outcome; only earlier
     // duplicates pay for a copy.
-    let mut ran: Vec<_> = run_many_timed(&distinct).into_iter().map(Some).collect();
-    let reports = slot
+    let mut ran: Vec<_> = results.into_iter().map(OnceLock::into_inner).collect();
+    let cells = slot
         .iter()
         .map(|&d| {
             readers[d] -= 1;
@@ -378,7 +357,7 @@ pub fn run_many_memo_timed(scenarios: &[Scenario]) -> (Vec<(RunReport, f64)>, us
             .expect("taken only by the last reader")
         })
         .collect();
-    (reports, distinct.len())
+    (cells, distinct.len())
 }
 
 #[cfg(test)]
@@ -526,14 +505,22 @@ mod tests {
         assert_eq!(r.events_processed, 2_000);
     }
 
+    /// The reports of a batch every run of which succeeds.
+    fn reports(cells: Vec<BatchCell>) -> Vec<RunReport> {
+        cells
+            .into_iter()
+            .map(|(r, _)| r.expect("scenario runs"))
+            .collect()
+    }
+
     #[test]
     fn memoized_runner_executes_distinct_configs_once() {
         let base = tiny(CcAlgorithm::Reno).with_duration(SimDuration::from_millis(400));
         let other = base.clone().with_seed(7);
         // Three cells, two distinct configs: the duplicate shares one run.
         let cells = vec![base.clone(), other.clone(), base.clone()];
-        let (timed, unique) = run_many_memo_timed(&cells);
-        let reports: Vec<RunReport> = timed.into_iter().map(|(r, _)| r).collect();
+        let (timed, unique) = run_many(&cells);
+        let reports = reports(timed);
         assert_eq!(unique, 2, "duplicate cell must not re-run");
         assert_eq!(reports.len(), 3);
         assert_eq!(
@@ -542,9 +529,9 @@ mod tests {
         );
         assert_eq!(reports[0].seed, base.seed);
         assert_eq!(reports[1].seed, 7);
-        // And the memoized path matches the plain runner bit-for-bit.
-        let direct = run_many(&cells);
-        for (a, b) in reports.iter().zip(&direct) {
+        // And the memoized batch matches the plain runner bit-for-bit.
+        for (a, sc) in reports.iter().zip(&cells) {
+            let b = run(sc);
             assert_eq!(
                 a.flows[0].vars.data_bytes_out,
                 b.flows[0].vars.data_bytes_out
@@ -559,13 +546,65 @@ mod tests {
             tiny(CcAlgorithm::Reno),
             tiny(CcAlgorithm::Reno).with_seed(2),
         ];
-        let batch = run_many(&scs);
+        let batch = reports(run_many(&scs).0);
         let solo: Vec<_> = scs.iter().map(run).collect();
         for (b, s) in batch.iter().zip(&solo) {
             assert_eq!(
                 b.flows[0].vars.data_bytes_out,
                 s.flows[0].vars.data_bytes_out
             );
+        }
+    }
+
+    #[test]
+    fn run_many_returns_each_cell_outcome_in_order() {
+        let good = tiny(CcAlgorithm::Reno).with_duration(SimDuration::from_millis(300));
+        let mut bad = good.clone();
+        bad.path.rate_bps = 0;
+        let (cells, unique) = run_many(&[good.clone(), bad.clone(), good.with_seed(2), bad]);
+        let verdicts: Vec<bool> = cells.iter().map(|(r, _)| r.is_ok()).collect();
+        assert_eq!(verdicts, [true, false, true, false]);
+        // The two bad cells are one configuration, and share one error.
+        assert_eq!(unique, 3);
+        let err = cells[1].0.as_ref().expect_err("zero rate");
+        assert_eq!(err.to_string(), "path.rate_bps: must be positive");
+        assert_eq!(cells[3].0.as_ref().expect_err("zero rate"), err);
+        assert_eq!(cells[2].0.as_ref().expect("runs").seed, 2);
+    }
+
+    #[test]
+    fn shards_with_an_event_budget_are_rejected_not_ignored() {
+        // The windowed driver has no event budget: run anyway, the watchdog
+        // would be silently off.
+        let mut sc = tiny(CcAlgorithm::Reno).with_shards(2);
+        sc.max_events = Some(2_000);
+        let err = try_run(&sc).expect_err("budget under shards");
+        assert_eq!(err, RunError::Build(BuildError::ShardedBudget), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "max_events: not supported with shards; use max_sim_time"
+        );
+        // Without `shards` the budget cuts the run.
+        sc.shards = None;
+        let r = try_run(&sc).expect("one-engine run");
+        assert_eq!(r.events_processed, 2_000);
+        assert!(r.truncated.is_some());
+    }
+
+    #[test]
+    fn zero_link_rates_are_build_errors_under_either_driver() {
+        for knob in ["path.rate_bps", "path.access_rate_bps", "host.nic_rate_bps"] {
+            for shards in [None, Some(2)] {
+                let mut sc = tiny(CcAlgorithm::Reno);
+                sc.shards = shards;
+                match knob {
+                    "path.rate_bps" => sc.path.rate_bps = 0,
+                    "path.access_rate_bps" => sc.path.access_rate_bps = Some(0),
+                    _ => sc.host.nic_rate_bps = 0,
+                }
+                let err = try_run(&sc).expect_err(knob);
+                assert_eq!(err.to_string(), format!("{knob}: must be positive"));
+            }
         }
     }
 }

@@ -163,6 +163,22 @@ fn lookahead(sc: &Scenario) -> SimDuration {
     access_delay.min(haul_delay)
 }
 
+/// The rules a scenario must meet to run under `shards`, checked here only:
+/// by [`crate::try_run`] before anything is built, and by
+/// `ScenarioSpec::expand` for every run of a file. The windowed driver has
+/// no event budget (`max_sim_time` bounds a sharded run), and it needs a
+/// positive lookahead.
+pub(crate) fn check_sharded(sc: &Scenario) -> Result<(), BuildError> {
+    match sc.shards {
+        Some(_) if sc.max_events.is_some() => Err(BuildError::ShardedBudget),
+        Some(_) if lookahead(sc) == SimDuration::ZERO => Err(BuildError::Lookahead {
+            access_delay: sc.path.access_delay,
+            rtt: sc.path.rtt,
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Where a `stop_when_complete` run whose last flow completed at
 /// `completed_at` ends: the windowed driver notices at the end of the
 /// lookahead-grid window holding that instant (the horizon, if that comes
@@ -177,22 +193,15 @@ pub(crate) fn stop_boundary(sc: &Scenario, completed_at: SimTime, horizon: SimTi
     SimTime::from_nanos((window + 1).saturating_mul(grid)).min(horizon)
 }
 
-/// Run `sc` in at most `shards` domains, up to `horizon`. Returns the
-/// domains' worlds for report assembly. The worlds are built in parallel, as
-/// they are run.
+/// Run `sc`, which has passed [`check_sharded`], in at most `shards`
+/// domains, up to `horizon`. Returns the domains' worlds for report
+/// assembly. The worlds are built in parallel, as they are run.
 pub(crate) fn run_windowed(
     sc: &Scenario,
     shards: u32,
     horizon: SimTime,
 ) -> Result<(Vec<World>, ShardStats), RunError> {
     let lookahead = lookahead(sc);
-    if lookahead == SimDuration::ZERO {
-        return Err(BuildError::Lookahead {
-            access_delay: sc.path.access_delay,
-            rtt: sc.path.rtt,
-        }
-        .into());
-    }
     let plan = UnitPlan::per_pair(sc, shards);
     let domains = plan.unit_domain.iter().max().map_or(0, |&d| d + 1);
     // Domains are independent (every stream derives from `sc.seed`), so

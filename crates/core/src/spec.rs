@@ -9,7 +9,7 @@
 //! `Standard`/`Restricted`/`Limited` — initial ssthresh, stall response),
 //! run length, seed, and output artifacts. A `sweep` block expands one spec
 //! into a grid of runs (RTT × rate × queue depth × seed × stream count)
-//! which [`crate::run_many_memo_timed`] executes with duplicate cells deduped.
+//! which [`crate::run_many`] executes with duplicate cells deduped.
 //!
 //! Defaults follow [`Scenario::paper_testbed`]: omitting a knob yields the
 //! paper's §4 testbed value, so `scenarios/quickstart.json` reproduces the
@@ -74,6 +74,7 @@
 
 use crate::report::RunReport;
 use crate::scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
+use crate::shard::check_sharded;
 use rss_cc::{CcParams, ScalableConfig, SslConfig};
 use rss_host::HostConfig;
 use rss_net::{Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow, TrafficPattern};
@@ -1314,7 +1315,7 @@ impl ScenarioSpec {
 
         let mut out = Vec::new();
         for cell in 0..self.cells() {
-            for (i, run) in self.runs.iter().enumerate() {
+            for run in &self.runs {
                 let mut r = run.clone();
                 // The cell's index on each present axis, innermost first.
                 let mut rest = cell;
@@ -1347,27 +1348,9 @@ impl ScenarioSpec {
                         Some(xs[next(xs.len())]);
                 }
                 let mut scenario = r.to_scenario()?;
-                if let Some(sh) = self.shards {
-                    // The windowed driver has no event budget; say so
-                    // instead of dropping the watchdog the spec asked for.
-                    if run.max_events.is_some() {
-                        return Err(SpecError::new(format!(
-                            "$.runs[{i}].max_events: not supported with shards; use \
-                             max_sim_time_s"
-                        )));
-                    }
-                    let access = scenario.path.access_delay;
-                    if scenario.path.rtt / 2 <= access * 2 {
-                        return Err(SpecError::new(format!(
-                            "run `{}`: sharded execution needs rtt > 4 x access_delay (rtt {} \
-                             ms, access_delay_us {})",
-                            run.label,
-                            scenario.path.rtt.as_secs_f64() * 1e3,
-                            access.as_nanos() as f64 / 1e3,
-                        )));
-                    }
-                    scenario.shards = Some(sh.resolve());
-                }
+                scenario.shards = self.shards.map(ShardsDef::resolve);
+                check_sharded(&scenario)
+                    .map_err(|e| SpecError::new(format!("run `{}`: {e}", run.label)))?;
                 out.push(ExpandedRun {
                     label: run.label.clone(),
                     cell,
@@ -1785,7 +1768,7 @@ mod tests {
         let err = spec(r#""shards":2,"#).validate().unwrap_err();
         assert_eq!(
             err.msg,
-            "$.runs[1].max_events: not supported with shards; use max_sim_time_s"
+            "run `b`: max_events: not supported with shards; use max_sim_time"
         );
         // Without `shards` the budget is honoured as before.
         let runs = spec("").expand().unwrap();
@@ -2403,7 +2386,11 @@ mod tests {
         .expand()
         .unwrap_err();
         assert!(err.msg.contains("run `x`"), "{}", err.msg);
-        assert!(err.msg.contains("rtt > 4 x access_delay"), "{}", err.msg);
+        assert!(
+            err.msg.contains("0 < 4 x access_delay < rtt"),
+            "{}",
+            err.msg
+        );
         // The same geometry without `shards` stays valid (one engine waits
         // for nobody, so it needs no lookahead).
         ScenarioSpec::from_json(

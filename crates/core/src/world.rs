@@ -137,6 +137,10 @@ pub enum BuildError {
     },
     /// `sample_interval` is zero, so the sampling chain would never advance.
     SampleInterval,
+    /// A link or NIC rate, named by its field path, is zero.
+    ZeroRate(&'static str),
+    /// `max_events` on a run with `shards`, whose driver has no event budget.
+    ShardedBudget,
     /// Spreading the units over domains needs a positive lookahead on both
     /// message legs: `0 < 4 × access_delay < rtt`.
     Lookahead {
@@ -152,6 +156,10 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Cc { flow, source } => write!(f, "flows[{flow}]: {source}"),
             BuildError::SampleInterval => f.write_str("sample_interval: must be positive"),
+            BuildError::ZeroRate(knob) => write!(f, "{knob}: must be positive"),
+            BuildError::ShardedBudget => {
+                f.write_str("max_events: not supported with shards; use max_sim_time")
+            }
             BuildError::Lookahead { access_delay, rtt } => write!(
                 f,
                 "path.access_delay: sharded runs need 0 < 4 x access_delay < rtt \
@@ -259,8 +267,8 @@ impl World {
     /// ([`Scenario::shards`] is the driver's business and ignored here).
     ///
     /// Fails with a path-qualified [`BuildError`] when a flow's
-    /// congestion-control selection is rejected (the declarative spec
-    /// pipeline normally catches this earlier with the same qualification).
+    /// congestion-control selection is rejected or a rate is zero (the
+    /// declarative spec pipeline normally catches these earlier).
     pub fn build(sc: &Scenario) -> Result<World, BuildError> {
         let mut world = World::build_domain(sc, &UnitPlan::per_pair(sc, 1), 0)?;
         world.stop_when_complete = sc.stop_when_complete;
@@ -275,6 +283,15 @@ impl World {
     ) -> Result<World, BuildError> {
         if sc.sample_interval == SimDuration::ZERO {
             return Err(BuildError::SampleInterval);
+        }
+        for (knob, bps) in [
+            ("path.rate_bps", sc.path.rate_bps),
+            ("path.access_rate_bps", sc.path.access_rate()),
+            ("host.nic_rate_bps", sc.host.nic_rate_bps),
+        ] {
+            if bps == 0 {
+                return Err(BuildError::ZeroRate(knob));
+            }
         }
         let owns = |unit: u32| plan.unit_domain[unit as usize] == domain;
         let pairs = sc.host_pairs();

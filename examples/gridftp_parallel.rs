@@ -40,7 +40,11 @@ fn main() {
     let expanded = spec.expand().expect("expand scenario");
 
     let scenarios: Vec<_> = expanded.iter().map(|r| r.scenario.clone()).collect();
-    let reports = run_many(&scenarios);
+    let reports: Vec<_> = run_many(&scenarios)
+        .0
+        .into_iter()
+        .map(|(r, _)| r.expect("scenario runs"))
+        .collect();
 
     // The transfer size comes from the scenario file, not a constant here.
     let total = committed_bytes(&expanded[0].scenario);

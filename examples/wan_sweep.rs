@@ -24,7 +24,11 @@ fn main() {
     let expanded = spec.expand().expect("expand scenario");
 
     let scenarios: Vec<_> = expanded.iter().map(|r| r.scenario.clone()).collect();
-    let reports = run_many(&scenarios);
+    let reports: Vec<_> = run_many(&scenarios)
+        .0
+        .into_iter()
+        .map(|(r, _)| r.expect("scenario runs"))
+        .collect();
 
     // Pair the runs per sweep cell by label (robust to extra runs being
     // added to the file); the cell's path parameters come from the resolved

@@ -38,8 +38,9 @@ fn gain_ladder() {
         .collect();
     let rows: Vec<Vec<String>> = ladder
         .iter()
-        .zip(run_many(&scenarios))
-        .map(|(kp, r)| {
+        .zip(run_many(&scenarios).0)
+        .map(|(kp, (r, _))| {
+            let r = r.expect("scenario runs");
             // Steady-state IFQ depth: its spread is the oscillation amplitude.
             let tail: Vec<f64> = r
                 .sender_ifq_series

@@ -16,7 +16,7 @@
 
 use restricted_slow_start::plot::ascii_table;
 use restricted_slow_start::{
-    cc_registry, fairness_csv, fairness_reports, results_csv, run_many_memo_timed, ExpandedRun,
+    cc_registry, fairness_csv, fairness_reports, results_csv, run_many, BatchCell, ExpandedRun,
     FairnessReport, ScenarioSpec, ShardsDef,
 };
 use serde::Serialize as _;
@@ -102,6 +102,21 @@ fn parse_shards(arg: &str) -> Result<ShardsDef, String> {
     }
 }
 
+/// One `error:` line per run of the batch that produced no report.
+fn failures(file: &Path, runs: &[ExpandedRun], cells: &[BatchCell]) -> Vec<String> {
+    let file = file.display();
+    runs.iter()
+        .zip(cells)
+        .filter_map(|(er, (outcome, _))| {
+            let e = outcome.as_ref().err()?;
+            Some(format!(
+                "error: {file}: run `{}` (cell {}): {e}",
+                er.label, er.cell
+            ))
+        })
+        .collect()
+}
+
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut file = None;
     let mut out_dir = PathBuf::from("results");
@@ -162,8 +177,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
     };
 
     let scenarios: Vec<_> = runs.iter().map(|r| r.scenario.clone()).collect();
-    let (timed_reports, unique) = run_many_memo_timed(&scenarios);
-    let (reports, walls): (Vec<_>, Vec<f64>) = timed_reports.into_iter().unzip();
+    let (cells, unique) = run_many(&scenarios);
+    let failures = failures(&file, &runs, &cells);
+    if !failures.is_empty() {
+        failures.iter().for_each(|line| eprintln!("{line}"));
+        return ExitCode::FAILURE;
+    }
+    let (reports, walls): (Vec<_>, Vec<f64>) = cells
+        .into_iter()
+        .map(|(report, wall_ms)| (report.expect("no run failed"), wall_ms))
+        .unzip();
     println!(
         "{}: {} run(s) across {} cell(s), {} unique simulation(s)",
         spec.name,
@@ -667,6 +690,25 @@ mod tests {
         // Extensionless paths get the same treatment.
         let err = check_scenario_path(Path::new("Cargo.lock")).unwrap_err();
         assert!(err.contains("not a .json scenario file"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_run_is_one_error_line() {
+        let spec = ScenarioSpec::from_json(
+            r#"{"name":"t","runs":[{"label":"a","flows":[{}],"duration_s":0.05},
+                {"label":"b","flows":[{}],"duration_s":0.05}],"sweep":{"seed":[1,2]}}"#,
+        )
+        .unwrap();
+        let runs = spec.expand().unwrap();
+        let mut scenarios: Vec<_> = runs.iter().map(|r| r.scenario.clone()).collect();
+        let file = Path::new("t.json");
+        assert!(failures(file, &runs, &run_many(&scenarios).0).is_empty());
+        // Run `b` of cell 1 cannot be built: only its line is printed.
+        scenarios[3].path.rate_bps = 0;
+        assert_eq!(
+            failures(file, &runs, &run_many(&scenarios).0),
+            ["error: t.json: run `b` (cell 1): path.rate_bps: must be positive"]
+        );
     }
 
     #[test]

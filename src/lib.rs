@@ -23,13 +23,13 @@
 //! ## Quick start
 //!
 //! ```
-//! use restricted_slow_start::{run, Scenario, SimDuration};
+//! use restricted_slow_start::{try_run, Scenario, SimDuration};
 //!
 //! // The paper's §4 testbed (100 Mbit/s, 60 ms RTT, txqueuelen 100),
 //! // shortened for a doctest: standard TCP vs restricted slow-start.
-//! let quick = |sc: Scenario| run(&sc.with_duration(SimDuration::from_millis(800)));
-//! let std_report = quick(Scenario::paper_testbed_standard());
-//! let rss_report = quick(Scenario::paper_testbed_restricted());
+//! let quick = |sc: Scenario| try_run(&sc.with_duration(SimDuration::from_millis(800)));
+//! let std_report = quick(Scenario::paper_testbed_standard()).expect("runs");
+//! let rss_report = quick(Scenario::paper_testbed_restricted()).expect("runs");
 //!
 //! // Both move data; runs are deterministic and bit-exact per seed.
 //! assert!(std_report.flows[0].vars.data_bytes_out > 0);
@@ -37,8 +37,8 @@
 //! ```
 //!
 //! Entry points: [`Scenario`] (declarative experiment description with
-//! `paper_testbed*` constructors), [`run`] / [`run_many`] (deterministic,
-//! optionally multi-threaded execution), [`RunReport`] / [`FlowReport`]
+//! `paper_testbed*` constructors), [`try_run`] / [`run_many`] (deterministic,
+//! optionally parallel, each failed run a [`RunError`]), [`RunReport`] / [`FlowReport`]
 //! (Web100 snapshots, stall logs, cwnd/IFQ/goodput series) and
 //! [`plot`] for terminal rendering. Reproduce the paper's
 //! figures with `cargo run --release --example figure1_send_stalls` or

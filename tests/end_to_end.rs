@@ -276,11 +276,12 @@ fn run_many_parallel_equals_sequential() {
             sc
         })
         .collect();
-    let parallel = run_many(&scenarios);
+    let (parallel, _) = run_many(&scenarios);
     for (i, sc) in scenarios.iter().enumerate() {
         let solo = run(sc);
+        let parallel = parallel[i].0.as_ref().expect("scenario runs");
         assert_eq!(
-            parallel[i].flows[0].vars.data_bytes_out, solo.flows[0].vars.data_bytes_out,
+            parallel.flows[0].vars.data_bytes_out, solo.flows[0].vars.data_bytes_out,
             "scenario {i} differs between parallel and sequential execution"
         );
     }

@@ -31,6 +31,16 @@ impl Ran {
     }
 }
 
+/// Execute a batch through the one batch runner, every run expected to
+/// succeed; reports in input order.
+fn run_all(scenarios: &[Scenario]) -> Vec<RunReport> {
+    let (cells, _) = run_many(scenarios);
+    cells
+        .into_iter()
+        .map(|(report, _)| report.expect("scenario runs"))
+        .collect()
+}
+
 /// Load `scenarios/<file>`, expand it, and execute the runs `keep` accepts.
 fn run_file(file: &str, keep: impl Fn(&ExpandedRun) -> bool) -> (ScenarioSpec, Vec<Ran>) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -46,7 +56,7 @@ fn run_file(file: &str, keep: impl Fn(&ExpandedRun) -> bool) -> (ScenarioSpec, V
     let scenarios: Vec<Scenario> = runs.iter().map(|r| r.scenario.clone()).collect();
     let ran = runs
         .into_iter()
-        .zip(run_many(&scenarios))
+        .zip(run_all(&scenarios))
         .map(|(er, report)| Ran {
             label: er.label,
             scenario: er.scenario,
@@ -245,7 +255,7 @@ fn zn_recovers_analytic_ultimate_gain() {
         .map(|&kp| restricted(RssConfig::with_gains(PidGains::p(kp))))
         .collect();
     scenarios.push(restricted(RssConfig::with_gains(zn.paper_gains())));
-    let mut reports = run_many(&scenarios);
+    let mut reports = run_all(&scenarios);
     // Derived gains must hold the testbed stall-free.
     let validation = reports.pop().expect("validation run");
     assert_eq!(validation.flows[0].vars.send_stall, 0);
@@ -271,7 +281,7 @@ fn clamp_is_load_bearing_and_tuned_arms_behave() {
 
     // Kc from the small-signal plant (see `zn_recovers_analytic_ultimate_gain`).
     let kc = std::f64::consts::FRAC_PI_2;
-    let reports = run_many(&[
+    let reports = run_all(&[
         restricted(RssConfig::with_gains(PidGains::p(0.5 * kc))),
         restricted(RssConfig::with_gains(PidGains::p(50.0 * kc))),
         restricted(RssConfig {

@@ -2,7 +2,7 @@
 //! the hand-coded testbed it re-expresses.
 //!
 //! Equality is checked on the `Scenario` structs themselves (via their
-//! `Debug` rendering — the same identity key `run_many_memo_timed` uses).
+//! `Debug` rendering — the same identity key `run_many` uses).
 //! Runs are pure deterministic functions of the scenario, so struct equality
 //! implies bit-identical reports, event counts and CSVs; for the headline
 //! pair the reports are additionally compared end-to-end. The CI `scenario-matrix`
