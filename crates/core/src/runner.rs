@@ -607,4 +607,36 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn unrunnable_knobs_are_build_errors_under_either_driver() {
+        type Set = fn(&mut Scenario);
+        let cases: [(Set, &str); 4] = [
+            (
+                |sc| sc.path.loss_prob = f64::NAN,
+                "path.loss_prob must be in [0, 1], got NaN",
+            ),
+            (
+                |sc| sc.path.loss_prob = 1.5,
+                "path.loss_prob must be in [0, 1], got 1.5",
+            ),
+            (
+                |sc| sc.host.txqueuelen = 0,
+                "host.txqueuelen must be positive",
+            ),
+            (
+                |sc| sc.tcp.rwnd = 0,
+                "tcp.rwnd: the receive window (0 bytes) must hold one tcp.mss (1448 bytes)",
+            ),
+        ];
+        for (set, want) in cases {
+            for shards in [None, Some(2)] {
+                let mut sc = tiny(CcAlgorithm::Reno);
+                sc.shards = shards;
+                set(&mut sc);
+                let err = try_run(&sc).expect_err(want);
+                assert_eq!(err.to_string(), want, "shards {shards:?}");
+            }
+        }
+    }
 }

@@ -139,6 +139,17 @@ pub enum BuildError {
     SampleInterval,
     /// A link or NIC rate, named by its field path, is zero.
     ZeroRate(&'static str),
+    /// `path.loss_prob` is not a probability.
+    LossProb(f64),
+    /// `host.txqueuelen` is zero, so the IFQ refuses every packet.
+    ZeroTxqueuelen,
+    /// `tcp.rwnd` cannot hold one `tcp.mss`, so the sender never sends.
+    Rwnd {
+        /// The receive window, bytes.
+        rwnd: u64,
+        /// The segment size, bytes.
+        mss: u32,
+    },
     /// `max_events` on a run with `shards`, whose driver has no event budget.
     ShardedBudget,
     /// Spreading the units over domains needs a positive lookahead on both
@@ -157,6 +168,12 @@ impl fmt::Display for BuildError {
             BuildError::Cc { flow, source } => write!(f, "flows[{flow}]: {source}"),
             BuildError::SampleInterval => f.write_str("sample_interval: must be positive"),
             BuildError::ZeroRate(knob) => write!(f, "{knob}: must be positive"),
+            BuildError::LossProb(p) => write!(f, "path.loss_prob must be in [0, 1], got {p}"),
+            BuildError::ZeroTxqueuelen => f.write_str("host.txqueuelen must be positive"),
+            BuildError::Rwnd { rwnd, mss } => write!(
+                f,
+                "tcp.rwnd: the receive window ({rwnd} bytes) must hold one tcp.mss ({mss} bytes)"
+            ),
             BuildError::ShardedBudget => {
                 f.write_str("max_events: not supported with shards; use max_sim_time")
             }
@@ -267,8 +284,10 @@ impl World {
     /// ([`Scenario::shards`] is the driver's business and ignored here).
     ///
     /// Fails with a path-qualified [`BuildError`] when a flow's
-    /// congestion-control selection is rejected or a rate is zero (the
-    /// declarative spec pipeline normally catches these earlier).
+    /// congestion-control selection is rejected, a rate or `txqueuelen` is
+    /// zero, the loss probability is not one, or the receive window cannot
+    /// hold a segment (the declarative spec pipeline catches these
+    /// earlier).
     pub fn build(sc: &Scenario) -> Result<World, BuildError> {
         let mut world = World::build_domain(sc, &UnitPlan::per_pair(sc, 1), 0)?;
         world.stop_when_complete = sc.stop_when_complete;
@@ -292,6 +311,18 @@ impl World {
             if bps == 0 {
                 return Err(BuildError::ZeroRate(knob));
             }
+        }
+        if !(0.0..=1.0).contains(&sc.path.loss_prob) {
+            return Err(BuildError::LossProb(sc.path.loss_prob));
+        }
+        if sc.host.txqueuelen == 0 {
+            return Err(BuildError::ZeroTxqueuelen);
+        }
+        if sc.tcp.rwnd < u64::from(sc.tcp.mss) {
+            return Err(BuildError::Rwnd {
+                rwnd: sc.tcp.rwnd,
+                mss: sc.tcp.mss,
+            });
         }
         let owns = |unit: u32| plan.unit_domain[unit as usize] == domain;
         let pairs = sc.host_pairs();

@@ -21,7 +21,7 @@
 
 use crate::packet::{Ecn, Packet};
 use crate::queue::{DropTail, EnqueueError, QueueConfig, Queued};
-use rss_sim::{SimDuration, SimRng, SimTime};
+use rss_sim::{OptNanos, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// RED parameters (thresholds in packets).
@@ -101,7 +101,8 @@ pub struct Red<T> {
     inner: DropTail<T>,
     avg: f64,
     count_since_drop: i64,
-    idle_since: Option<SimTime>,
+    /// When the queue last went empty; none while it holds packets.
+    idle_since: OptNanos<SimTime>,
     early_drops: u64,
     forced_drops: u64,
     ecn_marks: u64,
@@ -121,7 +122,7 @@ impl<T: Queued> Red<T> {
             cfg,
             avg: 0.0,
             count_since_drop: -1,
-            idle_since: Some(SimTime::ZERO),
+            idle_since: Some(SimTime::ZERO).into(),
             early_drops: 0,
             forced_drops: 0,
             ecn_marks: 0,
@@ -174,12 +175,11 @@ impl<T: Queued> Red<T> {
     }
 
     fn update_avg(&mut self, now: SimTime) {
-        if let Some(idle_start) = self.idle_since {
+        if let Some(idle_start) = self.idle_since.take() {
             // Idle compensation: pretend `m` small packets drained while idle.
             let idle = now.saturating_since(idle_start);
             let m = idle.as_nanos() as f64 / self.cfg.mean_pkt_time.as_nanos().max(1) as f64;
             self.avg *= (1.0 - self.cfg.wq).powf(m);
-            self.idle_since = None;
         }
         self.avg = (1.0 - self.cfg.wq) * self.avg + self.cfg.wq * self.inner.len() as f64;
     }
@@ -249,11 +249,13 @@ impl<T: Queued> Red<T> {
         }
     }
 
-    /// Pop the head-of-line packet at `now`.
+    /// Pop the head-of-line packet at `now`. Per packet on a RED port, so
+    /// inlined where it is called.
+    #[inline]
     pub fn dequeue(&mut self, now: SimTime) -> Option<T> {
         let pkt = self.inner.dequeue();
         if self.inner.is_empty() {
-            self.idle_since = Some(now);
+            self.idle_since.set(now);
         }
         pkt
     }
@@ -264,7 +266,7 @@ impl<T: Queued> Red<T> {
     /// the end of a transmission and says so at the next arrival instead.
     pub fn idle_from(&mut self, t: SimTime) {
         debug_assert!(self.inner.is_empty(), "idle with packets queued");
-        self.idle_since = Some(t);
+        self.idle_since.set(t);
     }
 }
 

@@ -411,6 +411,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Route a freshly allocated slot to its wheel bucket or the far heap.
+    /// Its one caller is the per-event schedule, which takes it inline
+    /// however the instantiating crate is split into codegen units.
+    #[inline(always)]
     fn place(&mut self, slot: u32) {
         let s = &self.slots[slot as usize];
         let t = s.time.as_nanos();

@@ -73,8 +73,9 @@ pub struct TcpSender {
     /// Highest byte ever sent (for Karn's rule: anything below is a
     /// retransmission when sent again).
     max_sent: u64,
-    /// Total bytes the application will write (`None` = unbounded source).
-    app_total: Option<u64>,
+    /// Total bytes the application will write, [`UNBOUNDED`] for an
+    /// unbounded source.
+    app_total: u64,
     peer_rwnd: u64,
 
     /// Fast retransmit and recovery: the duplicate-ACK count, the recovery
@@ -97,7 +98,8 @@ pub struct TcpSender {
     /// was measured over, and whether it was taken application-limited —
     /// the rate-sample triple surfaced through [`CcView`]. Samples ride the
     /// same Karn filter as RTT: retransmitted segments never produce one.
-    delivery_rate: Option<u64>,
+    /// [`NO_RATE`] before the first.
+    delivery_rate: u64,
     delivery_interval: OptNanos<SimDuration>,
     rate_app_limited: bool,
 
@@ -128,9 +130,15 @@ pub struct TcpSender {
     lim_state: SndLimState,
 }
 
+/// `TcpSender::app_total` of an unbounded source, and `delivery_rate`
+/// before its first sample: 8 bytes each where an `Option<u64>` takes 16.
+const UNBOUNDED: u64 = u64::MAX;
+const NO_RATE: u64 = u64::MAX;
+
 impl TcpSender {
     /// Create a sender with the given congestion controller and an
-    /// application that will write `app_total` bytes (`None` = unlimited).
+    /// application that will write `app_total` bytes (`None` = unlimited, as
+    /// is a total of `u64::MAX` bytes).
     pub fn new(conn: ConnId, cfg: TcpConfig, cc: CcEngine, app_total: Option<u64>) -> Self {
         let mut web100 = InstrumentBlock::new();
         web100.on_cwnd(SimTime::ZERO, cc.cwnd());
@@ -149,13 +157,13 @@ impl TcpSender {
             snd_una: 0,
             snd_nxt: 0,
             max_sent: 0,
-            app_total,
+            app_total: app_total.unwrap_or(UNBOUNDED),
             recovery: NewReno::default(),
             sent_times: VecDeque::new(),
             last_rtt: OptNanos::NONE,
             min_rtt: OptNanos::NONE,
             delivered: 0,
-            delivery_rate: None,
+            delivery_rate: NO_RATE,
             delivery_interval: OptNanos::NONE,
             rate_app_limited: false,
             pacing_next: SimTime::ZERO,
@@ -248,10 +256,7 @@ impl TcpSender {
 
     /// True when a finite transfer is fully acknowledged.
     pub fn is_complete(&self) -> bool {
-        match self.app_total {
-            Some(total) => self.snd_una >= total,
-            None => false,
-        }
+        self.app_total != UNBOUNDED && self.snd_una >= self.app_total
     }
 
     /// Deadline the driver must schedule an RTO check for, if any.
@@ -263,14 +268,14 @@ impl TcpSender {
     /// meaningful for finite/app-driven transfers; unbounded senders ignore
     /// writes).
     pub fn app_extend(&mut self, bytes: u64) {
-        if let Some(total) = &mut self.app_total {
-            *total += bytes;
+        if self.app_total != UNBOUNDED {
+            self.app_total += bytes;
         }
     }
 
     /// Total bytes the application has committed to send, if bounded.
     pub fn app_total(&self) -> Option<u64> {
-        self.app_total
+        (self.app_total != UNBOUNDED).then_some(self.app_total)
     }
 
     /// Time the driver must re-attempt transmission after a stall, if any.
@@ -289,7 +294,7 @@ impl TcpSender {
             last_rtt: self.last_rtt.get(),
             min_rtt: self.min_rtt.get(),
             delivered: self.delivered,
-            delivery_rate: self.delivery_rate,
+            delivery_rate: (self.delivery_rate != NO_RATE).then_some(self.delivery_rate),
             delivery_interval: self.delivery_interval.get(),
             app_limited: self.rate_app_limited,
         }
@@ -297,8 +302,8 @@ impl TcpSender {
 
     fn app_bytes_remaining(&self) -> u64 {
         match self.app_total {
-            Some(total) => total.saturating_sub(self.snd_nxt),
-            None => u64::MAX,
+            UNBOUNDED => u64::MAX,
+            total => total.saturating_sub(self.snd_nxt),
         }
     }
 
@@ -527,8 +532,9 @@ impl TcpSender {
             let interval = now.saturating_since(info.sent_at);
             if interval > SimDuration::ZERO {
                 let bytes = self.delivered - info.delivered_at_send;
-                let rate = (bytes as u128 * 1_000_000_000 / interval.as_nanos() as u128) as u64;
-                self.delivery_rate = Some(rate);
+                let rate = bytes as u128 * 1_000_000_000 / interval.as_nanos() as u128;
+                // Held below `NO_RATE`: no path comes near 2^64 B/s.
+                self.delivery_rate = rate.min(u128::from(NO_RATE - 1)) as u64;
                 self.delivery_interval.set(interval);
                 self.rate_app_limited = info.app_limited;
             }
@@ -1194,8 +1200,9 @@ mod tests {
         // The four `TcpConfig` fields it reads after construction, not the
         // whole config: 792 B with it. 720 B with each optional time an
         // `Option` (16 B), the instrument's timelines inline (64 B) and the
-        // estimator's sample count.
+        // estimator's sample count; 584 B with the application total and
+        // the delivery rate each an `Option<u64>`.
         let sender = size_of::<TcpSender>();
-        assert!(sender <= 592, "TcpSender is {sender} bytes");
+        assert!(sender <= 568, "TcpSender is {sender} bytes");
     }
 }

@@ -401,6 +401,10 @@ mod tests {
         // 64 B inline while the stall and congestion times were two
         // `Vec<f64>` beside two series, and the block 288 B with them.
         assert_eq!(size_of::<Timelines>(), 8);
+        // The series header: the sample count and the latest plain step's
+        // offset are two `u32`s in the 8 bytes a `usize` count took, so the
+        // runs cost a connection no header bytes.
+        assert_eq!(size_of::<Packed>(), 48);
         let block = size_of::<InstrumentBlock>();
         assert!(block <= 232, "InstrumentBlock is {block} bytes");
         let mut b = InstrumentBlock::new();
