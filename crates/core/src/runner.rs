@@ -2,7 +2,7 @@
 
 use crate::report::{FlowReport, RunReport, ShardCounters};
 use crate::scenario::Scenario;
-use crate::shard::{check_sharded, run_windowed, stop_boundary};
+use crate::shard::{run_windowed, stop_boundary};
 use crate::world::{BuildError, World};
 use rss_net::RedStats;
 use rss_sim::{QueueCounters, ShardError, SimTime};
@@ -134,17 +134,12 @@ impl From<ShardError> for RunError {
 /// (`benchmark/src/api.rs`), and deleted once that call moves to
 /// [`try_run`]. Everything else runs through [`try_run`] or [`run_many`].
 pub fn run(sc: &Scenario) -> RunReport {
-    try_run(sc).unwrap_or_else(|e| match e {
-        RunError::Build(e) => panic!(
-            "scenario rejected: {e} (the spec pipeline validates this with the same path qualification)"
-        ),
-        RunError::Shard(_) => panic!("{e}"),
-    })
+    try_run(sc).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Execute one scenario and collect its report, or return why there is
-/// none: a scenario the world builder or the sharded-run check rejects, or a
-/// shard thread's panic.
+/// none: a value [`Scenario::check`] rejects, a flow's congestion control
+/// the registry rejects, or a shard thread's panic.
 ///
 /// The model, the unit map and the event order are the same either way;
 /// [`Scenario::shards`] only picks how many domains the units are grouped
@@ -153,13 +148,13 @@ pub fn run(sc: &Scenario) -> RunReport {
 /// in lockstep lookahead windows (see [`crate::shard`]). The report differs
 /// in its executor diagnostics (`engine`, `shard`) and in nothing else.
 pub fn try_run(sc: &Scenario) -> Result<RunReport, RunError> {
-    check_sharded(sc)?;
+    sc.check().map_err(BuildError::Invalid)?;
     // The watchdog clamps the horizon; a cut there is invariant across
     // domain counts, so truncated runs stay bit-exact too.
     let horizon = SimTime::ZERO + sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
     let (worlds, out) = match sc.shards {
         None => {
-            let mut engine = World::build(sc)?.into_engine();
+            let mut engine = World::build_checked(sc)?.into_engine();
             engine.event_budget = sc.max_events;
             let mut stats = engine.run_until(horizon);
             let mut events_processed = stats.events_processed;
@@ -490,9 +485,14 @@ mod tests {
             err.to_string(),
             "sharded run failed: shard 1 panicked: boom"
         );
-        // A build rejection keeps its bare, path-qualified text.
-        let err = RunError::from(BuildError::SampleInterval);
-        assert_eq!(err.to_string(), "sample_interval: must be positive");
+        // A rejected value keeps its bare, path-qualified text.
+        let mut sc = tiny(CcAlgorithm::Reno);
+        sc.sample_interval = SimDuration::ZERO;
+        let err = try_run(&sc).expect_err("zero sample interval");
+        assert_eq!(
+            err.to_string(),
+            "sample_interval must be positive (at least 1 ns), got 0"
+        );
     }
 
     #[test]
@@ -567,7 +567,7 @@ mod tests {
         // The two bad cells are one configuration, and share one error.
         assert_eq!(unique, 3);
         let err = cells[1].0.as_ref().expect_err("zero rate");
-        assert_eq!(err.to_string(), "path.rate_bps: must be positive");
+        assert_eq!(err.to_string(), "path.rate_bps must be positive");
         assert_eq!(cells[3].0.as_ref().expect_err("zero rate"), err);
         assert_eq!(cells[2].0.as_ref().expect("runs").seed, 2);
     }
@@ -579,7 +579,6 @@ mod tests {
         let mut sc = tiny(CcAlgorithm::Reno).with_shards(2);
         sc.max_events = Some(2_000);
         let err = try_run(&sc).expect_err("budget under shards");
-        assert_eq!(err, RunError::Build(BuildError::ShardedBudget), "{err}");
         assert_eq!(
             err.to_string(),
             "max_events: not supported with shards; use max_sim_time"
@@ -603,15 +602,32 @@ mod tests {
                     _ => sc.host.nic_rate_bps = 0,
                 }
                 let err = try_run(&sc).expect_err(knob);
-                assert_eq!(err.to_string(), format!("{knob}: must be positive"));
+                assert_eq!(err.to_string(), format!("{knob} must be positive"));
             }
         }
     }
 
     #[test]
     fn unrunnable_knobs_are_build_errors_under_either_driver() {
+        use crate::{CrossSpec, QueueDiscipline, RedParams};
+        use rss_net::{GilbertElliott, ImpairmentConfig, TrafficPattern};
+        fn cbr(rate_bps: u64, pkt_size: u32) -> CrossSpec {
+            CrossSpec {
+                pattern: TrafficPattern::Cbr { rate_bps, pkt_size },
+                start: SimTime::ZERO,
+                stop: None,
+            }
+        }
+        fn red(min_th: f64, max_th: f64, wq: f64) -> QueueDiscipline {
+            QueueDiscipline::Red(RedParams {
+                min_th,
+                max_th,
+                wq,
+                ..RedParams::for_capacity(100)
+            })
+        }
         type Set = fn(&mut Scenario);
-        let cases: [(Set, &str); 4] = [
+        let cases: [(Set, &str); 22] = [
             (
                 |sc| sc.path.loss_prob = f64::NAN,
                 "path.loss_prob must be in [0, 1], got NaN",
@@ -627,6 +643,101 @@ mod tests {
             (
                 |sc| sc.tcp.rwnd = 0,
                 "tcp.rwnd: the receive window (0 bytes) must hold one tcp.mss (1448 bytes)",
+            ),
+            // Each of these panicked in `try_run`...
+            (
+                |sc| sc.tcp.header_bytes = u32::MAX,
+                "tcp.header_bytes: tcp.mss + tcp.header_bytes must fit the u32 wire size, \
+                 got 1448 + 4294967295",
+            ),
+            (
+                |sc| sc.queue = red(50.0, 10.0, 0.002),
+                "queue.Red.min_th must be below queue.Red.max_th, got 50 >= 10",
+            ),
+            (
+                |sc| sc.queue = red(5.0, 10.0, f64::NAN),
+                "queue.Red.wq must be in (0, 1], got NaN",
+            ),
+            (
+                |sc| sc.cross = vec![cbr(0, 1000)],
+                "cross[0].pattern.Cbr.rate_bps must be at least 1 bit/s, got 0",
+            ),
+            // ...each of these ran until an event budget stopped it...
+            (
+                |sc| sc.tcp.max_rto = SimDuration::from_millis(100),
+                "tcp.max_rto must be at least tcp.min_rto (200 ms), got 100 ms",
+            ),
+            (
+                |sc| sc.cross = vec![cbr(1_000_000, 0)],
+                "cross[0].pattern.Cbr.pkt_size must be at least 1 byte, got 0",
+            ),
+            (
+                |sc| {
+                    sc.flows[0].app = AppModel::Periodic {
+                        burst_bytes: 1000,
+                        interval: SimDuration::ZERO,
+                        count: None,
+                    }
+                },
+                "flows[0].app.Periodic.interval must be positive (at least 1 ns), got 0",
+            ),
+            (
+                |sc| sc.sample_interval = SimDuration::from_nanos(1),
+                "sample_interval: a 1.5 s horizon over 0.000001 ms is 1500000000 samples per \
+                 series, past the 1048576 (2^20) a run may take",
+            ),
+            // ...this one acked nothing...
+            (
+                |sc| {
+                    sc.haul_impairment = Some(ImpairmentConfig {
+                        burst_loss: Some(GilbertElliott {
+                            p_good_to_bad: 2.0,
+                            p_bad_to_good: 0.5,
+                            loss_good: 0.0,
+                            loss_bad: 0.5,
+                        }),
+                        ..Default::default()
+                    })
+                },
+                "haul_impairment.burst_loss.p_good_to_bad must be in [0, 1], got 2",
+            ),
+            (
+                |sc| sc.path.router_queue_pkts = 0,
+                "path.router_queue_pkts must be positive",
+            ),
+            // ...and these are the rules a scenario file has always had.
+            (
+                |sc| sc.tcp.min_rto = SimDuration::ZERO,
+                "tcp.min_rto must be at least 1 ms, got 0 ms",
+            ),
+            (
+                |sc| sc.tcp.dupack_threshold = 0,
+                "tcp.dupack_threshold must be at least 1",
+            ),
+            (
+                |sc| sc.tcp.stall_retry = SimDuration::ZERO,
+                "tcp.stall_retry must be positive (at least 1 ns), got 0",
+            ),
+            (|sc| sc.host.mtu = 0, "host.mtu must be positive"),
+            (|sc| sc.web100_stride = 0, "web100_stride must be positive"),
+            (
+                |sc| {
+                    sc.access_impairment = Some(ImpairmentConfig {
+                        duplicate_prob: f64::NAN,
+                        ..Default::default()
+                    })
+                },
+                "access_impairment.duplicate_prob must be in [0, 1], got NaN",
+            ),
+            (|sc| sc.max_events = Some(0), "max_events must be positive"),
+            (
+                |sc| {
+                    sc.tcp.ack_policy = rss_tcp::AckPolicy::Delayed {
+                        timeout: SimDuration::MAX,
+                    }
+                },
+                "tcp.ack_policy.Delayed.timeout must be under 2^62 ns (about 146 years), \
+                 got 18446744073709.55 ms",
             ),
         ];
         for (set, want) in cases {

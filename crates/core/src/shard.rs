@@ -156,27 +156,12 @@ impl Domain for DomainEngine {
 
 /// The smallest latency of a cross-unit flight: the window of the lookahead
 /// grid. Zero when the haul link has no delay left (`4 × access_delay ≥
-/// rtt`) — such a scenario cannot be spread over domains.
-fn lookahead(sc: &Scenario) -> SimDuration {
+/// rtt`) — such a scenario cannot be spread over domains
+/// ([`Scenario::check`] rejects it with `shards`).
+pub(crate) fn lookahead(sc: &Scenario) -> SimDuration {
     let access_delay = sc.path.access_delay;
     let haul_delay = (sc.path.rtt / 2).saturating_sub(access_delay * 2);
     access_delay.min(haul_delay)
-}
-
-/// The rules a scenario must meet to run under `shards`, checked here only:
-/// by [`crate::try_run`] before anything is built, and by
-/// `ScenarioSpec::expand` for every run of a file. The windowed driver has
-/// no event budget (`max_sim_time` bounds a sharded run), and it needs a
-/// positive lookahead.
-pub(crate) fn check_sharded(sc: &Scenario) -> Result<(), BuildError> {
-    match sc.shards {
-        Some(_) if sc.max_events.is_some() => Err(BuildError::ShardedBudget),
-        Some(_) if lookahead(sc) == SimDuration::ZERO => Err(BuildError::Lookahead {
-            access_delay: sc.path.access_delay,
-            rtt: sc.path.rtt,
-        }),
-        _ => Ok(()),
-    }
 }
 
 /// Where a `stop_when_complete` run whose last flow completed at
@@ -193,7 +178,7 @@ pub(crate) fn stop_boundary(sc: &Scenario, completed_at: SimTime, horizon: SimTi
     SimTime::from_nanos((window + 1).saturating_mul(grid)).min(horizon)
 }
 
-/// Run `sc`, which has passed [`check_sharded`], in at most `shards`
+/// Run `sc`, which has passed [`Scenario::check`], in at most `shards`
 /// domains, up to `horizon`. Returns the domains' worlds for report
 /// assembly. The worlds are built in parallel, as they are run.
 pub(crate) fn run_windowed(

@@ -18,10 +18,12 @@
 //! Unknown fields, unknown variants and type mismatches are hard errors
 //! carrying the JSON path and source line (`at $.runs[0].tcp.mss (line 14):
 //! …`) — a typo in a scenario file fails loudly instead of silently running
-//! the default. Semantic errors are path-qualified too: every numeric knob is
-//! range-checked once, where it is written, and the error names the run and
-//! the knob's JSON path (``run `a`: flows[1].cc: ai_cnt must be at least 1,
-//! got 0``).
+//! the default. A number is converted where the file writes it, and fails
+//! there only if the scenario's type cannot hold it (`path.rate_mbps`,
+//! `tcp.min_rto_ms`); each run is then judged once by [`Scenario::check`],
+//! whose errors name the field it sees (`tcp.min_rto`), and each `cc`
+//! definition once by the registry. Every error names the run (``run `a`:
+//! flows[1].cc: ai_cnt must be at least 1, got 0``).
 //!
 //! Every field's rustdoc states its JSON name (always the Rust field name —
 //! the vendored serde derives use externally-tagged field names verbatim),
@@ -73,12 +75,14 @@
 //! ```
 
 use crate::report::RunReport;
-use crate::scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
-use crate::shard::check_sharded;
+use crate::scenario::{
+    max_flows, not_whole_ns, too_long, too_many_flows, CrossSpec, FlowSpec, NonNegative, Open,
+    PathSpec, Positive, QueueDiscipline, RedParams, Scenario,
+};
 use rss_cc::{CcParams, ScalableConfig, SslConfig};
 use rss_host::HostConfig;
 use rss_net::{Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow, TrafficPattern};
-use rss_sim::{SimDuration, SimTime, MAX_UNITS};
+use rss_sim::{SimDuration, SimTime};
 use rss_tcp::{AckPolicy, CcAlgorithm, RssConfig, StallResponse, TcpConfig};
 use rss_workload::{stripe_bytes, AppModel};
 use serde::{Deserialize, Serialize};
@@ -638,87 +642,37 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-// ---------------------------------------------------------------------------
-// Range checks and unit conversions
-// ---------------------------------------------------------------------------
-
-/// The range a numeric knob must lie in. Each range has one message, so a
-/// rule reads the same for every knob it applies to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Range {
-    Positive,
-    NonNegative,
-    Prob,
-    UpToOne,
-    Open,
-    AtLeastOne,
-}
-
-use Range::{AtLeastOne, NonNegative, Open, Positive, Prob, UpToOne};
-
-impl Range {
-    /// `Ok` when `x` lies in the range (NaN lies in none), else the one
-    /// message of a value out of range: "`<path> must be <range>, got <x>`".
-    /// A count shows no `x`: 0 is its only bad value.
-    fn require(self, x: f64, path: &str, show_x: bool) -> Result<(), SpecError> {
-        let (holds, name) = match self {
-            Positive => (x.is_finite() && x > 0.0, "positive"),
-            NonNegative => (x.is_finite() && x >= 0.0, "non-negative"),
-            Prob => ((0.0..=1.0).contains(&x), "in [0, 1]"),
-            UpToOne => (x > 0.0 && x <= 1.0, "in (0, 1]"),
-            Open => (x > 0.0 && x < 1.0, "in (0, 1)"),
-            AtLeastOne => (x >= 1.0, "at least 1"),
-        };
-        match (holds, show_x) {
-            (true, _) => Ok(()),
-            (false, true) => Err(SpecError::new(format!("{path} must be {name}, got {x}"))),
-            (false, false) => Err(SpecError::new(format!("{path} must be {name}"))),
-        }
+impl From<String> for SpecError {
+    fn from(msg: String) -> Self {
+        SpecError { msg }
     }
 }
 
-/// `x`, if it lies in `range`.
-fn check(x: f64, range: Range, path: &str) -> Result<f64, SpecError> {
-    range.require(x, path, true).map(|()| x)
-}
+// ---------------------------------------------------------------------------
+// Unit conversions
+// ---------------------------------------------------------------------------
 
-/// An integer count, kept off 0 by `range` (`Positive` or `AtLeastOne`).
-fn count<T: Copy + Into<u64>>(n: T, range: Range, path: &str) -> Result<T, SpecError> {
-    range.require(n.into() as f64, path, false).map(|()| n)
-}
-
-/// Every time and duration knob lies below this many nanoseconds (2^62,
-/// about 146 years), so a time inside the horizon plus any one knob —
-/// `now + stall_retry`, or `now + rto` with the RTO clamped to `max_rto` —
-/// stays under 2^63 and never overflows the clock's `u64`.
-const KNOB_NS_LIMIT: f64 = (1u64 << 62) as f64;
-
-/// `x` units of `unit_ns` nanoseconds, in `range`, as whole nanoseconds
-/// below [`KNOB_NS_LIMIT`] (a cast would saturate silently, and a value that
-/// fits a `u64` can still overflow once added to the clock). A `Positive`
-/// duration must be at least 1 ns once rounded.
-fn nanos(x: f64, unit_ns: f64, range: Range, path: &str) -> Result<SimDuration, SpecError> {
+/// `x` units of `unit_ns` nanoseconds, in whole nanoseconds. Fails only
+/// where a [`SimDuration`] cannot hold it: NaN, negative, 2^64 ns or more,
+/// or non-zero but rounding to 0 ns.
+fn nanos(x: f64, unit_ns: f64, path: &str) -> Result<SimDuration, SpecError> {
+    NonNegative.check(x, path)?;
     let ns = (x * unit_ns).round();
-    if range == Positive && (ns.is_nan() || ns < 1.0) {
-        return Err(SpecError::new(format!(
-            "{path} must be positive (at least 1 ns), got {x}"
-        )));
+    if ns >= u64::MAX as f64 {
+        return Err(too_long(path, x).into());
     }
-    check(x, range, path)?;
-    if ns >= KNOB_NS_LIMIT {
-        return Err(SpecError::new(format!(
-            "{path} must be under 2^62 ns (about 146 years), got {x}"
-        )));
+    if ns == 0.0 && x != 0.0 {
+        return Err(not_whole_ns(path, x).into());
     }
     Ok(SimDuration::from_nanos(ns as u64))
 }
 
-/// A rate in Mbit/s as whole bit/s: at least 1 bit/s (a slower link
-/// rounds to a zero rate, which serializes nothing) and under 2^64 bit/s
-/// (`u64::MAX as f64` is 2^64; a cast would saturate silently).
+/// A rate in Mbit/s, in whole bit/s. Fails only where a `u64` cannot hold
+/// it: NaN, negative, 2^64 bit/s or more (a cast would saturate), or
+/// non-zero but under 1 bit/s (it rounds toward a zero rate).
 fn bps(mbps: f64, path: &str) -> Result<u64, SpecError> {
     let bps = mbps * 1e6;
-    if !(bps >= 1.0 && bps < u64::MAX as f64) {
+    if !(bps == 0.0 || (1.0..u64::MAX as f64).contains(&bps)) {
         return Err(SpecError::new(format!(
             "{path} must be a rate of at least 1 bit/s (1e-6 Mbit/s) and under 2^64 bit/s, \
              got {mbps}"
@@ -728,46 +682,38 @@ fn bps(mbps: f64, path: &str) -> Result<u64, SpecError> {
 }
 
 impl ImpairmentDef {
-    /// Validate and convert to the engine-level config. `at` is the JSON
-    /// path prefix (e.g. `path.impairments.haul`) so every error names the
-    /// exact offending knob.
+    /// Convert to the engine-level config. `at` is the JSON path prefix
+    /// (e.g. `path.impairments.haul`) so a conversion error names the exact
+    /// knob.
     fn to_config(&self, at: &str) -> Result<ImpairmentConfig, SpecError> {
-        let prob = |x, knob: &str| check(x, Prob, &format!("{at}.{knob}"));
-        let time = |x, unit, range, knob: &str| nanos(x, unit, range, &format!("{at}.{knob}"));
+        let time = |x, unit, knob: &str| nanos(x, unit, &format!("{at}.{knob}"));
         let mut outages = Vec::new();
         for (i, o) in self.outages.iter().flatten().enumerate() {
-            let knob = |name| format!("outages[{i}].{name}");
             outages.push(OutageWindow {
-                start: SimTime::ZERO + time(o.start_s, 1e9, NonNegative, &knob("start_s"))?,
-                duration: time(o.duration_s, 1e9, Positive, &knob("duration_s"))?,
+                start: SimTime::ZERO + time(o.start_s, 1e9, &format!("outages[{i}].start_s"))?,
+                duration: time(o.duration_s, 1e9, &format!("outages[{i}].duration_s"))?,
             });
         }
+        let flap = |f: FlapDef| -> Result<_, SpecError> {
+            let mean_up = time(f.mean_up_s, 1e9, "flap.mean_up_s")?;
+            let mean_down = time(f.mean_down_s, 1e9, "flap.mean_down_s")?;
+            Ok(Flap { mean_up, mean_down })
+        };
+        let jitter = |j: JitterDef| -> Result<_, SpecError> {
+            let max = time(j.max_ms, 1e6, "jitter.max_ms")?;
+            Ok(Jitter { prob: j.prob, max })
+        };
         Ok(ImpairmentConfig {
-            burst_loss: match self.burst_loss {
-                None => None,
-                Some(b) => Some(GilbertElliott {
-                    p_good_to_bad: prob(b.p_good_to_bad, "burst_loss.p_good_to_bad")?,
-                    p_bad_to_good: prob(b.p_bad_to_good, "burst_loss.p_bad_to_good")?,
-                    loss_good: prob(b.loss_good.unwrap_or(0.0), "burst_loss.loss_good")?,
-                    loss_bad: prob(b.loss_bad, "burst_loss.loss_bad")?,
-                }),
-            },
+            burst_loss: self.burst_loss.map(|b| GilbertElliott {
+                p_good_to_bad: b.p_good_to_bad,
+                p_bad_to_good: b.p_bad_to_good,
+                loss_good: b.loss_good.unwrap_or(0.0),
+                loss_bad: b.loss_bad,
+            }),
             outages,
-            flap: match self.flap {
-                None => None,
-                Some(f) => Some(Flap {
-                    mean_up: time(f.mean_up_s, 1e9, Positive, "flap.mean_up_s")?,
-                    mean_down: time(f.mean_down_s, 1e9, Positive, "flap.mean_down_s")?,
-                }),
-            },
-            jitter: match self.jitter {
-                None => None,
-                Some(j) => Some(Jitter {
-                    prob: prob(j.prob, "jitter.prob")?,
-                    max: time(j.max_ms, 1e6, NonNegative, "jitter.max_ms")?,
-                }),
-            },
-            duplicate_prob: prob(self.duplicate_prob.unwrap_or(0.0), "duplicate_prob")?,
+            flap: self.flap.map(flap).transpose()?,
+            jitter: self.jitter.map(jitter).transpose()?,
+            duplicate_prob: self.duplicate_prob.unwrap_or(0.0),
         })
     }
 }
@@ -776,40 +722,26 @@ impl ImpairmentDef {
 // Conversion to concrete scenarios
 // ---------------------------------------------------------------------------
 
-impl RedDef {
-    /// Resolve against the [`RedParams::for_capacity`] defaults of a `cap`
-    /// packet queue; `at` is `queue.Red` or `queue.RedEcn`.
-    fn to_params(self, cap: u32, at: &str) -> Result<RedParams, SpecError> {
-        let d = RedParams::for_capacity(cap);
-        let knob = |x: Option<f64>, default, range, name: &str| {
-            check(x.unwrap_or(default), range, &format!("{at}.{name}"))
-        };
-        let min_th = knob(self.min_th, d.min_th, NonNegative, "min_th")?;
-        let max_th = self.max_th.unwrap_or(d.max_th);
-        if !max_th.is_finite() || min_th >= max_th {
-            return Err(SpecError::new(format!(
-                "{at}.min_th must be below {at}.max_th, got {min_th} >= {max_th}"
-            )));
-        }
-        Ok(RedParams {
-            min_th,
-            max_th,
-            wq: knob(self.w_q, d.wq, UpToOne, "w_q")?,
-            max_p: knob(self.max_p, d.max_p, UpToOne, "max_p")?,
-            gentle: self.gentle.unwrap_or(d.gentle),
-        })
-    }
-}
-
 impl QueueDef {
     /// Resolve to the scenario-level discipline for a bottleneck of `cap`
-    /// packets, validating every knob with its JSON path.
-    pub fn to_discipline(&self, cap: u32) -> Result<QueueDiscipline, SpecError> {
-        Ok(match self {
+    /// packets, an omitted RED knob taking its [`RedParams::for_capacity`]
+    /// default.
+    pub fn to_discipline(&self, cap: u32) -> QueueDiscipline {
+        let params = |r: &RedDef| {
+            let d = RedParams::for_capacity(cap);
+            RedParams {
+                min_th: r.min_th.unwrap_or(d.min_th),
+                max_th: r.max_th.unwrap_or(d.max_th),
+                wq: r.w_q.unwrap_or(d.wq),
+                max_p: r.max_p.unwrap_or(d.max_p),
+                gentle: r.gentle.unwrap_or(d.gentle),
+            }
+        };
+        match self {
             QueueDef::DropTail => QueueDiscipline::DropTail,
-            QueueDef::Red(red) => QueueDiscipline::Red(red.to_params(cap, "queue.Red")?),
-            QueueDef::RedEcn(red) => QueueDiscipline::RedEcn(red.to_params(cap, "queue.RedEcn")?),
-        })
+            QueueDef::Red(red) => QueueDiscipline::Red(params(red)),
+            QueueDef::RedEcn(red) => QueueDiscipline::RedEcn(params(red)),
+        }
     }
 }
 
@@ -819,6 +751,8 @@ impl CcDef {
     /// and check the variant's parameter rules against the connection's
     /// `params` ([`rss_cc::registry::validate`]). `at` is the definition's
     /// JSON path (`flows[i].cc` or `gridftp.cc`), which every error names.
+    /// The rate and packet size are those of a [`Scenario`] that passed
+    /// [`Scenario::check`].
     pub fn to_algorithm(
         &self,
         at: &str,
@@ -849,14 +783,14 @@ impl CcDef {
                     TuningDef::ForRate {
                         rate_mbps,
                         wire_pkt_bytes,
-                    } => RssConfig::tuned_for(
-                        bps(rate_mbps, &format!("{at}.ForRate.rate_mbps"))?,
-                        count(
-                            wire_pkt_bytes,
-                            Positive,
-                            &format!("{at}.ForRate.wire_pkt_bytes"),
-                        )?,
-                    ),
+                    } => {
+                        let rate = format!("{at}.ForRate.rate_mbps");
+                        let wire = format!("{at}.ForRate.wire_pkt_bytes");
+                        RssConfig::tuned_for(
+                            Positive.count(bps(rate_mbps, &rate)?, &rate)?,
+                            Positive.count(wire_pkt_bytes, &wire)?,
+                        )
+                    }
                     TuningDef::Gains { kp, ti, td } => {
                         RssConfig::with_gains(rss_control::PidGains::pid(kp, ti, td))
                     }
@@ -889,101 +823,61 @@ impl CcDef {
 
 impl RunSpec {
     /// Resolve this run against the paper-testbed defaults into a concrete
-    /// [`Scenario`].
-    pub fn to_scenario(&self) -> Result<Scenario, SpecError> {
-        let ctx = |e: SpecError| SpecError::new(format!("run `{}`: {}", self.label, e.msg));
-        self.build_scenario().map_err(ctx)
-    }
-
-    fn build_scenario(&self) -> Result<Scenario, SpecError> {
+    /// [`Scenario`] in `shards` domains, judged by [`Scenario::check`].
+    fn to_scenario(&self, shards: Option<u32>) -> Result<Scenario, SpecError> {
         // An omitted knob keeps its value in the paper testbed `tb`.
         let tb = Scenario::paper_testbed(CcAlgorithm::Reno);
         let (dp, dh, d) = (tb.path, tb.host, tb.tcp);
-        let secs = |x, range, path: &str| nanos(x, 1e9, range, path);
-        let ms = |x: Option<f64>, or, range, path: &str| {
-            x.map_or(Ok(or), |x| nanos(x, 1e6, range, path))
-        };
+        let secs = |x, path: &str| nanos(x, 1e9, path);
+        let ms = |x: Option<f64>, or, path: &str| x.map_or(Ok(or), |x| nanos(x, 1e6, path));
+        let us = |x: Option<f64>, or, path: &str| x.map_or(Ok(or), |x| nanos(x, 1e3, path));
         let rate = |x: Option<f64>, or, path: &str| x.map_or(Ok(or), |m| bps(m, path));
 
         let p = self.path.clone().unwrap_or_default();
         let path = PathSpec {
             rate_bps: rate(p.rate_mbps, dp.rate_bps, "path.rate_mbps")?,
-            rtt: ms(p.rtt_ms, dp.rtt, NonNegative, "path.rtt_ms")?,
+            rtt: ms(p.rtt_ms, dp.rtt, "path.rtt_ms")?,
             router_queue_pkts: p.router_queue_pkts.unwrap_or(dp.router_queue_pkts),
-            loss_prob: check(p.loss_prob.unwrap_or(dp.loss_prob), Prob, "path.loss_prob")?,
-            access_rate_bps: match p.access_rate_mbps {
-                Some(m) => Some(bps(m, "path.access_rate_mbps")?),
-                None => dp.access_rate_bps,
-            },
-            access_delay: p.access_delay_us.map_or(Ok(dp.access_delay), |x| {
-                nanos(x, 1e3, Positive, "path.access_delay_us")
-            })?,
+            loss_prob: p.loss_prob.unwrap_or(dp.loss_prob),
+            access_rate_bps: (p.access_rate_mbps.map(|m| bps(m, "path.access_rate_mbps")))
+                .transpose()?
+                .or(dp.access_rate_bps),
+            access_delay: us(p.access_delay_us, dp.access_delay, "path.access_delay_us")?,
         };
-        let queue = self.queue.unwrap_or_default();
-        let queue = queue.to_discipline(path.router_queue_pkts)?;
+        let queue = self
+            .queue
+            .unwrap_or_default()
+            .to_discipline(path.router_queue_pkts);
         let impairments = p.impairments.unwrap_or_default();
         let impair = |i: Option<ImpairmentDef>, at| i.map(|i| i.to_config(at)).transpose();
 
         let h = self.host.unwrap_or_default();
         let host = HostConfig {
             nic_rate_bps: rate(h.nic_rate_mbps, path.rate_bps, "host.nic_rate_mbps")?,
-            txqueuelen: count(
-                h.txqueuelen.unwrap_or(dh.txqueuelen),
-                Positive,
-                "host.txqueuelen",
-            )?,
-            mtu: count(h.mtu.unwrap_or(dh.mtu), Positive, "host.mtu")?,
+            txqueuelen: h.txqueuelen.unwrap_or(dh.txqueuelen),
+            mtu: h.mtu.unwrap_or(dh.mtu),
         };
 
         let t = self.tcp.unwrap_or_default();
         let tcp = TcpConfig {
-            mss: count(t.mss.unwrap_or(d.mss), Positive, "tcp.mss")?,
+            mss: t.mss.unwrap_or(d.mss),
             header_bytes: t.header_bytes.unwrap_or(d.header_bytes),
-            initial_cwnd_mss: count(
-                t.initial_cwnd_mss.unwrap_or(d.initial_cwnd_mss),
-                Positive,
-                "tcp.initial_cwnd_mss",
-            )?,
+            initial_cwnd_mss: t.initial_cwnd_mss.unwrap_or(d.initial_cwnd_mss),
             initial_ssthresh: t.initial_ssthresh.or(d.initial_ssthresh),
             rwnd: t.rwnd_bytes.unwrap_or(d.rwnd),
-            // A zero RTO floor re-arms the retransmission check at the
-            // instant it fires, forever.
-            min_rto: ms(t.min_rto_ms, d.min_rto, AtLeastOne, "tcp.min_rto_ms")?,
-            max_rto: ms(t.max_rto_ms, d.max_rto, NonNegative, "tcp.max_rto_ms")?,
+            min_rto: ms(t.min_rto_ms, d.min_rto, "tcp.min_rto_ms")?,
+            max_rto: ms(t.max_rto_ms, d.max_rto, "tcp.max_rto_ms")?,
             ack_policy: t.ack_policy.unwrap_or(d.ack_policy),
             stall_response: t.stall_response.unwrap_or(d.stall_response),
-            stall_retry: ms(
-                t.stall_retry_ms,
-                d.stall_retry,
-                Positive,
-                "tcp.stall_retry_ms",
-            )?,
-            // The count is raised before it is compared, so 0 never fires.
-            dupack_threshold: count(
-                t.dupack_threshold.unwrap_or(d.dupack_threshold),
-                AtLeastOne,
-                "tcp.dupack_threshold",
-            )?,
+            stall_retry: ms(t.stall_retry_ms, d.stall_retry, "tcp.stall_retry_ms")?,
+            dupack_threshold: t.dupack_threshold.unwrap_or(d.dupack_threshold),
             ecn: t.ecn.unwrap_or(queue.ecn_marking()),
         };
-        if tcp.mss.checked_add(tcp.header_bytes).is_none() {
-            return Err(SpecError::new(format!(
-                "tcp.header_bytes: tcp.mss + tcp.header_bytes must fit the u32 wire size, \
-                 got {} + {}",
-                tcp.mss, tcp.header_bytes
-            )));
-        }
-        if tcp.max_rto < tcp.min_rto {
-            return Err(SpecError::new(format!(
-                "tcp.max_rto_ms must be at least tcp.min_rto_ms ({} ms), got {} ms",
-                tcp.min_rto.as_nanos() as f64 / 1e6,
-                tcp.max_rto.as_nanos() as f64 / 1e6
-            )));
-        }
 
-        // Each `cc` definition is built and checked once, then replicated.
-        let params = tcp.cc_params();
-        let cc = |cc: CcDef, at: &str, n| cc.to_algorithm(at, path.rate_bps, host.mtu, n, &params);
+        // Each `cc` definition — its JSON path and the flows it defines — is
+        // resolved and checked once the scenario's values have passed
+        // `check`, then replicated.
+        let mut ccs: Vec<(String, CcDef, std::ops::Range<usize>)> = Vec::new();
         let max_flows = max_flows(self.cross.as_ref().map_or(0, Vec::len));
         let flows: Vec<FlowSpec> = match (&self.gridftp, &self.flows) {
             (Some(_), Some(defs)) if !defs.is_empty() => {
@@ -992,16 +886,16 @@ impl RunSpec {
                 ));
             }
             (Some(g), _) => {
-                count(g.total_bytes, Positive, "gridftp.total_bytes")?;
-                count(g.streams, Positive, "gridftp.streams")?;
+                Positive.count(g.total_bytes, "gridftp.total_bytes")?;
+                Positive.count(g.streams, "gridftp.streams")?;
                 if g.streams > max_flows {
-                    return Err(too_many_flows("gridftp.streams", max_flows));
+                    return Err(too_many_flows("gridftp.streams", max_flows).into());
                 }
-                let algo = cc(g.cc, "gridftp.cc", g.streams)?;
+                ccs.push(("gridftp.cc".into(), g.cc, 0..g.streams as usize));
                 stripe_bytes(g.total_bytes, g.streams)
                     .into_iter()
                     .map(|bytes| FlowSpec {
-                        algo,
+                        algo: CcAlgorithm::Reno,
                         app: AppModel::Bulk { bytes: Some(bytes) },
                         start: SimTime::ZERO,
                     })
@@ -1011,20 +905,16 @@ impl RunSpec {
                 let n = total_flows(defs, max_flows)?;
                 let mut out = Vec::with_capacity(n as usize);
                 for (i, f) in defs.iter().enumerate() {
-                    let at = |knob: &str| format!("flows[{i}].{knob}");
-                    // A zero interval re-fires the write at the same instant,
-                    // forever.
-                    if let Some(AppModel::Periodic { interval, .. }) = f.app {
-                        let ns = interval.as_nanos() as f64;
-                        nanos(ns, 1.0, Positive, &at("app.Periodic.interval"))?;
-                    }
                     let spec = FlowSpec {
-                        algo: cc(f.cc.unwrap_or_default(), &at("cc"), n)?,
+                        algo: CcAlgorithm::Reno,
                         app: f.app.unwrap_or(AppModel::Bulk { bytes: None }),
                         start: SimTime::ZERO
-                            + secs(f.start_s.unwrap_or(0.0), NonNegative, &at("start_s"))?,
+                            + secs(f.start_s.unwrap_or(0.0), &format!("flows[{i}].start_s"))?,
                     };
+                    let first = out.len();
                     out.extend((0..f.count.unwrap_or(1)).map(|_| spec));
+                    let cc = f.cc.unwrap_or_default();
+                    ccs.push((format!("flows[{i}].cc"), cc, first..out.len()));
                 }
                 out
             }
@@ -1037,15 +927,13 @@ impl RunSpec {
 
         let mut cross = Vec::new();
         for (j, c) in self.cross.iter().flatten().enumerate() {
-            check_pattern(&c.pattern, j)?;
-            let time = |s, knob| secs(s, NonNegative, &format!("cross[{j}].{knob}"));
+            let time = |s, knob| {
+                Ok::<_, SpecError>(SimTime::ZERO + secs(s, &format!("cross[{j}].{knob}"))?)
+            };
             cross.push(CrossSpec {
                 pattern: c.pattern,
-                start: SimTime::ZERO + time(c.start_s.unwrap_or(0.0), "start_s")?,
-                stop: match c.stop_s {
-                    Some(s) => Some(SimTime::ZERO + time(s, "stop_s")?),
-                    None => None,
-                },
+                start: time(c.start_s.unwrap_or(0.0), "start_s")?,
+                stop: c.stop_s.map(|s| time(s, "stop_s")).transpose()?,
             });
         }
 
@@ -1055,147 +943,37 @@ impl RunSpec {
             tcp,
             flows,
             cross,
-            duration: (self.duration_s)
-                .map_or(Ok(tb.duration), |x| secs(x, Positive, "duration_s"))?,
+            duration: (self.duration_s).map_or(Ok(tb.duration), |x| secs(x, "duration_s"))?,
             seed: self.seed.unwrap_or(tb.seed),
             shared_sender_host: self.shared_sender_host.unwrap_or(tb.shared_sender_host),
             sample_interval: ms(
                 self.sample_interval_ms,
                 tb.sample_interval,
-                Positive,
                 "sample_interval_ms",
             )?,
-            web100_stride: count(
-                self.web100_stride.unwrap_or(tb.web100_stride),
-                Positive,
-                "web100_stride",
-            )?,
+            web100_stride: self.web100_stride.unwrap_or(tb.web100_stride),
             stop_when_complete: self.stop_when_complete.unwrap_or(tb.stop_when_complete),
             queue,
-            // The spec-level `shards` knob is applied during expansion.
-            shards: None,
+            shards,
             haul_impairment: impair(impairments.haul, "path.impairments.haul")?,
             access_impairment: impair(impairments.access, "path.impairments.access")?,
             max_sim_time: self
                 .max_sim_time_s
-                .map(|s| secs(s, Positive, "max_sim_time_s"))
+                .map(|s| secs(s, "max_sim_time_s"))
                 .transpose()?,
-            max_events: match self.max_events {
-                Some(n) => Some(count(n, Positive, "max_events")?),
-                None => None,
-            },
+            max_events: self.max_events,
         };
-        let horizon = sc.max_sim_time.map_or(sc.duration, |t| t.min(sc.duration));
-        let interval = sc.sample_interval.as_nanos();
-        if u128::from(horizon.as_nanos()) > u128::from(interval) * u128::from(MAX_SAMPLES) {
-            return Err(SpecError::new(format!(
-                "sample_interval_ms: a {} s horizon over {} ms is {} samples per series, \
-                 past the {MAX_SAMPLES} (2^20) a run may take",
-                horizon.as_secs_f64(),
-                interval as f64 / 1e6,
-                horizon.as_nanos() as f64 / interval as f64,
-            )));
-        }
-        let rwnd_from = if self.auto_rwnd.unwrap_or(false) {
+        if self.auto_rwnd.unwrap_or(false) {
             sc = sc.with_auto_rwnd();
-            "auto_rwnd"
-        } else {
-            "tcp.rwnd_bytes"
-        };
-        // The silly-window rule never sends into a window below one MSS.
-        if sc.tcp.rwnd < sc.tcp.mss as u64 {
-            return Err(SpecError::new(format!(
-                "{rwnd_from}: the receive window ({} bytes) must hold one tcp.mss ({} bytes)",
-                sc.tcp.rwnd, sc.tcp.mss
-            )));
+        }
+        sc.check()?;
+        let (params, n) = (sc.tcp.cc_params(), sc.flows.len() as u32);
+        for (at, cc, flows) in ccs {
+            let algo = cc.to_algorithm(&at, sc.path.rate_bps, sc.host.mtu, n, &params)?;
+            sc.flows[flows].iter_mut().for_each(|f| f.algo = algo);
         }
         Ok(sc)
     }
-}
-
-/// The most samples one sampled series may take: the run's horizon
-/// (`duration_s`, clamped by `max_sim_time_s`) over `sample_interval_ms`.
-/// The paper testbed takes 2 500.
-const MAX_SAMPLES: u64 = 1 << 20;
-
-/// Check cross stream `j`'s `pattern` against what
-/// [`rss_net::TrafficSource`] can run, naming the field at fault as
-/// `cross[j].pattern.<Variant>.<field>`: a rate and a packet size of at
-/// least 1, a mean gap `pkt_size·8/rate_bps` of at least 1 ns (below that
-/// the source emits about once a nanosecond or faster, for the whole run),
-/// and OnOff means that are positive and finite (exponential draws need
-/// them), with an on-period mean of at least a thousandth of the packet gap
-/// (the source draws on-periods until one packet's gap of on-time has
-/// accrued, about gap / `on_mean_s` draws per packet).
-fn check_pattern(pattern: &TrafficPattern, j: usize) -> Result<(), SpecError> {
-    let (variant, rate_bps, pkt_size, means) = match *pattern {
-        TrafficPattern::Cbr { rate_bps, pkt_size } => ("Cbr", rate_bps, pkt_size, None),
-        TrafficPattern::Poisson { rate_bps, pkt_size } => ("Poisson", rate_bps, pkt_size, None),
-        TrafficPattern::OnOff {
-            rate_bps,
-            pkt_size,
-            on_mean_s,
-            off_mean_s,
-        } => (
-            "OnOff",
-            rate_bps,
-            pkt_size,
-            Some([("on_mean_s", on_mean_s), ("off_mean_s", off_mean_s)]),
-        ),
-    };
-    let field = |name: &str| format!("cross[{j}].pattern.{variant}.{name}");
-    if rate_bps == 0 {
-        return Err(SpecError::new(format!(
-            "{} must be at least 1 bit/s, got 0",
-            field("rate_bps")
-        )));
-    }
-    if pkt_size == 0 {
-        return Err(SpecError::new(format!(
-            "{} must be at least 1 byte, got 0",
-            field("pkt_size")
-        )));
-    }
-    if u128::from(pkt_size) * 8 * 1_000_000_000 < u128::from(rate_bps) {
-        return Err(SpecError::new(format!(
-            "{}: the mean gap pkt_size·8/rate_bps must be at least 1 ns, got \
-             {pkt_size}·8/{rate_bps} s",
-            field("rate_bps")
-        )));
-    }
-    for (name, mean) in means.into_iter().flatten() {
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(SpecError::new(format!(
-                "{} must be positive and finite, got {mean}",
-                field(name)
-            )));
-        }
-    }
-    if let TrafficPattern::OnOff { on_mean_s, .. } = *pattern {
-        let gap_s = pkt_size as f64 * 8.0 / rate_bps as f64;
-        if on_mean_s < gap_s / 1000.0 {
-            return Err(SpecError::new(format!(
-                "{} must be at least a thousandth of the packet gap \
-                 pkt_size·8/rate_bps = {pkt_size}·8/{rate_bps} s, got {on_mean_s}",
-                field("on_mean_s")
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The most flows a run with `n_cross` cross streams may hold. Every flow
-/// and cross stream may get its own host pair, and the pairs plus the two
-/// hub units must fit the engine's [`MAX_UNITS`] scheduling units.
-fn max_flows(n_cross: usize) -> u32 {
-    (MAX_UNITS - 2).saturating_sub(n_cross) as u32
-}
-
-fn too_many_flows(what: &str, max: u32) -> SpecError {
-    SpecError::new(format!(
-        "{what}: this run holds at most {max} flows (a host pair per flow and \
-         cross stream, plus 2 hub units, in the engine's {MAX_UNITS} scheduling units)"
-    ))
 }
 
 /// The number of flows `defs` replicate to, summed with checked arithmetic
@@ -1203,7 +981,7 @@ fn too_many_flows(what: &str, max: u32) -> SpecError {
 fn total_flows(defs: &[FlowDef], max: u32) -> Result<u32, SpecError> {
     let mut n: u32 = 0;
     for (i, f) in defs.iter().enumerate() {
-        let c = count(f.count.unwrap_or(1), Positive, &format!("flows[{i}].count"))?;
+        let c = Positive.count(f.count.unwrap_or(1), &format!("flows[{i}].count"))?;
         n = n
             .checked_add(c)
             .filter(|&n| n <= max)
@@ -1290,27 +1068,20 @@ impl ScenarioSpec {
             return Err(SpecError::new("a scenario needs at least one run"));
         }
         if let Some(f) = fairness {
-            check(f.window_s(), Positive, "fairness.window_s")?;
-            check(f.eps(), Open, "fairness.eps")?;
+            Positive.check(f.window_s(), "fairness.window_s")?;
+            Open.check(f.eps(), "fairness.eps")?;
         }
         for (i, run) in self.runs.iter().enumerate() {
             if run.label.is_empty() {
-                return Err(SpecError::new(format!(
-                    "runs[{i}]: `label` must not be empty"
-                )));
+                return Err(format!("runs[{i}]: `label` must not be empty").into());
             }
             if self.runs[..i].iter().any(|r| r.label == run.label) {
-                return Err(SpecError::new(format!(
-                    "duplicate run label `{}`",
-                    run.label
-                )));
+                return Err(format!("duplicate run label `{}`", run.label).into());
             }
         }
         let sw = self.sweep.clone().unwrap_or_default();
         if let Some((name, _)) = sw.axes().iter().find(|(_, len)| *len == Some(0)) {
-            return Err(SpecError::new(format!(
-                "sweep axis `{name}` must not be empty"
-            )));
+            return Err(format!("sweep axis `{name}` must not be empty").into());
         }
 
         let mut out = Vec::new();
@@ -1347,14 +1118,11 @@ impl ScenarioSpec {
                     r.path.get_or_insert_with(Default::default).rate_mbps =
                         Some(xs[next(xs.len())]);
                 }
-                let mut scenario = r.to_scenario()?;
-                scenario.shards = self.shards.map(ShardsDef::resolve);
-                check_sharded(&scenario)
-                    .map_err(|e| SpecError::new(format!("run `{}`: {e}", run.label)))?;
+                let scenario = r.to_scenario(self.shards.map(ShardsDef::resolve));
                 out.push(ExpandedRun {
                     label: run.label.clone(),
                     cell,
-                    scenario,
+                    scenario: scenario.map_err(|e| format!("run `{}`: {e}", run.label))?,
                 });
             }
         }
@@ -1445,6 +1213,7 @@ pub fn results_csv(spec: &ScenarioSpec, runs: &[ExpandedRun], reports: &[RunRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rss_sim::MAX_UNITS;
 
     fn minimal(json_runs: &str) -> String {
         format!("{{\"name\":\"t\",\"runs\":{json_runs}}}")
@@ -1596,27 +1365,24 @@ mod tests {
     fn impairment_probabilities_are_validated_with_their_json_path() {
         for (knob, json) in [
             (
-                "path.impairments.haul.burst_loss.loss_bad",
+                "haul_impairment.burst_loss.loss_bad",
                 r#"{"burst_loss":{"p_good_to_bad":0.1,"p_bad_to_good":0.1,"loss_bad":1.5}}"#,
             ),
             (
-                "path.impairments.haul.jitter.prob",
+                "haul_impairment.jitter.prob",
                 r#"{"jitter":{"prob":-0.2,"max_ms":1}}"#,
             ),
+            ("haul_impairment.duplicate_prob", r#"{"duplicate_prob":2}"#),
             (
-                "path.impairments.haul.duplicate_prob",
-                r#"{"duplicate_prob":2}"#,
-            ),
-            (
-                "path.impairments.haul.burst_loss.p_good_to_bad",
+                "haul_impairment.burst_loss.p_good_to_bad",
                 r#"{"burst_loss":{"p_good_to_bad":nan,"p_bad_to_good":0.1,"loss_bad":0.5}}"#,
             ),
             (
-                "path.impairments.haul.burst_loss.p_bad_to_good",
+                "haul_impairment.burst_loss.p_bad_to_good",
                 r#"{"burst_loss":{"p_good_to_bad":0.1,"p_bad_to_good":1.5,"loss_bad":0.5}}"#,
             ),
             (
-                "path.impairments.haul.burst_loss.loss_good",
+                "haul_impairment.burst_loss.loss_good",
                 r#"{"burst_loss":{"p_good_to_bad":0.1,"p_bad_to_good":0.1,
                                   "loss_good":-0.1,"loss_bad":0.5}}"#,
             ),
@@ -1652,7 +1418,7 @@ mod tests {
         .expand()
         .unwrap_err();
         assert!(
-            err.msg.contains("path.impairments.access.flap.mean_up_s"),
+            err.msg.contains("access_impairment.flap.mean_up"),
             "{}",
             err.msg
         );
@@ -1670,7 +1436,7 @@ mod tests {
             (r#""tcp":{"stall_retry_ms":1e15}"#, "tcp.stall_retry_ms"),
             (
                 r#""tcp":{"stall_retry_ms":1.8446744073709e13}"#,
-                "tcp.stall_retry_ms",
+                "tcp.stall_retry",
             ),
             (r#""duration_s":1e12"#, "duration_s"),
         ] {
@@ -1699,27 +1465,27 @@ mod tests {
         for (tcp, want) in [
             (
                 r#"{"max_rto_ms":0}"#,
-                "tcp.max_rto_ms must be at least tcp.min_rto_ms (200 ms), got 0 ms",
+                "tcp.max_rto must be at least tcp.min_rto (200 ms), got 0 ms",
             ),
             (
                 r#"{"max_rto_ms":0.000001}"#,
-                "tcp.max_rto_ms must be at least tcp.min_rto_ms (200 ms), got 0.000001 ms",
+                "tcp.max_rto must be at least tcp.min_rto (200 ms), got 0.000001 ms",
             ),
             (
                 r#"{"min_rto_ms":500,"max_rto_ms":100}"#,
-                "tcp.max_rto_ms must be at least tcp.min_rto_ms (500 ms), got 100 ms",
+                "tcp.max_rto must be at least tcp.min_rto (500 ms), got 100 ms",
             ),
             (
                 r#"{"min_rto_ms":0}"#,
-                "tcp.min_rto_ms must be at least 1, got 0",
+                "tcp.min_rto must be at least 1 ms, got 0 ms",
             ),
             (
                 r#"{"min_rto_ms":0.5}"#,
-                "tcp.min_rto_ms must be at least 1, got 0.5",
+                "tcp.min_rto must be at least 1 ms, got 0.5 ms",
             ),
             (
                 r#"{"stall_retry_ms":0,"stall_response":"Ignore"}"#,
-                "tcp.stall_retry_ms must be positive (at least 1 ns), got 0",
+                "tcp.stall_retry must be positive (at least 1 ns), got 0",
             ),
             (
                 r#"{"dupack_threshold":0}"#,
@@ -1896,16 +1662,16 @@ mod tests {
             ),
             (
                 r#""tcp":{"rwnd_bytes":1000}"#,
-                "tcp.rwnd_bytes: the receive window (1000 bytes) must hold one tcp.mss (1448 bytes)",
+                "tcp.rwnd: the receive window (1000 bytes) must hold one tcp.mss (1448 bytes)",
             ),
             (
                 r#""tcp":{"mss":100000000}"#,
-                "tcp.rwnd_bytes: the receive window (2097152 bytes) must hold one tcp.mss \
+                "tcp.rwnd: the receive window (2097152 bytes) must hold one tcp.mss \
                  (100000000 bytes)",
             ),
             (
                 r#""tcp":{"mss":100000000},"auto_rwnd":true"#,
-                "auto_rwnd: the receive window (3000000 bytes) must hold one tcp.mss \
+                "tcp.rwnd: the receive window (3000000 bytes) must hold one tcp.mss \
                  (100000000 bytes)",
             ),
             (
@@ -1943,12 +1709,12 @@ mod tests {
             ),
             (
                 r#""duration_s":0.05,"sample_interval_ms":0.000001"#,
-                "sample_interval_ms: a 0.05 s horizon over 0.000001 ms is 50000000 samples \
+                "sample_interval: a 0.05 s horizon over 0.000001 ms is 50000000 samples \
                  per series, past the 1048576 (2^20) a run may take",
             ),
             (
                 r#""duration_s":1.048577,"sample_interval_ms":0.001"#,
-                "sample_interval_ms: a 1.048577 s horizon over 0.001 ms is 1048577 samples \
+                "sample_interval: a 1.048577 s horizon over 0.001 ms is 1048577 samples \
                  per series, past the 1048576 (2^20) a run may take",
             ),
         ] {
@@ -2053,15 +1819,13 @@ mod tests {
             (
                 r#""path":{"impairments":{"access":{"outages":[{"start_s":1,"duration_s":0}]}}}"#
                     .into(),
-                "path.impairments.access.outages[0].duration_s must be positive (at least 1 ns), \
-                 got 0"
+                "access_impairment.outages[0].duration must be positive (at least 1 ns), got 0"
                     .into(),
             ),
             (
                 r#""path":{"impairments":{"haul":{"flap":{"mean_up_s":1,"mean_down_s":0}}}}"#
                     .into(),
-                "path.impairments.haul.flap.mean_down_s must be positive (at least 1 ns), got 0"
-                    .into(),
+                "haul_impairment.flap.mean_down must be positive (at least 1 ns), got 0".into(),
             ),
             (
                 r#""path":{"impairments":{"haul":{"jitter":{"prob":0.5,"max_ms":-1}}}}"#.into(),
@@ -2098,15 +1862,15 @@ mod tests {
             ),
             (
                 r#""duration_s":0"#.into(),
-                "duration_s must be positive (at least 1 ns), got 0".into(),
+                "duration must be positive (at least 1 ns), got 0".into(),
             ),
             (
                 r#""sample_interval_ms":0"#.into(),
-                "sample_interval_ms must be positive (at least 1 ns), got 0".into(),
+                "sample_interval must be positive (at least 1 ns), got 0".into(),
             ),
             (
                 r#""max_sim_time_s":0"#.into(),
-                "max_sim_time_s must be positive (at least 1 ns), got 0".into(),
+                "max_sim_time must be positive (at least 1 ns), got 0".into(),
             ),
             (
                 r#""max_events":0"#.into(),
@@ -2494,7 +2258,7 @@ mod tests {
         .unwrap()
         .validate()
         .unwrap_err();
-        assert!(err.msg.contains("access_delay_us"), "{}", err.msg);
+        assert!(err.msg.contains("path.access_delay"), "{}", err.msg);
     }
 
     #[test]
@@ -2529,8 +2293,8 @@ mod tests {
                 r#"{"Red":{"min_th":-1}}"#,
                 "non-negative",
             ),
-            ("queue.Red.w_q", r#"{"Red":{"w_q":0}}"#, "in (0, 1]"),
-            ("queue.Red.w_q", r#"{"Red":{"w_q":1.5}}"#, "in (0, 1]"),
+            ("queue.Red.wq", r#"{"Red":{"w_q":0}}"#, "in (0, 1]"),
+            ("queue.Red.wq", r#"{"Red":{"w_q":1.5}}"#, "in (0, 1]"),
             ("queue.Red.max_p", r#"{"Red":{"max_p":0}}"#, "in (0, 1]"),
             (
                 "queue.RedEcn.max_p",
@@ -2542,7 +2306,7 @@ mod tests {
                 r#"{"RedEcn":{"min_th":30,"max_th":30}}"#,
                 "must be below",
             ),
-            ("queue.RedEcn.w_q", r#"{"RedEcn":{"w_q":0}}"#, "in (0, 1]"),
+            ("queue.RedEcn.wq", r#"{"RedEcn":{"w_q":0}}"#, "in (0, 1]"),
             (
                 "queue.RedEcn.min_th",
                 r#"{"RedEcn":{"min_th":-5}}"#,

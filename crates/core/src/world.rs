@@ -135,53 +135,15 @@ pub enum BuildError {
         /// The registry's verdict.
         source: CcError,
     },
-    /// `sample_interval` is zero, so the sampling chain would never advance.
-    SampleInterval,
-    /// A link or NIC rate, named by its field path, is zero.
-    ZeroRate(&'static str),
-    /// `path.loss_prob` is not a probability.
-    LossProb(f64),
-    /// `host.txqueuelen` is zero, so the IFQ refuses every packet.
-    ZeroTxqueuelen,
-    /// `tcp.rwnd` cannot hold one `tcp.mss`, so the sender never sends.
-    Rwnd {
-        /// The receive window, bytes.
-        rwnd: u64,
-        /// The segment size, bytes.
-        mss: u32,
-    },
-    /// `max_events` on a run with `shards`, whose driver has no event budget.
-    ShardedBudget,
-    /// Spreading the units over domains needs a positive lookahead on both
-    /// message legs: `0 < 4 × access_delay < rtt`.
-    Lookahead {
-        /// The scenario's access-link delay.
-        access_delay: SimDuration,
-        /// The scenario's round-trip time.
-        rtt: SimDuration,
-    },
+    /// A value [`Scenario::check`] rejects, with its message.
+    Invalid(String),
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::Cc { flow, source } => write!(f, "flows[{flow}]: {source}"),
-            BuildError::SampleInterval => f.write_str("sample_interval: must be positive"),
-            BuildError::ZeroRate(knob) => write!(f, "{knob}: must be positive"),
-            BuildError::LossProb(p) => write!(f, "path.loss_prob must be in [0, 1], got {p}"),
-            BuildError::ZeroTxqueuelen => f.write_str("host.txqueuelen must be positive"),
-            BuildError::Rwnd { rwnd, mss } => write!(
-                f,
-                "tcp.rwnd: the receive window ({rwnd} bytes) must hold one tcp.mss ({mss} bytes)"
-            ),
-            BuildError::ShardedBudget => {
-                f.write_str("max_events: not supported with shards; use max_sim_time")
-            }
-            BuildError::Lookahead { access_delay, rtt } => write!(
-                f,
-                "path.access_delay: sharded runs need 0 < 4 x access_delay < rtt \
-                 (access_delay {access_delay:?}, rtt {rtt:?})"
-            ),
+            BuildError::Invalid(msg) => f.write_str(msg),
         }
     }
 }
@@ -283,47 +245,28 @@ impl World {
     /// Build the world of every unit of a scenario, for one engine to drive
     /// ([`Scenario::shards`] is the driver's business and ignored here).
     ///
-    /// Fails with a path-qualified [`BuildError`] when a flow's
-    /// congestion-control selection is rejected, a rate or `txqueuelen` is
-    /// zero, the loss probability is not one, or the receive window cannot
-    /// hold a segment (the declarative spec pipeline catches these
-    /// earlier).
+    /// Fails with a path-qualified [`BuildError`] when [`Scenario::check`]
+    /// rejects a value of the scenario, or when a flow's congestion-control
+    /// selection is rejected.
     pub fn build(sc: &Scenario) -> Result<World, BuildError> {
+        sc.check().map_err(BuildError::Invalid)?;
+        World::build_checked(sc)
+    }
+
+    /// [`World::build`] of a scenario that has passed [`Scenario::check`].
+    pub(crate) fn build_checked(sc: &Scenario) -> Result<World, BuildError> {
         let mut world = World::build_domain(sc, &UnitPlan::per_pair(sc, 1), 0)?;
         world.stop_when_complete = sc.stop_when_complete;
         Ok(world)
     }
 
-    /// Build the world of the units `plan` assigns to `domain`.
+    /// Build the world of the units `plan` assigns to `domain`, for a
+    /// scenario that has passed [`Scenario::check`].
     pub(crate) fn build_domain(
         sc: &Scenario,
         plan: &UnitPlan,
         domain: u32,
     ) -> Result<World, BuildError> {
-        if sc.sample_interval == SimDuration::ZERO {
-            return Err(BuildError::SampleInterval);
-        }
-        for (knob, bps) in [
-            ("path.rate_bps", sc.path.rate_bps),
-            ("path.access_rate_bps", sc.path.access_rate()),
-            ("host.nic_rate_bps", sc.host.nic_rate_bps),
-        ] {
-            if bps == 0 {
-                return Err(BuildError::ZeroRate(knob));
-            }
-        }
-        if !(0.0..=1.0).contains(&sc.path.loss_prob) {
-            return Err(BuildError::LossProb(sc.path.loss_prob));
-        }
-        if sc.host.txqueuelen == 0 {
-            return Err(BuildError::ZeroTxqueuelen);
-        }
-        if sc.tcp.rwnd < u64::from(sc.tcp.mss) {
-            return Err(BuildError::Rwnd {
-                rwnd: sc.tcp.rwnd,
-                mss: sc.tcp.mss,
-            });
-        }
         let owns = |unit: u32| plan.unit_domain[unit as usize] == domain;
         let pairs = sc.host_pairs();
         let access_delay = sc.path.access_delay;
@@ -830,17 +773,22 @@ impl World {
                         }
                         sender.on_ack(now, ack, rwnd, snap);
                         if sender.is_complete() && self.conns[ci].completed_at.is_none() {
-                            self.conns[ci].completed_at.set(now);
-                            self.completed += 1;
-                            if self.stop_when_complete && self.completed == self.conns.len() as u64
-                            {
-                                sched.request_stop();
-                            }
+                            self.complete(ci, now, sched);
                         }
                         self.pump(ci, now, sched);
                     }
                 }
             }
+        }
+    }
+
+    /// Record connection `ci` as complete at `now`, and stop the run when
+    /// it was the last one and the scenario asks for that.
+    fn complete(&mut self, ci: usize, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
+        self.conns[ci].completed_at.set(now);
+        self.completed += 1;
+        if self.stop_when_complete && self.completed == self.conns.len() as u64 {
+            sched.request_stop();
         }
     }
 
@@ -854,7 +802,11 @@ impl World {
         // Cross sources are open-loop: a full IFQ just drops the datagram.
         let (host, src, dst, flow) = (c.host, c.src, c.dst, c.flow);
         self.enqueue(host, src, dst, flow, WireBody::Raw { size }, now, sched);
-        sched.after(gap, Ev::CrossEmit { idx: idx as u32 });
+        // A gap past the clock's end (a source slower than one packet in
+        // 2^64 ns) means the source never emits again.
+        if let Some(next) = now.checked_add(gap) {
+            sched.at(next, Ev::CrossEmit { idx: idx as u32 });
+        }
     }
 }
 
@@ -945,6 +897,11 @@ impl Model for World {
             }
             Ev::FlowStart { conn } => {
                 let ci = conn as usize;
+                // A flow with nothing to send is complete as it starts: no
+                // ACK will ever say so.
+                if self.conns[ci].app.model().total_bytes() == Some(0) {
+                    self.complete(ci, now, sched);
+                }
                 let start = self.conns[ci].start;
                 if let Some((when, bytes)) = self.conns[ci].app.next_write(start) {
                     sched.at(when.max(now), Ev::AppWrite { conn, bytes });

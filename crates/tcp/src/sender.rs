@@ -266,10 +266,10 @@ impl TcpSender {
 
     /// The application wrote `bytes` more bytes into the socket (only
     /// meaningful for finite/app-driven transfers; unbounded senders ignore
-    /// writes).
+    /// writes, and a total that reaches `u64::MAX` bytes is unbounded).
     pub fn app_extend(&mut self, bytes: u64) {
         if self.app_total != UNBOUNDED {
-            self.app_total += bytes;
+            self.app_total = self.app_total.saturating_add(bytes);
         }
     }
 
@@ -706,6 +706,16 @@ mod tests {
         assert_eq!(s.flight(), 2000);
         assert!(s.can_transmit(t(0)).is_none(), "window exhausted");
         assert!(s.rto_deadline().is_some());
+    }
+
+    #[test]
+    fn app_writes_past_u64_max_make_the_sender_unbounded() {
+        let mut s = sender(Some(0));
+        s.app_extend(1 << 63);
+        assert_eq!(s.app_total(), Some(1 << 63));
+        s.app_extend(1 << 63);
+        assert_eq!(s.app_total(), None);
+        assert!(!s.is_complete());
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl AppModel {
             AppModel::Bulk { bytes } => bytes,
             AppModel::Periodic {
                 burst_bytes, count, ..
-            } => count.map(|c| burst_bytes * c as u64),
+            } => count.map(|c| burst_bytes.saturating_mul(u64::from(c))),
         }
     }
 }

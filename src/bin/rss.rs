@@ -483,16 +483,22 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn scenario_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                .collect()
-        })
+/// The `*.json` scenario files in `dir`, sorted; with `recursive`, then
+/// those under each subdirectory in turn (sorted, depth-first).
+fn scenario_files(dir: &Path, recursive: bool) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map(|rd| rd.filter_map(|e| e.ok()).map(|e| e.path()).collect())
         .unwrap_or_default();
-    files.sort();
+    entries.sort();
+    let (mut files, subdirs): (Vec<PathBuf>, Vec<PathBuf>) = entries
+        .into_iter()
+        .filter(|p| p.is_dir() || p.extension().is_some_and(|x| x == "json"))
+        .partition(|p| !p.is_dir());
+    if recursive {
+        for sub in subdirs {
+            files.extend(scenario_files(&sub, true));
+        }
+    }
     files
 }
 
@@ -537,7 +543,7 @@ fn cmd_list(args: &[String]) -> ExitCode {
         };
     }
     let dir = PathBuf::from(args.first().map(String::as_str).unwrap_or("scenarios"));
-    let files = scenario_files(&dir);
+    let files = scenario_files(&dir, false);
     if files.is_empty() {
         eprintln!("no scenario files in {}", dir.display());
         return ExitCode::FAILURE;
@@ -569,19 +575,13 @@ fn cmd_list(args: &[String]) -> ExitCode {
 }
 
 fn validate_one(path: &Path, failed: &mut bool) {
-    if let Err(msg) = check_scenario_path(path) {
-        eprintln!("invalid: {msg}");
-        *failed = true;
-        return;
-    }
     // `load` errors already carry the file name; prefix it onto the
     // semantic (expand-time) errors only.
-    let checked = ScenarioSpec::load(path).and_then(|spec| {
+    let checked = check_scenario_path(path).and_then(|()| {
+        let spec = ScenarioSpec::load(path).map_err(|e| e.msg)?;
         spec.validate()
-            .map(|()| spec)
-            .map_err(|e| restricted_slow_start::SpecError {
-                msg: format!("{}: {e}", path.display()),
-            })
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok(spec)
     });
     match checked {
         Ok(spec) => println!(
@@ -597,38 +597,9 @@ fn validate_one(path: &Path, failed: &mut bool) {
     }
 }
 
-/// Every scenario file under `dir`, recursively, in a deterministic
-/// (sorted, depth-first) order.
-fn scenario_files_recursive(dir: &Path) -> Vec<PathBuf> {
-    let mut files = scenario_files(dir);
-    let mut subdirs: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .collect()
-        })
-        .unwrap_or_default();
-    subdirs.sort();
-    for sub in subdirs {
-        files.extend(scenario_files_recursive(&sub));
-    }
-    files
-}
-
 fn cmd_validate(args: &[String]) -> ExitCode {
-    let mut recursive = false;
-    let paths: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            if a.as_str() == "--recursive" {
-                recursive = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
+    let recursive = args.iter().any(|a| a == "--recursive");
+    let paths: Vec<&String> = args.iter().filter(|a| *a != "--recursive").collect();
     if paths.is_empty() {
         return usage();
     }
@@ -640,11 +611,7 @@ fn cmd_validate(args: &[String]) -> ExitCode {
             // (the CI matrix passes `scenarios` as one argument);
             // `--recursive` descends into subdirectories (e.g. the
             // `scenarios/faults/` family) too.
-            let files = if recursive {
-                scenario_files_recursive(path)
-            } else {
-                scenario_files(path)
-            };
+            let files = scenario_files(path, recursive);
             if files.is_empty() {
                 eprintln!("invalid: no *.json scenario files in `{}`", path.display());
                 failed = true;
@@ -707,7 +674,7 @@ mod tests {
         scenarios[3].path.rate_bps = 0;
         assert_eq!(
             failures(file, &runs, &run_many(&scenarios).0),
-            ["error: t.json: run `b` (cell 1): path.rate_bps: must be positive"]
+            ["error: t.json: run `b` (cell 1): path.rate_bps must be positive"]
         );
     }
 

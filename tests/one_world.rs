@@ -189,6 +189,26 @@ fn stop_when_complete() {
 }
 
 #[test]
+fn flows_with_nothing_to_send_complete_as_they_start() {
+    // Three bytes striped over eight streams leave five streams 0 bytes.
+    // They are complete at their start, so the run stops once the three
+    // 1-byte streams are acked instead of running to its horizon.
+    let spec = ScenarioSpec::from_json(
+        r#"{"name":"empty_streams","runs":[{"label":"x","shared_sender_host":true,
+            "stop_when_complete":true,"duration_s":2,"path":{"access_delay_us":500},
+            "gridftp":{"total_bytes":3,"streams":8,"cc":"Standard"}}]}"#,
+    )
+    .expect("parses");
+    let sc = spec.expand().expect("expands").remove(0).scenario;
+    let r = same_bytes("streams with nothing to send", sc);
+    let done: Vec<f64> = r.flows.iter().filter_map(|f| f.completed_at_s).collect();
+    assert_eq!(done.len(), 8, "every stream completes");
+    assert_eq!(done.iter().filter(|&&t| t == 0.0).count(), 5);
+    assert!(r.duration_s < 0.1, "did not stop early: {}", r.duration_s);
+    assert!(r.truncated.is_none());
+}
+
+#[test]
 fn shared_sender_host() {
     let mut sc = base();
     sc.shared_sender_host = true;
