@@ -27,10 +27,11 @@
 //! Quantities and units follow the crate contract: all window and rate
 //! state is in payload bytes and payload bytes per second.
 
-use crate::filter::{BandwidthEstimator, WindowedMinFilter};
+use crate::filter::{BandwidthEstimator, WindowedFilter};
 use crate::{CcView, CongestionControl, CongestionEvent, PacingDecision, RecoveryEvent};
 use rss_sim::SimDuration;
 use rss_sim::SimTime;
+use std::cmp::Reverse;
 
 /// Window over which bandwidth and RTT extrema are remembered.
 pub const FILTER_WINDOW: SimDuration = SimDuration::from_secs(10);
@@ -68,7 +69,8 @@ pub struct BbrProbe {
     cwnd: u64,
     state: State,
     bw: BandwidthEstimator,
-    min_rtt: WindowedMinFilter,
+    /// The windowed minimum RTT, as the maximum of reversed samples.
+    min_rtt: WindowedFilter<Reverse<SimDuration>>,
     /// ACKed bytes left in the current round (a round = one flight).
     round_remaining: u64,
     /// Bandwidth estimate the startup plateau detector last grew past.
@@ -88,7 +90,7 @@ impl BbrProbe {
             cwnd: initial_cwnd.max(4 * mss),
             state: State::Startup,
             bw: BandwidthEstimator::new(FILTER_WINDOW),
-            min_rtt: WindowedMinFilter::new(FILTER_WINDOW),
+            min_rtt: WindowedFilter::new(FILTER_WINDOW),
             round_remaining: 0,
             full_bw: 0,
             full_bw_rounds: 0,
@@ -100,7 +102,7 @@ impl BbrProbe {
     /// sample.
     fn bdp(&self) -> Option<u64> {
         let bw = self.bw.bandwidth()?;
-        let rtt = self.min_rtt.current()?;
+        let Reverse(rtt) = self.min_rtt.current()?;
         Some((bw as u128 * rtt.as_nanos() as u128 / 1_000_000_000) as u64)
     }
 
@@ -156,7 +158,7 @@ impl BbrProbe {
                 let rotation = self
                     .min_rtt
                     .current()
-                    .unwrap_or(SimDuration::from_millis(100));
+                    .map_or(SimDuration::from_millis(100), |Reverse(rtt)| rtt);
                 if view.now.saturating_since(self.cycle_stamp) >= rotation {
                     self.state = State::ProbeBw((phase + 1) % PROBE_GAINS.len());
                     self.cycle_stamp = view.now;
@@ -184,7 +186,7 @@ impl CongestionControl for BbrProbe {
 
     fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
         if let Some(rtt) = view.last_rtt {
-            self.min_rtt.update(view.now, rtt);
+            self.min_rtt.update(view.now, Reverse(rtt));
         }
         self.bw.on_ack(view);
 
@@ -253,7 +255,7 @@ mod tests {
     }
 
     fn view(now_ms: u64, rate: Option<u64>, rtt_ms: u64, flight: u64) -> CcView {
-        let mut v = test_view(now_ms, MSS, flight);
+        let mut v = test_view(now_ms, flight);
         v.last_rtt = Some(SimDuration::from_millis(rtt_ms));
         v.min_rtt = Some(SimDuration::from_millis(rtt_ms));
         v.delivery_rate = rate;
@@ -276,7 +278,7 @@ mod tests {
         assert_eq!(cc.pacing(), PacingDecision::Unpaced);
         let before = cc.cwnd();
         // An ACK with no delivery-rate sample: pure window growth.
-        let mut v = test_view(0, MSS, 0);
+        let mut v = test_view(0, 0);
         v.last_rtt = None;
         cc.on_ack(&v, MSS as u64);
         assert_eq!(cc.cwnd(), before + MSS as u64);
@@ -331,8 +333,10 @@ mod tests {
         let mut cc = bbr();
         cc.state = State::ProbeBw(0);
         cc.cycle_stamp = SimTime::from_millis(0);
-        cc.min_rtt
-            .update(SimTime::from_millis(0), SimDuration::from_millis(50));
+        cc.min_rtt.update(
+            SimTime::from_millis(0),
+            Reverse(SimDuration::from_millis(50)),
+        );
         cc.bw.on_ack(&view(0, Some(2_000_000), 50, 0));
         // Same min_rtt elapses → next phase (0.75, the drain phase).
         cc.on_ack(&view(50, Some(2_000_000), 50, 0), MSS as u64);

@@ -1,14 +1,16 @@
-//! Time-windowed extremum filters and the delivery-rate estimator.
+//! The time-windowed extremum filter and the delivery-rate estimator.
 //!
 //! Rate-based congestion control runs on two rolling statistics: the largest
 //! recently-observed delivery rate (the bottleneck-bandwidth estimate, which
 //! must *forget* old samples so a route change or competing flow shows up)
 //! and the smallest recently-observed RTT (the propagation-delay estimate,
 //! which must likewise expire samples taken while queues were standing).
-//! Both are "max/min over a sliding time window" queries; the filters here
-//! answer them in O(1) amortized time with the classic monotonic deque:
-//! a new sample evicts every older sample it dominates, so the deque stays
-//! sorted and the front is always the current extremum.
+//! Both are "extremum over a sliding time window" queries, answered by one
+//! filter in O(1) amortized time with the classic monotonic deque: a new
+//! sample evicts every older sample it dominates, so the deque stays sorted
+//! and the front is always the current extremum. The filter keeps the
+//! maximum; a minimum is the maximum of samples wrapped in
+//! [`Reverse`](std::cmp::Reverse).
 //!
 //! All timestamps are simulation time; windows are closed on both ends
 //! (a sample recorded exactly `window` ago still counts).
@@ -18,20 +20,22 @@ use std::collections::VecDeque;
 
 use crate::CcView;
 
-/// Rolling maximum over a sliding time window (bytes-per-second samples).
+/// Rolling maximum over a sliding time window: of bytes-per-second samples,
+/// or a rolling minimum of RTT samples wrapped in
+/// [`Reverse`](std::cmp::Reverse).
 ///
 /// The deque invariant: values are strictly decreasing front-to-back, times
 /// are increasing. The front is the windowed maximum.
 #[derive(Debug, Clone)]
-pub struct WindowedMaxFilter {
+pub struct WindowedFilter<T> {
     window: SimDuration,
-    samples: VecDeque<(SimTime, u64)>,
+    samples: VecDeque<(SimTime, T)>,
 }
 
-impl WindowedMaxFilter {
+impl<T: Ord + Copy> WindowedFilter<T> {
     /// A filter remembering samples for `window` of simulation time.
     pub fn new(window: SimDuration) -> Self {
-        WindowedMaxFilter {
+        WindowedFilter {
             window,
             samples: VecDeque::new(),
         }
@@ -40,7 +44,7 @@ impl WindowedMaxFilter {
     /// Record `value` at `now` and expire samples older than the window.
     /// Samples must arrive in non-decreasing time order (simulation time
     /// never runs backwards).
-    pub fn update(&mut self, now: SimTime, value: u64) {
+    pub fn update(&mut self, now: SimTime, value: T) {
         while self.samples.back().is_some_and(|&(_, v)| v <= value) {
             self.samples.pop_back();
         }
@@ -60,52 +64,7 @@ impl WindowedMaxFilter {
     }
 
     /// The current windowed maximum, if any in-window sample exists.
-    pub fn current(&self) -> Option<u64> {
-        self.samples.front().map(|&(_, v)| v)
-    }
-}
-
-/// Rolling minimum over a sliding time window (RTT samples).
-///
-/// Mirror image of [`WindowedMaxFilter`]: values strictly increase
-/// front-to-back, so the front is the windowed minimum.
-#[derive(Debug, Clone)]
-pub struct WindowedMinFilter {
-    window: SimDuration,
-    samples: VecDeque<(SimTime, SimDuration)>,
-}
-
-impl WindowedMinFilter {
-    /// A filter remembering samples for `window` of simulation time.
-    pub fn new(window: SimDuration) -> Self {
-        WindowedMinFilter {
-            window,
-            samples: VecDeque::new(),
-        }
-    }
-
-    /// Record `value` at `now` and expire samples older than the window.
-    pub fn update(&mut self, now: SimTime, value: SimDuration) {
-        while self.samples.back().is_some_and(|&(_, v)| v >= value) {
-            self.samples.pop_back();
-        }
-        self.samples.push_back((now, value));
-        self.expire(now);
-    }
-
-    /// Drop samples that have aged out of the window as of `now`.
-    pub fn expire(&mut self, now: SimTime) {
-        while self
-            .samples
-            .front()
-            .is_some_and(|&(t, _)| t + self.window < now)
-        {
-            self.samples.pop_front();
-        }
-    }
-
-    /// The current windowed minimum, if any in-window sample exists.
-    pub fn current(&self) -> Option<SimDuration> {
+    pub fn current(&self) -> Option<T> {
         self.samples.front().map(|&(_, v)| v)
     }
 }
@@ -119,14 +78,14 @@ impl WindowedMinFilter {
 /// rate-sampling rule (draft-cheng-iccrg-delivery-rate-estimation).
 #[derive(Debug, Clone)]
 pub struct BandwidthEstimator {
-    max_bw: WindowedMaxFilter,
+    max_bw: WindowedFilter<u64>,
 }
 
 impl BandwidthEstimator {
     /// An estimator whose max filter spans `window` of simulation time.
     pub fn new(window: SimDuration) -> Self {
         BandwidthEstimator {
-            max_bw: WindowedMaxFilter::new(window),
+            max_bw: WindowedFilter::new(window),
         }
     }
 
@@ -151,6 +110,7 @@ impl BandwidthEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -162,7 +122,7 @@ mod tests {
 
     #[test]
     fn max_filter_tracks_running_maximum() {
-        let mut f = WindowedMaxFilter::new(d(100));
+        let mut f = WindowedFilter::new(d(100));
         assert_eq!(f.current(), None);
         f.update(t(0), 10);
         f.update(t(10), 30);
@@ -172,7 +132,7 @@ mod tests {
 
     #[test]
     fn max_filter_expires_by_hand_computed_deadline() {
-        let mut f = WindowedMaxFilter::new(d(100));
+        let mut f = WindowedFilter::new(d(100));
         f.update(t(0), 50); // expires strictly after t=100ms
         f.update(t(40), 20); // shadowed until the 50 ages out
                              // At exactly t=100ms the t=0 sample is still in the closed window.
@@ -190,7 +150,7 @@ mod tests {
     fn max_filter_eviction_keeps_later_equal_sample() {
         // An equal newer sample replaces the older one, extending the
         // estimate's lifetime — ties must not pin the stale timestamp.
-        let mut f = WindowedMaxFilter::new(d(100));
+        let mut f = WindowedFilter::new(d(100));
         f.update(t(0), 40);
         f.update(t(90), 40);
         f.expire(t(150)); // t=0 would have expired at 100ms; t=90 lives to 190ms
@@ -199,21 +159,21 @@ mod tests {
 
     #[test]
     fn min_filter_tracks_and_expires() {
-        let mut f = WindowedMinFilter::new(d(200));
-        f.update(t(0), d(80));
-        f.update(t(50), d(60)); // new minimum evicts the 80
-        f.update(t(100), d(70)); // kept behind the 60
-        assert_eq!(f.current(), Some(d(60)));
+        let mut f = WindowedFilter::new(d(200));
+        f.update(t(0), Reverse(d(80)));
+        f.update(t(50), Reverse(d(60))); // new minimum evicts the 80
+        f.update(t(100), Reverse(d(70))); // kept behind the 60
+        assert_eq!(f.current(), Some(Reverse(d(60))));
         // The 60 from t=50ms expires just past t=250ms; the 70 takes over.
         f.expire(t(251));
-        assert_eq!(f.current(), Some(d(70)));
+        assert_eq!(f.current(), Some(Reverse(d(70))));
         // And the 70 from t=100ms expires just past t=300ms.
         f.expire(t(301));
         assert_eq!(f.current(), None);
     }
 
     fn view_with_rate(now_ms: u64, rate: Option<u64>, app_limited: bool) -> CcView {
-        let mut v = crate::test_view(now_ms, 1448, 0);
+        let mut v = crate::test_view(now_ms, 0);
         v.delivery_rate = rate;
         v.app_limited = app_limited;
         v

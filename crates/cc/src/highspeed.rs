@@ -224,14 +224,14 @@ mod tests {
     #[test]
     fn below_low_window_behaves_like_reno() {
         let mut cc = hs(10, 5); // in congestion avoidance, small window
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         // One window of ACKs grows exactly one MSS, like Reno.
         for _ in 0..10 {
             cc.on_ack(&v, MSS as u64);
         }
         assert_eq!(cc.cwnd(), 11 * MSS as u64);
         // And the decrease is the standard half.
-        let v = test_view(0, MSS, 20 * MSS as u64);
+        let v = test_view(0, 20 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         assert_eq!(cc.ssthresh(), 10 * MSS as u64);
     }
@@ -247,7 +247,7 @@ mod tests {
         // One window of per-segment ACKs grows ≈ ai segments.
         let before = cc.cwnd();
         for _ in 0..1000 {
-            cc.on_ack(&test_view(0, MSS, 0), MSS as u64);
+            cc.on_ack(&test_view(0, 0), MSS as u64);
         }
         let grown = (cc.cwnd() - before) / MSS as u64;
         assert!(
@@ -256,7 +256,7 @@ mod tests {
         );
         // Loss drops by b(w) of the flight, not half.
         let flight = 1000 * MSS as u64;
-        cc.on_congestion(&test_view(0, MSS, flight), CongestionEvent::FastRetransmit);
+        cc.on_congestion(&test_view(0, flight), CongestionEvent::FastRetransmit);
         let kept = cc.ssthresh() as f64 / flight as f64;
         assert!(
             (kept - (1.0 - b)).abs() < 0.01,
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn slow_start_is_standard() {
         let mut cc = hs(2, u64::MAX / 2 / MSS as u64);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         assert!(cc.in_slow_start());
         cc.on_ack(&v, MSS as u64);
         cc.on_ack(&v, MSS as u64);
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn timeout_restarts_from_one_segment() {
         let mut cc = hs(500, 5);
-        let v = test_view(0, MSS, 400 * MSS as u64);
+        let v = test_view(0, 400 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.cwnd(), MSS as u64);
         assert!(cc.ssthresh() > 200 * MSS as u64, "gentle backoff");
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn stall_responses_mirror_reno_dispositions() {
         let mut cc = hs(500, 5);
-        let v = test_view(0, MSS, 400 * MSS as u64);
+        let v = test_view(0, 400 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::LocalStall);
         assert_eq!(cc.cwnd(), cc.ssthresh());
     }

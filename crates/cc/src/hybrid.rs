@@ -199,7 +199,7 @@ mod tests {
     }
 
     fn view(now_ms: u64, rtt_ms: u64, min_rtt_ms: u64) -> crate::CcView {
-        let mut v = test_view(now_ms, MSS, 0);
+        let mut v = test_view(now_ms, 0);
         v.last_rtt = Some(SimDuration::from_millis(rtt_ms));
         v.min_rtt = Some(SimDuration::from_millis(min_rtt_ms));
         v

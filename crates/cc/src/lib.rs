@@ -79,7 +79,7 @@ pub mod scalable;
 pub mod ssthreshless;
 
 pub use bbr::BbrProbe;
-pub use filter::{BandwidthEstimator, WindowedMaxFilter, WindowedMinFilter};
+pub use filter::{BandwidthEstimator, WindowedFilter};
 pub use highspeed::HighSpeedTcp;
 pub use hybrid::HybridStart;
 pub use limited::LimitedSlowStart;
@@ -92,13 +92,13 @@ pub use ssthreshless::{SslConfig, SsthreshlessStart};
 
 use rss_sim::{SimDuration, SimTime};
 
-/// Sender state exposed to the congestion controller at decision points.
+/// Sender state exposed to the congestion controller at decision points:
+/// only what some controller reads. A controller's segment size is its
+/// own, from [`CcParams::mss`].
 #[derive(Debug, Clone, Copy)]
 pub struct CcView {
     /// Current simulation time.
     pub now: SimTime,
-    /// Maximum segment size, bytes.
-    pub mss: u32,
     /// Bytes currently in flight (`snd_nxt − snd_una`).
     pub flight: u64,
     /// Current depth of the host's interface queue, packets.
@@ -111,17 +111,12 @@ pub struct CcView {
     /// Smallest RTT sample seen on the connection, if any (the propagation
     /// estimate delay-based variants difference against).
     pub min_rtt: Option<SimDuration>,
-    /// Cumulative payload bytes delivered to the peer so far — i.e. bytes
-    /// cumulatively ACKed (`snd_una` progress), not bytes sent.
-    pub delivered: u64,
-    /// Most recent delivery-rate sample in payload **bytes per second**,
-    /// measured over [`CcView::delivery_interval`]. `None` until the first
-    /// Karn-valid cumulative ACK (retransmitted segments never produce a
-    /// sample, mirroring the RTT estimator).
+    /// Most recent delivery-rate sample in payload **bytes per second**: the
+    /// bytes cumulatively ACKed since the sampled segment departed, over the
+    /// time since. `None` until the first Karn-valid cumulative ACK
+    /// (retransmitted segments never produce a sample, mirroring the RTT
+    /// estimator).
     pub delivery_rate: Option<u64>,
-    /// The span the [`CcView::delivery_rate`] sample was measured over: from
-    /// the sampled segment's departure to the cumulative ACK that covered it.
-    pub delivery_interval: Option<SimDuration>,
     /// True when the current delivery-rate sample was taken while the sender
     /// was application-limited (window room left, but no data to fill it).
     /// Such samples understate path capacity; bandwidth estimators must not
@@ -425,18 +420,15 @@ impl CongestionControl for CcEngine {
 }
 
 #[cfg(test)]
-pub(crate) fn test_view(now_ms: u64, mss: u32, flight: u64) -> CcView {
+pub(crate) fn test_view(now_ms: u64, flight: u64) -> CcView {
     CcView {
         now: SimTime::from_millis(now_ms),
-        mss,
         flight,
         ifq_depth: 0,
         ifq_max: 100,
         last_rtt: None,
         min_rtt: None,
-        delivered: 0,
         delivery_rate: None,
-        delivery_interval: None,
         app_limited: false,
     }
 }

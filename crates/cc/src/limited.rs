@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn standard_growth_below_max_ssthresh() {
         let mut cc = lss(100);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         let start = cc.cwnd();
         for _ in 0..10 {
             cc.on_ack(&v, MSS as u64);
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn growth_limited_above_max_ssthresh() {
         let mut cc = lss(10);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         // Push cwnd to 20 segments (double max_ssthresh).
         cc.base.force_cwnd(20 * MSS as u64);
         // K = 20/(10/2) = 4 -> inc = MSS/4 per ACK.
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn per_rtt_growth_is_bounded_by_half_max_ssthresh() {
         let mut cc = lss(10);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         cc.base.force_cwnd(40 * MSS as u64);
         // A whole window of ACKs (40 segments): growth must be at most
         // max_ssthresh/2 = 5 segments.
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn loss_behaviour_is_reno() {
         let mut cc = lss(10);
-        let v = test_view(0, MSS, 30 * MSS as u64);
+        let v = test_view(0, 30 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         assert_eq!(cc.ssthresh(), 15 * MSS as u64);
         cc.on_recovery(&v, RecoveryEvent::Exit { newly_acked: 0 });

@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn growth_is_reno() {
         let mut cc = relentless(10);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         for _ in 0..10 {
             cc.on_ack(&v, MSS as u64);
         }
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn single_loss_costs_exactly_one_segment() {
         let mut cc = relentless(100);
-        let v = test_view(0, MSS, 100 * MSS as u64);
+        let v = test_view(0, 100 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         cc.on_recovery(&v, RecoveryEvent::Exit { newly_acked: 0 });
         assert_eq!(cc.cwnd(), 99 * MSS as u64, "decrease by the one loss");
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn each_partial_ack_costs_one_more_segment() {
         let mut cc = relentless(100);
-        let v = test_view(0, MSS, 100 * MSS as u64);
+        let v = test_view(0, 100 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         // Three further holes surface as three partial ACKs.
         for _ in 0..3 {
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn congestion_avoidance_keeps_running_through_recovery() {
         let mut cc = relentless(100);
-        let v = test_view(0, MSS, 100 * MSS as u64);
+        let v = test_view(0, 100 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         // One RTT of recovery: the partial ACK both exposes a second hole
         // (one segment charged) and acknowledges a window's worth of
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn the_recovery_exit_jump_counts_toward_growth() {
         let mut cc = relentless(100);
-        let v = test_view(0, MSS, 100 * MSS as u64);
+        let v = test_view(0, 100 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         // Single-loss episode: the whole window is acknowledged by the
         // recovery-closing jump. One segment paid, one earned back.
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn decrease_floors_at_two_segments() {
         let mut cc = relentless(3);
-        let v = test_view(0, MSS, 3 * MSS as u64);
+        let v = test_view(0, 3 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         for _ in 0..5 {
             cc.on_recovery(
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn ecn_echo_costs_exactly_one_segment() {
         let mut cc = relentless(100);
-        let v = test_view(0, MSS, 100 * MSS as u64);
+        let v = test_view(0, 100 * MSS as u64);
         cc.on_recovery(&v, RecoveryEvent::EcnEcho);
         assert_eq!(cc.cwnd(), 99 * MSS as u64, "one mark, one segment");
         assert!(!cc.in_slow_start(), "stays in congestion avoidance");
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn timeout_is_standard() {
         let mut cc = relentless(64);
-        let v = test_view(0, MSS, 64 * MSS as u64);
+        let v = test_view(0, 64 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.cwnd(), MSS as u64, "loss window");
         assert_eq!(cc.ssthresh(), 32 * MSS as u64, "standard halving");

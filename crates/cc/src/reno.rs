@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn slow_start_doubles_per_window_of_acks() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         assert!(cc.in_slow_start());
         // One window of per-segment ACKs doubles cwnd: 2 ACKs of 1 MSS each.
         cc.on_ack(&v, MSS as u64);
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn slow_start_increment_capped_at_mss_per_ack() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         // A stretch ACK covering 4 MSS still only grows cwnd by 1 MSS (L=1).
         cc.on_ack(&v, 4 * MSS as u64);
         assert_eq!(cc.cwnd(), 3 * MSS as u64);
@@ -184,7 +184,7 @@ mod tests {
     fn congestion_avoidance_grows_one_mss_per_window() {
         let mut cc = Reno::new(10 * MSS as u64, 5 * MSS as u64, MSS);
         assert!(!cc.in_slow_start());
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         // Ack one full window worth of bytes: cwnd += 1 MSS.
         for _ in 0..10 {
             cc.on_ack(&v, MSS as u64);
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn fast_retransmit_halves_and_inflates() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 20 * MSS as u64);
+        let v = test_view(0, 20 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         assert_eq!(cc.ssthresh(), 10 * MSS as u64);
         assert_eq!(cc.cwnd(), 13 * MSS as u64); // ssthresh + 3 MSS
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn timeout_collapses_to_one_segment_and_slow_starts() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 16 * MSS as u64);
+        let v = test_view(0, 16 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.ssthresh(), 8 * MSS as u64);
         assert_eq!(cc.cwnd(), MSS as u64);
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn ssthresh_floor_two_segments() {
         let mut cc = reno();
-        let v = test_view(0, MSS, MSS as u64); // tiny flight
+        let v = test_view(0, MSS as u64); // tiny flight
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.ssthresh(), 2 * MSS as u64);
     }
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn local_stall_cwr_halves_without_restart() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 200 * MSS as u64);
+        let v = test_view(0, 200 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::LocalStall);
         assert_eq!(cc.ssthresh(), 100 * MSS as u64);
         assert_eq!(cc.cwnd(), 100 * MSS as u64);
@@ -237,13 +237,13 @@ mod tests {
     #[test]
     fn ecn_echo_halves_like_cwr() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 20 * MSS as u64);
+        let v = test_view(0, 20 * MSS as u64);
         cc.on_recovery(&v, RecoveryEvent::EcnEcho);
         assert_eq!(cc.ssthresh(), 10 * MSS as u64);
         assert_eq!(cc.cwnd(), 10 * MSS as u64);
         assert!(!cc.in_slow_start(), "ECN echo leaves slow-start");
         // A second echo at the reduced flight keeps halving, floored at 2 MSS.
-        let v = test_view(0, MSS, 3 * MSS as u64);
+        let v = test_view(0, 3 * MSS as u64);
         cc.on_recovery(&v, RecoveryEvent::EcnEcho);
         assert_eq!(cc.cwnd(), 2 * MSS as u64);
     }
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn partial_ack_deflates_but_not_below_floor() {
         let mut cc = reno();
-        let v = test_view(0, MSS, 20 * MSS as u64);
+        let v = test_view(0, 20 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         let before = cc.cwnd();
         cc.on_recovery(

@@ -153,18 +153,13 @@ impl RestrictedSlowStart {
             let add = self.frac_accum.floor();
             self.frac_accum -= add;
             let cwnd = self.base.cwnd() + add as u64;
-            self.set_base_cwnd(cwnd);
+            self.base.force_cwnd(cwnd);
         } else if self.frac_accum <= -1.0 {
             let sub = (-self.frac_accum).floor();
             self.frac_accum += sub;
             let cwnd = self.base.cwnd().saturating_sub(sub as u64).max(floor);
-            self.set_base_cwnd(cwnd);
+            self.base.force_cwnd(cwnd);
         }
-    }
-
-    fn set_base_cwnd(&mut self, cwnd: u64) {
-        // Reno has no setter; rebuild the relevant field via a small helper.
-        self.base.force_cwnd(cwnd);
     }
 }
 
@@ -210,15 +205,12 @@ mod tests {
     fn view(now_ms: u64, ifq_depth: u32) -> CcView {
         CcView {
             now: SimTime::from_millis(now_ms),
-            mss: MSS,
             flight: 0,
             ifq_depth,
             ifq_max: 100,
             last_rtt: None,
             min_rtt: None,
-            delivered: 0,
             delivery_rate: None,
-            delivery_interval: None,
             app_limited: false,
         }
     }

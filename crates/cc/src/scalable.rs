@@ -138,7 +138,7 @@ mod tests {
             assert!(!cc.in_slow_start());
             let before = cc.cwnd();
             for _ in 0..w {
-                cc.on_ack(&test_view(0, MSS, 0), MSS as u64);
+                cc.on_ack(&test_view(0, 0), MSS as u64);
             }
             let grown = cc.cwnd() - before;
             let expect = w * MSS as u64 / 100;
@@ -153,10 +153,10 @@ mod tests {
     fn backoff_is_one_eighth() {
         let mut cc = stcp(800, 5);
         let flight = 800 * MSS as u64;
-        cc.on_congestion(&test_view(0, MSS, flight), CongestionEvent::FastRetransmit);
+        cc.on_congestion(&test_view(0, flight), CongestionEvent::FastRetransmit);
         assert_eq!(cc.ssthresh(), flight - flight / 8);
         cc.on_recovery(
-            &test_view(0, MSS, flight),
+            &test_view(0, flight),
             RecoveryEvent::Exit { newly_acked: 0 },
         );
         assert_eq!(cc.cwnd(), flight - flight / 8);
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn slow_start_is_standard() {
         let mut cc = stcp(2, u64::MAX / 2 / MSS as u64);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         cc.on_ack(&v, MSS as u64);
         cc.on_ack(&v, MSS as u64);
         assert_eq!(cc.cwnd(), 4 * MSS as u64);
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn sub_ai_cnt_acks_accumulate() {
         let mut cc = stcp(50, 5);
-        let v = test_view(0, MSS, 0);
+        let v = test_view(0, 0);
         // 99 bytes acked: no growth yet; the 100th byte tips it.
         cc.on_ack(&v, 99);
         let before = cc.cwnd();
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn timeout_restarts_from_one_segment() {
         let mut cc = stcp(400, 5);
-        let v = test_view(0, MSS, 300 * MSS as u64);
+        let v = test_view(0, 300 * MSS as u64);
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.cwnd(), MSS as u64);
         assert!(cc.in_slow_start());
@@ -195,7 +195,7 @@ mod tests {
     fn stall_cwr_backs_off_and_leaves_slow_start() {
         let mut cc = stcp(400, 5);
         let flight = 300 * MSS as u64;
-        cc.on_congestion(&test_view(0, MSS, flight), CongestionEvent::LocalStall);
+        cc.on_congestion(&test_view(0, flight), CongestionEvent::LocalStall);
         assert_eq!(cc.cwnd(), flight - flight / 8);
         assert!(!cc.in_slow_start());
     }

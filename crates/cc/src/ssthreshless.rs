@@ -290,15 +290,12 @@ mod tests {
     fn view(now_ms: u64, last_rtt_ms: Option<u64>, min_rtt_ms: Option<u64>) -> CcView {
         CcView {
             now: SimTime::from_millis(now_ms),
-            mss: MSS,
             flight: 0,
             ifq_depth: 0,
             ifq_max: 100,
             last_rtt: last_rtt_ms.map(SimDuration::from_millis),
             min_rtt: min_rtt_ms.map(SimDuration::from_millis),
-            delivered: 0,
             delivery_rate: None,
-            delivery_interval: None,
             app_limited: false,
         }
     }

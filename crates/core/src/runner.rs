@@ -6,28 +6,29 @@ use crate::shard::{run_windowed, stop_boundary};
 use crate::world::{BuildError, World};
 use rss_net::RedStats;
 use rss_sim::{QueueCounters, ShardError, SimTime};
-use rss_tcp::{TcpReceiver, TcpSender};
+use rss_tcp::TcpReceiver;
+use rss_web100::InstrumentBlock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Finalize one connection and build its report, moving its timelines in.
+/// Finalize one connection's recorder and build its report from the
+/// record, moving its timelines in.
 fn flow_report(
     i: usize,
     sc: &Scenario,
-    sender: &mut TcpSender,
+    web100: &mut InstrumentBlock,
     receiver: &TcpReceiver,
     completed_at: Option<SimTime>,
     end: SimTime,
 ) -> FlowReport {
-    sender.finish(end);
+    web100.finish(end);
     let rstats = receiver.stats();
-    let w = sender.web100_mut();
-    let vars = w.snapshot();
-    let goodput = w.goodput_bps(end);
-    let t = w.take_timelines();
+    let vars = *web100.vars();
+    let goodput = web100.goodput_bps(end);
+    let t = web100.take_timelines();
     let stall_times_s = secs(t.stall_times());
     let congestion_times_s = secs(t.congestion_times());
     let (cwnd_series, acked_series) = t.into_series();
@@ -45,9 +46,9 @@ fn flow_report(
         receiver_delivered_bytes: receiver.rcv_nxt(),
         receiver_dup_segments: rstats.duplicate_segments,
         receiver_ooo_segments: rstats.out_of_order_segments,
-        rto_episodes: sender.rto_episodes(),
-        rto_max_backoff: sender.rtt().max_backoff_shift(),
-        rto_max_recovery_s: sender.rto_max_recovery().map(|d| d.as_secs_f64()),
+        rto_episodes: web100.rto_episodes(),
+        rto_max_backoff: web100.rto_max_backoff(),
+        rto_max_recovery_s: web100.rto_max_recovery().map(|d| d.as_secs_f64()),
     }
 }
 
@@ -249,11 +250,11 @@ fn report(sc: &Scenario, mut worlds: Vec<World>, out: &Outcome) -> RunReport {
     let mut conns = per_domain(worlds, World::into_connections);
     let flows = (0..sc.flows.len())
         .map(|i| {
-            let (sender, receiver, completed_at) = conns
+            let (web100, receiver, completed_at) = conns
                 .iter_mut()
                 .find_map(|c| c.flow(i))
                 .expect("every flow belongs to a world");
-            flow_report(i, sc, sender, receiver, completed_at, end)
+            flow_report(i, sc, web100, receiver, completed_at, end)
         })
         .collect();
     per_domain(conns, drop);

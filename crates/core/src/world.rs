@@ -64,6 +64,7 @@ use rss_tcp::{
     make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpConfig, TcpReceiver, TcpSegment,
     TcpSender,
 };
+use rss_web100::InstrumentBlock;
 use rss_workload::AppDriver;
 use std::fmt;
 use std::ops::Range;
@@ -156,10 +157,9 @@ struct Conn {
     sender: TcpSender,
     receiver: TcpReceiver,
     app: AppDriver,
-    /// Index of the sending and of the receiving host.
+    /// Index of the sending and of the receiving host; a pair's two hosts
+    /// are in the same world.
     hosts: [u32; 2],
-    src: NodeId,
-    dst: NodeId,
     start: SimTime,
     completed_at: OptNanos<SimTime>,
 }
@@ -168,7 +168,6 @@ struct Cross {
     source: TrafficSource,
     /// Index of the emitting host.
     host: u32,
-    src: NodeId,
     dst: NodeId,
     flow: FlowId,
     start: SimTime,
@@ -402,8 +401,6 @@ impl World {
                 receiver: TcpReceiver::new(id, sc.tcp),
                 app: AppDriver::new(f.app),
                 hosts: pair_hosts[pair],
-                src: d.senders[pair],
-                dst: d.receivers[pair],
                 start: f.start,
                 completed_at: OptNanos::NONE,
             });
@@ -418,7 +415,6 @@ impl World {
             cross.push(Cross {
                 source: TrafficSource::new(c.pattern, rng.derive(0x0C05 + j as u64)),
                 host: pair_hosts[pair][0],
-                src: d.senders[pair],
                 dst: d.receivers[pair],
                 flow: FlowId(u32::MAX - j as u32),
                 start: c.start,
@@ -564,7 +560,7 @@ impl World {
 
     /// The heap bytes this world holds, by owner: the connection table
     /// (with the flow index and the RTO timer table); the connections'
-    /// send-timestamp rings, timelines and out-of-order ranges; the hosts
+    /// send-timestamp rings, recorders and out-of-order ranges; the hosts
     /// with their IFQ buffers; the fabric's ports, its hop records and
     /// routes, and its packet arena; and the rest. The event queue is the
     /// engine's ([`Engine::heap_bytes`]).
@@ -585,8 +581,8 @@ impl World {
                 ),
                 ("send-timestamp rings", per_conn(|c| c.sender.heap_bytes())),
                 (
-                    "timelines",
-                    per_conn(|c| c.sender.web100().timelines().heap_bytes()),
+                    "timelines, RTO episodes",
+                    per_conn(|c| c.sender.web100().heap_bytes()),
                 ),
                 ("out-of-order ranges", per_conn(|c| c.receiver.heap_bytes())),
                 (
@@ -628,13 +624,12 @@ impl World {
         }
     }
 
-    /// Queue `body` on `host`'s NIC as a fresh packet; `false` when the IFQ
-    /// is full (the packet is gone — what that means is the caller's call).
-    #[allow(clippy::too_many_arguments)]
+    /// Queue `body` on `host`'s NIC as a fresh packet from the host's node;
+    /// `false` when the IFQ is full (the packet is gone — what that means is
+    /// the caller's call).
     fn enqueue(
         &mut self,
         host: u32,
-        src: NodeId,
         dst: NodeId,
         flow: FlowId,
         body: WireBody,
@@ -647,7 +642,7 @@ impl World {
         unit.next_pkt += 1;
         let pkt = Packet {
             id,
-            src,
+            src: h.node,
             dst,
             flow,
             created: now,
@@ -683,8 +678,8 @@ impl World {
                 header_bytes: self.tcp.header_bytes,
                 ecn: if self.tcp.ecn { Ecn::Ect } else { Ecn::NotEct },
             };
-            let (src, dst, flow) = (conn.src, conn.dst, conn.id.into());
-            if self.enqueue(host, src, dst, flow, WireBody::Tcp(seg), now, sched) {
+            let (dst, flow) = (self.hosts[conn.hosts[1] as usize].node, conn.id.into());
+            if self.enqueue(host, dst, flow, WireBody::Tcp(seg), now, sched) {
                 self.conns[ci].sender.commit_transmit(now, plan);
             } else {
                 // Send-stall: the paper's central event.
@@ -731,8 +726,9 @@ impl World {
         };
         // ACKs leave the receiver host. A full receiver IFQ silently drops
         // the ACK; cumulative ACKs make this safe.
-        let (host, src, dst, flow) = (conn.hosts[1], conn.dst, conn.src, conn.id.into());
-        self.enqueue(host, src, dst, flow, WireBody::Tcp(seg), now, sched);
+        let [to, host] = conn.hosts;
+        let (dst, flow) = (self.hosts[to as usize].node, conn.id.into());
+        self.enqueue(host, dst, flow, WireBody::Tcp(seg), now, sched);
     }
 
     fn deliver(
@@ -750,7 +746,8 @@ impl World {
                 let ci = self.conn_index[seg.conn.0 as usize] as usize;
                 match seg.kind {
                     SegKind::Data { seq, len, .. } => {
-                        debug_assert_eq!(node, self.conns[ci].dst, "data at wrong host");
+                        let [_, to] = self.conns[ci].hosts;
+                        debug_assert_eq!(node, self.hosts[to as usize].node, "data at wrong host");
                         if seg.ecn == Ecn::Ce {
                             self.conns[ci].receiver.on_ce();
                         }
@@ -765,7 +762,8 @@ impl World {
                         }
                     }
                     SegKind::Ack { ack, rwnd, ece } => {
-                        debug_assert_eq!(node, self.conns[ci].src, "ack at wrong host");
+                        let [to, _] = self.conns[ci].hosts;
+                        debug_assert_eq!(node, self.hosts[to as usize].node, "ack at wrong host");
                         let snap = self.ifq_snapshot(self.conns[ci].hosts[0]);
                         let sender = &mut self.conns[ci].sender;
                         if ece {
@@ -800,8 +798,8 @@ impl World {
         let (gap, size) = c.source.next_packet();
         c.sent_bytes += size as u64;
         // Cross sources are open-loop: a full IFQ just drops the datagram.
-        let (host, src, dst, flow) = (c.host, c.src, c.dst, c.flow);
-        self.enqueue(host, src, dst, flow, WireBody::Raw { size }, now, sched);
+        let (host, dst, flow) = (c.host, c.dst, c.flow);
+        self.enqueue(host, dst, flow, WireBody::Raw { size }, now, sched);
         // A gap past the clock's end (a source slower than one packet in
         // 2^64 ns) means the source never emits again.
         if let Some(next) = now.checked_add(gap) {
@@ -818,15 +816,15 @@ pub(crate) struct Connections {
 }
 
 impl Connections {
-    /// Both endpoints of scenario flow `i` (sender mutably, for end-of-run
-    /// finalization) and its completion time; `None` when another world
+    /// Scenario flow `i`'s recorder (mutably, for end-of-run finalization),
+    /// its receiver and its completion time; `None` when another world
     /// owned the flow.
     pub(crate) fn flow(
         &mut self,
         i: usize,
-    ) -> Option<(&mut TcpSender, &TcpReceiver, Option<SimTime>)> {
+    ) -> Option<(&mut InstrumentBlock, &TcpReceiver, Option<SimTime>)> {
         let c = self.conns.get_mut(*self.conn_index.get(i)? as usize)?;
-        Some((&mut c.sender, &c.receiver, c.completed_at.get()))
+        Some((c.sender.web100_mut(), &c.receiver, c.completed_at.get()))
     }
 }
 
@@ -987,10 +985,12 @@ mod tests {
         // a counting drop-tail IFQ, each host a vector of its connections and
         // each connection two copies of the scenario's `TcpConfig`; 112, 136
         // and 920 B with each optional time an `Option` (16 B), the
-        // instrument's timelines inline (64 B) and the RTT sample count.
+        // instrument's timelines inline (64 B) and the RTT sample count; 768 B
+        // with the report-only state in the sender and both hosts' nodes
+        // beside their indices.
         let nic = size_of::<HostNic<WireBody>>();
         assert!(nic <= 104, "HostNic is {nic} B");
         assert!(size_of::<Host>() <= 128, "Host is {} B", size_of::<Host>());
-        assert!(size_of::<Conn>() <= 768, "Conn is {} B", size_of::<Conn>());
+        assert!(size_of::<Conn>() <= 704, "Conn is {} B", size_of::<Conn>());
     }
 }

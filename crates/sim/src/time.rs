@@ -271,6 +271,12 @@ impl<T: Nanos> OptNanos<T> {
     }
 }
 
+impl<T: Nanos> Default for OptNanos<T> {
+    fn default() -> Self {
+        Self::NONE
+    }
+}
+
 impl<T: Nanos> From<Option<T>> for OptNanos<T> {
     #[inline]
     fn from(value: Option<T>) -> Self {

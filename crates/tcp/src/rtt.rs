@@ -12,7 +12,6 @@ pub struct RttEstimator {
     min_rto: SimDuration,
     max_rto: SimDuration,
     backoff_shift: u32,
-    max_backoff_shift: u32,
 }
 
 impl RttEstimator {
@@ -27,7 +26,6 @@ impl RttEstimator {
             min_rto,
             max_rto,
             backoff_shift: 0,
-            max_backoff_shift: 0,
         }
     }
 
@@ -74,19 +72,12 @@ impl RttEstimator {
     /// Exponential backoff after a retransmission timeout fires.
     pub fn backoff(&mut self) {
         self.backoff_shift = (self.backoff_shift + 1).min(16);
-        self.max_backoff_shift = self.max_backoff_shift.max(self.backoff_shift);
     }
 
     /// Current backoff shift (0 = no backoff; the effective RTO is the base
     /// RTO doubled this many times, clamped to `max_rto`).
     pub fn backoff_shift(&self) -> u32 {
         self.backoff_shift
-    }
-
-    /// Deepest backoff shift reached over the estimator's lifetime — how far
-    /// the exponential backoff climbed during the worst outage.
-    pub fn max_backoff_shift(&self) -> u32 {
-        self.max_backoff_shift
     }
 
     /// Clear the timeout backoff without a new sample.
@@ -103,6 +94,8 @@ impl RttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rss_sim::SimTime;
+    use rss_web100::InstrumentBlock;
 
     fn est() -> RttEstimator {
         RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(60))
@@ -185,20 +178,27 @@ mod tests {
 
     #[test]
     fn max_backoff_shift_is_sticky() {
+        // The deepest shift is the recorder's, fed each timeout's shift as
+        // the sender feeds it.
         let mut e = est();
+        let mut rec = InstrumentBlock::new();
+        let fire = |e: &mut RttEstimator, rec: &mut InstrumentBlock| {
+            e.backoff();
+            rec.on_rto(SimTime::ZERO, e.backoff_shift());
+        };
         e.on_sample(ms(500));
-        e.backoff();
-        e.backoff();
-        e.backoff();
+        for _ in 0..3 {
+            fire(&mut e, &mut rec);
+        }
         assert_eq!(e.backoff_shift(), 3);
-        assert_eq!(e.max_backoff_shift(), 3);
+        assert_eq!(rec.rto_max_backoff(), 3);
         // Recovery clears the live backoff but the high-water mark stays.
         e.clear_backoff();
         assert_eq!(e.backoff_shift(), 0);
-        assert_eq!(e.max_backoff_shift(), 3);
-        e.backoff();
+        assert_eq!(rec.rto_max_backoff(), 3);
+        fire(&mut e, &mut rec);
         assert_eq!(
-            e.max_backoff_shift(),
+            rec.rto_max_backoff(),
             3,
             "shallower episode does not raise it"
         );
@@ -207,7 +207,8 @@ mod tests {
     #[test]
     fn estimator_size_is_pinned() {
         // 64 B with `srtt` an `Option` (16 B) and a sample count nothing
-        // but tests read.
+        // but tests read. The deepest backoff shift, which only the report
+        // read, went to the recorder; the 4 bytes it held are padding.
         let size = std::mem::size_of::<RttEstimator>();
         assert!(size <= 48, "RttEstimator is {size} bytes");
     }

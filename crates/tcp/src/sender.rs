@@ -1,7 +1,8 @@
 //! The send side: window accounting, retransmission timers, send-stall
-//! handling, and Web100 instrumentation. Loss recovery is [`NewReno`]'s;
-//! every call into the congestion controller goes through one function,
-//! which also records the cwnd, ssthresh and phase changes.
+//! handling, and the calls that feed its Web100 recorder, one per sender
+//! event. Loss recovery is [`NewReno`]'s; every call into the congestion
+//! controller goes through one function, which then tells the recorder
+//! what the controller heard and reports.
 //!
 //! The sender is sans-IO: the embedding world model asks it what to transmit
 //! ([`TcpSender::can_transmit`]), attempts to place the segment on the host
@@ -46,9 +47,9 @@ pub struct IfqSnapshot {
 struct SentInfo {
     sent_at: SimTime,
     retransmitted: bool,
-    /// Cumulative bytes delivered when this segment departed: the ACK that
-    /// covers it turns `delivered − this` over `now − sent_at` into a
-    /// delivery-rate sample.
+    /// `snd_una` when this segment departed (the bytes delivered so far):
+    /// the ACK that covers it turns `snd_una − this` over `now − sent_at`
+    /// into a delivery-rate sample.
     delivered_at_send: u64,
     /// True when the application had run dry at departure time — the rate
     /// sample this segment produces measures the app, not the path.
@@ -92,15 +93,11 @@ pub struct TcpSender {
     last_rtt: OptNanos<SimDuration>,
     min_rtt: OptNanos<SimDuration>,
 
-    /// Cumulative payload bytes delivered (cumulatively ACKed) so far.
-    delivered: u64,
-    /// Latest delivery-rate sample (payload bytes/second), the interval it
-    /// was measured over, and whether it was taken application-limited —
-    /// the rate-sample triple surfaced through [`CcView`]. Samples ride the
-    /// same Karn filter as RTT: retransmitted segments never produce one.
-    /// [`NO_RATE`] before the first.
+    /// Latest delivery-rate sample (payload bytes/second) and whether it
+    /// was taken application-limited — the rate sample surfaced through
+    /// [`CcView`]. Samples ride the same Karn filter as RTT: retransmitted
+    /// segments never produce one. [`NO_RATE`] before the first.
     delivery_rate: u64,
-    delivery_interval: OptNanos<SimDuration>,
     rate_app_limited: bool,
 
     /// Earliest time the pacer permits the next departure. Only consulted
@@ -112,13 +109,6 @@ pub struct TcpSender {
     pacing_armed: OptNanos<SimTime>,
 
     rto_deadline: OptNanos<SimTime>,
-    /// Start of the current run of consecutive RTOs (an "episode"), cleared
-    /// by forward progress. Feeds the recovery telemetry in run reports.
-    rto_episode_since: OptNanos<SimTime>,
-    /// Number of RTO episodes (consecutive-timeout runs counted once).
-    rto_episodes: u64,
-    /// Longest span from an episode's first timeout to the ACK that ended it.
-    rto_max_recovery: OptNanos<SimDuration>,
     /// No transmission before this time after a stall (driver-retry model).
     stall_until: OptNanos<SimTime>,
     /// Only signal the congestion layer about stalls again once snd_una
@@ -127,7 +117,6 @@ pub struct TcpSender {
     /// Only react to an ECN echo again once snd_una passes this point: the
     /// RFC 3168 CWR rule of at most one cwnd reduction per window of data.
     ecn_cwr_gate: u64,
-    lim_state: SndLimState,
 }
 
 /// `TcpSender::app_total` of an unbounded source, and `delivery_rate`
@@ -141,9 +130,13 @@ impl TcpSender {
     /// is a total of `u64::MAX` bytes).
     pub fn new(conn: ConnId, cfg: TcpConfig, cc: CcEngine, app_total: Option<u64>) -> Self {
         let mut web100 = InstrumentBlock::new();
-        web100.on_cwnd(SimTime::ZERO, cc.cwnd());
-        web100.on_ssthresh(cc.ssthresh());
-        web100.on_enter_slow_start();
+        web100.on_signal(
+            SimTime::ZERO,
+            None,
+            cc.cwnd(),
+            cc.ssthresh(),
+            cc.in_slow_start(),
+        );
         TcpSender {
             conn,
             mss: cfg.mss,
@@ -162,20 +155,14 @@ impl TcpSender {
             sent_times: VecDeque::new(),
             last_rtt: OptNanos::NONE,
             min_rtt: OptNanos::NONE,
-            delivered: 0,
             delivery_rate: NO_RATE,
-            delivery_interval: OptNanos::NONE,
             rate_app_limited: false,
             pacing_next: SimTime::ZERO,
             pacing_armed: OptNanos::NONE,
             rto_deadline: OptNanos::NONE,
-            rto_episode_since: OptNanos::NONE,
-            rto_episodes: 0,
-            rto_max_recovery: OptNanos::NONE,
             stall_until: OptNanos::NONE,
             stall_signal_gate: 0,
             ecn_cwr_gate: 0,
-            lim_state: SndLimState::Sender,
         }
     }
 
@@ -218,13 +205,14 @@ impl TcpSender {
     }
 
     /// Mutable instrument access: the driver sets the cwnd sampling stride,
-    /// and a finished flow's report takes the timelines.
+    /// and a finished flow's report closes the block and takes its
+    /// timelines.
     pub fn web100_mut(&mut self) -> &mut InstrumentBlock {
         &mut self.web100
     }
 
-    /// Bytes the sender holds on the heap beside its instrument's timelines
-    /// ([`rss_web100::Timelines::heap_bytes`]): its send-timestamp ring and
+    /// Bytes the sender holds on the heap beside its recorder
+    /// ([`rss_web100::InstrumentBlock::heap_bytes`]): its send-timestamp ring and
     /// a boxed controller's inline state.
     pub fn heap_bytes(&self) -> usize {
         let cc = match &self.cc {
@@ -237,21 +225,6 @@ impl TcpSender {
     /// True while a fast-recovery episode is in progress.
     pub fn in_recovery(&self) -> bool {
         self.recovery.in_recovery()
-    }
-
-    /// Number of RTO episodes so far: runs of consecutive retransmission
-    /// timeouts with no intervening forward progress count once, however
-    /// deep the backoff climbed (an outage spanning five RTOs is one
-    /// episode; `Web100Vars::timeouts` counts all five).
-    pub fn rto_episodes(&self) -> u64 {
-        self.rto_episodes
-    }
-
-    /// Longest time from an episode's first timeout to the ACK of new data
-    /// that ended it — the worst post-outage time-to-recover. `None` if no
-    /// episode has completed (including an episode still open at run end).
-    pub fn rto_max_recovery(&self) -> Option<SimDuration> {
-        self.rto_max_recovery.get()
     }
 
     /// True when a finite transfer is fully acknowledged.
@@ -287,15 +260,12 @@ impl TcpSender {
     fn view(&self, now: SimTime, ifq: IfqSnapshot) -> CcView {
         CcView {
             now,
-            mss: self.mss,
             flight: self.flight(),
             ifq_depth: ifq.depth,
             ifq_max: ifq.max,
             last_rtt: self.last_rtt.get(),
             min_rtt: self.min_rtt.get(),
-            delivered: self.delivered,
             delivery_rate: (self.delivery_rate != NO_RATE).then_some(self.delivery_rate),
-            delivery_interval: self.delivery_interval.get(),
             app_limited: self.rate_app_limited,
         }
     }
@@ -387,7 +357,7 @@ impl TcpSender {
         let info = SentInfo {
             sent_at: now,
             retransmitted: plan.retransmit || was_sent_before,
-            delivered_at_send: self.delivered,
+            delivered_at_send: self.snd_una,
             app_limited,
         };
         // Ring insert, ordered by end-offset. New data lands at the back;
@@ -481,12 +451,10 @@ impl TcpSender {
     #[inline]
     pub fn on_ack(&mut self, now: SimTime, ack: u64, rwnd: u64, ifq: IfqSnapshot) {
         self.peer_rwnd = rwnd;
-        self.web100.on_rwin(rwnd);
         let newly = ack.saturating_sub(self.snd_una);
-        self.web100.on_ack_in(now, newly, newly == 0);
+        self.web100.on_ack_in(now, newly, rwnd);
         if newly > 0 {
             self.snd_una = ack;
-            self.delivered += newly;
             // A late ACK can outrun a go-back-N rollback: segments sent
             // before the timeout are still in flight and may be acked after
             // snd_nxt was pulled back. Never let snd_una pass snd_nxt.
@@ -494,11 +462,6 @@ impl TcpSender {
             // Forward progress clears RTO backoff even if Karn's rule
             // forbids a sample (all-retransmitted window under heavy loss).
             self.rtt.clear_backoff();
-            if let Some(since) = self.rto_episode_since.take() {
-                let span = now.saturating_since(since);
-                let longest = self.rto_max_recovery.get().map_or(span, |m| m.max(span));
-                self.rto_max_recovery.set(longest);
-            }
             self.take_rtt_sample(now, ack);
             // Re-arm or clear the RTO.
             self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto()).into();
@@ -531,11 +494,10 @@ impl TcpSender {
         if let Some(info) = rate_anchor {
             let interval = now.saturating_since(info.sent_at);
             if interval > SimDuration::ZERO {
-                let bytes = self.delivered - info.delivered_at_send;
+                let bytes = self.snd_una - info.delivered_at_send;
                 let rate = bytes as u128 * 1_000_000_000 / interval.as_nanos() as u128;
                 // Held below `NO_RATE`: no path comes near 2^64 B/s.
                 self.delivery_rate = rate.min(u128::from(NO_RATE - 1)) as u64;
-                self.delivery_interval.set(interval);
                 self.rate_app_limited = info.app_limited;
             }
         }
@@ -545,11 +507,7 @@ impl TcpSender {
                 .set(self.min_rtt.get().map_or(rtt, |m| m.min(rtt)));
             self.rtt.on_sample(rtt);
             let srtt = self.rtt.srtt().unwrap_or(rtt);
-            self.web100.on_rtt(
-                rtt.as_nanos() / 1_000,
-                srtt.as_nanos() / 1_000,
-                self.rtt.rto().as_nanos() / 1_000,
-            );
+            self.web100.on_rtt(rtt, srtt, self.rtt.rto());
         }
     }
 
@@ -568,10 +526,7 @@ impl TcpSender {
         // re-enter slow-start (RFC 5681 §3.1).
         self.signal(now, ifq, CcSignal::Congestion(CongestionEvent::Timeout));
         self.rtt.backoff();
-        if self.rto_episode_since.is_none() {
-            self.rto_episode_since.set(now);
-            self.rto_episodes += 1;
-        }
+        self.web100.on_rto(now, self.rtt.backoff_shift());
         self.recovery = NewReno::default();
         // Roll back: everything past snd_una is presumed lost and will be
         // resent under the collapsed window (receiver dedups any survivors).
@@ -585,47 +540,42 @@ impl TcpSender {
     // --- bookkeeping ---------------------------------------------------------
 
     /// The one call into the congestion controller: hand it `sig` with a
-    /// fresh view, then record the new cwnd, ssthresh and phase.
+    /// fresh view, then tell the recorder the congestion signal it carried
+    /// and the new cwnd, ssthresh and phase.
     #[inline]
     fn signal(&mut self, now: SimTime, ifq: IfqSnapshot, sig: CcSignal) {
-        let was_ss = self.cc.in_slow_start();
         let view = self.view(now, ifq);
-        match sig {
-            CcSignal::Ack(newly) => self.cc.on_ack(&view, newly),
+        let kind = match sig {
+            CcSignal::Ack(newly) => {
+                self.cc.on_ack(&view, newly);
+                None
+            }
             CcSignal::Congestion(ev) => {
-                let kind = match ev {
+                self.cc.on_congestion(&view, ev);
+                Some(match ev {
                     CongestionEvent::FastRetransmit => CongestionKind::FastRetransmit,
                     CongestionEvent::Timeout => CongestionKind::Timeout,
                     CongestionEvent::LocalStall => CongestionKind::SendStall,
-                };
-                self.web100.on_congestion(now, kind);
-                self.cc.on_congestion(&view, ev);
+                })
             }
             CcSignal::Stall(heard) => {
-                self.web100.on_congestion(now, CongestionKind::SendStall);
                 if let Some(ev) = heard {
                     self.cc.on_congestion(&view, ev);
                 }
+                Some(CongestionKind::SendStall)
             }
             CcSignal::Recovery(ev) => {
-                if ev == RecoveryEvent::EcnEcho {
-                    self.web100.on_congestion(now, CongestionKind::EcnEcho);
-                }
                 self.cc.on_recovery(&view, ev);
+                (ev == RecoveryEvent::EcnEcho).then_some(CongestionKind::EcnEcho)
             }
-        }
-        self.web100.on_cwnd(now, self.cc.cwnd());
-        self.web100.on_ssthresh(self.cc.ssthresh());
-        if was_ss && !self.cc.in_slow_start() {
-            self.web100.on_enter_cong_avoid();
-        } else if !was_ss && sig == CcSignal::Congestion(CongestionEvent::Timeout) {
-            // A timeout re-enters slow start whatever the controller reports.
-            self.web100.on_enter_slow_start();
-        }
+        };
+        let cc = &self.cc;
+        self.web100
+            .on_signal(now, kind, cc.cwnd(), cc.ssthresh(), cc.in_slow_start());
     }
 
-    /// Recompute and record what limits the sender right now. The driver
-    /// calls this after each pump so the Web100 `SndLimTime*` accumulators
+    /// Tell the recorder what limits the sender right now. The driver calls
+    /// this after each pump so the Web100 `SndLimTime*` accumulators
     /// partition wall time.
     pub fn update_lim_state(&mut self, now: SimTime) {
         let state = if self.app_bytes_remaining() == 0 {
@@ -638,15 +588,7 @@ impl TcpSender {
             // Window open but nothing sent: app or local queue limited.
             SndLimState::Sender
         };
-        if state != self.lim_state {
-            self.lim_state = state;
-            self.web100.on_snd_lim(now, state);
-        }
-    }
-
-    /// Finalize instrumentation at the end of a run.
-    pub fn finish(&mut self, now: SimTime) {
-        self.web100.finish(now);
+        self.web100.on_snd_lim(now, state);
     }
 }
 
@@ -896,21 +838,25 @@ mod tests {
             now = s.rto_deadline().unwrap();
         }
         assert_eq!(s.web100().vars().timeouts, 3);
-        assert_eq!(s.rto_episodes(), 1);
-        assert_eq!(s.rtt().max_backoff_shift(), 3);
-        assert_eq!(s.rto_max_recovery(), None, "still inside the episode");
+        assert_eq!(s.web100().rto_episodes(), 1);
+        assert_eq!(s.web100().rto_max_backoff(), 3);
+        assert_eq!(
+            s.web100().rto_max_recovery(),
+            None,
+            "still inside the episode"
+        );
         // The link heals: an ACK of new data ends the episode. The first
         // timeout fired at t=1 s.
         let heal = now;
         s.on_ack(heal, 1000, 1_000_000, ifq());
-        let span = s.rto_max_recovery().expect("episode closed");
+        let span = s.web100().rto_max_recovery().expect("episode closed");
         assert_eq!(span, heal.saturating_since(t(1000)));
         // A later, shallower episode bumps the count but not the max shift.
         drain(&mut s, heal);
         let d = s.rto_deadline().unwrap();
         assert!(s.on_rto_check(d, ifq()));
-        assert_eq!(s.rto_episodes(), 2);
-        assert_eq!(s.rtt().max_backoff_shift(), 3);
+        assert_eq!(s.web100().rto_episodes(), 2);
+        assert_eq!(s.web100().rto_max_backoff(), 3);
     }
 
     #[test]
@@ -986,7 +932,7 @@ mod tests {
         s.update_lim_state(t(0)); // Sender (nothing sent yet)
         drain(&mut s, t(0));
         s.update_lim_state(t(10)); // now cwnd-limited
-        s.finish(t(20));
+        s.web100_mut().finish(t(20));
         let v = *s.web100().vars();
         assert!(v.snd_lim_time_cwnd_ns > 0);
     }
@@ -1135,9 +1081,8 @@ mod tests {
                              // Both acked 50 ms later: 2000 bytes over 50 ms = 40 kB/s.
         s.on_ack(t(50), 2000, 1_000_000, ifq());
         let v = s.view(t(50), ifq());
-        assert_eq!(v.delivered, 2000);
+        assert_eq!(s.snd_una(), 2000);
         assert_eq!(v.delivery_rate, Some(40_000));
-        assert_eq!(v.delivery_interval, Some(SimDuration::from_millis(50)));
         assert!(!v.app_limited);
     }
 
@@ -1152,7 +1097,7 @@ mod tests {
         s.on_ack(d + SimDuration::from_millis(60), 1000, 1_000_000, ifq());
         let v = s.view(d + SimDuration::from_millis(60), ifq());
         assert_eq!(v.delivery_rate, None, "Karn: retransmission, no sample");
-        assert_eq!(v.delivered, 1000, "delivery count still advances");
+        assert_eq!(s.snd_una(), 1000, "delivery count still advances");
     }
 
     #[test]
@@ -1211,8 +1156,10 @@ mod tests {
         // whole config: 792 B with it. 720 B with each optional time an
         // `Option` (16 B), the instrument's timelines inline (64 B) and the
         // estimator's sample count; 584 B with the application total and
-        // the delivery rate each an `Option<u64>`.
+        // the delivery rate each an `Option<u64>`; 568 B with the RTO
+        // episode record and the limit state the recorder now owns, and the
+        // delivered count and rate interval no controller read.
         let sender = size_of::<TcpSender>();
-        assert!(sender <= 568, "TcpSender is {sender} bytes");
+        assert!(sender <= 528, "TcpSender is {sender} bytes");
     }
 }

@@ -88,7 +88,6 @@ proptest! {
             now_us += 120;
             let view = CcView {
                 now: SimTime::from_micros(now_us),
-                mss: cfg.mss,
                 flight: arg.min(cc.cwnd()),
                 ifq_depth: (arg % 120) as u32,
                 ifq_max: 100,
@@ -97,11 +96,9 @@ proptest! {
                 // some trajectories and not others.
                 last_rtt: Some(SimDuration::from_micros(60_000 + (arg * 7919) % 180_000)),
                 min_rtt: Some(SimDuration::from_micros(60_000)),
-                delivered: now_us / 10,
                 // Wandering rate samples (with occasional app-limited marks)
                 // drive the rate-based arms' bandwidth filters.
                 delivery_rate: Some(1 + (arg * 104_729) % 10_000_000),
-                delivery_interval: Some(SimDuration::from_micros(60_000)),
                 app_limited: arg % 5 == 0,
             };
             match kind {
@@ -133,15 +130,12 @@ proptest! {
             now_us += 120;
             let view = CcView {
                 now: SimTime::from_micros(now_us),
-                mss: cfg.mss,
                 flight: prev,
                 ifq_depth: d.min(100),
                 ifq_max: 100,
                 last_rtt: None,
                 min_rtt: None,
-                delivered: 0,
                 delivery_rate: None,
-                delivery_interval: None,
                 app_limited: false,
             };
             cc.on_ack(&view, mss);

@@ -70,15 +70,12 @@ fn every_variant_answers_each_stall_response() {
                     let mut alone = make_cc(algo, &cfg).unwrap();
                     let view = CcView {
                         now,
-                        mss: cfg.mss,
                         flight: s.flight(),
                         ifq_depth: ifq.depth,
                         ifq_max: ifq.max,
                         last_rtt: None,
                         min_rtt: None,
-                        delivered: 0,
                         delivery_rate: None,
-                        delivery_interval: None,
                         app_limited: false,
                     };
                     alone.on_congestion(&view, CongestionEvent::LocalStall);

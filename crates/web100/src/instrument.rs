@@ -1,16 +1,17 @@
-//! The live instrument block: the hooks the TCP stack calls, the counters
-//! they update, and the timelines a flow report is built from.
+//! The live instrument block: the calls the TCP sender makes, one per
+//! sender event, the counters they update, and the timelines a flow report
+//! is built from.
 //!
 //! A connection's timelines sit in one block behind one pointer, allocated
 //! by the first thing recorded: the cwnd and acked-bytes samples as packed
-//! steps, whose buffers move into the report's [`Series`], and the
+//! steps, whose buffers move into the report's [`Series`], the
 //! congestion-signal times as nanosecond steps each marked whether it was
 //! a send-stall (see the `series` module), which the report reads as
 //! [`SimTime`]s and widens to seconds itself.
 
 use crate::series::{Packed, Samples, Series, Signals};
 use crate::vars::{CongestionKind, SndLimState, Web100Vars};
-use rss_sim::SimTime;
+use rss_sim::{OptNanos, SimDuration, SimTime};
 
 /// What a connection records over time, each list append-only in time
 /// order: when each congestion signal fired and whether it was a
@@ -24,6 +25,19 @@ struct Recorded {
     signals: Signals,
     cwnd: Packed,
     acked: Packed,
+}
+
+/// Runs of consecutive retransmission timeouts, boxed by the first: most
+/// connections never time out.
+#[derive(Debug, Clone, Default)]
+struct RtoEpisodes {
+    /// When the open episode's first timeout fired; none between episodes.
+    since: OptNanos<SimTime>,
+    count: u64,
+    /// Longest span from an episode's first timeout to the ACK that ended it.
+    max_recovery: OptNanos<SimDuration>,
+    /// Deepest backoff shift any timeout reached.
+    max_backoff: u32,
 }
 
 impl Timelines {
@@ -79,13 +93,21 @@ impl Timelines {
     }
 }
 
-/// Per-connection instrumentation, updated synchronously by the TCP stack.
+/// Per-connection instrumentation: everything the report reads of a flow's
+/// sender, fed by one call per sender event. It keeps its own copies of
+/// the gauges it reports (cwnd, ssthresh, the receive window, the
+/// controller's phase), so the sender holds only control state.
 #[derive(Debug, Clone)]
 pub struct InstrumentBlock {
     vars: Web100Vars,
     timelines: Timelines,
+    rto: Option<Box<RtoEpisodes>>,
+    /// What limits the sender since the latest change. When that change
+    /// happened is not held: the `snd_lim_time_*` accumulators partition
+    /// the time up to it, so it is their sum.
     lim_state: SndLimState,
-    lim_since_ns: u64,
+    /// The controller's slow-start flag after the latest signal.
+    slow_start: bool,
     /// Sampling stride for the cwnd series (every Nth change is recorded);
     /// 1 records everything.
     pub sample_stride: u32,
@@ -104,8 +126,9 @@ impl InstrumentBlock {
         InstrumentBlock {
             vars: Web100Vars::default(),
             timelines: Timelines::default(),
+            rto: None,
             lim_state: SndLimState::Sender,
-            lim_since_ns: 0,
+            slow_start: false,
             sample_stride: 1,
             cwnd_updates: 0,
         }
@@ -116,14 +139,36 @@ impl InstrumentBlock {
         &self.vars
     }
 
-    /// A copy of the counters (a Web100 "snapshot").
-    pub fn snapshot(&self) -> Web100Vars {
-        self.vars
-    }
-
     /// The timelines recorded so far.
     pub fn timelines(&self) -> &Timelines {
         &self.timelines
+    }
+
+    /// Number of RTO episodes: runs of consecutive retransmission timeouts
+    /// with no forward progress between them count once, however deep the
+    /// backoff climbed (an outage spanning five RTOs is one episode;
+    /// `Web100Vars::timeouts` counts all five).
+    pub fn rto_episodes(&self) -> u64 {
+        self.rto.as_ref().map_or(0, |e| e.count)
+    }
+
+    /// Deepest backoff shift a timeout reached — how far the exponential
+    /// backoff climbed during the worst outage.
+    pub fn rto_max_backoff(&self) -> u32 {
+        self.rto.as_ref().map_or(0, |e| e.max_backoff)
+    }
+
+    /// Longest time from an episode's first timeout to the ACK of new data
+    /// that ended it — the worst post-outage time-to-recover. `None` if no
+    /// episode has completed (including an episode still open at run end).
+    pub fn rto_max_recovery(&self) -> Option<SimDuration> {
+        self.rto.as_ref().and_then(|e| e.max_recovery.get())
+    }
+
+    /// Bytes held on the heap: the timelines and, once a timeout fired,
+    /// the RTO episodes.
+    pub fn heap_bytes(&self) -> usize {
+        self.timelines.heap_bytes() + self.rto.as_ref().map_or(0, |_| size_of::<RtoEpisodes>())
     }
 
     /// Move the timelines out (a finished flow's report takes them),
@@ -132,7 +177,7 @@ impl InstrumentBlock {
         std::mem::take(&mut self.timelines)
     }
 
-    // --- hooks called by the TCP stack -------------------------------------
+    // --- one call per sender event -----------------------------------------
 
     /// A data segment left the stack.
     pub fn on_data_sent(&mut self, bytes: u32, is_retransmit: bool) {
@@ -144,24 +189,71 @@ impl InstrumentBlock {
         }
     }
 
-    /// An ACK arrived acknowledging `newly_acked` fresh bytes.
-    // This hook and `on_cwnd` run on every ACK and record a sample each:
+    /// An ACK arrived advertising `rwin_bytes` and acknowledging
+    /// `newly_acked` fresh bytes; one that acknowledges none is a
+    /// duplicate. An ACK of new data ends an open RTO episode.
+    // This call and `on_signal` run on every ACK and record a sample each:
     // inlined into the sender they cost less than the calls did.
     #[inline]
-    pub fn on_ack_in(&mut self, now: SimTime, newly_acked: u64, is_dup: bool) {
+    pub fn on_ack_in(&mut self, now: SimTime, newly_acked: u64, rwin_bytes: u64) {
         self.vars.ack_pkts_in += 1;
-        if is_dup {
+        self.vars.cur_rwin_rcvd = rwin_bytes;
+        if newly_acked == 0 {
             self.vars.dup_acks_in += 1;
+            return;
         }
-        if newly_acked > 0 {
-            self.vars.thru_bytes_acked += newly_acked;
-            let acked = self.vars.thru_bytes_acked;
-            self.timelines.recorded().acked.push(now, acked);
+        self.vars.thru_bytes_acked += newly_acked;
+        let acked = self.vars.thru_bytes_acked;
+        self.timelines.recorded().acked.push(now, acked);
+        let Some(e) = self.rto.as_deref_mut() else {
+            return;
+        };
+        if let Some(since) = e.since.take() {
+            let span = now.saturating_since(since);
+            e.max_recovery
+                .set(e.max_recovery.get().map_or(span, |m| m.max(span)));
         }
     }
 
-    /// A congestion signal fired.
-    pub fn on_congestion(&mut self, now: SimTime, kind: CongestionKind) {
+    /// The sender called its controller: `kind` is the congestion signal
+    /// that call carried, if any, and `cwnd`, `ssthresh` and `slow_start`
+    /// what the controller reports after it.
+    ///
+    /// The first call, the connection's opening window, starts its first
+    /// slow-start episode. After that a call that clears the slow-start
+    /// flag enters congestion avoidance, and a timeout outside slow start
+    /// re-enters slow start whatever the controller reports. The cwnd
+    /// series samples the first call and then every `sample_stride`-th,
+    /// counting the first as the 1st, so the samples do not depend on when
+    /// the stride was set.
+    #[inline]
+    pub fn on_signal(
+        &mut self,
+        now: SimTime,
+        kind: Option<CongestionKind>,
+        cwnd: u64,
+        ssthresh: u64,
+        slow_start: bool,
+    ) {
+        if let Some(kind) = kind {
+            self.on_congestion(now, kind);
+        }
+        if self.cwnd_updates == 0 || (!self.slow_start && kind == Some(CongestionKind::Timeout)) {
+            self.vars.slow_start_episodes += 1;
+        } else if self.slow_start && !slow_start {
+            self.vars.cong_avoid_episodes += 1;
+        }
+        self.slow_start = slow_start;
+        self.vars.cur_ssthresh = ssthresh;
+        self.vars.cur_cwnd = cwnd;
+        self.vars.max_cwnd = self.vars.max_cwnd.max(cwnd);
+        self.cwnd_updates += 1;
+        if self.cwnd_updates == 1 || self.cwnd_updates.is_multiple_of(self.sample_stride.max(1)) {
+            self.timelines.recorded().cwnd.push(now, cwnd);
+        }
+    }
+
+    fn on_congestion(&mut self, now: SimTime, kind: CongestionKind) {
         self.vars.congestion_signals += 1;
         let stall = kind == CongestionKind::SendStall;
         self.timelines.recorded().signals.push(now, stall);
@@ -173,67 +265,57 @@ impl InstrumentBlock {
         }
     }
 
-    /// The congestion window changed. The first update is always sampled,
-    /// then every `sample_stride`-th, counting the first as the 1st, so the
-    /// samples do not depend on when the stride was set.
-    #[inline]
-    pub fn on_cwnd(&mut self, now: SimTime, cwnd_bytes: u64) {
-        self.vars.cur_cwnd = cwnd_bytes;
-        self.vars.max_cwnd = self.vars.max_cwnd.max(cwnd_bytes);
-        self.cwnd_updates += 1;
-        if self.cwnd_updates == 1 || self.cwnd_updates.is_multiple_of(self.sample_stride.max(1)) {
-            self.timelines.recorded().cwnd.push(now, cwnd_bytes);
+    /// A retransmission timeout fired and backed the RTO off to
+    /// `backoff_shift` doublings. The first timeout after forward progress
+    /// opens an episode; the next ACK of new data ends it.
+    pub fn on_rto(&mut self, now: SimTime, backoff_shift: u32) {
+        let rto = self.rto.get_or_insert_with(Box::default);
+        rto.max_backoff = rto.max_backoff.max(backoff_shift);
+        if rto.since.is_none() {
+            rto.since.set(now);
+            rto.count += 1;
         }
     }
 
-    /// ssthresh changed.
-    pub fn on_ssthresh(&mut self, ssthresh_bytes: u64) {
-        self.vars.cur_ssthresh = ssthresh_bytes;
-    }
-
-    /// The receiver advertised a window.
-    pub fn on_rwin(&mut self, rwin_bytes: u64) {
-        self.vars.cur_rwin_rcvd = rwin_bytes;
-    }
-
-    /// A fresh RTT sample and derived estimates.
-    pub fn on_rtt(&mut self, sample_us: u64, srtt_us: u64, rto_us: u64) {
+    /// A fresh RTT sample and the estimator's smoothed RTT and RTO after
+    /// it, recorded in whole microseconds as TCP-KIS reports them.
+    pub fn on_rtt(&mut self, sample: SimDuration, srtt: SimDuration, rto: SimDuration) {
+        let us = |d: SimDuration| d.as_nanos() / 1_000;
+        let sample_us = us(sample);
         if self.vars.min_rtt_us == 0 {
             self.vars.min_rtt_us = sample_us;
         } else {
             self.vars.min_rtt_us = self.vars.min_rtt_us.min(sample_us);
         }
         self.vars.max_rtt_us = self.vars.max_rtt_us.max(sample_us);
-        self.vars.smoothed_rtt_us = srtt_us;
-        self.vars.cur_rto_us = rto_us;
+        self.vars.smoothed_rtt_us = us(srtt);
+        self.vars.cur_rto_us = us(rto);
     }
 
-    /// The connection entered slow-start.
-    pub fn on_enter_slow_start(&mut self) {
-        self.vars.slow_start_episodes += 1;
-    }
-
-    /// The connection entered congestion avoidance.
-    pub fn on_enter_cong_avoid(&mut self) {
-        self.vars.cong_avoid_episodes += 1;
-    }
-
-    /// The sender-limitation state machine moved to `state` at `now`.
+    /// What limits the sender at `now` (the sender asks after each pump);
+    /// time since the latest change is charged to the state it ends.
+    #[inline]
     pub fn on_snd_lim(&mut self, now: SimTime, state: SndLimState) {
-        let elapsed = now.as_nanos().saturating_sub(self.lim_since_ns);
-        match self.lim_state {
-            SndLimState::Rwin => self.vars.snd_lim_time_rwin_ns += elapsed,
-            SndLimState::Cwnd => self.vars.snd_lim_time_cwnd_ns += elapsed,
-            SndLimState::Sender => self.vars.snd_lim_time_sender_ns += elapsed,
+        if state != self.lim_state {
+            self.charge_lim_time(now);
+            self.lim_state = state;
         }
-        self.lim_state = state;
-        self.lim_since_ns = now.as_nanos();
+    }
+
+    fn charge_lim_time(&mut self, now: SimTime) {
+        let v = &mut self.vars;
+        let since = v.snd_lim_time_rwin_ns + v.snd_lim_time_cwnd_ns + v.snd_lim_time_sender_ns;
+        let elapsed = now.as_nanos().saturating_sub(since);
+        match self.lim_state {
+            SndLimState::Rwin => v.snd_lim_time_rwin_ns += elapsed,
+            SndLimState::Cwnd => v.snd_lim_time_cwnd_ns += elapsed,
+            SndLimState::Sender => v.snd_lim_time_sender_ns += elapsed,
+        }
     }
 
     /// Close out time accounting at the end of a run.
     pub fn finish(&mut self, now: SimTime) {
-        let state = self.lim_state;
-        self.on_snd_lim(now, state);
+        self.charge_lim_time(now);
     }
 
     /// Mean goodput in bits/s over `[0, now]` from acked bytes.
@@ -254,6 +336,11 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    /// A signal that changes only the window (an ACK in slow start).
+    fn grow(b: &mut InstrumentBlock, now: SimTime, cwnd: u64) {
+        b.on_signal(now, None, cwnd, u64::MAX, true);
+    }
+
     #[test]
     fn data_and_retrans_counters() {
         let mut b = InstrumentBlock::new();
@@ -270,9 +357,11 @@ mod tests {
     #[test]
     fn send_stall_feeds_figure1_series() {
         let mut b = InstrumentBlock::new();
-        b.on_congestion(ms(500), CongestionKind::SendStall);
-        b.on_congestion(ms(800), CongestionKind::FastRetransmit);
-        b.on_congestion(ms(1200), CongestionKind::SendStall);
+        let signal =
+            |b: &mut InstrumentBlock, t, kind| b.on_signal(ms(t), Some(kind), 2896, 2896, false);
+        signal(&mut b, 500, CongestionKind::SendStall);
+        signal(&mut b, 800, CongestionKind::FastRetransmit);
+        signal(&mut b, 1200, CongestionKind::SendStall);
         let v = b.vars();
         assert_eq!(v.send_stall, 2);
         assert_eq!(v.congestion_signals, 3);
@@ -288,11 +377,12 @@ mod tests {
     #[test]
     fn cwnd_tracking_and_max() {
         let mut b = InstrumentBlock::new();
-        b.on_cwnd(ms(0), 2896);
-        b.on_cwnd(ms(10), 5792);
-        b.on_cwnd(ms(20), 2896);
+        grow(&mut b, ms(0), 2896);
+        grow(&mut b, ms(10), 5792);
+        b.on_signal(ms(20), None, 2896, 2896, false);
         assert_eq!(b.vars().cur_cwnd, 2896);
         assert_eq!(b.vars().max_cwnd, 5792);
+        assert_eq!(b.vars().cur_ssthresh, 2896);
         assert_eq!(
             b.timelines().cwnd_samples().collect::<Vec<_>>(),
             [(ms(0), 2896), (ms(10), 5792), (ms(20), 2896)]
@@ -311,9 +401,16 @@ mod tests {
     #[test]
     fn rtt_min_max_tracking() {
         let mut b = InstrumentBlock::new();
-        b.on_rtt(60_000, 60_000, 240_000);
-        b.on_rtt(75_000, 62_000, 250_000);
-        b.on_rtt(58_000, 61_000, 245_000);
+        let us = SimDuration::from_micros;
+        b.on_rtt(us(60_000), us(60_000), us(240_000));
+        b.on_rtt(us(75_000), us(62_000), us(250_000));
+        // Nanoseconds below a whole microsecond are cut.
+        let sub_us = SimDuration::from_nanos(999);
+        b.on_rtt(
+            us(58_000) + sub_us,
+            us(61_000) + sub_us,
+            us(245_000) + sub_us,
+        );
         let v = b.vars();
         assert_eq!(v.min_rtt_us, 58_000);
         assert_eq!(v.max_rtt_us, 75_000);
@@ -324,9 +421,12 @@ mod tests {
     #[test]
     fn snd_lim_partitions_time() {
         let mut b = InstrumentBlock::new();
-        // Starts in Sender at t=0.
+        // Starts in Sender at t=0; asking again in the same state changes
+        // nothing.
+        b.on_snd_lim(ms(5), SndLimState::Sender);
         b.on_snd_lim(ms(10), SndLimState::Cwnd);
         b.on_snd_lim(ms(40), SndLimState::Rwin);
+        b.on_snd_lim(ms(70), SndLimState::Rwin);
         b.finish(ms(100));
         let v = b.vars();
         assert_eq!(v.snd_lim_time_sender_ns, 10_000_000);
@@ -337,8 +437,8 @@ mod tests {
     #[test]
     fn goodput_from_acks() {
         let mut b = InstrumentBlock::new();
-        b.on_ack_in(ms(500), 125_000, false);
-        b.on_ack_in(ms(1000), 125_000, false);
+        b.on_ack_in(ms(500), 125_000, 65_535);
+        b.on_ack_in(ms(1000), 125_000, 65_535);
         // 250 kB in 1 s = 2 Mbit/s.
         assert!((b.goodput_bps(SimTime::from_secs(1)) - 2_000_000.0).abs() < 1.0);
         assert_eq!(
@@ -346,18 +446,20 @@ mod tests {
             [(ms(500), 125_000), (ms(1000), 250_000)]
         );
         assert_eq!(b.vars().thru_bytes_acked, 250_000);
+        assert_eq!(b.vars().cur_rwin_rcvd, 65_535);
     }
 
     #[test]
     fn dup_acks_counted_separately() {
         let mut b = InstrumentBlock::new();
-        b.on_ack_in(ms(1), 0, true);
-        b.on_ack_in(ms(2), 0, true);
-        b.on_ack_in(ms(3), 1448, false);
+        b.on_ack_in(ms(1), 0, 1 << 20);
+        b.on_ack_in(ms(2), 0, 1 << 20);
+        b.on_ack_in(ms(3), 1448, 1 << 19);
         let v = b.vars();
         assert_eq!(v.ack_pkts_in, 3);
         assert_eq!(v.dup_acks_in, 2);
         assert_eq!(v.thru_bytes_acked, 1448);
+        assert_eq!(v.cur_rwin_rcvd, 1 << 19);
     }
 
     #[test]
@@ -365,7 +467,7 @@ mod tests {
         let mut b = InstrumentBlock::new();
         b.sample_stride = 10;
         for i in 0..100 {
-            b.on_cwnd(ms(i), 1000 + i);
+            grow(&mut b, ms(i), 1000 + i);
         }
         // The first update, then the 10th, 20th, …, 100th.
         assert_eq!(b.timelines().cwnd_samples().len(), 11);
@@ -380,13 +482,13 @@ mod tests {
         // same samples, the first at t = 0 and the next the 1024th update.
         let mut before = InstrumentBlock::new();
         before.sample_stride = 1024;
-        before.on_cwnd(ms(0), 1000);
+        grow(&mut before, ms(0), 1000);
         let mut after = InstrumentBlock::new();
-        after.on_cwnd(ms(0), 1000);
+        grow(&mut after, ms(0), 1000);
         after.sample_stride = 1024;
         for i in 2..=3000 {
-            before.on_cwnd(ms(i), i);
-            after.on_cwnd(ms(i), i);
+            grow(&mut before, ms(i), i);
+            grow(&mut after, ms(i), i);
         }
         let samples: Vec<_> = before.timelines().cwnd_samples().collect();
         assert_eq!(samples, [(ms(0), 1000), (ms(1024), 1024), (ms(2048), 2048)]);
@@ -405,6 +507,9 @@ mod tests {
         // offset are two `u32`s in the 8 bytes a `usize` count took, so the
         // runs cost a connection no header bytes.
         assert_eq!(size_of::<Packed>(), 48);
+        // The controller's phase sits in the padding after the limit
+        // state, and the pointer to the RTO episodes where the time of the
+        // latest limit change was, now the accumulators' sum.
         let block = size_of::<InstrumentBlock>();
         assert!(block <= 232, "InstrumentBlock is {block} bytes");
         let mut b = InstrumentBlock::new();
@@ -413,16 +518,25 @@ mod tests {
             0,
             "nothing recorded, nothing held"
         );
-        b.on_congestion(ms(1), CongestionKind::Timeout);
+        b.on_signal(ms(1), Some(CongestionKind::Timeout), 1448, 2896, true);
         assert!(b.timelines().heap_bytes() >= size_of::<Recorded>());
     }
 
     #[test]
     fn episode_counters() {
         let mut b = InstrumentBlock::new();
-        b.on_enter_slow_start();
-        b.on_enter_cong_avoid();
-        b.on_enter_slow_start();
+        // The opening window starts the first slow-start episode.
+        b.on_signal(ms(0), None, 2000, u64::MAX, true);
+        // The controller leaves slow start: congestion avoidance.
+        b.on_signal(
+            ms(1),
+            Some(CongestionKind::FastRetransmit),
+            3000,
+            3000,
+            false,
+        );
+        // A timeout outside slow start re-enters it.
+        b.on_signal(ms(2), Some(CongestionKind::Timeout), 1000, 1500, true);
         assert_eq!(b.vars().slow_start_episodes, 2);
         assert_eq!(b.vars().cong_avoid_episodes, 1);
     }

@@ -19,6 +19,23 @@
 //! [`rss_sim::SimTime`]s for the report to widen to seconds. The host's IFQ
 //! depth is not recorded here; the world samples the one sending host the
 //! report describes.
+//!
+//! The block is every fact about a flow that only its report reads, and
+//! the sender feeds it one call per sender event:
+//!
+//! * [`InstrumentBlock::on_data_sent`] — a segment left the stack;
+//! * [`InstrumentBlock::on_ack_in`] — an ACK arrived (new bytes, the
+//!   advertised window; it also ends an open RTO episode);
+//! * [`InstrumentBlock::on_rtt`] — an RTT sample and the estimator after it;
+//! * [`InstrumentBlock::on_signal`] — the controller was called: the
+//!   congestion signal it heard, if any, and its cwnd, ssthresh and phase;
+//! * [`InstrumentBlock::on_rto`] — a retransmission timeout fired, with the
+//!   backoff shift it reached;
+//! * [`InstrumentBlock::on_snd_lim`] — what limits the sender after a pump;
+//! * [`InstrumentBlock::finish`] — the run ended.
+//!
+//! It keeps its own copies of the gauges it reports, so the sender holds
+//! only control state.
 
 #![warn(missing_docs)]
 

@@ -157,12 +157,16 @@ fn peak_heap_over_run(sc: &Scenario) -> u64 {
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures under one engine (3 294 B) and in two domains
-/// (4 212 B: each domain's fabric compiles its own 16-byte hop record per
+/// above what it measures under one engine (3 131 B) and in two domains
+/// (4 050 B: each domain's fabric compiles its own 16-byte hop record per
 /// direction of the whole topology), and the same for [`World::build`] alone
-/// (1 533 B), so a per-flow struct that grows names its phase.
+/// (1 469 B), so a per-flow struct that grows names its phase.
 ///
-/// With each optional time of a connection, a host NIC and the RTO timer
+/// With the RTO episodes, the limit state, a delivered count and a rate
+/// interval in every sender and both hosts' node ids in every connection,
+/// the same runs measured 3 147 and 4 066 B and the build 1 517 B; with
+/// each repeated per-ACK step written again as well, 3 294 and 4 212 B and
+/// the build 1 533 B (ceilings 3 620 / 4 630 / 1 690). With each optional time of a connection, a host NIC and the RTO timer
 /// table an `Option` (16 bytes where 8 hold it), a connection's timelines
 /// 64 bytes inline beside a `Vec<f64>` for its congestion times, per-link
 /// transfer counters nobody read and the RTT estimator's sample count, the
@@ -192,9 +196,9 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let sc = manyflow(SimDuration::from_millis(1500));
     let build = || World::build(&sc).expect("the dumbbell builds");
     for (phase, peak, ceiling) in [
-        ("run(), one engine", peak_heap_over(run_in(None)), 3_620),
-        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_630),
-        ("World::build", peak_heap_over(build), 1_690),
+        ("run(), one engine", peak_heap_over(run_in(None)), 3_450),
+        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_460),
+        ("World::build", peak_heap_over(build), 1_620),
     ] {
         let per_flow = peak / sc.flows.len() as u64;
         assert!(
