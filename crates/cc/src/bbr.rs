@@ -28,7 +28,7 @@
 //! state is in payload bytes and payload bytes per second.
 
 use crate::filter::{BandwidthEstimator, WindowedFilter};
-use crate::{CcView, CongestionControl, CongestionEvent, PacingDecision, RecoveryEvent};
+use crate::{CcView, CongestionEvent, PacingDecision};
 use rss_sim::SimDuration;
 use rss_sim::SimTime;
 use std::cmp::Reverse;
@@ -40,6 +40,9 @@ pub const FILTER_WINDOW: SimDuration = SimDuration::from_secs(10);
 pub const FULL_BW_ROUNDS: u32 = 3;
 /// Congestion-window gain over the estimated BDP (the in-flight backstop).
 pub const CWND_GAIN: u64 = 2;
+/// The ssthresh BBR reports: the "effectively infinite" sentinel the window
+/// variants use for the same idea.
+pub const SSTHRESH: u64 = u64::MAX / 2;
 /// Startup/drain pacing gain as a ratio: 2.885 ≈ 2/ln 2.
 pub const HIGH_GAIN: (u64, u64) = (2885, 1000);
 /// The ProbeBw pacing-gain cycle, one entry per `min_rtt`.
@@ -62,7 +65,9 @@ enum State {
     ProbeBw(usize),
 }
 
-/// BBR-style rate-probing congestion control.
+/// BBR-style rate-probing congestion control: the engine's one arm that
+/// is not a window engine. It has no loss threshold, reports
+/// [`SSTHRESH`], and ignores every recovery event.
 #[derive(Debug, Clone)]
 pub struct BbrProbe {
     mss: u64,
@@ -83,7 +88,7 @@ pub struct BbrProbe {
 
 impl BbrProbe {
     /// Create in startup with an initial window.
-    pub fn new(initial_cwnd: u64, mss: u32) -> Self {
+    pub(crate) fn new(initial_cwnd: u64, mss: u32) -> Self {
         let mss = mss as u64;
         BbrProbe {
             mss,
@@ -166,25 +171,17 @@ impl BbrProbe {
             }
         }
     }
-}
 
-impl CongestionControl for BbrProbe {
-    fn cwnd(&self) -> u64 {
+    pub(crate) fn cwnd(&self) -> u64 {
         self.cwnd
     }
 
-    /// BBR has no loss threshold; report the conventional "effectively
-    /// infinite" sentinel the window variants use for the same idea.
-    fn ssthresh(&self) -> u64 {
-        u64::MAX / 2
-    }
-
     /// Startup is the slow-start analogue (exponential rate growth).
-    fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.state == State::Startup
     }
 
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
+    pub(crate) fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
         if let Some(rtt) = view.last_rtt {
             self.min_rtt.update(view.now, Reverse(rtt));
         }
@@ -212,7 +209,7 @@ impl CongestionControl for BbrProbe {
             .max(4 * self.mss);
     }
 
-    fn on_congestion(&mut self, _view: &CcView, ev: CongestionEvent) {
+    pub(crate) fn on_congestion(&mut self, ev: CongestionEvent) {
         match ev {
             // Loss is not a model signal; fast recovery proceeds with the
             // window it has (the pacing rate already bounds the send rate).
@@ -225,9 +222,7 @@ impl CongestionControl for BbrProbe {
         }
     }
 
-    fn on_recovery(&mut self, _view: &CcView, _ev: RecoveryEvent) {}
-
-    fn pacing(&self) -> PacingDecision {
+    pub(crate) fn pacing(&self) -> PacingDecision {
         match self.bw.bandwidth() {
             // No estimate yet: let the window run the show (startup ACKs
             // will produce one within a round trip).
@@ -246,7 +241,7 @@ impl CongestionControl for BbrProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_view;
+    use crate::{test_view, CcEngine, CongestionControl, RecoveryEvent};
 
     const MSS: u32 = 1000;
 
@@ -372,9 +367,11 @@ mod tests {
         run_round(&mut cc, &mut t, 2_000_000, 50);
         let before = cc.cwnd();
         let v = view(t, None, 50, before);
+        let mut cc = CcEngine::Bbr(Box::new(cc));
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         cc.on_recovery(&v, RecoveryEvent::Exit { newly_acked: 0 });
         assert_eq!(cc.cwnd(), before, "loss does not touch the model");
+        assert_eq!(cc.ssthresh(), SSTHRESH);
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.cwnd(), MSS as u64, "RTO conserves packets");
     }

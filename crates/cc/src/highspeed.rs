@@ -14,7 +14,6 @@
 //! arithmetic afterwards is integer, so runs stay byte-deterministic.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use std::sync::OnceLock;
 
 /// RFC 3649 §5: the window below which the scheme is standard TCP.
@@ -93,110 +92,43 @@ fn response_table() -> &'static [HsRow] {
     })
 }
 
-/// RFC 3649 window management: standard slow-start and NewReno recovery
-/// mechanics, with the congestion-avoidance increase and the loss decrease
-/// looked up from the HSTCP response table.
-#[derive(Debug, Clone)]
-pub struct HighSpeedTcp {
-    base: Reno,
-    mss: u64,
-    /// Byte accumulator for table-scaled congestion-avoidance growth.
-    ca_accum: u64,
+/// Table row for the current window.
+fn row(r: &Reno) -> HsRow {
+    let w = (r.cwnd / r.mss).min(u32::MAX as u64) as u32;
+    let table = response_table();
+    let idx = table.partition_point(|row| row.min_cwnd_segments <= w);
+    table[idx - 1]
 }
 
-impl HighSpeedTcp {
-    /// Create a HighSpeed controller (the RFC's constants; no parameters).
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
-        HighSpeedTcp {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
-            mss: mss as u64,
-            ca_accum: 0,
-        }
-    }
-
-    /// Table row for the current window.
-    fn row(&self) -> HsRow {
-        let w = (self.base.cwnd() / self.mss).min(u32::MAX as u64) as u32;
-        let table = response_table();
-        let idx = table.partition_point(|r| r.min_cwnd_segments <= w);
-        table[idx - 1]
-    }
-
-    /// `ssthresh = max((1 − b(w)) · flight, 2 MSS)` — the RFC's decrease,
-    /// applied to the flight size like the Reno baseline halves it.
-    fn reduce(&mut self, view: &CcView) {
-        let b_q8 = self.row().b_q8 as u64;
-        let kept = view.flight.saturating_mul(256 - b_q8) / 256;
-        self.base.force_ssthresh(kept.max(2 * self.mss));
+/// Congestion-avoidance growth for one ACK: byte-counting a(w)·MSS²/cwnd,
+/// accumulating a(w) bytes per acked byte and adding one MSS per
+/// accumulated window.
+pub(crate) fn grow(r: &mut Reno, accum: &mut u64, newly_acked: u64) {
+    *accum += newly_acked.min(2 * r.mss) * row(r).ai as u64;
+    if *accum >= r.cwnd {
+        let steps = *accum / r.cwnd;
+        *accum -= steps * r.cwnd;
+        r.cwnd += steps * r.mss;
     }
 }
 
-impl CongestionControl for HighSpeedTcp {
-    fn cwnd(&self) -> u64 {
-        self.base.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.base.ssthresh()
-    }
-
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-        if self.in_slow_start() {
-            self.base.on_ack(view, newly_acked);
-            return;
-        }
-        // Byte-counting a(w)·MSS²/cwnd per ACK: accumulate a(w) bytes per
-        // acked byte, add one MSS per accumulated window.
-        let ai = self.row().ai as u64;
-        self.ca_accum += newly_acked.min(2 * self.mss) * ai;
-        let cwnd = self.base.cwnd();
-        if self.ca_accum >= cwnd {
-            let steps = self.ca_accum / cwnd;
-            self.ca_accum -= steps * cwnd;
-            self.base.force_cwnd(cwnd + steps * self.mss);
-        }
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        match ev {
-            CongestionEvent::FastRetransmit => {
-                self.reduce(view);
-                self.base.force_cwnd(self.base.ssthresh() + 3 * self.mss);
-            }
-            CongestionEvent::Timeout => {
-                self.reduce(view);
-                self.base.force_cwnd(self.mss);
-                self.ca_accum = 0;
-            }
-            CongestionEvent::LocalStall => {
-                self.reduce(view);
-                self.base.force_cwnd(self.base.ssthresh());
-                self.ca_accum = 0;
-            }
-        }
-    }
-
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
-        self.base.on_recovery(view, ev);
-        if matches!(ev, RecoveryEvent::Exit { .. }) {
-            self.ca_accum = 0;
-        }
-    }
+/// The bytes of `flight` a loss keeps, `(1 − b(w)) · flight`: the RFC's
+/// decrease, applied to the flight size like the Reno baseline halves it.
+pub(crate) fn kept(r: &Reno, flight: u64) -> u64 {
+    flight.saturating_mul(256 - row(r).b_q8 as u64) / 256
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_view;
+    use crate::CongestionEvent;
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
 
     const MSS: u32 = 1000;
 
-    fn hs(cwnd_segments: u64, ssthresh_segments: u64) -> HighSpeedTcp {
-        HighSpeedTcp::new(
-            cwnd_segments * MSS as u64,
-            ssthresh_segments * MSS as u64,
-            MSS,
-        )
+    fn hs(cwnd_segments: u64, ssthresh_segments: u64) -> CcEngine {
+        let (cwnd, ssthresh) = (cwnd_segments * MSS as u64, ssthresh_segments * MSS as u64);
+        test_engine(CcAlgorithm::HighSpeed, cwnd, ssthresh, MSS)
     }
 
     #[test]
@@ -240,9 +172,9 @@ mod tests {
     fn large_windows_grow_superlinearly_and_back_off_gently() {
         let mut cc = hs(1000, 5);
         assert!(!cc.in_slow_start());
-        let ai = cc.row().ai;
+        let ai = row(&cc.window().reno).ai;
         assert!(ai > 5, "a(1000) should be well above standard, got {ai}");
-        let b = cc.row().b_q8 as f64 / 256.0;
+        let b = row(&cc.window().reno).b_q8 as f64 / 256.0;
         assert!(b < 0.4 && b > 0.1, "b(1000) should be relaxed, got {b}");
         // One window of per-segment ACKs grows ≈ ai segments.
         let before = cc.cwnd();

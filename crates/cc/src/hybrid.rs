@@ -22,7 +22,7 @@
 //! like the reference implementations.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
+use crate::CcView;
 use rss_sim::{SimDuration, SimTime};
 
 /// Window (in segments) below which HyStart never fires.
@@ -40,11 +40,10 @@ pub const THRESHOLD_DIVIDEND: u64 = 8;
 /// Largest inter-ACK gap that still extends the ACK train.
 pub const ACK_SPACING: SimDuration = SimDuration::from_millis(2);
 
-/// HyStart state layered over Reno slow-start.
-#[derive(Debug, Clone)]
-pub struct HybridStart {
-    base: Reno,
-    mss: u64,
+/// HyStart's state beside standard slow-start growth. A timeout re-arms
+/// the heuristics by resetting it to the default.
+#[derive(Debug, Default)]
+pub(crate) struct HyStart {
     /// ACKed bytes left in the current round (a round = one flight).
     round_remaining: u64,
     /// Minimum RTT of the *previous* round — the delay baseline.
@@ -62,31 +61,7 @@ pub struct HybridStart {
     exited: bool,
 }
 
-impl HybridStart {
-    /// Create with an initial window and threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
-        HybridStart {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
-            mss: mss as u64,
-            round_remaining: 0,
-            last_round_min: None,
-            cur_round_min: None,
-            sample_count: 0,
-            train_start: None,
-            last_ack_at: None,
-            exited: false,
-        }
-    }
-
-    fn reset_rounds(&mut self) {
-        self.round_remaining = 0;
-        self.last_round_min = None;
-        self.cur_round_min = None;
-        self.sample_count = 0;
-        self.train_start = None;
-        self.last_ack_at = None;
-    }
-
+impl HyStart {
     /// `clamp(prev / 8, 4 ms, 16 ms)` — the delay-increase trigger level
     /// above the previous round's minimum.
     fn delay_threshold(prev: SimDuration) -> SimDuration {
@@ -96,18 +71,27 @@ impl HybridStart {
     }
 
     /// Convert slow-start into congestion avoidance at the current window.
-    fn exit_slow_start(&mut self) {
-        self.base.force_ssthresh(self.base.cwnd());
+    fn exit_slow_start(&mut self, r: &mut Reno) {
+        r.ssthresh = r.cwnd;
         self.exited = true;
     }
 
-    /// Both heuristics, evaluated on one in-slow-start ACK.
-    fn observe(&mut self, view: &CcView) {
+    /// Both heuristics, evaluated on one ACK while in slow-start and not
+    /// yet exited. The engine's growth follows: standard slow-start, or
+    /// congestion avoidance if this ACK ended the phase.
+    pub(crate) fn on_ack(&mut self, r: &mut Reno, view: &CcView, newly_acked: u64) {
+        if r.cwnd < r.ssthresh && !self.exited {
+            self.observe(r, view);
+            self.round_remaining = self.round_remaining.saturating_sub(newly_acked);
+        }
+    }
+
+    fn observe(&mut self, r: &mut Reno, view: &CcView) {
         let now = view.now;
         if self.round_remaining == 0 {
             // A new round opens: rotate the delay baseline, restart the
             // sample counter and the ACK train.
-            self.round_remaining = self.base.cwnd();
+            self.round_remaining = r.cwnd;
             if self.cur_round_min.is_some() {
                 self.last_round_min = self.cur_round_min;
             }
@@ -117,7 +101,7 @@ impl HybridStart {
             self.last_ack_at = None;
         }
 
-        let armed = self.base.cwnd() >= LOW_SSTHRESH * self.mss;
+        let armed = r.cwnd >= LOW_SSTHRESH * r.mss;
 
         // Delay increase: fold the sample into the round minimum; judge once
         // the round has enough samples and a previous round to compare with.
@@ -129,7 +113,7 @@ impl HybridStart {
             if armed && self.sample_count >= N_SAMPLING {
                 if let (Some(cur), Some(prev)) = (self.cur_round_min, self.last_round_min) {
                     if cur >= prev + Self::delay_threshold(prev) {
-                        self.exit_slow_start();
+                        self.exit_slow_start(r);
                         return;
                     }
                 }
@@ -143,7 +127,7 @@ impl HybridStart {
             if now.saturating_since(last) <= ACK_SPACING {
                 if let (Some(start), Some(min_rtt)) = (self.train_start, view.min_rtt) {
                     if armed && now.saturating_since(start) >= min_rtt / 2 {
-                        self.exit_slow_start();
+                        self.exit_slow_start(r);
                         self.last_ack_at = Some(now);
                         return;
                     }
@@ -156,46 +140,17 @@ impl HybridStart {
     }
 }
 
-impl CongestionControl for HybridStart {
-    fn cwnd(&self) -> u64 {
-        self.base.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.base.ssthresh()
-    }
-
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-        if self.base.in_slow_start() && !self.exited {
-            self.observe(view);
-            self.round_remaining = self.round_remaining.saturating_sub(newly_acked);
-        }
-        self.base.on_ack(view, newly_acked);
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        self.base.on_congestion(view, ev);
-        if ev == CongestionEvent::Timeout {
-            // Back in slow-start: re-arm the heuristics with fresh state.
-            self.reset_rounds();
-            self.exited = false;
-        }
-    }
-
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
-        self.base.on_recovery(view, ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_view;
+    use crate::CongestionEvent;
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
 
     const MSS: u32 = 1000;
 
-    fn hystart(cwnd_segments: u64) -> HybridStart {
-        HybridStart::new(cwnd_segments * MSS as u64, u64::MAX / 2, MSS)
+    fn hystart(cwnd_segments: u64) -> CcEngine {
+        let cwnd = cwnd_segments * MSS as u64;
+        test_engine(CcAlgorithm::Hybrid, cwnd, u64::MAX / 2, MSS)
     }
 
     fn view(now_ms: u64, rtt_ms: u64, min_rtt_ms: u64) -> crate::CcView {
@@ -272,7 +227,12 @@ mod tests {
             cc.on_ack(&view(400 + i * 20, 120, 100), MSS as u64);
         }
         assert!(!cc.in_slow_start());
-        let v = view(1000, 120, 100);
+        // A flight of 200 segments leaves ssthresh at 100: far above where
+        // the heuristics fire.
+        let v = crate::CcView {
+            flight: 200 * MSS as u64,
+            ..view(1000, 120, 100)
+        };
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert!(cc.in_slow_start(), "timeout re-enters slow-start");
         // The heuristics run again: a fresh baseline then a fresh jump.
@@ -285,10 +245,13 @@ mod tests {
             cc.on_ack(&view(t, 100, 100), MSS as u64);
             t += 20;
         }
-        for _ in 0..16 {
+        assert!(cc.in_slow_start(), "a flat RTT does not exit");
+        // The rest of the 32-segment round, then the next round's samples.
+        for _ in 0..32 {
             cc.on_ack(&view(t, 130, 100), MSS as u64);
             t += 20;
         }
+        assert!(cc.ssthresh() < 100 * MSS as u64, "HyStart, not ssthresh");
         assert!(!cc.in_slow_start(), "re-armed heuristics fire again");
     }
 }

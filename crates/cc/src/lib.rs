@@ -1,68 +1,56 @@
-//! # rss-cc — pluggable congestion control with a variant registry
+//! # rss-cc — congestion control: one window engine and a variant registry
 //!
 //! The congestion-control layer of the *Restricted Slow-Start for TCP*
 //! reproduction. The transport (`rss-tcp`) owns loss detection and
 //! retransmission; this crate owns the window. Keeping the layer in its own
 //! crate keeps the dependency DAG honest — `rss-cc` sits directly on
 //! `rss-sim` (time) and `rss-control` (the PID machinery Restricted
-//! Slow-Start needs), so `rss-tcp` no longer drags the control library in —
-//! and makes every future slow-start variant a one-crate-local change.
+//! Slow-Start needs), so `rss-tcp` does not drag the control library in.
 //!
-//! The nine implementations are the paper's comparison set plus extension
-//! variants:
-//!
-//! * [`Reno`] — standard slow-start + AIMD congestion avoidance, the
-//!   Linux 2.4.19 baseline the paper measures against;
-//! * [`RestrictedSlowStart`] — the paper's contribution: slow-start growth
-//!   paced by a PID controller on IFQ occupancy;
-//! * [`LimitedSlowStart`] — RFC 3742, the era's other slow-start moderation
-//!   proposal, as an extension baseline;
-//! * [`SsthreshlessStart`] — delay-probed slow-start that dispenses with
-//!   ssthresh estimation entirely (arXiv:1401.7146), the first variant added
-//!   through the registry;
-//! * [`HighSpeedTcp`] — RFC 3649's table-driven a(w)/b(w) response bend for
-//!   large windows (the LFN survey's AIMD representative);
-//! * [`ScalableTcp`] — Kelly's MIMD scheme: fixed-fraction growth, fixed
-//!   1/8 backoff (the survey's MIMD representative);
-//! * [`BbrProbe`] — a BBR-style rate-based probe: windowed max-bandwidth /
-//!   min-RTT filters drive a paced sending rate through startup, drain and
-//!   probe-bandwidth gain cycling (the first variant to use the
-//!   [`PacingDecision`] surface);
-//! * [`RelentlessCc`] — Relentless congestion control (arXiv:1102.3270):
-//!   the window decreases by exactly the segments lost, giving the
-//!   closed-form steady state `W = 1/p`;
-//! * [`HybridStart`] — HyStart (Ha & Rhee): ACK-train and delay-increase
-//!   heuristics end slow-start before the first loss.
+//! The paper changes only the slow-start phase, and most of its comparison
+//! set does the same, or changes only congestion avoidance. So every
+//! variant but one is the same engine: Reno's window state
+//! ([`reno`](mod@reno)) with a *slow-start policy* (standard RFC 5681;
+//! [`limited`] RFC 3742; [`hybrid`] HyStart; [`restricted`], the paper's
+//! PID-paced growth; [`ssthreshless`], a delay probe) and an *avoidance
+//! policy* (Reno's AIMD; [`highspeed`] RFC 3649; [`scalable`] Kelly's MIMD;
+//! [`relentless`], decrease by the segments lost). The slow-start policy
+//! owns growth below ssthresh and the exit from that phase; the avoidance
+//! policy owns growth above it, the cut on each [`CongestionEvent`] and
+//! the [`RecoveryEvent`] responses. [`bbr`], a rate-based probe, is the
+//! engine's other arm. [`CcEngine::new`] maps each [`CcAlgorithm`] to one
+//! (slow-start, avoidance) pair or to BBR; the nine rows of the
+//! [`registry`] are the paper's comparison set plus extensions.
 //!
 //! ## Adding a congestion-control variant
 //!
-//! A new scheme is four small, mostly-local steps:
+//! A new scheme is a policy arm and a registry row:
 //!
-//! 1. **Trait impl** — add `src/<variant>.rs` implementing
-//!    [`CongestionControl`] (wrap [`Reno`] for the loss-response paths the
-//!    scheme does not change, as `restricted.rs` and `ssthreshless.rs` do),
-//!    plus a `Copy + Serialize + Deserialize` config struct if it has
-//!    parameters. The constructor takes the [`CcParams`] window inputs and
-//!    nothing about send-stalls: answer [`CongestionEvent::LocalStall`]
-//!    with the scheme's CWR reduction and [`CongestionEvent::Timeout`] with
-//!    its restart; the sender's `stall_response` setting (in `rss-tcp`)
-//!    picks which of the two a stall becomes, or keeps it from the
-//!    controller. Give it phase-transition unit tests in the same file;
-//!    `rss-tcp`'s stall conformance test walks every registry row through
-//!    all three responses.
-//! 2. **`CcAlgorithm` arm** — add the arm carrying the config. The compiler
-//!    then refuses to build until three exhaustive `match`es handle it:
-//!    [`CcAlgorithm::info`] (point it at a new [`VariantInfo`] row in
+//! 1. **Policy arm** — add an arm to `SlowStart` or `Avoidance` in
+//!    `reno.rs` and put its rules in `src/<variant>.rs`: functions over the
+//!    window state, plus a `Copy + Serialize + Deserialize` config struct if
+//!    it has parameters. State of a few words rides inline in the arm;
+//!    anything larger is one concrete `Box` (the engine stays within 64
+//!    bytes). The compiler then asks the exhaustive per-ACK `match` in
+//!    `reno.rs` for the arm's growth; its reactions to congestion and
+//!    recovery events go beside the other arms' there. Nothing about
+//!    send-stalls: a [`CongestionEvent::LocalStall`] is the
+//!    scheme's CWR reduction and a [`CongestionEvent::Timeout`] its restart;
+//!    the sender's `stall_response` setting (in `rss-tcp`) picks which of
+//!    the two a stall becomes, or keeps it from the engine. Give it
+//!    phase-transition unit tests in the same file; `rss-tcp`'s stall
+//!    conformance test walks every registry row through all three
+//!    responses.
+//! 2. **Registry row** — add the [`CcAlgorithm`] arm carrying the config.
+//!    The compiler refuses to build until three exhaustive `match`es handle
+//!    it: [`CcAlgorithm::info`] (point it at a new [`VariantInfo`] row in
 //!    `registry.rs`'s table, which labels, `rss list --variants` and the
-//!    gallery read), [`registry::validate`] (every parameter rule the
-//!    constructor would otherwise assert on) and [`CcEngine::new`] (the
-//!    constructor call). Nothing else dispatches on the arm.
-//! 3. **`CcDef` arm** — mirror the config in `rss_core::spec::CcDef` so
-//!    scenario files can name the variant; its `to_algorithm` resolves the
-//!    spec into the [`CcAlgorithm`] arm and validates it once per definition.
-//! 4. **Scenario** — add a `scenarios/<variant>_*.json` file exercising the
-//!    regime the scheme targets and a byte-golden under `scenarios/golden/`
-//!    so CI gates its behavior from day one.
+//!    gallery read), [`registry::validate`] (every parameter rule) and
+//!    [`CcEngine::new`] (its slow-start × avoidance pair). Then mirror the
+//!    config in `rss_core::spec::CcDef` so scenario files can name the
+//!    variant, and add a `scenarios/<variant>_*.json` file exercising the
+//!    regime the scheme targets with a byte-golden under
+//!    `scenarios/golden/`, so CI gates its behaviour from day one.
 
 #![warn(missing_docs)]
 
@@ -80,15 +68,13 @@ pub mod ssthreshless;
 
 pub use bbr::BbrProbe;
 pub use filter::{BandwidthEstimator, WindowedFilter};
-pub use highspeed::HighSpeedTcp;
-pub use hybrid::HybridStart;
-pub use limited::LimitedSlowStart;
 pub use registry::{CcError, ParamInfo, VariantInfo};
-pub use relentless::RelentlessCc;
-pub use reno::Reno;
-pub use restricted::{RestrictedSlowStart, RssConfig};
-pub use scalable::{ScalableConfig, ScalableTcp};
-pub use ssthreshless::{SslConfig, SsthreshlessStart};
+pub use reno::Window;
+pub use restricted::RssConfig;
+pub use scalable::ScalableConfig;
+pub use ssthreshless::SslConfig;
+
+use reno::{Avoidance, SlowStart};
 
 use rss_sim::{SimDuration, SimTime};
 
@@ -193,7 +179,7 @@ pub enum PacingDecision {
     },
 }
 
-/// The window-management interface.
+/// The window-management interface, which [`CcEngine`] implements.
 ///
 /// All quantities are in bytes. The sender calls exactly one of the `on_*`
 /// hooks per event; it does not call [`CongestionControl::on_ack`] while in
@@ -205,12 +191,9 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     /// Current slow-start threshold, bytes.
     fn ssthresh(&self) -> u64;
 
-    /// True while `cwnd < ssthresh` (the slow-start phase). Variants with a
-    /// different notion of the exponential phase (e.g. ssthresh-free
-    /// probing) override this.
-    fn in_slow_start(&self) -> bool {
-        self.cwnd() < self.ssthresh()
-    }
+    /// True in the slow-start phase: while `cwnd < ssthresh`, except for
+    /// the delay probe (slow-start while it probes) and BBR (in startup).
+    fn in_slow_start(&self) -> bool;
 
     /// A cumulative ACK advanced `snd_una` by `newly_acked` bytes.
     fn on_ack(&mut self, view: &CcView, newly_acked: u64);
@@ -228,13 +211,9 @@ pub trait CongestionControl: std::fmt::Debug + Send {
 
     /// The departure schedule this controller currently wants (queried by the
     /// sender on every transmit opportunity, outside any ACK context — hence
-    /// no [`CcView`] argument).
-    ///
-    /// The default is [`PacingDecision::Unpaced`], so every window-only
-    /// variant is byte-for-byte unaffected by the pacing machinery.
-    fn pacing(&self) -> PacingDecision {
-        PacingDecision::Unpaced
-    }
+    /// no [`CcView`] argument). Every window variant is
+    /// [`PacingDecision::Unpaced`].
+    fn pacing(&self) -> PacingDecision;
 }
 
 /// Which congestion-control algorithm a flow runs.
@@ -306,64 +285,71 @@ pub struct CcParams {
     pub mss: u32,
 }
 
-/// Dispatch shell the sender holds its congestion controller in.
+/// The congestion controller a sender holds: the window engine every
+/// variant but BBR runs, or BBR.
 ///
 /// The per-ACK hooks are the hottest calls in the simulator after the event
-/// queue itself, and routing every one through a `Box<dyn>` vtable costs a
-/// measurable slice of the run (~6% when the cc layer was split out). The
-/// baseline Reno controller — what the bulk of every comparison matrix runs —
-/// therefore gets a monomorphized fast path: `CcEngine::Reno` stores the
-/// concrete type inline, and the `#[inline]` match arms below let the
-/// optimizer devirtualize and inline the whole per-ACK sequence. Every other
-/// variant is boxed behind the trait object.
+/// queue itself, so nothing here is a trait object: the `#[inline]` match
+/// arms below let the optimizer inline the whole per-ACK sequence of the
+/// standard slow-start and Reno avoidance policies, and the other policies'
+/// rules are direct calls.
 #[derive(Debug)]
 pub enum CcEngine {
-    /// Inline standard TCP (RFC 5681 Reno) — the monomorphized fast path.
-    Reno(Reno),
-    /// Any other variant, behind the usual trait object.
-    Dyn(Box<dyn CongestionControl>),
+    /// Reno's window state with a slow-start and an avoidance policy.
+    Window(Window),
+    /// The rate-based probe.
+    Bbr(Box<BbrProbe>),
 }
 
 impl CcEngine {
     /// Validate `algo` against the connection inputs ([`registry::validate`])
-    /// and construct its controller: standard Reno on the inline fast path,
-    /// every other variant boxed. Returns the [`CcError`] validation raised;
-    /// the declarative pipeline path-qualifies it per flow, hand-built
-    /// callers surface it on their own error channel.
+    /// and build its engine: the variant's (slow-start, avoidance) pair, or
+    /// BBR. Returns the [`CcError`] validation raised; the declarative
+    /// pipeline path-qualifies it per flow, hand-built callers surface it on
+    /// their own error channel.
     pub fn new(algo: &CcAlgorithm, p: &CcParams) -> Result<CcEngine, CcError> {
         registry::validate(algo, p)?;
-        let (cwnd, ssthresh, mss) = (p.initial_cwnd, p.initial_ssthresh, p.mss);
-        let cc: Box<dyn CongestionControl> = match *algo {
-            CcAlgorithm::Reno => return Ok(CcEngine::Reno(Reno::new(cwnd, ssthresh, mss))),
-            CcAlgorithm::Restricted(cfg) => {
-                Box::new(RestrictedSlowStart::new(cwnd, ssthresh, mss, cfg))
+        let (start, avoid) = match *algo {
+            CcAlgorithm::Reno => (SlowStart::Standard, Avoidance::Reno),
+            CcAlgorithm::Restricted(cfg) => (
+                SlowStart::Restricted(Box::new(restricted::PidStart::new(cfg))),
+                Avoidance::Reno,
+            ),
+            CcAlgorithm::Limited { max_ssthresh } => (
+                SlowStart::Limited {
+                    max_ssthresh: max_ssthresh.unwrap_or(100 * p.mss as u64),
+                },
+                Avoidance::Reno,
+            ),
+            CcAlgorithm::Ssthreshless(cfg) => (
+                SlowStart::Ssthreshless(Box::new(ssthreshless::DelayProbe::new(cfg))),
+                Avoidance::Reno,
+            ),
+            CcAlgorithm::HighSpeed => (SlowStart::Standard, Avoidance::HighSpeed { accum: 0 }),
+            CcAlgorithm::Scalable(cfg) => (
+                SlowStart::Standard,
+                Avoidance::Scalable {
+                    ai_cnt: cfg.ai_cnt,
+                    accum: 0,
+                },
+            ),
+            CcAlgorithm::Bbr => {
+                let bbr = BbrProbe::new(p.initial_cwnd, p.mss);
+                return Ok(CcEngine::Bbr(Box::new(bbr)));
             }
-            CcAlgorithm::Limited { max_ssthresh } => Box::new(LimitedSlowStart::with_max_ssthresh(
-                cwnd,
-                ssthresh,
-                mss,
-                max_ssthresh.unwrap_or(100 * mss as u64),
-            )),
-            CcAlgorithm::Ssthreshless(cfg) => Box::new(SsthreshlessStart::new(cwnd, mss, cfg)),
-            CcAlgorithm::HighSpeed => Box::new(HighSpeedTcp::new(cwnd, ssthresh, mss)),
-            CcAlgorithm::Scalable(cfg) => Box::new(ScalableTcp::new(cwnd, ssthresh, mss, cfg)),
-            CcAlgorithm::Bbr => Box::new(BbrProbe::new(cwnd, mss)),
-            CcAlgorithm::Relentless => Box::new(RelentlessCc::new(cwnd, ssthresh, mss)),
-            CcAlgorithm::Hybrid => Box::new(HybridStart::new(cwnd, ssthresh, mss)),
+            CcAlgorithm::Relentless => (SlowStart::Standard, Avoidance::Relentless(Box::default())),
+            CcAlgorithm::Hybrid => (SlowStart::Hybrid(Box::default()), Avoidance::Reno),
         };
-        Ok(CcEngine::Dyn(cc))
+        Ok(CcEngine::Window(Window::new(p, start, avoid)))
     }
-}
 
-impl From<Reno> for CcEngine {
-    fn from(r: Reno) -> Self {
-        CcEngine::Reno(r)
-    }
-}
-
-impl From<Box<dyn CongestionControl>> for CcEngine {
-    fn from(b: Box<dyn CongestionControl>) -> Self {
-        CcEngine::Dyn(b)
+    /// Bytes of controller state held on the heap: the boxed policy state
+    /// or BBR.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            CcEngine::Window(w) => w.heap_bytes(),
+            CcEngine::Bbr(_) => size_of::<BbrProbe>(),
+        }
     }
 }
 
@@ -371,50 +357,50 @@ impl CongestionControl for CcEngine {
     #[inline]
     fn cwnd(&self) -> u64 {
         match self {
-            CcEngine::Reno(r) => r.cwnd(),
-            CcEngine::Dyn(b) => b.cwnd(),
+            CcEngine::Window(w) => w.reno.cwnd,
+            CcEngine::Bbr(b) => b.cwnd(),
         }
     }
     #[inline]
     fn ssthresh(&self) -> u64 {
         match self {
-            CcEngine::Reno(r) => r.ssthresh(),
-            CcEngine::Dyn(b) => b.ssthresh(),
+            CcEngine::Window(w) => w.reno.ssthresh,
+            CcEngine::Bbr(_) => bbr::SSTHRESH,
         }
     }
     #[inline]
     fn in_slow_start(&self) -> bool {
         match self {
-            CcEngine::Reno(r) => r.in_slow_start(),
-            CcEngine::Dyn(b) => b.in_slow_start(),
+            CcEngine::Window(w) => w.in_slow_start(),
+            CcEngine::Bbr(b) => b.in_slow_start(),
         }
     }
     #[inline]
     fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
         match self {
-            CcEngine::Reno(r) => r.on_ack(view, newly_acked),
-            CcEngine::Dyn(b) => b.on_ack(view, newly_acked),
+            CcEngine::Window(w) => w.on_ack(view, newly_acked),
+            CcEngine::Bbr(b) => b.on_ack(view, newly_acked),
         }
     }
     #[inline]
     fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
         match self {
-            CcEngine::Reno(r) => r.on_congestion(view, ev),
-            CcEngine::Dyn(b) => b.on_congestion(view, ev),
+            CcEngine::Window(w) => w.on_congestion(view, ev),
+            CcEngine::Bbr(b) => b.on_congestion(ev),
         }
     }
     #[inline]
     fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
         match self {
-            CcEngine::Reno(r) => r.on_recovery(view, ev),
-            CcEngine::Dyn(b) => b.on_recovery(view, ev),
+            CcEngine::Window(w) => w.on_recovery(view, ev),
+            CcEngine::Bbr(_) => {}
         }
     }
     #[inline]
     fn pacing(&self) -> PacingDecision {
         match self {
-            CcEngine::Reno(r) => r.pacing(),
-            CcEngine::Dyn(b) => b.pacing(),
+            CcEngine::Window(_) => PacingDecision::Unpaced,
+            CcEngine::Bbr(b) => b.pacing(),
         }
     }
 }
@@ -430,6 +416,28 @@ pub(crate) fn test_view(now_ms: u64, flight: u64) -> CcView {
         min_rtt: None,
         delivery_rate: None,
         app_limited: false,
+    }
+}
+
+/// An engine for `algo` with explicit window inputs.
+#[cfg(test)]
+pub(crate) fn test_engine(algo: CcAlgorithm, cwnd: u64, ssthresh: u64, mss: u32) -> CcEngine {
+    let p = CcParams {
+        initial_cwnd: cwnd,
+        initial_ssthresh: ssthresh,
+        mss,
+    };
+    CcEngine::new(&algo, &p).expect("valid test parameters")
+}
+
+#[cfg(test)]
+impl CcEngine {
+    /// The window engine, for tests that look at policy state.
+    pub(crate) fn window(&self) -> &Window {
+        match self {
+            CcEngine::Window(w) => w,
+            CcEngine::Bbr(_) => panic!("BBR runs no window engine"),
+        }
     }
 }
 
@@ -450,24 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn factory_builds_each_algorithm() {
-        // Reno rides the inline fast path, every other variant the box.
-        assert!(matches!(built(CcAlgorithm::Reno), CcEngine::Reno(_)));
-        for algo in [
-            CcAlgorithm::Restricted(RssConfig::tuned()),
-            CcAlgorithm::Limited { max_ssthresh: None },
-            CcAlgorithm::Ssthreshless(SslConfig::default()),
-            CcAlgorithm::HighSpeed,
-            CcAlgorithm::Scalable(ScalableConfig::default()),
-            CcAlgorithm::Bbr,
-            CcAlgorithm::Relentless,
-            CcAlgorithm::Hybrid,
-        ] {
-            assert!(matches!(built(algo), CcEngine::Dyn(_)), "{algo:?}");
-        }
-    }
-
-    #[test]
     fn factory_uses_params_initial_window() {
         let p = params();
         assert_eq!(built(CcAlgorithm::Reno).cwnd(), p.initial_cwnd);
@@ -479,25 +469,6 @@ mod tests {
         p.initial_cwnd = 0;
         let err = CcEngine::new(&CcAlgorithm::Reno, &p).expect_err("zero cwnd accepted");
         assert!(err.msg.contains("initial_cwnd"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn default_pacing_is_unpaced_for_every_window_variant() {
-        for algo in [
-            CcAlgorithm::Reno,
-            CcAlgorithm::Restricted(RssConfig::tuned()),
-            CcAlgorithm::Limited { max_ssthresh: None },
-            CcAlgorithm::Ssthreshless(SslConfig::default()),
-            CcAlgorithm::HighSpeed,
-            CcAlgorithm::Scalable(ScalableConfig::default()),
-            CcAlgorithm::Hybrid,
-        ] {
-            assert_eq!(
-                built(algo).pacing(),
-                PacingDecision::Unpaced,
-                "{algo:?} unexpectedly paced"
-            );
-        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! presentation order for `rss list --variants` and the generated gallery
 //! ([`markdown_gallery`]).
 //!
-//! What a variant *does* lives in three exhaustive `match`es over
-//! [`CcAlgorithm`], so adding an arm fails to compile until each handles
-//! it: [`CcAlgorithm::info`] picks the row (and with it
-//! [`CcAlgorithm::label`]), [`validate`] holds the parameter rules, and
-//! [`CcEngine::new`](crate::CcEngine::new) builds the controller.
+//! A variant is a policy arm and a registry row. Its rules are a
+//! slow-start or an avoidance policy of the window engine (or BBR, the
+//! engine's other arm); three exhaustive `match`es over [`CcAlgorithm`]
+//! fail to compile until a new arm is handled: [`CcAlgorithm::info`] picks
+//! the row (and with it [`CcAlgorithm::label`]), [`validate`] holds the
+//! parameter rules, and [`CcEngine::new`](crate::CcEngine::new) names the
+//! arm's (slow-start, avoidance) pair.
 
 use crate::{CcAlgorithm, CcParams};
 use std::fmt;
@@ -205,9 +207,11 @@ pub fn markdown_gallery() -> String {
          cargo run --release --bin rss -- list --variants --markdown > docs/VARIANTS.md -->\n\n\
          Every congestion-control variant a scenario file's `cc` field accepts,\n\
          straight from the `rss_cc::registry` table (`rss list --variants`).\n\
-         Adding a variant is a trait impl + a `CcAlgorithm` arm + a `CcDef` arm +\n\
-         a scenario; the compiler then asks for the arm's row, rules and\n\
-         constructor, and the `rss-cc` crate docs walk through it.\n",
+         Each is one window engine with a slow-start and an avoidance policy,\n\
+         or BBR. Adding a variant is a `SlowStart` or `Avoidance` arm and a\n\
+         registry row (a `CcAlgorithm` arm, its `CcDef` mirror and a\n\
+         scenario); the compiler then asks for the row, its rules and its\n\
+         policy pair, and the `rss-cc` crate docs walk through it.\n",
     );
     for i in &VARIANTS {
         out.push_str(&format!(
@@ -314,7 +318,10 @@ pub fn validate(algo: &CcAlgorithm, params: &CcParams) -> Result<(), CcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CcEngine, RssConfig, ScalableConfig, SslConfig};
+    use crate::reno::{Avoidance, SlowStart};
+    use crate::{
+        CcEngine, CongestionControl, PacingDecision, RssConfig, ScalableConfig, SslConfig,
+    };
 
     fn params() -> CcParams {
         CcParams {
@@ -342,43 +349,70 @@ mod tests {
             ],
             "presentation order is part of the contract"
         );
-        // One probe per arm, in row order, with the controller type it builds.
+        // One probe per arm, in row order, with the (slow-start, avoidance)
+        // pair it builds, or `None` for BBR.
         let probes = [
-            (CcAlgorithm::Reno, "Reno"),
+            (CcAlgorithm::Reno, Some(("standard", "reno"))),
             (
                 CcAlgorithm::Restricted(RssConfig::tuned()),
-                "RestrictedSlowStart",
+                Some(("restricted", "reno")),
             ),
             (
                 CcAlgorithm::Limited { max_ssthresh: None },
-                "LimitedSlowStart",
+                Some(("limited", "reno")),
             ),
             (
                 CcAlgorithm::Ssthreshless(SslConfig::default()),
-                "SsthreshlessStart",
+                Some(("ssthreshless", "reno")),
             ),
-            (CcAlgorithm::HighSpeed, "HighSpeedTcp"),
+            (CcAlgorithm::HighSpeed, Some(("standard", "highspeed"))),
             (
                 CcAlgorithm::Scalable(ScalableConfig::default()),
-                "ScalableTcp",
+                Some(("standard", "scalable")),
             ),
-            (CcAlgorithm::Bbr, "BbrProbe"),
-            (CcAlgorithm::Relentless, "RelentlessCc"),
-            (CcAlgorithm::Hybrid, "HybridStart"),
+            (CcAlgorithm::Bbr, None),
+            (CcAlgorithm::Relentless, Some(("standard", "relentless"))),
+            (CcAlgorithm::Hybrid, Some(("hybrid", "reno"))),
         ];
         assert_eq!(probes.len(), variants().len(), "one probe per registry row");
-        for ((algo, ty), row) in probes.iter().zip(variants()) {
+        for ((algo, pair), row) in probes.iter().zip(variants()) {
             assert!(std::ptr::eq(algo.info(), row), "{algo:?} reads another row");
             assert_eq!(algo.label(), row.name);
             let built = CcEngine::new(algo, &params()).expect("defaults validate");
-            let dbg = format!("{built:?}");
-            assert!(
-                dbg.starts_with(&format!("Reno({ty} {{"))
-                    || dbg.starts_with(&format!("Dyn({ty} {{")),
-                "row `{}` built {dbg}",
-                row.name
-            );
+            assert_eq!(policies(&built), *pair, "row `{}`", row.name);
+            assert!(built.in_slow_start(), "row `{}`", row.name);
+            if pair.is_some() {
+                // Window rows open at the initial window and never pace.
+                assert_eq!(built.cwnd(), params().initial_cwnd, "row `{}`", row.name);
+                assert_eq!(
+                    built.pacing(),
+                    PacingDecision::Unpaced,
+                    "row `{}`",
+                    row.name
+                );
+            }
         }
+    }
+
+    /// The engine's (slow-start, avoidance) policy names; `None` for BBR.
+    fn policies(cc: &CcEngine) -> Option<(&'static str, &'static str)> {
+        let CcEngine::Window(w) = cc else {
+            return None;
+        };
+        let start = match w.start {
+            SlowStart::Standard => "standard",
+            SlowStart::Limited { .. } => "limited",
+            SlowStart::Hybrid(_) => "hybrid",
+            SlowStart::Restricted(_) => "restricted",
+            SlowStart::Ssthreshless(_) => "ssthreshless",
+        };
+        let avoid = match w.avoid {
+            Avoidance::Reno => "reno",
+            Avoidance::HighSpeed { .. } => "highspeed",
+            Avoidance::Scalable { .. } => "scalable",
+            Avoidance::Relentless(_) => "relentless",
+        };
+        Some((start, avoid))
     }
 
     #[test]

@@ -27,139 +27,101 @@
 //! the conservation-of-packets fallback.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
+use crate::{CcView, RecoveryEvent};
 
-/// Relentless window management: Reno growth, decrease-by-losses recovery.
-#[derive(Debug, Clone)]
-pub struct RelentlessCc {
-    base: Reno,
-    mss: u64,
+/// Relentless recovery state. Growth and the timeout and stall responses
+/// are Reno's; only fast recovery and the ECN echo change.
+#[derive(Debug, Default)]
+pub(crate) struct RelentlessRecovery {
     /// Window to restore at recovery exit: the pre-loss window minus one MSS
     /// per detected loss (Reno's exit would deflate to `ssthresh` instead),
     /// plus congestion-avoidance credit earned while recovering.
-    recovery_target: u64,
+    target: u64,
     /// Byte-counting accumulator for in-recovery congestion avoidance:
-    /// `recovery_target` gains one MSS per `recovery_target` bytes delivered.
-    ca_accum: u64,
+    /// `target` gains one MSS per `target` bytes delivered. Separate from
+    /// Reno's accumulator, which a stall or timeout mid-recovery clears.
+    credit: u64,
 }
 
-impl RelentlessCc {
-    /// Create with an initial window and threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
-        RelentlessCc {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
-            mss: mss as u64,
-            recovery_target: 0,
-            ca_accum: 0,
-        }
-    }
-
+impl RelentlessRecovery {
     /// One detected loss: take exactly one segment off the recovery target,
     /// never below the two-segment floor the rest of the stack assumes.
-    fn charge_one_loss(&mut self) {
-        self.recovery_target = self
-            .recovery_target
-            .saturating_sub(self.mss)
-            .max(2 * self.mss);
+    fn charge_one_loss(&mut self, r: &Reno) {
+        self.target = self.target.saturating_sub(r.mss).max(r.floor());
     }
 
     /// Congestion-avoidance growth for bytes cumulatively ACKed during
-    /// recovery: one MSS per `recovery_target` bytes, byte-counted.
-    fn credit_growth(&mut self, newly_acked: u64) {
-        if self.recovery_target == 0 {
+    /// recovery: one MSS per `target` bytes, byte-counted.
+    fn credit_growth(&mut self, r: &Reno, newly_acked: u64) {
+        if self.target == 0 {
             return;
         }
-        self.ca_accum += newly_acked;
-        while self.ca_accum >= self.recovery_target {
-            self.ca_accum -= self.recovery_target;
-            self.recovery_target += self.mss;
-        }
-    }
-}
-
-impl CongestionControl for RelentlessCc {
-    fn cwnd(&self) -> u64 {
-        self.base.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.base.ssthresh()
-    }
-
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-        self.base.on_ack(view, newly_acked);
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        match ev {
-            CongestionEvent::FastRetransmit => {
-                // Enter recovery owing one segment (the fast-retransmitted
-                // hole). Keep Reno's in-recovery inflation baseline so dup-ACK
-                // inflation and partial-ACK deflation behave as usual, but pin
-                // ssthresh to the target so the exit lands there and
-                // congestion avoidance resumes — no slow-start burst, no
-                // halving.
-                self.recovery_target = self.base.cwnd();
-                self.ca_accum = 0;
-                self.charge_one_loss();
-                self.base.force_ssthresh(self.recovery_target);
-                self.base.force_cwnd(self.recovery_target + 3 * self.mss);
-            }
-            CongestionEvent::Timeout | CongestionEvent::LocalStall => {
-                // Standard responses: Relentless only changes fast recovery.
-                self.base.on_congestion(view, ev);
-            }
+        self.credit += newly_acked;
+        while self.credit >= self.target {
+            self.credit -= self.target;
+            self.target += r.mss;
         }
     }
 
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
+    /// Fast retransmit: enter recovery owing one segment (the
+    /// fast-retransmitted hole). Keep Reno's in-recovery inflation baseline
+    /// so dup-ACK inflation and partial-ACK deflation behave as usual, but
+    /// pin ssthresh to the target so the exit lands there and congestion
+    /// avoidance resumes — no slow-start burst, no halving.
+    pub(crate) fn enter(&mut self, r: &mut Reno) {
+        self.target = r.cwnd;
+        self.credit = 0;
+        self.charge_one_loss(r);
+        r.ssthresh = self.target;
+        r.cwnd = self.target + 3 * r.mss;
+    }
+
+    pub(crate) fn on_recovery(&mut self, r: &mut Reno, view: &CcView, ev: RecoveryEvent) {
         match ev {
             RecoveryEvent::PartialAck { newly_acked } => {
                 // Each partial ACK exposes exactly one more retransmission
                 // hole: one more lost segment to pay for...
-                self.charge_one_loss();
+                self.charge_one_loss(r);
                 // ...but the bytes it cumulatively acknowledges were
                 // delivered, and Relentless keeps congestion avoidance
                 // running through recovery.
-                self.credit_growth(newly_acked);
-                self.base.force_ssthresh(self.recovery_target);
+                self.credit_growth(r, newly_acked);
+                r.ssthresh = self.target;
             }
             RecoveryEvent::Exit { newly_acked } => {
                 // A single-loss episode delivers almost the whole window in
-                // the recovery-closing jump; credit it before the base
-                // deflates cwnd to ssthresh.
-                self.credit_growth(newly_acked);
-                self.base.force_ssthresh(self.recovery_target);
+                // the recovery-closing jump; credit it before Reno deflates
+                // cwnd to ssthresh.
+                self.credit_growth(r, newly_acked);
+                r.ssthresh = self.target;
             }
             RecoveryEvent::DupAck => {}
             RecoveryEvent::EcnEcho => {
                 // A CE mark is one congestion signal, not a loss: decrease by
                 // exactly one segment, in the spirit of decrease-by-losses,
-                // instead of delegating to the base's CWR halving. Early
-                // return — the unconditional base delegation below would
-                // halve on top of this.
-                let target = self.base.cwnd().saturating_sub(self.mss).max(2 * self.mss);
-                self.base.force_ssthresh(target);
-                self.base.force_cwnd(target);
+                // instead of Reno's CWR halving (which would also clear
+                // Reno's accumulator).
+                let target = r.cwnd.saturating_sub(r.mss).max(r.floor());
+                r.ssthresh = target;
+                r.cwnd = target;
                 return;
             }
         }
-        self.base.on_recovery(view, ev);
+        r.on_recovery(view, ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::test_view;
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{CongestionEvent, RecoveryEvent};
 
     const MSS: u32 = 1000;
 
-    fn relentless(cwnd_segments: u64) -> RelentlessCc {
-        let mut cc = RelentlessCc::new(2 * MSS as u64, u64::MAX / 2, MSS);
-        cc.base.force_cwnd(cwnd_segments * MSS as u64);
-        cc.base.force_ssthresh(2 * MSS as u64); // congestion avoidance
-        cc
+    /// Relentless in congestion avoidance at `cwnd_segments`.
+    fn relentless(cwnd_segments: u64) -> CcEngine {
+        let cwnd = cwnd_segments * MSS as u64;
+        test_engine(CcAlgorithm::Relentless, cwnd, 2 * MSS as u64, MSS)
     }
 
     #[test]

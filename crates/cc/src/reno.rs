@@ -1,61 +1,46 @@
-//! Standard TCP congestion control (RFC 5681 slow-start and congestion
-//! avoidance, NewReno-style recovery window management) — the Linux 2.4.19
-//! baseline of the paper's §4, including its response to local send-stalls.
+//! The window engine: standard TCP's state (RFC 5681 slow-start and
+//! congestion avoidance, NewReno recovery window management — the Linux
+//! 2.4.19 baseline of the paper's §4, including its response to local
+//! send-stalls) and the two policies a variant may swap in for parts of it.
+//!
+//! A `SlowStart` policy owns growth while `cwnd < ssthresh` and the exit
+//! from that phase; an `Avoidance` policy owns growth above ssthresh, the
+//! cut on each [`CongestionEvent`] and the [`RecoveryEvent`] responses.
+//! `Standard` × `Reno` is the baseline itself. Policy state that fits beside
+//! the window stays inline; larger state is one concrete `Box` per arm.
 
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
+use crate::hybrid::HyStart;
+use crate::relentless::RelentlessRecovery;
+use crate::restricted::PidStart;
+use crate::ssthreshless::DelayProbe;
+use crate::{highspeed, limited, scalable, CcParams, CcView, CongestionEvent, RecoveryEvent};
 
-/// Reno/NewReno window management.
-#[derive(Debug, Clone)]
-pub struct Reno {
-    cwnd: u64,
-    ssthresh: u64,
-    mss: u64,
+/// Reno's window state, which every policy reads and writes.
+#[derive(Debug)]
+pub(crate) struct Reno {
+    pub(crate) cwnd: u64,
+    pub(crate) ssthresh: u64,
+    pub(crate) mss: u64,
     /// Byte accumulator for congestion-avoidance growth (appropriate byte
     /// counting of the classic `cwnd += MSS²/cwnd` per ACK).
     ca_accum: u64,
 }
 
 impl Reno {
-    /// Create with an initial window and threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32) -> Self {
-        assert!(mss > 0);
-        Reno {
-            cwnd: initial_cwnd,
-            ssthresh: initial_ssthresh,
-            mss: mss as u64,
-            ca_accum: 0,
-        }
-    }
-
     /// Minimum window: 2 segments, the RFC 5681 loss-window floor the
     /// simulation uses throughout (1-MSS windows deadlock with delayed ACKs).
-    fn floor(&self) -> u64 {
+    pub(crate) fn floor(&self) -> u64 {
         2 * self.mss
     }
 
-    fn halve(&mut self, view: &CcView) {
-        self.ssthresh = (view.flight / 2).max(self.floor());
-    }
-
-    /// Overwrite the window directly (used by wrapping algorithms that
-    /// compute their own slow-start growth, e.g. restricted slow-start).
-    pub(crate) fn force_cwnd(&mut self, cwnd: u64) {
-        self.cwnd = cwnd;
-    }
-
-    /// Overwrite the threshold directly (used by wrapping algorithms that
-    /// derive their own exit point, e.g. ssthreshless start pinning
-    /// `ssthresh = cwnd` when its probe completes).
-    pub(crate) fn force_ssthresh(&mut self, ssthresh: u64) {
-        self.ssthresh = ssthresh;
-    }
-
+    #[inline]
     pub(crate) fn slow_start_ack(&mut self, newly_acked: u64) {
         // RFC 5681: cwnd += min(N, SMSS) per ACK.
         self.cwnd += newly_acked.min(self.mss);
     }
 
-    pub(crate) fn cong_avoid_ack(&mut self, newly_acked: u64) {
+    #[inline]
+    fn cong_avoid_ack(&mut self, newly_acked: u64) {
         // Byte-counting equivalent of cwnd += MSS·MSS/cwnd per ACK.
         self.ca_accum += newly_acked;
         while self.ca_accum >= self.cwnd {
@@ -64,54 +49,22 @@ impl Reno {
         }
     }
 
-    pub(crate) fn handle_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        match ev {
-            CongestionEvent::FastRetransmit => {
-                self.halve(view);
-                // Enter recovery inflated by the three dup-ACKed segments.
-                self.cwnd = self.ssthresh + 3 * self.mss;
-            }
-            CongestionEvent::Timeout => {
-                self.halve(view);
-                self.cwnd = self.mss; // loss window: restart from one segment
-                self.ca_accum = 0;
-            }
-            CongestionEvent::LocalStall => {
-                // Linux 2.4 local-congestion path: halve and leave
-                // slow-start, no retransmission.
-                self.halve(view);
-                self.cwnd = self.ssthresh;
-                self.ca_accum = 0;
-            }
-        }
-    }
-}
-
-impl CongestionControl for Reno {
-    #[inline]
-    fn cwnd(&self) -> u64 {
-        self.cwnd
+    /// Set ssthresh to `kept` bytes of the flight (floored) and the window
+    /// the event leaves.
+    fn cut(&mut self, ev: CongestionEvent, kept: u64) {
+        self.ssthresh = kept.max(self.floor());
+        self.cwnd = match ev {
+            // Enter recovery inflated by the three dup-ACKed segments.
+            CongestionEvent::FastRetransmit => self.ssthresh + 3 * self.mss,
+            // Loss window: restart from one segment.
+            CongestionEvent::Timeout => self.mss,
+            // Linux 2.4 local-congestion path: leave slow-start, no
+            // retransmission.
+            CongestionEvent::LocalStall => self.ssthresh,
+        };
     }
 
-    #[inline]
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
-    #[inline]
-    fn on_ack(&mut self, _view: &CcView, newly_acked: u64) {
-        if self.in_slow_start() {
-            self.slow_start_ack(newly_acked);
-        } else {
-            self.cong_avoid_ack(newly_acked);
-        }
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        self.handle_congestion(view, ev);
-    }
-
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
+    pub(crate) fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
         match ev {
             RecoveryEvent::DupAck => {
                 // Window inflation: each dup ACK means a segment left the
@@ -125,8 +78,8 @@ impl CongestionControl for Reno {
                     .cwnd
                     .saturating_sub(newly_acked)
                     .saturating_add(self.mss)
-                    .max(self.ssthresh.min(self.cwnd));
-                self.cwnd = self.cwnd.max(self.floor());
+                    .max(self.ssthresh.min(self.cwnd))
+                    .max(self.floor());
             }
             RecoveryEvent::Exit { .. } => {
                 // Deflate to ssthresh; congestion avoidance resumes there.
@@ -136,23 +89,177 @@ impl CongestionControl for Reno {
             RecoveryEvent::EcnEcho => {
                 // RFC 3168 CWR response: halve and leave slow-start, no
                 // retransmission — the same reduction as a CWR local stall.
-                self.halve(view);
-                self.cwnd = self.ssthresh;
+                self.cut(CongestionEvent::LocalStall, view.flight / 2);
                 self.ca_accum = 0;
             }
         }
     }
 }
 
+/// Who grows the window while `cwnd < ssthresh`, and when that phase ends.
+#[derive(Debug)]
+pub(crate) enum SlowStart {
+    /// RFC 5681: one MSS per ACK up to ssthresh.
+    Standard,
+    /// RFC 3742: growth capped past `max_ssthresh` bytes
+    /// ([`limited`](crate::limited)).
+    Limited { max_ssthresh: u64 },
+    /// HyStart's early exit ([`hybrid`](crate::hybrid)).
+    Hybrid(Box<HyStart>),
+    /// The paper's PID-paced growth ([`restricted`](crate::restricted)).
+    Restricted(Box<PidStart>),
+    /// The delay probe that replaces ssthresh
+    /// ([`ssthreshless`](crate::ssthreshless)).
+    Ssthreshless(Box<DelayProbe>),
+}
+
+/// Who grows the window above ssthresh, and how it is cut.
+#[derive(Debug)]
+pub(crate) enum Avoidance {
+    /// RFC 5681 AIMD: one MSS per window, halve on congestion.
+    Reno,
+    /// RFC 3649's a(w)/b(w) table ([`highspeed`](crate::highspeed)), with
+    /// its own byte accumulator.
+    HighSpeed { accum: u64 },
+    /// Kelly's MIMD ([`scalable`](crate::scalable)), with its own byte
+    /// accumulator.
+    Scalable { ai_cnt: u32, accum: u64 },
+    /// Decrease by the segments lost ([`relentless`](crate::relentless)).
+    Relentless(Box<RelentlessRecovery>),
+}
+
+/// The window engine every variant but BBR runs: Reno's state, a
+/// slow-start policy and an avoidance policy.
+#[derive(Debug)]
+pub struct Window {
+    pub(crate) reno: Reno,
+    pub(crate) start: SlowStart,
+    pub(crate) avoid: Avoidance,
+}
+
+impl Window {
+    pub(crate) fn new(p: &CcParams, start: SlowStart, avoid: Avoidance) -> Window {
+        // The delay probe ends slow-start by measurement: it never reads a
+        // configured threshold.
+        let ssthresh = match start {
+            SlowStart::Ssthreshless(_) => u64::MAX / 2,
+            _ => p.initial_ssthresh,
+        };
+        let reno = Reno {
+            cwnd: p.initial_cwnd,
+            ssthresh,
+            mss: p.mss as u64,
+            ca_accum: 0,
+        };
+        Window { reno, start, avoid }
+    }
+
+    #[inline]
+    pub(crate) fn in_slow_start(&self) -> bool {
+        match &self.start {
+            SlowStart::Ssthreshless(probe) => probe.probing(),
+            _ => self.reno.cwnd < self.reno.ssthresh,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
+        let r = &mut self.reno;
+        // A slow-start policy that grew the window itself takes the ACK.
+        let taken = match &mut self.start {
+            SlowStart::Standard => false,
+            SlowStart::Limited { max_ssthresh } => limited::on_ack(r, *max_ssthresh, newly_acked),
+            SlowStart::Hybrid(h) => {
+                h.on_ack(r, view, newly_acked);
+                false
+            }
+            SlowStart::Restricted(pid) => pid.on_ack(r, view, newly_acked),
+            SlowStart::Ssthreshless(probe) => probe.on_ack(r, view, newly_acked),
+        };
+        if taken {
+            return;
+        }
+        if r.cwnd < r.ssthresh {
+            r.slow_start_ack(newly_acked);
+            return;
+        }
+        match &mut self.avoid {
+            Avoidance::Reno | Avoidance::Relentless(_) => r.cong_avoid_ack(newly_acked),
+            Avoidance::HighSpeed { accum } => highspeed::grow(r, accum, newly_acked),
+            Avoidance::Scalable { ai_cnt, accum } => scalable::grow(r, *ai_cnt, accum, newly_acked),
+        }
+    }
+
+    pub(crate) fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
+        let r = &mut self.reno;
+        let flight = view.flight;
+        match &mut self.avoid {
+            Avoidance::Relentless(rec) if ev == CongestionEvent::FastRetransmit => rec.enter(r),
+            Avoidance::Reno | Avoidance::Relentless(_) => r.cut(ev, flight / 2),
+            Avoidance::HighSpeed { .. } => r.cut(ev, highspeed::kept(r, flight)),
+            Avoidance::Scalable { .. } => r.cut(ev, scalable::kept(flight)),
+        }
+        // A fast retransmit keeps every accumulator; the other cuts clear
+        // the one the avoidance policy grows with.
+        if ev != CongestionEvent::FastRetransmit {
+            match &mut self.avoid {
+                Avoidance::Reno | Avoidance::Relentless(_) => r.ca_accum = 0,
+                Avoidance::HighSpeed { accum } | Avoidance::Scalable { accum, .. } => *accum = 0,
+            }
+        }
+        match &mut self.start {
+            SlowStart::Hybrid(h) if ev == CongestionEvent::Timeout => **h = HyStart::default(),
+            SlowStart::Restricted(pid) if ev == CongestionEvent::Timeout => pid.restart(),
+            SlowStart::Ssthreshless(probe) => probe.on_congestion(ev),
+            _ => {}
+        }
+    }
+
+    pub(crate) fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
+        let r = &mut self.reno;
+        match &mut self.avoid {
+            Avoidance::Reno => r.on_recovery(view, ev),
+            // The echo is Reno's halving, which clears only Reno's
+            // accumulator: these two keep theirs.
+            Avoidance::HighSpeed { accum } | Avoidance::Scalable { accum, .. } => {
+                r.on_recovery(view, ev);
+                if matches!(ev, RecoveryEvent::Exit { .. }) {
+                    *accum = 0;
+                }
+            }
+            Avoidance::Relentless(rec) => rec.on_recovery(r, view, ev),
+        }
+        if let (SlowStart::Ssthreshless(probe), RecoveryEvent::Exit { .. }) = (&mut self.start, ev)
+        {
+            probe.finish();
+        }
+    }
+
+    /// Bytes of policy state boxed beside the window.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let start = match &self.start {
+            SlowStart::Standard | SlowStart::Limited { .. } => 0,
+            SlowStart::Hybrid(_) => size_of::<HyStart>(),
+            SlowStart::Restricted(_) => size_of::<PidStart>(),
+            SlowStart::Ssthreshless(_) => size_of::<DelayProbe>(),
+        };
+        let avoid = match &self.avoid {
+            Avoidance::Relentless(_) => size_of::<RelentlessRecovery>(),
+            _ => 0,
+        };
+        start + avoid
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::test_view;
+    use crate::{test_engine, test_view, CcAlgorithm, CongestionControl, CongestionEvent};
+    use crate::{CcEngine, RecoveryEvent};
 
     const MSS: u32 = 1000;
 
-    fn reno() -> Reno {
-        Reno::new(2 * MSS as u64, u64::MAX / 2, MSS)
+    fn reno() -> CcEngine {
+        test_engine(CcAlgorithm::Reno, 2 * MSS as u64, u64::MAX / 2, MSS)
     }
 
     #[test]
@@ -182,7 +289,7 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_grows_one_mss_per_window() {
-        let mut cc = Reno::new(10 * MSS as u64, 5 * MSS as u64, MSS);
+        let mut cc = test_engine(CcAlgorithm::Reno, 10 * MSS as u64, 5 * MSS as u64, MSS);
         assert!(!cc.in_slow_start());
         let v = test_view(0, 0);
         // Ack one full window worth of bytes: cwnd += 1 MSS.

@@ -17,7 +17,7 @@
 //! the slow-start phase.
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
+use crate::CcView;
 use rss_control::{PidConfig, PidController, PidGains};
 use serde::{Deserialize, Serialize};
 
@@ -90,114 +90,82 @@ impl Default for RssConfig {
     }
 }
 
-/// The paper's congestion control: PID-paced slow-start over Reno.
+/// The paper's slow-start: the PID controller and what it needs beside
+/// the window.
 #[derive(Debug)]
-pub struct RestrictedSlowStart {
-    base: Reno,
+pub(crate) struct PidStart {
     pid: PidController,
-    cfg: RssConfig,
-    mss: u64,
-    /// Set once the IFQ capacity is known (first view).
+    /// Set point as a fraction of the IFQ capacity, applied at the first
+    /// view.
+    setpoint_frac: f64,
+    /// Growth ceiling per ACK, in multiples of standard slow-start's.
+    max_increment: f64,
+    /// Set once the IFQ capacity is known (first view); a timeout keeps it.
     setpoint_ready: bool,
     /// Fractional cwnd accumulation (sub-MSS controller outputs add up).
     frac_accum: f64,
 }
 
-impl RestrictedSlowStart {
-    /// Create with explicit initial window/threshold.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, cfg: RssConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&cfg.setpoint_frac),
-            "setpoint fraction out of range"
-        );
-        assert!(cfg.max_increment_segments > 0.0);
+impl PidStart {
+    pub(crate) fn new(cfg: RssConfig) -> Self {
         let pid_cfg = PidConfig::new(cfg.gains, 0.0)
             .with_output_limits(-cfg.max_decrement_segments, cfg.max_increment_segments);
-        RestrictedSlowStart {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
+        PidStart {
             pid: PidController::new(pid_cfg),
-            cfg,
-            mss: mss as u64,
+            setpoint_frac: cfg.setpoint_frac,
+            max_increment: cfg.max_increment_segments,
             setpoint_ready: false,
             frac_accum: 0.0,
         }
     }
 
-    /// The controller (read access, for instrumentation).
-    pub fn controller(&self) -> &PidController {
-        &self.pid
+    /// The PID restarts fresh when a timeout re-enters slow-start; the set
+    /// point stays.
+    pub(crate) fn restart(&mut self) {
+        self.pid.reset();
+        self.frac_accum = 0.0;
     }
 
-    fn ensure_setpoint(&mut self, view: &CcView) {
+    /// PID-paced growth for one ACK while in slow-start; `false` above
+    /// ssthresh, where the avoidance policy grows the window.
+    pub(crate) fn on_ack(&mut self, r: &mut Reno, view: &CcView, newly_acked: u64) -> bool {
+        if r.cwnd >= r.ssthresh {
+            return false;
+        }
         if !self.setpoint_ready {
             self.pid
-                .set_setpoint(self.cfg.setpoint_frac * view.ifq_max as f64);
+                .set_setpoint(self.setpoint_frac * view.ifq_max as f64);
             self.setpoint_ready = true;
         }
-    }
-
-    fn restricted_ack(&mut self, view: &CcView, newly_acked: u64) {
-        self.ensure_setpoint(view);
         // Controller output: permitted window change, in segments/ACK.
         let u = self.pid.update(view.now, view.ifq_depth as f64);
-        // Restriction: never grow faster than `max_increment_segments` times
-        // what standard slow-start would add on this ACK (the RFC 5681
+        // Restriction: never grow faster than `max_increment` times what
+        // standard slow-start would add on this ACK (the RFC 5681
         // increment, min(newly_acked, MSS)). The paper's scheme uses 1.0 —
         // never more aggressive than standard; the ablation experiments
         // raise it to measure what the restriction itself contributes.
-        let standard_inc = newly_acked.min(self.mss) as f64;
-        let delta_bytes = (u * self.mss as f64).min(standard_inc * self.cfg.max_increment_segments);
+        let standard_inc = newly_acked.min(r.mss) as f64;
+        let delta_bytes = (u * r.mss as f64).min(standard_inc * self.max_increment);
         self.frac_accum += delta_bytes;
-        let floor = 2 * self.mss;
         if self.frac_accum >= 1.0 {
             let add = self.frac_accum.floor();
             self.frac_accum -= add;
-            let cwnd = self.base.cwnd() + add as u64;
-            self.base.force_cwnd(cwnd);
+            r.cwnd += add as u64;
         } else if self.frac_accum <= -1.0 {
             let sub = (-self.frac_accum).floor();
             self.frac_accum += sub;
-            let cwnd = self.base.cwnd().saturating_sub(sub as u64).max(floor);
-            self.base.force_cwnd(cwnd);
+            r.cwnd = r.cwnd.saturating_sub(sub as u64).max(r.floor());
         }
-    }
-}
-
-impl CongestionControl for RestrictedSlowStart {
-    fn cwnd(&self) -> u64 {
-        self.base.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.base.ssthresh()
-    }
-
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-        if self.in_slow_start() {
-            self.restricted_ack(view, newly_acked);
-        } else {
-            self.base.on_ack(view, newly_acked);
-        }
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        // Loss handling is untouched Reno; the PID restarts fresh if the
-        // connection ever re-enters slow-start (post-timeout).
-        self.base.on_congestion(view, ev);
-        if ev == CongestionEvent::Timeout {
-            self.pid.reset();
-            self.frac_accum = 0.0;
-        }
-    }
-
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
-        self.base.on_recovery(view, ev);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reno::SlowStart;
+    use crate::{test_engine, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{CongestionEvent, RecoveryEvent};
     use rss_sim::SimTime;
 
     const MSS: u32 = 1000;
@@ -215,18 +183,26 @@ mod tests {
         }
     }
 
-    fn rss() -> RestrictedSlowStart {
-        RestrictedSlowStart::new(
+    fn rss() -> CcEngine {
+        let cfg = RssConfig {
+            gains: PidGains::pid(0.5, 0.5, 0.05),
+            setpoint_frac: 0.9,
+            max_increment_segments: 1.0,
+            max_decrement_segments: 1.0,
+        };
+        test_engine(
+            CcAlgorithm::Restricted(cfg),
             2 * MSS as u64,
             u64::MAX / 2,
             MSS,
-            RssConfig {
-                gains: PidGains::pid(0.5, 0.5, 0.05),
-                setpoint_frac: 0.9,
-                max_increment_segments: 1.0,
-                max_decrement_segments: 1.0,
-            },
         )
+    }
+
+    fn controller(cc: &CcEngine) -> &PidController {
+        match &cc.window().start {
+            SlowStart::Restricted(s) => &s.pid,
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -296,12 +272,9 @@ mod tests {
 
     #[test]
     fn falls_back_to_reno_after_slow_start() {
-        let mut cc = RestrictedSlowStart::new(
-            10 * MSS as u64,
-            5 * MSS as u64, // already past ssthresh: CA
-            MSS,
-            RssConfig::tuned(),
-        );
+        let algo = CcAlgorithm::Restricted(RssConfig::tuned());
+        // Already past ssthresh: congestion avoidance.
+        let mut cc = test_engine(algo, 10 * MSS as u64, 5 * MSS as u64, MSS);
         assert!(!cc.in_slow_start());
         let v = view(0, 0);
         for _ in 0..10 {
@@ -331,13 +304,13 @@ mod tests {
         for i in 0..20 {
             cc.on_ack(&view(i, 40), MSS as u64);
         }
-        assert!(cc.controller().update_count() > 0);
+        assert!(controller(&cc).update_count() > 0);
         let v = CcView {
             flight: 10 * MSS as u64,
             ..view(20, 50)
         };
         cc.on_congestion(&v, CongestionEvent::Timeout);
-        assert_eq!(cc.controller().update_count(), 0, "controller reset");
+        assert_eq!(controller(&cc).update_count(), 0, "controller reset");
         assert_eq!(cc.cwnd(), MSS as u64);
     }
 
@@ -345,7 +318,7 @@ mod tests {
     fn setpoint_from_first_view() {
         let mut cc = rss();
         cc.on_ack(&view(0, 0), MSS as u64);
-        assert!((cc.controller().config().setpoint - 90.0).abs() < 1e-12);
+        assert!((controller(&cc).config().setpoint - 90.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! paper's scheme is exactly this delta over Reno).
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Scalable TCP controller.
@@ -27,106 +26,37 @@ impl Default for ScalableConfig {
     }
 }
 
-/// Scalable TCP window management: MIMD growth with a fixed 1/8 backoff.
-#[derive(Debug, Clone)]
-pub struct ScalableTcp {
-    base: Reno,
-    cfg: ScalableConfig,
-    mss: u64,
-    /// Byte accumulator for the fractional per-ACK increase.
-    ai_accum: u64,
-}
-
-impl ScalableTcp {
-    /// Create a Scalable controller.
-    pub fn new(initial_cwnd: u64, initial_ssthresh: u64, mss: u32, cfg: ScalableConfig) -> Self {
-        assert!(cfg.ai_cnt > 0, "ai_cnt must be positive");
-        ScalableTcp {
-            base: Reno::new(initial_cwnd, initial_ssthresh, mss),
-            cfg,
-            mss: mss as u64,
-            ai_accum: 0,
-        }
-    }
-
-    /// The configured increase denominator.
-    pub fn ai_cnt(&self) -> u32 {
-        self.cfg.ai_cnt
-    }
-
-    /// The fixed multiplicative decrease: `ssthresh = max(7/8 · flight,
-    /// 2 MSS)` — Kelly's b = 0.125 applied where the Reno baseline halves.
-    fn reduce(&mut self, view: &CcView) {
-        let kept = view.flight - view.flight / 8;
-        self.base.force_ssthresh(kept.max(2 * self.mss));
+/// Congestion-avoidance growth for one ACK: `cwnd += newly_acked /
+/// ai_cnt`, with the sub-byte remainder carried in `accum` so slow trickles
+/// of small ACKs still grow the window.
+pub(crate) fn grow(r: &mut Reno, ai_cnt: u32, accum: &mut u64, newly_acked: u64) {
+    *accum += newly_acked.min(2 * r.mss);
+    let grow = *accum / ai_cnt as u64;
+    if grow > 0 {
+        *accum -= grow * ai_cnt as u64;
+        r.cwnd += grow;
     }
 }
 
-impl CongestionControl for ScalableTcp {
-    fn cwnd(&self) -> u64 {
-        self.base.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.base.ssthresh()
-    }
-
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-        if self.in_slow_start() {
-            self.base.on_ack(view, newly_acked);
-            return;
-        }
-        // cwnd += newly_acked / ai_cnt, with the sub-byte remainder carried
-        // so slow trickles of small ACKs still grow the window.
-        self.ai_accum += newly_acked.min(2 * self.mss);
-        let grow = self.ai_accum / self.cfg.ai_cnt as u64;
-        if grow > 0 {
-            self.ai_accum -= grow * self.cfg.ai_cnt as u64;
-            self.base.force_cwnd(self.base.cwnd() + grow);
-        }
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        match ev {
-            CongestionEvent::FastRetransmit => {
-                self.reduce(view);
-                self.base.force_cwnd(self.base.ssthresh() + 3 * self.mss);
-            }
-            CongestionEvent::Timeout => {
-                self.reduce(view);
-                self.base.force_cwnd(self.mss);
-                self.ai_accum = 0;
-            }
-            CongestionEvent::LocalStall => {
-                self.reduce(view);
-                self.base.force_cwnd(self.base.ssthresh());
-                self.ai_accum = 0;
-            }
-        }
-    }
-
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
-        self.base.on_recovery(view, ev);
-        if matches!(ev, RecoveryEvent::Exit { .. }) {
-            self.ai_accum = 0;
-        }
-    }
+/// The fixed multiplicative decrease: a loss keeps 7/8 of the flight —
+/// Kelly's b = 0.125 applied where the Reno baseline halves.
+pub(crate) fn kept(flight: u64) -> u64 {
+    flight - flight / 8
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_view;
+    use crate::reno::Avoidance;
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{CongestionEvent, RecoveryEvent};
 
     const MSS: u32 = 1000;
 
-    fn stcp(cwnd_segments: u64, ssthresh_segments: u64) -> ScalableTcp {
-        ScalableTcp::new(
-            cwnd_segments * MSS as u64,
-            ssthresh_segments * MSS as u64,
-            MSS,
-            ScalableConfig::default(),
-        )
+    fn stcp(cwnd_segments: u64, ssthresh_segments: u64) -> CcEngine {
+        let (cwnd, ssthresh) = (cwnd_segments * MSS as u64, ssthresh_segments * MSS as u64);
+        let algo = CcAlgorithm::Scalable(ScalableConfig::default());
+        test_engine(algo, cwnd, ssthresh, MSS)
     }
 
     #[test]
@@ -207,6 +137,9 @@ mod tests {
             crate::registry::find("scalable").unwrap().algo,
             "scalable-tcp"
         );
-        assert_eq!(cc.ai_cnt(), 100);
+        assert!(matches!(
+            cc.window().avoid,
+            Avoidance::Scalable { ai_cnt: 100, .. }
+        ));
     }
 }

@@ -42,7 +42,8 @@
 //! slow-start is again ssthresh-free).
 
 use crate::reno::Reno;
-use crate::{CcView, CongestionControl, CongestionEvent, RecoveryEvent};
+use crate::{CcView, CongestionEvent};
+use rss_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the SSthreshless probe.
@@ -84,17 +85,15 @@ enum Phase {
     Fast,
     /// Eighth-rate growth, watching for a standing queue.
     Paced,
-    /// Probe complete — the Reno base drives (congestion avoidance).
+    /// Probe complete — the engine's Reno rules drive.
     Done,
 }
 
-/// SSthreshless Start over Reno: ssthresh-free delay-probed slow-start,
-/// standard AIMD everywhere else.
-#[derive(Debug, Clone)]
-pub struct SsthreshlessStart {
-    base: Reno,
+/// The delay probe that stands in for slow-start: ssthresh-free, with the
+/// engine's Reno rules everywhere else.
+#[derive(Debug)]
+pub(crate) struct DelayProbe {
     cfg: SslConfig,
-    mss: u64,
     phase: Phase,
     /// Byte accumulator for the paced probe (one MSS per
     /// `PACE_DIVISOR`·MSS acked).
@@ -108,23 +107,16 @@ pub struct SsthreshlessStart {
     round_remaining: u64,
     /// Smallest RTT sample seen this paced round — the standing-queue
     /// reading the exit decision trusts.
-    round_rtt_min: Option<rss_sim::SimDuration>,
+    round_rtt_min: Option<SimDuration>,
 }
 
-impl SsthreshlessStart {
-    /// Create with an initial window. There is deliberately no
-    /// `initial_ssthresh` parameter: the probe exit is measured, not
-    /// configured. Internally the Reno base keeps an effectively-infinite
-    /// threshold until the probe pins it.
-    pub fn new(initial_cwnd: u64, mss: u32, cfg: SslConfig) -> Self {
-        assert!(
-            cfg.gamma_segments.is_finite() && cfg.gamma_segments > 0.0,
-            "gamma must be a positive segment count"
-        );
-        SsthreshlessStart {
-            base: Reno::new(initial_cwnd, u64::MAX / 2, mss),
+impl DelayProbe {
+    /// A fast probe. There is deliberately no ssthresh input: the probe
+    /// exit is measured, not configured (the engine keeps an
+    /// effectively-infinite threshold until the probe pins it).
+    pub(crate) fn new(cfg: SslConfig) -> Self {
+        DelayProbe {
             cfg,
-            mss: mss as u64,
             phase: Phase::Fast,
             paced_accum: 0,
             settle_remaining: 0,
@@ -134,148 +126,118 @@ impl SsthreshlessStart {
     }
 
     /// True while the delay probe (the variant's slow-start phase) runs.
-    pub fn probing(&self) -> bool {
+    pub(crate) fn probing(&self) -> bool {
         self.phase != Phase::Done
     }
 
-    /// True while the probe is in its paced (eighth-rate) stage.
-    pub fn paced(&self) -> bool {
-        self.phase == Phase::Paced
-    }
-
-    /// Re-enter the fast probe (after a timeout-class event). The Reno
-    /// base's post-loss ssthresh is deliberately left alone: the probe
-    /// never consults it (that is the variant's point), recovery hooks may
-    /// still need the real value (recovery exit deflates to it), and
-    /// the probe's own exit overwrites it with the measured BDP.
-    fn rearm_probe(&mut self) {
-        self.phase = Phase::Fast;
-        self.paced_accum = 0;
-        self.settle_remaining = 0;
-        self.round_remaining = 0;
-        self.round_rtt_min = None;
-    }
-
-    /// Estimated own-queue backlog in segments, if both RTT extremes are
-    /// known.
-    fn backlog_segments(&self, view: &CcView) -> Option<f64> {
-        let (last, min) = (view.last_rtt?, view.min_rtt?);
-        let last = last.as_nanos() as f64;
-        let min = min.as_nanos() as f64;
-        if last <= 0.0 {
-            return None;
-        }
-        let cwnd_seg = self.base.cwnd() as f64 / self.mss as f64;
-        Some(cwnd_seg * (1.0 - min / last))
-    }
-
-    /// Leave the probe: pin window and threshold to the measured BDP
-    /// (`round_min` is the standing-queue RTT the decision was made on).
-    fn exit_probe(&mut self, round_min_ns: f64, global_min_ns: f64) {
-        let bdp = (self.base.cwnd() as f64 * global_min_ns / round_min_ns) as u64;
-        let target = bdp.max(2 * self.mss);
-        self.base.force_cwnd(target);
-        self.base.force_ssthresh(target);
-        self.phase = Phase::Done;
-    }
-}
-
-impl CongestionControl for SsthreshlessStart {
-    fn cwnd(&self) -> u64 {
-        self.base.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.base.ssthresh()
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.probing()
-    }
-
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-        let backlog = self.backlog_segments(view);
-        match self.phase {
-            Phase::Fast => match backlog {
-                // First delay signal: doubling's own transient queue says
-                // the pipe is near. Stop doubling; creep and confirm (after
-                // one flight of ACKs has flushed the transient's samples).
-                Some(b) if b >= self.cfg.gamma_segments => {
-                    self.phase = Phase::Paced;
-                    self.settle_remaining = 2 * self.base.cwnd();
-                }
-                _ => self.base.slow_start_ack(newly_acked),
-            },
-            Phase::Paced => {
-                // Eighth-rate growth while the probe runs.
-                self.paced_accum += newly_acked.min(self.mss);
-                if self.paced_accum >= PACE_DIVISOR * self.mss {
-                    self.paced_accum -= PACE_DIVISOR * self.mss;
-                    self.base.force_cwnd(self.base.cwnd() + self.mss);
-                }
-                if self.settle_remaining > 0 {
-                    // Still settling: these samples price the fast stage's
-                    // transient queue and must not leak into any round the
-                    // exit verdict reads. The first trusted round opens the
-                    // moment the window drains.
-                    self.settle_remaining = self.settle_remaining.saturating_sub(newly_acked);
-                    if self.settle_remaining == 0 {
-                        self.round_remaining = self.base.cwnd();
-                        self.round_rtt_min = None;
-                    }
-                    return;
-                }
-                // Round accounting: fold the sample into the round minimum
-                // and judge fullness once per flight of ACKed bytes.
-                if let Some(rtt) = view.last_rtt {
-                    self.round_rtt_min = Some(
-                        self.round_rtt_min
-                            .map_or(rtt, |m: rss_sim::SimDuration| m.min(rtt)),
-                    );
-                }
-                if self.round_remaining <= newly_acked {
-                    let verdict = match (self.round_rtt_min, view.min_rtt) {
-                        (Some(rmin), Some(gmin)) if rmin.as_nanos() > 0 => {
-                            let rmin = rmin.as_nanos() as f64;
-                            let gmin = gmin.as_nanos() as f64;
-                            let cwnd_seg = self.base.cwnd() as f64 / self.mss as f64;
-                            let standing = cwnd_seg * (1.0 - gmin / rmin);
-                            (standing >= 2.0 * self.cfg.gamma_segments).then_some((rmin, gmin))
-                        }
-                        _ => None,
-                    };
-                    match verdict {
-                        Some((rmin, gmin)) => self.exit_probe(rmin, gmin),
-                        None => {
-                            self.round_remaining = self.base.cwnd();
-                            self.round_rtt_min = None;
-                        }
-                    }
-                } else {
-                    self.round_remaining -= newly_acked;
-                }
-            }
-            Phase::Done => self.base.on_ack(view, newly_acked),
-        }
-    }
-
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-        self.base.on_congestion(view, ev);
-        // The probe state follows the slow-start semantics of the Reno
-        // response: a timeout re-enters (ssthresh-free) slow-start, fast
-        // retransmit and a CWR stall leave it.
+    /// The probe's state follows the slow-start semantics of the Reno
+    /// response: a timeout re-arms the fast probe (the next slow-start is
+    /// again ssthresh-free), fast retransmit and a CWR stall end it. The
+    /// post-loss ssthresh is deliberately left alone: the probe never
+    /// consults it (that is the variant's point), recovery exit still
+    /// deflates to it, and the probe's own exit overwrites it with the
+    /// measured BDP.
+    pub(crate) fn on_congestion(&mut self, ev: CongestionEvent) {
         match ev {
-            CongestionEvent::Timeout => self.rearm_probe(),
+            CongestionEvent::Timeout => *self = DelayProbe::new(self.cfg),
             CongestionEvent::FastRetransmit | CongestionEvent::LocalStall => {
                 self.phase = Phase::Done
             }
         }
     }
 
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
-        self.base.on_recovery(view, ev);
-        if matches!(ev, RecoveryEvent::Exit { .. }) {
-            self.phase = Phase::Done;
+    /// Recovery exit ends the probe.
+    pub(crate) fn finish(&mut self) {
+        self.phase = Phase::Done;
+    }
+
+    /// Estimated own-queue backlog in segments, if both RTT extremes are
+    /// known.
+    fn backlog_segments(r: &Reno, view: &CcView) -> Option<f64> {
+        let (last, min) = (view.last_rtt?, view.min_rtt?);
+        let last = last.as_nanos() as f64;
+        let min = min.as_nanos() as f64;
+        if last <= 0.0 {
+            return None;
+        }
+        let cwnd_seg = r.cwnd as f64 / r.mss as f64;
+        Some(cwnd_seg * (1.0 - min / last))
+    }
+
+    /// Leave the probe: pin window and threshold to the measured BDP
+    /// (`round_min` is the standing-queue RTT the decision was made on).
+    fn exit_probe(&mut self, r: &mut Reno, round_min_ns: f64, global_min_ns: f64) {
+        let bdp = (r.cwnd as f64 * global_min_ns / round_min_ns) as u64;
+        let target = bdp.max(r.floor());
+        r.cwnd = target;
+        r.ssthresh = target;
+        self.phase = Phase::Done;
+    }
+
+    /// The probe's growth for one ACK; `false` once the probe is done and
+    /// the engine's Reno rules take the ACK.
+    pub(crate) fn on_ack(&mut self, r: &mut Reno, view: &CcView, newly_acked: u64) -> bool {
+        match self.phase {
+            Phase::Fast => match Self::backlog_segments(r, view) {
+                // First delay signal: doubling's own transient queue says
+                // the pipe is near. Stop doubling; creep and confirm (after
+                // one flight of ACKs has flushed the transient's samples).
+                Some(b) if b >= self.cfg.gamma_segments => {
+                    self.phase = Phase::Paced;
+                    self.settle_remaining = 2 * r.cwnd;
+                }
+                _ => r.slow_start_ack(newly_acked),
+            },
+            Phase::Paced => self.paced_ack(r, view, newly_acked),
+            Phase::Done => return false,
+        }
+        true
+    }
+
+    fn paced_ack(&mut self, r: &mut Reno, view: &CcView, newly_acked: u64) {
+        // Eighth-rate growth while the probe runs.
+        self.paced_accum += newly_acked.min(r.mss);
+        if self.paced_accum >= PACE_DIVISOR * r.mss {
+            self.paced_accum -= PACE_DIVISOR * r.mss;
+            r.cwnd += r.mss;
+        }
+        if self.settle_remaining > 0 {
+            // Still settling: these samples price the fast stage's
+            // transient queue and must not leak into any round the exit
+            // verdict reads. The first trusted round opens the moment the
+            // window drains.
+            self.settle_remaining = self.settle_remaining.saturating_sub(newly_acked);
+            if self.settle_remaining == 0 {
+                self.round_remaining = r.cwnd;
+                self.round_rtt_min = None;
+            }
+            return;
+        }
+        // Round accounting: fold the sample into the round minimum and
+        // judge fullness once per flight of ACKed bytes.
+        if let Some(rtt) = view.last_rtt {
+            self.round_rtt_min = Some(self.round_rtt_min.map_or(rtt, |m| m.min(rtt)));
+        }
+        if self.round_remaining > newly_acked {
+            self.round_remaining -= newly_acked;
+            return;
+        }
+        let verdict = match (self.round_rtt_min, view.min_rtt) {
+            (Some(rmin), Some(gmin)) if rmin.as_nanos() > 0 => {
+                let rmin = rmin.as_nanos() as f64;
+                let gmin = gmin.as_nanos() as f64;
+                let cwnd_seg = r.cwnd as f64 / r.mss as f64;
+                let standing = cwnd_seg * (1.0 - gmin / rmin);
+                (standing >= 2.0 * self.cfg.gamma_segments).then_some((rmin, gmin))
+            }
+            _ => None,
+        };
+        match verdict {
+            Some((rmin, gmin)) => self.exit_probe(r, rmin, gmin),
+            None => {
+                self.round_remaining = r.cwnd;
+                self.round_rtt_min = None;
+            }
         }
     }
 }
@@ -283,7 +245,9 @@ impl CongestionControl for SsthreshlessStart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rss_sim::{SimDuration, SimTime};
+    use crate::reno::SlowStart;
+    use crate::{test_engine, CcAlgorithm, CcEngine, CongestionControl, RecoveryEvent};
+    use rss_sim::SimTime;
 
     const MSS: u32 = 1000;
 
@@ -300,14 +264,27 @@ mod tests {
         }
     }
 
-    fn ssl() -> SsthreshlessStart {
-        SsthreshlessStart::new(
-            2 * MSS as u64,
-            MSS,
-            SslConfig {
-                gamma_segments: 8.0,
-            },
-        )
+    fn ssl_with(cfg: SslConfig) -> CcEngine {
+        // The 4-segment ssthresh is ignored: the probe never reads one.
+        let algo = CcAlgorithm::Ssthreshless(cfg);
+        test_engine(algo, 2 * MSS as u64, 4 * MSS as u64, MSS)
+    }
+
+    fn ssl() -> CcEngine {
+        ssl_with(SslConfig {
+            gamma_segments: 8.0,
+        })
+    }
+
+    fn probe(cc: &CcEngine) -> &DelayProbe {
+        match &cc.window().start {
+            SlowStart::Ssthreshless(probe) => probe,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn paced(cc: &CcEngine) -> bool {
+        probe(cc).phase == Phase::Paced
     }
 
     #[test]
@@ -319,7 +296,10 @@ mod tests {
             cc.on_ack(&view(i, None, None), MSS as u64);
         }
         assert_eq!(cc.cwnd(), start + 10 * MSS as u64);
-        assert!(cc.probing() && !cc.paced(), "no delay signal: still fast");
+        assert!(
+            probe(&cc).probing() && !paced(&cc),
+            "no delay signal: still fast"
+        );
     }
 
     #[test]
@@ -332,7 +312,7 @@ mod tests {
             cc.on_ack(&view(i, Some(60), Some(60)), MSS as u64);
         }
         assert!(cc.cwnd() > 100 * MSS as u64, "cwnd {} too small", cc.cwnd());
-        assert!(cc.probing(), "zero backlog: still probing");
+        assert!(probe(&cc).probing(), "zero backlog: still probing");
         assert!(cc.in_slow_start());
     }
 
@@ -347,7 +327,7 @@ mod tests {
         // ...then one burst-inflated sample: backlog ≈ 40·(1−60/76) ≈ 8.4
         // ≥ γ. That ends the fast stage without touching the window.
         cc.on_ack(&view(40, Some(76), Some(60)), MSS as u64);
-        assert!(cc.paced(), "transient signal switches to the paced stage");
+        assert!(paced(&cc), "transient signal switches to the paced stage");
         assert_eq!(cc.cwnd(), 40 * MSS as u64, "no growth on the switch ACK");
         // Paced growth: one MSS per eight ACKed-MSS, not one per ACK.
         for i in 0..16 {
@@ -366,24 +346,24 @@ mod tests {
             cc.on_ack(&view(i, Some(60), Some(60)), MSS as u64);
         }
         cc.on_ack(&view(40, Some(76), Some(60)), MSS as u64); // → paced
-        assert!(cc.paced());
+        assert!(paced(&cc));
         let flight = 40 * MSS as u64;
         // Rounds 1-2 drain the two-flight settle window; their samples are
         // stale fast-phase transient and must NOT exit the probe, however
         // inflated they read.
         cc.on_ack(&view(100, Some(120), Some(60)), flight);
-        assert!(cc.paced(), "stale transient ignored while settling");
+        assert!(paced(&cc), "stale transient ignored while settling");
         cc.on_ack(&view(160, Some(120), Some(60)), flight);
-        assert!(cc.paced(), "still settling");
+        assert!(paced(&cc), "still settling");
         // Settled round with a sub-threshold standing queue: the round min
         // 40·(1−60/90) ≈ 13.3 < 2γ=16 keeps the paced probe running...
         cc.on_ack(&view(220, Some(90), Some(60)), flight);
-        assert!(cc.paced(), "below the confirmation threshold");
+        assert!(paced(&cc), "below the confirmation threshold");
         // ...but a round whose *minimum* reads 40·(1−60/104) ≈ 16.9 ≥ 16
         // confirms the pipe is full: snap to the measured BDP 40·60/104 ≈
         // 23 segments and enter congestion avoidance.
         cc.on_ack(&view(280, Some(104), Some(60)), flight);
-        assert!(!cc.probing(), "probe must end");
+        assert!(!probe(&cc).probing(), "probe must end");
         assert!(!cc.in_slow_start());
         assert_eq!(cc.cwnd(), 23_076);
         assert_eq!(cc.ssthresh(), cc.cwnd());
@@ -416,7 +396,7 @@ mod tests {
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(cc.cwnd(), MSS as u64);
         assert!(
-            cc.probing() && !cc.paced(),
+            probe(&cc).probing() && !paced(&cc),
             "timeout re-arms the fast probe"
         );
         assert!(cc.in_slow_start());
@@ -442,7 +422,7 @@ mod tests {
         // ssthresh, which must be the genuine post-loss value — not an
         // "infinite" sentinel that would hand the sender an unbounded
         // window.
-        let mut cc = SsthreshlessStart::new(2 * MSS as u64, MSS, SslConfig::recommended());
+        let mut cc = ssl_with(SslConfig::recommended());
         for i in 0..38 {
             cc.on_ack(&view(i, Some(60), Some(60)), MSS as u64);
         }
@@ -452,10 +432,10 @@ mod tests {
         };
         cc.on_congestion(&v, CongestionEvent::FastRetransmit);
         cc.on_congestion(&v, CongestionEvent::Timeout); // mid-recovery restart
-        assert!(cc.probing(), "RestartFromOne re-arms the probe");
+        assert!(probe(&cc).probing(), "RestartFromOne re-arms the probe");
         cc.on_recovery(&v, RecoveryEvent::Exit { newly_acked: 0 });
         assert_eq!(cc.cwnd(), 20 * MSS as u64, "deflate to the real ssthresh");
-        assert!(!cc.probing());
+        assert!(!probe(&cc).probing());
     }
 
     #[test]
@@ -469,31 +449,27 @@ mod tests {
             ..view(10, Some(60), Some(60))
         };
         cc.on_congestion(&v, CongestionEvent::LocalStall);
-        assert!(!cc.probing(), "CWR leaves slow-start");
+        assert!(!probe(&cc).probing(), "CWR leaves slow-start");
         assert!(!cc.in_slow_start());
     }
 
     #[test]
     fn bdp_snap_respects_the_two_segment_floor() {
-        let mut cc = SsthreshlessStart::new(
-            2 * MSS as u64,
-            MSS,
-            SslConfig {
-                gamma_segments: 0.5,
-            },
-        );
+        let mut cc = ssl_with(SslConfig {
+            gamma_segments: 0.5,
+        });
         // Tiny window, huge RTT inflation: backlog 2·(1−10/600) ≈ 1.97
         // clears both γ=0.5 (→ paced) and, once the two-flight settle
         // window drains, 2γ=1 (→ exit); the BDP estimate 2000·10/600 ≈ 33
         // bytes is floored at 2 MSS.
         cc.on_ack(&view(0, Some(600), Some(10)), MSS as u64);
-        assert!(cc.paced());
+        assert!(paced(&cc));
         for i in 0..3 {
             // One flight per stretch ACK: two settle rounds, then the
             // confirming round.
             cc.on_ack(&view(1 + i, Some(600), Some(10)), 2 * MSS as u64);
         }
-        assert!(!cc.probing());
+        assert!(!probe(&cc).probing());
         assert_eq!(cc.cwnd(), 2 * MSS as u64);
     }
 
@@ -504,6 +480,6 @@ mod tests {
             crate::registry::find("ssthreshless").unwrap().algo,
             "ssthreshless-start"
         );
-        assert_eq!(cc.cfg.gamma_segments, 8.0);
+        assert_eq!(probe(&cc).cfg.gamma_segments, 8.0);
     }
 }

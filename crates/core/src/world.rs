@@ -987,10 +987,11 @@ mod tests {
         // and 920 B with each optional time an `Option` (16 B), the
         // instrument's timelines inline (64 B) and the RTT sample count; 768 B
         // with the report-only state in the sender and both hosts' nodes
-        // beside their indices.
+        // beside their indices; 704 B before the sender's congestion
+        // controller grew from 40 to 64 B.
         let nic = size_of::<HostNic<WireBody>>();
         assert!(nic <= 104, "HostNic is {nic} B");
         assert!(size_of::<Host>() <= 128, "Host is {} B", size_of::<Host>());
-        assert!(size_of::<Conn>() <= 704, "Conn is {} B", size_of::<Conn>());
+        assert!(size_of::<Conn>() <= 728, "Conn is {} B", size_of::<Conn>());
     }
 }

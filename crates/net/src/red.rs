@@ -350,6 +350,34 @@ mod tests {
         assert!(q.avg() < 0.1, "avg after idle {}", q.avg());
     }
 
+    #[test]
+    fn idle_decay_matches_the_closed_form() {
+        // Floyd & Jacobson's idle compensation: an enqueue after the queue
+        // sat empty for `idle` first decays the average as if
+        // m = idle / mean_pkt_time small packets had drained, avg ← (1 − w_q)^m
+        // · avg, then folds in the (empty) instantaneous length as usual.
+        let c = cfg(100);
+        let mut q = RedQueue::new(c);
+        let mut rng = SimRng::seed_from_u64(7);
+        for i in 0..200u64 {
+            let _ = q.try_enqueue(SimTime::from_micros(i), pkt(i), &mut rng);
+        }
+        let emptied = SimTime::from_millis(1);
+        while q.dequeue(emptied).is_some() {}
+        let before = q.avg();
+        assert!(before > 1.0, "avg {before}");
+        let idle = SimDuration::from_nanos(50_012_345);
+        q.try_enqueue(emptied + idle, pkt(1_000), &mut rng).unwrap();
+        let m = idle.as_nanos() as f64 / c.mean_pkt_time.as_nanos() as f64;
+        let decayed = (1.0 - c.wq).powf(m) * before;
+        let expected = (1.0 - c.wq) * decayed + c.wq * 0.0;
+        assert!(
+            (q.avg() - expected).abs() < 1e-12,
+            "avg {} after {m} idle packet times, closed form {expected}",
+            q.avg()
+        );
+    }
+
     /// Minimal ECN-capable body for marking tests.
     #[derive(Debug, Clone)]
     struct EctBody {

@@ -11,12 +11,14 @@
 //! controller hears only the event the sender picks.
 //!
 //! Congestion control is the separate [`rss_cc`] layer (re-exported here as
-//! [`cc`]): the sender drives any [`CongestionControl`] implementation
-//! through per-ACK/per-congestion hooks and surfaces everything a variant
-//! can pace on — IFQ occupancy for the paper's [`RestrictedSlowStart`],
-//! RTT extremes for delay-based schemes like [`SsthreshlessStart`] — in the
-//! [`CcView`] it hands to each hook. Each variant is an arm of
-//! [`CcAlgorithm`]; see the `rss-cc` crate docs for the how-to.
+//! [`cc`]): the sender drives its [`CcEngine`] through the
+//! per-ACK/per-congestion hooks of [`CongestionControl`] and surfaces
+//! everything a variant can pace on — IFQ occupancy for the paper's
+//! restricted slow-start, RTT extremes for delay-based schemes like the
+//! ssthreshless probe — in the [`CcView`] it hands to each hook. Each
+//! variant is an arm of [`CcAlgorithm`] that [`make_cc`] builds into a
+//! slow-start × avoidance pair of one window engine, or into BBR; adding
+//! one is a policy arm and a registry row (see the `rss-cc` crate docs).
 //!
 //! The sender and receiver are sans-IO state machines: an embedding world
 //! model (see `rss-core`) moves segments between them through the simulated
@@ -34,9 +36,8 @@ pub mod sender;
 pub mod types;
 
 pub use cc::{
-    BbrProbe, CcAlgorithm, CcEngine, CcError, CcParams, CcView, CongestionControl, CongestionEvent,
-    HighSpeedTcp, HybridStart, LimitedSlowStart, PacingDecision, RecoveryEvent, RelentlessCc, Reno,
-    RestrictedSlowStart, RssConfig, ScalableConfig, ScalableTcp, SslConfig, SsthreshlessStart,
+    CcAlgorithm, CcEngine, CcError, CcParams, CcView, CongestionControl, CongestionEvent,
+    PacingDecision, RecoveryEvent, RssConfig, ScalableConfig, SslConfig,
 };
 pub use receiver::{AckToSend, ReceiverStats, TcpReceiver};
 pub use rss_net::Ecn;
@@ -59,37 +60,6 @@ mod tests {
 
     fn built(algo: CcAlgorithm, cfg: &TcpConfig) -> CcEngine {
         make_cc(algo, cfg).expect("default config builds every variant")
-    }
-
-    #[test]
-    fn factory_builds_each_algorithm() {
-        let cfg = TcpConfig::default();
-        for (algo, ty) in [
-            (CcAlgorithm::Reno, "Reno(Reno {"),
-            (
-                CcAlgorithm::Restricted(RssConfig::tuned()),
-                "Dyn(RestrictedSlowStart {",
-            ),
-            (
-                CcAlgorithm::Limited { max_ssthresh: None },
-                "Dyn(LimitedSlowStart {",
-            ),
-            (
-                CcAlgorithm::Ssthreshless(SslConfig::default()),
-                "Dyn(SsthreshlessStart {",
-            ),
-            (CcAlgorithm::HighSpeed, "Dyn(HighSpeedTcp {"),
-            (
-                CcAlgorithm::Scalable(ScalableConfig::default()),
-                "Dyn(ScalableTcp {",
-            ),
-            (CcAlgorithm::Bbr, "Dyn(BbrProbe {"),
-            (CcAlgorithm::Relentless, "Dyn(RelentlessCc {"),
-            (CcAlgorithm::Hybrid, "Dyn(HybridStart {"),
-        ] {
-            let dbg = format!("{:?}", built(algo, &cfg));
-            assert!(dbg.starts_with(ty), "{} built {dbg}", algo.label());
-        }
     }
 
     #[test]

@@ -133,7 +133,8 @@ fn first_segment_end(flight: Range<u64>, mss: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{CcEngine, Reno};
+    use crate::cc::CcAlgorithm;
+    use crate::make_cc;
     use crate::sender::{IfqSnapshot, TcpSender};
     use crate::types::{ConnId, TcpConfig};
     use rss_sim::SimTime;
@@ -270,11 +271,7 @@ mod tests {
                 initial_cwnd_mss: 4,
                 ..cfg(3)
             };
-            let cc = CcEngine::from(Reno::new(
-                cfg.initial_cwnd(),
-                cfg.effective_initial_ssthresh(),
-                MSS,
-            ));
+            let cc = make_cc(CcAlgorithm::Reno, &cfg).unwrap();
             let mut s = TcpSender::new(ConnId(0), cfg, cc, None);
             let ifq = IfqSnapshot { depth: 0, max: 100 };
             while let Some(p) = s.can_transmit(SimTime::ZERO) {

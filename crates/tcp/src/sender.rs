@@ -119,6 +119,14 @@ pub struct TcpSender {
     ecn_cwr_gate: u64,
 }
 
+/// The time `len` payload bytes take at `bytes_per_sec`. Floor division: an
+/// effectively-infinite rate (`u64::MAX`) yields a zero gap, so the pacer
+/// never holds a departure and the schedule is the unpaced one.
+fn pacing_gap(len: u32, bytes_per_sec: u64) -> SimDuration {
+    let gap_ns = len as u128 * 1_000_000_000 / bytes_per_sec as u128;
+    SimDuration::from_nanos(gap_ns as u64)
+}
+
 /// `TcpSender::app_total` of an unbounded source, and `delivery_rate`
 /// before its first sample: 8 bytes each where an `Option<u64>` takes 16.
 const UNBOUNDED: u64 = u64::MAX;
@@ -213,13 +221,9 @@ impl TcpSender {
 
     /// Bytes the sender holds on the heap beside its recorder
     /// ([`rss_web100::InstrumentBlock::heap_bytes`]): its send-timestamp ring and
-    /// a boxed controller's inline state.
+    /// its controller's boxed state ([`CcEngine::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        let cc = match &self.cc {
-            CcEngine::Reno(_) => 0,
-            CcEngine::Dyn(cc) => size_of_val(&**cc),
-        };
-        self.sent_times.capacity() * size_of::<(u64, SentInfo)>() + cc
+        self.sent_times.capacity() * size_of::<(u64, SentInfo)>() + self.cc.heap_bytes()
     }
 
     /// True while a fast-recovery episode is in progress.
@@ -378,10 +382,7 @@ impl TcpSender {
         // controller's rate. Unpaced controllers never reach this arm, so
         // the window-variant path is byte-identical to the pre-pacing code.
         if let PacingDecision::Rate { bytes_per_sec } = self.cc.pacing() {
-            // Floor division: an effectively-infinite rate (`u64::MAX`)
-            // yields a zero gap and reproduces the unpaced schedule exactly.
-            let gap_ns = plan.len as u128 * 1_000_000_000 / bytes_per_sec as u128;
-            self.pacing_next = self.pacing_next.max(now) + SimDuration::from_nanos(gap_ns as u64);
+            self.pacing_next = self.pacing_next.max(now) + pacing_gap(plan.len, bytes_per_sec);
             self.pacing_armed = OptNanos::NONE;
         }
         if self.rto_deadline.is_none() {
@@ -595,7 +596,8 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::Reno;
+    use crate::cc::CcAlgorithm;
+    use crate::make_cc;
 
     const MSS: u32 = 1000;
 
@@ -611,11 +613,7 @@ mod tests {
 
     fn sender(app_total: Option<u64>) -> TcpSender {
         let c = cfg();
-        let cc = CcEngine::from(Reno::new(
-            c.initial_cwnd(),
-            c.effective_initial_ssthresh(),
-            c.mss,
-        ));
+        let cc = make_cc(CcAlgorithm::Reno, &c).unwrap();
         TcpSender::new(ConnId(0), c, cc, app_total)
     }
 
@@ -972,65 +970,46 @@ mod tests {
         assert!(p.retransmit, "bytes below max_sent are retransmissions");
     }
 
-    /// A window controller with a fixed pacing rate bolted on — exercises
-    /// the sender's pacing gate without a full rate-based variant.
-    #[derive(Debug)]
-    struct PacedStub {
-        inner: Reno,
-        rate: u64,
-    }
-
-    impl CongestionControl for PacedStub {
-        fn cwnd(&self) -> u64 {
-            self.inner.cwnd()
-        }
-        fn ssthresh(&self) -> u64 {
-            self.inner.ssthresh()
-        }
-        fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
-            self.inner.on_ack(view, newly_acked);
-        }
-        fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
-            self.inner.on_congestion(view, ev);
-        }
-        fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
-            self.inner.on_recovery(view, ev);
-        }
-        fn pacing(&self) -> PacingDecision {
-            PacingDecision::Rate {
-                bytes_per_sec: self.rate,
-            }
-        }
-    }
-
-    use crate::cc::{PacingDecision, RecoveryEvent};
-
-    fn paced_sender(rate: u64, cwnd_mss: u32) -> TcpSender {
+    /// A BBR sender that sent its 8-segment initial window unpaced (no
+    /// bandwidth sample yet) and had all of it acknowledged 50 ms later:
+    /// a 160 kB/s sample, so it now paces. Returns the sender and the rate
+    /// its controller reports.
+    fn paced_sender() -> (TcpSender, u64) {
         let c = TcpConfig {
-            initial_cwnd_mss: cwnd_mss,
+            initial_cwnd_mss: 8,
             ..cfg()
         };
-        let cc = CcEngine::from(Box::new(PacedStub {
-            inner: Reno::new(c.initial_cwnd(), c.effective_initial_ssthresh(), c.mss),
-            rate,
-        }) as Box<dyn CongestionControl>);
-        TcpSender::new(ConnId(0), c, cc, None)
+        let cc = make_cc(CcAlgorithm::Bbr, &c).unwrap();
+        let mut s = TcpSender::new(ConnId(0), c, cc, None);
+        assert_eq!(s.cc().pacing(), PacingDecision::Unpaced, "no sample yet");
+        assert_eq!(drain(&mut s, t(0)).len(), 8, "unpaced: the whole window");
+        s.on_ack(t(50), 8000, 1_000_000, ifq());
+        let PacingDecision::Rate { bytes_per_sec } = s.cc().pacing() else {
+            panic!("a bandwidth sample sets a rate");
+        };
+        (s, bytes_per_sec)
     }
 
     #[test]
     fn pacing_spreads_departures_at_the_configured_rate() {
-        // 1 MB/s and 1000-byte segments: one departure per millisecond.
-        let mut s = paced_sender(1_000_000, 8);
-        let plans = drain(&mut s, t(0));
+        let (mut s, rate) = paced_sender();
+        assert!(
+            s.cc().cwnd() >= 8 * MSS as u64,
+            "the window is not the limit"
+        );
+        let gap = SimDuration::from_nanos(MSS as u64 * 1_000_000_000 / rate);
+        let plans = drain(&mut s, t(50));
         assert_eq!(plans.len(), 1, "pacer releases one segment per gap");
         // The pacer, not the window, is the limiter — and it says when.
-        let retry = s.pacing_retry_at(t(0)).expect("held by the pacer");
-        assert_eq!(retry, t(1));
-        assert!(s.pacing_retry_at(t(0)).is_none(), "armed once per release");
-        // At the release instant the next segment goes out.
-        let plans = drain(&mut s, t(1));
+        let retry = s.pacing_retry_at(t(50)).expect("held by the pacer");
+        assert_eq!(retry, t(50) + gap);
+        assert!(s.pacing_retry_at(t(50)).is_none(), "armed once per release");
+        // At the release instant the next segment goes out, and the one
+        // after it waits one more gap.
+        let plans = drain(&mut s, retry);
         assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].seq, 1000);
+        assert_eq!(plans[0].seq, 9000);
+        assert_eq!(s.pacing_retry_at(retry), Some(retry + gap));
     }
 
     #[test]
@@ -1038,16 +1017,15 @@ mod tests {
         // A generous pacing gap budget over a long stretch of time must
         // still respect cwnd: jump far past many release instants and check
         // the window clamps the burst.
-        let mut s = paced_sender(1_000_000, 4);
-        let mut sent = drain(&mut s, t(0)).len();
-        let mut now = t(0);
+        let (mut s, _) = paced_sender();
+        let mut sent = 0;
+        let mut now = t(50);
         for _ in 0..20 {
             now += SimDuration::from_millis(100);
             sent += drain(&mut s, now).len();
         }
         assert_eq!(sent as u64 * 1000, s.flight());
-        assert!(s.flight() <= s.cc().cwnd(), "pacing never overrides cwnd");
-        assert_eq!(s.cc().cwnd(), 4000);
+        assert_eq!(s.flight(), s.cc().cwnd(), "pacing never overrides cwnd");
         assert!(
             s.pacing_retry_at(now).is_none(),
             "window-limited, not pacer-limited: no retry to arm"
@@ -1056,22 +1034,14 @@ mod tests {
 
     #[test]
     fn effectively_infinite_rate_matches_the_unpaced_schedule() {
-        // Satellite invariant: Rate { u64::MAX } must reproduce the unpaced
-        // sender byte-for-byte — same plans at the same instants.
-        let mut paced = paced_sender(u64::MAX, 2);
-        let mut plain = sender(None);
-        for step in 0u64..40 {
-            let now = t(step * 10);
-            assert_eq!(drain(&mut paced, now), drain(&mut plain, now));
-            assert_eq!(paced.pacing_retry_at(now), None);
-            if step % 3 == 0 {
-                let ack = paced.snd_una() + 1000;
-                paced.on_ack(now, ack, 1_000_000, ifq());
-                plain.on_ack(now, ack, 1_000_000, ifq());
-            }
+        // A `u64::MAX` rate gives every segment size a zero gap: the pacer's
+        // next release never passes `now`, so it never holds a departure.
+        for len in [1, MSS, 65_535, u32::MAX] {
+            assert_eq!(pacing_gap(len, u64::MAX), SimDuration::ZERO, "{len}");
         }
-        assert_eq!(paced.snd_nxt(), plain.snd_nxt());
-        assert_eq!(paced.flight(), plain.flight());
+        // Finite rates floor to whole nanoseconds.
+        assert_eq!(pacing_gap(MSS, 1_000_000), SimDuration::from_millis(1));
+        assert_eq!(pacing_gap(1, 3), SimDuration::from_nanos(333_333_333));
     }
 
     #[test]
@@ -1108,11 +1078,7 @@ mod tests {
             initial_cwnd_mss: 4,
             ..cfg()
         };
-        let cc = CcEngine::from(Reno::new(
-            c.initial_cwnd(),
-            c.effective_initial_ssthresh(),
-            c.mss,
-        ));
+        let cc = make_cc(CcAlgorithm::Reno, &c).unwrap();
         let mut s = TcpSender::new(ConnId(0), c, cc, Some(2500));
         drain(&mut s, t(0));
         s.on_ack(t(50), 2500, 1_000_000, ifq());
@@ -1149,17 +1115,20 @@ mod tests {
     #[test]
     fn dispatch_shell_and_sender_sizes_are_pinned() {
         use std::mem::size_of;
-        // Reno inline beside the boxed trait object. Holding every variant
-        // inline would grow each flow's sender by about 200 bytes.
-        assert_eq!(size_of::<CcEngine>(), 40);
+        // Reno's window state beside a slow-start and an avoidance policy,
+        // each inline or one pointer to its boxed state; BBR's pointer
+        // rides in the policy tags' niche. 40 B as inline Reno beside a
+        // boxed trait object.
+        assert_eq!(size_of::<CcEngine>(), 64);
         // The four `TcpConfig` fields it reads after construction, not the
         // whole config: 792 B with it. 720 B with each optional time an
         // `Option` (16 B), the instrument's timelines inline (64 B) and the
         // estimator's sample count; 584 B with the application total and
         // the delivery rate each an `Option<u64>`; 568 B with the RTO
         // episode record and the limit state the recorder now owns, and the
-        // delivered count and rate interval no controller read.
+        // delivered count and rate interval no controller read; 528 B with
+        // the 40-byte engine.
         let sender = size_of::<TcpSender>();
-        assert!(sender <= 528, "TcpSender is {sender} bytes");
+        assert!(sender <= 552, "TcpSender is {sender} bytes");
     }
 }

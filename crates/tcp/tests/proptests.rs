@@ -157,16 +157,12 @@ proptest! {
     fn sender_accounting_invariants(
         script in prop::collection::vec((0u8..6, 1u64..5), 1..200),
     ) {
-        use rss_tcp::{IfqSnapshot, Reno, TcpSender};
+        use rss_tcp::{IfqSnapshot, TcpSender};
         let cfg = TcpConfig {
             mss: 1000,
             ..TcpConfig::default()
         };
-        let cc = rss_tcp::cc::CcEngine::from(Reno::new(
-            cfg.initial_cwnd(),
-            cfg.effective_initial_ssthresh(),
-            cfg.mss,
-        ));
+        let cc = make_cc(CcAlgorithm::Reno, &cfg).unwrap();
         let mut s = TcpSender::new(ConnId(0), cfg, cc, Some(200_000));
         let ifq = IfqSnapshot { depth: 0, max: 100 };
         let mut now = SimTime::ZERO;
