@@ -154,7 +154,9 @@ impl PidStart {
         } else if self.frac_accum <= -1.0 {
             let sub = (-self.frac_accum).floor();
             self.frac_accum += sub;
-            r.cwnd = r.cwnd.saturating_sub(sub as u64).max(r.floor());
+            // The floor bounds the decrease; it never raises a window that
+            // a timeout left below it.
+            r.cwnd = r.cwnd.saturating_sub(sub as u64).max(r.floor().min(r.cwnd));
         }
         true
     }
@@ -312,6 +314,24 @@ mod tests {
         cc.on_congestion(&v, CongestionEvent::Timeout);
         assert_eq!(controller(&cc).update_count(), 0, "controller reset");
         assert_eq!(cc.cwnd(), MSS as u64);
+    }
+
+    #[test]
+    fn an_overfull_ifq_after_a_timeout_does_not_raise_the_window() {
+        let mut cc = rss();
+        let v = CcView {
+            flight: 100 * MSS as u64,
+            ..view(0, 50)
+        };
+        cc.on_congestion(&v, CongestionEvent::Timeout);
+        assert_eq!(cc.cwnd(), MSS as u64);
+        assert!(cc.in_slow_start());
+        // The IFQ is full, over the set point: the controller asks for less,
+        // and the 2-MSS floor must not turn that into growth.
+        for i in 1..=2 {
+            cc.on_ack(&view(i, 100), MSS as u64);
+            assert_eq!(cc.cwnd(), MSS as u64, "ACK {i}");
+        }
     }
 
     #[test]

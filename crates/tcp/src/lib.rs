@@ -24,6 +24,17 @@
 //! model (see `rss-core`) moves segments between them through the simulated
 //! host NIC and network fabric. Modules: [`sender`], [`recovery`]
 //! (NewReno), [`receiver`], [`rtt`] (RFC 6298) and [`types`].
+//!
+//! The sender keeps one 16-byte record per segment in flight, for its RTT
+//! and delivery-rate samples: the send time in the low 62 bits of a word
+//! whose top two bits mark a retransmission and an application-limited
+//! departure, then the segment's end and `snd_una` at departure as 32-bit
+//! sequence numbers, unwrapped against `snd_una` as TCP compares them
+//! (RFC 793 §3.3). That holds because the usable window is capped at
+//! RFC 7323's 2^30 bytes, whatever cwnd and the peer's window say, so every
+//! in-flight byte lies within 2^31 of `snd_una`. The records sit in a ring
+//! with room for the flight it holds now, not for the largest flight the
+//! connection ever had.
 
 #![warn(missing_docs)]
 
@@ -33,6 +44,7 @@ pub mod receiver;
 pub mod recovery;
 pub mod rtt;
 pub mod sender;
+mod sent;
 pub mod types;
 
 pub use cc::{

@@ -17,10 +17,10 @@ use crate::cc::{
 };
 use crate::recovery::{CcSignal, NewReno};
 use crate::rtt::RttEstimator;
+use crate::sent::{SentInfo, SentRing};
 use crate::types::{ConnId, StallResponse, TcpConfig};
 use rss_sim::{OptNanos, SimDuration, SimTime};
 use rss_web100::{CongestionKind, InstrumentBlock, SndLimState};
-use std::collections::VecDeque;
 
 /// A transmission the sender wants to make.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,19 +41,6 @@ pub struct IfqSnapshot {
     pub depth: u32,
     /// Capacity, packets.
     pub max: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SentInfo {
-    sent_at: SimTime,
-    retransmitted: bool,
-    /// `snd_una` when this segment departed (the bytes delivered so far):
-    /// the ACK that covers it turns `snd_una − this` over `now − sent_at`
-    /// into a delivery-rate sample.
-    delivered_at_send: u64,
-    /// True when the application had run dry at departure time — the rate
-    /// sample this segment produces measures the app, not the path.
-    app_limited: bool,
 }
 
 /// One connection's send state.
@@ -82,10 +69,9 @@ pub struct TcpSender {
     /// Fast retransmit and recovery: the duplicate-ACK count, the recovery
     /// point and the hole to retransmit.
     recovery: NewReno,
-    /// Send timestamps as a ring ordered by segment end-offset. New data
-    /// appends at the back; cumulative ACKs drain from the front, so the
-    /// per-ACK bookkeeping is O(acked segments) with no tree rebalancing.
-    sent_times: VecDeque<(u64, SentInfo)>,
+    /// A 16-byte record per segment in flight, ordered by segment end,
+    /// with room for the flight it holds now.
+    sent_times: SentRing,
 
     /// Latest Karn-valid RTT sample and the connection minimum, surfaced to
     /// the congestion controller through [`CcView`] (delay-based variants
@@ -132,6 +118,10 @@ fn pacing_gap(len: u32, bytes_per_sec: u64) -> SimDuration {
 const UNBOUNDED: u64 = u64::MAX;
 const NO_RATE: u64 = u64::MAX;
 
+/// The largest window TCP can use (RFC 7323 §2.2: a window scale of at most
+/// 14 over a 16-bit window field), in bytes.
+const MAX_WINDOW: u64 = 1 << 30;
+
 impl TcpSender {
     /// Create a sender with the given congestion controller and an
     /// application that will write `app_total` bytes (`None` = unlimited, as
@@ -160,7 +150,7 @@ impl TcpSender {
             max_sent: 0,
             app_total: app_total.unwrap_or(UNBOUNDED),
             recovery: NewReno::default(),
-            sent_times: VecDeque::new(),
+            sent_times: SentRing::default(),
             last_rtt: OptNanos::NONE,
             min_rtt: OptNanos::NONE,
             delivery_rate: NO_RATE,
@@ -223,7 +213,7 @@ impl TcpSender {
     /// ([`rss_web100::InstrumentBlock::heap_bytes`]): its send-timestamp ring and
     /// its controller's boxed state ([`CcEngine::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.sent_times.capacity() * size_of::<(u64, SentInfo)>() + self.cc.heap_bytes()
+        self.sent_times.heap_bytes() + self.cc.heap_bytes()
     }
 
     /// True while a fast-recovery episode is in progress.
@@ -281,9 +271,12 @@ impl TcpSender {
         }
     }
 
+    /// The usable window: cwnd, the peer's window, and RFC 7323's 2^30
+    /// bytes, which keeps every in-flight sequence number within 2^31 of
+    /// `snd_una` (see [`SentRing`]).
     #[inline]
     fn effective_window(&self) -> u64 {
-        self.cc.cwnd().min(self.peer_rwnd)
+        self.cc.cwnd().min(self.peer_rwnd).min(MAX_WINDOW)
     }
 
     // --- transmission ------------------------------------------------------
@@ -364,16 +357,7 @@ impl TcpSender {
             delivered_at_send: self.snd_una,
             app_limited,
         };
-        // Ring insert, ordered by end-offset. New data lands at the back;
-        // retransmissions overwrite the earlier record for the same range.
-        match self.sent_times.back() {
-            Some(&(last, _)) if last < end => self.sent_times.push_back((end, info)),
-            None => self.sent_times.push_back((end, info)),
-            _ => match self.sent_times.binary_search_by(|&(e, _)| e.cmp(&end)) {
-                Ok(i) => self.sent_times[i] = (end, info),
-                Err(i) => self.sent_times.insert(i, (end, info)),
-            },
-        }
+        self.sent_times.record(end, info);
         self.web100
             .on_data_sent(plan.len, plan.retransmit || was_sent_before);
         // Stall window passed: clear the retry gate on successful enqueue.
@@ -480,36 +464,23 @@ impl TcpSender {
         // (Karn's rule). Acked records sit at the front of the ring. The
         // same segment also anchors the delivery-rate sample: bytes
         // delivered since it departed, over the time since it departed.
-        let mut sample: Option<SimDuration> = None;
-        let mut rate_anchor: Option<SentInfo> = None;
-        while let Some(&(end, info)) = self.sent_times.front() {
-            if end > ack {
-                break;
-            }
-            self.sent_times.pop_front();
-            if !info.retransmitted {
-                sample = Some(now.saturating_since(info.sent_at));
-                rate_anchor = Some(info);
-            }
+        let Some(info) = self.sent_times.ack(ack) else {
+            return;
+        };
+        let rtt = now.saturating_since(info.sent_at);
+        if rtt > SimDuration::ZERO {
+            let bytes = self.snd_una - info.delivered_at_send;
+            let rate = bytes as u128 * 1_000_000_000 / rtt.as_nanos() as u128;
+            // Held below `NO_RATE`: no path comes near 2^64 B/s.
+            self.delivery_rate = rate.min(u128::from(NO_RATE - 1)) as u64;
+            self.rate_app_limited = info.app_limited;
         }
-        if let Some(info) = rate_anchor {
-            let interval = now.saturating_since(info.sent_at);
-            if interval > SimDuration::ZERO {
-                let bytes = self.snd_una - info.delivered_at_send;
-                let rate = bytes as u128 * 1_000_000_000 / interval.as_nanos() as u128;
-                // Held below `NO_RATE`: no path comes near 2^64 B/s.
-                self.delivery_rate = rate.min(u128::from(NO_RATE - 1)) as u64;
-                self.rate_app_limited = info.app_limited;
-            }
-        }
-        if let Some(rtt) = sample {
-            self.last_rtt.set(rtt);
-            self.min_rtt
-                .set(self.min_rtt.get().map_or(rtt, |m| m.min(rtt)));
-            self.rtt.on_sample(rtt);
-            let srtt = self.rtt.srtt().unwrap_or(rtt);
-            self.web100.on_rtt(rtt, srtt, self.rtt.rto());
-        }
+        self.last_rtt.set(rtt);
+        self.min_rtt
+            .set(self.min_rtt.get().map_or(rtt, |m| m.min(rtt)));
+        self.rtt.on_sample(rtt);
+        let srtt = self.rtt.srtt().unwrap_or(rtt);
+        self.web100.on_rtt(rtt, srtt, self.rtt.rto());
     }
 
     // --- timers -------------------------------------------------------------
@@ -581,7 +552,7 @@ impl TcpSender {
     pub fn update_lim_state(&mut self, now: SimTime) {
         let state = if self.app_bytes_remaining() == 0 {
             SndLimState::Sender
-        } else if self.flight() >= self.peer_rwnd {
+        } else if self.flight() >= self.peer_rwnd.min(MAX_WINDOW) {
             SndLimState::Rwin
         } else if self.flight() >= self.cc.cwnd() {
             SndLimState::Cwnd
@@ -1110,6 +1081,41 @@ mod tests {
         let p2 = s.can_transmit(t(60)).unwrap();
         assert_eq!(p2.seq, una + 1000, "next hole retransmitted");
         assert!(p2.retransmit);
+    }
+
+    #[test]
+    fn the_window_is_capped_at_2_30_bytes_whatever_rwnd_says() {
+        // 1 MiB segments and an initial window of 2 048 of them: cwnd
+        // 2^31 bytes under a 2^33-byte rwnd. RFC 7323's cap holds the flight
+        // at 1 024 segments, and the sender says the window was the limit.
+        let c = TcpConfig {
+            mss: 1 << 20,
+            initial_cwnd_mss: 2048,
+            rwnd: 1 << 33,
+            ..cfg()
+        };
+        let cc = make_cc(CcAlgorithm::Reno, &c).unwrap();
+        let mut s = TcpSender::new(ConnId(0), c, cc, None);
+        let mut now = t(0);
+        for _ in 0..4 {
+            drain(&mut s, now);
+            assert_eq!(s.flight(), MAX_WINDOW);
+            s.update_lim_state(now);
+            now += SimDuration::from_millis(60);
+            s.on_ack(now, s.snd_una() + MAX_WINDOW / 2, 1 << 33, ifq());
+            assert!(s.cc().cwnd() > MAX_WINDOW && s.flight() < MAX_WINDOW);
+        }
+        s.web100_mut().finish(now);
+        let v = *s.web100().vars();
+        assert_eq!(v.snd_lim_time_rwin_ns, now.as_nanos());
+    }
+
+    #[test]
+    fn a_sent_record_is_sixteen_bytes() {
+        // The send time and both marks in one word, then the end and
+        // `snd_una` at departure as 32-bit sequence numbers. 32 B as a `u64`
+        // end beside the unpacked `SentInfo`.
+        assert_eq!(size_of::<crate::sent::SentRecord>(), 16);
     }
 
     #[test]

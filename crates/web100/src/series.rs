@@ -114,9 +114,11 @@ impl Packed {
     }
 }
 
-/// The recorded samples as a series: the header boxed, the steps moved.
+/// The recorded samples as a series: the header boxed, the steps moved and
+/// trimmed to their length, so a report holds no doubling slack.
 impl From<Packed> for Series {
-    fn from(p: Packed) -> Self {
+    fn from(mut p: Packed) -> Self {
+        p.steps.shrink_to_fit();
         Series((p.len > 0).then(|| Box::new(p)))
     }
 }

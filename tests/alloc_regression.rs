@@ -157,12 +157,16 @@ fn peak_heap_over_run(sc: &Scenario) -> u64 {
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures under one engine (3 131 B) and in two domains
-/// (4 050 B: each domain's fabric compiles its own 16-byte hop record per
+/// above what it measures under one engine (2 980 B) and in two domains
+/// (3 899 B: each domain's fabric compiles its own 16-byte hop record per
 /// direction of the whole topology), and the same for [`World::build`] alone
-/// (1 469 B), so a per-flow struct that grows names its phase.
+/// (1 493 B; its ceiling of 1 620 B is older and tighter), so a per-flow
+/// struct that grows names its phase.
 ///
-/// With the RTO episodes, the limit state, a delivered count and a rate
+/// With a 32-byte in-flight record per segment in a ring that kept the
+/// largest flight's room, and report series that kept their doubling
+/// slack, the same runs measured 3 155 and 4 074 B (ceilings 3 450 /
+/// 4 460). With the RTO episodes, the limit state, a delivered count and a rate
 /// interval in every sender and both hosts' node ids in every connection,
 /// the same runs measured 3 147 and 4 066 B and the build 1 517 B; with
 /// each repeated per-ACK step written again as well, 3 294 and 4 212 B and
@@ -196,8 +200,8 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let sc = manyflow(SimDuration::from_millis(1500));
     let build = || World::build(&sc).expect("the dumbbell builds");
     for (phase, peak, ceiling) in [
-        ("run(), one engine", peak_heap_over(run_in(None)), 3_450),
-        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_460),
+        ("run(), one engine", peak_heap_over(run_in(None)), 3_280),
+        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_290),
         ("World::build", peak_heap_over(build), 1_620),
     ] {
         let per_flow = peak / sc.flows.len() as u64;
@@ -213,6 +217,12 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
 /// at least 90 % of what the counting allocator holds live then, and no
 /// more than all of it, so memory that no owner counts (or an owner that
 /// miscounts) fails here with the table beside it.
+///
+/// The send-timestamp rings row is 129 B a flow: a 16-byte record per
+/// segment in flight, with room for at most four times the flight each
+/// flow holds at the horizon. With 32-byte records and the room of the
+/// largest flight each flow ever had, it read 324 B, and the live heap
+/// 3 155 B a flow where it now reads 2 960 B.
 #[test]
 fn manyflow_heap_by_owner() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -251,12 +261,13 @@ fn manyflow_heap_by_owner() {
 
 /// Telemetry recorded once, where the report reads it: the paper testbed's
 /// restricted run (one flow, 25 s, 407 947 cwnd + acked samples, one per
-/// ACK) peaks at 0.67 B of live heap per reported sample, under a ceiling a
+/// ACK) peaks at 0.63 B of live heap per reported sample, under a ceiling a
 /// tenth above. A sample is a step of a packed `Series`, and on this
 /// testbed's regular ACK clock nearly every step (a ~120 µs time step and
 /// a 1448-byte value step) repeats the one before, so it joins a run whose
-/// count is rewritten in place; what is left is the world, the steps that
-/// do change and the step buffers' doubling slack. Written as plain varint
+/// count is rewritten in place; what is left is the world and the steps
+/// that do change. With the step buffers' doubling slack kept into the
+/// report it measured 0.67 B (ceiling 0.74). Written as plain varint
 /// steps, about five bytes a sample, the same run measured 5.82 B (ceiling
 /// 6.4); held as 16-byte `(t_s, value)` pairs, 21.2 B (ceiling 23.4). A
 /// series nothing reads (the per-ACK IFQ series the sender once kept beside
@@ -273,8 +284,8 @@ fn paper_testbed_peak_heap_stays_under_the_per_sample_ceiling() {
         .sum();
     let per_sample = peak_heap_over_run(&sc) as f64 / samples as f64;
     assert!(
-        per_sample <= 0.74,
+        per_sample <= 0.70,
         "peak live heap over run() is {per_sample:.2} B per reported cwnd + acked \
-         sample ({samples} samples), ceiling 0.74"
+         sample ({samples} samples), ceiling 0.70"
     );
 }
