@@ -241,7 +241,7 @@ impl BbrProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{test_view, CcEngine, CongestionControl, RecoveryEvent};
+    use crate::{test_view, CcEngine, RecoveryEvent};
 
     const MSS: u32 = 1000;
 

@@ -122,7 +122,7 @@ pub(crate) fn kept(r: &Reno, flight: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::CongestionEvent;
-    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine};
 
     const MSS: u32 = 1000;
 

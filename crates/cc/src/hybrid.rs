@@ -144,7 +144,7 @@ impl HyStart {
 mod tests {
     use super::*;
     use crate::CongestionEvent;
-    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine};
 
     const MSS: u32 = 1000;
 

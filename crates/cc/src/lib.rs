@@ -126,12 +126,11 @@ pub enum CongestionEvent {
 }
 
 /// What happened inside fast recovery — the argument of
-/// [`CongestionControl::on_recovery`] — plus the ECN echo, which shares the
+/// [`CcEngine::on_recovery`] — plus the ECN echo, which shares the
 /// delivery path so every variant reacts without per-variant sender code.
 ///
-/// Collapsing the three former per-event hooks into one enum keeps the trait
-/// from growing a method per future recovery event, and lets wrappers forward
-/// the whole family through a single delegation.
+/// One enum instead of a hook per event keeps the engine from growing a
+/// method per future recovery event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryEvent {
     /// A duplicate ACK arrived while in fast recovery (Reno window
@@ -161,11 +160,10 @@ pub enum RecoveryEvent {
 
 /// The segment-departure schedule a congestion controller asks of the sender.
 ///
-/// Classic window-based variants never override the default and stay
-/// [`PacingDecision::Unpaced`]: the sender bursts as much of the window as an
-/// arriving ACK opens, exactly as before the pacing surface existed. A
-/// rate-based variant returns [`PacingDecision::Rate`] and the sender spreads
-/// departures so payload leaves at that rate instead of in window bursts.
+/// Every window variant stays [`PacingDecision::Unpaced`]: the sender bursts
+/// as much of the window as an arriving ACK opens. A rate-based variant
+/// returns [`PacingDecision::Rate`] and the sender spreads departures so
+/// payload leaves at that rate instead of in window bursts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacingDecision {
     /// No pacing — the sender may burst the full window per ACK.
@@ -177,43 +175,6 @@ pub enum PacingDecision {
         /// reproducing unpaced behavior byte-for-byte).
         bytes_per_sec: u64,
     },
-}
-
-/// The window-management interface, which [`CcEngine`] implements.
-///
-/// All quantities are in bytes. The sender calls exactly one of the `on_*`
-/// hooks per event; it does not call [`CongestionControl::on_ack`] while in
-/// fast recovery (recovery has its own hooks).
-pub trait CongestionControl: std::fmt::Debug + Send {
-    /// Current congestion window, bytes.
-    fn cwnd(&self) -> u64;
-
-    /// Current slow-start threshold, bytes.
-    fn ssthresh(&self) -> u64;
-
-    /// True in the slow-start phase: while `cwnd < ssthresh`, except for
-    /// the delay probe (slow-start while it probes) and BBR (in startup).
-    fn in_slow_start(&self) -> bool;
-
-    /// A cumulative ACK advanced `snd_una` by `newly_acked` bytes.
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64);
-
-    /// A congestion signal fired (at most once per window per kind; the
-    /// sender throttles).
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent);
-
-    /// A fast-recovery event occurred (see [`RecoveryEvent`] for the cases).
-    /// Called instead of [`CongestionControl::on_ack`] while the sender is in
-    /// fast recovery. [`RecoveryEvent::EcnEcho`] is the exception: it is
-    /// delivered whenever an ECE-bearing ACK passes the sender's once-per-RTT
-    /// gate, in or out of recovery.
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent);
-
-    /// The departure schedule this controller currently wants (queried by the
-    /// sender on every transmit opportunity, outside any ACK context — hence
-    /// no [`CcView`] argument). Every window variant is
-    /// [`PacingDecision::Unpaced`].
-    fn pacing(&self) -> PacingDecision;
 }
 
 /// Which congestion-control algorithm a flow runs.
@@ -288,11 +249,12 @@ pub struct CcParams {
 /// The congestion controller a sender holds: the window engine every
 /// variant but BBR runs, or BBR.
 ///
-/// The per-ACK hooks are the hottest calls in the simulator after the event
-/// queue itself, so nothing here is a trait object: the `#[inline]` match
-/// arms below let the optimizer inline the whole per-ACK sequence of the
-/// standard slow-start and Reno avoidance policies, and the other policies'
-/// rules are direct calls.
+/// All quantities are in bytes. The sender calls exactly one of the `on_*`
+/// hooks per event. They are the hottest calls in the simulator after the
+/// event queue itself, so nothing here is a trait object: the `#[inline]`
+/// match arms below let the optimizer inline the whole per-ACK sequence of
+/// the standard slow-start and Reno avoidance policies, and the other
+/// policies' rules are direct calls.
 #[derive(Debug)]
 pub enum CcEngine {
     /// Reno's window state with a slow-start and an avoidance policy.
@@ -351,53 +313,75 @@ impl CcEngine {
             CcEngine::Bbr(_) => size_of::<BbrProbe>(),
         }
     }
-}
 
-impl CongestionControl for CcEngine {
+    /// Current congestion window, bytes.
     #[inline]
-    fn cwnd(&self) -> u64 {
+    pub fn cwnd(&self) -> u64 {
         match self {
             CcEngine::Window(w) => w.reno.cwnd,
             CcEngine::Bbr(b) => b.cwnd(),
         }
     }
+
+    /// Current slow-start threshold, bytes.
     #[inline]
-    fn ssthresh(&self) -> u64 {
+    pub fn ssthresh(&self) -> u64 {
         match self {
             CcEngine::Window(w) => w.reno.ssthresh,
             CcEngine::Bbr(_) => bbr::SSTHRESH,
         }
     }
+
+    /// True in the slow-start phase: while `cwnd < ssthresh`, except for
+    /// the delay probe (slow-start while it probes) and BBR (in startup).
     #[inline]
-    fn in_slow_start(&self) -> bool {
+    pub fn in_slow_start(&self) -> bool {
         match self {
             CcEngine::Window(w) => w.in_slow_start(),
             CcEngine::Bbr(b) => b.in_slow_start(),
         }
     }
+
+    /// A cumulative ACK advanced `snd_una` by `newly_acked` bytes. The
+    /// sender does not call it while in fast recovery, which has
+    /// [`Self::on_recovery`].
     #[inline]
-    fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
+    pub fn on_ack(&mut self, view: &CcView, newly_acked: u64) {
         match self {
             CcEngine::Window(w) => w.on_ack(view, newly_acked),
             CcEngine::Bbr(b) => b.on_ack(view, newly_acked),
         }
     }
+
+    /// A congestion signal fired (at most once per window per kind; the
+    /// sender throttles).
     #[inline]
-    fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
+    pub fn on_congestion(&mut self, view: &CcView, ev: CongestionEvent) {
         match self {
             CcEngine::Window(w) => w.on_congestion(view, ev),
             CcEngine::Bbr(b) => b.on_congestion(ev),
         }
     }
+
+    /// A fast-recovery event occurred (see [`RecoveryEvent`] for the cases).
+    /// Called instead of [`Self::on_ack`] while the sender is in fast
+    /// recovery. [`RecoveryEvent::EcnEcho`] is the exception: it is
+    /// delivered whenever an ECE-bearing ACK passes the sender's once-per-RTT
+    /// gate, in or out of recovery.
     #[inline]
-    fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
+    pub fn on_recovery(&mut self, view: &CcView, ev: RecoveryEvent) {
         match self {
             CcEngine::Window(w) => w.on_recovery(view, ev),
             CcEngine::Bbr(_) => {}
         }
     }
+
+    /// The departure schedule this controller currently wants (queried by the
+    /// sender on every transmit opportunity, outside any ACK context — hence
+    /// no [`CcView`] argument). Every window variant is
+    /// [`PacingDecision::Unpaced`].
     #[inline]
-    fn pacing(&self) -> PacingDecision {
+    pub fn pacing(&self) -> PacingDecision {
         match self {
             CcEngine::Window(_) => PacingDecision::Unpaced,
             CcEngine::Bbr(b) => b.pacing(),

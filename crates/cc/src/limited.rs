@@ -25,7 +25,7 @@ pub(crate) fn on_ack(r: &mut Reno, max_ssthresh: u64, newly_acked: u64) -> bool 
 #[cfg(test)]
 mod tests {
     use crate::reno::SlowStart;
-    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine};
     use crate::{CongestionEvent, RecoveryEvent};
 
     const MSS: u32 = 1000;

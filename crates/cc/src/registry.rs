@@ -319,9 +319,7 @@ pub fn validate(algo: &CcAlgorithm, params: &CcParams) -> Result<(), CcError> {
 mod tests {
     use super::*;
     use crate::reno::{Avoidance, SlowStart};
-    use crate::{
-        CcEngine, CongestionControl, PacingDecision, RssConfig, ScalableConfig, SslConfig,
-    };
+    use crate::{CcEngine, PacingDecision, RssConfig, ScalableConfig, SslConfig};
 
     fn params() -> CcParams {
         CcParams {

@@ -113,7 +113,7 @@ impl RelentlessRecovery {
 
 #[cfg(test)]
 mod tests {
-    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine};
     use crate::{CongestionEvent, RecoveryEvent};
 
     const MSS: u32 = 1000;

@@ -253,7 +253,7 @@ impl Window {
 
 #[cfg(test)]
 mod tests {
-    use crate::{test_engine, test_view, CcAlgorithm, CongestionControl, CongestionEvent};
+    use crate::{test_engine, test_view, CcAlgorithm, CongestionEvent};
     use crate::{CcEngine, RecoveryEvent};
 
     const MSS: u32 = 1000;

@@ -166,7 +166,7 @@ impl PidStart {
 mod tests {
     use super::*;
     use crate::reno::SlowStart;
-    use crate::{test_engine, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{test_engine, CcAlgorithm, CcEngine};
     use crate::{CongestionEvent, RecoveryEvent};
     use rss_sim::SimTime;
 

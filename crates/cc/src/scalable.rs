@@ -48,7 +48,7 @@ pub(crate) fn kept(flight: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::reno::Avoidance;
-    use crate::{test_engine, test_view, CcAlgorithm, CcEngine, CongestionControl};
+    use crate::{test_engine, test_view, CcAlgorithm, CcEngine};
     use crate::{CongestionEvent, RecoveryEvent};
 
     const MSS: u32 = 1000;

@@ -246,7 +246,7 @@ impl DelayProbe {
 mod tests {
     use super::*;
     use crate::reno::SlowStart;
-    use crate::{test_engine, CcAlgorithm, CcEngine, CongestionControl, RecoveryEvent};
+    use crate::{test_engine, CcAlgorithm, CcEngine, RecoveryEvent};
     use rss_sim::SimTime;
 
     const MSS: u32 = 1000;

@@ -1,12 +1,12 @@
 //! Responses of single variants that differ from "Reno with one piece
 //! swapped": each test pins one of them through the public surface alone
-//! (`CcEngine::new` and the `CongestionControl` hooks). The byte goldens and
+//! (`CcEngine::new` and the engine's hooks). The byte goldens and
 //! the benchmark's `lossy_aqm` goodput, which runs every variant through a
 //! marking RED bottleneck, depend on all of them.
 
 use rss_cc::{
-    CcAlgorithm, CcEngine, CcParams, CcView, CongestionControl, CongestionEvent, RecoveryEvent,
-    RssConfig, ScalableConfig, SslConfig,
+    CcAlgorithm, CcEngine, CcParams, CcView, CongestionEvent, RecoveryEvent, RssConfig,
+    ScalableConfig, SslConfig,
 };
 use rss_control::PidGains;
 use rss_sim::{SimDuration, SimTime};

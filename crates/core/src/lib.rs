@@ -53,9 +53,10 @@ pub use report::{FlowReport, RunReport, ShardCounters};
 pub use runner::{run, run_many, try_run, BatchCell, RunError};
 pub use scenario::{CrossSpec, FlowSpec, PathSpec, QueueDiscipline, RedParams, Scenario};
 pub use spec::{
-    results_csv, BurstLossDef, CcDef, CrossDef, ExpandedRun, FairnessDef, FlapDef, FlowDef,
-    GridFtpDef, HostDef, ImpairmentDef, ImpairmentsDef, JitterDef, OutageDef, OutputSpec, PathDef,
-    QueueDef, RedDef, RunSpec, ScenarioSpec, ShardsDef, SpecError, SweepSpec, TcpDef, TuningDef,
+    results_csv, runs_csv, BurstLossDef, CcDef, CrossDef, ExpandedRun, FairnessDef, FlapDef,
+    FlowDef, GridFtpDef, HostDef, ImpairmentDef, ImpairmentsDef, JitterDef, OutageDef, OutputSpec,
+    PathDef, QueueDef, RedDef, RunSpec, ScenarioSpec, ShardsDef, SpecError, SweepSpec, TcpDef,
+    TuningDef,
 };
 pub use world::{BuildError, Ev, World};
 

@@ -24,7 +24,7 @@ fn flow_report(
     completed_at: Option<SimTime>,
     end: SimTime,
 ) -> FlowReport {
-    web100.finish(end);
+    web100.finish(sc.flows[i].start, end);
     let rstats = receiver.stats();
     let vars = *web100.vars();
     let goodput = web100.goodput_bps(end);

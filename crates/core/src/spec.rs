@@ -1,6 +1,6 @@
 //! Declarative scenario files: the JSON schema (`ScenarioSpec`), its
-//! expansion into concrete [`Scenario`]s, and the deterministic CSV summary
-//! the `rss` CLI emits.
+//! expansion into concrete [`Scenario`]s, and the deterministic CSVs the
+//! `rss` CLI emits: [`results_csv`] per flow and [`runs_csv`] per run.
 //!
 //! Every testbed the examples and the paper-claims tests run is expressible as
 //! data: topology (rates, delays, queue limits), workload (flows, sizes,
@@ -66,8 +66,9 @@
 //! assert!(matches!(runs[0].scenario.flows[0].algo, CcAlgorithm::Reno));
 //! assert_eq!(runs[0].scenario.flows[1].start.as_secs_f64(), 2.0);
 //!
-//! // The fairness block names its artifact beside the summary CSV.
+//! // The fairness block names its artifact beside the two summary CSVs.
 //! assert_eq!(spec.csv_name(), "scenario_worked_example.csv");
+//! assert_eq!(spec.runs_csv_name(), "runs_worked_example.csv");
 //! assert_eq!(
 //!     spec.fairness_csv_name().as_deref(),
 //!     Some("fairness_worked_example.csv")
@@ -114,8 +115,8 @@ pub struct ScenarioSpec {
     /// identical with and without it and for every count, so `"auto"` stays
     /// reproducible.
     pub shards: Option<ShardsDef>,
-    /// Artifact file names under the output directory (JSON `output`,
-    /// default `scenario_<name>.csv` only).
+    /// Artifacts beside the two CSVs, under the output directory (JSON
+    /// `output`, default none).
     pub output: Option<OutputSpec>,
 }
 
@@ -601,9 +602,6 @@ impl FairnessDef {
 /// Artifact names, relative to the CLI's output directory.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OutputSpec {
-    /// Per-flow summary CSV file name (JSON `csv`, default
-    /// `scenario_<name>.csv`).
-    pub csv: Option<String>,
     /// Full machine-readable reports as JSON (JSON `json`, default: not
     /// written).
     pub json: Option<String>,
@@ -1056,7 +1054,6 @@ impl ScenarioSpec {
         let fairness = self.fairness.as_ref();
         for (what, name) in [
             ("$.name", Some(&self.name)),
-            ("$.output.csv", output.and_then(|o| o.csv.as_ref())),
             ("$.output.json", output.and_then(|o| o.json.as_ref())),
             ("$.fairness.csv", fairness.and_then(|f| f.csv.as_ref())),
         ] {
@@ -1129,13 +1126,14 @@ impl ScenarioSpec {
         Ok(out)
     }
 
-    /// Default CSV artifact name (`scenario_<name>.csv`), overridable via
-    /// the `output.csv` field.
+    /// The per-flow CSV artifact's name: `scenario_<name>.csv`.
     pub fn csv_name(&self) -> String {
-        match self.output.as_ref().and_then(|o| o.csv.clone()) {
-            Some(name) => name,
-            None => format!("scenario_{}.csv", self.name),
-        }
+        format!("scenario_{}.csv", self.name)
+    }
+
+    /// The per-run CSV artifact's name: `runs_<name>.csv`.
+    pub fn runs_csv_name(&self) -> String {
+        format!("runs_{}.csv", self.name)
     }
 
     /// Fairness CSV artifact name — `Some` only when the spec opts into the
@@ -1171,7 +1169,7 @@ pub fn results_csv(spec: &ScenarioSpec, runs: &[ExpandedRun], reports: &[RunRepo
     let mut out = String::from(
         "scenario,run,cell,rate_mbps,rtt_ms,txqueuelen,seed,flows,flow,algo,\
          goodput_bps,utilization,send_stalls,congestion_signals,max_cwnd_bytes,\
-         data_bytes_out,thru_bytes_acked,completed_s,events\n",
+         data_bytes_out,thru_bytes_acked,completed_s\n",
     );
     // Rows go straight into `out`; `write!` into a `String` cannot fail.
     for (er, report) in runs.iter().zip(reports) {
@@ -1200,12 +1198,30 @@ pub fn results_csv(spec: &ScenarioSpec, runs: &[ExpandedRun], reports: &[RunRepo
                 f.vars.data_bytes_out,
                 f.vars.thru_bytes_acked,
             );
-            match f.completed_at_s {
-                Some(t) => fmt_f64(t, &mut out),
-                None => out.push(','),
+            if let Some(t) = f.completed_at_s {
+                serde::write_f64(t, &mut out);
             }
-            let _ = writeln!(out, "{}", report.events_processed);
+            out.push('\n');
         }
+    }
+    out
+}
+
+/// Render the per-run CSV: one row per expanded run with the executor's
+/// cost of it — the events it dispatched, the simulated time it ended at
+/// and, when a watchdog cut it short, why. Executor changes that move no
+/// flow's behaviour move only this file.
+pub fn runs_csv(spec: &ScenarioSpec, runs: &[ExpandedRun], reports: &[RunReport]) -> String {
+    assert_eq!(runs.len(), reports.len(), "one report per expanded run");
+    let mut out = String::from("scenario,run,cell,seed,events,end_s,truncated\n");
+    for (er, report) in runs.iter().zip(reports) {
+        let _ = write!(
+            out,
+            "{},{},{},{},{},",
+            spec.name, er.label, er.cell, er.scenario.seed, report.events_processed
+        );
+        fmt_f64(report.duration_s, &mut out);
+        let _ = writeln!(out, "{}", report.truncated.as_deref().unwrap_or(""));
     }
     out
 }
@@ -1289,10 +1305,6 @@ mod tests {
             for (what, text) in [
                 ("$.name", doc(bad, "")),
                 (
-                    "$.output.csv",
-                    doc("ok", &format!(r#","output":{{"csv":"{bad}"}}"#)),
-                ),
-                (
                     "$.output.json",
                     doc("ok", &format!(r#","output":{{"json":"{bad}"}}"#)),
                 ),
@@ -1314,13 +1326,13 @@ mod tests {
             }
         }
         // The message quotes the offending value.
-        let err = ScenarioSpec::from_json(&doc("ok", r#","output":{"csv":"../x.csv"}"#))
+        let err = ScenarioSpec::from_json(&doc("ok", r#","output":{"json":"../x.json"}"#))
             .unwrap()
             .validate()
             .unwrap_err();
         assert_eq!(
             err.msg,
-            r#"$.output.csv: must be a plain file name, got "../x.csv""#
+            r#"$.output.json: must be a plain file name, got "../x.json""#
         );
         // The default names pass.
         ScenarioSpec::from_json(&doc("ok", r#","fairness":{}"#))
@@ -2067,7 +2079,7 @@ mod tests {
                          "tcp":{"stall_response":"RestartFromOne"},
                          "duration_s":1.5,"seed":7}],
                 "sweep":{"rtt_ms":[10,20]},
-                "output":{"csv":"rt.csv"}}"#,
+                "output":{"json":"rt.json"}}"#,
         )
         .unwrap();
         let json = serde::to_json_string(&spec);
@@ -2087,8 +2099,69 @@ mod tests {
         let a = results_csv(&spec, &runs, &reports);
         let b = results_csv(&spec, &runs, &reports);
         assert_eq!(a, b);
-        assert!(a.starts_with("scenario,run,cell,"), "{a}");
-        assert!(a.contains("t,std,0,10,10,100,1,1,0,standard,"), "{a}");
+        let mut lines = a.lines();
+        assert_eq!(
+            lines.next(),
+            Some(
+                "scenario,run,cell,rate_mbps,rtt_ms,txqueuelen,seed,flows,flow,algo,\
+                 goodput_bps,utilization,send_stalls,congestion_signals,max_cwnd_bytes,\
+                 data_bytes_out,thru_bytes_acked,completed_s"
+            )
+        );
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows.len(), 1, "{a}");
+        assert!(
+            rows[0].starts_with("t,std,0,10,10,100,1,1,0,standard,"),
+            "{a}"
+        );
+        // 18 cells; a bulk flow never completes, so the last one is empty.
+        assert_eq!(rows[0].split(',').count(), 18, "{a}");
+        assert!(rows[0].ends_with(','), "{a}");
+    }
+
+    #[test]
+    fn runs_csv_has_one_row_per_expanded_run() {
+        let spec = ScenarioSpec::from_json(&format!(
+            "{{\"name\":\"t\",\"runs\":{},\"sweep\":{{\"seed\":[3,4]}}}}",
+            r#"[{"label":"full","flows":[{}],"path":{"rate_mbps":10,"rtt_ms":10},
+                 "duration_s":0.5},
+                {"label":"cut","flows":[{}],"path":{"rate_mbps":10,"rtt_ms":10},
+                 "duration_s":0.5,"max_sim_time_s":0.25}]"#
+        ))
+        .unwrap();
+        let runs = spec.expand().unwrap();
+        let reports: Vec<RunReport> = runs.iter().map(|r| crate::run(&r.scenario)).collect();
+        let csv = runs_csv(&spec, &runs, &reports);
+        let mut lines = csv.lines();
+        assert_eq!(
+            lines.next(),
+            Some("scenario,run,cell,seed,events,end_s,truncated")
+        );
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+        assert_eq!(rows.len(), runs.len());
+        for ((row, er), report) in rows.iter().zip(&runs).zip(&reports) {
+            assert_eq!(
+                row[..4],
+                [
+                    "t",
+                    &er.label,
+                    &er.cell.to_string(),
+                    &er.scenario.seed.to_string()
+                ]
+            );
+            assert_eq!(row[4], report.events_processed.to_string());
+            assert_eq!(row[5].parse::<f64>().unwrap(), report.duration_s);
+            assert_eq!(row[6], report.truncated.as_deref().unwrap_or(""));
+        }
+        let cut: Vec<&Vec<&str>> = rows.iter().filter(|r| r[1] == "cut").collect();
+        assert_eq!(cut.len(), 2);
+        assert!(cut
+            .iter()
+            .all(|r| r[5] == "0.25" && r[6].starts_with("max_sim_time")));
+        assert!(rows
+            .iter()
+            .filter(|r| r[1] == "full")
+            .all(|r| r[5] == "0.5" && r[6].is_empty()));
     }
 
     fn with_shards(shards_json: &str) -> String {

@@ -301,13 +301,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `events_processed` and `engine.*` alone. The one-engine digest was
 /// re-pinned once more when the event queue stopped keeping cancelled
 /// entries: its JSON lost the `engine` counter of swept cancelled entries
-/// (21 bytes) and nothing else; the two-domain report has no `engine` and did not move. The two
-/// reports still differ from each other in `engine` / `shard` only.
+/// (21 bytes) and nothing else; the two-domain report has no `engine` and did not move. Both
+/// were re-pinned when a flow's limit times began at its own start: each
+/// JSON differs from the one before in flows 1–3's `snd_lim_time_sender_ns`
+/// alone, by their starts (5, 10 and 15 ms). The two reports still differ
+/// from each other in `engine` / `shard` only.
 #[test]
 fn report_json_is_pinned_across_the_network_first_reorder() {
     for (shards, want) in [
-        (None, 0x9007_0782_a72d_f39bu64),
-        (Some(2), 0xaa96_0fd2_c516_ee79),
+        (None, 0x01c4_a7d0_8cea_fdc7u64),
+        (Some(2), 0x7dfa_d148_b56d_a08d),
     ] {
         let mut sc = red_cross();
         sc.shards = shards;

@@ -11,8 +11,8 @@
 //! controller hears only the event the sender picks.
 //!
 //! Congestion control is the separate [`rss_cc`] layer (re-exported here as
-//! [`cc`]): the sender drives its [`CcEngine`] through the
-//! per-ACK/per-congestion hooks of [`CongestionControl`] and surfaces
+//! [`cc`]): the sender drives its [`CcEngine`] through the engine's
+//! per-ACK/per-congestion hooks and surfaces
 //! everything a variant can pace on — IFQ occupancy for the paper's
 //! restricted slow-start, RTT extremes for delay-based schemes like the
 //! ssthreshless probe — in the [`CcView`] it hands to each hook. Each
@@ -48,8 +48,8 @@ mod sent;
 pub mod types;
 
 pub use cc::{
-    CcAlgorithm, CcEngine, CcError, CcParams, CcView, CongestionControl, CongestionEvent,
-    PacingDecision, RecoveryEvent, RssConfig, ScalableConfig, SslConfig,
+    CcAlgorithm, CcEngine, CcError, CcParams, CcView, CongestionEvent, PacingDecision,
+    RecoveryEvent, RssConfig, ScalableConfig, SslConfig,
 };
 pub use receiver::{AckToSend, ReceiverStats, TcpReceiver};
 pub use rss_net::Ecn;

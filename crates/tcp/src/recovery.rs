@@ -10,7 +10,7 @@ use crate::sender::TxPlan;
 use std::ops::Range;
 
 /// What the congestion controller hears: the argument of the sender's one
-/// call into its [`CongestionControl`](crate::CongestionControl).
+/// call into its [`CcEngine`](crate::CcEngine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcSignal {
     /// New data acknowledged outside recovery, bytes (`on_ack`).

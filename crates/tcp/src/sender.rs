@@ -12,9 +12,7 @@
 //! the driver schedules a check event for each deadline it observes and the
 //! sender ignores checks that no longer apply.
 
-use crate::cc::{
-    CcEngine, CcView, CongestionControl, CongestionEvent, PacingDecision, RecoveryEvent,
-};
+use crate::cc::{CcEngine, CcView, CongestionEvent, PacingDecision, RecoveryEvent};
 use crate::recovery::{CcSignal, NewReno};
 use crate::rtt::RttEstimator;
 use crate::sent::{SentInfo, SentRing};
@@ -901,7 +899,7 @@ mod tests {
         s.update_lim_state(t(0)); // Sender (nothing sent yet)
         drain(&mut s, t(0));
         s.update_lim_state(t(10)); // now cwnd-limited
-        s.web100_mut().finish(t(20));
+        s.web100_mut().finish(t(0), t(20));
         let v = *s.web100().vars();
         assert!(v.snd_lim_time_cwnd_ns > 0);
     }
@@ -1105,7 +1103,7 @@ mod tests {
             s.on_ack(now, s.snd_una() + MAX_WINDOW / 2, 1 << 33, ifq());
             assert!(s.cc().cwnd() > MAX_WINDOW && s.flight() < MAX_WINDOW);
         }
-        s.web100_mut().finish(now);
+        s.web100_mut().finish(t(0), now);
         let v = *s.web100().vars();
         assert_eq!(v.snd_lim_time_rwin_ns, now.as_nanos());
     }

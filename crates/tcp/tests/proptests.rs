@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rss_sim::{SimDuration, SimTime};
 use rss_tcp::{
-    make_cc, AckPolicy, CcAlgorithm, CcView, CongestionControl, ConnId, RssConfig, ScalableConfig,
-    SslConfig, TcpConfig, TcpReceiver,
+    make_cc, AckPolicy, CcAlgorithm, CcView, ConnId, RssConfig, ScalableConfig, SslConfig,
+    TcpConfig, TcpReceiver,
 };
 
 fn cfg_every() -> TcpConfig {

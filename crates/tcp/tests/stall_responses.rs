@@ -6,8 +6,8 @@
 use rss_sim::SimTime;
 use rss_tcp::cc::registry;
 use rss_tcp::{
-    make_cc, CcAlgorithm, CcView, CongestionControl, CongestionEvent, ConnId, IfqSnapshot,
-    RssConfig, ScalableConfig, SslConfig, StallResponse, TcpConfig, TcpSender,
+    make_cc, CcAlgorithm, CcView, CongestionEvent, ConnId, IfqSnapshot, RssConfig, ScalableConfig,
+    SslConfig, StallResponse, TcpConfig, TcpSender,
 };
 
 /// One algorithm per registry row, in row order.

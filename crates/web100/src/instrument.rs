@@ -313,9 +313,15 @@ impl InstrumentBlock {
         }
     }
 
-    /// Close out time accounting at the end of a run.
-    pub fn finish(&mut self, now: SimTime) {
-        self.charge_lim_time(now);
+    /// Close out time accounting at `end` for a flow that opened at
+    /// `start`, so the `snd_lim_time_*` accumulators sum to `end − start`.
+    /// Before its start a flow sends nothing, so the sender reports it
+    /// `Sender`-limited, the state a block opens in, and the time before
+    /// the start sits in that accumulator; it is taken out here.
+    pub fn finish(&mut self, start: SimTime, end: SimTime) {
+        self.charge_lim_time(end);
+        let v = &mut self.vars;
+        v.snd_lim_time_sender_ns = v.snd_lim_time_sender_ns.saturating_sub(start.as_nanos());
     }
 
     /// Mean goodput in bits/s over `[0, now]` from acked bytes.
@@ -427,11 +433,30 @@ mod tests {
         b.on_snd_lim(ms(10), SndLimState::Cwnd);
         b.on_snd_lim(ms(40), SndLimState::Rwin);
         b.on_snd_lim(ms(70), SndLimState::Rwin);
-        b.finish(ms(100));
+        b.finish(SimTime::ZERO, ms(100));
         let v = b.vars();
         assert_eq!(v.snd_lim_time_sender_ns, 10_000_000);
         assert_eq!(v.snd_lim_time_cwnd_ns, 30_000_000);
         assert_eq!(v.snd_lim_time_rwin_ns, 60_000_000);
+    }
+
+    #[test]
+    fn snd_lim_time_starts_at_the_flows_start() {
+        // A flow opening at 30 ms: idle (Sender) until then, cwnd-limited
+        // from its first pump, then waiting on its application.
+        let mut b = InstrumentBlock::new();
+        b.on_snd_lim(ms(20), SndLimState::Sender);
+        b.on_snd_lim(ms(30), SndLimState::Cwnd);
+        b.on_snd_lim(ms(90), SndLimState::Sender);
+        b.finish(ms(30), ms(100));
+        let v = b.vars();
+        assert_eq!(v.snd_lim_time_cwnd_ns, 60_000_000);
+        assert_eq!(v.snd_lim_time_sender_ns, 10_000_000);
+        assert_eq!(v.snd_lim_time_rwin_ns, 0);
+        // A flow that would have opened after the run charges nothing.
+        let mut b = InstrumentBlock::new();
+        b.finish(ms(200), ms(100));
+        assert_eq!(b.vars().snd_lim_time_sender_ns, 0);
     }
 
     #[test]

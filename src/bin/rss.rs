@@ -2,8 +2,8 @@
 //!
 //! Scenarios are data (`scenarios/*.json`, schema in `rss_core::spec`); this
 //! CLI expands them (sweep grids included), executes them deterministically
-//! in parallel with duplicate cells deduped, and writes the per-flow summary
-//! CSV the golden-gated CI matrix diffs.
+//! in parallel with duplicate cells deduped, and writes the per-flow and
+//! per-run CSVs the golden-gated CI matrix diffs.
 //!
 //! ```text
 //! rss run scenarios/quickstart.json [--out results]
@@ -16,8 +16,8 @@
 
 use restricted_slow_start::plot::ascii_table;
 use restricted_slow_start::{
-    cc_registry, fairness_csv, fairness_reports, results_csv, run_many, BatchCell, ExpandedRun,
-    FairnessReport, ScenarioSpec, ShardsDef,
+    cc_registry, fairness_csv, fairness_reports, results_csv, run_many, runs_csv, BatchCell,
+    ExpandedRun, FairnessReport, ScenarioSpec, ShardsDef,
 };
 use serde::Serialize as _;
 use std::path::{Component, Path, PathBuf};
@@ -430,30 +430,20 @@ fn cmd_run(args: &[String]) -> ExitCode {
         );
     }
 
-    // Artifacts: the summary CSV always, the fairness CSV when the spec
-    // opts in, full JSON reports on request. The output directory may not
-    // exist on a fresh clone — create it first.
+    // Artifacts: the per-flow and per-run CSVs always, the fairness CSV
+    // when the spec opts in, full JSON reports on request. The output
+    // directory may not exist on a fresh clone — create it first.
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("error: create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
-    let csv_path = out_dir.join(spec.csv_name());
-    let csv = results_csv(&spec, &runs, &reports);
-    if let Err(e) = std::fs::write(&csv_path, csv) {
-        eprintln!("error: write {}: {e}", csv_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", display_artifact_path(&csv_path));
-
+    let mut artifacts = vec![
+        (spec.csv_name(), results_csv(&spec, &runs, &reports)),
+        (spec.runs_csv_name(), runs_csv(&spec, &runs, &reports)),
+    ];
     if let (Some(name), Some(frs)) = (spec.fairness_csv_name(), &frs) {
-        let fcsv_path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&fcsv_path, fairness_csv(&spec, &runs, frs)) {
-            eprintln!("error: write {}: {e}", fcsv_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", display_artifact_path(&fcsv_path));
+        artifacts.push((name, fairness_csv(&spec, &runs, frs)));
     }
-
     if let Some(json_name) = spec.output.as_ref().and_then(|o| o.json.clone()) {
         // Labels/names are user-controlled: escape them properly instead of
         // interpolating raw (a quote in a label must not break the artifact).
@@ -473,12 +463,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
             doc.push('}');
         }
         doc.push_str("]}\n");
-        let json_path = out_dir.join(json_name);
-        if let Err(e) = std::fs::write(&json_path, doc) {
-            eprintln!("error: write {}: {e}", json_path.display());
+        artifacts.push((json_name, doc));
+    }
+    for (name, text) in artifacts {
+        let path = out_dir.join(name);
+        if let Err(e) = std::fs::write(&path, text) {
+            eprintln!("error: write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("wrote {}", display_artifact_path(&json_path));
+        println!("wrote {}", display_artifact_path(&path));
     }
     ExitCode::SUCCESS
 }

@@ -75,6 +75,29 @@ fn staggered_scenario_defers_convergence_until_the_late_flow_joins() {
 }
 
 #[test]
+fn every_staggered_flows_limit_times_span_its_own_lifetime() {
+    // Web100's `SndLimTime*` partition the time a flow existed: a flow that
+    // joins at 8 s reports no "sender-limited" time before its first byte.
+    let spec = load("fairness_staggered.json");
+    for er in spec.expand().unwrap() {
+        let sc = &er.scenario;
+        let report = run(sc);
+        assert_eq!(report.duration_s, sc.duration.as_secs_f64(), "{}", er.label);
+        for (f, flow) in report.flows.iter().zip(&sc.flows) {
+            let v = &f.vars;
+            let sum = v.snd_lim_time_rwin_ns + v.snd_lim_time_cwnd_ns + v.snd_lim_time_sender_ns;
+            assert_eq!(
+                sum,
+                sc.duration.as_nanos() - flow.start.as_nanos(),
+                "{} flow {}: {v:?}",
+                er.label,
+                f.conn
+            );
+        }
+    }
+}
+
+#[test]
 fn fairness_csv_is_deterministic_and_carries_the_metrics() {
     let spec = load("fairness_shared_bottleneck.json");
     let runs: Vec<_> = spec

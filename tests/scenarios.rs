@@ -10,8 +10,8 @@
 //! goldens under `scenarios/golden/`.
 
 use restricted_slow_start::{
-    run, stripe_bytes, AppModel, CcAlgorithm, FlowSpec, RssConfig, Scenario, ScenarioSpec,
-    SimDuration, SimTime, StallResponse,
+    run, runs_csv, stripe_bytes, AppModel, CcAlgorithm, FlowSpec, RssConfig, Scenario,
+    ScenarioSpec, SimDuration, SimTime, StallResponse,
 };
 use std::path::{Path, PathBuf};
 
@@ -213,4 +213,43 @@ fn spec_runs_reproduce_hand_coded_runs_bit_exactly() {
     assert_eq!(from_spec_rss.events_processed, hand_rss.events_processed);
     assert_eq!(from_spec_std.to_json(), hand_std.to_json());
     assert_eq!(from_spec_rss.to_json(), hand_rss.to_json());
+}
+
+/// The per-run CSV carries each run's executor event count, once: the
+/// headline pair's counts are the values the per-flow golden's `events`
+/// column held before it moved to `runs_headline.csv`.
+#[test]
+fn headline_runs_csv_carries_each_runs_event_count() {
+    let spec = load("headline.json");
+    let runs = spec.expand().unwrap();
+    let reports: Vec<_> = runs.iter().map(|r| run(&r.scenario)).collect();
+    assert_eq!(
+        runs_csv(&spec, &runs, &reports),
+        "scenario,run,cell,seed,events,end_s,truncated\n\
+         headline,standard,0,1,1036618,25,\n\
+         headline,restricted,0,1,1639037,25,\n"
+    );
+}
+
+/// The event count is part of the shard-invariance contract: the per-run
+/// CSV is the same bytes without `shards` and in one and two domains.
+#[test]
+fn runs_csv_is_the_same_at_every_shard_count() {
+    let spec = load("fairness_shared_bottleneck.json");
+    let runs = spec.expand().unwrap();
+    let rendered = |shards: Option<u32>| {
+        let reports: Vec<_> = runs
+            .iter()
+            .map(|r| match shards {
+                None => run(&r.scenario),
+                Some(n) => run(&r.scenario.clone().with_shards(n)),
+            })
+            .collect();
+        runs_csv(&spec, &runs, &reports)
+    };
+    let plain = rendered(None);
+    assert_eq!(plain.lines().count(), 1 + runs.len(), "{plain}");
+    for n in [1, 2] {
+        assert_eq!(rendered(Some(n)), plain, "{n} domains");
+    }
 }
