@@ -304,13 +304,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// (21 bytes) and nothing else; the two-domain report has no `engine` and did not move. Both
 /// were re-pinned when a flow's limit times began at its own start: each
 /// JSON differs from the one before in flows 1–3's `snd_lim_time_sender_ns`
-/// alone, by their starts (5, 10 and 15 ms). The two reports still differ
-/// from each other in `engine` / `shard` only.
+/// alone, by their starts (5, 10 and 15 ms). Both were re-pinned when a
+/// window with room for less than one segment began to count as the
+/// window's limit: each JSON differs from the one before in the four flows'
+/// `snd_lim_time_cwnd_ns` and `snd_lim_time_sender_ns` alone (every flow's
+/// sender-limited time went to 0). The two reports still differ from each
+/// other in `engine` / `shard` only.
 #[test]
 fn report_json_is_pinned_across_the_network_first_reorder() {
     for (shards, want) in [
-        (None, 0x01c4_a7d0_8cea_fdc7u64),
-        (Some(2), 0x7dfa_d148_b56d_a08d),
+        (None, 0x1a07_7e31_989d_fd86u64),
+        (Some(2), 0x97a4_7af1_8df6_531c),
     ] {
         let mut sc = red_cross();
         sc.shards = shards;

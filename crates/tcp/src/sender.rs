@@ -547,16 +547,24 @@ impl TcpSender {
     /// Tell the recorder what limits the sender right now. The driver calls
     /// this after each pump so the Web100 `SndLimTime*` accumulators
     /// partition wall time.
+    ///
+    /// The window limits the flow when the segment `transmit_plan` would
+    /// send next (a full MSS, or a finite transfer's tail) does not
+    /// fit in it: then the smaller of the two bounds, the peer's window or
+    /// cwnd, is named. A room under one segment is the window's doing too,
+    /// since the silly-window rule sends nothing into it.
     pub fn update_lim_state(&mut self, now: SimTime) {
-        let state = if self.app_bytes_remaining() == 0 {
+        let remaining = self.app_bytes_remaining();
+        let segment = (self.mss as u64).min(remaining);
+        let rwin = self.peer_rwnd.min(MAX_WINDOW);
+        let state = if remaining == 0 || self.flight() + segment <= self.effective_window() {
+            // Nothing to send, or the window open but nothing sent: app or
+            // local queue limited.
             SndLimState::Sender
-        } else if self.flight() >= self.peer_rwnd.min(MAX_WINDOW) {
+        } else if rwin <= self.cc.cwnd() {
             SndLimState::Rwin
-        } else if self.flight() >= self.cc.cwnd() {
-            SndLimState::Cwnd
         } else {
-            // Window open but nothing sent: app or local queue limited.
-            SndLimState::Sender
+            SndLimState::Cwnd
         };
         self.web100.on_snd_lim(now, state);
     }
@@ -902,6 +910,38 @@ mod tests {
         s.web100_mut().finish(t(0), t(20));
         let v = *s.web100().vars();
         assert!(v.snd_lim_time_cwnd_ns > 0);
+    }
+
+    /// A bulk flow in congestion avoidance whose window has room for half a
+    /// segment sends nothing into it (the silly-window rule), so the time
+    /// is the window's, not the sender's.
+    #[test]
+    fn a_room_under_one_segment_is_cwnd_limited() {
+        let mut s = sender(None);
+        drain(&mut s, t(0));
+        // Slow start to a flight of 5 MSS, one ACK a round.
+        for (round, acked) in [(1, 1000), (2, 3000), (3, 6000)] {
+            s.on_ack(t(60 * round), acked, 1_000_000, ifq());
+            drain(&mut s, t(60 * round));
+        }
+        assert_eq!((s.cc().cwnd(), s.flight()), (5000, 5000));
+        // An echo halves the window to 2.5 MSS, in congestion avoidance;
+        // 4 MSS acked then grow it by one, and the sender fills it to
+        // half a segment short.
+        s.on_ecn_echo(t(190), ifq());
+        s.on_ack(t(240), s.snd_una() + 2000, 1_000_000, ifq());
+        s.on_ack(t(241), s.snd_una() + 2000, 1_000_000, ifq());
+        drain(&mut s, t(241));
+        assert!(!s.cc().in_slow_start());
+        assert_eq!(s.cc().cwnd() - s.flight(), u64::from(MSS / 2));
+        s.update_lim_state(t(241));
+        s.update_lim_state(t(251));
+        s.web100_mut().finish(t(241), t(251));
+        let v = *s.web100().vars();
+        assert_eq!(
+            (v.snd_lim_time_cwnd_ns, v.snd_lim_time_sender_ns),
+            (10_000_000, 0)
+        );
     }
 
     #[test]

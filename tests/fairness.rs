@@ -72,6 +72,14 @@ fn staggered_scenario_defers_convergence_until_the_late_flow_joins() {
         "early windows should be one-sided: {:?}",
         &fr.jain_series[..4]
     );
+    // Flow 0 is an unlimited bulk flow: its window, not the sender, holds
+    // it back for most of its life.
+    let v = &report.flows[0].vars;
+    let life = er.scenario.duration.as_nanos() - er.scenario.flows[0].start.as_nanos();
+    assert!(
+        2 * v.snd_lim_time_cwnd_ns > life,
+        "flow 0 is cwnd-limited under half its life: {v:?}"
+    );
 }
 
 #[test]
