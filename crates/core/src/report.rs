@@ -25,11 +25,11 @@ pub struct FlowReport {
     pub stall_times_s: Vec<f64>,
     /// Timestamps of all congestion signals, seconds.
     pub congestion_times_s: Vec<f64>,
-    /// Congestion-window samples `(t, cwnd_bytes)`; rendered and read as
-    /// `(t_s, cwnd_bytes)` pairs.
+    /// Congestion-window samples `(t, cwnd_bytes)`, read as `(t_s,
+    /// cwnd_bytes)` pairs and rendered as runs (`rss_web100::Series`).
     pub cwnd_series: Series,
-    /// Cumulative acked bytes `(t, bytes)`; rendered and read as `(t_s,
-    /// bytes)` pairs.
+    /// Cumulative acked bytes `(t, bytes)`, read as `(t_s, bytes)` pairs
+    /// and rendered as runs.
     pub acked_series: Series,
     /// Bytes delivered in order to the receiving application.
     pub receiver_delivered_bytes: u64,
@@ -182,19 +182,19 @@ impl RunReport {
     /// snapshots, series, NIC and router accounting — lands in one
     /// machine-readable artifact.
     pub fn to_json(&self) -> String {
-        // Reserved once from the series lengths (a packed flow series knows
-        // its length without decoding): a sample pair renders in ~22 bytes,
-        // a flow's fixed part (the Web100 block) in under 1 KiB. An
-        // estimate, not a bound — short costs a regrowth, long costs
-        // untouched pages.
-        let pairs = self.sender_ifq_series.len()
-            + self.bottleneck_queue_series.len()
-            + self
-                .flows
-                .iter()
-                .map(|f| f.cwnd_series.len() + f.acked_series.len())
-                .sum::<usize>();
-        let mut out = String::with_capacity(24 * pairs + 1024 * (self.flows.len() + 1));
+        // Reserved once from what the report holds: a pair of the sampling
+        // grid renders in ~10 bytes, a flow series in about five times its
+        // packed steps (`Series::packed_bytes`), and a flow's fixed part
+        // (the Web100 block) in under 1 KiB. An estimate, not a bound —
+        // short costs a regrowth, long costs untouched pages.
+        let pairs = self.sender_ifq_series.len() + self.bottleneck_queue_series.len();
+        let packed: usize = self
+            .flows
+            .iter()
+            .map(|f| f.cwnd_series.packed_bytes() + f.acked_series.packed_bytes())
+            .sum();
+        let mut out =
+            String::with_capacity(12 * pairs + 5 * packed + 1024 * (self.flows.len() + 1));
         self.serialize_json(&mut out);
         out
     }

@@ -308,13 +308,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// window with room for less than one segment began to count as the
 /// window's limit: each JSON differs from the one before in the four flows'
 /// `snd_lim_time_cwnd_ns` and `snd_lim_time_sender_ns` alone (every flow's
-/// sender-limited time went to 0). The two reports still differ from each
-/// other in `engine` / `shard` only.
+/// sender-limited time went to 0). Both were re-pinned when the flows'
+/// per-ACK series began to render as runs: each report, read back by the
+/// reader of its own format, equals the one before field for field and
+/// sample for sample (29 661 → 23 568 bytes one-engine). The two reports
+/// still differ from each other in `engine` / `shard` only.
 #[test]
 fn report_json_is_pinned_across_the_network_first_reorder() {
     for (shards, want) in [
-        (None, 0x1a07_7e31_989d_fd86u64),
-        (Some(2), 0x97a4_7af1_8df6_531c),
+        (None, 0x1e27_e8bc_90a8_5f56u64),
+        (Some(2), 0x7532_2d0a_68cd_332c),
     ] {
         let mut sc = red_cross();
         sc.shards = shards;

@@ -14,8 +14,10 @@
 //! a sample per ACK, so they are [`Series`]: each `(SimTime, u64)` sample
 //! packed as two varint steps (about 5 bytes where an `(f64, f64)` pair took
 //! 16), and a step that repeats the one before as one more in a run, read
-//! back as the same `(t_s, value)` floats and rendered to the same JSON
-//! bytes. The signal times are nanosecond steps too, read back as
+//! back as the same `(t_s, value)` floats. Their JSON writes each run as one
+//! `[t_s, v, n, dt_s, dv]` element beside `[t_s, v]` samples, so rendering
+//! and parsing cost what the runs hold, not what the samples number. The
+//! signal times are nanosecond steps too, read back as
 //! [`rss_sim::SimTime`]s for the report to widen to seconds. The host's IFQ
 //! depth is not recorded here; the world samples the one sending host the
 //! report describes.

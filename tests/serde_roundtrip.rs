@@ -279,11 +279,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The JSON byte contract: ~7 MB per run of timestamps, window samples,
-/// counters and strings. Both digests are pinned from the realization of the
-/// commit that made the per-pair unit map the only one (the physics of these
-/// two runs did not move; `events_processed` and the engine counters did, by
-/// the sampling chains of two more units), and re-pinned once when a router
+/// The JSON byte contract: timestamps, window samples, counters and
+/// strings. Both digests are pinned from the realization of the commit that
+/// made the per-pair unit map the only one (the physics of these two runs
+/// did not move; `events_processed` and the engine counters did, by the
+/// sampling chains of two more units), and re-pinned once when a router
 /// port stopped scheduling an event per departure: against the digests
 /// before, the JSON differed in `events_processed` and `engine.{pops,
 /// scheduled, placed_wheel}` alone (standard 1 552 293 → 1 036 618 events,
@@ -297,11 +297,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// JSON differs from the one before in flow 0's `snd_lim_time_cwnd_ns` and
 /// `snd_lim_time_sender_ns` alone (0.43 → 25 s and 24.57 → 0 s); the
 /// standard run never sat in such a window and did not move.
+///
+/// Both were re-pinned when a flow's per-ACK series began to render as the
+/// runs it holds (`[t_s, v]` and `[t_s, v, n, dt_s, dv]` elements) instead
+/// of a `[t_s, value]` pair per sample: 5.6 → 0.117 MB standard and 9.0 →
+/// 0.056 MB restricted. Each report read back by the reader of its own
+/// format was checked equal to the one before field for field, and its
+/// cwnd and acked series sample for sample (257 338 and 407 947 samples).
+/// The byte ceilings, a tenth above those sizes, keep the series from
+/// falling back to a sample per element unnoticed.
 #[test]
 fn paper_testbed_json_matches_pinned_digests() {
-    for (sc, want) in [
-        (Scenario::paper_testbed_standard(), 0xdfc7_6ae1_d443_bf89u64),
-        (Scenario::paper_testbed_restricted(), 0x29b2_9d44_bea6_b160),
+    for (sc, want, ceiling) in [
+        (
+            Scenario::paper_testbed_standard(),
+            0x081b_7594_0bc7_d6c6u64,
+            129_010,
+        ),
+        (
+            Scenario::paper_testbed_restricted(),
+            0xa39a_7035_9998_72dd,
+            61_295,
+        ),
     ] {
         let json = run(&sc).to_json();
         assert_eq!(
@@ -310,6 +327,11 @@ fn paper_testbed_json_matches_pinned_digests() {
             "{} bytes of JSON diverged from the pinned rendering (got {:#018x})",
             json.len(),
             fnv1a64(json.as_bytes()),
+        );
+        assert!(
+            json.len() <= ceiling,
+            "{} bytes of JSON, over the {ceiling}-byte ceiling",
+            json.len()
         );
         let back = RunReport::from_json(&json).unwrap_or_else(|e| panic!("report parse: {e}"));
         assert!(
