@@ -90,13 +90,13 @@ pub(crate) static VARIANTS: [VariantInfo; 9] = [
         name: "restricted",
         algo: "restricted-slow-start",
         summary: "slow-start growth paced by a PID controller holding the IFQ at a set point",
-        params: "tuning (ForPath|PerStream|ForRate|Gains), setpoint_frac (0,1]",
+        params: "tuning (ForPath|PerStream|Gains), setpoint_frac (0,1]",
         params_detail: &[
             ParamInfo {
                 name: "tuning",
                 default: "\"ForPath\"",
-                range: "ForPath | PerStream | ForRate{rate_mbps, wire_pkt_bytes} | Gains{kp, ti, td}",
-                doc: "how the PID gains are chosen (Ziegler\u{2013}Nichols per path/stream/rate, or explicit)",
+                range: "ForPath | PerStream | Gains{kp, ti, td}",
+                doc: "how the PID gains are chosen (Ziegler\u{2013}Nichols per path or per stream, or explicit)",
             },
             ParamInfo {
                 name: "setpoint_frac",

@@ -73,6 +73,6 @@ pub use rss_net::{
     OutageSchedule, OutageWindow, TrafficPattern,
 };
 pub use rss_sim::{convergence_time, jain_fairness, SimDuration, SimTime};
-pub use rss_tcp::{AckPolicy, CcAlgorithm, RssConfig, StallResponse, TcpConfig};
+pub use rss_tcp::{CcAlgorithm, RssConfig, StallResponse, TcpConfig};
 pub use rss_web100::Web100Vars;
-pub use rss_workload::{stripe_bytes, AppModel};
+pub use rss_workload::stripe_bytes;

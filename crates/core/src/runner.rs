@@ -361,7 +361,6 @@ mod tests {
     use super::*;
     use rss_sim::SimDuration;
     use rss_tcp::CcAlgorithm;
-    use rss_workload::AppModel;
 
     /// A fast scenario for unit tests: short run, small path.
     fn tiny(algo: CcAlgorithm) -> Scenario {
@@ -399,9 +398,7 @@ mod tests {
     #[test]
     fn bounded_transfer_completes() {
         let mut sc = tiny(CcAlgorithm::Reno);
-        sc.flows[0].app = AppModel::Bulk {
-            bytes: Some(200_000),
-        };
+        sc.flows[0].bytes = Some(200_000);
         sc.stop_when_complete = true;
         let r = run(&sc);
         let f = &r.flows[0];
@@ -416,9 +413,7 @@ mod tests {
         // A permanent outage under `stop_when_complete`: without the
         // watchdog this would grind through the full (huge) horizon.
         let mut sc = tiny(CcAlgorithm::Reno);
-        sc.flows[0].app = AppModel::Bulk {
-            bytes: Some(5_000_000),
-        };
+        sc.flows[0].bytes = Some(5_000_000);
         sc.stop_when_complete = true;
         sc.duration = SimDuration::from_secs(3600);
         sc.max_sim_time = Some(SimDuration::from_secs(8));
@@ -673,14 +668,9 @@ mod tests {
                 "cross[0].pattern.Cbr.pkt_size must be at least 1 byte, got 0",
             ),
             (
-                |sc| {
-                    sc.flows[0].app = AppModel::Periodic {
-                        burst_bytes: 1000,
-                        interval: SimDuration::ZERO,
-                        count: None,
-                    }
-                },
-                "flows[0].app.Periodic.interval must be positive (at least 1 ns), got 0",
+                |sc| sc.flows[0].start = SimTime::MAX,
+                "flows[0].start must be under 2^62 ns (about 146 years), \
+                 got 18446744073709.55 ms",
             ),
             (
                 |sc| sc.sample_interval = SimDuration::from_nanos(1),
@@ -732,12 +722,8 @@ mod tests {
             ),
             (|sc| sc.max_events = Some(0), "max_events must be positive"),
             (
-                |sc| {
-                    sc.tcp.ack_policy = rss_tcp::AckPolicy::Delayed {
-                        timeout: SimDuration::MAX,
-                    }
-                },
-                "tcp.ack_policy.Delayed.timeout must be under 2^62 ns (about 146 years), \
+                |sc| sc.tcp.max_rto = SimDuration::MAX,
+                "tcp.max_rto must be under 2^62 ns (about 146 years), \
                  got 18446744073709.55 ms",
             ),
         ];

@@ -7,8 +7,7 @@
 use rss_host::HostConfig;
 use rss_net::{ImpairmentConfig, QueueConfig, RedConfig, TrafficPattern};
 use rss_sim::{SimDuration, SimTime, MAX_UNITS};
-use rss_tcp::{AckPolicy, CcAlgorithm, RssConfig, TcpConfig};
-use rss_workload::AppModel;
+use rss_tcp::{CcAlgorithm, RssConfig, TcpConfig};
 use std::fmt::Display;
 
 /// RED parameters at scenario level (thresholds in packets). Mirrors
@@ -53,7 +52,8 @@ pub enum QueueDiscipline {
     /// RED early dropping with the given parameters.
     Red(RedParams),
     /// RED with ECN: in-band decisions CE-mark ECT packets instead of
-    /// dropping them.
+    /// dropping them. The flows are ECN-capable exactly under this
+    /// discipline: their data segments carry ECT.
     RedEcn(RedParams),
 }
 
@@ -66,7 +66,8 @@ impl QueueDiscipline {
         }
     }
 
-    /// True when the bottleneck CE-marks instead of dropping.
+    /// True when the bottleneck CE-marks instead of dropping, and with that
+    /// when the flows are ECN-capable.
     pub fn ecn_marking(&self) -> bool {
         matches!(self, QueueDiscipline::RedEcn(_))
     }
@@ -138,8 +139,9 @@ impl PathSpec {
 pub struct FlowSpec {
     /// Congestion-control algorithm.
     pub algo: CcAlgorithm,
-    /// Application driving the connection.
-    pub app: AppModel,
+    /// Bytes the application writes, all at the start (`None` = unbounded,
+    /// until the run ends).
+    pub bytes: Option<u64>,
     /// When the flow starts.
     pub start: SimTime,
 }
@@ -149,7 +151,7 @@ impl FlowSpec {
     pub fn bulk(algo: CcAlgorithm) -> Self {
         FlowSpec {
             algo,
-            app: AppModel::Bulk { bytes: None },
+            bytes: None,
             start: SimTime::ZERO,
         }
     }
@@ -284,12 +286,9 @@ impl Scenario {
         self
     }
 
-    /// Builder: replace the bottleneck queue discipline. A RED-with-ECN
-    /// discipline also switches every flow to ECN ([`TcpConfig::ecn`])
-    /// unless the transport config is adjusted afterwards.
+    /// Builder: replace the bottleneck queue discipline.
     pub fn with_queue(mut self, queue: QueueDiscipline) -> Self {
         self.queue = queue;
-        self.tcp.ecn = queue.ecn_marking();
         self
     }
 
@@ -377,16 +376,11 @@ impl Scenario {
         }
         // The count is raised before it is compared, so 0 never fires.
         AtLeastOne.count(t.dupack_threshold, "tcp.dupack_threshold")?;
-        let delack = match t.ack_policy {
-            AckPolicy::Delayed { timeout } => timeout,
-            AckPolicy::EverySegment => SimDuration::ZERO,
-        };
         let clamp = self.max_sim_time.unwrap_or(self.duration);
         for (d, positive, path) in [
             (p.rtt, false, "path.rtt"),
             (p.access_delay, true, "path.access_delay"),
             (t.max_rto, false, "tcp.max_rto"),
-            (delack, false, "tcp.ack_policy.Delayed.timeout"),
             (t.stall_retry, true, "tcp.stall_retry"),
             (self.duration, true, "duration"),
             (self.sample_interval, true, "sample_interval"),
@@ -440,11 +434,6 @@ impl Scenario {
         }
         for (i, f) in self.flows.iter().enumerate() {
             time(f.start.as_nanos(), false, format_args!("flows[{i}].start"))?;
-            // A zero interval re-fires the write at the same instant, forever.
-            if let AppModel::Periodic { interval, .. } = f.app {
-                let at = format_args!("flows[{i}].app.Periodic.interval");
-                time(interval.as_nanos(), true, at)?;
-            }
         }
         for (j, c) in self.cross.iter().enumerate() {
             check_pattern(&c.pattern, j)?;

@@ -119,7 +119,12 @@ impl UnitPlan {
 }
 
 /// One domain of a windowed run: a private engine over the world of the
-/// units the plan assigns to it.
+/// units the plan assigns to it. The domains sit side by side in one slice,
+/// each driven by its own thread; the alignment keeps the tail of one and
+/// the head of the next off a shared pair of cache lines that both threads
+/// would write. Without it, a change in `World`'s size alone moved the
+/// 10k-flow dumbbell's two-domain wall time by 10–20 %.
+#[repr(align(128))]
 struct DomainEngine(Engine<World>);
 
 impl Domain for DomainEngine {
@@ -224,7 +229,6 @@ mod tests {
     use rss_net::TrafficPattern;
     use rss_sim::{SimDuration, SimTime};
     use rss_tcp::CcAlgorithm;
-    use rss_workload::AppModel;
 
     /// A fast multi-flow scenario with cross traffic, loss and staggered
     /// starts — every mechanism the sharded world models.
@@ -241,7 +245,7 @@ mod tests {
                 } else {
                     CcAlgorithm::Restricted(rss_tcp::RssConfig::tuned())
                 },
-                app: AppModel::Bulk { bytes: None },
+                bytes: None,
                 start: SimTime::from_millis(5 * i as u64),
             })
             .collect();
@@ -358,9 +362,7 @@ mod tests {
         sc.cross.clear();
         sc.path.loss_prob = 0.0;
         for f in &mut sc.flows {
-            f.app = AppModel::Bulk {
-                bytes: Some(100_000),
-            };
+            f.bytes = Some(100_000);
             f.start = SimTime::ZERO;
         }
         sc.stop_when_complete = true;
@@ -483,9 +485,7 @@ mod tests {
         use rss_net::{ImpairmentConfig, OutageWindow};
         let mut sc = busy(1);
         sc.cross.clear();
-        sc.flows[0].app = AppModel::Bulk {
-            bytes: Some(5_000_000),
-        };
+        sc.flows[0].bytes = Some(5_000_000);
         sc.flows[0].start = SimTime::ZERO;
         sc.stop_when_complete = true;
         sc.duration = SimDuration::from_secs(3600);

@@ -84,8 +84,8 @@ use rss_cc::{CcParams, ScalableConfig, SslConfig};
 use rss_host::HostConfig;
 use rss_net::{Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow, TrafficPattern};
 use rss_sim::{SimDuration, SimTime};
-use rss_tcp::{AckPolicy, CcAlgorithm, RssConfig, StallResponse, TcpConfig};
-use rss_workload::{stripe_bytes, AppModel};
+use rss_tcp::{CcAlgorithm, RssConfig, StallResponse, TcpConfig};
+use rss_workload::stripe_bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write as _};
 
@@ -372,9 +372,6 @@ pub struct TcpDef {
     /// Upper RTO bound, milliseconds (JSON `max_rto_ms`, default 60 000, at
     /// least `min_rto_ms`).
     pub max_rto_ms: Option<f64>,
-    /// ACK generation policy (JSON `ack_policy`, default
-    /// `"EverySegment"`).
-    pub ack_policy: Option<AckPolicy>,
     /// Congestion response to send-stalls (JSON `stall_response`, default
     /// `"Cwr"`).
     pub stall_response: Option<StallResponse>,
@@ -384,11 +381,6 @@ pub struct TcpDef {
     /// Duplicate ACKs triggering fast retransmit, count (JSON
     /// `dupack_threshold`, default 3, at least 1).
     pub dupack_threshold: Option<u32>,
-    /// ECN negotiation for every flow (JSON `ecn`, default: `true` exactly
-    /// when the run's `queue` is `RedEcn`). Explicitly setting it decouples
-    /// the transport from the queue discipline — e.g. `false` under a
-    /// `RedEcn` bottleneck models non-ECN traffic through a marking queue.
-    pub ecn: Option<bool>,
 }
 
 /// Bottleneck queue discipline (JSON `queue`). Threshold and weight knobs
@@ -402,8 +394,8 @@ pub enum QueueDef {
     /// RED early dropping.
     Red(RedDef),
     /// RED with ECN: CE-mark ECT packets in the probabilistic band instead
-    /// of dropping them (same knobs as `Red`). Also switches every flow to
-    /// ECN unless `tcp.ecn` overrides it.
+    /// of dropping them (same knobs as `Red`). The flows are ECN-capable
+    /// exactly under this queue: their data segments carry ECT.
     RedEcn(RedDef),
 }
 
@@ -434,8 +426,9 @@ pub struct FlowDef {
     /// Congestion-control variant (JSON `cc`, default `"Standard"`; the
     /// menu is the `rss_cc` registry — see `docs/VARIANTS.md`).
     pub cc: Option<CcDef>,
-    /// Application model (JSON `app`, default unbounded bulk).
-    pub app: Option<AppModel>,
+    /// Bytes the flow transfers, all written at its start (JSON `bytes`,
+    /// default: unbounded, until the run ends).
+    pub bytes: Option<u64>,
     /// Flow start time, seconds (JSON `start_s`, default 0 — stagger
     /// starts to measure convergence with the `fairness` block).
     pub start_s: Option<f64>,
@@ -506,13 +499,6 @@ pub enum TuningDef {
     /// Like `ForPath` but tuned to this flow's share of a sending host split
     /// `n_flows` ways (GridFTP parallel streams).
     PerStream,
-    /// The Ziegler–Nichols rule for an explicit rate/packet size.
-    ForRate {
-        /// Rate the loop is tuned for, Mbit/s.
-        rate_mbps: f64,
-        /// Wire packet size (MSS + headers), bytes.
-        wire_pkt_bytes: u32,
-    },
     /// Explicit PID gains (standard form).
     Gains {
         /// Proportional gain `Kp`.
@@ -778,17 +764,6 @@ impl CcDef {
                         }
                         RssConfig::tuned_for(path_rate_bps / n, wire_pkt_bytes)
                     }
-                    TuningDef::ForRate {
-                        rate_mbps,
-                        wire_pkt_bytes,
-                    } => {
-                        let rate = format!("{at}.ForRate.rate_mbps");
-                        let wire = format!("{at}.ForRate.wire_pkt_bytes");
-                        RssConfig::tuned_for(
-                            Positive.count(bps(rate_mbps, &rate)?, &rate)?,
-                            Positive.count(wire_pkt_bytes, &wire)?,
-                        )
-                    }
                     TuningDef::Gains { kp, ti, td } => {
                         RssConfig::with_gains(rss_control::PidGains::pid(kp, ti, td))
                     }
@@ -865,11 +840,9 @@ impl RunSpec {
             rwnd: t.rwnd_bytes.unwrap_or(d.rwnd),
             min_rto: ms(t.min_rto_ms, d.min_rto, "tcp.min_rto_ms")?,
             max_rto: ms(t.max_rto_ms, d.max_rto, "tcp.max_rto_ms")?,
-            ack_policy: t.ack_policy.unwrap_or(d.ack_policy),
             stall_response: t.stall_response.unwrap_or(d.stall_response),
             stall_retry: ms(t.stall_retry_ms, d.stall_retry, "tcp.stall_retry_ms")?,
             dupack_threshold: t.dupack_threshold.unwrap_or(d.dupack_threshold),
-            ecn: t.ecn.unwrap_or(queue.ecn_marking()),
         };
 
         // Each `cc` definition — its JSON path and the flows it defines — is
@@ -894,7 +867,7 @@ impl RunSpec {
                     .into_iter()
                     .map(|bytes| FlowSpec {
                         algo: CcAlgorithm::Reno,
-                        app: AppModel::Bulk { bytes: Some(bytes) },
+                        bytes: Some(bytes),
                         start: SimTime::ZERO,
                     })
                     .collect()
@@ -905,7 +878,7 @@ impl RunSpec {
                 for (i, f) in defs.iter().enumerate() {
                     let spec = FlowSpec {
                         algo: CcAlgorithm::Reno,
-                        app: f.app.unwrap_or(AppModel::Bulk { bytes: None }),
+                        bytes: f.bytes,
                         start: SimTime::ZERO
                             + secs(f.start_s.unwrap_or(0.0), &format!("flows[{i}].start_s"))?,
                     };
@@ -1256,6 +1229,10 @@ mod tests {
 
     #[test]
     fn unknown_field_is_a_path_qualified_error() {
+        // Every segment is ACKed, a flow is one bulk write of `bytes`, ECN
+        // follows the queue, and a Restricted flow is tuned for its path,
+        // its stream or explicit gains: the knobs that once chose otherwise
+        // are unknown names now.
         for (runs, field, at) in [
             (
                 r#"[{"label":"x","flows":[{}],"tcp":{"mss":1448,"msss":9}}]"#,
@@ -1266,6 +1243,27 @@ mod tests {
                 r#"[{"label":"x","flows":[{}],"red_bottleneck":true}]"#,
                 "unknown field `red_bottleneck`",
                 "$.runs[0]",
+            ),
+            (
+                r#"[{"label":"x","flows":[{}],"tcp":{"ack_policy":"EverySegment"}}]"#,
+                "unknown field `ack_policy`",
+                "$.runs[0].tcp",
+            ),
+            (
+                r#"[{"label":"x","flows":[{}],"tcp":{"ecn":true}}]"#,
+                "unknown field `ecn`",
+                "$.runs[0].tcp",
+            ),
+            (
+                r#"[{"label":"x","flows":[{"app":{"Bulk":{"bytes":1000}}}]}]"#,
+                "unknown field `app`",
+                "$.runs[0].flows[0]",
+            ),
+            (
+                r#"[{"label":"x","flows":[{"cc":{"Restricted":{"tuning":
+                     {"ForRate":{"rate_mbps":100,"wire_pkt_bytes":1500}}}}}]}]"#,
+                "unknown variant `ForRate`",
+                "$.runs[0].flows[0].cc.Restricted.tuning",
             ),
         ] {
             let err = ScenarioSpec::from_json(&minimal(runs)).unwrap_err();
@@ -1625,19 +1623,9 @@ mod tests {
                 "path.access_rate_mbps",
             ),
             (r#""host":{"nic_rate_mbps":1e-9}"#, "host.nic_rate_mbps"),
-            (
-                r#""flows":[{"cc":{"Restricted":{"tuning":{"ForRate":
-                     {"rate_mbps":1e-9,"wire_pkt_bytes":1500}}}}}]"#,
-                "tuning.ForRate.rate_mbps",
-            ),
         ] {
-            let flows = if block.starts_with(r#""flows""#) {
-                ""
-            } else {
-                r#""flows":[{}],"#
-            };
             let spec = ScenarioSpec::from_json(&minimal(&format!(
-                r#"[{{"label":"slow",{flows}{block}}}]"#
+                r#"[{{"label":"slow","flows":[{{}}],{block}}}]"#
             )))
             .unwrap();
             let err = spec.validate().unwrap_err();
@@ -1653,18 +1641,11 @@ mod tests {
         // mean), a zero OnOff mean, an OnOff on-period mean under a
         // thousandth of the packet gap (10^9 draws per packet at 1e-12 s), a
         // zero packet size or a gap below 1 ns
-        // (it emits forever at one instant); a Periodic app with a zero
-        // interval (it writes forever at one instant); and a sampling grid
-        // past 2^20 samples per series (10^8 events in a 0.05 s run).
+        // (it emits forever at one instant); and a sampling grid past 2^20
+        // samples per series (10^8 events in a 0.05 s run).
         let run = |block: &str| {
-            let flows = if block.starts_with(r#""flows""#) {
-                ""
-            } else {
-                r#""flows":[{}],"#
-            };
-            ScenarioSpec::from_json(&minimal(&format!(r#"[{{"label":"seg",{flows}{block}}}]"#)))
-                .unwrap()
-                .validate()
+            let run = format!(r#"[{{"label":"seg","flows":[{{}}],{block}}}]"#);
+            ScenarioSpec::from_json(&minimal(&run)).unwrap().validate()
         };
         for (block, want) in [
             (
@@ -1714,10 +1695,6 @@ mod tests {
                 r#""cross":[{"pattern":{"Cbr":{"rate_bps":18446744073709551615,"pkt_size":1}}}]"#,
                 "cross[0].pattern.Cbr.rate_bps: the mean gap pkt_size·8/rate_bps must be at \
                  least 1 ns, got 1·8/18446744073709551615 s",
-            ),
-            (
-                r#""flows":[{},{"app":{"Periodic":{"burst_bytes":1000,"interval":0,"count":null}}}]"#,
-                "flows[1].app.Periodic.interval must be positive (at least 1 ns), got 0",
             ),
             (
                 r#""duration_s":0.05,"sample_interval_ms":0.000001"#,
@@ -1772,14 +1749,6 @@ mod tests {
             (
                 r#""host":{"nic_rate_mbps":1e300}"#.into(),
                 format!("host.nic_rate_mbps {TOO_FAST}"),
-            ),
-            (
-                restricted(r#"{"tuning":{"ForRate":{"rate_mbps":1e300,"wire_pkt_bytes":1500}}}"#),
-                format!("flows[0].cc.Restricted.tuning.ForRate.rate_mbps {TOO_FAST}"),
-            ),
-            (
-                restricted(r#"{"tuning":{"ForRate":{"rate_mbps":100,"wire_pkt_bytes":0}}}"#),
-                "flows[0].cc.Restricted.tuning.ForRate.wire_pkt_bytes must be positive".into(),
             ),
             (
                 r#""path":{"rate_mbps":0.000001},
@@ -2040,10 +2009,7 @@ mod tests {
             .scenario
             .flows
             .iter()
-            .map(|f| match f.app {
-                AppModel::Bulk { bytes } => bytes.unwrap(),
-                _ => 0,
-            })
+            .map(|f| f.bytes.unwrap())
             .sum();
         assert_eq!(total, 104857600);
         // Per-stream tuning divides the rate by the stream count.
@@ -2075,7 +2041,7 @@ mod tests {
         let spec = ScenarioSpec::from_json(
             r#"{"name":"rt","comment":"round trip",
                 "runs":[{"label":"x","flows":[{"cc":{"Limited":{"max_ssthresh":100000}},
-                         "app":{"Bulk":{"bytes":5000}},"start_s":0.25}],
+                         "bytes":5000,"start_s":0.25}],
                          "tcp":{"stall_response":"RestartFromOne"},
                          "duration_s":1.5,"seed":7}],
                 "sweep":{"rtt_ms":[10,20]},
@@ -2406,36 +2372,30 @@ mod tests {
     }
 
     #[test]
-    fn red_ecn_queue_turns_on_tcp_ecn_unless_overridden() {
-        // RedEcn implies ECT senders by default...
-        let sc = &ScenarioSpec::from_json(&minimal(
-            r#"[{"label":"x","flows":[{}],"queue":{"RedEcn":{}}}]"#,
-        ))
-        .unwrap()
-        .expand()
-        .unwrap()[0]
-            .scenario;
-        assert!(sc.queue.ecn_marking());
-        assert!(sc.tcp.ecn, "RedEcn queue should default tcp.ecn on");
-        // ...a dropping RED queue does not...
-        let sc = &ScenarioSpec::from_json(&minimal(
-            r#"[{"label":"x","flows":[{}],"queue":{"Red":{}}}]"#,
-        ))
-        .unwrap()
-        .expand()
-        .unwrap()[0]
-            .scenario;
-        assert!(!sc.tcp.ecn);
-        // ...and an explicit tcp.ecn wins in both directions.
-        let sc = &ScenarioSpec::from_json(&minimal(
-            r#"[{"label":"x","flows":[{}],"queue":{"RedEcn":{}},"tcp":{"ecn":false}}]"#,
-        ))
-        .unwrap()
-        .expand()
-        .unwrap()[0]
-            .scenario;
-        assert!(!sc.tcp.ecn, "explicit tcp.ecn=false must override RedEcn");
-        assert!(sc.queue.ecn_marking(), "queue still marks; senders ignore");
+    fn only_a_red_ecn_queue_makes_flows_ecn_capable() {
+        // One flow at 200 Mbit/s into a 20 Mbit/s bottleneck of 50 packets:
+        // the RED queues act on it. Under `RedEcn` its data segments are ECT,
+        // so the queue marks them and the sender hears the echoes; a `Red`
+        // queue marks nothing (it drops), and neither does drop-tail.
+        let run = |queue: &str| {
+            let spec = ScenarioSpec::from_json(&minimal(&format!(
+                r#"[{{"label":"x","flows":[{{}}],"duration_s":2,"queue":{queue},
+                     "path":{{"rate_mbps":20,"rtt_ms":10,"access_rate_mbps":200,
+                              "router_queue_pkts":50}},
+                     "host":{{"nic_rate_mbps":200}}}}]"#
+            )))
+            .unwrap();
+            let report = crate::run(&spec.expand().unwrap()[0].scenario);
+            (report.router_ecn_marks, report.flows[0].vars.ecn_echoes)
+        };
+        let (marks, echoes) = run(r#"{"RedEcn":{}}"#);
+        assert!(
+            marks > 0 && echoes > 0,
+            "RedEcn: {marks} marks, {echoes} echoes"
+        );
+        for queue in [r#"{"Red":{}}"#, r#""DropTail""#] {
+            assert_eq!(run(queue), (0, 0), "{queue}");
+        }
     }
 
     #[test]

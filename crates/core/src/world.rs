@@ -61,11 +61,9 @@ use rss_sim::{
     event_tag, Engine, Envelope, Model, OptNanos, Scheduler, SimDuration, SimRng, SimTime,
 };
 use rss_tcp::{
-    make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpConfig, TcpReceiver, TcpSegment,
-    TcpSender,
+    make_cc, AckToSend, CcError, ConnId, IfqSnapshot, SegKind, TcpReceiver, TcpSegment, TcpSender,
 };
 use rss_web100::InstrumentBlock;
-use rss_workload::AppDriver;
 use std::fmt;
 use std::ops::Range;
 
@@ -91,22 +89,10 @@ pub enum Ev {
         /// Connection index.
         conn: u32,
     },
-    /// Delayed-ACK check for a connection.
-    DelackCheck {
-        /// Connection index.
-        conn: u32,
-    },
     /// Retry transmission after a send-stall back-off.
     StallRetry {
         /// Connection index.
         conn: u32,
-    },
-    /// Application writes more data into a connection.
-    AppWrite {
-        /// Connection index.
-        conn: u32,
-        /// Bytes written.
-        bytes: u64,
     },
     /// A cross-traffic source emits its next packet.
     CrossEmit {
@@ -156,7 +142,6 @@ struct Conn {
     id: ConnId,
     sender: TcpSender,
     receiver: TcpReceiver,
-    app: AppDriver,
     /// Index of the sending and of the receiving host; a pair's two hosts
     /// are in the same world.
     hosts: [u32; 2],
@@ -209,9 +194,11 @@ pub struct World {
     conns: Vec<Conn>,
     /// Connection index by scenario flow id (`u32::MAX`: another world's).
     conn_index: Vec<u32>,
-    /// The scenario's TCP configuration: what a segment carries of it
-    /// (`header_bytes`, the ECN codepoint) is read here, once for all flows.
-    tcp: TcpConfig,
+    /// Wire header bytes of every segment (`tcp.header_bytes`).
+    header_bytes: u32,
+    /// The codepoint of every data segment: ECT exactly when the bottleneck
+    /// CE-marks (`QueueDiscipline::RedEcn`), else not ECN-capable.
+    data_ecn: Ecn,
     cross: Vec<Cross>,
     units: Vec<Unit>,
     /// Units of the whole plan, this world's or not.
@@ -385,7 +372,7 @@ impl World {
             let id = ConnId(i as u32);
             let cc =
                 make_cc(f.algo, &sc.tcp).map_err(|source| BuildError::Cc { flow: i, source })?;
-            let mut sender = TcpSender::new(id, sc.tcp, cc, f.app.initial_bytes());
+            let mut sender = TcpSender::new(id, sc.tcp, cc, f.bytes);
             sender.web100_mut().sample_stride = sc.web100_stride;
             let c = conns.len() as u32;
             conn_index[i] = c;
@@ -399,7 +386,6 @@ impl World {
                 id,
                 sender,
                 receiver: TcpReceiver::new(id, sc.tcp),
-                app: AppDriver::new(f.app),
                 hosts: pair_hosts[pair],
                 start: f.start,
                 completed_at: OptNanos::NONE,
@@ -429,7 +415,12 @@ impl World {
             scheduled_rto: vec![OptNanos::NONE; conns.len()],
             conns,
             conn_index,
-            tcp: sc.tcp,
+            header_bytes: sc.tcp.header_bytes,
+            data_ecn: if sc.queue.ecn_marking() {
+                Ecn::Ect
+            } else {
+                Ecn::NotEct
+            },
             cross,
             units,
             plan_units: plan.unit_domain.len(),
@@ -675,8 +666,8 @@ impl World {
                     len: plan.len,
                     retransmit: plan.retransmit,
                 },
-                header_bytes: self.tcp.header_bytes,
-                ecn: if self.tcp.ecn { Ecn::Ect } else { Ecn::NotEct },
+                header_bytes: self.header_bytes,
+                ecn: self.data_ecn,
             };
             let (dst, flow) = (self.hosts[conn.hosts[1] as usize].node, conn.id.into());
             if self.enqueue(host, dst, flow, WireBody::Tcp(seg), now, sched) {
@@ -721,7 +712,7 @@ impl World {
                 rwnd: ack.rwnd,
                 ece: ack.ece,
             },
-            header_bytes: self.tcp.header_bytes,
+            header_bytes: self.header_bytes,
             ecn: Ecn::NotEct,
         };
         // ACKs leave the receiver host. A full receiver IFQ silently drops
@@ -751,15 +742,8 @@ impl World {
                         if seg.ecn == Ecn::Ce {
                             self.conns[ci].receiver.on_ce();
                         }
-                        let maybe_ack = self.conns[ci].receiver.on_segment(now, seq, len);
-                        match maybe_ack {
-                            Some(a) => self.send_ack(ci, a, now, sched),
-                            None => {
-                                if let Some(d) = self.conns[ci].receiver.delack_deadline() {
-                                    sched.at(d, Ev::DelackCheck { conn: ci as u32 });
-                                }
-                            }
-                        }
+                        let ack = self.conns[ci].receiver.on_segment(now, seq, len);
+                        self.send_ack(ci, ack, now, sched);
                     }
                     SegKind::Ack { ack, rwnd, ece } => {
                         let [to, _] = self.conns[ci].hosts;
@@ -897,12 +881,8 @@ impl Model for World {
                 let ci = conn as usize;
                 // A flow with nothing to send is complete as it starts: no
                 // ACK will ever say so.
-                if self.conns[ci].app.model().total_bytes() == Some(0) {
+                if self.conns[ci].sender.is_complete() {
                     self.complete(ci, now, sched);
-                }
-                let start = self.conns[ci].start;
-                if let Some((when, bytes)) = self.conns[ci].app.next_write(start) {
-                    sched.at(when.max(now), Ev::AppWrite { conn, bytes });
                 }
                 self.pump(ci, now, sched);
             }
@@ -925,25 +905,8 @@ impl Model for World {
                 self.conns[ci].sender.on_rto_check(now, snap);
                 self.pump(ci, now, sched);
             }
-            Ev::DelackCheck { conn } => {
-                let ci = conn as usize;
-                if let Some(a) = self.conns[ci].receiver.on_delack_timer(now) {
-                    self.send_ack(ci, a, now, sched);
-                } else if let Some(d) = self.conns[ci].receiver.delack_deadline() {
-                    sched.at(d, Ev::DelackCheck { conn });
-                }
-            }
             Ev::StallRetry { conn } => {
                 self.pump(conn as usize, now, sched);
-            }
-            Ev::AppWrite { conn, bytes } => {
-                let ci = conn as usize;
-                self.conns[ci].sender.app_extend(bytes);
-                let start = self.conns[ci].start;
-                if let Some((when, b)) = self.conns[ci].app.next_write(start) {
-                    sched.at(when.max(now), Ev::AppWrite { conn, bytes: b });
-                }
-                self.pump(ci, now, sched);
             }
             Ev::CrossEmit { idx } => {
                 self.emit_cross(idx as usize, now, sched);
@@ -988,10 +951,11 @@ mod tests {
         // instrument's timelines inline (64 B) and the RTT sample count; 768 B
         // with the report-only state in the sender and both hosts' nodes
         // beside their indices; 704 B before the sender's congestion
-        // controller grew from 40 to 64 B.
+        // controller grew from 40 to 64 B; 728 B with an application driver
+        // (32 B) and the receiver's delayed-ACK state (32 B).
         let nic = size_of::<HostNic<WireBody>>();
         assert!(nic <= 104, "HostNic is {nic} B");
         assert!(size_of::<Host>() <= 128, "Host is {} B", size_of::<Host>());
-        assert!(size_of::<Conn>() <= 728, "Conn is {} B", size_of::<Conn>());
+        assert!(size_of::<Conn>() <= 664, "Conn is {} B", size_of::<Conn>());
     }
 }

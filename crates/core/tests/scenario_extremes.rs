@@ -9,17 +9,14 @@
 //!
 //! `FIELDS` names every numeric field of `Scenario`, `PathSpec`,
 //! `HostConfig`, `TcpConfig`, `RedParams`, `ImpairmentConfig` (on either
-//! link family), `CrossSpec` and `AppModel` (about 2 s at the default case
+//! link family), `CrossSpec` and `FlowSpec` (about 2 s at the default case
 //! count). CI runs it by name at a raised one:
 //! `PROPTEST_CASES=300 cargo test -q -p rss-core --test scenario_extremes`.
 
 use proptest::prelude::*;
-use rss_core::{
-    try_run, AppModel, CcAlgorithm, CrossSpec, FlowSpec, QueueDiscipline, RedParams, Scenario,
-};
+use rss_core::{try_run, CcAlgorithm, CrossSpec, QueueDiscipline, RedParams, Scenario};
 use rss_net::{Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow, TrafficPattern};
 use rss_sim::{SimDuration, SimTime};
-use rss_tcp::AckPolicy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The value one case writes into one field.
@@ -146,27 +143,6 @@ fn pattern(sc: &mut Scenario) -> (&mut u64, &mut u32, &mut f64, &mut f64) {
     }
 }
 
-/// A second flow with a periodic app, whose model has every numeric field.
-fn periodic(sc: &mut Scenario) -> (&mut u64, &mut SimDuration, &mut Option<u32>) {
-    if sc.flows.len() < 2 {
-        let mut f = FlowSpec::bulk(CcAlgorithm::Reno);
-        f.app = AppModel::Periodic {
-            burst_bytes: 10_000,
-            interval: SimDuration::from_millis(20),
-            count: Some(5),
-        };
-        sc.flows.push(f);
-    }
-    match &mut sc.flows[1].app {
-        AppModel::Periodic {
-            burst_bytes,
-            interval,
-            count,
-        } => (burst_bytes, interval, count),
-        _ => unreachable!(),
-    }
-}
-
 /// Every numeric field, by its path in `Scenario`.
 const FIELDS: &[(&str, Set)] = &[
     ("duration", |sc, x| sc.duration = x.dur()),
@@ -200,9 +176,6 @@ const FIELDS: &[(&str, Set)] = &[
     ("tcp.rwnd", |sc, x| sc.tcp.rwnd = x.u64()),
     ("tcp.min_rto", |sc, x| sc.tcp.min_rto = x.dur()),
     ("tcp.max_rto", |sc, x| sc.tcp.max_rto = x.dur()),
-    ("tcp.ack_policy.Delayed.timeout", |sc, x| {
-        sc.tcp.ack_policy = AckPolicy::Delayed { timeout: x.dur() }
-    }),
     ("tcp.stall_retry", |sc, x| sc.tcp.stall_retry = x.dur()),
     ("tcp.dupack_threshold", |sc, x| {
         sc.tcp.dupack_threshold = x.u32()
@@ -302,20 +275,7 @@ const FIELDS: &[(&str, Set)] = &[
     ("cross[0].start", |sc, x| cross(sc).start = x.at()),
     ("cross[0].stop", |sc, x| cross(sc).stop = Some(x.at())),
     ("flows[0].start", |sc, x| sc.flows[0].start = x.at()),
-    ("flows[0].app.Bulk.bytes", |sc, x| {
-        sc.flows[0].app = AppModel::Bulk {
-            bytes: Some(x.u64()),
-        }
-    }),
-    ("flows[1].app.Periodic.burst_bytes", |sc, x| {
-        *periodic(sc).0 = x.u64()
-    }),
-    ("flows[1].app.Periodic.interval", |sc, x| {
-        *periodic(sc).1 = x.dur()
-    }),
-    ("flows[1].app.Periodic.count", |sc, x| {
-        *periodic(sc).2 = Some(x.u32())
-    }),
+    ("flows[0].bytes", |sc, x| sc.flows[0].bytes = Some(x.u64())),
 ];
 
 /// The scenario every case starts from.

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rss_core::{
-    run, AppModel, CcAlgorithm, CrossSpec, FlowSpec, RssConfig, Scenario, SimDuration, SimTime,
+    run, CcAlgorithm, CrossSpec, FlowSpec, RssConfig, Scenario, SimDuration, SimTime,
     TrafficPattern,
 };
 
@@ -32,13 +32,7 @@ fn random_scenario(
                 1 => CcAlgorithm::Restricted(RssConfig::tuned()),
                 _ => CcAlgorithm::HighSpeed,
             },
-            app: AppModel::Bulk {
-                bytes: if bounded[i % bounded.len()] {
-                    Some(40_000)
-                } else {
-                    None
-                },
-            },
+            bytes: bounded[i % bounded.len()].then_some(40_000),
             start: SimTime::from_millis(starts_ms[i % starts_ms.len()] as u64),
         })
         .collect();

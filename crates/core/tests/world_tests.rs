@@ -1,9 +1,9 @@
 //! World-model integration tests: wiring details the end-to-end suite
-//! doesn't pin down (start offsets, shared hosts, RED bottlenecks, periodic
-//! apps, the sampled series and what sampling costs).
+//! doesn't pin down (start offsets, shared hosts, RED bottlenecks, the
+//! sampled series and what sampling costs).
 
 use rss_core::{
-    run, AppModel, CcAlgorithm, CrossSpec, FlowSpec, RssConfig, Scenario, SimDuration, SimTime,
+    run, CcAlgorithm, CrossSpec, FlowSpec, RssConfig, Scenario, SimDuration, SimTime,
     TrafficPattern,
 };
 
@@ -147,23 +147,6 @@ fn ecn_bottleneck_marks_instead_of_dropping_and_still_controls_the_queue() {
 }
 
 #[test]
-fn periodic_app_writes_on_schedule() {
-    let mut sc = base(CcAlgorithm::Reno);
-    sc.flows[0].app = AppModel::Periodic {
-        burst_bytes: 10_000,
-        interval: SimDuration::from_millis(500),
-        count: Some(4),
-    };
-    let r = run(&sc);
-    let f = &r.flows[0];
-    assert_eq!(f.receiver_delivered_bytes, 40_000);
-    // Bursts at 0, 0.5, 1.0, 1.5 s: delivery of the last burst happens
-    // after 1.5 s.
-    let last_t = f.acked_series.last().map(|(t, _)| t).unwrap();
-    assert!(last_t >= 1.5, "last burst acked too early: {last_t}");
-}
-
-#[test]
 fn ifq_series_covers_run_and_respects_capacity() {
     let sc = base(CcAlgorithm::Restricted(RssConfig::tuned_for(
         20_000_000, 1500,
@@ -181,7 +164,7 @@ fn ifq_series_covers_run_and_respects_capacity() {
 #[test]
 fn cross_only_scenario_moves_cross_traffic() {
     let mut sc = base(CcAlgorithm::Reno);
-    sc.flows[0].app = AppModel::Bulk { bytes: Some(0) };
+    sc.flows[0].bytes = Some(0);
     sc.cross = vec![CrossSpec {
         pattern: TrafficPattern::Cbr {
             rate_bps: 4_000_000,
@@ -204,7 +187,7 @@ fn cross_only_scenario_moves_cross_traffic() {
 #[test]
 fn open_loop_cross_overload_is_dropped_not_wedged() {
     let mut sc = base(CcAlgorithm::Reno);
-    sc.flows[0].app = AppModel::Bulk { bytes: Some(0) };
+    sc.flows[0].bytes = Some(0);
     // Offer 2x the line rate: the source's own NIC must shed the excess.
     sc.cross = vec![CrossSpec {
         pattern: TrafficPattern::Cbr {
@@ -258,7 +241,7 @@ fn red_cross() -> Scenario {
             } else {
                 CcAlgorithm::Restricted(RssConfig::tuned())
             },
-            app: AppModel::Bulk { bytes: None },
+            bytes: None,
             start: SimTime::from_millis(5 * i),
         })
         .collect();

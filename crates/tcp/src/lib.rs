@@ -2,7 +2,7 @@
 //!
 //! The transport substrate of the *Restricted Slow-Start for TCP*
 //! reproduction. It implements the sender/receiver machinery a congestion
-//! control study needs — cumulative ACKs, delayed ACKs, RFC 6298 RTT
+//! control study needs — a cumulative ACK for every segment, RFC 6298 RTT
 //! estimation and retransmission timeouts, NewReno fast retransmit/recovery
 //! ([`recovery`]), go-back-N timeout recovery — plus the paper's local-
 //! congestion pathway: when the host interface queue rejects a segment, the
@@ -55,7 +55,7 @@ pub use receiver::{AckToSend, ReceiverStats, TcpReceiver};
 pub use rss_net::Ecn;
 pub use rtt::RttEstimator;
 pub use sender::{IfqSnapshot, TcpSender, TxPlan};
-pub use types::{AckPolicy, ConnId, SegKind, StallResponse, TcpConfig, TcpSegment};
+pub use types::{ConnId, SegKind, StallResponse, TcpConfig, TcpSegment};
 
 /// Construct a congestion controller for a connection configured by `cfg`:
 /// [`CcEngine::new`] with the [`CcParams`] the transport config derives.

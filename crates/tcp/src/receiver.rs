@@ -1,13 +1,13 @@
-//! The receive side: cumulative ACK generation with configurable delayed-ACK
-//! behaviour and out-of-order reassembly.
+//! The receive side: a cumulative ACK for every data segment, as Linux 2.4
+//! sent throughout slow-start ("quickack"), and out-of-order reassembly.
 //!
 //! Receive-window dynamics are not modelled (the application drains
 //! instantly, as iperf-style sinks do); the advertised window is the
 //! configured static `rwnd`, matching the hand-tuned hosts of the paper's
 //! testbed.
 
-use crate::types::{AckPolicy, ConnId, TcpConfig};
-use rss_sim::{OptNanos, SimTime};
+use crate::types::{ConnId, TcpConfig};
+use rss_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// An acknowledgment the receiver wants transmitted.
@@ -42,12 +42,9 @@ pub struct TcpReceiver {
     conn: ConnId,
     /// The advertised window, bytes: [`TcpConfig::rwnd`].
     rwnd: u64,
-    ack_policy: AckPolicy,
     rcv_nxt: u64,
     /// Out-of-order segments: start → end (coalesced on insert).
     ooo: BTreeMap<u64, u64>,
-    segs_since_ack: u32,
-    delack_deadline: OptNanos<SimTime>,
     /// CE observed since the last ACK went out; the next ACK carries ECE.
     ece_pending: bool,
     stats: ReceiverStats,
@@ -59,11 +56,8 @@ impl TcpReceiver {
         TcpReceiver {
             conn,
             rwnd: cfg.rwnd,
-            ack_policy: cfg.ack_policy,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            segs_since_ack: 0,
-            delack_deadline: OptNanos::NONE,
             ece_pending: false,
             stats: ReceiverStats::default(),
         }
@@ -103,72 +97,30 @@ impl TcpReceiver {
         self.stats
     }
 
-    /// Deadline of the pending delayed ACK, if armed.
-    pub fn delack_deadline(&self) -> Option<SimTime> {
-        self.delack_deadline.get()
-    }
-
-    fn make_ack(&mut self) -> AckToSend {
-        self.segs_since_ack = 0;
-        self.delack_deadline = OptNanos::NONE;
+    /// Process an arriving data segment `[seq, seq+len)` and return the ACK
+    /// it calls for: every segment is acknowledged at once, so the arrival
+    /// time goes unused.
+    pub fn on_segment(&mut self, _now: SimTime, seq: u64, len: u32) -> AckToSend {
+        assert!(len > 0, "zero-length data segment");
+        self.stats.segments_in += 1;
+        let end = seq + len as u64;
+        if end <= self.rcv_nxt {
+            // Entirely duplicate: the ACK restates rcv_nxt (RFC 5681).
+            self.stats.duplicate_segments += 1;
+        } else if seq > self.rcv_nxt {
+            // Out of order: buffer it; the ACK is a duplicate.
+            self.stats.out_of_order_segments += 1;
+            self.insert_ooo(seq, end);
+        } else {
+            // In-order (possibly partially duplicate) delivery.
+            self.rcv_nxt = end;
+            self.drain_ooo();
+        }
         self.stats.acks_out += 1;
         AckToSend {
             ack: self.rcv_nxt,
             rwnd: self.rwnd,
             ece: std::mem::take(&mut self.ece_pending),
-        }
-    }
-
-    /// Process an arriving data segment `[seq, seq+len)`. Returns an ACK to
-    /// transmit immediately, if policy calls for one.
-    pub fn on_segment(&mut self, now: SimTime, seq: u64, len: u32) -> Option<AckToSend> {
-        assert!(len > 0, "zero-length data segment");
-        self.stats.segments_in += 1;
-        let end = seq + len as u64;
-
-        if end <= self.rcv_nxt {
-            // Entirely duplicate: immediate ACK restates rcv_nxt (RFC 5681).
-            self.stats.duplicate_segments += 1;
-            return Some(self.make_ack());
-        }
-
-        if seq > self.rcv_nxt {
-            // Out of order: buffer and send an immediate duplicate ACK.
-            self.stats.out_of_order_segments += 1;
-            self.insert_ooo(seq, end);
-            return Some(self.make_ack());
-        }
-
-        // In-order (possibly partially duplicate) delivery.
-        let filled_gap = !self.ooo.is_empty();
-        self.rcv_nxt = self.rcv_nxt.max(end);
-        self.drain_ooo();
-
-        match self.ack_policy {
-            AckPolicy::EverySegment => Some(self.make_ack()),
-            AckPolicy::Delayed { timeout } => {
-                if filled_gap && self.rcv_nxt > end {
-                    // We advanced past buffered data: ack immediately so the
-                    // sender learns about the jump.
-                    return Some(self.make_ack());
-                }
-                self.segs_since_ack += 1;
-                if self.segs_since_ack >= 2 {
-                    Some(self.make_ack())
-                } else {
-                    self.delack_deadline.set(now + timeout);
-                    None
-                }
-            }
-        }
-    }
-
-    /// The delayed-ACK timer fired. Returns the ACK to send if one is still
-    /// owed (the driver may race with a just-sent ACK; stale fires are safe).
-    pub fn on_delack_timer(&mut self, now: SimTime) -> Option<AckToSend> {
-        match self.delack_deadline.get() {
-            Some(d) if d <= now => Some(self.make_ack()),
-            _ => None,
         }
     }
 
@@ -205,22 +157,9 @@ impl TcpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rss_sim::SimDuration;
 
-    fn cfg_every() -> TcpConfig {
-        TcpConfig {
-            ack_policy: AckPolicy::EverySegment,
-            ..TcpConfig::default()
-        }
-    }
-
-    fn cfg_delayed() -> TcpConfig {
-        TcpConfig {
-            ack_policy: AckPolicy::Delayed {
-                timeout: SimDuration::from_millis(200),
-            },
-            ..TcpConfig::default()
-        }
+    fn receiver() -> TcpReceiver {
+        TcpReceiver::new(ConnId(0), TcpConfig::default())
     }
 
     fn t(ms: u64) -> SimTime {
@@ -229,129 +168,99 @@ mod tests {
 
     #[test]
     fn in_order_acks_every_segment() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
-        let a = r.on_segment(t(0), 0, 1000).unwrap();
+        let mut r = receiver();
+        let a = r.on_segment(t(0), 0, 1000);
         assert_eq!(a.ack, 1000);
-        let a = r.on_segment(t(1), 1000, 1000).unwrap();
+        let a = r.on_segment(t(1), 1000, 1000);
         assert_eq!(a.ack, 2000);
         assert_eq!(r.rcv_nxt(), 2000);
         assert_eq!(r.stats().acks_out, 2);
     }
 
     #[test]
-    fn delayed_ack_every_second_segment() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_delayed());
-        assert!(r.on_segment(t(0), 0, 1000).is_none());
-        assert!(r.delack_deadline().is_some());
-        let a = r.on_segment(t(1), 1000, 1000).unwrap();
-        assert_eq!(a.ack, 2000);
-        assert!(r.delack_deadline().is_none(), "ack cleared the timer");
-    }
-
-    #[test]
-    fn delack_timer_flushes_pending_ack() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_delayed());
-        assert!(r.on_segment(t(0), 0, 1000).is_none());
-        // Timer not yet due.
-        assert!(r.on_delack_timer(t(100)).is_none());
-        let a = r.on_delack_timer(t(200)).unwrap();
-        assert_eq!(a.ack, 1000);
-        // Stale second fire does nothing.
-        assert!(r.on_delack_timer(t(201)).is_none());
-    }
-
-    #[test]
     fn out_of_order_triggers_immediate_dupack() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_delayed());
-        let a = r.on_segment(t(0), 1000, 1000).unwrap();
+        let mut r = receiver();
+        let a = r.on_segment(t(0), 1000, 1000);
         assert_eq!(a.ack, 0, "dup ack restates rcv_nxt");
         assert_eq!(r.ooo_bytes(), 1000);
         // Filling the gap delivers everything and acks immediately.
-        let a = r.on_segment(t(1), 0, 1000).unwrap();
+        let a = r.on_segment(t(1), 0, 1000);
         assert_eq!(a.ack, 2000);
         assert_eq!(r.ooo_bytes(), 0);
     }
 
     #[test]
     fn duplicate_segment_acked_immediately() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_delayed());
+        let mut r = receiver();
         r.on_segment(t(0), 0, 1000);
         r.on_segment(t(1), 1000, 1000);
-        let a = r.on_segment(t(2), 0, 1000).unwrap();
+        let a = r.on_segment(t(2), 0, 1000);
         assert_eq!(a.ack, 2000);
         assert_eq!(r.stats().duplicate_segments, 1);
     }
 
     #[test]
     fn ooo_intervals_coalesce() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
+        let mut r = receiver();
         r.on_segment(t(0), 3000, 1000); // [3000,4000)
         r.on_segment(t(1), 1000, 1000); // [1000,2000)
         r.on_segment(t(2), 2000, 1000); // bridges to [1000,4000)
         assert_eq!(r.ooo_bytes(), 3000);
-        let a = r.on_segment(t(3), 0, 1000).unwrap();
+        let a = r.on_segment(t(3), 0, 1000);
         assert_eq!(a.ack, 4000, "whole buffer drained at once");
     }
 
     #[test]
     fn overlapping_ooo_not_double_counted() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
+        let mut r = receiver();
         r.on_segment(t(0), 1000, 1000);
         r.on_segment(t(1), 1500, 1000); // overlaps [1500,2000)
         assert_eq!(r.ooo_bytes(), 1500); // [1000,2500)
-        let a = r.on_segment(t(2), 0, 1000).unwrap();
+        let a = r.on_segment(t(2), 0, 1000);
         assert_eq!(a.ack, 2500);
     }
 
     #[test]
     fn partial_overlap_with_delivered_data() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
+        let mut r = receiver();
         r.on_segment(t(0), 0, 1000);
         // Retransmission covering old + new data.
-        let a = r.on_segment(t(1), 500, 1000).unwrap();
+        let a = r.on_segment(t(1), 500, 1000);
         assert_eq!(a.ack, 1500);
     }
 
     #[test]
     fn advertised_window_is_static_rwnd() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
-        let a = r.on_segment(t(0), 0, 1000).unwrap();
+        let mut r = receiver();
+        let a = r.on_segment(t(0), 0, 1000);
         assert_eq!(a.rwnd, TcpConfig::default().rwnd);
     }
 
     #[test]
     fn ce_mark_echoed_once_then_cleared() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
-        let a = r.on_segment(t(0), 0, 1000).unwrap();
+        let mut r = receiver();
+        let a = r.on_segment(t(0), 0, 1000);
         assert!(!a.ece, "no CE seen yet");
         r.on_ce();
-        let a = r.on_segment(t(1), 1000, 1000).unwrap();
+        let a = r.on_segment(t(1), 1000, 1000);
         assert!(a.ece, "CE echoed on the next ACK");
-        let a = r.on_segment(t(2), 2000, 1000).unwrap();
+        let a = r.on_segment(t(2), 2000, 1000);
         assert!(!a.ece, "echo-once: cleared after one ACK");
-    }
-
-    #[test]
-    fn ce_echo_survives_delayed_ack() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_delayed());
-        r.on_ce();
-        assert!(r.on_segment(t(0), 0, 1000).is_none(), "ack delayed");
-        let a = r.on_delack_timer(t(200)).unwrap();
-        assert!(a.ece, "pending echo rides the delayed ACK");
     }
 
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_len_rejected() {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
+        let mut r = receiver();
         r.on_segment(t(0), 0, 0);
     }
 
     #[test]
     fn a_receiver_keeps_its_window_and_policy_not_the_config() {
-        // One per flow. Holding the whole `TcpConfig` it was 184 B, and
-        // 120 B with its delayed-ACK deadline an `Option` (16 B).
+        // One per flow. Holding the whole `TcpConfig` it was 184 B, 120 B
+        // with its delayed-ACK deadline an `Option` (16 B), and 112 B with
+        // the delayed-ACK policy, segment count and deadline.
         let r = std::mem::size_of::<TcpReceiver>();
-        assert!(r <= 112, "TcpReceiver is {r} bytes");
+        assert!(r <= 80, "TcpReceiver is {r} bytes");
     }
 }

@@ -229,20 +229,6 @@ impl TcpSender {
         self.rto_deadline.get()
     }
 
-    /// The application wrote `bytes` more bytes into the socket (only
-    /// meaningful for finite/app-driven transfers; unbounded senders ignore
-    /// writes, and a total that reaches `u64::MAX` bytes is unbounded).
-    pub fn app_extend(&mut self, bytes: u64) {
-        if self.app_total != UNBOUNDED {
-            self.app_total = self.app_total.saturating_add(bytes);
-        }
-    }
-
-    /// Total bytes the application has committed to send, if bounded.
-    pub fn app_total(&self) -> Option<u64> {
-        (self.app_total != UNBOUNDED).then_some(self.app_total)
-    }
-
     /// Time the driver must re-attempt transmission after a stall, if any.
     pub fn stall_retry_at(&self) -> Option<SimTime> {
         self.stall_until.get()
@@ -623,16 +609,6 @@ mod tests {
         assert_eq!(s.flight(), 2000);
         assert!(s.can_transmit(t(0)).is_none(), "window exhausted");
         assert!(s.rto_deadline().is_some());
-    }
-
-    #[test]
-    fn app_writes_past_u64_max_make_the_sender_unbounded() {
-        let mut s = sender(Some(0));
-        s.app_extend(1 << 63);
-        assert_eq!(s.app_total(), Some(1 << 63));
-        s.app_extend(1 << 63);
-        assert_eq!(s.app_total(), None);
-        assert!(!s.is_complete());
     }
 
     #[test]

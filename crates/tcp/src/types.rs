@@ -78,20 +78,6 @@ impl Body for TcpSegment {
     }
 }
 
-/// How the receiver generates ACKs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AckPolicy {
-    /// ACK every data segment (Linux "quickack" behaviour, which 2.4 used
-    /// throughout slow-start).
-    EverySegment,
-    /// Classic delayed ACKs: one ACK per two segments, or after the delayed
-    /// ACK timer fires.
-    Delayed {
-        /// Delayed-ACK timeout.
-        timeout: SimDuration,
-    },
-}
-
 /// How the sender answers a local send-stall.
 ///
 /// [`TcpSender::on_local_stall`](crate::TcpSender::on_local_stall) is the
@@ -136,8 +122,6 @@ pub struct TcpConfig {
     pub min_rto: SimDuration,
     /// Upper bound on the retransmission timeout.
     pub max_rto: SimDuration,
-    /// ACK generation policy.
-    pub ack_policy: AckPolicy,
     /// Congestion response to send-stalls.
     pub stall_response: StallResponse,
     /// How long the sender waits after a stall before re-probing the IFQ
@@ -145,10 +129,6 @@ pub struct TcpConfig {
     pub stall_retry: SimDuration,
     /// Number of duplicate ACKs that trigger fast retransmit.
     pub dupack_threshold: u32,
-    /// ECN negotiated for this flow: data segments carry ECT, the receiver
-    /// echoes CE marks as ECE, and the sender answers with a CWR-style
-    /// once-per-RTT reduction. Off by default (pre-ECN behaviour).
-    pub ecn: bool,
 }
 
 impl Default for TcpConfig {
@@ -161,11 +141,9 @@ impl Default for TcpConfig {
             rwnd: 2 * 1024 * 1024,
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(60),
-            ack_policy: AckPolicy::EverySegment,
             stall_response: StallResponse::Cwr,
             stall_retry: SimDuration::from_millis(1),
             dupack_threshold: 3,
-            ecn: false,
         }
     }
 }

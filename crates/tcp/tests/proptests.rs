@@ -3,16 +3,9 @@
 use proptest::prelude::*;
 use rss_sim::{SimDuration, SimTime};
 use rss_tcp::{
-    make_cc, AckPolicy, CcAlgorithm, CcView, ConnId, RssConfig, ScalableConfig, SslConfig,
-    TcpConfig, TcpReceiver,
+    make_cc, CcAlgorithm, CcView, ConnId, RssConfig, ScalableConfig, SslConfig, TcpConfig,
+    TcpReceiver,
 };
-
-fn cfg_every() -> TcpConfig {
-    TcpConfig {
-        ack_policy: AckPolicy::EverySegment,
-        ..TcpConfig::default()
-    }
-}
 
 proptest! {
     /// The receiver reassembles any permutation of segments (with arbitrary
@@ -24,7 +17,7 @@ proptest! {
         seg_len in 1u32..2000,
     ) {
         let total = n_segments as u64 * seg_len as u64;
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
+        let mut r = TcpReceiver::new(ConnId(0), TcpConfig::default());
         let mut t = 0u64;
         // Deliver segments in the given (possibly duplicated) order...
         for &i in &order {
@@ -47,17 +40,16 @@ proptest! {
     fn acks_are_monotone_and_bounded(
         arrivals in prop::collection::vec((0u64..30, 1u32..1500), 1..80),
     ) {
-        let mut r = TcpReceiver::new(ConnId(0), cfg_every());
+        let mut r = TcpReceiver::new(ConnId(0), TcpConfig::default());
         let mut highest_end = 0u64;
         let mut last_ack = 0u64;
         for (i, &(seg, len)) in arrivals.iter().enumerate() {
             let seq = seg * 1448;
             highest_end = highest_end.max(seq + len as u64);
-            if let Some(a) = r.on_segment(SimTime::from_micros(i as u64 + 1), seq, len) {
-                prop_assert!(a.ack >= last_ack, "ACK went backwards");
-                prop_assert!(a.ack <= highest_end, "ACK beyond received data");
-                last_ack = a.ack;
-            }
+            let a = r.on_segment(SimTime::from_micros(i as u64 + 1), seq, len);
+            prop_assert!(a.ack >= last_ack, "ACK went backwards");
+            prop_assert!(a.ack <= highest_end, "ACK beyond received data");
+            last_ack = a.ack;
         }
     }
 

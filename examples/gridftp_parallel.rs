@@ -17,9 +17,9 @@ use rss_core::plot::ascii_table;
 use rss_core::{run_many, RunReport, Scenario, ScenarioSpec};
 use std::path::Path;
 
-/// Bytes the run's application layer commits (the striped transfer size).
+/// Bytes the run's flows transfer (the striped transfer size).
 fn committed_bytes(sc: &Scenario) -> u64 {
-    sc.flows.iter().filter_map(|f| f.app.total_bytes()).sum()
+    sc.flows.iter().filter_map(|f| f.bytes).sum()
 }
 
 /// Worst completion time across the stripes, total stalls, Jain fairness.

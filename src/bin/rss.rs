@@ -20,7 +20,7 @@ use restricted_slow_start::{
     ExpandedRun, FairnessReport, ScenarioSpec, ShardsDef,
 };
 use serde::Serialize as _;
-use std::path::{Component, Path, PathBuf};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -28,36 +28,6 @@ fn usage() -> ExitCode {
         "usage:\n  rss run <scenario.json> [--out <dir>] [--shards <n|auto>] [--stats]\n                                          execute and write artifacts (--shards overrides\n                                          the file's executor choice; results are identical;\n                                          --stats prints engine queue counters, or with\n                                          shards the window and envelope counts, per run)\n  rss list [<dir>]                        summarize scenario files (default: scenarios/)\n  rss list --variants [--markdown]        list the registered congestion-control variants\n                                          (--markdown emits docs/VARIANTS.md)\n  rss validate [--recursive] <path>...    parse + semantic-check, no execution\n                                          (a directory validates every *.json inside it;\n                                          --recursive descends into subdirectories)"
     );
     ExitCode::from(2)
-}
-
-/// Normalize an artifact path for display. A scenario's configured artifact
-/// name may be absolute (`PathBuf::join` then discards the output
-/// directory) or drag `./`/`..` segments through the join; show the
-/// lexically-cleaned result instead of the raw concatenation, so the
-/// printed path is exactly what the user can pass to other tools from the
-/// CWD (or anywhere, when absolute).
-fn display_artifact_path(path: &Path) -> String {
-    let mut out = PathBuf::new();
-    for comp in path.components() {
-        match comp {
-            Component::CurDir => {}
-            Component::ParentDir => match out.components().next_back() {
-                // `a/b/.. -> a`; a leading run of `..` (or one past the
-                // root, which is the root itself) cannot be cancelled.
-                Some(Component::Normal(_)) => {
-                    out.pop();
-                }
-                Some(Component::RootDir) | Some(Component::Prefix(_)) => {}
-                _ => out.push(".."),
-            },
-            other => out.push(other.as_os_str()),
-        }
-    }
-    if out.as_os_str().is_empty() {
-        ".".to_string()
-    } else {
-        out.display().to_string()
-    }
 }
 
 /// Friendly pre-flight for a scenario-file argument: a missing path or a
@@ -471,7 +441,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             eprintln!("error: write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("wrote {}", display_artifact_path(&path));
+        println!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }
@@ -685,33 +655,5 @@ mod tests {
             let err = parse_shards(bad).unwrap_err();
             assert!(err.contains("positive integer or `auto`"), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn displayed_artifact_paths_are_normalized() {
-        // Relative joins print relative to the CWD, cleaned of `./`.
-        assert_eq!(
-            display_artifact_path(Path::new("results/./scenario_x.csv")),
-            "results/scenario_x.csv"
-        );
-        // `..` segments are resolved lexically.
-        assert_eq!(
-            display_artifact_path(Path::new("results/../fair.csv")),
-            "fair.csv"
-        );
-        assert_eq!(
-            display_artifact_path(Path::new("a/b/../../c/x.csv")),
-            "c/x.csv"
-        );
-        // An absolute configured artifact name bypassed the output
-        // directory in the join; it must print absolute, untouched.
-        assert_eq!(
-            display_artifact_path(Path::new("/tmp/out/./fair.csv")),
-            "/tmp/out/fair.csv"
-        );
-        assert_eq!(display_artifact_path(Path::new("/../x.csv")), "/x.csv");
-        // Uncancellable leading `..` survives; an empty result is the CWD.
-        assert_eq!(display_artifact_path(Path::new("../x.csv")), "../x.csv");
-        assert_eq!(display_artifact_path(Path::new("a/..")), ".");
     }
 }

@@ -18,7 +18,7 @@
 //! (the IFQ transmit path), `rss-tcp` (sans-IO transport), `rss-cc`
 //! (pluggable congestion control with a variant registry), `rss-control`
 //! (PID + Ziegler–Nichols), `rss-web100` (instrumentation) and
-//! `rss-workload` (application models).
+//! `rss-workload` (GridFTP-style striping).
 //!
 //! ## Quick start
 //!

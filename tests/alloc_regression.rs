@@ -21,7 +21,7 @@
 //! the owners to explain it.
 
 use restricted_slow_start::world::World;
-use restricted_slow_start::{run, AppModel, CcAlgorithm, FlowSpec, Scenario, SimDuration, SimTime};
+use restricted_slow_start::{run, CcAlgorithm, FlowSpec, Scenario, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -84,7 +84,7 @@ fn manyflow(duration: SimDuration) -> Scenario {
     sc.flows = (0..2_000)
         .map(|_| FlowSpec {
             algo: CcAlgorithm::Reno,
-            app: AppModel::Bulk { bytes: None },
+            bytes: None,
             start: SimTime::ZERO,
         })
         .collect();
@@ -157,15 +157,16 @@ fn peak_heap_over_run(sc: &Scenario) -> u64 {
 /// Memory proportional to what is live, as a number that does not depend on
 /// the host: the many-flow dumbbell's peak live heap per flow — world,
 /// event queue, telemetry and the report on top — under a ceiling a tenth
-/// above what it measures under one engine (2 980 B) and in two domains
-/// (3 899 B: each domain's fabric compiles its own 16-byte hop record per
+/// above what it measures under one engine (2 916 B) and in two domains
+/// (3 835 B: each domain's fabric compiles its own 16-byte hop record per
 /// direction of the whole topology), and the same for [`World::build`] alone
-/// (1 493 B; its ceiling of 1 620 B is older and tighter), so a per-flow
-/// struct that grows names its phase.
+/// (1 429 B), so a per-flow struct that grows names its phase.
 ///
-/// With a 32-byte in-flight record per segment in a ring that kept the
-/// largest flight's room, and report series that kept their doubling
-/// slack, the same runs measured 3 155 and 4 074 B (ceilings 3 450 /
+/// With an application driver and the receiver's delayed-ACK state in
+/// every connection (64 B), the same runs measured 2 980 and 3 899 B and
+/// the build 1 493 B (ceilings 3 280 / 4 290 / 1 620). With a 32-byte
+/// in-flight record per segment in a ring that kept the largest flight's
+/// room, and report series that kept their doubling slack, the same runs measured 3 155 and 4 074 B (ceilings 3 450 /
 /// 4 460). With the RTO episodes, the limit state, a delivered count and a rate
 /// interval in every sender and both hosts' node ids in every connection,
 /// the same runs measured 3 147 and 4 066 B and the build 1 517 B; with
@@ -200,9 +201,9 @@ fn manyflow_peak_heap_stays_under_the_per_flow_ceiling() {
     let sc = manyflow(SimDuration::from_millis(1500));
     let build = || World::build(&sc).expect("the dumbbell builds");
     for (phase, peak, ceiling) in [
-        ("run(), one engine", peak_heap_over(run_in(None)), 3_280),
-        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_290),
-        ("World::build", peak_heap_over(build), 1_620),
+        ("run(), one engine", peak_heap_over(run_in(None)), 3_210),
+        ("run(), two domains", peak_heap_over(run_in(Some(2))), 4_220),
+        ("World::build", peak_heap_over(build), 1_580),
     ] {
         let per_flow = peak / sc.flows.len() as u64;
         assert!(

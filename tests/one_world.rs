@@ -11,7 +11,7 @@
 //! wired differently, shows up here as a diff.
 
 use restricted_slow_start::{
-    results_csv, run, AppModel, CcAlgorithm, CrossSpec, ExpandedRun, FlowSpec, GilbertElliott,
+    results_csv, run, CcAlgorithm, CrossSpec, ExpandedRun, FlowSpec, GilbertElliott,
     ImpairmentConfig, Jitter, QueueDiscipline, RedParams, RunReport, Scenario, ScenarioSpec,
     SimDuration, SimTime, TrafficPattern,
 };
@@ -166,9 +166,7 @@ fn cross_traffic() {
 fn stop_when_complete() {
     let mut sc = base();
     for f in &mut sc.flows {
-        f.app = AppModel::Bulk {
-            bytes: Some(1_000_000),
-        };
+        f.bytes = Some(1_000_000);
     }
     sc.stop_when_complete = true;
     sc.duration = SimDuration::from_secs(60);

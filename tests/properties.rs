@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use restricted_slow_start::{
-    run, AppModel, CcAlgorithm, Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow,
+    run, CcAlgorithm, Flap, GilbertElliott, ImpairmentConfig, Jitter, OutageWindow,
     QueueDiscipline, RedParams, RssConfig, Scenario, SimDuration, SimTime,
 };
 
@@ -41,7 +41,7 @@ proptest! {
             .with_seed(seed)
             .with_auto_rwnd();
         sc.path.loss_prob = loss_milli as f64 / 1000.0;
-        sc.flows[0].app = AppModel::Bulk { bytes: Some(bytes) };
+        sc.flows[0].bytes = Some(bytes);
         sc.stop_when_complete = true;
         // Generous horizon so even lossy/small-window runs finish.
         sc.duration = SimDuration::from_secs(600);

@@ -21,7 +21,7 @@
 //!   out of slow-start at 64 KiB and crawls; the probe measures the
 //!   bottleneck and paces at it.
 
-use restricted_slow_start::{run, AppModel, CcAlgorithm, Scenario, SimDuration};
+use restricted_slow_start::{run, CcAlgorithm, Scenario, SimDuration};
 
 const MSS: u64 = 1448;
 
@@ -114,9 +114,7 @@ fn lfn(algo: CcAlgorithm) -> Scenario {
         .with_txqueuelen(1000)
         .with_duration(SimDuration::from_secs(60))
         .with_seed(1);
-    sc.flows[0].app = AppModel::Bulk {
-        bytes: Some(32 * 1024 * 1024),
-    };
+    sc.flows[0].bytes = Some(32 * 1024 * 1024);
     sc.stop_when_complete = true;
     sc.tcp.initial_ssthresh = Some(65536);
     sc.tcp.rwnd = 64 * 1024 * 1024;

@@ -21,7 +21,7 @@
 //!   not preserve, though the behaviour it drives is the same.
 
 use restricted_slow_start::{
-    cc_registry, run, AppModel, CcAlgorithm, FlowReport, FlowSpec, HostConfig, PathSpec, RssConfig,
+    cc_registry, run, CcAlgorithm, FlowReport, FlowSpec, HostConfig, PathSpec, RssConfig,
     RunReport, ScalableConfig, Scenario, SimDuration, SimTime, SslConfig, TcpConfig,
 };
 
@@ -107,11 +107,9 @@ fn scaled(sc: &Scenario, k: K) -> Scenario {
         rwnd,
         min_rto,
         max_rto,
-        ack_policy,
         stall_response,
         stall_retry,
         dupack_threshold,
-        ecn,
     } = tcp;
     let path = PathSpec {
         rate_bps: k.rate(rate_bps),
@@ -124,7 +122,7 @@ fn scaled(sc: &Scenario, k: K) -> Scenario {
     };
     let flows = flows
         .into_iter()
-        .map(|FlowSpec { algo, app, start }| FlowSpec {
+        .map(|FlowSpec { algo, bytes, start }| FlowSpec {
             algo: match algo {
                 // The gains are times: Ti and Td follow the packet time.
                 CcAlgorithm::Restricted(cfg) => CcAlgorithm::Restricted(RssConfig {
@@ -133,18 +131,7 @@ fn scaled(sc: &Scenario, k: K) -> Scenario {
                 }),
                 other => other,
             },
-            app: match app {
-                AppModel::Periodic {
-                    burst_bytes,
-                    interval,
-                    count,
-                } => AppModel::Periodic {
-                    burst_bytes,
-                    interval: k.dur(interval),
-                    count,
-                },
-                bulk @ AppModel::Bulk { .. } => bulk,
-            },
+            bytes,
             start: k.at(start),
         })
         .collect();
@@ -163,13 +150,9 @@ fn scaled(sc: &Scenario, k: K) -> Scenario {
             rwnd,
             min_rto: k.dur(min_rto),
             max_rto: k.dur(max_rto),
-            // Every segment is acked on the paper's hosts; a delayed-ACK
-            // timeout would scale like `stall_retry`.
-            ack_policy,
             stall_response,
             stall_retry: k.dur(stall_retry),
             dupack_threshold,
-            ecn,
         },
         flows,
         cross,

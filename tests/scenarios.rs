@@ -10,8 +10,8 @@
 //! goldens under `scenarios/golden/`.
 
 use restricted_slow_start::{
-    run, runs_csv, stripe_bytes, AppModel, CcAlgorithm, FlowSpec, RssConfig, Scenario,
-    ScenarioSpec, SimDuration, SimTime, StallResponse,
+    run, runs_csv, stripe_bytes, CcAlgorithm, FlowSpec, RssConfig, Scenario, ScenarioSpec,
+    SimDuration, SimTime, StallResponse,
 };
 use std::path::{Path, PathBuf};
 
@@ -136,7 +136,7 @@ fn gridftp_spec_matches_the_hand_built_striping() {
                 .into_iter()
                 .map(|bytes| FlowSpec {
                     algo,
-                    app: AppModel::Bulk { bytes: Some(bytes) },
+                    bytes: Some(bytes),
                     start: SimTime::ZERO,
                 })
                 .collect();

@@ -24,10 +24,11 @@ fn arb_cc() -> impl Strategy<Value = CcDef> {
             tuning: None,
             setpoint_frac: None,
         }),
-        (1u64..2000, (1u32..100)).prop_map(|(r, w)| CcDef::Restricted {
-            tuning: Some(TuningDef::ForRate {
-                rate_mbps: r as f64,
-                wire_pkt_bytes: 1400 + w,
+        (any::<bool>(), 1u32..100).prop_map(|(per_stream, w)| CcDef::Restricted {
+            tuning: Some(if per_stream {
+                TuningDef::PerStream
+            } else {
+                TuningDef::ForPath
             }),
             setpoint_frac: Some(0.5 + (w as f64) / 250.0),
         }),
@@ -124,7 +125,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                     tcp: None,
                     flows: Some(vec![FlowDef {
                         cc: Some(cc),
-                        app: None,
+                        bytes: (stride % 3 == 0).then_some(1_000_000),
                         start_s: Some(seed as f64 / 64.0),
                         count: (stride % 2 == 0).then_some(stride),
                     }]),
